@@ -10,13 +10,26 @@ Spec grammar (INI-like; see README for the full description):
     [options]         bound = B, window = lo..hi
     [ops]             one operation per line: VERB ARG...
 
-Exit codes: 0 ok, 1 some verdict failed, 2 usage/parse error, 3 internal
-consistency failure.
+Operations are registered once, with the ``_operation`` decorator on their
+handler; the handler's annotations give the argument kinds (``int`` or a
+name of an ideal or module).
+
+Exit codes: 0 ok, 1 some verdict failed (or an operation raised an error,
+reported as ``ok: false``), 2 usage or parse error, 3 internal consistency
+failure.  Exit 2 covers: an unreadable spec file, an unknown gallery, a
+malformed section or ``key = value`` line, a value that is not an integer
+(``p``, ``weights``, ``ambient``, ``shifts``, ``bound``, ``window``, integer
+operation arguments), a ``window`` or ``--window`` not of the form lo..hi,
+``shifts`` with neither 1 nor ``ambient`` entries, a bad polynomial or
+column, a non-prime characteristic, an unknown operation or wrong argument
+count, an undefined name, and a canonical K over a ring that is not
+Cohen-Macaulay.  Each names its spec line where it has one.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -95,39 +108,44 @@ def _kv(entries):
     return out
 
 
-# operations: name -> list of argument kinds ("name" or "int")
-OPS = {
-    "invariants": ["name"],
-    "groebner": ["name"],
-    "hilbert": ["name"],
-    "betti": ["name", "int"],
-    "colon": ["name", "name"],
-    "annihilator": ["name"],
-    "cyclic_link": ["name", "name"],
-    "link": ["name", "name"],
-    "double_link": ["name", "name"],
-    "is_linked": ["name", "name"],
-    "walk": ["name", "name", "int"],
-    "semidualizing": [],
-    "canonical_info": [],
-    "bass_numbers": ["int"],
-    "local_cohomology": ["name", "int"],
-    "schenzel": ["name", "name", "int"],
-    "duality": ["name", "name", "int"],
-    "depth_formula": ["name", "name"],
-    "self_link_sum": ["name"],
-    "foxby_roundtrip": ["name"],
-    "adjoint_transfer": ["name", "name"],
-    "colink": ["name", "name"],
-    "pk_dimension": ["name"],
-    "gk_perfect": ["name"],
-    "horizontal": ["name"],
-    "regular_sequence": ["name", "int"],
-}
+def _int(text, lineno):
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecSyntaxError(f"integer expected, got {text!r}", lineno) from None
 
 
-def parse_spec(text):
-    """Validated ExperimentSpec, or a SpecSyntaxError with a line number."""
+def _window(text, lineno=None):
+    """(lo, hi) from "lo..hi"; shared by ``[options] window`` and --window."""
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        raise SpecSyntaxError(f"window must be lo..hi, got {text!r}", lineno)
+    return _int(lo, lineno), _int(hi, lineno)
+
+
+# operation name -> handler(spec, *args); run looks the handler up on every
+# call, so entries may be replaced (for example by a profiler)
+HANDLERS = {}
+# operation name -> argument kinds, "int" or "name"; kept apart from HANDLERS
+# so that a replaced handler does not change how specs parse
+_ARG_KINDS = {}
+
+
+def _operation(handler):
+    """Register ``op_NAME`` as operation NAME; parameters after ``spec``
+    annotated ``int`` take integers, the others names."""
+    name = handler.__name__.removeprefix("op_")
+    params = list(inspect.signature(handler, eval_str=True).parameters.values())[1:]
+    _ARG_KINDS[name] = ["int" if p.annotation is int else "name" for p in params]
+    HANDLERS[name] = handler
+    return handler
+
+
+def parse_spec(text, p=None):
+    """Validated ExperimentSpec, or a SpecSyntaxError with a line number.
+
+    ``p``, when given, replaces the characteristic the spec declares.
+    """
     sections = _split_sections(text)
     ring_ctx = None
     ideals, mods = {}, {}
@@ -141,18 +159,23 @@ def parse_spec(text):
                 var_names = [v.strip() for v in kv["vars"][0].split(",") if v.strip()]
             except KeyError as missing:
                 raise SpecSyntaxError(f"[ring] needs {missing}", header_line)
-            p = int(kv["p"][0]) if "p" in kv else DEFAULT_CHARACTERISTIC
+            char = p
+            if char is None:
+                char = _int(*kv["p"]) if "p" in kv else DEFAULT_CHARACTERISTIC
             weights = None
             if "weights" in kv:
-                weights = [int(w) for w in kv["weights"][0].split(",") if w.strip()]
+                text_, lineno = kv["weights"]
+                weights = [_int(w, lineno) for w in text_.split(",") if w.strip()]
             defining = []
             if "defining" in kv and kv["defining"][0]:
                 defining = [s.strip() for s in kv["defining"][0].split(",") if s.strip()]
             try:
-                ring_ctx = make_ring(p, var_names, defining, weights)
+                ring_ctx = make_ring(char, var_names, defining, weights)
             except LiaisonError as exc:
                 bad_line = kv["p"][1] if "p" in kv else header_line
                 raise SpecSyntaxError(str(exc), bad_line)
+            except ValueError as exc:  # variable names, weights, defining
+                raise SpecSyntaxError(str(exc), header_line)
         elif name.startswith("ideal "):
             ident = name.split(None, 1)[1]
             kv = _kv(entries)
@@ -170,25 +193,32 @@ def parse_spec(text):
             if ring_ctx is None:
                 raise SpecSyntaxError("[ring] must come first", header_line)
             kv = _kv(entries)
-            rank = int(kv.get("ambient", ("1", 0))[0])
-            shifts = [int(s) for s in kv.get("shifts", ("0", 0))[0].split(",")]
+            rank = _int(*kv.get("ambient", ("1", header_line)))
+            shifts_text, shifts_line = kv.get("shifts", ("0", header_line))
+            shifts = [_int(s, shifts_line) for s in shifts_text.split(",")]
             if len(shifts) == 1:
                 shifts = shifts * rank
+            if len(shifts) != rank:
+                raise SpecSyntaxError(f"shifts needs 1 or {rank} entries", shifts_line)
 
-            def columns(txt):
+            def columns(txt, lineno):
                 cols = []
                 for col in txt.split(";"):
                     entries_ = [e.strip() for e in col.split(",")]
                     if len(entries_) != rank:
-                        raise SpecSyntaxError(
-                            f"column needs {rank} entries", header_line
-                        )
-                    cols.append(tuple(parse_poly(ring_ctx, e) for e in entries_))
+                        raise SpecSyntaxError(f"column needs {rank} entries", lineno)
+                    try:
+                        cols.append(tuple(parse_poly(ring_ctx, e) for e in entries_))
+                    except ValueError as exc:
+                        raise SpecSyntaxError(str(exc), lineno)
                 return cols
 
-            gens = columns(kv["gens"][0]) if kv.get("gens", ("", 0))[0] else []
-            rels = columns(kv["rels"][0]) if kv.get("rels", ("", 0))[0] else []
-            mods[ident] = subquotient(ring_ctx, gens, rels, shifts, rank)
+            gens = columns(*kv["gens"]) if kv.get("gens", ("", 0))[0] else []
+            rels = columns(*kv["rels"]) if kv.get("rels", ("", 0))[0] else []
+            try:
+                mods[ident] = subquotient(ring_ctx, gens, rels, shifts, rank)
+            except LiaisonError as exc:  # inhomogeneous columns
+                raise SpecSyntaxError(str(exc), header_line)
         elif name == "K":
             kv = _kv(entries)
             k_kind = kv.get("kind", ("trivial", 0))[0]
@@ -198,29 +228,21 @@ def parse_spec(text):
         elif name == "options":
             kv = _kv(entries)
             if "bound" in kv:
-                bound = int(kv["bound"][0])
+                bound = _int(*kv["bound"])
             if "window" in kv:
-                lo, hi = kv["window"][0].split("..")
-                window = (int(lo), int(hi))
+                window = _window(*kv["window"])
         elif name == "ops":
             for lineno, line in entries:
                 parts = line.split()
-                if parts[0] not in OPS:
+                if parts[0] not in _ARG_KINDS:
                     raise SpecSyntaxError(f"unknown operation {parts[0]!r}", lineno)
-                kinds = OPS[parts[0]]
+                kinds = _ARG_KINDS[parts[0]]
                 if len(parts) - 1 != len(kinds):
                     raise SpecSyntaxError(
                         f"{parts[0]} expects {len(kinds)} arguments", lineno
                     )
-                args = []
-                for kind, tok in zip(kinds, parts[1:]):
-                    if kind == "int":
-                        try:
-                            args.append(int(tok))
-                        except ValueError:
-                            raise SpecSyntaxError(f"integer expected, got {tok!r}", lineno)
-                    else:
-                        args.append(tok)
+                args = [_int(tok, lineno) if kind == "int" else tok
+                        for kind, tok in zip(kinds, parts[1:])]
                 ops.append((parts[0], args, lineno))
         else:
             raise SpecSyntaxError(f"unknown section [{name}]", header_line)
@@ -230,7 +252,7 @@ def parse_spec(text):
     if len(names) != len(ideals) + len(mods):
         raise SpecSyntaxError("ideal/module names must be unique", 1)
     for op, args, lineno in ops:
-        for kind, arg in zip(OPS[op], args):
+        for kind, arg in zip(_ARG_KINDS[op], args):
             if kind == "name" and arg not in names:
                 raise UnknownName(f"line {lineno}: undefined name {arg!r}")
     if k_kind == "explicit" and k_name not in mods:
@@ -267,25 +289,18 @@ def _ideal_strings(gens):
     return [render_poly(g) for g in gens]
 
 
-def _inv_data(rep):
-    return {
-        "dim": rep.dim,
-        "depth": rep.depth,
-        "grade": linkage._num(rep.grade),
-        "pd": linkage._num(rep.pd),
-        "cod": rep.cod,
-    }
-
-
+@_operation
 def op_invariants(spec, name):
-    return _inv_data(invariants(_as_module(spec, name)))
+    return invariants(_as_module(spec, name)).to_json()
 
 
+@_operation
 def op_groebner(spec, name):
     gb = groebner.reduced_ideal_gb(spec.ring, _as_ideal(spec, name))
     return {"reduced_gb": _ideal_strings(gb)}
 
 
+@_operation
 def op_hilbert(spec, name):
     M = _as_module(spec, name)
     data = M.hilbert()
@@ -297,7 +312,8 @@ def op_hilbert(spec, name):
     }
 
 
-def op_betti(spec, name, length):
+@_operation
+def op_betti(spec, name, length: int):
     res = homalg.free_resolution(_as_module(spec, name), length)
     return {
         "betti_numbers": res.betti_numbers(),
@@ -306,15 +322,18 @@ def op_betti(spec, name, length):
     }
 
 
+@_operation
 def op_colon(spec, a, b):
     got = groebner.colon(_as_ideal(spec, a), _as_ideal(spec, b), spec.ring)
     return {"colon": _ideal_strings(got)}
 
 
+@_operation
 def op_annihilator(spec, name):
     return {"annihilator": _ideal_strings(annihilator(_as_module(spec, name)))}
 
 
+@_operation
 def op_cyclic_link(spec, iname, cname):
     K = spec.resolve_K()
     linked = linkage.cyclic_link(
@@ -331,21 +350,25 @@ def _cyclic_epi(spec, iname, cname):
     return linkage.reflexive_epi(phi, K, "Pn", spec.bound)
 
 
+@_operation
 def op_link(spec, iname, cname):
     res = linkage.link_operator(_cyclic_epi(spec, iname, cname))
     return res.to_json()
 
 
+@_operation
 def op_double_link(spec, iname, cname):
     v = linkage.double_link_check(_cyclic_epi(spec, iname, cname))
     return {"verdict": v.to_json()}
 
 
+@_operation
 def op_is_linked(spec, iname, cname):
     return {"linked": linkage.is_linked_by(_cyclic_epi(spec, iname, cname))}
 
 
-def op_walk(spec, iname, cname, steps):
+@_operation
+def op_walk(spec, iname, cname, steps: int):
     K = spec.resolve_K()
     epis = linkage.build_cyclic_walk(
         spec.ring, _as_ideal(spec, iname), _as_ideal(spec, cname), K, steps,
@@ -354,6 +377,7 @@ def op_walk(spec, iname, cname, steps):
     return linkage.liaison_walk(epis, spec.window)
 
 
+@_operation
 def op_semidualizing(spec):
     K = spec.resolve_K()
     cert = linkage.is_semidualizing(K, spec.bound)
@@ -364,6 +388,7 @@ def op_semidualizing(spec):
     }
 
 
+@_operation
 def op_canonical_info(spec):
     om = linkage.canonical_module(spec.ring)
     from .modules import minimize
@@ -376,17 +401,20 @@ def op_canonical_info(spec):
     }
 
 
-def op_bass_numbers(spec, upto):
+@_operation
+def op_bass_numbers(spec, upto: int):
     mu = cohomology.bass_numbers(free_module(spec.ring, 1), upto)
     return {"bass_numbers": mu, "type": mu[modules.ring_depth(spec.ring)]}
 
 
-def op_local_cohomology(spec, name, i):
+@_operation
+def op_local_cohomology(spec, name, i: int):
     data = cohomology.local_cohomology_hf(_as_module(spec, name), i, spec.window)
     return data.to_json()
 
 
-def op_schenzel(spec, iname, cname, t):
+@_operation
+def op_schenzel(spec, iname, cname, t: int):
     K = spec.resolve_K()
     I = _as_ideal(spec, iname)
     c = _as_ideal(spec, cname)
@@ -398,7 +426,8 @@ def op_schenzel(spec, iname, cname, t):
     return {"verdict": v.to_json(), "t": t}
 
 
-def op_duality(spec, iname, cname, i):
+@_operation
+def op_duality(spec, iname, cname, i: int):
     K = spec.resolve_K()
     I = _as_ideal(spec, iname)
     c = _as_ideal(spec, cname)
@@ -409,11 +438,13 @@ def op_duality(spec, iname, cname, i):
     return {"verdict": v.to_json(), "index": i}
 
 
+@_operation
 def op_depth_formula(spec, iname, cname):
     v = linkage.depth_formula_check(_cyclic_epi(spec, iname, cname))
     return {"verdict": v.to_json()}
 
 
+@_operation
 def op_self_link_sum(spec, name):
     K = spec.resolve_K()
     M = _as_module(spec, name)
@@ -432,6 +463,7 @@ def op_self_link_sum(spec, name):
     }
 
 
+@_operation
 def op_foxby_roundtrip(spec, name):
     K = spec.resolve_K()
     M = _as_module(spec, name)
@@ -446,6 +478,7 @@ def op_foxby_roundtrip(spec, name):
     }
 
 
+@_operation
 def op_colink(spec, iname, cname):
     """Colink through the adjoint transfer and emit the full transcript."""
     K = spec.resolve_K()
@@ -463,6 +496,7 @@ def op_colink(spec, iname, cname):
     }
 
 
+@_operation
 def op_adjoint_transfer(spec, iname, cname):
     K = spec.resolve_K()
     e = _cyclic_epi(spec, iname, cname)
@@ -486,18 +520,21 @@ def op_adjoint_transfer(spec, iname, cname):
     }
 
 
+@_operation
 def op_pk_dimension(spec, name):
     K = spec.resolve_K()
     v, val = colinkage.pk_dimension(_as_module(spec, name), K, spec.bound)
     return {"verdict": v.to_json(), "value": val}
 
 
+@_operation
 def op_gk_perfect(spec, name):
     K = spec.resolve_K()
     v = linkage.is_gk_perfect(_as_module(spec, name), K, spec.bound)
     return {"verdict": v.to_json()}
 
 
+@_operation
 def op_horizontal(spec, name):
     M = _as_module(spec, name)
     lam = linkage.horizontal_link(M)
@@ -507,39 +544,10 @@ def op_horizontal(spec, name):
     }
 
 
-def op_regular_sequence(spec, name, n):
+@_operation
+def op_regular_sequence(spec, name, n: int):
     seq = linkage.regular_sequence_in(spec.ring, _as_ideal(spec, name), n)
     return {"sequence": [render_poly(f) for f in seq]}
-
-
-HANDLERS = {
-    "invariants": op_invariants,
-    "groebner": op_groebner,
-    "hilbert": op_hilbert,
-    "betti": op_betti,
-    "colon": op_colon,
-    "annihilator": op_annihilator,
-    "cyclic_link": op_cyclic_link,
-    "link": op_link,
-    "double_link": op_double_link,
-    "is_linked": op_is_linked,
-    "walk": op_walk,
-    "semidualizing": op_semidualizing,
-    "canonical_info": op_canonical_info,
-    "bass_numbers": op_bass_numbers,
-    "local_cohomology": op_local_cohomology,
-    "schenzel": op_schenzel,
-    "duality": op_duality,
-    "depth_formula": op_depth_formula,
-    "self_link_sum": op_self_link_sum,
-    "foxby_roundtrip": op_foxby_roundtrip,
-    "adjoint_transfer": op_adjoint_transfer,
-    "colink": op_colink,
-    "pk_dimension": op_pk_dimension,
-    "gk_perfect": op_gk_perfect,
-    "horizontal": op_horizontal,
-    "regular_sequence": op_regular_sequence,
-}
 
 
 def _contains_failed_verdict(data):
@@ -788,27 +796,11 @@ def gallery(name):
 
 
 def _apply_overrides(text, args):
-    spec = parse_spec(text)
+    spec = parse_spec(text, p=args.char)
     if args.bound is not None:
         spec.bound = args.bound
     if args.window is not None:
-        lo, hi = args.window.split("..")
-        spec.window = (int(lo), int(hi))
-    if args.char is not None:
-        # rebuild the whole spec at the new characteristic
-        new_text = []
-        for line in text.splitlines():
-            if line.strip().startswith("p") and "=" in line:
-                key = line.split("=", 1)[0]
-                if key.strip() == "p":
-                    line = f"p = {args.char}"
-            new_text.append(line)
-        spec = parse_spec("\n".join(new_text))
-        if args.bound is not None:
-            spec.bound = args.bound
-        if args.window is not None:
-            lo, hi = args.window.split("..")
-            spec.window = (int(lo), int(hi))
+        spec.window = _window(args.window)
     return spec
 
 

@@ -26,6 +26,7 @@ from .homalg import bidual_obstructions, ext, projective_dimension
 from .modules import (
     GradedModule,
     ModuleMap,
+    _hom_element,
     cokernel,
     grade,
     hom_induced_post,
@@ -51,22 +52,13 @@ def tensor_transform(M, K):
     gt = len(T.gens)
     mat = []
     for j in range(len(M.gens)):
-        flat = [ctx.zero()] * (gk * gt)
+        # the map K -> M (x) K, k_a -> m_j (x) k_a
+        cols = [[ctx.zero()] * gt for _ in range(gk)]
         for a in range(gk):
-            flat[a * gt + (j * gk + a)] = ctx.one()
-        amb = _flat_to_ambient(K, T, flat)
-        mat.append(H.express_in_gens(amb))
+            cols[a][j * gk + a] = ctx.one()
+        mat.append(H.express_in_gens(_hom_element(T, cols)))
     mu = ModuleMap(M, H, mat, check=False)
     return T, H, mu
-
-
-def _flat_to_ambient(K, N, flat):
-    gn = len(N.gens)
-    amb = []
-    for a in range(len(K.gens)):
-        block = flat[a * gn : (a + 1) * gn]
-        amb.extend(N.coords_to_ambient(block))
-    return tuple(amb)
 
 
 def hom_transform(M, K):

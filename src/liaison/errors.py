@@ -5,6 +5,11 @@ class LiaisonError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(LiaisonError, ValueError):
+    """Arguments that do not describe a valid construction; also a
+    ValueError, for callers that catch that."""
+
+
 class NonPrimeCharacteristic(LiaisonError):
     pass
 

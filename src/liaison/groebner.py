@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import InhomogeneousInput, RingMismatch
 from .ring import (
     Poly,
+    _memo,
     mono_div,
     mono_divides,
     mono_exponents,
@@ -575,12 +576,11 @@ def _poly_mul_1mt(poly, w):
 
 class HilbertData:
     """Hilbert series numerator over prod(1-t^w_i), with dimension,
-    multiplicity and tabulated Hilbert function values."""
+    multiplicity and Hilbert function values."""
 
-    __slots__ = ("ctx", "numerator", "window_table", "_reduced", "_drops")
+    __slots__ = ("ctx", "numerator", "_reduced", "_drops")
 
     def __init__(self, ctx, numerator):
-        self.window_table = None
         self.ctx = ctx
         self.numerator = {d: c for d, c in numerator.items() if c}
         red = dict(self.numerator)
@@ -636,7 +636,7 @@ class HilbertData:
 
 def _ambient_hf(ctx):
     """Hilbert function of the ambient weighted polynomial ring, memoized."""
-    cache = ctx._cache.setdefault("ambient_hf", {0: 1})
+    cache = _memo(ctx, "ambient_hf", lambda: {0: 1})
 
     def table(d):
         if d < 0:
@@ -669,7 +669,7 @@ def leadterm_hilbert(gb, rank, shifts):
     per_pos = {pos: [] for pos in range(rank)}
     for pos, mono in gb.lead_terms():
         per_pos[pos].append(mono_exponents(mono, m))
-    memo = ctx._cache.setdefault("kpoly_memo", {})
+    memo = _memo(ctx, "kpoly_memo", dict)
     num = {}
     for pos in range(rank):
         kp = _kpoly(tuple(_minimalize(per_pos[pos])), ctx.weights, memo)
@@ -681,14 +681,10 @@ def leadterm_hilbert(gb, rank, shifts):
     return HilbertData(ctx, num)
 
 
-def hilbert(gb, rank=1, shifts=None, window=None):
-    """Hilbert data of the quotient by a reduced basis, with the Hilbert
-    function tabulated on the window when one is given."""
+def hilbert(gb, rank=1, shifts=None):
+    """Hilbert data of the quotient by a reduced basis."""
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    data = leadterm_hilbert(gb, rank, shifts)
-    if window is not None:
-        data.window_table = data.hf_window(*window)
-    return data
+    return leadterm_hilbert(gb, rank, shifts)
 
 
 # ---------------------------------------------------------------------------

@@ -20,26 +20,23 @@ from .errors import (
     RegularSequenceNotFound,
 )
 from .groebner import vec_degree
-from .ring import render_poly
+from .ring import _memo, make_ring, render_poly
 from .modules import (
     GradedModule,
     ModuleMap,
+    _dual_map,
+    _hom_sum,
     cokernel,
     cyclic_module,
-    direct_sum,
     image,
     kernel,
     minimize,
     subquotient,
-    twist,
     zero_map,
+    zero_module,
 )
 
 _res_lock = threading.Lock()
-
-
-def zero_module(ctx):
-    return subquotient(ctx, [], [], (0,), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +83,7 @@ class Resolution:
 def free_resolution(M, length):
     """Minimal free resolution of M to the requested length (cached)."""
     with _res_lock:
-        state = M._cache.get("res")
-        if state is None:
-            ctx = M.ctx
-            kept = groebner.minimal_generator_indices(
-                list(M.gens), ctx, M.rank, M.shifts, extra=M.rels
-            )
-            f0 = [M.gens[i] for i in kept]
-            degs = M.gen_degrees()
-            state = {
-                "kept": kept,
-                "cols": [f0],  # cols[k] = columns of d_k inside F_{k-1}; cols[0] = F_0 in ambient
-                "shifts": [tuple(degs[i] for i in kept)],
-                "complete": not f0,
-            }
-            M._cache["res"] = state
+        state = _memo(M, "res", lambda: _resolution_start(M))
         ctx = M.ctx
         while not state["complete"] and len(state["cols"]) <= length:
             k = len(state["cols"])
@@ -131,6 +114,21 @@ def free_resolution(M, length):
         return Resolution(M, state["kept"], level_shifts, diffs, complete)
 
 
+def _resolution_start(M):
+    """Level 0 of the incremental resolution state: F_0 -> M."""
+    kept = groebner.minimal_generator_indices(
+        list(M.gens), M.ctx, M.rank, M.shifts, extra=M.rels
+    )
+    f0 = [M.gens[i] for i in kept]
+    degs = M.gen_degrees()
+    return {
+        "kept": kept,
+        "cols": [f0],  # cols[k] = columns of d_k inside F_{k-1}; cols[0] = F_0 in ambient
+        "shifts": [tuple(degs[i] for i in kept)],
+        "complete": not f0,
+    }
+
+
 def restrict_scalars(M):
     """The same module viewed over the ambient polynomial ring S.
 
@@ -141,19 +139,17 @@ def restrict_scalars(M):
     if not ctx.defining:
         return M
     amb = ctx.ambient()
-    key = "restricted"
-    if key not in M._cache:
+
+    def restricted():
         gens = [tuple(amb.lift_poly(f) for f in col) for col in M.gens]
         rels = [tuple(amb.lift_poly(f) for f in col) for col in M.rels]
-        M._cache[key] = GradedModule(amb, M.rank, M.shifts, gens, rels)
-    return M._cache[key]
+        return GradedModule(amb, M.rank, M.shifts, gens, rels)
+
+    return _memo(M, "restricted", restricted)
 
 
 def residue_field(ctx):
-    key = "residue_field"
-    if key not in ctx._cache:
-        ctx._cache[key] = cyclic_module(ctx, ctx.gens())
-    return ctx._cache[key]
+    return _memo(ctx, "residue_field", lambda: cyclic_module(ctx, ctx.gens()))
 
 
 def ambient_pd(M):
@@ -195,35 +191,6 @@ def syzygy(M, n):
 # dual and tensor complexes
 
 
-def _hom_sum(N, degs):
-    """⊕_j N(d_j) = Hom(⊕ R(-d_j), N), with block bookkeeping."""
-    parts = [twist(N, d) for d in degs]
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    S, _, _ = direct_sum(*parts)
-    return S
-
-
-def _dual_map(N, src_degs, tgt_degs, columns):
-    """Hom(d, N) for d with the given columns (coords over the source F's
-    basis): map ⊕ N(src) -> ⊕ N(tgt), phi -> phi o d."""
-    ctx = N.ctx
-    gn = len(N.gens)
-    H0 = _hom_sum(N, src_degs)
-    H1 = _hom_sum(N, tgt_degs)
-    mat = []
-    for i in range(len(src_degs)):
-        for a in range(gn):
-            col = [ctx.zero()] * (len(tgt_degs) * gn)
-            for k, u in enumerate(columns):
-                if u[i]:
-                    col[k * gn + a] = u[i]
-            mat.append(col)
-    return ModuleMap(H0, H1, mat, check=False), H0, H1
-
-
 def _tensor_map(N, src_degs, tgt_degs, columns):
     """d (x) N: map ⊕ N(-src) -> ⊕ N(-tgt); columns over the target basis."""
     ctx = N.ctx
@@ -243,27 +210,28 @@ def _tensor_map(N, src_degs, tgt_degs, columns):
 
 
 def ext(i, M, N, aux=None):
-    """Ext^i_R(M, N) from a minimal resolution of M of length i+1."""
+    """Ext^i_R(M, N) from a minimal resolution of M of length i+1.
+
+    ``aux``, when given, receives the Hom module ``hsum`` = Hom(F_i, N), the
+    coordinates ``ker_coords`` of Ext's generators over it, and the degrees
+    ``degs`` of F_i.
+    """
     if i < 0:
         raise ValueError("Ext index must be nonnegative")
-    key = ("ext", i, id(N))
-    hit = M._cache.get(key)
-    if hit is not None:
-        if aux is not None:
-            if hit[2] is None:
-                return _ext_zero_aux(hit[1], aux)
-            aux.update(hit[2])
-        return hit[1]
+    E, stored = _memo(M, ("ext", i, N), lambda: _ext(i, M, N))
+    if aux is not None:
+        aux.update(stored)
+    return E
+
+
+def _ext(i, M, N):
+    """(Ext^i(M, N), the aux data ext hands out for it)."""
     ctx = M.ctx
     if M.is_zero() or N.is_zero():
-        E = zero_module(ctx)
-        M._cache[key] = (N, E, None)
-        return _ext_zero_aux(E, aux) if aux is not None else E
+        return _zero_ext(ctx)
     res = free_resolution(M, i + 1)
     if not res.rank(i):
-        E = zero_module(ctx)
-        M._cache[key] = (N, E, None)
-        return _ext_zero_aux(E, aux) if aux is not None else E
+        return _zero_ext(ctx)
     degs_i = res.level_shifts[i]
     if res.rank(i + 1):
         down, H_i, _ = _dual_map(N, degs_i, res.level_shifts[i + 1], res.diffs[i])
@@ -293,39 +261,28 @@ def ext(i, M, N, aux=None):
     E = GradedModule(ctx, H_i.rank, H_i.shifts, K_gens, gb.vectors())
     E._cache["rels_gb"] = gb
     E.provenance = {"functor": "ext", "index": i, "resolution_length": len(res.level_shifts) - 1}
-    stored = {"hsum": H_i, "ker_coords": ker_coords, "degs": degs_i}
-    if aux is not None:
-        aux.update(stored)
-    M._cache[key] = (N, E, stored)
-    return E
+    return E, {"hsum": H_i, "ker_coords": ker_coords, "degs": degs_i}
 
 
-def _ext_zero_aux(E, aux):
-    if aux is not None:
-        aux["hsum"] = E
-        aux["ker_coords"] = []
-        aux["degs"] = []
-    return E
+def _zero_ext(ctx):
+    E = zero_module(ctx)
+    return E, {"hsum": E, "ker_coords": [], "degs": []}
 
 
 def tor(i, M, N):
     """Tor_i^R(M, N) from a minimal resolution of M of length i+1."""
     if i < 0:
         raise ValueError("Tor index must be nonnegative")
-    key = ("tor", i, id(N))
-    hit = M._cache.get(key)
-    if hit is not None:
-        return hit[1]
+    return _memo(M, ("tor", i, N), lambda: _tor(i, M, N))
+
+
+def _tor(i, M, N):
     ctx = M.ctx
     if M.is_zero() or N.is_zero():
-        T = zero_module(ctx)
-        M._cache[key] = (N, T)
-        return T
+        return zero_module(ctx)
     res = free_resolution(M, i + 1)
     if not res.rank(i):
-        T = zero_module(ctx)
-        M._cache[key] = (N, T)
-        return T
+        return zero_module(ctx)
     degs_i = res.level_shifts[i]
     if i > 0:
         down, _, _ = _tensor_map(N, degs_i, res.level_shifts[i - 1], res.diffs[i - 1])
@@ -346,7 +303,6 @@ def tor(i, M, N):
         rels += up.image_columns_ambient()
     T = subquotient(ctx, k_gens, rels, T_i.shifts, T_i.rank)
     T.provenance = {"functor": "tor", "index": i, "resolution_length": len(res.level_shifts) - 1}
-    M._cache[key] = (N, T)
     return T
 
 
@@ -512,15 +468,12 @@ def _obstructions_over_quotient(M, K, n):
     ann = modules.annihilator(M)
     seq = regular_sequence_in_ideal(ctx, ann, n)
     key = ("quotient_ring",) + tuple(sorted(render_poly(f) for f in seq))
-    ctx2 = ctx._cache.get(key)
-    if ctx2 is None:
-        from .ring import make_ring
 
-        defining = [render_poly(g) for g in ctx.defining] + [
-            render_poly(f) for f in seq
-        ]
-        ctx2 = make_ring(ctx.p, ctx.names, defining, weights=ctx.weights)
-        ctx._cache[key] = ctx2
+    def quotient_ring():
+        defining = [render_poly(g) for g in ctx.defining + tuple(seq)]
+        return make_ring(ctx.p, ctx.names, defining, weights=ctx.weights)
+
+    ctx2 = _memo(ctx, key, quotient_ring)
     Rx = cyclic_module(ctx, seq)
     Kbar = modules.transport(ext(n, Rx, K), ctx2)
     Mbar = modules.transport(M, ctx2)
@@ -585,21 +538,17 @@ def depth(M):
     """depth(M) = min{i : Ext^i_S(k, M_S) != 0}; independent of the S-free
     resolution route used for pd, which makes Auslander-Buchsbaum a real
     cross-check."""
-    hit = M._cache.get("depth")
-    if hit is not None:
-        return hit
+    return _memo(M, "depth", lambda: _depth(M))
+
+
+def _depth(M):
     MS = restrict_scalars(M)
     amb = MS.ctx
     k = residue_field(amb)
-    val = None
     for i in range(amb.m + 1):
         if not ext(i, k, MS).is_zero():
-            val = i
-            break
-    if val is None:
-        raise InternalConsistencyError("depth exceeded the number of variables")
-    M._cache["depth"] = val
-    return val
+            return i
+    raise InternalConsistencyError("depth exceeded the number of variables")
 
 
 def betti_table_text(res):

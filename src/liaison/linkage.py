@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import groebner, homalg, modules, verdict
+from . import groebner, homalg, verdict
 from .errors import (
     BrokenChain,
     LiaisonError,
@@ -21,6 +21,7 @@ from .errors import (
     IllDefinedMap,
     InjectivePhi,
     InternalConsistencyError,
+    InvalidInput,
     NotCohenMacaulay,
     NotRegularSequence,
     ZeroModule,
@@ -29,24 +30,28 @@ from .homalg import bidual_obstructions, ext, free_resolution, transpose
 from .modules import (
     GradedModule,
     ModuleMap,
+    _dual_map,
+    _hom_element,
+    _num,
     annihilator,
     cokernel,
     cyclic_module,
-    direct_sum,
     free_module,
     grade,
     hom_module,
     invariants,
     is_iso,
+    is_regular_sequence,
     kernel,
     minimize,
     ring_depth,
     ring_dim,
     ring_is_cm,
     subquotient,
+    transport,
     twist,
 )
-from .ring import make_ring, render_poly
+from .ring import _memo, make_ring, render_poly
 
 
 def ext_dual(M, K, n):
@@ -85,23 +90,22 @@ def canonical_module(ctx):
         raise NotCohenMacaulay(
             f"dim R = {ring_dim(ctx)} but depth R = {ring_depth(ctx)}"
         )
-    key = "canonical_module"
-    if key in ctx._cache:
-        return ctx._cache[key]
+    return _memo(ctx, "canonical_module", lambda: _canonical_module(ctx, wsum))
+
+
+def _canonical_module(ctx, wsum):
     amb = ctx.ambient()
     c = amb.m - ring_dim(ctx)
     R_as_S = cyclic_module(amb, list(ctx.defining))
     E = ext(c, R_as_S, free_module(amb, 1))
     Etw = twist(E, -wsum)
-    omega = subquotient(
+    return subquotient(
         ctx,
         [tuple(ctx.lift_poly(f) for f in col) for col in Etw.gens],
         [tuple(ctx.lift_poly(f) for f in col) for col in Etw.rels],
         Etw.shifts,
         Etw.rank,
     )
-    ctx._cache[key] = omega
-    return omega
 
 
 def homothety_map(K):
@@ -109,24 +113,12 @@ def homothety_map(K):
     ctx = K.ctx
     H, _ = hom_module(K, K)
     g = len(K.gens)
-    flat = []
-    for j in range(g):
-        for a in range(g):
-            flat.append(ctx.one() if a == j else ctx.zero())
-    amb = _hom_flat_to_ambient(K, K, flat)
-    coords = H.express_in_gens(amb)
+    identity = [
+        [ctx.one() if a == j else ctx.zero() for a in range(g)] for j in range(g)
+    ]
+    coords = H.express_in_gens(_hom_element(K, identity))
     R1 = free_module(ctx, 1)
     return ModuleMap(R1, H, [coords], check=False)
-
-
-def _hom_flat_to_ambient(M, N, flat):
-    """Coordinates over the Hom presentation blocks -> ambient vector."""
-    gn = len(N.gens)
-    amb = []
-    for j in range(len(M.gens)):
-        block = flat[j * gn : (j + 1) * gn]
-        amb.extend(N.coords_to_ambient(block))
-    return tuple(amb)
 
 
 def is_semidualizing(K, bound):
@@ -346,11 +338,6 @@ def grade_of_ideal(ctx, gens):
     return grade(cyclic_module(ctx, gens))
 
 
-def is_regular_sequence(ctx, seq):
-    """Prefix test: grade(f_1..f_k) = k for every k."""
-    return modules.is_regular_sequence(ctx, seq)
-
-
 def cyclic_link(ctx, i_gens, c_gens, K):
     """Theorem-backed link of R/I over the complete intersection c <= I.
 
@@ -363,7 +350,7 @@ def cyclic_link(ctx, i_gens, c_gens, K):
     c_gb = groebner.buchberger([(g,) for g in c_gens], ctx, 1)
     for f in c_gens:
         if not groebner.ideal_contains(i_gens, f, ctx):
-            raise ValueError("c is not contained in I")
+            raise InvalidInput("c is not contained in I")
     if all(c_gb.contains((f,)) for f in i_gens):
         raise EqualIdeals("c equals I; the link would be degenerate")
     n = grade_of_ideal(ctx, i_gens)
@@ -392,23 +379,11 @@ def annihilate_quotient(Kbar, i_gens):
     The colon submodule is the kernel of x -> (f*x)_f into the direct sum of
     Kbar twisted up by the generator degrees (so the map has degree zero).
     """
-    ctx = Kbar.ctx
     degs = [f.homogeneous_degree() for f in i_gens]
-    parts = [twist(Kbar, d) for d in degs]
-    target, injs, _ = direct_sum(*parts) if len(parts) > 1 else (parts[0], None, None)
-    g = len(Kbar.gens)
-    mat = []
-    for j in range(g):
-        if injs is None:
-            col = [ctx.zero()] * g
-            col[j] = i_gens[0]
-            mat.append(col)
-        else:
-            col = [ctx.zero()] * (g * len(parts))
-            for b, f in enumerate(i_gens):
-                col[b * g + j] = f
-            mat.append(col)
-    mult = ModuleMap(Kbar, target, mat, check=False)
+    # x -> (f*x)_f is Hom(d, Kbar) for the row d = (f_1 .. f_r); its source
+    # Hom(R, Kbar) is Kbar itself, kept so that Kbar's cached data is reused
+    h, _, target = _dual_map(Kbar, [0], degs, [(f,) for f in i_gens])
+    mult = ModuleMap(Kbar, target, h.mat, check=False)
     Kc, incl = kernel(mult)
     Q, _ = cokernel(incl)
     return Q
@@ -475,11 +450,6 @@ def change_of_rings(ctx, x_seq, K):
     return ctx2, Kbar2
 
 
-def transport(M, ctx2):
-    """Reinterpret a module annihilated by the new defining ideal."""
-    return modules.transport(M, ctx2)
-
-
 # ---------------------------------------------------------------------------
 # liaison walks
 
@@ -519,7 +489,7 @@ def liaison_walk(epis, window=(-6, 6)):
     gk_end = is_gk_perfect(end, K, bound)
     report = {
         "steps": len(epis),
-        "invariants": [_inv_json(invariants(N)) for N in nodes],
+        "invariants": [invariants(N).to_json() for N in nodes],
         # informational statuses; the theorem check is their agreement
         "gk_perfect_start": gk_start.status,
         "gk_perfect_end": gk_end.status,
@@ -547,20 +517,6 @@ def liaison_walk(epis, window=(-6, 6)):
         if pd_a is not math.inf and pd_b is not math.inf and pd_a != pd_b:
             raise InternalConsistencyError("even liaison changed a finite pd")
     return report
-
-
-def _num(v):
-    return "infinite" if v is math.inf else v
-
-
-def _inv_json(rep):
-    return {
-        "dim": rep.dim,
-        "depth": rep.depth,
-        "grade": _num(rep.grade),
-        "pd": _num(rep.pd),
-        "cod": rep.cod,
-    }
 
 
 def natural_cyclic_epi(ctx, i_gens, c_gens, twist_by=0):

@@ -20,15 +20,11 @@ from .errors import (
     RingMismatch,
 )
 from .groebner import vec_degree, vec_is_zero
-from .ring import parse_poly, render_poly
+from .ring import _memo, parse_poly, render_poly
 
 
 def zero_vec(ctx, rank):
     return (ctx.zero(),) * rank
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_combine(columns, coeffs, ctx, rank):
@@ -58,39 +54,23 @@ class GradedModule:
     # -- basic structure ---------------------------------------------------
 
     def gen_degrees(self):
-        degs = self._cache.get("gen_degrees")
-        if degs is None:
-            out = []
-            for col in self.gens:
-                d = vec_degree(col, self.shifts)
-                out.append(0 if d is None else d)
-            degs = tuple(out)
-            self._cache["gen_degrees"] = degs
-        return degs
+        def compute():
+            degs = (vec_degree(col, self.shifts) for col in self.gens)
+            return tuple(0 if d is None else d for d in degs)
+
+        return _memo(self, "gen_degrees", compute)
 
     def rels_gb(self):
-        gb = self._cache.get("rels_gb")
-        if gb is None:
-            gb = groebner.buchberger(self.rels, self.ctx, self.rank, self.shifts)
-            self._cache["rels_gb"] = gb
-        return gb
+        return _memo(self, "rels_gb", lambda: groebner.buchberger(
+            self.rels, self.ctx, self.rank, self.shifts))
 
     def full_gb(self):
-        gb = self._cache.get("full_gb")
-        if gb is None:
-            gb = groebner.buchberger(
-                list(self.gens) + list(self.rels), self.ctx, self.rank, self.shifts
-            )
-            self._cache["full_gb"] = gb
-        return gb
+        return _memo(self, "full_gb", lambda: groebner.buchberger(
+            list(self.gens) + list(self.rels), self.ctx, self.rank, self.shifts))
 
     def is_zero(self):
-        flag = self._cache.get("is_zero")
-        if flag is None:
-            gb = self.rels_gb()
-            flag = all(gb.contains(col) for col in self.gens)
-            self._cache["is_zero"] = flag
-        return flag
+        return _memo(self, "is_zero", lambda: all(
+            self.rels_gb().contains(col) for col in self.gens))
 
     def coords_to_ambient(self, coords):
         return vec_combine(self.gens, coords, self.ctx, self.rank)
@@ -112,27 +92,14 @@ class GradedModule:
 
     def column_relations(self):
         """Minimal generators of {u : gens*u = 0 in the module} over R."""
-        rels = self._cache.get("colrels")
-        if rels is None:
-            if not self.gens:
-                rels = []
-            else:
-                rels = groebner.syzygies(
-                    list(self.gens),
-                    self.ctx,
-                    self.rank,
-                    self.shifts,
-                    extra=self.rels,
-                )
-            self._cache["colrels"] = tuple(rels)
-            rels = self._cache["colrels"]
-        return list(rels)
+        return list(_memo(self, "colrels", lambda: tuple(groebner.syzygies(
+            list(self.gens), self.ctx, self.rank, self.shifts, extra=self.rels,
+        ))))
 
     # -- numerical data ------------------------------------------------------
 
     def hilbert(self):
-        data = self._cache.get("hilbert")
-        if data is None:
+        def compute():
             bot = groebner.leadterm_hilbert(self.rels_gb(), self.rank, self.shifts)
             top = groebner.leadterm_hilbert(self.full_gb(), self.rank, self.shifts)
             num = dict(bot.numerator)
@@ -140,9 +107,9 @@ class GradedModule:
                 num[d] = num.get(d, 0) - c
                 if not num[d]:
                     del num[d]
-            data = groebner.HilbertData(self.ctx, num)
-            self._cache["hilbert"] = data
-        return data
+            return groebner.HilbertData(self.ctx, num)
+
+        return _memo(self, "hilbert", compute)
 
     def hf(self, d):
         return self.hilbert().hf(d)
@@ -229,6 +196,10 @@ def cyclic_module(ctx, ideal_gens, twist_by=0):
     return subquotient(ctx, gens, rels, (-twist_by,), 1)
 
 
+def zero_module(ctx):
+    return subquotient(ctx, [], [], (0,), 1)
+
+
 def twist(M, a):
     """M(a): degrees shift down by a, HF_{M(a)}(d) = HF_M(d + a)."""
     mod = GradedModule(
@@ -307,14 +278,6 @@ class ModuleMap:
         return ModuleMap(
             other.source, self.target, mat, self.degree + other.degree, check=False
         )
-
-    def is_injective(self):
-        K, _ = kernel(self)
-        return K.is_zero()
-
-    def is_surjective(self):
-        C, _ = cokernel(self)
-        return C.is_zero()
 
 
 def identity_map(M):
@@ -483,6 +446,35 @@ def tensor_map(f, N):
     return ModuleMap(src, tgt, mat, f.degree, check=False), src, tgt
 
 
+def _hom_sum(N, degs):
+    """⊕_j N(d_j) = Hom(⊕ R(-d_j), N), with block bookkeeping."""
+    parts = [twist(N, d) for d in degs]
+    if not parts:
+        return None
+    if len(parts) == 1:
+        return parts[0]
+    S, _, _ = direct_sum(*parts)
+    return S
+
+
+def _dual_map(N, src_degs, tgt_degs, columns):
+    """Hom(d, N) for d with the given columns (coords over the source F's
+    basis): map ⊕ N(src) -> ⊕ N(tgt), phi -> phi o d."""
+    ctx = N.ctx
+    gn = len(N.gens)
+    H0 = _hom_sum(N, src_degs)
+    H1 = _hom_sum(N, tgt_degs)
+    mat = []
+    for i in range(len(src_degs)):
+        for a in range(gn):
+            col = [ctx.zero()] * (len(tgt_degs) * gn)
+            for k, u in enumerate(columns):
+                if u[i]:
+                    col[k * gn + a] = u[i]
+            mat.append(col)
+    return ModuleMap(H0, H1, mat, check=False), H0, H1
+
+
 def hom_module(M, N):
     """Hom_R(M, N) and a converter from its elements to ModuleMaps.
 
@@ -491,41 +483,19 @@ def hom_module(M, N):
     """
     if M.ctx is not N.ctx:
         raise RingMismatch("Hom over different rings")
-    ctx = M.ctx
-    gm = len(M.gens)
+    if not M.gens:
+        return zero_module(M.ctx), lambda coords, degree=0: zero_map(M, N)
     dm = M.gen_degrees()
     colrels = M.column_relations()
-    source_parts = [twist(N, d) for d in dm]
-    if not source_parts:
-        Z = subquotient(ctx, [], [], (0,), 1)
-        return Z, lambda coords, degree=0: zero_map(M, N)
-    S0, _, _ = direct_sum(*source_parts) if gm > 1 else (source_parts[0], None, None)
     if not colrels:
-        H = S0
-        hom_to_map = _hom_converter(M, N, H, gm)
-        return H, hom_to_map
-    rel_degs = [vec_degree(u, dm) for u in colrels]
-    target_parts = [twist(N, d) for d in rel_degs]
-    S1, _, _ = (
-        direct_sum(*target_parts) if len(target_parts) > 1 else (target_parts[0], None, None)
-    )
-    gn = len(N.gens)
-    mat = []
-    for j in range(gm):
-        for a in range(gn):
-            col = [ctx.zero()] * (len(colrels) * gn)
-            for k, u in enumerate(colrels):
-                if u[j]:
-                    col[k * gn + a] = u[j]
-            mat.append(col)
-    h = ModuleMap(S0, S1, mat, check=False)
+        return _hom_sum(N, dm), _hom_converter(M, N)
+    h, _, _ = _dual_map(N, dm, [vec_degree(u, dm) for u in colrels], colrels)
     H, incl = kernel(h)
-    hom_to_map = _hom_converter(M, N, H, gm, incl)
-    return H, hom_to_map
+    return H, _hom_converter(M, N, incl)
 
 
-def _hom_converter(M, N, H, gm, incl=None):
-    gn = len(N.gens)
+def _hom_converter(M, N, incl=None):
+    gm, gn = len(M.gens), len(N.gens)
 
     def element_as_map(coords, degree=0):
         """Rebuild a Hom element (coordinates over H's generators) as a map."""
@@ -541,6 +511,12 @@ def _hom_converter(M, N, H, gm, incl=None):
     return element_as_map
 
 
+def _hom_element(N, mat):
+    """Ambient vector of the element of Hom(-, N) whose map has matrix mat
+    (one column of N-generator coordinates per source generator)."""
+    return tuple(f for col in mat for f in N.coords_to_ambient(col))
+
+
 def hom_induced_post(f, K):
     """Hom(K, f): Hom(K, source) -> Hom(K, target) by postcomposition."""
     HS, conv_s = hom_module(K, f.source)
@@ -551,12 +527,7 @@ def hom_induced_post(f, K):
         coords[j] = HS.ctx.one()
         phi = conv_s(coords, degree=HS.gen_degrees()[j])
         comp = f.compose(phi)  # K -> target
-        amb = [comp.target.coords_to_ambient(col) for col in comp.mat]
-        flat = []
-        for col in amb:
-            flat.extend(col)
-        flat_vec = tuple(flat)
-        mat.append(HT.express_in_gens(flat_vec))
+        mat.append(HT.express_in_gens(_hom_element(f.target, comp.mat)))
     return ModuleMap(HS, HT, mat, f.degree, check=False), HS, HT
 
 
@@ -615,6 +586,10 @@ def annihilator(M):
     return result
 
 
+def _num(v):
+    return "infinite" if v is math.inf else v
+
+
 @dataclass(frozen=True)
 class InvariantReport:
     dim: object
@@ -624,28 +599,28 @@ class InvariantReport:
     cod: object
     pd_ambient: object
 
+    def to_json(self):
+        return {
+            "dim": self.dim,
+            "depth": self.depth,
+            "grade": _num(self.grade),
+            "pd": _num(self.pd),
+            "cod": self.cod,
+        }
+
 
 def ring_module(ctx):
-    key = "ring_module"
-    if key not in ctx._cache:
-        ctx._cache[key] = free_module(ctx, 1)
-    return ctx._cache[key]
+    return _memo(ctx, "ring_module", lambda: free_module(ctx, 1))
 
 
 def ring_dim(ctx):
-    key = "ring_dim"
-    if key not in ctx._cache:
-        ctx._cache[key] = ring_module(ctx).dim()
-    return ctx._cache[key]
+    return _memo(ctx, "ring_dim", lambda: ring_module(ctx).dim())
 
 
 def ring_depth(ctx):
-    key = "ring_depth"
-    if key not in ctx._cache:
-        from . import homalg
+    from . import homalg
 
-        ctx._cache[key] = homalg.depth(ring_module(ctx))
-    return ctx._cache[key]
+    return _memo(ctx, "ring_depth", lambda: homalg.depth(ring_module(ctx)))
 
 
 def ring_is_cm(ctx):
@@ -660,25 +635,20 @@ def grade(M):
     """
     if M.is_zero():
         return math.inf
-    hit = M._cache.get("grade")
-    if hit is not None:
-        return hit
+    return _memo(M, "grade", lambda: _grade(M))
+
+
+def _grade(M):
     ctx = M.ctx
     if ring_is_cm(ctx):
-        val = ring_dim(ctx) - M.dim()
-    else:
-        from . import homalg
+        return ring_dim(ctx) - M.dim()
+    from . import homalg
 
-        val = None
-        R1 = ring_module(ctx)
-        for i in range(ring_dim(ctx) + 1):
-            if not homalg.ext(i, M, R1).is_zero():
-                val = i
-                break
-        if val is None:
-            raise InternalConsistencyError("grade exceeded dim R on a nonzero module")
-    M._cache["grade"] = val
-    return val
+    R1 = ring_module(ctx)
+    for i in range(ring_dim(ctx) + 1):
+        if not homalg.ext(i, M, R1).is_zero():
+            return i
+    raise InternalConsistencyError("grade exceeded dim R on a nonzero module")
 
 
 def is_regular_sequence(ctx, seq):

@@ -86,6 +86,23 @@ def compare_monomials(ea, eb, weights=None):
 
 
 # ---------------------------------------------------------------------------
+# per-object memo
+
+
+def _memo(obj, key, compute):
+    """``obj._cache[key]``, stored from ``compute()`` on a miss.
+
+    Racing threads may each compute the value; ``setdefault`` hands every
+    one of them the first value stored, so callers never see two.
+    """
+    cache = obj._cache
+    try:
+        return cache[key]
+    except KeyError:
+        return cache.setdefault(key, compute())
+
+
+# ---------------------------------------------------------------------------
 # ring contexts
 
 
@@ -97,7 +114,7 @@ class RingCtx:
     (standard grading).  Values are safe to share between threads.
     """
 
-    __slots__ = ("p", "names", "weights", "m", "wrev", "defining", "_ambient", "_cache")
+    __slots__ = ("p", "names", "weights", "m", "wrev", "defining", "_cache")
 
     def __init__(self, p, names, weights, defining=()):
         self.p = p
@@ -106,7 +123,6 @@ class RingCtx:
         self.m = len(self.names)
         self.wrev = tuple(reversed(self.weights))
         self.defining = tuple(defining)
-        self._ambient = None
         self._cache = {}
 
     # -- basic constructors ------------------------------------------------
@@ -141,9 +157,7 @@ class RingCtx:
         """The polynomial ring S underneath (J = 0)."""
         if not self.defining:
             return self
-        if self._ambient is None:
-            self._ambient = RingCtx(self.p, self.names, self.weights)
-        return self._ambient
+        return _memo(self, "ambient", lambda: RingCtx(self.p, self.names, self.weights))
 
     def same_polynomial_ring(self, other):
         return (
@@ -159,9 +173,6 @@ class RingCtx:
         if not self.same_polynomial_ring(f.ctx):
             raise RingMismatch("polynomial from an incompatible ring")
         return Poly(self, dict(f.terms))
-
-    def is_standard_graded(self):
-        return all(w == 1 for w in self.weights)
 
     def is_graded(self):
         """True when the defining ideal is homogeneous, so R is graded.
@@ -252,13 +263,6 @@ class Poly:
             return self.ctx.zero()
         p = self.ctx.p
         return Poly(self.ctx, {mono: (c * v) % p for mono, v in self.terms.items()})
-
-    def term_mul(self, mono, coeff):
-        p = self.ctx.p
-        return Poly(
-            self.ctx,
-            {mono_mul(mono, mb): (coeff * cb) % p for mb, cb in self.terms.items()},
-        )
 
     def lead_mono(self):
         return max(self.terms) if self.terms else None

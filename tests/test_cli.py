@@ -1,8 +1,11 @@
+import inspect
 import json
+import pathlib
+import re
 
 import pytest
 
-from liaison.cli import gallery, main, parse_spec, run
+from liaison.cli import GALLERIES, HANDLERS, gallery, main, parse_spec, run
 from liaison.errors import (
     NonCMForCanonical,
     SpecSyntaxError,
@@ -141,6 +144,56 @@ def test_char_override(tmp_path):
     assert code == 0
     blob = json.loads(out.read_text())
     assert "32003" in blob["ring"]
+    # the same report as the spec text with the characteristic written in
+    f = tmp_path / "c.spec"
+    f.write_text(GALLERIES["univariate-link"].replace("p = 101", "p = 32003"))
+    written = tmp_path / "w.json"
+    assert main(["run", str(f), "--json-out", str(written)]) == 0
+    blob_written = json.loads(written.read_text())
+    blob.pop("timestamp")
+    blob_written.pop("timestamp")
+    assert blob == blob_written
+
+
+MALFORMED = [
+    (MINIMAL.replace("p = 101", "p = abc"), [], "p = abc"),
+    (MINIMAL + "[module M]\nambient = two\ngens = 1\n", [], "ambient = two"),
+    (MINIMAL + "[options]\nbound = x\n", [], "bound = x"),
+    (MINIMAL + "[options]\nwindow = 3\n", [], "window = 3"),
+    (MINIMAL, ["--window=3"], None),
+    (MINIMAL + "[module M]\nambient = 2\nshifts = 0, 1, 2\ngens = 1, 0\n", [],
+     "shifts = 0, 1, 2"),
+    (MINIMAL + "[module M]\ngens = x^\n", [], "gens = x^"),
+    (MINIMAL.replace("vars = x", "vars = x, x"), [], "[ring]"),
+]
+
+
+@pytest.mark.parametrize("text, flags, bad_line", MALFORMED)
+def test_malformed_values_exit_two(tmp_path, capsys, text, flags, bad_line):
+    f = tmp_path / "bad.spec"
+    f.write_text(text)
+    assert main(["run", str(f), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error")
+    if bad_line is not None:
+        assert f"line {text.splitlines().index(bad_line) + 1}:" in err
+
+
+def test_readme_lists_every_operation():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    paragraph = readme.read_text().split("Operations:", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", paragraph)) == sorted(HANDLERS)
+
+
+def test_operations_reject_wrong_argument_count():
+    for op, handler in HANDLERS.items():
+        arity = len(inspect.signature(handler).parameters) - 1
+        for count in (arity - 1, arity + 1):
+            if count < 0:
+                continue
+            line = " ".join([op] + ["I"] * count)
+            with pytest.raises(SpecSyntaxError, match=f"expects {arity} arguments"):
+                parse_spec(MINIMAL.replace("invariants I", line))
 
 
 EXPLICIT_MODULE_SPEC = """
@@ -197,27 +250,29 @@ def test_explicit_modules_and_K(tmp_path):
 
 
 def test_errors_do_not_abort_later_operations(tmp_path):
-    text = """
+    template = """
 [ring]
 p = 101
 vars = x
 
 [ideal I]
-gens = x
+gens = {}
 
 [ideal c]
-gens = x
+gens = {}
 
 [ops]
 cyclic_link I c
 invariants I
 """
-    f = tmp_path / "err.spec"
-    f.write_text(text)
-    out = tmp_path / "err.json"
-    code = main(["run", str(f), "--json-out", str(out)])
-    blob = json.loads(out.read_text())
-    first, second = blob["results"]
-    assert first["ok"] is False and "degenerate" in first["error"]
-    assert second["ok"] is True and second["data"]["dim"] == 0
-    assert code == 1
+    cases = [("x", "x", "degenerate"), ("x^2", "x", "c is not contained in I")]
+    for i_gens, c_gens, error in cases:
+        f = tmp_path / "err.spec"
+        f.write_text(template.format(i_gens, c_gens))
+        out = tmp_path / "err.json"
+        code = main(["run", str(f), "--json-out", str(out)])
+        blob = json.loads(out.read_text())
+        first, second = blob["results"]
+        assert first["ok"] is False and error in first["error"]
+        assert second["ok"] is True and second["data"]["dim"] == 0
+        assert code == 1

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from . import cohomology, colinkage, groebner, homalg, linkage, modules, verdict
 from .errors import (
     InternalConsistencyError,
+    InvalidInput,
     LiaisonError,
     NonCMForCanonical,
     SpecSyntaxError,
@@ -403,8 +404,11 @@ def op_canonical_info(spec):
 
 @_operation
 def op_bass_numbers(spec, upto: int):
-    mu = cohomology.bass_numbers(free_module(spec.ring, 1), upto)
-    return {"bass_numbers": mu, "type": mu[modules.ring_depth(spec.ring)]}
+    if upto < 0:
+        raise InvalidInput(f"bass_numbers needs a bound of at least 0, got {upto}")
+    depth = modules.ring_depth(spec.ring)
+    mu = cohomology.bass_numbers(free_module(spec.ring, 1), max(upto, depth))
+    return {"bass_numbers": mu[: upto + 1], "type": mu[depth]}
 
 
 @_operation

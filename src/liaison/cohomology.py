@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import homalg, modules, verdict
-from .errors import InternalConsistencyError, ZeroDimensional
+from .errors import InternalConsistencyError, InvalidInput, ZeroDimensional
 from .homalg import ext, residue_field, restrict_scalars, transpose
 from .modules import free_module, invariants, transport
 
@@ -81,7 +81,7 @@ def serre_st_proxy(M, K, t):
     sufficient condition and reports say so.
     """
     if t < 1:
-        raise ValueError("the torsionfreeness level t must be at least 1")
+        raise InvalidInput("the torsionfreeness level t must be at least 1")
     Tr, _ = transpose(M, K)
     for i in range(1, t + 1):
         if not ext(i, Tr, K).is_zero():
@@ -138,7 +138,7 @@ def schenzel_check(M, N, K, n, c_seq, t):
     """
     ctx = M.ctx
     if t < 1:
-        raise ValueError("t must be at least 1")
+        raise InvalidInput("t must be at least 1")
     from .linkage import change_of_rings
 
     ctx2, Kbar = change_of_rings(ctx, c_seq, K)

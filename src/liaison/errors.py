@@ -22,6 +22,11 @@ class RingMismatch(LiaisonError):
     pass
 
 
+class DegreeOverflow(LiaisonError):
+    """A monomial's weighted degree reached the limit of the packed
+    monomial encoding (``2**20``); raised instead of wrapping."""
+
+
 class LengthMismatch(LiaisonError):
     pass
 

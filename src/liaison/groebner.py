@@ -10,6 +10,12 @@ certificates, the syzygies of the tracked columns (reductions to zero), and a
 division-with-remainder lift for arbitrary vectors.  In tracked runs no pair
 is ever discarded: Buchberger's criteria are sound for basis computation but
 would lose syzygy generators, so they are applied only to untracked runs.
+
+The engine works on the ring's packed monomial keys directly (see ``ring``):
+a term product is one integer addition and a divisor test one mask test.
+Degrees grow only at pair lcms.  Each pair's degree and each input's degree
+is checked against the encoding's limit less the lowest shift, so for
+graded input no monomial the engine forms can overflow.
 """
 
 from __future__ import annotations
@@ -17,20 +23,12 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from .errors import InhomogeneousInput, RingMismatch
-from .ring import (
-    Poly,
-    _memo,
-    mono_div,
-    mono_divides,
-    mono_exponents,
-    mono_lcm,
-    mono_mul,
-    mono_one,
-)
+from .errors import DegreeOverflow, InhomogeneousInput, RingMismatch
+from .ring import _LIMIT, Poly, _memo, mono_divides, mono_exponents, mono_lcm
 
 # ---------------------------------------------------------------------------
-# vectors: tuples of Poly at the API surface, lists of {mono: coeff} inside
+# vectors: tuples of Poly at the API surface; inside, dicts mapping a position
+# to its terms {mono: coeff}, with absent positions zero
 
 
 def vec_is_zero(vec):
@@ -53,10 +51,8 @@ def vec_degree(vec, shifts):
     return deg
 
 
-def _to_internal(vec, total):
-    data = [dict(f.terms) for f in vec]
-    data.extend({} for _ in range(total - len(vec)))
-    return data
+def _to_internal(vec):
+    return {pos: dict(f.terms) for pos, f in enumerate(vec) if f.terms}
 
 
 def _ring_columns(ctx, rank):
@@ -94,6 +90,7 @@ class ModuleGB:
         "syzygies",
         "use_criteria",
         "reduced",
+        "room",
     )
 
     def __init__(self, ctx, rank, shifts, track=0, track_shifts=()):
@@ -104,81 +101,80 @@ class ModuleGB:
         self.track = track
         self.total = rank + track
         self.shifts = tuple(shifts) + tuple(track_shifts)
-        self.basis = []  # list[list[dict]]
+        self.basis = []  # list of internal vectors, nonzero positions only
         self.leads = []  # list[(pos, mono)]
-        self.by_pos = {}  # lead position -> [(lead mono, basis index)]
+        self.by_pos = {}  # lead position -> [(lead exponent word, basis index)]
         self.degrees = []  # homogeneous degree of each basis vector
-        self.pairs = []  # heap of (degree, i, j)
+        self.pairs = []  # heap of (degree, i, j, lcm of the leads)
         self.pending = set()
-        self.syzygies = []  # list[list[dict]] over the track block
+        self.syzygies = []  # internal vectors, read over the track block
         self.use_criteria = track == 0
         self.reduced = False
+        # a vector of degree D holds monomials of degree up to D - min(shifts)
+        self.room = _LIMIT + min(self.shifts, default=0)
 
     # -- low-level term arithmetic ---------------------------------------
 
     def _lead(self, data):
-        for pos in range(self.rank):
-            if data[pos]:
-                return pos, max(data[pos])
-        return None
+        live = [pos for pos, d in data.items() if d and pos < self.rank]
+        if not live:
+            return None
+        pos = min(live)
+        return pos, max(data[pos])
 
     def _axpy(self, data, coeff, mono, src):
         """data -= coeff * t^mono * src, all mod p."""
         p = self.ctx.p
-        trivial = not any(mono)
-        for pos in range(self.total):
-            s = src[pos]
-            if not s:
+        c = p - coeff
+        for pos, s in src.items():
+            d = data.get(pos)
+            if d is None:
+                data[pos] = {mono + mb: c * cb % p for mb, cb in s.items()}
                 continue
-            d = data[pos]
-            if trivial:
-                for mb, cb in s.items():
-                    r = (d.get(mb, 0) - coeff * cb) % p
-                    if r:
-                        d[mb] = r
-                    else:
-                        d.pop(mb, None)
-            else:
-                for mb, cb in s.items():
-                    key = tuple(x + y for x, y in zip(mono, mb))
-                    r = (d.get(key, 0) - coeff * cb) % p
-                    if r:
-                        d[key] = r
-                    else:
-                        d.pop(key, None)
+            get = d.get
+            for mb, cb in s.items():
+                key = mono + mb
+                r = (get(key, 0) + c * cb) % p
+                if r:
+                    d[key] = r
+                else:
+                    del d[key]
 
-    def _normal_form(self, data, leads=None, basis=None):
-        """Fully reduce data in place against the (given) basis."""
-        if leads is None:
-            by_pos = self.by_pos
-            leads = self.leads
-            basis = self.basis
-        else:
-            by_pos = {}
-            for idx, (lp, lm) in enumerate(leads):
-                by_pos.setdefault(lp, []).append((lm, idx))
-        out = [{} for _ in range(self.total)]
-        m1 = self.ctx.m + 1
-        for pos in range(self.total):
-            d = data[pos]
-            bucket = by_pos.get(pos, ()) if pos < self.rank else ()
+    def _normal_form(self, data, reducers=None):
+        """Fully reduce data in place against the basis, or against the
+        ``(by_pos, leads, basis)`` given; returns data.
+
+        Only lead positions are reduced.  A basis vector is zero before its
+        lead position, so reducing one position never touches earlier ones.
+        """
+        by_pos, leads, basis = reducers or (self.by_pos, self.leads, self.basis)
+        pk = self.ctx._pk
+        low, guard = pk.low, pk.guard
+        for pos in sorted(by_pos):
+            d = data.get(pos)
+            if not d:
+                continue
+            bucket = by_pos[pos]
+            out = {}
             while d:
                 mono = max(d)
-                red = None
-                for lm, idx in bucket:
-                    ok = True
-                    for k in range(1, m1):
-                        if lm[k] < mono[k]:
-                            ok = False
-                            break
-                    if ok:
-                        red = idx
+                room = (mono & low) | guard
+                for lead_exps, idx in bucket:
+                    if (room - lead_exps) & guard == guard:
+                        self._axpy(data, d[mono], mono - leads[idx][1], basis[idx])
                         break
-                if red is None:
-                    out[pos][mono] = d.pop(mono)
                 else:
-                    self._axpy(data, d[mono], mono_div(mono, leads[red][1]), basis[red])
-        return out
+                    out[mono] = d.pop(mono)
+            data[pos] = out
+        return data
+
+    def _bucket(self, leads):
+        """Lead position -> [(exponent word of the lead, basis index)]."""
+        low = self.ctx._pk.low
+        by_pos = {}
+        for idx, (lp, lm) in enumerate(leads):
+            by_pos.setdefault(lp, []).append((lm & low, idx))
+        return by_pos
 
     def _make_monic(self, data):
         lead = self._lead(data)
@@ -187,15 +183,16 @@ class ModuleGB:
         if c != 1:
             p = self.ctx.p
             inv = pow(c, -1, p)
-            for d in data:
+            for d in data.values():
                 for key in d:
                     d[key] = (d[key] * inv) % p
 
     def _vector_degree(self, data):
-        for pos in range(self.total):
-            if data[pos]:
-                return max(data[pos])[0] + self.shifts[pos]
-        return None
+        live = [pos for pos, d in data.items() if d]
+        if not live:
+            return None
+        pos = min(live)
+        return (max(data[pos]) >> self.ctx._pk.shift) + self.shifts[pos]
 
     # -- basis growth ------------------------------------------------------
 
@@ -205,51 +202,60 @@ class ModuleGB:
         self._make_monic(data)
         idx = len(self.basis)
         deg = self._vector_degree(data)
-        self.basis.append(data)
+        self.basis.append({q: d for q, d in data.items() if d})
         self.leads.append((pos, mono))
-        self.by_pos.setdefault(pos, []).append((mono, idx))
         self.degrees.append(deg)
-        wrev = self.ctx.wrev
-        for j in range(idx):
-            lp, lm = self.leads[j]
-            if lp != pos:
-                continue
-            lcm = mono_lcm(lm, mono, wrev)
-            pair_deg = lcm[0] + self.shifts[pos]
-            heapq.heappush(self.pairs, (pair_deg, j, idx))
+        sh = self.ctx._pk.shift
+        bucket = self.by_pos.setdefault(pos, [])
+        for _, j in bucket:
+            lcm = mono_lcm(self.leads[j][1], mono, self.ctx)
+            pair_deg = (lcm >> sh) + self.shifts[pos]
+            self._check_degree(pair_deg)
+            heapq.heappush(self.pairs, (pair_deg, j, idx, lcm))
             self.pending.add((j, idx))
+        bucket.append((mono & self.ctx._pk.low, idx))
         self.reduced = False
 
+    def _check_degree(self, deg):
+        """Refuse a vector degree whose monomials could reach the limit."""
+        if deg >= self.room:
+            raise DegreeOverflow(
+                f"vector degree {deg} with shifts down to {self.room - _LIMIT} "
+                f"reaches the monomial limit {_LIMIT}"
+            )
+
     def add_generators(self, vectors):
-        """Feed vectors (tuples of Poly over the F-part, or full internal
-        width) into the basis, then complete with Buchberger's algorithm."""
+        """Feed vectors (tuples of Poly over the F-part, or internal vectors
+        over all positions) into the basis, then complete with Buchberger's
+        algorithm."""
         for vec in vectors:
-            if isinstance(vec, (tuple,)):
-                data = _to_internal(vec, self.total)
+            if isinstance(vec, tuple):
+                data = _to_internal(vec)
             else:
-                data = [dict(d) for d in vec]
+                data = {pos: dict(d) for pos, d in vec.items()}
+            deg = self._vector_degree(data)
+            if deg is not None:
+                self._check_degree(deg)
             data = self._normal_form(data)
             self._absorb(data)
         self._complete()
 
     def _absorb(self, data):
         """File a fully reduced vector as basis element or syzygy."""
-        if any(data[pos] for pos in range(self.rank)):
+        if any(d for pos, d in data.items() if pos < self.rank):
             self._push(data)
-        elif self.track and any(data[pos] for pos in range(self.rank, self.total)):
-            self.syzygies.append(data[self.rank :])
+        elif self.track and any(data.values()):
+            self.syzygies.append(data)
 
-    def _criteria_skip(self, i, j):
+    def _criteria_skip(self, i, j, lcm):
         pi, mi = self.leads[i]
         pj, mj = self.leads[j]
-        lcm = mono_lcm(mi, mj, self.ctx.wrev)
-        if self.rank == 1 and lcm == mono_mul(mi, mj):
+        if self.rank == 1 and lcm == mi + mj:
             return True  # coprime leads; valid for ideals only
-        for k in range(len(self.basis)):
-            if k in (i, j):
-                continue
-            kp, km = self.leads[k]
-            if kp != pi or not mono_divides(km, lcm):
+        guard = self.ctx._pk.guard
+        room = (lcm & self.ctx._pk.low) | guard
+        for lead_exps, k in self.by_pos[pi]:
+            if k in (i, j) or (room - lead_exps) & guard != guard:
                 continue
             a, b = min(i, k), max(i, k)
             c, d = min(j, k), max(j, k)
@@ -258,20 +264,23 @@ class ModuleGB:
         return False
 
     def _complete(self):
-        wrev = self.ctx.wrev
         while self.pairs:
-            _, i, j = heapq.heappop(self.pairs)
+            _, i, j, lcm = heapq.heappop(self.pairs)
             self.pending.discard((i, j))
-            pi, mi = self.leads[i]
-            pj, mj = self.leads[j]
-            if self.use_criteria and self._criteria_skip(i, j):
+            if self.use_criteria and self._criteria_skip(i, j, lcm):
                 continue
-            lcm = mono_lcm(mi, mj, wrev)
-            data = [{} for _ in range(self.total)]
-            self._axpy(data, self.ctx.p - 1, mono_div(lcm, mi), self.basis[i])
-            self._axpy(data, 1, mono_div(lcm, mj), self.basis[j])
-            data = self._normal_form(data)
+            data = self._normal_form(self._s_vector(i, j, lcm))
             self._absorb(data)
+
+    def _s_vector(self, i, j, lcm):
+        """t * basis[i] - t' * basis[j], with t * lead_i = t' * lead_j = lcm."""
+        mult = lcm - self.leads[i][1]
+        data = {
+            pos: {mult + mb: cb for mb, cb in s.items()}
+            for pos, s in self.basis[i].items()
+        }
+        self._axpy(data, 1, lcm - self.leads[j][1], self.basis[j])
+        return data
 
     # -- finishing ---------------------------------------------------------
 
@@ -288,52 +297,61 @@ class ModuleGB:
         for idx in by_degree:
             pos, mono = self.leads[idx]
             if any(
-                self.leads[j][0] == pos and mono_divides(self.leads[j][1], mono)
+                self.leads[j][0] == pos and mono_divides(self.leads[j][1], mono, self.ctx)
                 for j in keep
             ):
                 continue
             keep.append(idx)
-        keep.sort(key=lambda i: (self.leads[i][0], tuple(-c for c in self.leads[i][1])))
+        keep.sort(key=lambda i: (self.leads[i][0], -self.leads[i][1]))
+        leads = [self.leads[i] for i in keep]
+        basis = [self.basis[i] for i in keep]
+        reducers = (self._bucket(leads), leads, basis)
         new_basis = []
-        for i in keep:
-            others_leads = [self.leads[j] for j in keep if j != i]
-            others_basis = [self.basis[j] for j in keep if j != i]
-            data = [dict(d) for d in self.basis[i]]
-            new_basis.append(self._normal_form(data, others_leads, others_basis))
-        self.leads = [self.leads[i] for i in keep]
+        for (pos, lead), vec in zip(leads, basis):
+            # Among the kept leads only a vector's own lead divides its lead
+            # term, and it divides no smaller term: reduce the tail only.
+            data = {q: dict(d) for q, d in vec.items()}
+            coeff = data[pos].pop(lead)
+            data = self._normal_form(data, reducers)
+            data[pos][lead] = coeff
+            new_basis.append({q: d for q, d in data.items() if d})
+        self.leads = leads
         self.degrees = [self.degrees[i] for i in keep]
         self.basis = new_basis
-        self.by_pos = {}
-        for idx, (lp, lm) in enumerate(self.leads):
-            self.by_pos.setdefault(lp, []).append((lm, idx))
+        self.by_pos = reducers[0]
         self.reduced = True
 
     # -- queries -----------------------------------------------------------
 
+    def _polys(self, data, lo, hi):
+        """Copies of an internal vector's terms at positions lo..hi-1 as
+        Poly; the zero positions share one zero Poly."""
+        out = [Poly(self.ctx, {})] * (hi - lo)
+        for pos, d in data.items():
+            if d and lo <= pos < hi:
+                out[pos - lo] = Poly(self.ctx, dict(d))
+        return tuple(out)
+
     def vectors(self):
         """The basis as tuples of Poly over the F-part positions."""
-        out = []
-        for data in self.basis:
-            out.append(tuple(Poly(self.ctx, dict(d)) for d in data[: self.rank]))
-        return out
+        return [self._polys(vec, 0, self.rank) for vec in self.basis]
 
     def normal_form(self, vec):
-        data = _to_internal(vec, self.total)
-        data = self._normal_form(data)
-        return tuple(Poly(self.ctx, d) for d in data[: self.rank])
+        data = self._normal_form(_to_internal(vec))
+        return self._polys(data, 0, self.rank)
 
     def reduce_with_certificate(self, vec):
         """Return (remainder, coeffs) with vec = sum(coeffs*tracked) + rem."""
         if not self.track:
             raise ValueError("certificates require a tracked engine")
-        data = _to_internal(vec, self.total)
-        data = self._normal_form(data)
-        rem = tuple(Poly(self.ctx, d) for d in data[: self.rank])
+        data = self._normal_form(_to_internal(vec))
+        rem = self._polys(data, 0, self.rank)
         p = self.ctx.p
-        coeffs = tuple(
-            Poly(self.ctx, {mono: (p - c) % p for mono, c in d.items()})
-            for d in data[self.rank :]
-        )
+        for pos, d in data.items():
+            if pos >= self.rank:
+                for mono in d:
+                    d[mono] = p - d[mono]
+        coeffs = self._polys(data, self.rank, self.total)
         return rem, coeffs
 
     def contains(self, vec):
@@ -343,9 +361,7 @@ class ModuleGB:
         return list(self.leads)
 
     def syzygy_vectors(self):
-        return [
-            tuple(Poly(self.ctx, dict(d)) for d in sy) for sy in self.syzygies
-        ]
+        return [self._polys(sy, self.rank, self.total) for sy in self.syzygies]
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +406,13 @@ def tracked_engine(ctx, columns, rank, shifts, extra=()):
     eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=track_shifts)
     seeded = []
     for k, col in enumerate(columns):
-        data = _to_internal(col, eng.total)
-        data[rank + k] = {mono_one(ctx.m): 1}
+        data = _to_internal(col)
+        data[rank + k] = {0: 1}
         seeded.append(data)
     for col in extra:
-        seeded.append(_to_internal(col, eng.total))
+        seeded.append(_to_internal(col))
     for col in _ring_columns(ctx, rank):
-        seeded.append(_to_internal(col, eng.total))
+        seeded.append(_to_internal(col))
     eng.add_generators(seeded)
     return eng
 
@@ -693,7 +709,6 @@ def hilbert(gb, rank=1, shifts=None):
 
 def assert_buchberger(gb):
     """Re-verify the Buchberger criterion on an emitted basis."""
-    wrev = gb.ctx.wrev
     n = len(gb.basis)
     for i in range(n):
         for j in range(i):
@@ -701,11 +716,7 @@ def assert_buchberger(gb):
             pj, mj = gb.leads[j]
             if pi != pj:
                 continue
-            lcm = mono_lcm(mi, mj, wrev)
-            data = [{} for _ in range(gb.total)]
-            gb._axpy(data, gb.ctx.p - 1, mono_div(lcm, mi), gb.basis[i])
-            gb._axpy(data, 1, mono_div(lcm, mj), gb.basis[j])
-            data = gb._normal_form(data)
-            if any(data[pos] for pos in range(gb.rank)):
+            data = gb._normal_form(gb._s_vector(i, j, mono_lcm(mi, mj, gb.ctx)))
+            if any(data.get(pos) for pos in range(gb.rank)):
                 raise AssertionError("Buchberger criterion failed")
     return True

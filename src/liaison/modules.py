@@ -31,10 +31,10 @@ def vec_combine(columns, coeffs, ctx, rank):
     """Sum of coeffs[j] * columns[j]."""
     acc = list(zero_vec(ctx, rank))
     for u, col in zip(coeffs, columns):
-        if not u:
+        if not u.terms:
             continue
         for pos, f in enumerate(col):
-            if f:
+            if f.terms:
                 acc[pos] = acc[pos] + u * f
     return tuple(acc)
 

@@ -1,9 +1,21 @@
 """Exact sparse polynomial arithmetic over prime fields with graded orders.
 
-Monomials are encoded as tuples ``(wdeg, -e[m-1], ..., -e[0])`` where ``wdeg``
-is the weighted total degree.  Plain tuple comparison of two such encodings is
-exactly the (weighted-)degree reverse lexicographic order, so the hot loops in
-the Groebner engine can use builtin ``max``/``<`` on dictionary keys.
+A monomial with exponents ``e[0..m-1]`` and weighted degree ``wdeg`` is one
+Python int, ``key = (order << E) | exps`` (the grevlex packing of
+Monagan-Pearce, "Sparse polynomial division using a heap", JSC 2011):
+
+* ``order`` holds ``B``-bit fields, most significant first: ``wdeg``,
+  ``wdeg - e[m-1]``, ..., ``wdeg - e[m-1] - ... - e[1]``;
+* ``exps`` holds ``e[i]`` in field ``i``, each ``B + 1`` bits wide with a
+  guard bit on top, and ``E = m * (B + 1)``.
+
+Every field is linear in the exponents, so plain ``<`` on keys is the
+(weighted-)degree reverse lexicographic order, a product is ``a + b``, a
+quotient is ``b - a``, the monomial 1 is ``0`` and the degree is
+``key >> shift``.  Divisibility is one guard-bit test on the ``exps`` words.
+``B`` is fixed (``_BITS``); a weighted degree at or above ``2**B`` raises
+``DegreeOverflow`` where degrees grow (monomial construction and products),
+so fields never carry into each other.
 """
 
 from __future__ import annotations
@@ -11,6 +23,7 @@ from __future__ import annotations
 import re
 
 from .errors import (
+    DegreeOverflow,
     InhomogeneousInput,
     LengthMismatch,
     NonPrimeCharacteristic,
@@ -38,38 +51,89 @@ def _is_prime(n):
 # monomial encoding
 
 
-def mono_one(m):
-    return (0,) * (m + 1)
+_BITS = 20  # B: the width of one order field; degrees stay below 2**_BITS
+_SPAN = _BITS + 1  # an exponent field with its guard bit
+_FIELD = (1 << _SPAN) - 1
+_LIMIT = 1 << _BITS
 
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+class _Packing:
+    """Layout constants of the packed monomials of one ring.
+
+    A key is valid (all fields in range) exactly when ``key < top``: keys
+    are exact sums of non-negative fields, and the top field, the weighted
+    degree, bounds every other field.
+    """
+
+    __slots__ = ("shift", "low", "guard", "top", "units")
+
+    def __init__(self, weights):
+        m = len(weights)
+        self.shift = m * _SPAN + (m - 1) * _BITS
+        self.low = (1 << (m * _SPAN)) - 1
+        self.guard = sum(1 << (i * _SPAN + _BITS) for i in range(m))
+        self.top = _LIMIT << self.shift
+        # the key of x_i, unchecked: var() refuses a weight at the limit
+        self.units = tuple(_pack([int(i == k) for k in range(m)], weights)
+                           for i in range(m))
 
 
-def mono_divides(a, b):
-    """Does a divide b?  (exponentwise a <= b; negrev encoding flips this)"""
-    return all(x >= y for x, y in zip(a[1:], b[1:]))
+def _pack(exps, weights):
+    deg = sum(w * e for w, e in zip(weights, exps))
+    key = acc = deg
+    for e in reversed(exps[1:]):
+        acc -= e
+        key = (key << _BITS) | acc
+    for e in reversed(exps):
+        key = (key << _SPAN) | e
+    return key
+
+
+def _overflow(deg):
+    return DegreeOverflow(
+        f"weighted degree {deg} reaches the monomial limit {_LIMIT}"
+    )
+
+
+def mono_mul(a, b, ctx):
+    c = a + b
+    if c >= ctx._pk.top:
+        raise _overflow(c >> ctx._pk.shift)
+    return c
+
+
+def mono_divides(a, b, ctx):
+    """Does a divide b?  (exponentwise a <= b, one guard-bit test)"""
+    pk = ctx._pk
+    return (((b & pk.low) | pk.guard) - (a & pk.low)) & pk.guard == pk.guard
 
 
 def mono_div(b, a):
     """Quotient b / a; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(b, a))
+    return b - a
 
 
-def mono_lcm(a, b, wrev):
-    neg = tuple(min(x, y) for x, y in zip(a[1:], b[1:]))
-    deg = -sum(w * x for w, x in zip(wrev, neg))
-    return (deg,) + neg
+def mono_lcm(a, b, ctx):
+    out = b
+    for i, unit in enumerate(ctx._pk.units):
+        gap = ((a >> (i * _SPAN)) & _FIELD) - ((b >> (i * _SPAN)) & _FIELD)
+        if gap > 0:
+            out += gap * unit
+    if out >= ctx._pk.top:
+        raise _overflow(out >> ctx._pk.shift)
+    return out
 
 
 def mono_exponents(mono, m):
     """Recover the exponent vector (e_0, ..., e_{m-1})."""
-    return tuple(-mono[m - i] for i in range(m))
+    return tuple((mono >> (i * _SPAN)) & _FIELD for i in range(m))
 
 
 def mono_from_exponents(exps, weights):
     deg = sum(w * e for w, e in zip(weights, exps))
-    return (deg,) + tuple(-e for e in reversed(exps))
+    if deg >= _LIMIT:
+        raise _overflow(deg)
+    return _pack(exps, weights)
 
 
 def compare_monomials(ea, eb, weights=None):
@@ -114,15 +178,15 @@ class RingCtx:
     (standard grading).  Values are safe to share between threads.
     """
 
-    __slots__ = ("p", "names", "weights", "m", "wrev", "defining", "_cache")
+    __slots__ = ("p", "names", "weights", "m", "defining", "_pk", "_cache")
 
     def __init__(self, p, names, weights, defining=()):
         self.p = p
         self.names = tuple(names)
         self.weights = tuple(weights)
         self.m = len(self.names)
-        self.wrev = tuple(reversed(self.weights))
         self.defining = tuple(defining)
+        self._pk = _Packing(self.weights)
         self._cache = {}
 
     # -- basic constructors ------------------------------------------------
@@ -135,12 +199,12 @@ class RingCtx:
 
     def const(self, c):
         c %= self.p
-        return Poly(self, {mono_one(self.m): c} if c else {})
+        return Poly(self, {0: c} if c else {})
 
     def var(self, i):
-        e = [0] * self.m
-        e[i] = 1
-        return Poly(self, {mono_from_exponents(e, self.weights): 1})
+        if self.weights[i] >= _LIMIT:
+            raise _overflow(self.weights[i])
+        return Poly(self, {self._pk.units[i]: 1})
 
     def gens(self):
         return [self.var(i) for i in range(self.m)]
@@ -244,10 +308,15 @@ class Poly:
             return self.scale(other)
         self._check(other)
         t = {}
+        if not self.terms or not other.terms:
+            return Poly(self.ctx, t)
+        pk = self.ctx._pk
+        if max(self.terms) + max(other.terms) >= pk.top:
+            raise _overflow(self.degree() + other.degree())
         p = self.ctx.p
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = mono_mul(ma, mb)
+                mono = ma + mb
                 r = (t.get(mono, 0) + ca * cb) % p
                 if r:
                     t[mono] = r
@@ -278,10 +347,11 @@ class Poly:
 
     def degree(self):
         """Weighted degree of the leading monomial (None for 0)."""
-        return max(self.terms)[0] if self.terms else None
+        return max(self.terms) >> self.ctx._pk.shift if self.terms else None
 
     def is_homogeneous(self):
-        degs = {mono[0] for mono in self.terms}
+        sh = self.ctx._pk.shift
+        degs = {mono >> sh for mono in self.terms}
         return len(degs) <= 1
 
     def homogeneous_degree(self):

@@ -249,6 +249,28 @@ def test_explicit_modules_and_K(tmp_path):
     assert code == 1
 
 
+def test_bass_numbers_below_depth(tmp_path):
+    text = """
+[ring]
+p = 101
+vars = x, y
+
+[ops]
+bass_numbers -1
+bass_numbers 0
+"""
+    f = tmp_path / "bass.spec"
+    f.write_text(text)
+    out = tmp_path / "bass.json"
+    code = main(["run", str(f), "--json-out", str(out)])
+    negative, zero = json.loads(out.read_text())["results"]
+    assert negative["ok"] is False and "at least 0" in negative["error"]
+    # F101[x,y] has depth 2: mu^0 = 0, and the type mu^2 is 1
+    assert zero["ok"] is True
+    assert zero["data"] == {"bass_numbers": [0], "type": 1}
+    assert code == 1
+
+
 def test_errors_do_not_abort_later_operations(tmp_path):
     template = """
 [ring]
@@ -262,13 +284,17 @@ gens = {}
 gens = {}
 
 [ops]
-cyclic_link I c
+{}
 invariants I
 """
-    cases = [("x", "x", "degenerate"), ("x^2", "x", "c is not contained in I")]
-    for i_gens, c_gens, error in cases:
+    cases = [
+        ("x", "x", "cyclic_link I c", "degenerate"),
+        ("x^2", "x", "cyclic_link I c", "c is not contained in I"),
+        ("x", "x^2", "schenzel I c 0", "t must be at least 1"),
+    ]
+    for i_gens, c_gens, op, error in cases:
         f = tmp_path / "err.spec"
-        f.write_text(template.format(i_gens, c_gens))
+        f.write_text(template.format(i_gens, c_gens, op))
         out = tmp_path / "err.json"
         code = main(["run", str(f), "--json-out", str(out)])
         blob = json.loads(out.read_text())

@@ -15,9 +15,15 @@ from liaison.groebner import (
     syzygies,
     vec_is_zero,
 )
+from liaison.errors import DegreeOverflow
 from liaison.ring import make_ring, parse_poly, render_poly
 
-from tests.oracle import hf_of_quotient, is_member, random_homogeneous
+from tests.oracle import (
+    hf_of_quotient,
+    is_member,
+    monomials_of_degree,
+    random_homogeneous,
+)
 
 
 def P(ctx, s):
@@ -283,3 +289,59 @@ def test_membership_matches_bruteforce(F101xy):
     for s in probes:
         v = (P(F101xy, s),)
         assert vec_is_zero(normal_form(v, gb)) == is_member(F101xy, 1, (0,), cols, v)
+
+
+# -- weighted rank-2 oracle cross-checks -----------------------------------------
+
+WEIGHTED = make_ring(101, ["x", "y", "z"], weights=[1, 2, 3])
+RANK2_SHIFTS = (0, 1)
+
+
+def _draw_poly(data, degree):
+    """A homogeneous polynomial of weighted degree ``degree``, sparse or 0."""
+    f = WEIGHTED.zero()
+    for exps in monomials_of_degree(WEIGHTED, degree):
+        c = data.draw(st.sampled_from([0, 0, 1, 2, 50, 100]))
+        f = f + WEIGHTED.monomial(exps, c)
+    return f
+
+
+def _draw_vector(data, degree):
+    """A homogeneous element of degree ``degree`` of S(0) + S(-1)."""
+    return tuple(_draw_poly(data, degree - s) for s in RANK2_SHIFTS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_weighted_rank2_matches_bruteforce(data):
+    ctx = WEIGHTED
+    ngens = data.draw(st.integers(1, 3))
+    cols = [_draw_vector(data, data.draw(st.integers(1, 4))) for _ in range(ngens)]
+    gb = buchberger(cols, ctx, 2, RANK2_SHIFTS)
+    assert_buchberger(gb)
+    hf = leadterm_hilbert(gb, 2, RANK2_SHIFTS)
+    for d in range(8):
+        assert hf.hf(d) == hf_of_quotient(ctx, 2, RANK2_SHIFTS, cols, d)
+    # a multiple of a generator is a member; a drawn vector may or may not be
+    probes = [_draw_vector(data, data.draw(st.integers(1, 6))) for _ in range(2)]
+    k = data.draw(st.integers(0, ngens - 1))
+    mult = _draw_poly(data, data.draw(st.integers(0, 3)))
+    probes.append(tuple(mult * f for f in cols[k]))
+    for v in probes:
+        got = vec_is_zero(normal_form(v, gb))
+        assert got == is_member(ctx, 2, RANK2_SHIFTS, cols, v)
+
+
+def test_pair_degree_at_the_limit_raises(F101xy):
+    # the lcm x^a*y^a of two coprime leads has degree 2a = 2^20
+    half = 1 << 19
+    cols = [(F101xy.monomial([half, 0]),), (F101xy.monomial([0, half]),)]
+    with pytest.raises(DegreeOverflow):
+        buchberger(cols, F101xy, 1)
+    # an lcm below the limit, whose vectors would hold degree 2a + 5 at a
+    # position shifted down by 5
+    a = half - 2
+    zero = F101xy.zero()
+    cols = [(F101xy.monomial([a, 0]), zero), (F101xy.monomial([0, a]), zero)]
+    with pytest.raises(DegreeOverflow):
+        buchberger(cols, F101xy, 2, shifts=(0, -5))

@@ -1,13 +1,24 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liaison.errors import LengthMismatch, NonPrimeCharacteristic, RingMismatch
+from liaison.errors import (
+    DegreeOverflow,
+    LengthMismatch,
+    NonPrimeCharacteristic,
+    RingMismatch,
+)
 from tests.oracle import random_homogeneous
 
 from liaison.ring import (
     arith,
     compare_monomials,
     make_ring,
+    mono_div,
+    mono_divides,
+    mono_exponents,
+    mono_from_exponents,
+    mono_lcm,
+    mono_mul,
     parse_poly,
     render_poly,
 )
@@ -136,3 +147,65 @@ def test_parse_poly_error_modes(F101xy):
         parse_poly(F101xy, "x + ")
     with pytest.raises(ValueError):
         parse_poly(F101xy, "x ^")
+
+
+# -- the packed monomial encoding against a tuple reference ---------------------
+
+
+def _tuple_key(exps, weights):
+    """Reference order: ``(wdeg, -e[m-1], ..., -e[0])`` compared as tuples."""
+    return (sum(w * e for w, e in zip(weights, exps)),) + tuple(
+        -e for e in reversed(exps)
+    )
+
+
+@st.composite
+def _weighted_monomials(draw):
+    m = draw(st.integers(1, 5))
+    weights = tuple(draw(st.lists(st.integers(1, 40), min_size=m, max_size=m)))
+    exps = st.tuples(*[st.integers(0, 30)] * m)
+    return weights, draw(exps), draw(exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_weighted_monomials())
+def test_packed_monomials_match_tuple_reference(case):
+    weights, ea, eb = case
+    m = len(weights)
+    ctx = make_ring(101, [f"x{i}" for i in range(m)], weights=weights)
+    a = mono_from_exponents(ea, weights)
+    b = mono_from_exponents(eb, weights)
+    assert (a < b) == (_tuple_key(ea, weights) < _tuple_key(eb, weights))
+    assert (a == b) == (ea == eb)
+    assert mono_exponents(a, m) == ea and mono_exponents(b, m) == eb
+
+    product = tuple(x + y for x, y in zip(ea, eb))
+    assert mono_mul(a, b, ctx) == mono_from_exponents(product, weights)
+    assert mono_exponents(mono_mul(a, b, ctx), m) == product
+
+    divides = all(x <= y for x, y in zip(ea, eb))
+    assert mono_divides(a, b, ctx) == divides
+    if divides:
+        quotient = tuple(y - x for x, y in zip(ea, eb))
+        assert mono_div(b, a) == mono_from_exponents(quotient, weights)
+
+    lcm = tuple(max(x, y) for x, y in zip(ea, eb))
+    assert mono_lcm(a, b, ctx) == mono_from_exponents(lcm, weights)
+    assert mono_exponents(mono_lcm(a, b, ctx), m) == lcm
+
+
+def test_degree_limit_raises():
+    ctx = make_ring(101, ["x", "y"], weights=[1, 2])
+    limit = 1 << 20
+    top = ctx.monomial([limit - 1, 0])  # the largest representable x-power
+    assert mono_exponents(top.lead_mono(), 2) == (limit - 1, 0)
+    with pytest.raises(DegreeOverflow):
+        ctx.monomial([limit, 0])
+    with pytest.raises(DegreeOverflow):
+        mono_from_exponents((0, limit // 2), ctx.weights)
+    with pytest.raises(DegreeOverflow):
+        top * ctx.var(0)
+    with pytest.raises(DegreeOverflow):
+        mono_mul(top.lead_mono(), ctx.var(1).lead_mono(), ctx)
+    with pytest.raises(DegreeOverflow):
+        make_ring(101, ["x"], weights=[limit]).var(0)

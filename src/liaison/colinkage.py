@@ -33,7 +33,6 @@ from .modules import (
     hom_module,
     is_iso,
     kernel,
-    minimize,
     tensor,
     tensor_map,
 )
@@ -207,8 +206,7 @@ def pk_dimension(M, K, bound):
     if not cert.verdict.holds():
         return verdict.undecided(bound=bound, detail="Bass membership unsettled"), None
     H, _ = hom_module(K, M)
-    Hm, _, _ = minimize(H)
-    val = projective_dimension(Hm)
+    val = projective_dimension(H)
     return verdict.holds(bound=bound), val
 
 

@@ -431,7 +431,8 @@ def syzygies(columns, ctx, rank, shifts=None, extra=(), minimize=True):
     syz = eng.syzygy_vectors()
     syz = [s for s in syz if not vec_is_zero(s)]
     if minimize:
-        syz = minimal_generators(syz, ctx, len(columns), track_shifts)
+        kept = minimal_generator_indices(syz, ctx, len(columns), track_shifts)
+        syz = [syz[i] for i in kept]
     return syz
 
 
@@ -450,21 +451,13 @@ def minimal_generator_indices(columns, ctx, rank, shifts, extra=()):
     eng.add_generators(list(extra) + _ring_columns(ctx, rank))
     kept = []
     for i in order:
-        col = columns[i]
-        if vec_is_zero(col):
-            continue
-        nf = eng.normal_form(col)
-        if vec_is_zero(nf):
-            continue
-        kept.append(i)
-        eng.add_generators([nf])
+        # add_generators reduces the column once and pushes it iff nonzero
+        size = len(eng.basis)
+        eng.add_generators([columns[i]])
+        if len(eng.basis) > size:
+            kept.append(i)
     kept.sort()
     return kept
-
-
-def minimal_generators(columns, ctx, rank, shifts, extra=()):
-    kept = minimal_generator_indices(columns, ctx, rank, shifts, extra)
-    return [columns[i] for i in kept]
 
 
 def lift_through(a_columns, b_columns, ctx, rank, shifts=None, extra=()):

@@ -16,8 +16,10 @@ from . import groebner, modules
 from .errors import (
     GradeMismatch,
     InternalConsistencyError,
+    InvalidInput,
     LiftFailed,
     RegularSequenceNotFound,
+    RingMismatch,
 )
 from .groebner import vec_degree
 from .ring import _memo, make_ring, render_poly
@@ -30,7 +32,6 @@ from .modules import (
     cyclic_module,
     image,
     kernel,
-    minimize,
     subquotient,
     zero_map,
     zero_module,
@@ -48,14 +49,13 @@ class Resolution:
 
     ``diffs[k]`` is the matrix of F_{k+1} -> F_k, stored as columns of
     coordinates over the basis of F_k; ``level_shifts[k]`` are the generator
-    degrees of F_k.  ``kept`` indexes the minimal generators inside
-    module.gens, giving the augmentation F_0 -> M.
+    degrees of F_k.  ``kept`` indexes the minimal generators inside the
+    module's gens, giving the augmentation F_0 -> M.
     """
 
-    __slots__ = ("module", "kept", "level_shifts", "diffs", "complete")
+    __slots__ = ("kept", "level_shifts", "diffs", "complete")
 
-    def __init__(self, module, kept, level_shifts, diffs, complete):
-        self.module = module
+    def __init__(self, kept, level_shifts, diffs, complete):
         self.kept = kept
         self.level_shifts = level_shifts
         self.diffs = diffs
@@ -82,6 +82,8 @@ class Resolution:
 
 def free_resolution(M, length):
     """Minimal free resolution of M to the requested length (cached)."""
+    if length < 0:
+        raise InvalidInput(f"resolution length must be at least 0, got {length}")
     with _res_lock:
         state = _memo(M, "res", lambda: _resolution_start(M))
         ctx = M.ctx
@@ -111,7 +113,7 @@ def free_resolution(M, length):
         level_shifts = list(state["shifts"][: length + 1])
         diffs = [state["cols"][k] for k in range(1, min(len(state["cols"]), length + 1))]
         complete = state["complete"] and len(state["cols"]) <= length + 1
-        return Resolution(M, state["kept"], level_shifts, diffs, complete)
+        return Resolution(state["kept"], level_shifts, diffs, complete)
 
 
 def _resolution_start(M):
@@ -139,13 +141,9 @@ def restrict_scalars(M):
     if not ctx.defining:
         return M
     amb = ctx.ambient()
-
-    def restricted():
-        gens = [tuple(amb.lift_poly(f) for f in col) for col in M.gens]
-        rels = [tuple(amb.lift_poly(f) for f in col) for col in M.rels]
-        return GradedModule(amb, M.rank, M.shifts, gens, rels)
-
-    return _memo(M, "restricted", restricted)
+    gens = [tuple(amb.lift_poly(f) for f in col) for col in M.gens]
+    rels = [tuple(amb.lift_poly(f) for f in col) for col in M.rels]
+    return GradedModule(amb, M.rank, M.shifts, gens, rels)
 
 
 def residue_field(ctx):
@@ -259,8 +257,7 @@ def _ext(i, M, N):
         rels += up.image_columns_ambient()
     gb = groebner.buchberger(rels, ctx, H_i.rank, H_i.shifts)
     E = GradedModule(ctx, H_i.rank, H_i.shifts, K_gens, gb.vectors())
-    E._cache["rels_gb"] = gb
-    E.provenance = {"functor": "ext", "index": i, "resolution_length": len(res.level_shifts) - 1}
+    _memo(E, "rels_gb", lambda: gb)
     return E, {"hsum": H_i, "ker_coords": ker_coords, "degs": degs_i}
 
 
@@ -301,9 +298,7 @@ def _tor(i, M, N):
     rels = list(T_i.rels)
     if up is not None:
         rels += up.image_columns_ambient()
-    T = subquotient(ctx, k_gens, rels, T_i.shifts, T_i.rank)
-    T.provenance = {"functor": "tor", "index": i, "resolution_length": len(res.level_shifts) - 1}
-    return T
+    return subquotient(ctx, k_gens, rels, T_i.shifts, T_i.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +409,14 @@ def transpose(M, K):
     minimal presentation d: P_1 -> P_0 -> M.  Minimality makes both unique.
     """
     if M.ctx is not K.ctx and not M.ctx.same_polynomial_ring(K.ctx):
-        from .errors import RingMismatch
-
         raise RingMismatch("transpose needs modules over one ring")
     ctx = M.ctx
     if M.is_zero():
         return zero_module(ctx), zero_module(ctx)
-    Mmin, _, _ = minimize(M)
-    pres = Mmin.column_relations()
-    if not pres:
+    res = free_resolution(M, 1)
+    if not res.rank(1):
         return zero_module(ctx), zero_module(ctx)
-    d0 = Mmin.gen_degrees()
-    d1 = [vec_degree(u, d0) for u in pres]
-    h, H0, H1 = _dual_map(K, list(d0), d1, pres)
+    h, _, _ = _dual_map(K, res.level_shifts[0], res.level_shifts[1], res.diffs[0])
     Tr, _ = cokernel(h)
     lam, _ = image(h)
     return Tr, lam
@@ -492,6 +482,8 @@ def regular_sequence_in_ideal(ctx, i_gens, n, max_scale=3):
     """
     import itertools
 
+    if n < 0:
+        raise InvalidInput(f"regular sequence length must be at least 0, got {n}")
     i_gens = [ctx.lift_poly(f) for f in i_gens if f]
     if not i_gens or modules.grade(cyclic_module(ctx, i_gens)) < n:
         raise RegularSequenceNotFound(f"ideal has grade below {n}", budget=max_scale)

@@ -43,7 +43,6 @@ from .modules import (
     is_iso,
     is_regular_sequence,
     kernel,
-    minimize,
     ring_depth,
     ring_dim,
     ring_is_cm,
@@ -543,8 +542,7 @@ def build_cyclic_walk(ctx, i_gens, c_gens, K, steps=2, tag="Pn", bound=None):
         )
         epis.append(e)
         res = link_operator(e)
-        Lmin, _, _ = minimize(res.linked_module)
-        degs = Lmin.gen_degrees()
+        degs = free_resolution(res.linked_module, 0).level_shifts[0]
         if len(degs) != 1:
             raise BrokenChain("cyclic walk produced a non-cyclic link", step=k)
         tw = -degs[0]

@@ -4,7 +4,10 @@ A module is (im gens + im rels)/(im rels) inside R^rank with degree shifts.
 Generators are stored exactly as passed (after homogeneity validation), so
 matrix indices of maps stay stable; ``minimize`` produces the pruned copy
 together with the comparison maps.  All values are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads.  Modules are values: equal
+(with equal hashes) exactly when ring object, rank, shifts, generators and
+relations agree, and what is derived from a module is cached in its ring
+under that value (``ring._memo``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def vec_combine(columns, coeffs, ctx, rank):
 
 
 class GradedModule:
-    __slots__ = ("ctx", "rank", "shifts", "gens", "rels", "_cache", "provenance")
+    __slots__ = ("ctx", "rank", "shifts", "gens", "rels", "_hash")
 
     def __init__(self, ctx, rank, shifts, gens, rels):
         self.ctx = ctx
@@ -48,8 +51,20 @@ class GradedModule:
         self.shifts = tuple(shifts)
         self.gens = tuple(tuple(col) for col in gens)
         self.rels = tuple(tuple(col) for col in rels)
-        self._cache = {}
-        self.provenance = None
+        self._hash = None
+
+    def _value(self):
+        # the ring compares (and hashes) by identity
+        return (self.ctx, self.rank, self.shifts, self.gens, self.rels)
+
+    def __eq__(self, other):
+        return isinstance(other, GradedModule) and self._value() == other._value()
+
+    def __hash__(self):
+        # computed once: hashing a Poly builds a frozenset of its terms
+        if self._hash is None:
+            self._hash = hash(self._value())
+        return self._hash
 
     # -- basic structure ---------------------------------------------------
 
@@ -175,7 +190,7 @@ def subquotient(ctx, gens, rels, shifts=None, rank=None):
     rels = _validated_columns(ctx, rels, rank, shifts, drop_zero=True)
     gb = groebner.buchberger(rels, ctx, rank, shifts)
     mod = GradedModule(ctx, rank, shifts, gens, gb.vectors())
-    mod._cache["rels_gb"] = gb
+    _memo(mod, "rels_gb", lambda: gb)
     return mod
 
 
@@ -202,10 +217,9 @@ def zero_module(ctx):
 
 def twist(M, a):
     """M(a): degrees shift down by a, HF_{M(a)}(d) = HF_M(d + a)."""
-    mod = GradedModule(
+    return GradedModule(
         M.ctx, M.rank, tuple(s - a for s in M.shifts), M.gens, M.rels
     )
-    return mod
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +313,7 @@ def kernel(f):
     src, tgt = f.source, f.target
     ctx = src.ctx
     if not tgt.gens or not src.gens:
-        K = GradedModule(ctx, src.rank, src.shifts, src.gens, src.rels)
-        return K, ModuleMap(K, src, identity_map(src).mat, check=False)
+        return src, identity_map(src)
     images = f.image_columns_ambient()
     syz = groebner.syzygies(images, ctx, tgt.rank, tgt.shifts, extra=tgt.rels)
     # syzygy coordinates are over the source generators; a coordinate vector
@@ -314,7 +327,7 @@ def kernel(f):
         kept.append(u)
         ker_cols.append(amb)
     K = GradedModule(ctx, src.rank, src.shifts, ker_cols, src.rels)
-    K._cache["rels_gb"] = src.rels_gb()
+    _memo(K, "rels_gb", src.rels_gb)
     incl = ModuleMap(K, src, kept, check=False)
     return K, incl
 
@@ -325,7 +338,7 @@ def cokernel(f):
     rels = list(tgt.rels) + f.image_columns_ambient()
     gb = groebner.buchberger(rels, tgt.ctx, tgt.rank, tgt.shifts)
     C = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, tgt.gens, gb.vectors())
-    C._cache["rels_gb"] = gb
+    _memo(C, "rels_gb", lambda: gb)
     proj = ModuleMap(tgt, C, identity_map(tgt).mat, check=False)
     return C, proj
 
@@ -540,12 +553,12 @@ def minimize(M):
     ctx = M.ctx
     if not M.gens:
         return M, identity_map(M), identity_map(M)
-    kept = groebner.minimal_generator_indices(
-        list(M.gens), ctx, M.rank, M.shifts, extra=M.rels
-    )
+    from . import homalg
+
+    kept = homalg.free_resolution(M, 0).kept
     kept_cols = [M.gens[i] for i in kept]
     Mmin = GradedModule(ctx, M.rank, M.shifts, kept_cols, M.rels)
-    Mmin._cache["rels_gb"] = M.rels_gb()
+    _memo(Mmin, "rels_gb", M.rels_gb)
     incl_mat = []
     for i in kept:
         col = [ctx.zero()] * len(M.gens)

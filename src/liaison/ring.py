@@ -150,16 +150,22 @@ def compare_monomials(ea, eb, weights=None):
 
 
 # ---------------------------------------------------------------------------
-# per-object memo
+# the memo: one cache per ring
 
 
 def _memo(obj, key, compute):
-    """``obj._cache[key]``, stored from ``compute()`` on a miss.
+    """The value of ``compute()`` cached under ``key`` for a ring or module.
 
-    Racing threads may each compute the value; ``setdefault`` hands every
-    one of them the first value stored, so callers never see two.
+    The ring's ``_cache`` is the only cache: it holds the ring's entries
+    under ``key`` and a module's under ``(module, key)``.  Modules compare
+    by value, so equal modules share every entry; entries live as long as
+    the ring.  Racing threads may each compute the value; ``setdefault``
+    hands every one of them the first value stored, so callers never see two.
     """
-    cache = obj._cache
+    if type(obj) is RingCtx:
+        cache = obj._cache
+    else:
+        cache, key = obj.ctx._cache, (obj, key)
     try:
         return cache[key]
     except KeyError:

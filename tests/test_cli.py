@@ -291,6 +291,8 @@ invariants I
         ("x", "x", "cyclic_link I c", "degenerate"),
         ("x^2", "x", "cyclic_link I c", "c is not contained in I"),
         ("x", "x^2", "schenzel I c 0", "t must be at least 1"),
+        ("x", "x^2", "betti I -1", "resolution length must be at least 0"),
+        ("x", "x^2", "regular_sequence I -1", "regular sequence length must be at least 0"),
     ]
     for i_gens, c_gens, op, error in cases:
         f = tmp_path / "err.spec"

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from liaison import homalg
+from liaison.colinkage import class_member
 from liaison.errors import GradeMismatch
 from liaison.homalg import (
     betti_table_text,
@@ -19,6 +21,7 @@ from liaison.homalg import (
     transpose,
 )
 from liaison.modules import (
+    GradedModule,
     ModuleMap,
     annihilator,
     cyclic_module,
@@ -29,7 +32,7 @@ from liaison.modules import (
     is_iso,
     subquotient,
 )
-from liaison.ring import parse_poly, render_poly
+from liaison.ring import make_ring, parse_poly, render_poly
 
 from tests.oracle import hf_of_subquotient
 
@@ -362,3 +365,53 @@ def test_lift_chain_map_with_degree_shift(F101xy):
 
         gb = buchberger([], ctx, res_tgt.rank(0))
         assert gb.contains(diff)
+
+
+# -- one cache per ring, keyed by module value ---------------------------------
+
+
+def test_equal_modules_share_derived_results(F101xy):
+    ctx = F101xy
+    K = cyclic_module(ctx, [P(ctx, "x")])
+    M = cyclic_module(ctx, [P(ctx, "x^2")])
+    H1, _ = hom_module(K, M)
+    H2, _ = hom_module(K, M)
+    assert H1 is not H2
+    assert H1 == H2 and hash(H1) == hash(H2)
+    R1 = free_module(ctx, 1)
+    assert ext(1, H1, R1) is ext(1, H2, R1)
+    assert tor(1, H1, K) is tor(1, H2, K)
+
+
+def test_modules_over_separate_rings_share_nothing():
+    R, S = make_ring(101, ["x", "y"]), make_ring(101, ["x", "y"])
+    A = cyclic_module(R, [P(R, "x")])
+    B = cyclic_module(S, [P(S, "x")])
+    assert A.to_json() == B.to_json()
+    assert A != B
+    assert A.hilbert() is not B.hilbert()
+    assert ext(1, A, A) is not ext(1, B, B)
+    module_keys = [
+        k for k in R._cache if isinstance(k, tuple) and isinstance(k[0], GradedModule)
+    ]
+    assert module_keys
+    assert all(k[0].ctx is R and k not in S._cache for k in module_keys)
+
+
+def test_repeated_certificate_computes_each_tor_once(monkeypatch):
+    ctx = make_ring(101, ["x", "y"])
+    M = cyclic_module(ctx, [P(ctx, "x")])
+    K = free_module(ctx, 1)
+    calls = []
+    real_tor = homalg._tor
+
+    def counting_tor(i, A, B):
+        calls.append(i)
+        return real_tor(i, A, B)
+
+    monkeypatch.setattr(homalg, "_tor", counting_tor)
+    bound = 2
+    for _ in range(2):
+        cert = class_member("Bass", M, K, bound)
+        assert cert.verdict.holds()
+    assert sorted(calls) == [1, 2]

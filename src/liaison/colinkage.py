@@ -22,7 +22,13 @@ from .errors import (
     LiaisonError,
     NuNotIso,
 )
-from .homalg import bidual_obstructions, ext, projective_dimension
+from .homalg import (
+    bidual_obstructions,
+    ext,
+    ext_vanishes,
+    projective_dimension,
+    tor_vanishes,
+)
 from .modules import (
     GradedModule,
     ModuleMap,
@@ -36,6 +42,7 @@ from .modules import (
     tensor,
     tensor_map,
 )
+from .ring import _memo
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +136,27 @@ class FoxbyCert:
 
 
 def class_member(class_name, M, K, bound):
-    """Bounded certificate of Auslander or Bass class membership."""
+    """Bounded certificate of Auslander or Bass class membership (cached)."""
+    if class_name not in ("Auslander", "Bass"):
+        raise ValueError(f"unknown Foxby class {class_name!r}")
+    return _memo(
+        M, ("class_member", class_name, K, bound),
+        lambda: _class_member(class_name, M, K, bound),
+    )
+
+
+def _class_member(class_name, M, K, bound):
+    indices = range(1, bound + 1)
     if class_name == "Auslander":
         T, _, mu = tensor_transform(M, K)
         nat = is_iso(mu)
-        tor_checks = tuple(
-            (i, homalg.tor(i, M, K).is_zero()) for i in range(1, bound + 1)
-        )
-        ext_checks = tuple((i, ext(i, K, T).is_zero()) for i in range(1, bound + 1))
-    elif class_name == "Bass":
+        tor_checks = tuple((i, tor_vanishes(i, M, K)) for i in indices)
+        ext_checks = tuple((i, ext_vanishes(i, K, T)) for i in indices)
+    else:
         H, _, nu = hom_transform(M, K)
         nat = is_iso(nu)
-        tor_checks = tuple(
-            (i, homalg.tor(i, H, K).is_zero()) for i in range(1, bound + 1)
-        )
-        ext_checks = tuple((i, ext(i, K, M).is_zero()) for i in range(1, bound + 1))
-    else:
-        raise ValueError(f"unknown Foxby class {class_name!r}")
+        tor_checks = tuple((i, tor_vanishes(i, H, K)) for i in indices)
+        ext_checks = tuple((i, ext_vanishes(i, K, M)) for i in indices)
     ok_vanishing = all(z for _, z in tor_checks) and all(z for _, z in ext_checks)
     if nat and ok_vanishing:
         v = verdict.holds(bound=bound)

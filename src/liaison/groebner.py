@@ -565,13 +565,21 @@ def _kpoly(gens, weights, memo):
                 [tuple(max(e - p, 0) for e, p in zip(g, piv)) for g in gens]
             )
             res = dict(_kpoly(tuple(plus), weights, memo))
-            for d, c in _kpoly(tuple(col), weights, memo).items():
-                d += weights[v]
-                res[d] = res.get(d, 0) + c
-                if not res[d]:
-                    del res[d]
+            _add_series(res, _kpoly(tuple(col), weights, memo), weights[v])
     memo[key] = res
     return res
+
+
+def _add_series(acc, num, shift=0, sign=1):
+    """acc += sign * t^shift * num for Hilbert numerators {degree: coeff};
+    zero coefficients are dropped."""
+    for d, c in num.items():
+        d += shift
+        v = acc.get(d, 0) + sign * c
+        if v:
+            acc[d] = v
+        else:
+            acc.pop(d, None)
 
 
 def _poly_mul_1mt(poly, w):
@@ -682,11 +690,7 @@ def leadterm_hilbert(gb, rank, shifts):
     num = {}
     for pos in range(rank):
         kp = _kpoly(tuple(_minimalize(per_pos[pos])), ctx.weights, memo)
-        for d, c in kp.items():
-            key = d + shifts[pos]
-            num[key] = num.get(key, 0) + c
-            if not num[key]:
-                del num[key]
+        _add_series(num, kp, shifts[pos])
     return HilbertData(ctx, num)
 
 

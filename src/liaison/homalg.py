@@ -5,6 +5,12 @@ Resolutions are built by iterated syzygy computation with minimal generating
 sets at every step, so differentials land in the maximal ideal and Betti
 numbers read off directly.  Over R = S/J resolutions may be infinite; every
 operation takes the finite length it needs and records the truncation.
+
+``tor_vanishes`` and ``ext_vanishes`` answer whether Tor_i or Ext^i is zero
+without building it: the homology's Hilbert series is that of the middle
+term less those of the incoming and outgoing images, each image's from the
+lead terms of an untracked reduced basis.  Over positive weights a graded
+module is zero exactly when its Hilbert series is.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import (
     RegularSequenceNotFound,
     RingMismatch,
 )
-from .groebner import vec_degree
+from .groebner import _add_series, vec_degree
 from .ring import _memo, make_ring, render_poly
 from .modules import (
     GradedModule,
@@ -299,6 +305,75 @@ def _tor(i, M, N):
     if up is not None:
         rels += up.image_columns_ambient()
     return subquotient(ctx, k_gens, rels, T_i.shifts, T_i.rank)
+
+
+# ---------------------------------------------------------------------------
+# vanishing of Ext and Tor from Hilbert series
+
+
+def tor_vanishes(i, M, N):
+    """Whether Tor_i^R(M, N) = 0, decided without building the module."""
+    if i < 0:
+        raise ValueError("Tor index must be nonnegative")
+    return _memo(M, ("tor_vanishes", i, N), lambda: _vanishes("tor", i, M, N))
+
+
+def ext_vanishes(i, M, N):
+    """Whether Ext^i_R(M, N) = 0, decided without building the module."""
+    if i < 0:
+        raise ValueError("Ext index must be nonnegative")
+    return _memo(M, ("ext_vanishes", i, N), lambda: _vanishes("ext", i, M, N))
+
+
+def _vanishes(functor, i, M, N):
+    """Homology at the middle of B_in -> B -> B_out of the tensor ("tor") or
+    dual ("ext") complex of F(M) with N, where B = F_i (x) N or Hom(F_i, N):
+    HS(H) = HS(B) - HS(image in B) - HS(image in B_out), and a graded module
+    over positive weights is zero exactly when its Hilbert series is."""
+    if M.is_zero() or N.is_zero():
+        return True
+    res = free_resolution(M, i + 1)
+    if not res.rank(i):
+        return True
+    sign = 1 if functor == "tor" else -1
+    series = {}
+    hs_n = N.hilbert().numerator
+    for d in res.level_shifts[i]:
+        _add_series(series, hs_n, sign * d)
+    # the Tor differential d_k (x) N lands in level k - 1, Hom(d_k, N) in level k
+    for k in (i, i + 1):
+        _add_series(series, _image_series(functor, k, M, N, res), sign=-1)
+    return not series
+
+
+def _image_series(functor, k, M, N, res):
+    """Hilbert numerator of the image of the complex's map induced by d_k,
+    inside its target ⊕ N(±d): HS(F/R) - HS(F/(R + image)), both from
+    untracked reduced bases.  Shared by the indices on either side of it;
+    ``res`` is M's resolution to length k or more."""
+
+    def compute():
+        if k == 0 or not res.rank(k):
+            return {}
+        src, tgt = res.level_shifts[k], res.level_shifts[k - 1]
+        if functor == "tor":
+            f, _, B = _tensor_map(N, src, tgt, res.diffs[k - 1])
+            twists = tgt
+        else:
+            f, _, B = _dual_map(N, tgt, src, res.diffs[k - 1])
+            twists = [-d for d in src]
+        gb = groebner.buchberger(
+            list(B.rels) + f.image_columns_ambient(), M.ctx, B.rank, B.shifts
+        )
+        series = {}
+        free_n = groebner.leadterm_hilbert(N.rels_gb(), N.rank, N.shifts).numerator
+        for d in twists:
+            _add_series(series, free_n, d)
+        quotient = groebner.leadterm_hilbert(gb, B.rank, B.shifts).numerator
+        _add_series(series, quotient, sign=-1)
+        return series
+
+    return _memo(M, (functor + "_level", k, N), compute)
 
 
 # ---------------------------------------------------------------------------

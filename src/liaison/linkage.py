@@ -26,7 +26,7 @@ from .errors import (
     NotRegularSequence,
     ZeroModule,
 )
-from .homalg import bidual_obstructions, ext, free_resolution, transpose
+from .homalg import bidual_obstructions, ext, ext_vanishes, free_resolution, transpose
 from .modules import (
     GradedModule,
     ModuleMap,
@@ -128,7 +128,7 @@ def is_semidualizing(K, bound):
     checks = []
     first_bad = None
     for i in range(1, bound + 1):
-        z = ext(i, K, K).is_zero()
+        z = ext_vanishes(i, K, K)
         checks.append((i, z))
         if not z and first_bad is None:
             first_bad = i

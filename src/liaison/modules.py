@@ -32,18 +32,28 @@ def zero_vec(ctx, rank):
 
 def vec_combine(columns, coeffs, ctx, rank):
     """Sum of coeffs[j] * columns[j]."""
+    return _combine(_entries(columns), coeffs, ctx, rank)
+
+
+def _entries(columns):
+    """Each column as its nonzero entries, ((position, entry), ...)."""
+    return tuple(
+        tuple((pos, f) for pos, f in enumerate(col) if f.terms) for col in columns
+    )
+
+
+def _combine(entries, coeffs, ctx, rank):
+    """vec_combine over columns given by ``_entries``."""
     acc = list(zero_vec(ctx, rank))
-    for u, col in zip(coeffs, columns):
-        if not u.terms:
-            continue
-        for pos, f in enumerate(col):
-            if f.terms:
+    for u, col in zip(coeffs, entries):
+        if u.terms:
+            for pos, f in col:
                 acc[pos] = acc[pos] + u * f
     return tuple(acc)
 
 
 class GradedModule:
-    __slots__ = ("ctx", "rank", "shifts", "gens", "rels", "_hash")
+    __slots__ = ("ctx", "rank", "shifts", "gens", "rels", "_hash", "_entries")
 
     def __init__(self, ctx, rank, shifts, gens, rels):
         self.ctx = ctx
@@ -52,6 +62,7 @@ class GradedModule:
         self.gens = tuple(tuple(col) for col in gens)
         self.rels = tuple(tuple(col) for col in rels)
         self._hash = None
+        self._entries = None
 
     def _value(self):
         # the ring compares (and hashes) by identity
@@ -88,7 +99,16 @@ class GradedModule:
             self.rels_gb().contains(col) for col in self.gens))
 
     def coords_to_ambient(self, coords):
-        return vec_combine(self.gens, coords, self.ctx, self.rank)
+        """vec_combine(gens, coords), over the gens' once-computed entries.
+
+        The entries sit on the object, not in the ring's cache: a cache key
+        would hash the module's whole value, and most modules combined here
+        (the direct sums of a Hom or tensor complex) are built, used once
+        and dropped.
+        """
+        if self._entries is None:
+            self._entries = _entries(self.gens)
+        return _combine(self._entries, coords, self.ctx, self.rank)
 
     def contains_ambient(self, vec):
         return self.full_gb().contains(vec)
@@ -118,10 +138,7 @@ class GradedModule:
             bot = groebner.leadterm_hilbert(self.rels_gb(), self.rank, self.shifts)
             top = groebner.leadterm_hilbert(self.full_gb(), self.rank, self.shifts)
             num = dict(bot.numerator)
-            for d, c in top.numerator.items():
-                num[d] = num.get(d, 0) - c
-                if not num[d]:
-                    del num[d]
+            groebner._add_series(num, top.numerator, sign=-1)
             return groebner.HilbertData(self.ctx, num)
 
         return _memo(self, "hilbert", compute)
@@ -489,13 +506,17 @@ def _dual_map(N, src_degs, tgt_degs, columns):
 
 
 def hom_module(M, N):
-    """Hom_R(M, N) and a converter from its elements to ModuleMaps.
+    """Hom_R(M, N) and a converter from its elements to ModuleMaps (cached).
 
     Computed as the kernel of Hom(F0, N) -> Hom(F1, N) for a presentation
     F1 -> F0 -> M (F0 on the stored generators, F1 on the column relations).
     """
     if M.ctx is not N.ctx:
         raise RingMismatch("Hom over different rings")
+    return _memo(M, ("hom", N), lambda: _hom_module(M, N))
+
+
+def _hom_module(M, N):
     if not M.gens:
         return zero_module(M.ctx), lambda coords, degree=0: zero_map(M, N)
     dm = M.gen_degrees()

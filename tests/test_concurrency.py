@@ -4,7 +4,7 @@ same answers as a sequential run, with every cache cold at the start."""
 import sys
 import threading
 
-from liaison.homalg import ext, free_resolution
+from liaison.homalg import ext, ext_vanishes, free_resolution, tor_vanishes
 from liaison.modules import cyclic_module, free_module, grade
 from liaison.ring import make_ring, parse_poly
 
@@ -26,7 +26,8 @@ def fresh_modules():
 
 
 def summary(pairs):
-    """Hilbert functions, Betti numbers and grades of the shared work."""
+    """Hilbert functions, Betti numbers, grades and vanishing of the shared
+    work."""
     out = []
     for M, R1 in pairs:
         res = free_resolution(M, 3)
@@ -35,6 +36,7 @@ def summary(pairs):
             res.betti_numbers(),
             sorted(res.betti().items()),
             grade(M),
+            [(tor_vanishes(i, M, M), ext_vanishes(i, M, R1)) for i in range(3)],
         ))
     return out
 

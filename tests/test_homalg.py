@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -31,6 +32,7 @@ from liaison.modules import (
     invariants,
     is_iso,
     subquotient,
+    twist,
 )
 from liaison.ring import make_ring, parse_poly, render_poly
 
@@ -375,7 +377,8 @@ def test_equal_modules_share_derived_results(F101xy):
     K = cyclic_module(ctx, [P(ctx, "x")])
     M = cyclic_module(ctx, [P(ctx, "x^2")])
     H1, _ = hom_module(K, M)
-    H2, _ = hom_module(K, M)
+    assert hom_module(K, M)[0] is H1
+    H2 = twist(twist(H1, 1), -1)  # built anew, equal in value
     assert H1 is not H2
     assert H1 == H2 and hash(H1) == hash(H2)
     R1 = free_module(ctx, 1)
@@ -403,15 +406,96 @@ def test_repeated_certificate_computes_each_tor_once(monkeypatch):
     M = cyclic_module(ctx, [P(ctx, "x")])
     K = free_module(ctx, 1)
     calls = []
-    real_tor = homalg._tor
+    real_vanishes = homalg._vanishes
 
-    def counting_tor(i, A, B):
-        calls.append(i)
-        return real_tor(i, A, B)
+    def counting_vanishes(functor, i, A, B):
+        if functor == "tor":
+            calls.append(i)
+        return real_vanishes(functor, i, A, B)
 
-    monkeypatch.setattr(homalg, "_tor", counting_tor)
+    monkeypatch.setattr(homalg, "_vanishes", counting_vanishes)
     bound = 2
     for _ in range(2):
         cert = class_member("Bass", M, K, bound)
         assert cert.verdict.holds()
     assert sorted(calls) == [1, 2]
+
+
+# -- Ext and Tor vanishing from Hilbert series -----------------------------------
+
+
+def _random_ideal(ctx, rng):
+    """One to three homogeneous binomials or monomials in x, y, z."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(1, 3)
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            e = [0, 0, 0]
+            for _ in range(d):
+                e[rng.randrange(3)] += 1
+            mono = "*".join(f"{v}^{k}" for v, k in zip("xyz", e) if k)
+            terms.append(f"{rng.randint(1, 100)}*{mono}")
+        gens.append(P(ctx, " + ".join(terms)))
+    return gens
+
+
+def test_vanishing_agrees_with_the_modules():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for ctx in (make_ring(101, ["x", "y", "z"]),
+                make_ring(101, ["x", "y", "z"], ["x*z - y^2"])):
+        for _ in range(10):
+            M = cyclic_module(ctx, _random_ideal(ctx, rng))
+            others = (cyclic_module(ctx, _random_ideal(ctx, rng)),
+                      residue_field(ctx), free_module(ctx, 1))
+            for N in others:
+                for i in range(3):
+                    z = homalg.tor_vanishes(i, M, N)
+                    assert z == tor(i, M, N).is_zero()
+                    outcomes.add(z)
+                    z = homalg.ext_vanishes(i, M, N)
+                    assert z == ext(i, M, N).is_zero()
+                    outcomes.add(z)
+    assert outcomes == {True, False}
+
+
+def test_vanishing_over_the_semigroup_ring(semigroup345):
+    from liaison.linkage import canonical_module
+
+    K = canonical_module(semigroup345)
+    k = residue_field(semigroup345)
+    for i in (1, 2):
+        assert not homalg.tor_vanishes(i, k, K) and not tor(i, k, K).is_zero()
+        assert homalg.ext_vanishes(i, K, K) and ext(i, K, K).is_zero()
+
+
+def test_vanishing_rejects_negative_index(F101xy):
+    k = residue_field(F101xy)
+    for f in (homalg.tor_vanishes, homalg.ext_vanishes):
+        with pytest.raises(ValueError):
+            f(-1, k, k)
+
+
+def test_repeated_hom_and_certificate_run_hom_kernel_once(monkeypatch):
+    from liaison import modules
+
+    ctx = make_ring(101, ["x", "y"])
+    M = cyclic_module(ctx, [P(ctx, "x")])
+    K = cyclic_module(ctx, [P(ctx, "x^2")])
+    # hom_module(K, M) is the kernel of Hom(F0, M) -> Hom(F1, M) = M(2)
+    target = modules._hom_sum(M, [2])
+    calls = []
+    real_kernel = modules.kernel
+
+    def counting_kernel(f):
+        if f.target == target:
+            calls.append(f)
+        return real_kernel(f)
+
+    monkeypatch.setattr(modules, "kernel", counting_kernel)
+    first = class_member("Bass", M, K, 1)
+    second = class_member("Bass", M, K, 1)
+    hom_module(K, M)
+    assert len(calls) == 1
+    assert second is first

@@ -16,7 +16,9 @@ name of an ideal or module).
 
 Exit codes: 0 ok, 1 some verdict failed (or an operation raised an error,
 reported as ``ok: false``), 2 usage or parse error, 3 internal consistency
-failure.  Exit 2 covers: an unreadable spec file, an unknown gallery, a
+failure or any other unexpected exception in an operation (also reported
+as ``ok: false``, naming the exception type; the later operations still
+run).  Exit 2 covers: an unreadable spec file, an unknown gallery, a
 malformed section or ``key = value`` line, a value that is not an integer
 (``p``, ``weights``, ``ambient``, ``shifts``, ``bound``, ``window``, integer
 operation arguments), a ``window`` or ``--window`` not of the form lo..hi,
@@ -33,6 +35,7 @@ import inspect
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from . import cohomology, colinkage, groebner, homalg, linkage, modules, verdict
@@ -591,6 +594,11 @@ def run(spec):
             entry["ok"] = False
             entry["error"] = str(exc)
             exit_code = max(exit_code, 1)
+        except Exception as exc:  # a bug: keep the report and the later ops
+            traceback.print_exc(file=sys.stderr)
+            entry["ok"] = False
+            entry["error"] = f"internal error: {type(exc).__name__}: {exc}"
+            exit_code = 3
         results.append(entry)
     report = {
         "ring": repr(spec.ring),

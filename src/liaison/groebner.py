@@ -4,6 +4,14 @@ Free-module terms are ordered position-over-term (position 0 highest) with
 graded reverse lexicographic order on monomials.  Quotient rings are handled
 by appending J*e_i to every generating set, so one engine serves both S and R.
 
+An untracked engine can instead be seeded (``ModuleGB._seed``) with vectors
+already known to form a reduced basis of a submodule containing J*F: a
+module's relation basis, its block copies in a direct sum, or the J*e_i
+themselves (``ctx.defining`` is reduced).  Seed vectors are installed as
+they are, no pair among them is formed, and only the vectors fed after
+them are reduced; ``minimal_generator_indices`` and the image engines of
+``homalg`` work this way.
+
 The engine optionally tracks coefficients on a prefix of the input columns.
 Tracked runs yield, in one pass, the Groebner basis with expression
 certificates, the syzygies of the tracked columns (reductions to zero), and a
@@ -23,7 +31,12 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from .errors import DegreeOverflow, InhomogeneousInput, RingMismatch
+from .errors import (
+    DegreeOverflow,
+    InhomogeneousInput,
+    InternalConsistencyError,
+    RingMismatch,
+)
 from .ring import _LIMIT, Poly, _memo, mono_divides, mono_exponents, mono_lcm
 
 # ---------------------------------------------------------------------------
@@ -56,14 +69,10 @@ def _to_internal(vec):
 
 
 def _ring_columns(ctx, rank):
-    """The columns J*e_i presenting the quotient ring inside S^rank."""
-    cols = []
-    for pos in range(rank):
-        for g in ctx.defining:
-            col = [ctx.zero()] * rank
-            col[pos] = g
-            cols.append(tuple(col))
-    return cols
+    """The columns J*e_i presenting the quotient ring inside S^rank, as
+    internal vectors sharing the terms of ``ctx.defining``.  Since that is a
+    reduced basis of J, these form a reduced basis of J*S^rank."""
+    return [{pos: g.terms} for pos in range(rank) for g in ctx.defining]
 
 
 class ModuleGB:
@@ -223,6 +232,27 @@ class ModuleGB:
                 f"vector degree {deg} with shifts down to {self.room - _LIMIT} "
                 f"reaches the monomial limit {_LIMIT}"
             )
+
+    def _seed(self, vectors):
+        """Install internal vectors that already form a reduced Groebner basis
+        of a submodule containing J*F, as the engine's first basis elements.
+
+        No pair among them is formed: none enters ``pending``, which
+        ``_criteria_skip`` reads as treated, and indeed each reduces to zero.
+        Pairs with every later element form as usual.  The vectors are
+        shared, not copied, and the engine never writes to them.
+        """
+        if self.basis:
+            raise InternalConsistencyError("only an empty engine can be seeded")
+        low = self.ctx._pk.low
+        for data in vectors:
+            deg = self._vector_degree(data)
+            self._check_degree(deg)
+            pos, mono = self._lead(data)
+            self.by_pos.setdefault(pos, []).append((mono & low, len(self.basis)))
+            self.basis.append(data)
+            self.leads.append((pos, mono))
+            self.degrees.append(deg)
 
     def add_generators(self, vectors):
         """Feed vectors (tuples of Poly over the F-part, or internal vectors
@@ -404,16 +434,12 @@ def tracked_engine(ctx, columns, rank, shifts, extra=()):
     track_shifts = [vec_degree(col, shifts) for col in columns]
     track_shifts = [0 if d is None else d for d in track_shifts]
     eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=track_shifts)
-    seeded = []
+    inputs = []
     for k, col in enumerate(columns):
         data = _to_internal(col)
         data[rank + k] = {0: 1}
-        seeded.append(data)
-    for col in extra:
-        seeded.append(_to_internal(col))
-    for col in _ring_columns(ctx, rank):
-        seeded.append(_to_internal(col))
-    eng.add_generators(seeded)
+        inputs.append(data)
+    eng.add_generators(inputs + list(extra) + _ring_columns(ctx, rank))
     return eng
 
 
@@ -431,24 +457,28 @@ def syzygies(columns, ctx, rank, shifts=None, extra=(), minimize=True):
     syz = eng.syzygy_vectors()
     syz = [s for s in syz if not vec_is_zero(s)]
     if minimize:
-        kept = minimal_generator_indices(syz, ctx, len(columns), track_shifts)
+        seed = _ring_columns(ctx, len(columns))
+        kept = minimal_generator_indices(syz, ctx, len(columns), track_shifts, seed)
         syz = [syz[i] for i in kept]
     return syz
 
 
-def minimal_generator_indices(columns, ctx, rank, shifts, extra=()):
-    """Indices of a minimal generating subset of ``columns`` mod <extra> + J.
+def minimal_generator_indices(columns, ctx, rank, shifts, seed):
+    """Indices of a minimal generating subset of ``columns`` modulo the
+    submodule whose reduced Groebner basis is ``seed`` (internal vectors,
+    J*F included, for example a module's ``rels_gb().basis``).
 
     Graded Nakayama: processed in ascending degree, a generator is redundant
     exactly when it lies in the submodule generated by the ones already kept
-    (plus the modulus).  One incremental Groebner pass decides all of them.
+    (plus the modulus).  One incremental Groebner pass, seeded with the
+    modulus, decides all of them.
     """
     shifts = tuple(shifts)
     order = sorted(
         range(len(columns)), key=lambda i: (vec_degree(columns[i], shifts) or 0, i)
     )
     eng = ModuleGB(ctx, rank, shifts)
-    eng.add_generators(list(extra) + _ring_columns(ctx, rank))
+    eng._seed(seed)
     kept = []
     for i in order:
         # add_generators reduces the column once and pushes it iff nonzero

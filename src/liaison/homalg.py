@@ -9,8 +9,14 @@ operation takes the finite length it needs and records the truncation.
 ``tor_vanishes`` and ``ext_vanishes`` answer whether Tor_i or Ext^i is zero
 without building it: the homology's Hilbert series is that of the middle
 term less those of the incoming and outgoing images, each image's from the
-lead terms of an untracked reduced basis.  Over positive weights a graded
+lead terms of an untracked Groebner basis.  Over positive weights a graded
 module is zero exactly when its Hilbert series is.
+
+That basis comes from ``_image_engine``, which builds no direct sum or map:
+it seeds an engine with block copies of N's reduced relation basis, one per
+summand N(±d) of the target, and reduces only the image columns, formed
+from the differential and N's generators.  ``ext`` and ``tor`` take the
+relations of their homology from the same engine, interreduced.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .errors import (
     RegularSequenceNotFound,
     RingMismatch,
 )
-from .groebner import _add_series, vec_degree
+from .groebner import _add_series, vec_degree, vec_is_zero
 from .ring import _memo, make_ring, render_poly
 from .modules import (
     GradedModule,
@@ -125,7 +131,7 @@ def free_resolution(M, length):
 def _resolution_start(M):
     """Level 0 of the incremental resolution state: F_0 -> M."""
     kept = groebner.minimal_generator_indices(
-        list(M.gens), M.ctx, M.rank, M.shifts, extra=M.rels
+        list(M.gens), M.ctx, M.rank, M.shifts, M.rels_gb().basis
     )
     f0 = [M.gens[i] for i in kept]
     degs = M.gen_degrees()
@@ -239,14 +245,11 @@ def _ext(i, M, N):
     degs_i = res.level_shifts[i]
     if res.rank(i + 1):
         down, H_i, _ = _dual_map(N, degs_i, res.level_shifts[i + 1], res.diffs[i])
+        K, incl = kernel(down)
+        K_gens = list(K.gens)
+        ker_coords = list(incl.mat)
     else:
         H_i = _hom_sum(N, degs_i)
-        down = None
-    if i > 0:
-        up, _, _ = _dual_map(N, res.level_shifts[i - 1], degs_i, res.diffs[i - 1])
-    else:
-        up = None
-    if down is None:
         K_gens = list(H_i.gens)
         ker_coords = [
             tuple(
@@ -254,16 +257,7 @@ def _ext(i, M, N):
             )
             for a in range(len(H_i.gens))
         ]
-    else:
-        K, incl = kernel(down)
-        K_gens = list(K.gens)
-        ker_coords = list(incl.mat)
-    rels = list(H_i.rels)
-    if up is not None:
-        rels += up.image_columns_ambient()
-    gb = groebner.buchberger(rels, ctx, H_i.rank, H_i.shifts)
-    E = GradedModule(ctx, H_i.rank, H_i.shifts, K_gens, gb.vectors())
-    _memo(E, "rels_gb", lambda: gb)
+    E = _homology(K_gens, _image_engine("ext", i, M, N, res)[0])
     return E, {"hsum": H_i, "ker_coords": ker_coords, "degs": degs_i}
 
 
@@ -289,22 +283,21 @@ def _tor(i, M, N):
     degs_i = res.level_shifts[i]
     if i > 0:
         down, _, _ = _tensor_map(N, degs_i, res.level_shifts[i - 1], res.diffs[i - 1])
-    else:
-        down = None
-    if res.rank(i + 1):
-        up, _, T_i = _tensor_map(N, res.level_shifts[i + 1], degs_i, res.diffs[i])
-    else:
-        up = None
-        T_i = _hom_sum(N, [-d for d in degs_i])
-    if down is not None:
-        K, incl = kernel(down)
+        K, _ = kernel(down)
         k_gens = list(K.gens)
     else:
-        k_gens = list(T_i.gens)
-    rels = list(T_i.rels)
-    if up is not None:
-        rels += up.image_columns_ambient()
-    return subquotient(ctx, k_gens, rels, T_i.shifts, T_i.rank)
+        T_i = _hom_sum(N, [-d for d in degs_i])
+        k_gens = [col for col in T_i.gens if not vec_is_zero(col)]
+    return _homology(k_gens, _image_engine("tor", i + 1, M, N, res)[0])
+
+
+def _homology(gens, eng):
+    """The subquotient (<gens> + R) / R of the engine's free module, where R
+    is the submodule its basis spans (a target's relations and an image)."""
+    eng.interreduce()
+    H = GradedModule(eng.ctx, eng.rank, eng.shifts, gens, eng.vectors())
+    _memo(H, "rels_gb", lambda: eng)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -349,31 +342,67 @@ def _vanishes(functor, i, M, N):
 def _image_series(functor, k, M, N, res):
     """Hilbert numerator of the image of the complex's map induced by d_k,
     inside its target ⊕ N(±d): HS(F/R) - HS(F/(R + image)), both from
-    untracked reduced bases.  Shared by the indices on either side of it;
-    ``res`` is M's resolution to length k or more."""
+    lead terms.  Shared by the indices on either side of it; ``res`` is M's
+    resolution to length k or more."""
 
     def compute():
         if k == 0 or not res.rank(k):
             return {}
-        src, tgt = res.level_shifts[k], res.level_shifts[k - 1]
-        if functor == "tor":
-            f, _, B = _tensor_map(N, src, tgt, res.diffs[k - 1])
-            twists = tgt
-        else:
-            f, _, B = _dual_map(N, tgt, src, res.diffs[k - 1])
-            twists = [-d for d in src]
-        gb = groebner.buchberger(
-            list(B.rels) + f.image_columns_ambient(), M.ctx, B.rank, B.shifts
-        )
+        eng, twists = _image_engine(functor, k, M, N, res)
         series = {}
         free_n = groebner.leadterm_hilbert(N.rels_gb(), N.rank, N.shifts).numerator
         for d in twists:
             _add_series(series, free_n, d)
-        quotient = groebner.leadterm_hilbert(gb, B.rank, B.shifts).numerator
+        # the lead terms need not be minimal: leadterm_hilbert minimalizes
+        quotient = groebner.leadterm_hilbert(eng, eng.rank, eng.shifts).numerator
         _add_series(series, quotient, sign=-1)
         return series
 
     return _memo(M, (functor + "_level", k, N), compute)
+
+
+def _image_engine(functor, k, M, N, res):
+    """Untracked engine for R + image, where R are the relations of the
+    target B of the map induced by d_k: B = F_{k-1} (x) N for "tor",
+    Hom(F_k, N) for "ext".  B is ⊕_b N(-twists[b]), block b at positions
+    b * N.rank on; returns (engine, twists).
+
+    Block copies of N's reduced relation basis form a reduced basis of R
+    (J*B included), so they seed the engine and only the image columns,
+    built here from d_k and N's generators, are reduced.  Without d_k
+    (k = 0, or F_k = 0) the engine holds R alone.  Not interreduced.
+    """
+    r = N.rank
+    if functor == "tor":
+        twists = res.level_shifts[k - 1]
+    else:
+        twists = [-d for d in res.level_shifts[k]]
+    shifts = tuple(s + t for t in twists for s in N.shifts)
+    eng = groebner.ModuleGB(M.ctx, len(twists) * r, shifts)
+    eng._seed(
+        [{b * r + q: d for q, d in vec.items()}
+         for b in range(len(twists)) for vec in N.rels_gb().basis]
+    )
+    if k == 0 or not res.rank(k):
+        return eng, twists
+    # row = the entries of d_k over B's blocks: a column of d_k (x) N, or
+    # a row of d_k for Hom(d_k, N), phi -> phi o d_k
+    rows = res.diffs[k - 1]
+    if functor == "ext":
+        rows = list(zip(*rows))
+    gens = [[(q, g) for q, g in enumerate(col) if g] for col in N.gens]
+    cols = []
+    for row in rows:
+        for entries in gens:
+            vec = {}
+            for b, c in enumerate(row):
+                if c:
+                    for q, g in entries:
+                        vec[b * r + q] = (c * g).terms
+            if vec:
+                cols.append(vec)
+    eng.add_generators(cols)
+    return eng, twists
 
 
 # ---------------------------------------------------------------------------

@@ -304,3 +304,18 @@ invariants I
         assert first["ok"] is False and error in first["error"]
         assert second["ok"] is True and second["data"]["dim"] == 0
         assert code == 1
+
+
+def test_unexpected_exception_becomes_exit_three(monkeypatch, capsys):
+    def broken(spec, name):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(HANDLERS, "invariants", broken)
+    spec = parse_spec(MINIMAL.replace("invariants I", "invariants I\nhilbert I"))
+    report, code = run(spec)
+    first, second = report["results"]
+    assert first["ok"] is False
+    assert first["error"] == "internal error: RuntimeError: boom"
+    assert second["ok"] is True and second["op"] == "hilbert"
+    assert code == report["exit_code"] == 3
+    assert "RuntimeError: boom" in capsys.readouterr().err

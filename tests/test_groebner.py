@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison.groebner import (
+    ModuleGB,
+    _ring_columns,
     assert_buchberger,
     buchberger,
     colon,
@@ -10,12 +12,15 @@ from liaison.groebner import (
     ideal_intersection,
     leadterm_hilbert,
     lift_through,
+    minimal_generator_indices,
     normal_form,
     reduced_ideal_gb,
     syzygies,
+    vec_degree,
     vec_is_zero,
 )
 from liaison.errors import DegreeOverflow
+from liaison.modules import subquotient
 from liaison.ring import make_ring, parse_poly, render_poly
 
 from tests.oracle import (
@@ -297,18 +302,18 @@ WEIGHTED = make_ring(101, ["x", "y", "z"], weights=[1, 2, 3])
 RANK2_SHIFTS = (0, 1)
 
 
-def _draw_poly(data, degree):
+def _draw_poly(data, degree, ctx=WEIGHTED):
     """A homogeneous polynomial of weighted degree ``degree``, sparse or 0."""
-    f = WEIGHTED.zero()
-    for exps in monomials_of_degree(WEIGHTED, degree):
+    f = ctx.zero()
+    for exps in monomials_of_degree(ctx, degree):
         c = data.draw(st.sampled_from([0, 0, 1, 2, 50, 100]))
-        f = f + WEIGHTED.monomial(exps, c)
+        f = f + ctx.monomial(exps, c)
     return f
 
 
-def _draw_vector(data, degree):
+def _draw_vector(data, degree, ctx=WEIGHTED):
     """A homogeneous element of degree ``degree`` of S(0) + S(-1)."""
-    return tuple(_draw_poly(data, degree - s) for s in RANK2_SHIFTS)
+    return tuple(_draw_poly(data, degree - s, ctx) for s in RANK2_SHIFTS)
 
 
 @settings(max_examples=25, deadline=None)
@@ -330,6 +335,49 @@ def test_weighted_rank2_matches_bruteforce(data):
     for v in probes:
         got = vec_is_zero(normal_form(v, gb))
         assert got == is_member(ctx, 2, RANK2_SHIFTS, cols, v)
+
+
+# the weighted ring modulo a form homogeneous for weights 1, 2, 3
+WEIGHTED_QUOTIENT = make_ring(101, ["x", "y", "z"], ["x*z - y^2"], weights=[1, 2, 3])
+
+
+def _greedy_kept(cols, rels, ctx, shifts):
+    """Reference for minimal_generator_indices, one basis from scratch per
+    column: in ascending degree, keep a column outside what is kept so far."""
+    order = sorted(range(len(cols)), key=lambda i: (vec_degree(cols[i], shifts) or 0, i))
+    kept = []
+    for i in order:
+        gb = buchberger([cols[j] for j in kept] + rels, ctx, len(shifts), shifts)
+        if not gb.contains(cols[i]):
+            kept.append(i)
+    return sorted(kept)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_seeded_engine_matches_unseeded(data):
+    ctx = WEIGHTED_QUOTIENT
+    rels = [_draw_vector(data, data.draw(st.integers(2, 5)), ctx)
+            for _ in range(data.draw(st.integers(0, 2)))]
+    cols = [_draw_vector(data, data.draw(st.integers(1, 4)), ctx)
+            for _ in range(data.draw(st.integers(1, 3)))]
+    # the module's reduced relation basis, J*F included, is the seed
+    seed = subquotient(ctx, [], rels, RANK2_SHIFTS).rels_gb().basis
+    before = [{pos: dict(d) for pos, d in vec.items()} for vec in seed]
+    eng = ModuleGB(ctx, 2, RANK2_SHIFTS)
+    eng._seed(seed)
+    eng.add_generators(cols)
+    eng.interreduce()
+    assert_buchberger(eng)
+    assert eng.vectors() == buchberger(rels + cols, ctx, 2, RANK2_SHIFTS).vectors()
+    kept = minimal_generator_indices(cols, ctx, 2, RANK2_SHIFTS, seed)
+    assert kept == _greedy_kept(cols, rels, ctx, RANK2_SHIFTS)
+    assert seed == before
+    # J*F alone, as syzygies seeds it, against its reduced basis from scratch
+    ring = ModuleGB(ctx, 2, RANK2_SHIFTS)
+    ring._seed(_ring_columns(ctx, 2))
+    ring.interreduce()
+    assert ring.vectors() == buchberger([], ctx, 2, RANK2_SHIFTS).vectors()
 
 
 def test_pair_degree_at_the_limit_raises(F101xy):

@@ -440,6 +440,42 @@ def _random_ideal(ctx, rng):
     return gens
 
 
+def _random_form(ctx, rng, d):
+    """A random form of degree d in x, y, z (zero for negative d)."""
+    f = ctx.zero()
+    if d < 0:
+        return f
+    for _ in range(rng.randint(1, 2)):
+        e = [0, 0, 0]
+        for _ in range(d):
+            e[rng.randrange(3)] += 1
+        f = f + ctx.monomial(e, rng.randint(1, 100))
+    return f
+
+
+def _random_rank2_module(ctx, rng):
+    """A rank-2 subquotient with nonzero shifts, two or three generators and
+    up to two relations."""
+    shifts = (rng.choice([-1, 1]), rng.choice([1, 2]))
+
+    def column(d):
+        return tuple(_random_form(ctx, rng, d - s) for s in shifts)
+
+    gens = [column(rng.randint(2, 3)) for _ in range(rng.randint(2, 3))]
+    rels = [column(rng.randint(3, 4)) for _ in range(rng.randint(0, 2))]
+    return subquotient(ctx, gens, rels, shifts)
+
+
+def _assert_vanishing_agrees(M, N, indices, outcomes):
+    for i in indices:
+        z = homalg.tor_vanishes(i, M, N)
+        assert z == tor(i, M, N).is_zero()
+        outcomes.add(z)
+        z = homalg.ext_vanishes(i, M, N)
+        assert z == ext(i, M, N).is_zero()
+        outcomes.add(z)
+
+
 def test_vanishing_agrees_with_the_modules():
     rng = random.Random(20261018)
     outcomes = set()
@@ -450,14 +486,66 @@ def test_vanishing_agrees_with_the_modules():
             others = (cyclic_module(ctx, _random_ideal(ctx, rng)),
                       residue_field(ctx), free_module(ctx, 1))
             for N in others:
-                for i in range(3):
-                    z = homalg.tor_vanishes(i, M, N)
-                    assert z == tor(i, M, N).is_zero()
-                    outcomes.add(z)
-                    z = homalg.ext_vanishes(i, M, N)
-                    assert z == ext(i, M, N).is_zero()
-                    outcomes.add(z)
+                _assert_vanishing_agrees(M, N, range(3), outcomes)
     assert outcomes == {True, False}
+
+
+def test_vanishing_agrees_for_non_cyclic_targets(semigroup345):
+    """N of rank 2 with several generators and nonzero shifts, where each
+    block of the complex's target sits at its own offset.  Tor is also
+    checked against its symmetric form, whose second argument is cyclic."""
+    from liaison.linkage import canonical_module
+
+    rng = random.Random(20261019)
+    ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])
+    outcomes = set()
+    shapes = set()
+    for _ in range(6):
+        M = cyclic_module(ctx, _random_ideal(ctx, rng))
+        N = _random_rank2_module(ctx, rng)
+        shapes.add((N.rank, len(N.gens) >= 2, 0 not in N.shifts))
+        _assert_vanishing_agrees(M, N, range(3), outcomes)
+        for i in range(3):
+            assert homalg.tor_vanishes(i, M, N) == homalg.tor_vanishes(i, N, M)
+    assert shapes == {(2, True, True)}
+    assert outcomes == {True, False}
+    K = canonical_module(semigroup345)
+    assert K.rank > 1 and len(K.gens) > 1 and set(K.shifts) != {0}
+    k = residue_field(semigroup345)
+    for M in (k, cyclic_module(semigroup345, [P(semigroup345, "x")]), K):
+        _assert_vanishing_agrees(M, K, range(3), outcomes)
+
+
+def test_image_engine_matches_the_direct_sum_route():
+    """The seeded image engine spans what the direct-sum route spans: the
+    target's block relations plus the image columns, reduced from scratch."""
+    from liaison.groebner import assert_buchberger, buchberger
+    from liaison.modules import _dual_map
+
+    rng = random.Random(20261020)
+    ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])
+    for _ in range(4):
+        M = cyclic_module(ctx, _random_ideal(ctx, rng))
+        N = _random_rank2_module(ctx, rng)
+        res = free_resolution(M, 3)
+        for k in range(1, 4):
+            if not res.rank(k):
+                continue
+            src, tgt = res.level_shifts[k], res.level_shifts[k - 1]
+            d = res.diffs[k - 1]
+            for functor in ("tor", "ext"):
+                if functor == "tor":
+                    f, _, B = homalg._tensor_map(N, src, tgt, d)
+                else:
+                    f, _, B = _dual_map(N, tgt, src, d)
+                want = buchberger(
+                    list(B.rels) + f.image_columns_ambient(), ctx, B.rank, B.shifts
+                )
+                eng, _ = homalg._image_engine(functor, k, M, N, res)
+                assert eng.shifts == B.shifts
+                eng.interreduce()
+                assert_buchberger(eng)
+                assert eng.vectors() == want.vectors()
 
 
 def test_vanishing_over_the_semigroup_ring(semigroup345):

@@ -5,6 +5,14 @@ Ext^n(Hom(K,-),K) with its own double-dual comparison, the colinkage
 operator, and the adjoint transfer carrying linked modules to colinked ones
 through - (x) K and back through Hom(K, -).  When K = R every construction
 collapses to the linkage side.
+
+Callers that need only a class verdict (the K-projective dimension, the
+coreflexive categories, the colinkage operator and the adjoint transfer)
+ask ``class_verdict``, which checks the natural map first and then stops
+at the first nonvanishing Tor or Ext; ``class_member`` lists every check
+up to the bound for the report and takes its verdict from there.  The
+colinkage criterion decides whether the kernel-side obstruction vanishes
+without building it.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .errors import (
     IllDefinedMap,
     InjectivePhi,
     InternalConsistencyError,
+    InvalidInput,
     LiaisonError,
     NuNotIso,
 )
@@ -26,6 +35,7 @@ from .homalg import (
     bidual_obstructions,
     ext,
     ext_vanishes,
+    kernel_obstruction_vanishes,
     projective_dimension,
     tor_vanishes,
 )
@@ -50,7 +60,11 @@ from .ring import _memo
 
 
 def tensor_transform(M, K):
-    """M (x) K together with the natural map mu: M -> Hom(K, M (x) K)."""
+    """M (x) K together with the natural map mu: M -> Hom(K, M (x) K) (cached)."""
+    return _memo(M, ("tensor_transform", K), lambda: _tensor_transform(M, K))
+
+
+def _tensor_transform(M, K):
     ctx = M.ctx
     T = tensor(M, K)
     H, _ = hom_module(K, T)
@@ -68,7 +82,11 @@ def tensor_transform(M, K):
 
 
 def hom_transform(M, K):
-    """Hom(K, M) together with the evaluation nu: K (x) Hom(K,M) -> M."""
+    """Hom(K, M) together with the evaluation nu: K (x) Hom(K,M) -> M (cached)."""
+    return _memo(M, ("hom_transform", K), lambda: _hom_transform(M, K))
+
+
+def _hom_transform(M, K):
     ctx = M.ctx
     H, conv = hom_module(K, M)
     T = tensor(K, H)
@@ -91,7 +109,7 @@ def foxby_transform(direction, M, K):
     if direction == "homK":
         H, _, nu = hom_transform(M, K)
         return H, nu
-    raise ValueError(f"unknown direction {direction!r}")
+    raise InvalidInput(f"unknown direction {direction!r}")
 
 
 def nu_is_injective(M, K):
@@ -101,13 +119,11 @@ def nu_is_injective(M, K):
 
 
 def nu_is_iso(M, K):
-    _, _, nu = hom_transform(M, K)
-    return is_iso(nu)
+    return _memo(M, ("nu_is_iso", K), lambda: is_iso(hom_transform(M, K)[2]))
 
 
 def mu_is_iso(M, K):
-    _, _, mu = tensor_transform(M, K)
-    return is_iso(mu)
+    return _memo(M, ("mu_is_iso", K), lambda: is_iso(tensor_transform(M, K)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +151,16 @@ class FoxbyCert:
         }
 
 
+FOXBY_CLASSES = ("Auslander", "Bass")
+
+
 def class_member(class_name, M, K, bound):
-    """Bounded certificate of Auslander or Bass class membership (cached)."""
-    if class_name not in ("Auslander", "Bass"):
-        raise ValueError(f"unknown Foxby class {class_name!r}")
+    """Bounded certificate of Auslander or Bass class membership (cached).
+
+    Lists every vanishing check up to the bound; the verdict is
+    ``class_verdict``'s.
+    """
+    _check_class(class_name)
     return _memo(
         M, ("class_member", class_name, K, bound),
         lambda: _class_member(class_name, M, K, bound),
@@ -146,26 +168,57 @@ def class_member(class_name, M, K, bound):
 
 
 def _class_member(class_name, M, K, bound):
-    indices = range(1, bound + 1)
-    if class_name == "Auslander":
-        T, _, mu = tensor_transform(M, K)
-        nat = is_iso(mu)
-        tor_checks = tuple((i, tor_vanishes(i, M, K)) for i in indices)
-        ext_checks = tuple((i, ext_vanishes(i, K, T)) for i in indices)
-    else:
-        H, _, nu = hom_transform(M, K)
-        nat = is_iso(nu)
-        tor_checks = tuple((i, tor_vanishes(i, H, K)) for i in indices)
-        ext_checks = tuple((i, ext_vanishes(i, K, M)) for i in indices)
-    ok_vanishing = all(z for _, z in tor_checks) and all(z for _, z in ext_checks)
-    if nat and ok_vanishing:
-        v = verdict.holds(bound=bound)
-    elif not nat:
-        v = verdict.fails(witness="natural map not an isomorphism")
-    else:
-        bad = [i for i, z in tor_checks if not z] + [i for i, z in ext_checks if not z]
-        v = verdict.fails(witness=f"vanishing fails at index {min(bad)}")
+    nat = _natural_map_is_iso(class_name, M, K)
+    checks = list(_vanishing_checks(class_name, M, K, bound))
+    tor_checks = tuple((i, z) for functor, i, z in checks if functor == "tor")
+    ext_checks = tuple((i, z) for functor, i, z in checks if functor == "ext")
+    v = class_verdict(class_name, M, K, bound)
     return FoxbyCert(M, class_name, bound, nat, tor_checks, ext_checks, v)
+
+
+def class_verdict(class_name, M, K, bound):
+    """The verdict of ``class_member`` alone (cached).
+
+    Checks the natural map, then Tor_i and Ext^i for i = 1..bound, and
+    stops at the first failure, whose index is the smallest failing one.
+    """
+    _check_class(class_name)
+    return _memo(
+        M, ("class_verdict", class_name, K, bound),
+        lambda: _class_verdict(class_name, M, K, bound),
+    )
+
+
+def _class_verdict(class_name, M, K, bound):
+    if not _natural_map_is_iso(class_name, M, K):
+        return verdict.fails(witness="natural map not an isomorphism")
+    for _, i, z in _vanishing_checks(class_name, M, K, bound):
+        if not z:
+            return verdict.fails(witness=f"vanishing fails at index {i}")
+    return verdict.holds(bound=bound)
+
+
+def _check_class(class_name):
+    if class_name not in FOXBY_CLASSES:
+        raise InvalidInput(f"unknown Foxby class {class_name!r}")
+
+
+def _natural_map_is_iso(class_name, M, K):
+    """mu: M -> Hom(K, M (x) K) for Auslander, nu: K (x) Hom(K, M) -> M for Bass."""
+    return mu_is_iso(M, K) if class_name == "Auslander" else nu_is_iso(M, K)
+
+
+def _vanishing_checks(class_name, M, K, bound):
+    """Yield (functor, i, vanishes) for Tor_1, Ext^1, Tor_2, ... up to the
+    bound: Tor_i(M, K) and Ext^i(K, M (x) K) for Auslander, Tor_i(Hom(K, M),
+    K) and Ext^i(K, M) for Bass.  Lazy, so a caller may stop early."""
+    if class_name == "Auslander":
+        tor_args, ext_args = (M, K), (K, tensor_transform(M, K)[0])
+    else:
+        tor_args, ext_args = (hom_transform(M, K)[0], K), (K, M)
+    for i in range(1, bound + 1):
+        yield "tor", i, tor_vanishes(i, *tor_args)
+        yield "ext", i, ext_vanishes(i, *ext_args)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +240,13 @@ def codual_obstructions(M, K, n):
     Requires the evaluation map nu to be an isomorphism, under which the
     comparison agrees with the Ext-side one; delegates accordingly.
     """
+    _require_nu_iso(M, K)
+    return bidual_obstructions(M, K, n)
+
+
+def _require_nu_iso(M, K):
     if not nu_is_iso(M, K):
         raise NuNotIso("evaluation map K (x) Hom(K,M) -> M is not an isomorphism")
-    return bidual_obstructions(M, K, n)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +270,7 @@ def pk_dimension(M, K, bound):
 
     Exact once Bass membership holds at the bound; undecided otherwise.
     """
-    cert = class_member("Bass", M, K, bound)
-    if not cert.verdict.holds():
+    if not class_verdict("Bass", M, K, bound).holds():
         return verdict.undecided(bound=bound, detail="Bass membership unsettled"), None
     H, _ = hom_module(K, M)
     val = projective_dimension(H)
@@ -226,9 +282,11 @@ def category_comember(tag, Y, K, bound):
         v, val = pk_dimension(Y, K, bound)
         return v.holds() and val == grade(Y)
     if tag == "GKPKn":
-        cert = class_member("Bass", Y, K, bound)
-        return cert.verdict.holds() and linkage.is_gk_perfect(Y, K, bound).holds()
-    raise ValueError(f"unknown coreflexive tag {tag!r}")
+        return (
+            class_verdict("Bass", Y, K, bound).holds()
+            and linkage.is_gk_perfect(Y, K, bound).holds()
+        )
+    raise InvalidInput(f"unknown coreflexive tag {tag!r}")
 
 
 def coreflexive_epi(phi, K, tag, bound=None, n=None):
@@ -259,8 +317,7 @@ def colink_operator(e):
     Kphi, _ = kernel(phi)
     if Kphi.is_zero():
         raise InjectivePhi("phi is injective; colinkage needs a nonzero kernel")
-    bass = class_member("Bass", phi.source, K, e.bound)
-    if not bass.verdict.holds():
+    if not class_verdict("Bass", phi.source, K, e.bound).holds():
         raise BassMembershipUndecided("source not certified in the Bass class")
     if not nu_is_injective(phi.target, K):
         raise NuNotIso("evaluation map of the image is not injective")
@@ -283,8 +340,8 @@ def is_colinked_by(e):
     Kphi, _ = kernel(e.phi)
     if Kphi.is_zero():
         raise InjectivePhi("phi is injective; colinkage needs a nonzero kernel")
-    E1, _ = codual_obstructions(e.phi.target, e.K, e.n)
-    return E1.is_zero()
+    _require_nu_iso(e.phi.target, e.K)
+    return kernel_obstruction_vanishes(e.phi.target, e.K, e.n)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +356,7 @@ def adjoint_transfer_forward(e, bound=None):
     """
     K = e.K
     bound = e.bound if bound is None else bound
-    cert = class_member("Auslander", e.phi.target, K, bound)
-    if not cert.verdict.holds():
+    if not class_verdict("Auslander", e.phi.target, K, bound).holds():
         raise ClassMembershipUndecided("image module not certified Auslander")
     phi_t, src, tgt = tensor_map(e.phi, K)
     return coreflexive_epi(phi_t, K, "PKn", bound, n=e.n)
@@ -310,8 +366,7 @@ def adjoint_transfer_backward(e, bound=None):
     """Carry a coreflexive epi psi: Y ->> N to Hom(K, psi): Y' ->> N'."""
     K = e.K
     bound = e.bound if bound is None else bound
-    cert = class_member("Bass", e.phi.target, K, bound)
-    if not cert.verdict.holds():
+    if not class_verdict("Bass", e.phi.target, K, bound).holds():
         raise ClassMembershipUndecided("image module not certified Bass")
     psi_dual, _, _ = hom_induced_post(e.phi, K)
     return linkage.reflexive_epi(psi_dual, K, "Pn", bound, n=e.n)

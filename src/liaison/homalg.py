@@ -186,7 +186,7 @@ def syzygy(M, n):
     the columns of the n-th differential.
     """
     if n < 0:
-        raise ValueError("syzygy index must be nonnegative")
+        raise InvalidInput(f"syzygy index must be at least 0, got {n}")
     if n == 0:
         return M
     res = free_resolution(M, n)
@@ -227,7 +227,7 @@ def ext(i, M, N, aux=None):
     ``degs`` of F_i.
     """
     if i < 0:
-        raise ValueError("Ext index must be nonnegative")
+        raise InvalidInput(f"Ext index must be at least 0, got {i}")
     E, stored = _memo(M, ("ext", i, N), lambda: _ext(i, M, N))
     if aux is not None:
         aux.update(stored)
@@ -269,7 +269,7 @@ def _zero_ext(ctx):
 def tor(i, M, N):
     """Tor_i^R(M, N) from a minimal resolution of M of length i+1."""
     if i < 0:
-        raise ValueError("Tor index must be nonnegative")
+        raise InvalidInput(f"Tor index must be at least 0, got {i}")
     return _memo(M, ("tor", i, N), lambda: _tor(i, M, N))
 
 
@@ -307,14 +307,14 @@ def _homology(gens, eng):
 def tor_vanishes(i, M, N):
     """Whether Tor_i^R(M, N) = 0, decided without building the module."""
     if i < 0:
-        raise ValueError("Tor index must be nonnegative")
+        raise InvalidInput(f"Tor index must be at least 0, got {i}")
     return _memo(M, ("tor_vanishes", i, N), lambda: _vanishes("tor", i, M, N))
 
 
 def ext_vanishes(i, M, N):
     """Whether Ext^i_R(M, N) = 0, decided without building the module."""
     if i < 0:
-        raise ValueError("Ext index must be nonnegative")
+        raise InvalidInput(f"Ext index must be at least 0, got {i}")
     return _memo(M, ("ext_vanishes", i, N), lambda: _vanishes("ext", i, M, N))
 
 
@@ -537,6 +537,26 @@ def bidual_obstructions(M, K, n, route="auto"):
     lengths (and hence Betti growth over Golod-like quotients) bounded.
     Both routes compute the same graded vector spaces.
     """
+    Tr, KK, j = _obstruction_transpose(M, K, n, route)
+    if Tr.is_zero():
+        return zero_module(Tr.ctx), zero_module(Tr.ctx)
+    return ext(j, Tr, KK), ext(j + 1, Tr, KK)
+
+
+def kernel_obstruction_vanishes(M, K, n, route="auto"):
+    """Whether ``bidual_obstructions(M, K, n, route)[0]`` is zero, decided
+    by ``ext_vanishes`` without building either obstruction."""
+    Tr, KK, j = _obstruction_transpose(M, K, n, route)
+    return Tr.is_zero() or ext_vanishes(j, Tr, KK)
+
+
+def _obstruction_transpose(M, K, n, route):
+    """(Tr, K', j): the obstructions are Ext^j(Tr, K') and Ext^{j+1}(Tr, K').
+
+    The direct route gives the transpose of the n-th syzygy, K and n + 1;
+    the quotient route (n > 0) the transpose over R/(x), K's image there
+    and 1.  Tr may be zero, over the ring of the route taken.
+    """
     g = modules.grade(M)
     if g != n:
         raise GradeMismatch(f"module has grade {g}, expected {n}")
@@ -544,20 +564,18 @@ def bidual_obstructions(M, K, n, route="auto"):
         route = "quotient" if n > 0 else "direct"
     if route == "quotient" and n > 0:
         try:
-            return _obstructions_over_quotient(M, K, n)
+            return _transpose_over_quotient(M, K, n)
         except RegularSequenceNotFound:
-            route = "direct"
+            pass
     Om = syzygy(M, n)
     if Om.is_zero():
-        return zero_module(M.ctx), zero_module(M.ctx)
+        return Om, K, n + 1
     Tr, _ = transpose(Om, K)
-    if Tr.is_zero():
-        return zero_module(M.ctx), zero_module(M.ctx)
-    return ext(n + 1, Tr, K), ext(n + 2, Tr, K)
+    return Tr, K, n + 1
 
 
-def _obstructions_over_quotient(M, K, n):
-    """Obstructions through R/(x) for a regular sequence x in ann(M)."""
+def _transpose_over_quotient(M, K, n):
+    """The transpose through R/(x) for a regular sequence x in ann(M)."""
     ctx = M.ctx
     ann = modules.annihilator(M)
     seq = regular_sequence_in_ideal(ctx, ann, n)
@@ -572,9 +590,7 @@ def _obstructions_over_quotient(M, K, n):
     Kbar = modules.transport(ext(n, Rx, K), ctx2)
     Mbar = modules.transport(M, ctx2)
     Tr, _ = transpose(Mbar, Kbar)
-    if Tr.is_zero():
-        return zero_module(ctx2), zero_module(ctx2)
-    return ext(1, Tr, Kbar), ext(2, Tr, Kbar)
+    return Tr, Kbar, 1
 
 
 def regular_sequence_in_ideal(ctx, i_gens, n, max_scale=3):

@@ -26,7 +26,14 @@ from .errors import (
     NotRegularSequence,
     ZeroModule,
 )
-from .homalg import bidual_obstructions, ext, ext_vanishes, free_resolution, transpose
+from .homalg import (
+    bidual_obstructions,
+    ext,
+    ext_vanishes,
+    free_resolution,
+    kernel_obstruction_vanishes,
+    transpose,
+)
 from .modules import (
     GradedModule,
     ModuleMap,
@@ -238,7 +245,7 @@ def category_member(tag, X, K, bound):
         n = grade(X)
         E1, E2 = bidual_obstructions(X, K, n)
         return E1.is_zero() and E2.is_zero()
-    raise ValueError(f"unknown category tag {tag!r}")
+    raise InvalidInput(f"unknown category tag {tag!r}")
 
 
 def reflexive_epi(phi, K, tag, bound=None, n=None):
@@ -286,8 +293,7 @@ def is_linked_by(e):
     Kphi, _ = kernel(phi)
     if Kphi.is_zero():
         raise InjectivePhi("phi is injective; linkage needs a nonzero kernel")
-    E1, _ = bidual_obstructions(phi.target, e.K, e.n)
-    return E1.is_zero()
+    return kernel_obstruction_vanishes(phi.target, e.K, e.n)
 
 
 def double_link_check(e):

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
+from liaison import cli, colinkage, homalg, verdict
 from liaison.colinkage import (
     adjoint_transfer_backward,
     adjoint_transfer_forward,
+    category_comember,
     class_member,
+    class_verdict,
     cohom_dual,
     codual_obstructions,
     colink_operator,
@@ -14,7 +19,7 @@ from liaison.colinkage import (
     roundtrip_is_identity,
     tensor_transform,
 )
-from liaison.errors import NuNotIso
+from liaison.errors import InvalidInput, NuNotIso
 from liaison.homalg import ext
 from liaison.linkage import (
     canonical_module,
@@ -32,7 +37,7 @@ from liaison.modules import (
     free_module,
     is_iso,
 )
-from liaison.ring import parse_poly, render_poly
+from liaison.ring import make_ring, parse_poly, render_poly
 
 
 def P(ctx, s):
@@ -107,6 +112,134 @@ def test_gorenstein_context_both_classes(hypersurface):
     for M in mods:
         assert class_member("Auslander", M, R1, 3).verdict.holds()
         assert class_member("Bass", M, R1, 3).verdict.holds()
+
+
+def _verdict_from_checks(cert):
+    """The verdict a certificate's listed checks imply."""
+    if not cert.natural_map_iso:
+        return verdict.fails(witness="natural map not an isomorphism")
+    bad = [i for i, z in cert.tor_checks + cert.ext_checks if not z]
+    if bad:
+        return verdict.fails(witness=f"vanishing fails at index {min(bad)}")
+    return verdict.holds(bound=cert.bound)
+
+
+def _semigroup_gallery_modules(monkeypatch):
+    """(ring, K, modules): the modules the three semigroup-345 galleries put
+    through a Foxby class check, with K and R.  The galleries share ring, K
+    and ideal names, so their operations run as one spec over one ring."""
+    spec = cli.gallery("adjoint-transfer")
+    for name in ("semigroup-345", "foxby-roundtrip"):
+        spec.ops += cli.gallery(name).ops
+    seen = []
+    real = colinkage.class_verdict
+
+    def recording(class_name, M, K, bound):
+        if M not in seen:
+            seen.append(M)
+        return real(class_name, M, K, bound)
+
+    with monkeypatch.context() as m:
+        m.setattr(colinkage, "class_verdict", recording)
+        report, _ = cli.run(spec)
+    assert all(entry["ok"] for entry in report["results"])
+    K = spec.resolve_K()
+    return spec.ring, K, seen + [K, free_module(spec.ring, 1)]
+
+
+def _seeded_cyclic_modules(ctx, seed, count):
+    """Cyclic modules R/I, I spanned by one or two random homogeneous
+    combinations of monomials of one weighted degree."""
+    rng = random.Random(seed)
+    names = ctx.names
+    mods = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            d = rng.choice(range(max(ctx.weights), 2 * max(ctx.weights) + 1))
+            monos = _monomials_of_degree(ctx.weights, d)
+            picked = rng.sample(monos, min(len(monos), rng.randint(1, 2)))
+            terms = [
+                f"{rng.randint(1, 100)}*"
+                + "*".join(f"{v}^{e}" for v, e in zip(names, mono) if e)
+                for mono in picked
+            ]
+            gens.append(P(ctx, " + ".join(terms)))
+        # a combination can vanish modulo the defining ideal
+        gens = [g for g in gens if g]
+        if gens:
+            mods.append(cyclic_module(ctx, gens))
+    return mods
+
+
+def _monomials_of_degree(weights, d):
+    if not weights:
+        return [()] if d == 0 else []
+    w, rest = weights[0], weights[1:]
+    return [
+        (e,) + tail
+        for e in range(d // w + 1)
+        for tail in _monomials_of_degree(rest, d - e * w)
+    ]
+
+
+def _assert_early_exit_matches_certificate(M, K):
+    for class_name in ("Auslander", "Bass"):
+        for bound in range(1, 5):
+            early = class_verdict(class_name, M, K, bound)
+            cert = class_member(class_name, M, K, bound)
+            assert early == _verdict_from_checks(cert), (class_name, bound, M)
+            assert cert.verdict == early
+
+
+def test_early_exit_verdict_matches_the_full_certificate(monkeypatch):
+    S, om, mods = _semigroup_gallery_modules(monkeypatch)
+    assert len(mods) >= 5
+    for M in mods + _seeded_cyclic_modules(S, 7, 2):
+        _assert_early_exit_matches_certificate(M, om)
+    T = make_ring(101, ["x", "y"])
+    Ks = [free_module(T, 1), cyclic_module(T, [P(T, "x^2")])]
+    for M in _seeded_cyclic_modules(T, 11, 4):
+        for K in Ks:
+            _assert_early_exit_matches_certificate(M, K)
+
+
+def test_pk_dimension_stops_at_the_natural_map(monkeypatch):
+    # Bass membership of R/(x) fails at nu, so no vanishing check runs
+    S = make_ring(
+        101,
+        ["x", "y", "z"],
+        ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+        weights=[3, 4, 5],
+    )
+    om = canonical_module(S)
+    M = cyclic_module(S, [P(S, "x")])
+    calls = []
+    real = homalg._vanishes
+
+    def counting(functor, i, A, B):
+        calls.append((functor, i))
+        return real(functor, i, A, B)
+
+    monkeypatch.setattr(homalg, "_vanishes", counting)
+    v, val = pk_dimension(M, om, 4)
+    assert v.status == "undecided_at_bound" and val is None
+    assert calls == []
+    witness = class_verdict("Bass", M, om, 4).witness
+    assert witness == "natural map not an isomorphism"
+
+
+def test_unknown_names_are_invalid_input(F101xy):
+    M = cyclic_module(F101xy, [P(F101xy, "x")])
+    R1 = free_module(F101xy, 1)
+    with pytest.raises(InvalidInput):
+        foxby_transform("sideways", M, R1)
+    with pytest.raises(InvalidInput):
+        class_member("Gorenstein", M, R1, 2)
+    with pytest.raises(InvalidInput):
+        class_verdict("Gorenstein", M, R1, 2)
+    with pytest.raises(InvalidInput):
+        category_comember("Qn", M, R1, 2)
 
 
 # -- the coreflexive dual -------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from liaison import homalg
 from liaison.colinkage import class_member
-from liaison.errors import GradeMismatch
+from liaison.errors import GradeMismatch, InvalidInput
 from liaison.homalg import (
     betti_table_text,
     bidual_obstructions,
@@ -549,7 +549,7 @@ def test_vanishing_over_the_semigroup_ring(semigroup345):
 def test_vanishing_rejects_negative_index(F101xy):
     k = residue_field(F101xy)
     for f in (homalg.tor_vanishes, homalg.ext_vanishes):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             f(-1, k, k)
 
 

@@ -1,14 +1,20 @@
 import pytest
 
+from liaison import cli
+from liaison.colinkage import CoreflexiveEpi, coreflexive_epi, is_colinked_by
 from liaison.errors import (
     EqualIdeals,
     GradeMismatch,
     InjectivePhi,
+    InvalidInput,
     NotCohenMacaulay,
+    NuNotIso,
     RegularSequenceNotFound,
 )
-from liaison.homalg import ext
+from liaison.homalg import bidual_obstructions, ext, kernel_obstruction_vanishes
 from liaison.linkage import (
+    ReflexiveEpi,
+    category_member,
     canonical_module,
     change_of_rings,
     cyclic_link,
@@ -33,6 +39,8 @@ from liaison.modules import (
     cyclic_module,
     direct_sum,
     free_module,
+    grade,
+    identity_map,
     minimize,
 )
 from liaison.ring import make_ring, parse_poly, render_poly
@@ -192,6 +200,79 @@ def test_is_linked_by_fails_on_mixed_ideal(F101xy):
     assert not is_linked_by(e)
     v = double_link_check(e)
     assert v.fails()
+
+
+def _gallery_image_modules():
+    """(label, R/I, K) for every ideal I an operation of a gallery names."""
+    for name in sorted(cli.GALLERIES):
+        spec = cli.gallery(name)
+        K = spec.resolve_K()
+        named = []
+        for _, args, _ in spec.ops:
+            named += [a for a in args if a in spec.ideals and a not in named]
+        for a in named:
+            yield f"{name} {a}", cyclic_module(spec.ring, spec.ideals[a]), K
+
+
+def _criterion_3_image_modules():
+    """The images of the eight epimorphisms of acceptance criterion 3."""
+    S1 = make_ring(101, ["x"])
+    S2 = make_ring(101, ["x", "y"])
+    S3 = make_ring(101, ["x", "y", "z"])
+    S4 = make_ring(101, ["x", "y", "z", "w"])
+    skew = ["x*z", "x*w", "y*z", "y*w"]
+    cubic = ["x*z - y^2", "y*w - z^2", "x*w - y*z"]
+    k = cyclic_module(S1, [P(S1, "x")])
+    k_plus_R, _, _ = direct_sum(k, free_module(S1, 1))
+    mods = [
+        cyclic_module(S1, [P(S1, "x")]),
+        cyclic_module(S1, [P(S1, "x^2")]),
+        cyclic_module(S2, [P(S2, "x^2"), P(S2, "x*y")]),
+        cyclic_module(S4, [P(S4, s) for s in cubic]),
+        cyclic_module(S4, [P(S4, s) for s in skew]),
+        cyclic_module(S4, [P(S4, "x"), P(S4, "y")]),
+        k_plus_R,
+        cyclic_module(S3, [P(S3, "x^2"), P(S3, "x*y")]),
+    ]
+    return [(f"criterion 3 #{k}", M, free_module(M.ctx, 1)) for k, M in enumerate(mods)]
+
+
+def test_kernel_obstruction_vanishing_agrees_with_the_module():
+    cases = list(_gallery_image_modules()) + _criterion_3_image_modules()
+    outcomes = set()
+    for label, M, K in cases:
+        n = grade(M)
+        for route in ("direct", "quotient", "auto"):
+            E1, _ = bidual_obstructions(M, K, n, route)
+            got = kernel_obstruction_vanishes(M, K, n, route)
+            assert got == E1.is_zero(), (label, route)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_linkage_and_colinkage_criteria_keep_their_raises(F101x, semigroup345):
+    ctx = F101x
+    R1 = free_module(ctx, 1)
+    M = cyclic_module(ctx, [P(ctx, "x")])
+    with pytest.raises(InjectivePhi):
+        is_linked_by(reflexive_epi(identity_map(M), R1, "Pn"))
+    with pytest.raises(InjectivePhi):
+        is_colinked_by(coreflexive_epi(identity_map(M), R1, "PKn"))
+    phi = natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^3")])
+    with pytest.raises(GradeMismatch):
+        is_linked_by(ReflexiveEpi(phi, 0, R1, "Pn", 3))
+    with pytest.raises(GradeMismatch):
+        is_colinked_by(CoreflexiveEpi(phi, 0, R1, "PKn", 3))
+    with pytest.raises(GradeMismatch):
+        kernel_obstruction_vanishes(M, R1, 0)
+    # onto the residue field of the semigroup ring, whose nu is not iso
+    S = semigroup345
+    om = canonical_module(S)
+    onto_k = natural_cyclic_epi(S, [P(S, v) for v in "xyz"], [P(S, "x")])
+    with pytest.raises(NuNotIso):
+        is_colinked_by(CoreflexiveEpi(onto_k, 1, om, "PKn", 3))
+    with pytest.raises(InvalidInput):
+        category_member("Qn", M, R1, 3)
 
 
 # -- cyclic linkage ---------------------------------------------------------------------

@@ -209,13 +209,14 @@ def test_bidual_cokernel_equals_next_ext_of_link(F101xyzw):
 def test_negative_homological_indices_rejected(F101xy):
     import pytest as _pytest
 
+    from liaison.errors import InvalidInput
     from liaison.homalg import syzygy, tor
 
     M = cyclic_module(F101xy, [P(F101xy, "x")])
     R1 = free_module(F101xy, 1)
-    with _pytest.raises(ValueError):
+    with _pytest.raises(InvalidInput):
         ext(-1, M, R1)
-    with _pytest.raises(ValueError):
+    with _pytest.raises(InvalidInput):
         tor(-1, M, R1)
-    with _pytest.raises(ValueError):
+    with _pytest.raises(InvalidInput):
         syzygy(M, -1)

@@ -543,10 +543,10 @@ def bidual_obstructions(M, K, n, route="auto"):
     return ext(j, Tr, KK), ext(j + 1, Tr, KK)
 
 
-def kernel_obstruction_vanishes(M, K, n, route="auto"):
-    """Whether ``bidual_obstructions(M, K, n, route)[0]`` is zero, decided
-    by ``ext_vanishes`` without building either obstruction."""
-    Tr, KK, j = _obstruction_transpose(M, K, n, route)
+def kernel_obstruction_vanishes(M, K, n):
+    """Whether ``bidual_obstructions(M, K, n)[0]`` is zero, decided by
+    ``ext_vanishes`` without building either obstruction."""
+    Tr, KK, j = _obstruction_transpose(M, K, n, "auto")
     return Tr.is_zero() or ext_vanishes(j, Tr, KK)
 
 

@@ -189,7 +189,6 @@ def _assert_early_exit_matches_certificate(M, K):
             early = class_verdict(class_name, M, K, bound)
             cert = class_member(class_name, M, K, bound)
             assert early == _verdict_from_checks(cert), (class_name, bound, M)
-            assert cert.verdict == early
 
 
 def test_early_exit_verdict_matches_the_full_certificate(monkeypatch):

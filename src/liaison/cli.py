@@ -31,12 +31,9 @@ Cohen-Macaulay.  Each names its spec line where it has one.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
-import traceback
-from dataclasses import dataclass, field
 
 from . import cohomology, colinkage, groebner, homalg, linkage, modules, verdict
 from .errors import (
@@ -62,17 +59,18 @@ from .ring import DEFAULT_CHARACTERISTIC, make_ring, parse_poly, render_poly
 # experiment specs
 
 
-@dataclass
 class ExperimentSpec:
-    ring: object
-    ideals: dict
-    modules: dict
-    k_kind: str
-    k_name: str
-    bound: int
-    window: tuple
-    ops: list = field(default_factory=list)
-    source: str = ""
+    def __init__(self, ring, ideals, modules, k_kind, k_name, bound, window, ops,
+                 source):
+        self.ring = ring
+        self.ideals = ideals
+        self.modules = modules
+        self.k_kind = k_kind
+        self.k_name = k_name
+        self.bound = bound
+        self.window = window
+        self.ops = ops
+        self.source = source
 
     def resolve_K(self):
         if self.k_kind == "trivial":
@@ -137,10 +135,13 @@ _ARG_KINDS = {}
 
 def _operation(handler):
     """Register ``op_NAME`` as operation NAME; parameters after ``spec``
-    annotated ``int`` take integers, the others names."""
+    annotated ``int`` take integers, the others names.  The annotations are
+    strings (``from __future__ import annotations``)."""
     name = handler.__name__.removeprefix("op_")
-    params = list(inspect.signature(handler, eval_str=True).parameters.values())[1:]
-    _ARG_KINDS[name] = ["int" if p.annotation is int else "name" for p in params]
+    code = handler.__code__
+    params = code.co_varnames[1 : code.co_argcount]
+    notes = handler.__annotations__
+    _ARG_KINDS[name] = ["int" if notes.get(p) == "int" else "name" for p in params]
     HANDLERS[name] = handler
     return handler
 
@@ -595,6 +596,8 @@ def run(spec):
             entry["error"] = str(exc)
             exit_code = max(exit_code, 1)
         except Exception as exc:  # a bug: keep the report and the later ops
+            import traceback
+
             traceback.print_exc(file=sys.stderr)
             entry["ok"] = False
             entry["error"] = f"internal error: {type(exc).__name__}: {exc}"

@@ -8,7 +8,7 @@ valid for modules over quotient rings as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import homalg, modules, verdict
 from .errors import InternalConsistencyError, InvalidInput, ZeroDimensional
@@ -26,12 +26,10 @@ def _dual_ext(M, i):
     return ext(j, MS, free_module(amb, 1))
 
 
-@dataclass(frozen=True)
-class LocalCohomologyHF:
-    module: object
-    index: int
-    hf: dict
-    finite_length: bool
+class LocalCohomologyHF(
+    namedtuple("LocalCohomologyHF", "module index hf finite_length")
+):
+    __slots__ = ()
 
     def is_zero_on_window(self):
         return all(v == 0 for v in self.hf.values())

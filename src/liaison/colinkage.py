@@ -17,7 +17,7 @@ without building it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import homalg, linkage, verdict
 from .errors import (
@@ -40,7 +40,6 @@ from .homalg import (
     tor_vanishes,
 )
 from .modules import (
-    GradedModule,
     ModuleMap,
     _hom_element,
     cokernel,
@@ -130,15 +129,13 @@ def mu_is_iso(M, K):
 # Foxby class certificates
 
 
-@dataclass(frozen=True)
-class FoxbyCert:
-    module: GradedModule
-    class_name: str
-    bound: int
-    natural_map_iso: bool
-    tor_checks: tuple
-    ext_checks: tuple
-    verdict: verdict.Verdict
+class FoxbyCert(
+    namedtuple(
+        "FoxbyCert",
+        "module class_name bound natural_map_iso tor_checks ext_checks verdict",
+    )
+):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -256,13 +253,8 @@ def _require_nu_iso(M, K):
 COCATEGORY_TAGS = ("PKn", "GKPKn")
 
 
-@dataclass(frozen=True)
-class CoreflexiveEpi:
-    phi: ModuleMap
-    n: int
-    K: GradedModule
-    category_tag: str
-    bound: int
+class CoreflexiveEpi(namedtuple("CoreflexiveEpi", "phi n K category_tag bound")):
+    __slots__ = ()
 
 
 def pk_dimension(M, K, bound):

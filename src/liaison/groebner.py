@@ -29,7 +29,6 @@ graded input no monomial the engine forms can overflow.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 
 from .errors import (
     DegreeOverflow,
@@ -662,8 +661,11 @@ class HilbertData:
         wprod = 1
         for w in self.ctx.weights:
             wprod *= w
-        q = Fraction(total, wprod)
-        return int(q) if q.denominator == 1 else q
+        if total % wprod == 0:
+            return total // wprod
+        from fractions import Fraction
+
+        return Fraction(total, wprod)
 
     def hf(self, d):
         table = _ambient_hf(self.ctx)

@@ -10,7 +10,7 @@ preservation statements all route through this operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import groebner, homalg, verdict
 from .errors import (
@@ -35,7 +35,6 @@ from .homalg import (
     transpose,
 )
 from .modules import (
-    GradedModule,
     ModuleMap,
     _dual_map,
     _hom_element,
@@ -73,13 +72,10 @@ def default_bound(ctx):
 # semidualizing and canonical modules
 
 
-@dataclass(frozen=True)
-class SemidualizingCert:
-    K: object
-    bound: int
-    homothety_iso: bool
-    ext_vanishing: tuple
-    verdict: verdict.Verdict
+class SemidualizingCert(
+    namedtuple("SemidualizingCert", "K bound homothety_iso ext_vanishing verdict")
+):
+    __slots__ = ()
 
 
 def canonical_module(ctx):
@@ -200,21 +196,14 @@ def is_cm_module(M):
 CATEGORY_TAGS = ("Pn", "GKPn", "CMn", "RefnK")
 
 
-@dataclass(frozen=True)
-class ReflexiveEpi:
-    phi: ModuleMap
-    n: int
-    K: GradedModule
-    category_tag: str
-    bound: int
+class ReflexiveEpi(namedtuple("ReflexiveEpi", "phi n K category_tag bound")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LinkResult:
-    linked_module: GradedModule
-    link_epi: ModuleMap
-    obstructions: tuple
-    epi: ReflexiveEpi
+class LinkResult(
+    namedtuple("LinkResult", "linked_module link_epi obstructions epi")
+):
+    __slots__ = ()
 
     def to_json(self):
         E1, E2 = self.obstructions
@@ -268,7 +257,11 @@ def reflexive_epi(phi, K, tag, bound=None, n=None):
 def link_operator(e):
     """The linked module of a reflexive epimorphism: the cokernel of the
     induced injection Ext^n(M,K) -> Ext^n(X,K), with its epimorphism and
-    the double-dual obstructions of M attached."""
+    the double-dual obstructions of M attached (cached per epimorphism)."""
+    return _memo(e.phi.target, ("link_operator", e), lambda: _link_operator(e))
+
+
+def _link_operator(e):
     phi, n, K = e.phi, e.n, e.K
     Kphi, _ = kernel(phi)
     if Kphi.is_zero():

@@ -13,7 +13,7 @@ under that value (``ring._memo``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import groebner
 from .errors import (
@@ -624,14 +624,10 @@ def _num(v):
     return "infinite" if v is math.inf else v
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    dim: object
-    depth: object
-    grade: object
-    pd: object
-    cod: object
-    pd_ambient: object
+class InvariantReport(
+    namedtuple("InvariantReport", "dim depth grade pd cod pd_ambient")
+):
+    __slots__ = ()
 
     def to_json(self):
         return {

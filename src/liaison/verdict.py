@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 HOLDS = "holds"
 FAILS = "fails"
 UNDECIDED = "undecided_at_bound"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    witness: object = None
-    bound: object = None
-    detail: str = ""
+class Verdict(
+    namedtuple("Verdict", "status witness bound detail", defaults=(None, None, ""))
+):
+    __slots__ = ()
 
     def holds(self):
         return self.status == HOLDS

@@ -1,11 +1,16 @@
 import inspect
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
-from liaison.cli import GALLERIES, HANDLERS, gallery, main, parse_spec, run
+import liaison
+from liaison import homalg
+from liaison.cli import _ARG_KINDS, GALLERIES, HANDLERS, gallery, main, parse_spec, run
 from liaison.errors import (
     NonCMForCanonical,
     SpecSyntaxError,
@@ -186,7 +191,11 @@ def test_readme_lists_every_operation():
 
 
 def test_operations_reject_wrong_argument_count():
+    assert len(HANDLERS) == 26
     for op, handler in HANDLERS.items():
+        params = list(inspect.signature(handler, eval_str=True).parameters.values())
+        kinds = ["int" if p.annotation is int else "name" for p in params[1:]]
+        assert _ARG_KINDS[op] == kinds, op
         arity = len(inspect.signature(handler).parameters) - 1
         for count in (arity - 1, arity + 1):
             if count < 0:
@@ -319,3 +328,38 @@ def test_unexpected_exception_becomes_exit_three(monkeypatch, capsys):
     assert second["ok"] is True and second["op"] == "hilbert"
     assert code == report["exit_code"] == 3
     assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_walk_links_each_epimorphism_once(monkeypatch):
+    # every link of the walk runs Ext^n(phi, K) once; building the walk and
+    # checking it share the links of its two epimorphisms
+    runs = []
+    ext_induced = homalg.ext_induced
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return ext_induced(*args, **kwargs)
+
+    monkeypatch.setattr(homalg, "ext_induced", counted)
+    text = GALLERIES["even-liaison-ext"].replace("local_cohomology I 1\n", "")
+    report, code = run(parse_spec(text))
+    assert [r["op"] for r in report["results"]] == ["walk"] and code == 0
+    assert len(runs) == 2
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # every CLI call is a fresh process, so its imports are paid per verdict
+    probe = (
+        "import sys; before = set(sys.modules); import liaison.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(pathlib.Path(liaison.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.split()
+    assert "liaison.cli" in out
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "traceback"}
+    assert heavy.isdisjoint(out)

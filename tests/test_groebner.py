@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -239,6 +241,13 @@ def test_hilbert_twisted_cubic(F101xyzw, cubic_ideal):
     data = hilbert(gb)
     assert data.dim == 2
     assert data.degree == 3
+
+
+def test_hilbert_degree_is_an_int_when_exact():
+    R = make_ring(101, ["x", "y"], weights=[1, 2])
+    assert hilbert(buchberger([], R, 1)).degree == Fraction(1, 2)
+    whole = hilbert(buchberger([(P(R, "y"),)], R, 1)).degree
+    assert whole == 1 and type(whole) is int
 
 
 def test_hilbert_point(F101xy):

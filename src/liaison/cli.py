@@ -60,8 +60,7 @@ from .ring import DEFAULT_CHARACTERISTIC, make_ring, parse_poly, render_poly
 
 
 class ExperimentSpec:
-    def __init__(self, ring, ideals, modules, k_kind, k_name, bound, window, ops,
-                 source):
+    def __init__(self, ring, ideals, modules, k_kind, k_name, bound, window, ops):
         self.ring = ring
         self.ideals = ideals
         self.modules = modules
@@ -70,7 +69,6 @@ class ExperimentSpec:
         self.bound = bound
         self.window = window
         self.ops = ops
-        self.source = source
 
     def resolve_K(self):
         if self.k_kind == "trivial":
@@ -269,9 +267,7 @@ def parse_spec(text, p=None):
             )
     if bound is None:
         bound = linkage.default_bound(ring_ctx)
-    return ExperimentSpec(
-        ring_ctx, ideals, mods, k_kind, k_name, bound, window, ops, text
-    )
+    return ExperimentSpec(ring_ctx, ideals, mods, k_kind, k_name, bound, window, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +520,7 @@ def op_adjoint_transfer(spec, iname, cname):
         "roundtrip_hf_match": all(
             back.phi.target.hf(d) == M.hf(d) for d in range(lo, hi + 1)
         ),
-        "mu_iso": colinkage.roundtrip_is_identity(M, K),
+        "mu_iso": colinkage.mu_is_iso(M, K),
     }
 
 
@@ -554,7 +550,7 @@ def op_horizontal(spec, name):
 
 @_operation
 def op_regular_sequence(spec, name, n: int):
-    seq = linkage.regular_sequence_in(spec.ring, _as_ideal(spec, name), n)
+    seq = homalg.regular_sequence_in_ideal(spec.ring, _as_ideal(spec, name), n)
     return {"sequence": [render_poly(f) for f in seq]}
 
 

@@ -362,8 +362,3 @@ def adjoint_transfer_backward(e, bound=None):
         raise ClassMembershipUndecided("image module not certified Bass")
     psi_dual, _, _ = hom_induced_post(e.phi, K)
     return linkage.reflexive_epi(psi_dual, K, "Pn", bound, n=e.n)
-
-
-def roundtrip_is_identity(M, K):
-    """mu_K(M): M -> Hom(K, M (x) K) is an isomorphism (Foxby round trip)."""
-    return mu_is_iso(M, K)

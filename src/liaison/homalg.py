@@ -15,8 +15,15 @@ module is zero exactly when its Hilbert series is.
 That basis comes from ``_image_engine``, which builds no direct sum or map:
 it seeds an engine with block copies of N's reduced relation basis, one per
 summand N(±d) of the target, and reduces only the image columns, formed
-from the differential and N's generators.  ``ext`` and ``tor`` take the
-relations of their homology from the same engine, interreduced.
+from the differential and N's generators.
+
+Both complexes follow one degree convention, Hom(R(-d), N) = N(d) and
+R(-d) (x) N = N(-d), so every term is a block sum ⊕ N(d_b) and
+``_induced`` gives the shape of every map between terms: d (x) N is Hom of
+the transpose of d, with the degrees negated.  ``ext`` and ``tor`` share
+``_homology``: its cycles are the kernel of the map out of the middle term
+(the whole middle term, less zero columns, when there is none) and its
+relations the image engine of the map into it, interreduced.
 """
 
 from __future__ import annotations
@@ -198,104 +205,62 @@ def syzygy(M, n):
 
 
 # ---------------------------------------------------------------------------
-# dual and tensor complexes
+# the Hom and tensor complexes, Ext and Tor
 
 
-def _tensor_map(N, src_degs, tgt_degs, columns):
-    """d (x) N: map ⊕ N(-src) -> ⊕ N(-tgt); columns over the target basis."""
-    ctx = N.ctx
-    gn = len(N.gens)
-    T0 = _hom_sum(N, [-d for d in src_degs])
-    T1 = _hom_sum(N, [-d for d in tgt_degs])
-    mat = []
-    for j in range(len(src_degs)):
-        for a in range(gn):
-            col = [ctx.zero()] * (len(tgt_degs) * gn)
-            u = columns[j]
-            for i in range(len(tgt_degs)):
-                if u[i]:
-                    col[i * gn + a] = u[i]
-            mat.append(col)
-    return ModuleMap(T0, T1, mat, check=False), T0, T1
+def _induced(functor, k, res):
+    """The shape of the map d_k: F_k -> F_{k-1} induces on the complex of
+    F(M) with N: (source degrees, target degrees, rows).  It maps
+    ⊕_b N(src[b]) -> ⊕_c N(tgt[c]), block b's x to ⊕_c rows[b][c] x, under
+    Hom(R(-d), N) = N(d) and R(-d) (x) N = N(-d).  For "tor" it is
+    d_k (x) N: F_k (x) N -> F_{k-1} (x) N, rows the columns of d_k; for
+    "ext" Hom(d_k, N): Hom(F_{k-1}, N) -> Hom(F_k, N), rows the rows of d_k.
+    Without d_k (k = 0, or F_k = 0) there are no rows."""
+
+    def degs(j):
+        return res.level_shifts[j] if 0 <= j < len(res.level_shifts) else ()
+
+    d = res.diffs[k - 1] if 0 < k <= len(res.diffs) else []
+    if functor == "tor":
+        return [-e for e in degs(k)], [-e for e in degs(k - 1)], d
+    return list(degs(k - 1)), list(degs(k)), list(zip(*d))
 
 
-def ext(i, M, N, aux=None):
-    """Ext^i_R(M, N) from a minimal resolution of M of length i+1.
-
-    ``aux``, when given, receives the Hom module ``hsum`` = Hom(F_i, N), the
-    coordinates ``ker_coords`` of Ext's generators over it, and the degrees
-    ``degs`` of F_i.
-    """
+def ext(i, M, N):
+    """Ext^i_R(M, N) from a minimal resolution of M of length i+1."""
     if i < 0:
         raise InvalidInput(f"Ext index must be at least 0, got {i}")
-    E, stored = _memo(M, ("ext", i, N), lambda: _ext(i, M, N))
-    if aux is not None:
-        aux.update(stored)
-    return E
-
-
-def _ext(i, M, N):
-    """(Ext^i(M, N), the aux data ext hands out for it)."""
-    ctx = M.ctx
-    if M.is_zero() or N.is_zero():
-        return _zero_ext(ctx)
-    res = free_resolution(M, i + 1)
-    if not res.rank(i):
-        return _zero_ext(ctx)
-    degs_i = res.level_shifts[i]
-    if res.rank(i + 1):
-        down, H_i, _ = _dual_map(N, degs_i, res.level_shifts[i + 1], res.diffs[i])
-        K, incl = kernel(down)
-        K_gens = list(K.gens)
-        ker_coords = list(incl.mat)
-    else:
-        H_i = _hom_sum(N, degs_i)
-        K_gens = list(H_i.gens)
-        ker_coords = [
-            tuple(
-                ctx.one() if a == b else ctx.zero() for b in range(len(H_i.gens))
-            )
-            for a in range(len(H_i.gens))
-        ]
-    E = _homology(K_gens, _image_engine("ext", i, M, N, res)[0])
-    return E, {"hsum": H_i, "ker_coords": ker_coords, "degs": degs_i}
-
-
-def _zero_ext(ctx):
-    E = zero_module(ctx)
-    return E, {"hsum": E, "ker_coords": [], "degs": []}
+    return _memo(M, ("ext", i, N), lambda: _homology("ext", i, M, N))
 
 
 def tor(i, M, N):
     """Tor_i^R(M, N) from a minimal resolution of M of length i+1."""
     if i < 0:
         raise InvalidInput(f"Tor index must be at least 0, got {i}")
-    return _memo(M, ("tor", i, N), lambda: _tor(i, M, N))
+    return _memo(M, ("tor", i, N), lambda: _homology("tor", i, M, N))
 
 
-def _tor(i, M, N):
+def _homology(functor, i, M, N):
+    """Homology at index i of the tensor ("tor") or Hom ("ext") complex of
+    F(M) with N.  Its generators are the cycles: the kernel of the map out
+    of the middle term, or the middle term ⊕ N(±d) itself when there is
+    none; its relations are the incoming image with the middle term's
+    relations, from ``_image_engine``, interreduced."""
     ctx = M.ctx
     if M.is_zero() or N.is_zero():
         return zero_module(ctx)
     res = free_resolution(M, i + 1)
     if not res.rank(i):
         return zero_module(ctx)
-    degs_i = res.level_shifts[i]
-    if i > 0:
-        down, _, _ = _tensor_map(N, degs_i, res.level_shifts[i - 1], res.diffs[i - 1])
-        K, _ = kernel(down)
-        k_gens = list(K.gens)
+    out_k, in_k = (i + 1, i) if functor == "ext" else (i, i + 1)
+    src, tgt, rows = _induced(functor, out_k, res)
+    if rows:
+        cycles = kernel(_dual_map(N, src, tgt, rows)[0])[0].gens
     else:
-        T_i = _hom_sum(N, [-d for d in degs_i])
-        k_gens = [col for col in T_i.gens if not vec_is_zero(col)]
-    return _homology(k_gens, _image_engine("tor", i + 1, M, N, res)[0])
-
-
-def _homology(gens, eng):
-    """The subquotient (<gens> + R) / R of the engine's free module, where R
-    is the submodule its basis spans (a target's relations and an image)."""
+        cycles = [col for col in _hom_sum(N, src).gens if not vec_is_zero(col)]
+    eng = _image_engine(functor, in_k, M, N, res)
     eng.interreduce()
-    H = GradedModule(eng.ctx, eng.rank, eng.shifts, gens, eng.vectors())
+    H = GradedModule(ctx, eng.rank, eng.shifts, cycles, eng.vectors())
     _memo(H, "rels_gb", lambda: eng)
     return H
 
@@ -328,11 +293,12 @@ def _vanishes(functor, i, M, N):
     res = free_resolution(M, i + 1)
     if not res.rank(i):
         return True
-    sign = 1 if functor == "tor" else -1
     series = {}
     hs_n = N.hilbert().numerator
-    for d in res.level_shifts[i]:
-        _add_series(series, hs_n, sign * d)
+    # the middle term is the source of the map out of it: Hom(d_{i+1}, N)
+    # or d_i (x) N
+    for d in _induced(functor, i + 1 if functor == "ext" else i, res)[0]:
+        _add_series(series, hs_n, -d)
     # the Tor differential d_k (x) N lands in level k - 1, Hom(d_k, N) in level k
     for k in (i, i + 1):
         _add_series(series, _image_series(functor, k, M, N, res), sign=-1)
@@ -348,11 +314,11 @@ def _image_series(functor, k, M, N, res):
     def compute():
         if k == 0 or not res.rank(k):
             return {}
-        eng, twists = _image_engine(functor, k, M, N, res)
+        eng = _image_engine(functor, k, M, N, res)
         series = {}
         free_n = groebner.leadterm_hilbert(N.rels_gb(), N.rank, N.shifts).numerator
-        for d in twists:
-            _add_series(series, free_n, d)
+        for d in _induced(functor, k, res)[1]:
+            _add_series(series, free_n, -d)
         # the lead terms need not be minimal: leadterm_hilbert minimalizes
         quotient = groebner.leadterm_hilbert(eng, eng.rank, eng.shifts).numerator
         _add_series(series, quotient, sign=-1)
@@ -362,34 +328,24 @@ def _image_series(functor, k, M, N, res):
 
 
 def _image_engine(functor, k, M, N, res):
-    """Untracked engine for R + image, where R are the relations of the
-    target B of the map induced by d_k: B = F_{k-1} (x) N for "tor",
-    Hom(F_k, N) for "ext".  B is ⊕_b N(-twists[b]), block b at positions
-    b * N.rank on; returns (engine, twists).
+    """Untracked engine for R + image, where image is that of the map
+    induced by d_k and R are the relations of its target ⊕_b N(tgt[b])
+    (see ``_induced``), block b at positions b * N.rank on.
 
     Block copies of N's reduced relation basis form a reduced basis of R
     (J*B included), so they seed the engine and only the image columns,
-    built here from d_k and N's generators, are reduced.  Without d_k
-    (k = 0, or F_k = 0) the engine holds R alone.  Not interreduced.
+    built here from the rows of the map and N's generators, are reduced.
+    Without d_k (k = 0, or F_k = 0) the engine holds R alone.  Not
+    interreduced.
     """
     r = N.rank
-    if functor == "tor":
-        twists = res.level_shifts[k - 1]
-    else:
-        twists = [-d for d in res.level_shifts[k]]
-    shifts = tuple(s + t for t in twists for s in N.shifts)
-    eng = groebner.ModuleGB(M.ctx, len(twists) * r, shifts)
+    _, tgt, rows = _induced(functor, k, res)
+    shifts = tuple(s - d for d in tgt for s in N.shifts)
+    eng = groebner.ModuleGB(M.ctx, len(tgt) * r, shifts)
     eng._seed(
         [{b * r + q: d for q, d in vec.items()}
-         for b in range(len(twists)) for vec in N.rels_gb().basis]
+         for b in range(len(tgt)) for vec in N.rels_gb().basis]
     )
-    if k == 0 or not res.rank(k):
-        return eng, twists
-    # row = the entries of d_k over B's blocks: a column of d_k (x) N, or
-    # a row of d_k for Hom(d_k, N), phi -> phi o d_k
-    rows = res.diffs[k - 1]
-    if functor == "ext":
-        rows = list(zip(*rows))
     gens = [[(q, g) for q, g in enumerate(col) if g] for col in N.gens]
     cols = []
     for row in rows:
@@ -402,7 +358,7 @@ def _image_engine(functor, k, M, N, res):
             if vec:
                 cols.append(vec)
     eng.add_generators(cols)
-    return eng, twists
+    return eng
 
 
 # ---------------------------------------------------------------------------
@@ -460,33 +416,21 @@ def ext_induced(i, f, N):
     """The contravariant induced map Ext^i(M', N) -> Ext^i(M, N)."""
     M, Mp = f.source, f.target
     ctx = M.ctx
-    aux_src, aux_tgt = {}, {}
-    E_tgt = ext(i, M, N, aux=aux_tgt)  # Ext^i(M, N)
-    E_src = ext(i, Mp, N, aux=aux_src)  # Ext^i(M', N)
+    E_tgt = ext(i, M, N)  # Ext^i(M, N)
+    E_src = ext(i, Mp, N)  # Ext^i(M', N)
     if E_src.is_zero() or E_tgt.is_zero():
         return zero_map(E_src, E_tgt)
-    chain = lift_chain_map(f, i)
-    f_i = chain[i]
-    gn = len(N.gens)
-    b_src = len(aux_src["degs"])  # rank of F_i(M')
-    b_tgt = len(aux_tgt["degs"])  # rank of F_i(M)
-    # precomposition with f_i sends Hom(F_i(M'), N) to Hom(F_i(M), N)
+    f_i = lift_chain_map(f, i)[i]
+    # a generator of Ext^i(M', N) is phi in Hom(F_i(M'), N), one block of
+    # width N.rank per basis element of F_i(M'); precomposition with f_i
+    # gives the block phi(f_i(e_j)) of Hom(F_i(M), N) for each column of f_i
+    r = N.rank
     cols = []
-    for e_idx in range(len(E_src.gens)):
-        coords = aux_src["ker_coords"][e_idx]  # over H'_i gens = (j', a)
-        out = [ctx.zero()] * (b_tgt * gn)
-        for jp in range(b_src):
-            for a in range(gn):
-                c = coords[jp * gn + a]
-                if not c:
-                    continue
-                for j in range(b_tgt):
-                    entry = f_i[j][jp]
-                    if entry:
-                        out[j * gn + a] = out[j * gn + a] + c * entry
-        # out is coords over H_i gens; convert to ambient and re-express
-        amb = aux_tgt["hsum"].coords_to_ambient(out)
-        cols.append(amb)
+    for phi in E_src.gens:
+        blocks = [phi[b:b + r] for b in range(0, len(phi), r)]
+        cols.append(
+            tuple(x for col in f_i for x in modules.vec_combine(blocks, col, ctx, r))
+        )
     sol, bad = groebner.lift_through(
         list(E_tgt.gens),
         cols,
@@ -520,7 +464,7 @@ def transpose(M, K):
     res = free_resolution(M, 1)
     if not res.rank(1):
         return zero_module(ctx), zero_module(ctx)
-    h, _, _ = _dual_map(K, res.level_shifts[0], res.level_shifts[1], res.diffs[0])
+    h, _, _ = _dual_map(K, *_induced("ext", 1, res))
     Tr, _ = cokernel(h)
     lam, _ = image(h)
     return Tr, lam

@@ -59,11 +59,6 @@ from .modules import (
 from .ring import _memo, make_ring, render_poly
 
 
-def ext_dual(M, K, n):
-    """Ext^n(M, K), the workhorse duality for grade-n modules."""
-    return ext(n, M, K)
-
-
 def default_bound(ctx):
     return ctx.m + 2
 
@@ -380,7 +375,7 @@ def annihilate_quotient(Kbar, i_gens):
     degs = [f.homogeneous_degree() for f in i_gens]
     # x -> (f*x)_f is Hom(d, Kbar) for the row d = (f_1 .. f_r); its source
     # Hom(R, Kbar) is Kbar itself, kept so that Kbar's cached data is reused
-    h, _, target = _dual_map(Kbar, [0], degs, [(f,) for f in i_gens])
+    h, _, target = _dual_map(Kbar, [0], degs, [tuple(i_gens)])
     mult = ModuleMap(Kbar, target, h.mat, check=False)
     Kc, incl = kernel(mult)
     Q, _ = cokernel(incl)
@@ -425,11 +420,6 @@ def is_horizontally_linked(M):
 
 # ---------------------------------------------------------------------------
 # regular sequences and change of rings
-
-
-def regular_sequence_in(ctx, i_gens, n, max_scale=3):
-    """Deterministic regular-sequence search (see homalg for the strategy)."""
-    return homalg.regular_sequence_in_ideal(ctx, i_gens, n, max_scale)
 
 
 def change_of_rings(ctx, x_seq, K):

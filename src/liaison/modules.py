@@ -110,9 +110,6 @@ class GradedModule:
             self._entries = _entries(self.gens)
         return _combine(self._entries, coords, self.ctx, self.rank)
 
-    def contains_ambient(self, vec):
-        return self.full_gb().contains(vec)
-
     def element_is_zero(self, coords):
         return self.rels_gb().contains(self.coords_to_ambient(coords))
 
@@ -382,46 +379,39 @@ def is_iso(f):
 # direct sums, tensor, Hom
 
 
-def direct_sum(*mods):
-    """Block sum, with injections and projections."""
+def _block_sum(mods):
+    """The block sum of modules over one ring, without the maps."""
     ctx = mods[0].ctx
     rank = sum(M.rank for M in mods)
     shifts = tuple(s for M in mods for s in M.shifts)
-
-    def pad(col, before, after):
-        return (ctx.zero(),) * before + tuple(col) + (ctx.zero(),) * after
-
     gens, rels = [], []
-    offsets = []
     pos = 0
-    gen_offsets = []
-    gpos = 0
     for M in mods:
-        offsets.append(pos)
-        gen_offsets.append(gpos)
-        for col in M.gens:
-            gens.append(pad(col, pos, rank - pos - M.rank))
-        for col in M.rels:
-            rels.append(pad(col, pos, rank - pos - M.rank))
+        before, after = (ctx.zero(),) * pos, (ctx.zero(),) * (rank - pos - M.rank)
+        gens.extend(before + col + after for col in M.gens)
+        rels.extend(before + col + after for col in M.rels)
         pos += M.rank
-        gpos += len(M.gens)
-    total_gens = gpos
-    S = GradedModule(ctx, rank, shifts, gens, rels)
+    return GradedModule(ctx, rank, shifts, gens, rels)
+
+
+def direct_sum(*mods):
+    """Block sum, with injections and projections."""
+    S = _block_sum(mods)
+    ctx = S.ctx
+
+    def unit(n, pos):
+        return [ctx.one() if p == pos else ctx.zero() for p in range(n)]
+
+    total = len(S.gens)
     injections, projections = [], []
-    for k, M in enumerate(mods):
-        inj_mat = []
-        for j in range(len(M.gens)):
-            col = [ctx.zero()] * total_gens
-            col[gen_offsets[k] + j] = ctx.one()
-            inj_mat.append(col)
-        injections.append(ModuleMap(M, S, inj_mat, check=False))
-        proj_mat = []
-        for g in range(total_gens):
-            col = [ctx.zero()] * len(M.gens)
-            if gen_offsets[k] <= g < gen_offsets[k] + len(M.gens):
-                col[g - gen_offsets[k]] = ctx.one()
-            proj_mat.append(col)
-        projections.append(ModuleMap(S, M, proj_mat, check=False))
+    start = 0
+    for M in mods:
+        g = len(M.gens)
+        inj = [unit(total, start + j) for j in range(g)]
+        proj = [unit(g, k - start) for k in range(total)]
+        injections.append(ModuleMap(M, S, inj, check=False))
+        projections.append(ModuleMap(S, M, proj, check=False))
+        start += g
     return S, injections, projections
 
 
@@ -477,30 +467,30 @@ def tensor_map(f, N):
 
 
 def _hom_sum(N, degs):
-    """⊕_j N(d_j) = Hom(⊕ R(-d_j), N), with block bookkeeping."""
+    """⊕_j N(d_j) = Hom(⊕ R(-d_j), N), block j at positions j * N.rank on."""
     parts = [twist(N, d) for d in degs]
     if not parts:
         return None
     if len(parts) == 1:
         return parts[0]
-    S, _, _ = direct_sum(*parts)
-    return S
+    return _block_sum(parts)
 
 
-def _dual_map(N, src_degs, tgt_degs, columns):
-    """Hom(d, N) for d with the given columns (coords over the source F's
-    basis): map ⊕ N(src) -> ⊕ N(tgt), phi -> phi o d."""
+def _dual_map(N, src_degs, tgt_degs, rows):
+    """Hom(d, N) for the matrix d: F' -> F given by its rows, one per basis
+    element of F, each over the basis of F': the map ⊕ N(src) -> ⊕ N(tgt),
+    phi -> phi o d."""
     ctx = N.ctx
     gn = len(N.gens)
     H0 = _hom_sum(N, src_degs)
     H1 = _hom_sum(N, tgt_degs)
     mat = []
-    for i in range(len(src_degs)):
+    for row in rows:
         for a in range(gn):
             col = [ctx.zero()] * (len(tgt_degs) * gn)
-            for k, u in enumerate(columns):
-                if u[i]:
-                    col[k * gn + a] = u[i]
+            for k, c in enumerate(row):
+                if c:
+                    col[k * gn + a] = c
             mat.append(col)
     return ModuleMap(H0, H1, mat, check=False), H0, H1
 
@@ -523,7 +513,8 @@ def _hom_module(M, N):
     colrels = M.column_relations()
     if not colrels:
         return _hom_sum(N, dm), _hom_converter(M, N)
-    h, _, _ = _dual_map(N, dm, [vec_degree(u, dm) for u in colrels], colrels)
+    degs = [vec_degree(u, dm) for u in colrels]
+    h, _, _ = _dual_map(N, dm, degs, list(zip(*colrels)))
     H, incl = kernel(h)
     return H, _hom_converter(M, N, incl)
 

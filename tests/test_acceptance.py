@@ -22,8 +22,8 @@ from liaison.colinkage import (
     colink_operator,
     coreflexive_epi,
     is_colinked_by,
+    mu_is_iso,
     pk_dimension,
-    roundtrip_is_identity,
 )
 from liaison.groebner import (
     assert_buchberger,
@@ -319,7 +319,7 @@ def test_criterion_11_foxby_adjoint_equivalence(T345):
     assert aus.verdict.holds()
     ce = adjoint_transfer_forward(e, bound=4)
     assert is_colinked_by(ce)
-    assert roundtrip_is_identity(e.phi.target, om)
+    assert mu_is_iso(e.phi.target, om)
     # even coliaison walk: colink twice and compare K-projective dimensions
     col1, proj1 = colink_operator(ce)
     ce2 = coreflexive_epi(proj1, om, "PKn", bound=4, n=ce.n)

@@ -6,6 +6,7 @@ import pytest
 from liaison import homalg
 from liaison.colinkage import class_member
 from liaison.errors import GradeMismatch, InvalidInput
+from liaison.groebner import vec_is_zero
 from liaison.homalg import (
     betti_table_text,
     bidual_obstructions,
@@ -29,6 +30,7 @@ from liaison.modules import (
     free_module,
     hom_module,
     identity_map,
+    image,
     invariants,
     is_iso,
     subquotient,
@@ -227,6 +229,56 @@ def test_ext_induced_functorial_on_composition(F101x):
                     for i in range(len(lhs.target.gens))
                 )
             ) or not diff
+
+
+def test_ext_induced_over_rank2_modules():
+    """Over N of rank 2 with two or three generators and nonzero shifts, a
+    generator of Ext has blocks of width N.rank, not len(N.gens): the map
+    induced by the identity is an iso, and induced maps compose."""
+    rng = random.Random(20261021)
+    shapes, nonzero = set(), set()
+    for ctx in (make_ring(101, ["x", "y", "z"]),
+                make_ring(101, ["x", "y", "z"], ["x*z - y^2"])):
+        for _ in range(3):
+            N = _random_rank2_module(ctx, rng)
+            shapes.add(len(N.gens))
+            G = _random_ideal(ctx, rng)
+            x, y = P(ctx, "x"), P(ctx, "y")
+            A = cyclic_module(ctx, [x * y * g for g in G])
+            B = cyclic_module(ctx, [y * g for g in G])
+            C = cyclic_module(ctx, G)
+            f = ModuleMap(A, B, [[_random_form(ctx, rng, 1)]], degree=1)
+            g = ModuleMap(B, C, [[ctx.one()]])
+            for i in range(3):
+                assert is_iso(ext_induced(i, identity_map(B), N))
+                lhs = ext_induced(i, g.compose(f), N)
+                rhs = ext_induced(i, f, N).compose(ext_induced(i, g, N))
+                E = lhs.target
+                for c1, c2 in zip(lhs.mat, rhs.mat):
+                    assert E.element_is_zero(tuple(a - b for a, b in zip(c1, c2)))
+                nonzero.add(any(not E.element_is_zero(c) for c in lhs.mat))
+    assert shapes == {2, 3}
+    assert nonzero == {True, False}
+
+
+def test_ext_and_tor_carry_no_zero_generator(F101xy):
+    """N = image of e1 -> e1, e2 -> 0 keeps an identically zero generator
+    column; Ext and Tor drop it and have the Hilbert series they have over
+    N without it."""
+    ctx = F101xy
+    F = free_module(ctx, 2)
+    one, zero = ctx.one(), ctx.zero()
+    N, _ = image(ModuleMap(F, F, [[one, zero], [zero, zero]]))
+    assert any(vec_is_zero(col) for col in N.gens)
+    N1 = subquotient(ctx, [(one, zero)], [], (0, 0))
+    M = cyclic_module(ctx, [P(ctx, "x")])
+    assert not ext(1, M, N).is_zero() and not tor(0, M, N).is_zero()
+    for functor in (ext, tor):
+        for i in (0, 1):
+            H = functor(i, M, N)
+            assert not any(vec_is_zero(col) for col in H.gens)
+            want = functor(i, M, N1).hilbert()
+            assert H.hilbert().numerator == want.numerator
 
 
 def test_ext_induced_univariate_cokernel_dimension(F101x):
@@ -523,13 +575,15 @@ def test_image_engine_matches_the_direct_sum_route():
             d = res.diffs[k - 1]
             for functor in ("tor", "ext"):
                 if functor == "tor":
-                    f, _, B = homalg._tensor_map(N, src, tgt, d)
+                    # d (x) N is Hom of the transpose of d with negated degrees:
+                    # its rows are the columns of d
+                    f, _, B = _dual_map(N, [-e for e in src], [-e for e in tgt], d)
                 else:
-                    f, _, B = _dual_map(N, tgt, src, d)
+                    f, _, B = _dual_map(N, tgt, src, list(zip(*d)))
                 want = buchberger(
                     list(B.rels) + f.image_columns_ambient(), ctx, B.rank, B.shifts
                 )
-                eng, _ = homalg._image_engine(functor, k, M, N, res)
+                eng = homalg._image_engine(functor, k, M, N, res)
                 assert eng.shifts == B.shifts
                 eng.interreduce()
                 assert_buchberger(eng)

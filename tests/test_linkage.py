@@ -16,6 +16,7 @@ from liaison.homalg import (
     ext,
     ext_vanishes,
     kernel_obstruction_vanishes,
+    regular_sequence_in_ideal,
 )
 from liaison.linkage import (
     ReflexiveEpi,
@@ -25,7 +26,6 @@ from liaison.linkage import (
     cyclic_link,
     depth_formula_check,
     double_link_check,
-    ext_dual,
     grade_of_ideal,
     horizontal_link,
     is_gk_perfect,
@@ -37,7 +37,6 @@ from liaison.linkage import (
     link_operator,
     natural_cyclic_epi,
     reflexive_epi,
-    regular_sequence_in,
 )
 from liaison.modules import (
     annihilator,
@@ -160,7 +159,7 @@ def test_direct_sum_self_link(F101xy):
     ctx = F101xy
     R1 = free_module(ctx, 1)
     M = cyclic_module(ctx, [P(ctx, "x")])
-    E = ext_dual(M, R1, 1)
+    E = ext(1, M, R1)
     S, (iM, iE), (pM, pE) = direct_sum(M, E)
     e = reflexive_epi(pM, R1, "Pn")
     res = link_operator(e)
@@ -363,13 +362,13 @@ def test_mixed_ideal_not_horizontally_linked(F101xy):
 
 def test_regular_sequence_in_maximal_ideal(F101xy):
     ctx = F101xy
-    seq = regular_sequence_in(ctx, [P(ctx, "x"), P(ctx, "y")], 2)
+    seq = regular_sequence_in_ideal(ctx, [P(ctx, "x"), P(ctx, "y")], 2)
     assert len(seq) == 2
     assert grade_of_ideal(ctx, seq) == 2
 
 
 def test_regular_sequence_in_twisted_cubic(F101xyzw, cubic_ideal):
-    seq = regular_sequence_in(F101xyzw, cubic_ideal, 2)
+    seq = regular_sequence_in_ideal(F101xyzw, cubic_ideal, 2)
     assert len(seq) == 2
     assert all(g.degree() == 2 for g in seq)
     assert grade_of_ideal(F101xyzw, seq) == 2
@@ -377,7 +376,7 @@ def test_regular_sequence_in_twisted_cubic(F101xyzw, cubic_ideal):
 
 def test_regular_sequence_not_found(F101xy):
     with pytest.raises(RegularSequenceNotFound):
-        regular_sequence_in(F101xy, [P(F101xy, "x")], 2)
+        regular_sequence_in_ideal(F101xy, [P(F101xy, "x")], 2)
 
 
 def test_change_of_rings_produces_twisted_quotient(F101xy):
@@ -480,7 +479,7 @@ def test_theorem_t1_iv_kernel_matches_ext_dual(F101x):
     from liaison.modules import kernel
 
     Kphi, _ = kernel(e.phi)
-    E = ext_dual(res.linked_module, R1, 1)
+    E = ext(1, res.linked_module, R1)
     assert same_hf(Kphi, E)
     assert ideal_strings(annihilator(Kphi)) == ideal_strings(annihilator(E))
 

@@ -17,6 +17,15 @@ it seeds an engine with block copies of N's reduced relation basis, one per
 summand N(±d) of the target, and reduces only the image columns, formed
 from the differential and N's generators.
 
+Into the canonical module ω_R of a Cohen-Macaulay R = S/J of codimension
+c, ``ext_vanishes`` works over S instead: Ext^q_S(R, ω_S) is ω_R for q = c
+and zero otherwise, so the change-of-rings spectral sequence collapses to
+Ext^i_R(M, ω_R) = Ext^{i+c}_S(M, ω_S) (Bruns-Herzog 3.3), and ω_S is a
+twist of S.  Over S resolutions stop within dim S steps, where over a
+non-Gorenstein R they need not stop at all.  K is recognized as the module
+``linkage.canonical_module`` stored for its ring, which is built only after
+R passed the CM check.
+
 Both complexes follow one degree convention, Hom(R(-d), N) = N(d) and
 R(-d) (x) N = N(-d), so every term is a block sum ⊕ N(d_b) and
 ``_induced`` gives the shape of every map between terms: d (x) N is Hom of
@@ -41,7 +50,7 @@ from .errors import (
     RingMismatch,
 )
 from .groebner import _add_series, vec_degree, vec_is_zero
-from .ring import _memo, make_ring, render_poly
+from .ring import _memo, _memoized, make_ring, render_poly
 from .modules import (
     GradedModule,
     ModuleMap,
@@ -49,8 +58,10 @@ from .modules import (
     _hom_sum,
     cokernel,
     cyclic_module,
+    free_module,
     image,
     kernel,
+    ring_dim,
     subquotient,
     zero_map,
     zero_module,
@@ -290,6 +301,11 @@ def _vanishes(functor, i, M, N):
     over positive weights is zero exactly when its Hilbert series is."""
     if M.is_zero() or N.is_zero():
         return True
+    if functor == "ext" and N == _memoized(N.ctx, "canonical_module"):
+        # Ext^i_R(M, ω_R) = Ext^{i+c}_S(M, ω_S), c = codim R (module docstring)
+        MS = restrict_scalars(M)
+        c = MS.ctx.m - ring_dim(N.ctx)
+        return ext_vanishes(i + c, MS, free_module(MS.ctx, 1))
     res = free_resolution(M, i + 1)
     if not res.rank(i):
         return True

@@ -78,7 +78,9 @@ def canonical_module(ctx):
 
     For R = S/J of codimension c this is Ext^c_S(R, S) twisted by minus the
     sum of the variable weights (the ambient canonical twist); for the
-    polynomial ring itself it is a twisted free rank-one module.
+    polynomial ring itself it is a twisted free rank-one module.  The
+    stored module is what ``homalg.ext_vanishes`` recognizes to decide
+    Ext^i_R(M, K) over S.
     """
     wsum = sum(ctx.weights)
     if not ctx.defining:
@@ -164,12 +166,12 @@ def is_gk_perfect(M, K, bound):
         raise ZeroModule("perfection of the zero module is undefined")
     n = grade(M)
     for i in range(0, n):
-        if not ext(i, M, K).is_zero():
+        if not ext_vanishes(i, M, K):
             raise InternalConsistencyError(
                 f"Ext^{i}(M,K) nonzero below the grade {n}"
             )
     for i in range(n + 1, bound + 1):
-        if not ext(i, M, K).is_zero():
+        if not ext_vanishes(i, M, K):
             return verdict.fails(witness=f"Ext^{i}(M,K) != 0", detail=f"grade {n}")
     E1, E2 = bidual_obstructions(M, K, n)
     if not E1.is_zero() or not E2.is_zero():

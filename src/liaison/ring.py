@@ -172,6 +172,12 @@ def _memo(obj, key, compute):
         return cache.setdefault(key, compute())
 
 
+def _memoized(ctx, key):
+    """The value ``_memo`` holds under ``key`` for the ring ``ctx``, or
+    None; never computes one."""
+    return ctx._cache.get(key)
+
+
 # ---------------------------------------------------------------------------
 # ring contexts
 

@@ -5,6 +5,7 @@ import sys
 import threading
 
 from liaison.homalg import ext, ext_vanishes, free_resolution, tor_vanishes
+from liaison.linkage import canonical_module
 from liaison.modules import cyclic_module, free_module, grade
 from liaison.ring import make_ring, parse_poly
 
@@ -27,16 +28,19 @@ def fresh_modules():
 
 def summary(pairs):
     """Hilbert functions, Betti numbers, grades and vanishing of the shared
-    work."""
+    work.  Over the semigroup ring, Ext into the canonical module is decided
+    over the polynomial ring, inside the quotient ring's memo."""
     out = []
     for M, R1 in pairs:
+        K = canonical_module(M.ctx)
         res = free_resolution(M, 3)
         out.append((
             [[ext(i, M, R1).hf(d) for d in WINDOW] for i in range(3)],
             res.betti_numbers(),
             sorted(res.betti().items()),
             grade(M),
-            [(tor_vanishes(i, M, M), ext_vanishes(i, M, R1)) for i in range(3)],
+            [(tor_vanishes(i, M, M), ext_vanishes(i, M, R1), ext_vanishes(i, M, K))
+             for i in range(3)],
         ))
     return out
 

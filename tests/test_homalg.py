@@ -600,6 +600,79 @@ def test_vanishing_over_the_semigroup_ring(semigroup345):
         assert homalg.ext_vanishes(i, K, K) and ext(i, K, K).is_zero()
 
 
+def _random_monomial_ideal(ctx, rng):
+    """One to three monomials in x, y, z, homogeneous under any weights."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        e = [0, 0, 0]
+        for _ in range(rng.randint(1, 3)):
+            e[rng.randrange(3)] += 1
+        gens.append(ctx.monomial(e))
+    return gens
+
+
+def test_canonical_ext_vanishing_matches_the_ring_route():
+    """Into the canonical module K of a CM quotient R = S/J, ext_vanishes
+    answers over S (Ext^i_R(M, K) = Ext^{i+c}_S(M, w_S)); each answer is
+    checked against Ext^i_R(M, K) built over R."""
+    from liaison.linkage import canonical_module
+    from liaison.modules import ring_dim
+
+    rng = random.Random(20261101)
+    semigroup = make_ring(101, ["x", "y", "z"],
+                          ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                          weights=[3, 4, 5])
+    cone = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])
+    axes = make_ring(101, ["x", "y", "z"], ["x*y", "x*z", "y*z"])
+    for ctx in (semigroup, cone, axes):
+        outcomes = set()
+        K = canonical_module(ctx)
+        S = ctx.ambient()
+        c = S.m - ring_dim(ctx)
+        mods = [residue_field(ctx)]
+        mods += [cyclic_module(ctx, _random_monomial_ideal(ctx, rng)) for _ in range(3)]
+        if ctx is not semigroup:
+            mods += [cyclic_module(ctx, _random_ideal(ctx, rng)) for _ in range(2)]
+            mods += [_random_rank2_module(ctx, rng) for _ in range(2)]
+        for M in mods:
+            for i in range(4):
+                z = homalg.ext_vanishes(i, M, K)
+                assert z == ext(i, M, K).is_zero()
+                # the answer was decided over S
+                assert (restrict_scalars(M), ("ext_vanishes", i + c, free_module(S, 1))) in S._cache
+                outcomes.add(z)
+        assert outcomes == {True, False}
+
+
+def test_semidualizing_canonical_module_stays_off_the_ring_resolution(monkeypatch):
+    """Certifying Ext^i(K, K) = 0 for the canonical K of the semigroup ring
+    builds no image engine over R and resolves K over R to length at most
+    1, where the ring route resolves K to length i + 1."""
+    from liaison.linkage import canonical_module, is_semidualizing
+
+    R = make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                  weights=[3, 4, 5])
+    K = canonical_module(R)
+    engines, lengths = [], []
+    real_engine, real_resolution = homalg._image_engine, homalg.free_resolution
+
+    def counting_engine(functor, k, M, N, res):
+        if M.ctx is R:
+            engines.append((functor, k))
+        return real_engine(functor, k, M, N, res)
+
+    def counting_resolution(M, length):
+        if M == K:
+            lengths.append(length)
+        return real_resolution(M, length)
+
+    monkeypatch.setattr(homalg, "_image_engine", counting_engine)
+    monkeypatch.setattr(homalg, "free_resolution", counting_resolution)
+    assert is_semidualizing(K, 5).verdict.holds()
+    assert engines == []
+    assert max(lengths, default=0) <= 1
+
+
 def test_vanishing_rejects_negative_index(F101xy):
     k = residue_field(F101xy)
     for f in (homalg.tor_vanishes, homalg.ext_vanishes):

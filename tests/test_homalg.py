@@ -476,13 +476,14 @@ def test_repeated_certificate_computes_each_tor_once(monkeypatch):
 # -- Ext and Tor vanishing from Hilbert series -----------------------------------
 
 
-def _random_ideal(ctx, rng):
-    """One to three homogeneous binomials or monomials in x, y, z."""
+def _random_ideal(ctx, rng, max_terms=2):
+    """One to three homogeneous binomials or monomials in x, y, z; with
+    max_terms=1, monomials, homogeneous under any weights."""
     gens = []
     for _ in range(rng.randint(1, 3)):
         d = rng.randint(1, 3)
         terms = []
-        for _ in range(rng.randint(1, 2)):
+        for _ in range(rng.randint(1, max_terms)):
             e = [0, 0, 0]
             for _ in range(d):
                 e[rng.randrange(3)] += 1
@@ -600,20 +601,9 @@ def test_vanishing_over_the_semigroup_ring(semigroup345):
         assert homalg.ext_vanishes(i, K, K) and ext(i, K, K).is_zero()
 
 
-def _random_monomial_ideal(ctx, rng):
-    """One to three monomials in x, y, z, homogeneous under any weights."""
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        e = [0, 0, 0]
-        for _ in range(rng.randint(1, 3)):
-            e[rng.randrange(3)] += 1
-        gens.append(ctx.monomial(e))
-    return gens
-
-
 def test_canonical_ext_vanishing_matches_the_ring_route():
     """Into the canonical module K of a CM quotient R = S/J, ext_vanishes
-    answers over S (Ext^i_R(M, K) = Ext^{i+c}_S(M, w_S)); each answer is
+    answers over S (Ext^i_R(M, K) = Ext^{i+c}_S(M, ω_S)); each answer is
     checked against Ext^i_R(M, K) built over R."""
     from liaison.linkage import canonical_module
     from liaison.modules import ring_dim
@@ -630,7 +620,7 @@ def test_canonical_ext_vanishing_matches_the_ring_route():
         S = ctx.ambient()
         c = S.m - ring_dim(ctx)
         mods = [residue_field(ctx)]
-        mods += [cyclic_module(ctx, _random_monomial_ideal(ctx, rng)) for _ in range(3)]
+        mods += [cyclic_module(ctx, _random_ideal(ctx, rng, 1)) for _ in range(3)]
         if ctx is not semigroup:
             mods += [cyclic_module(ctx, _random_ideal(ctx, rng)) for _ in range(2)]
             mods += [_random_rank2_module(ctx, rng) for _ in range(2)]

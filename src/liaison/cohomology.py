@@ -3,27 +3,36 @@
 No Cech complexes: the Hilbert function of H^i_m(M) at degree j is read off
 as HF of Ext^{m-i}_S(M, S) at -j-w, where w is the sum of the variable
 weights (the ambient canonical twist).  Restriction of scalars makes this
-valid for modules over quotient rings as well.
+valid for modules over quotient rings as well.  Every Ext here is read as
+numbers only, so it comes from ``homalg.ext_hilbert`` or ``ext_vanishes``
+and no Ext module is built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from . import homalg, modules, verdict
+from . import modules, verdict
 from .errors import InternalConsistencyError, InvalidInput, ZeroDimensional
-from .homalg import ext, residue_field, restrict_scalars, transpose
+from .groebner import HilbertData
+from .homalg import (
+    ext_hilbert,
+    ext_vanishes,
+    residue_field,
+    restrict_scalars,
+    transpose,
+)
 from .modules import free_module, invariants, transport
 
 
 def _dual_ext(M, i):
-    """Ext^{m-i}_S(M, S): the graded dual of H^i_m(M)."""
+    """Hilbert data of Ext^{m-i}_S(M, S), the graded dual of H^i_m(M)."""
     MS = restrict_scalars(M)
     amb = MS.ctx
     j = amb.m - i
     if j < 0:
-        return homalg.zero_module(amb)
-    return ext(j, MS, free_module(amb, 1))
+        return HilbertData(amb, {})
+    return ext_hilbert(j, MS, free_module(amb, 1))
 
 
 class LocalCohomologyHF(
@@ -48,7 +57,7 @@ def local_cohomology_hf(M, i, window):
     wsum = sum(M.ctx.weights)
     lo, hi = window
     table = {j: E.hf(-j - wsum) for j in range(lo, hi + 1)}
-    finite = E.is_zero() or E.dim() <= 0
+    finite = E.dim <= 0
     return LocalCohomologyHF(M, i, table, finite)
 
 
@@ -82,7 +91,7 @@ def serre_st_proxy(M, K, t):
         raise InvalidInput("the torsionfreeness level t must be at least 1")
     Tr, _ = transpose(M, K)
     for i in range(1, t + 1):
-        if not ext(i, Tr, K).is_zero():
+        if not ext_vanishes(i, Tr, K):
             return verdict.fails(witness=f"Ext^{i}(Tr M, K) != 0")
     return verdict.holds(detail=f"torsionfree to level {t}")
 
@@ -93,8 +102,7 @@ def is_generalized_cm(M):
     if rep.dim is None or rep.dim < 1:
         raise ZeroDimensional("generalized CM is about positive dimension")
     for i in range(rep.dim):
-        E = _dual_ext(M, i)
-        if not E.is_zero() and E.dim() > 0:
+        if _dual_ext(M, i).dim > 0:
             return False
     return True
 
@@ -105,11 +113,10 @@ def bass_numbers(M, upto):
     k = residue_field(ctx)
     out = []
     for i in range(upto + 1):
-        E = ext(i, k, M)
-        if E.is_zero():
+        data = ext_hilbert(i, k, M)
+        if data.is_zero():
             out.append(0)
             continue
-        data = E.hilbert()
         if data.dim > 0:
             raise InternalConsistencyError("Bass-number Ext has positive dimension")
         out.append(data.total_length())
@@ -202,7 +209,7 @@ def torsionfree_duality_check(M, K, t, window):
     lo, hi = window
     for i in range(t):
         lhs = local_cohomology_hf(M, i, window)
-        E = ext(i + 1, Tr, K)
+        E = ext_hilbert(i + 1, Tr, K)
         for j in range(lo, hi + 1):
             if lhs.hf[j] != E.hf(j):
                 return verdict.fails(witness=f"index {i}, degree {j}")

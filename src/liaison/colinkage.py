@@ -232,7 +232,7 @@ def cohom_dual(M, K, n):
 
 
 def codual_obstructions(M, K, n):
-    """Kernel/cokernel of the D^n-side comparison map.
+    """Hilbert data of the kernel/cokernel of the D^n-side comparison map.
 
     Requires the evaluation map nu to be an isomorphism, under which the
     comparison agrees with the Ext-side one; delegates accordingly.

@@ -34,6 +34,7 @@ from .errors import (
     DegreeOverflow,
     InhomogeneousInput,
     InternalConsistencyError,
+    InvalidInput,
     RingMismatch,
 )
 from .ring import _LIMIT, Poly, _memo, mono_divides, mono_exponents, mono_lcm
@@ -103,7 +104,7 @@ class ModuleGB:
 
     def __init__(self, ctx, rank, shifts, track=0, track_shifts=()):
         if len(shifts) != rank or len(track_shifts) != track:
-            raise ValueError("shift data does not match rank/track")
+            raise InvalidInput("shift data does not match rank/track")
         self.ctx = ctx
         self.rank = rank
         self.track = track
@@ -372,7 +373,7 @@ class ModuleGB:
     def reduce_with_certificate(self, vec):
         """Return (remainder, coeffs) with vec = sum(coeffs*tracked) + rem."""
         if not self.track:
-            raise ValueError("certificates require a tracked engine")
+            raise InvalidInput("certificates require a tracked engine")
         data = self._normal_form(_to_internal(vec))
         rem = self._polys(data, 0, self.rank)
         p = self.ctx.p
@@ -645,6 +646,9 @@ class HilbertData:
         self._reduced = red
         self._drops = drops
 
+    def is_zero(self):
+        return not self.numerator
+
     @property
     def dim(self):
         if not self.numerator:
@@ -679,7 +683,7 @@ class HilbertData:
         if not self.numerator:
             return 0
         if self.dim != 0:
-            raise ValueError("total_length needs a finite-length module")
+            raise InvalidInput("total_length needs a finite-length module")
         return self.degree
 
 

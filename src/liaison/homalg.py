@@ -10,7 +10,10 @@ operation takes the finite length it needs and records the truncation.
 without building it: the homology's Hilbert series is that of the middle
 term less those of the incoming and outgoing images, each image's from the
 lead terms of an untracked Groebner basis.  Over positive weights a graded
-module is zero exactly when its Hilbert series is.
+module is zero exactly when its Hilbert series is.  ``ext_hilbert`` returns
+that series as HilbertData, for the callers that read Ext only as numbers:
+depth, Bass numbers, local cohomology, the bidual obstructions and the
+depth-formula, even-liaison, grade and horizontal-linkage checks.
 
 That basis comes from ``_image_engine``, which builds no direct sum or map:
 it seeds an engine with block copies of N's reduced relation basis, one per
@@ -49,7 +52,7 @@ from .errors import (
     RegularSequenceNotFound,
     RingMismatch,
 )
-from .groebner import _add_series, vec_degree, vec_is_zero
+from .groebner import HilbertData, _add_series, vec_degree, vec_is_zero
 from .ring import _memo, _memoized, make_ring, render_poly
 from .modules import (
     GradedModule,
@@ -294,21 +297,36 @@ def ext_vanishes(i, M, N):
     return _memo(M, ("ext_vanishes", i, N), lambda: _vanishes("ext", i, M, N))
 
 
+def ext_hilbert(i, M, N):
+    """The HilbertData of Ext^i_R(M, N), without building the module."""
+    if i < 0:
+        raise InvalidInput(f"Ext index must be at least 0, got {i}")
+    return _memo(
+        M, ("ext_hilbert", i, N), lambda: HilbertData(M.ctx, _series("ext", i, M, N))
+    )
+
+
 def _vanishes(functor, i, M, N):
-    """Homology at the middle of B_in -> B -> B_out of the tensor ("tor") or
-    dual ("ext") complex of F(M) with N, where B = F_i (x) N or Hom(F_i, N):
-    HS(H) = HS(B) - HS(image in B) - HS(image in B_out), and a graded module
-    over positive weights is zero exactly when its Hilbert series is."""
-    if M.is_zero() or N.is_zero():
-        return True
+    """Whether the homology is zero: over positive weights a graded module
+    is zero exactly when its Hilbert series is."""
     if functor == "ext" and N == _memoized(N.ctx, "canonical_module"):
         # Ext^i_R(M, ω_R) = Ext^{i+c}_S(M, ω_S), c = codim R (module docstring)
         MS = restrict_scalars(M)
         c = MS.ctx.m - ring_dim(N.ctx)
         return ext_vanishes(i + c, MS, free_module(MS.ctx, 1))
+    return not _series(functor, i, M, N)
+
+
+def _series(functor, i, M, N):
+    """Hilbert numerator of the homology at the middle of B_in -> B -> B_out
+    of the tensor ("tor") or dual ("ext") complex of F(M) with N, where
+    B = F_i (x) N or Hom(F_i, N): HS(B) - HS(image in B) - HS(image in
+    B_out)."""
+    if M.is_zero() or N.is_zero():
+        return {}
     res = free_resolution(M, i + 1)
     if not res.rank(i):
-        return True
+        return {}
     series = {}
     hs_n = N.hilbert().numerator
     # the middle term is the source of the map out of it: Hom(d_{i+1}, N)
@@ -318,7 +336,7 @@ def _vanishes(functor, i, M, N):
     # the Tor differential d_k (x) N lands in level k - 1, Hom(d_k, N) in level k
     for k in (i, i + 1):
         _add_series(series, _image_series(functor, k, M, N, res), sign=-1)
-    return not series
+    return series
 
 
 def _image_series(functor, k, M, N, res):
@@ -487,7 +505,8 @@ def transpose(M, K):
 
 
 def bidual_obstructions(M, K, n, route="auto"):
-    """Kernel and cokernel of the comparison M -> Ext^n(Ext^n(M,K),K).
+    """Hilbert data of the kernel and cokernel of the comparison
+    M -> Ext^n(Ext^n(M,K),K), from ``ext_hilbert``.
 
     The direct formula is the pair (Ext^{n+1}, Ext^{n+2}) of the transpose
     of the n-th syzygy; E1 = 0 iff the comparison is injective, and both
@@ -498,14 +517,12 @@ def bidual_obstructions(M, K, n, route="auto"):
     Both routes compute the same graded vector spaces.
     """
     Tr, KK, j = _obstruction_transpose(M, K, n, route)
-    if Tr.is_zero():
-        return zero_module(Tr.ctx), zero_module(Tr.ctx)
-    return ext(j, Tr, KK), ext(j + 1, Tr, KK)
+    return ext_hilbert(j, Tr, KK), ext_hilbert(j + 1, Tr, KK)
 
 
 def kernel_obstruction_vanishes(M, K, n):
     """Whether ``bidual_obstructions(M, K, n)[0]`` is zero, decided by
-    ``ext_vanishes`` without building either obstruction."""
+    ``ext_vanishes`` alone (over S when K' is the canonical module)."""
     Tr, KK, j = _obstruction_transpose(M, K, n, "auto")
     return Tr.is_zero() or ext_vanishes(j, Tr, KK)
 
@@ -607,9 +624,10 @@ def regular_sequence_in_ideal(ctx, i_gens, n, max_scale=3):
 
 
 def depth(M):
-    """depth(M) = min{i : Ext^i_S(k, M_S) != 0}; independent of the S-free
-    resolution route used for pd, which makes Auslander-Buchsbaum a real
-    cross-check."""
+    """depth(M) = min{i : Ext^i_S(k, M_S) != 0}, each index decided by
+    ``ext_vanishes``.  That resolves k, not M_S, so it stays independent of
+    the S-free resolution route used for pd, which makes Auslander-Buchsbaum
+    a real cross-check."""
     return _memo(M, "depth", lambda: _depth(M))
 
 
@@ -618,7 +636,7 @@ def _depth(M):
     amb = MS.ctx
     k = residue_field(amb)
     for i in range(amb.m + 1):
-        if not ext(i, k, MS).is_zero():
+        if not ext_vanishes(i, k, MS):
             return i
     raise InternalConsistencyError("depth exceeded the number of variables")
 

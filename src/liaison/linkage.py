@@ -29,6 +29,7 @@ from .errors import (
 from .homalg import (
     bidual_obstructions,
     ext,
+    ext_hilbert,
     ext_vanishes,
     free_resolution,
     kernel_obstruction_vanishes,
@@ -417,7 +418,7 @@ def is_horizontally_linked(M):
     """Stable with vanishing Ext^1 of the transpose against R."""
     R1 = free_module(M.ctx, 1)
     Tr, _ = transpose(M, R1)
-    return is_stable(M) and ext(1, Tr, R1).is_zero()
+    return is_stable(M) and ext_vanishes(1, Tr, R1)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +492,8 @@ def liaison_walk(epis, window=(-6, 6)):
         hi_ext_equal = True
         ctx = start.ctx
         for i in range(n + 1, ctx.m + 2):
-            A = ext(i, start, K)
-            B = ext(i, end, K)
+            A = ext_hilbert(i, start, K)
+            B = ext_hilbert(i, end, K)
             if any(
                 A.hf(d) != B.hf(d) for d in range(window[0], window[1] + 1)
             ):
@@ -551,7 +552,7 @@ def depth_formula_check(e):
     # the K-Gorenstein dimension: top nonvanishing Ext index
     top = None
     for i in range(e.phi.source.ctx.m + 1, e.n - 1, -1):
-        if not ext(i, M, K).is_zero():
+        if not ext_vanishes(i, M, K):
             top = i
             break
     if top is None:
@@ -559,7 +560,7 @@ def depth_formula_check(e):
     for i in range(e.n, top + 1):
         if i in (e.n, top):
             continue
-        if not ext(i, M, K).is_zero():
+        if not ext_vanishes(i, M, K):
             return verdict.fails(
                 witness=f"Ext^{i}(M,K) != 0: module is not reduced-perfect"
             )

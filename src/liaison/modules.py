@@ -20,6 +20,7 @@ from .errors import (
     IllDefinedMap,
     InhomogeneousInput,
     InternalConsistencyError,
+    InvalidInput,
     RingMismatch,
 )
 from .groebner import vec_degree, vec_is_zero
@@ -119,7 +120,7 @@ class GradedModule:
             list(self.gens), [vec], self.ctx, self.rank, self.shifts, extra=self.rels
         )
         if sol is None:
-            raise ValueError("vector does not lie in the module")
+            raise InvalidInput("vector does not lie in the module")
         return sol[0]
 
     def column_relations(self):
@@ -181,7 +182,7 @@ def _validated_columns(ctx, cols, rank, shifts, drop_zero=False):
     for col in cols:
         col = tuple(ctx.lift_poly(f) for f in col)
         if len(col) != rank:
-            raise ValueError("column length does not match ambient rank")
+            raise InvalidInput("column length does not match ambient rank")
         vec_degree(col, shifts)  # raises InhomogeneousInput on bad input
         if drop_zero and vec_is_zero(col):
             continue
@@ -667,7 +668,7 @@ def _grade(M):
 
     R1 = ring_module(ctx)
     for i in range(ring_dim(ctx) + 1):
-        if not homalg.ext(i, M, R1).is_zero():
+        if not homalg.ext_vanishes(i, M, R1):
             return i
     raise InternalConsistencyError("grade exceeded dim R on a nonzero module")
 

@@ -25,6 +25,7 @@ import re
 from .errors import (
     DegreeOverflow,
     InhomogeneousInput,
+    InvalidInput,
     LengthMismatch,
     NonPrimeCharacteristic,
     RingMismatch,
@@ -383,7 +384,7 @@ def arith(op, a, b):
         return a * b
     if op == "scalar":
         return a.scale(b) if isinstance(b, int) else b.scale(a)
-    raise ValueError(f"unknown arithmetic op {op!r}")
+    raise InvalidInput(f"unknown arithmetic op {op!r}")
 
 
 # ---------------------------------------------------------------------------

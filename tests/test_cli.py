@@ -12,6 +12,7 @@ import liaison
 from liaison import homalg
 from liaison.cli import _ARG_KINDS, GALLERIES, HANDLERS, gallery, main, parse_spec, run
 from liaison.errors import (
+    InvalidInput,
     NonCMForCanonical,
     SpecSyntaxError,
     UnknownGallery,
@@ -182,6 +183,47 @@ def test_malformed_values_exit_two(tmp_path, capsys, text, flags, bad_line):
     assert err.startswith("parse error")
     if bad_line is not None:
         assert f"line {text.splitlines().index(bad_line) + 1}:" in err
+
+
+def _misuse_cases():
+    from liaison import groebner, ring
+    from liaison.modules import free_module, subquotient
+
+    ctx = ring.make_ring(101, ["x", "y"])
+    x, y = ring.parse_poly(ctx, "x"), ring.parse_poly(ctx, "y")
+    return {
+        "engine shifts": lambda: groebner.ModuleGB(ctx, 2, (0,)),
+        "untracked certificate": lambda: groebner.ModuleGB(ctx, 1, (0,))
+        .reduce_with_certificate((x,)),
+        "total_length": lambda: free_module(ctx, 1).hilbert().total_length(),
+        "express_in_gens": lambda: subquotient(ctx, [(x,)], []).express_in_gens((y,)),
+        "column length": lambda: subquotient(ctx, [(x, y)], [], (0,), 1),
+        "arith op": lambda: ring.arith("div", x, y),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_misuse_cases()))
+def test_library_misuse_raises_invalid_input(case):
+    # InvalidInput is also a ValueError, so older callers still catch it
+    with pytest.raises(InvalidInput):
+        _misuse_cases()[case]()
+
+
+def test_value_errors_stay_in_the_spec_parsers():
+    """Outside ring.py's polynomial literal and ring parsers, which
+    parse_spec turns into exit 2, bad arguments raise InvalidInput."""
+    src = pathlib.Path(liaison.__file__).resolve().parent
+    allowed = {("ring.py", "parse_poly"), ("ring.py", "make_ring")}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        func = None
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            m = re.match(r"\s*(?:def|class) (\w+)", line)
+            if m:
+                func = m.group(1)
+            if "raise ValueError" in line and (path.name, func) not in allowed:
+                found.append(f"{path.name}:{lineno} in {func}")
+    assert found == []
 
 
 def test_readme_lists_every_operation():

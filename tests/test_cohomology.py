@@ -230,3 +230,48 @@ def test_weighted_local_duality_matches_semigroup_combinatorics(semigroup345):
     assert grothendieck_band_check(R1).holds()
     # H^0 vanishes identically for the domain
     assert local_cohomology_hf(R1, 0, (-6, 8)).is_zero_on_window()
+
+
+def test_numbers_read_from_ext_build_no_ext_module(monkeypatch):
+    """depth, Bass numbers, local cohomology and the bidual obstructions of
+    a link read Ext only as numbers, so none of them builds an Ext module.
+    The rings are made here, so no earlier test has filled their caches."""
+    from liaison import homalg
+    from liaison.linkage import link_operator, natural_cyclic_epi, reflexive_epi
+    from liaison.ring import make_ring
+
+    S = make_ring(101, ["x", "y", "z"])
+    semigroup = make_ring(101, ["x", "y", "z"],
+                          ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                          weights=[3, 4, 5])
+    M = cyclic_module(S, [P(S, "x*y"), P(S, "x*z")])
+    # the skew lines over their complete intersection: both obstructions
+    # come from a nonzero transpose
+    T = make_ring(101, ["x", "y", "z", "w"])
+    K = free_module(T, 1)
+    skew = [P(T, s) for s in SKEW]
+    e = reflexive_epi(
+        natural_cyclic_epi(T, skew, [P(T, s) for s in SKEW_CI]), K, "Pn"
+    )
+    # the induced map Ext^n(M, K) -> Ext^n(X, K) uses both Ext as modules,
+    # and so does the transpose over R/(x), through K's image Ext^n(R/(x), K)
+    homalg.ext(e.n, e.phi.source, K)
+    homalg.ext(e.n, e.phi.target, K)
+    homalg._obstruction_transpose(e.phi.target, K, e.n, "auto")
+    calls = []
+    real_homology = homalg._homology
+
+    def counting_homology(functor, i, A, B):
+        calls.append((functor, i))
+        return real_homology(functor, i, A, B)
+
+    monkeypatch.setattr(homalg, "_homology", counting_homology)
+    for label, work in (
+        ("depth", lambda: homalg.depth(M)),
+        ("bass_numbers", lambda: bass_numbers(free_module(semigroup, 1), 2)),
+        ("local_cohomology_hf", lambda: local_cohomology_hf(M, 1, (-3, 3))),
+        ("link_operator", lambda: link_operator(e)),
+    ):
+        calls.clear()
+        work()
+        assert calls == [], label

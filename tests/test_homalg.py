@@ -663,9 +663,39 @@ def test_semidualizing_canonical_module_stays_off_the_ring_resolution(monkeypatc
     assert max(lengths, default=0) <= 1
 
 
+def test_ext_hilbert_matches_the_built_module():
+    """ext_hilbert reads Ext^i's Hilbert series off the three-term complex;
+    it equals the series of Ext^i built as a module, for N in {R, K, k, M}
+    and both zero and nonzero Ext on each ring."""
+    from liaison.linkage import canonical_module
+
+    rng = random.Random(20261102)
+    poly = make_ring(101, ["x", "y", "z"])
+    cone = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])
+    semigroup = make_ring(101, ["x", "y", "z"],
+                          ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                          weights=[3, 4, 5])
+    for ctx in (poly, cone, semigroup):
+        outcomes = set()
+        k = residue_field(ctx)
+        targets = [free_module(ctx, 1), canonical_module(ctx), k]
+        mods = [k] + [cyclic_module(ctx, _random_ideal(ctx, rng, 1)) for _ in range(2)]
+        if ctx is not semigroup:
+            mods += [cyclic_module(ctx, _random_ideal(ctx, rng)),
+                     _random_rank2_module(ctx, rng)]
+        for M in mods:
+            for N in targets + [M]:
+                for i in range(4):
+                    got = homalg.ext_hilbert(i, M, N)
+                    assert got.numerator == ext(i, M, N).hilbert().numerator
+                    assert got.is_zero() == homalg.ext_vanishes(i, M, N)
+                    outcomes.add(got.is_zero())
+        assert outcomes == {True, False}
+
+
 def test_vanishing_rejects_negative_index(F101xy):
     k = residue_field(F101xy)
-    for f in (homalg.tor_vanishes, homalg.ext_vanishes):
+    for f in (homalg.tor_vanishes, homalg.ext_vanishes, homalg.ext_hilbert):
         with pytest.raises(InvalidInput):
             f(-1, k, k)
 

@@ -37,7 +37,7 @@ from .errors import (
     InvalidInput,
     RingMismatch,
 )
-from .ring import _LIMIT, Poly, _memo, mono_divides, mono_exponents, mono_lcm
+from .ring import _LIMIT, Poly, _memo, _memoized, mono_divides, mono_exponents, mono_lcm
 
 # ---------------------------------------------------------------------------
 # vectors: tuples of Poly at the API surface; inside, dicts mapping a position
@@ -387,9 +387,6 @@ class ModuleGB:
     def contains(self, vec):
         return vec_is_zero(self.normal_form(vec))
 
-    def lead_terms(self):
-        return list(self.leads)
-
     def syzygy_vectors(self):
         return [self._polys(sy, self.rank, self.total) for sy in self.syzygies]
 
@@ -420,12 +417,6 @@ def reduced_ideal_gb(ctx, polys):
     cols = [(f,) for f in polys if f]
     eng = buchberger(cols, ctx, 1)
     return [v[0] for v in eng.vectors()]
-
-
-def normal_form(vec, gb):
-    if not gb.reduced:
-        gb.interreduce()
-    return gb.normal_form(vec)
 
 
 def tracked_engine(ctx, columns, rank, shifts, extra=()):
@@ -563,13 +554,20 @@ def _minimalize(gens):
     return out
 
 
-def _kpoly(gens, weights, memo):
+def _kpoly(gens, ctx):
     """Numerator of the Hilbert series of S/(monomial ideal) over the full
-    denominator prod(1 - t^w_i); gens are exponent tuples, assumed minimal."""
-    key = frozenset(gens)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    denominator prod(1 - t^w_i); gens are exponent tuples, assumed minimal.
+
+    Pure powers give it directly; otherwise split on a variable v,
+    HS(S/I) = HS(S/(I + v)) + t^w_v HS(S/(I : v)).  Memoized per ring under
+    the set of gens, looked up first and stored last, so that the split,
+    whose depth grows with the exponents, takes one stack frame a level.
+    """
+    key = ("kpoly", frozenset(gens))
+    res = _memoized(ctx, key)
+    if res is not None:
+        return res
+    weights = ctx.weights
     if not gens:
         res = {0: 1}
     elif any(sum(g) == 0 for g in gens):
@@ -594,10 +592,9 @@ def _kpoly(gens, weights, memo):
             col = _minimalize(
                 [tuple(max(e - p, 0) for e, p in zip(g, piv)) for g in gens]
             )
-            res = dict(_kpoly(tuple(plus), weights, memo))
-            _add_series(res, _kpoly(tuple(col), weights, memo), weights[v])
-    memo[key] = res
-    return res
+            res = dict(_kpoly(tuple(plus), ctx))
+            _add_series(res, _kpoly(tuple(col), ctx), weights[v])
+    return _memo(ctx, key, lambda: res)
 
 
 def _add_series(acc, num, shift=0, sign=1):
@@ -672,8 +669,7 @@ class HilbertData:
         return Fraction(total, wprod)
 
     def hf(self, d):
-        table = _ambient_hf(self.ctx)
-        return sum(c * table(d - j) for j, c in self.numerator.items())
+        return sum(c * _ambient_hf(self.ctx, d - j) for j, c in self.numerator.items())
 
     def hf_window(self, lo, hi):
         return {d: self.hf(d) for d in range(lo, hi + 1)}
@@ -687,25 +683,16 @@ class HilbertData:
         return self.degree
 
 
-def _ambient_hf(ctx):
-    """Hilbert function of the ambient weighted polynomial ring, memoized."""
-    cache = _memo(ctx, "ambient_hf", lambda: {0: 1})
-
-    def table(d):
-        if d < 0:
-            return 0
-        known = max(cache)
-        while known < d:
-            known += 1
-            # DP over variables would need 2d storage; recompute via partial
-            # sums per weight instead: coefficient of t^known in the product.
-            cache[known] = _hf_value(ctx, known)
-        return cache[d]
-
-    return table
+def _ambient_hf(ctx, d):
+    """Hilbert function of the ambient weighted polynomial ring at d,
+    memoized per ring and degree."""
+    if d < 0:
+        return 0
+    return _memo(ctx, ("ambient_hf", d), lambda: _hf_value(ctx, d))
 
 
 def _hf_value(ctx, d):
+    """The coefficient of t^d in prod 1/(1 - t^w_i)."""
     series = [0] * (d + 1)
     series[0] = 1
     for w in ctx.weights:
@@ -720,20 +707,12 @@ def leadterm_hilbert(gb, rank, shifts):
     ctx = gb.ctx
     m = ctx.m
     per_pos = {pos: [] for pos in range(rank)}
-    for pos, mono in gb.lead_terms():
+    for pos, mono in gb.leads:
         per_pos[pos].append(mono_exponents(mono, m))
-    memo = _memo(ctx, "kpoly_memo", dict)
     num = {}
     for pos in range(rank):
-        kp = _kpoly(tuple(_minimalize(per_pos[pos])), ctx.weights, memo)
-        _add_series(num, kp, shifts[pos])
+        _add_series(num, _kpoly(tuple(_minimalize(per_pos[pos])), ctx), shifts[pos])
     return HilbertData(ctx, num)
-
-
-def hilbert(gb, rank=1, shifts=None):
-    """Hilbert data of the quotient by a reduced basis."""
-    shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    return leadterm_hilbert(gb, rank, shifts)
 
 
 # ---------------------------------------------------------------------------

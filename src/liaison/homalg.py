@@ -5,6 +5,9 @@ Resolutions are built by iterated syzygy computation with minimal generating
 sets at every step, so differentials land in the maximal ideal and Betti
 numbers read off directly.  Over R = S/J resolutions may be infinite; every
 operation takes the finite length it needs and records the truncation.
+Each length is its own immutable memo entry, one level longer than the
+entry below it, so what a length gives never depends on what was resolved
+before, and threads share resolutions without a lock.
 
 ``tor_vanishes`` and ``ext_vanishes`` answer whether Tor_i or Ext^i is zero
 without building it: the homology's Hilbert series is that of the middle
@@ -41,7 +44,8 @@ relations the image engine of the map into it, interreduced.
 from __future__ import annotations
 
 import math
-import threading
+from collections import namedtuple
+from functools import partial
 
 from . import groebner, modules
 from .errors import (
@@ -70,29 +74,23 @@ from .modules import (
     zero_module,
 )
 
-_res_lock = threading.Lock()
-
-
 # ---------------------------------------------------------------------------
 # resolutions
 
 
-class Resolution:
+class Resolution(namedtuple("Resolution", "kept level_shifts diffs complete")):
     """An initial segment of the minimal graded free resolution of a module.
 
     ``diffs[k]`` is the matrix of F_{k+1} -> F_k, stored as columns of
     coordinates over the basis of F_k; ``level_shifts[k]`` are the generator
     degrees of F_k.  ``kept`` indexes the minimal generators inside the
-    module's gens, giving the augmentation F_0 -> M.
+    module's gens, giving the augmentation F_0 -> M.  ``complete`` says that
+    some F_k with k at most the requested length was seen to be zero, so
+    the resolution stops there; it depends on the length asked for alone,
+    never on what was resolved before.  Every field is a tuple.
     """
 
-    __slots__ = ("kept", "level_shifts", "diffs", "complete")
-
-    def __init__(self, kept, level_shifts, diffs, complete):
-        self.kept = kept
-        self.level_shifts = level_shifts
-        self.diffs = diffs
-        self.complete = complete
+    __slots__ = ()
 
     def rank(self, i):
         if i < 0 or i >= len(self.level_shifts):
@@ -114,54 +112,53 @@ class Resolution:
 
 
 def free_resolution(M, length):
-    """Minimal free resolution of M to the requested length (cached)."""
+    """Minimal free resolution of M to the requested length (cached).
+
+    Each length has its own memo entry, built by ``_next_level`` from the
+    entry one level shorter; past the first complete entry every length
+    gets that entry.
+    """
     if length < 0:
         raise InvalidInput(f"resolution length must be at least 0, got {length}")
-    with _res_lock:
-        state = _memo(M, "res", lambda: _resolution_start(M))
-        ctx = M.ctx
-        while not state["complete"] and len(state["cols"]) <= length:
-            k = len(state["cols"])
-            if k == 1:
-                target_rank, target_shifts = M.rank, M.shifts
-                extra = M.rels
-            else:
-                target_rank = len(state["shifts"][k - 2])
-                target_shifts = state["shifts"][k - 2]
-                extra = ()
-            cols = state["cols"][k - 1]
-            syz = groebner.syzygies(cols, ctx, target_rank, target_shifts, extra=extra)
-            if not syz:
-                state["complete"] = True
-                break
-            shifts_k = tuple(vec_degree(u, state["shifts"][k - 1]) for u in syz)
-            for u in syz:
-                for entry in u:
-                    if entry and entry.degree() == 0:
-                        raise InternalConsistencyError(
-                            "non-minimal differential: unit entry survived"
-                        )
-            state["cols"].append(syz)
-            state["shifts"].append(shifts_k)
-        level_shifts = list(state["shifts"][: length + 1])
-        diffs = [state["cols"][k] for k in range(1, min(len(state["cols"]), length + 1))]
-        complete = state["complete"] and len(state["cols"]) <= length + 1
-        return Resolution(state["kept"], level_shifts, diffs, complete)
+    res = _memo(M, ("res", 0), lambda: _resolution_start(M))
+    for k in range(1, length + 1):
+        if res.complete:
+            break
+        res = _memo(M, ("res", k), partial(_next_level, M, res))
+    return res
 
 
 def _resolution_start(M):
-    """Level 0 of the incremental resolution state: F_0 -> M."""
-    kept = groebner.minimal_generator_indices(
+    """Level 0: the minimal generators of M, F_0 -> M."""
+    kept = tuple(groebner.minimal_generator_indices(
         list(M.gens), M.ctx, M.rank, M.shifts, M.rels_gb().basis
-    )
-    f0 = [M.gens[i] for i in kept]
+    ))
     degs = M.gen_degrees()
-    return {
-        "kept": kept,
-        "cols": [f0],  # cols[k] = columns of d_k inside F_{k-1}; cols[0] = F_0 in ambient
-        "shifts": [tuple(degs[i] for i in kept)],
-        "complete": not f0,
-    }
+    return Resolution(kept, (tuple(degs[i] for i in kept),), (), not kept)
+
+
+def _next_level(M, prev):
+    """The resolution one level longer than ``prev``, which is incomplete:
+    the minimal syzygies of its last differential (of F_0 -> M at level 1)."""
+    if len(prev.level_shifts) == 1:
+        cols = [M.gens[i] for i in prev.kept]
+        rank, shifts, extra = M.rank, M.shifts, M.rels
+    else:
+        cols, shifts, extra = prev.diffs[-1], prev.level_shifts[-2], ()
+        rank = len(shifts)
+    syz = groebner.syzygies(cols, M.ctx, rank, shifts, extra=extra)
+    if not syz:
+        return prev._replace(complete=True)
+    for u in syz:
+        for entry in u:
+            if entry and entry.degree() == 0:
+                raise InternalConsistencyError(
+                    "non-minimal differential: unit entry survived"
+                )
+    shifts_k = tuple(vec_degree(u, prev.level_shifts[-1]) for u in syz)
+    return prev._replace(
+        level_shifts=prev.level_shifts + (shifts_k,), diffs=prev.diffs + (tuple(syz),)
+    )
 
 
 def restrict_scalars(M):
@@ -504,19 +501,20 @@ def transpose(M, K):
     return Tr, lam
 
 
-def bidual_obstructions(M, K, n, route="auto"):
+def bidual_obstructions(M, K, n):
     """Hilbert data of the kernel and cokernel of the comparison
     M -> Ext^n(Ext^n(M,K),K), from ``ext_hilbert``.
 
     The direct formula is the pair (Ext^{n+1}, Ext^{n+2}) of the transpose
     of the n-th syzygy; E1 = 0 iff the comparison is injective, and both
-    vanish iff it is an isomorphism.  For n > 0 the default route mods out a
-    regular sequence of length n from the annihilator first, which turns the
-    pair into (Ext^1, Ext^2) over the smaller ring and keeps resolution
-    lengths (and hence Betti growth over Golod-like quotients) bounded.
-    Both routes compute the same graded vector spaces.
+    vanish iff it is an isomorphism.  For n > 0 it mods out a regular
+    sequence of length n from the annihilator first (the quotient route of
+    ``_obstruction_transpose``), which turns the pair into (Ext^1, Ext^2)
+    over the smaller ring and keeps resolution lengths (and hence Betti
+    growth over Golod-like quotients) bounded.  Both routes compute the
+    same graded vector spaces.
     """
-    Tr, KK, j = _obstruction_transpose(M, K, n, route)
+    Tr, KK, j = _obstruction_transpose(M, K, n, "auto")
     return ext_hilbert(j, Tr, KK), ext_hilbert(j + 1, Tr, KK)
 
 
@@ -570,11 +568,14 @@ def _transpose_over_quotient(M, K, n):
     return Tr, Kbar, 1
 
 
-def regular_sequence_in_ideal(ctx, i_gens, n, max_scale=3):
+_MAX_SCALE = 3
+
+
+def regular_sequence_in_ideal(ctx, i_gens, n):
     """Deterministic search for a regular sequence of length n inside I.
 
     Scalar combinations of the equal-degree generators are enumerated with
-    coefficients in {0, +-1, ..., +-s}, s escalating to max_scale; every
+    coefficients in {0, +-1, ..., +-s}, s escalating to _MAX_SCALE; every
     prefix is verified exactly via the grade.
     """
     import itertools
@@ -583,14 +584,14 @@ def regular_sequence_in_ideal(ctx, i_gens, n, max_scale=3):
         raise InvalidInput(f"regular sequence length must be at least 0, got {n}")
     i_gens = [ctx.lift_poly(f) for f in i_gens if f]
     if not i_gens or modules.grade(cyclic_module(ctx, i_gens)) < n:
-        raise RegularSequenceNotFound(f"ideal has grade below {n}", budget=max_scale)
+        raise RegularSequenceNotFound(f"ideal has grade below {n}", budget=_MAX_SCALE)
     by_degree = {}
     for f in i_gens:
         by_degree.setdefault(f.homogeneous_degree(), []).append(f)
     chosen = []
     for _ in range(n):
         found = None
-        for s in range(1, max_scale + 1):
+        for s in range(1, _MAX_SCALE + 1):
             coeffs = [0] + [c for k in range(1, s + 1) for c in (k, -k)]
             for d in sorted(by_degree):
                 basis = by_degree[d]
@@ -613,7 +614,7 @@ def regular_sequence_in_ideal(ctx, i_gens, n, max_scale=3):
         if not found:
             raise RegularSequenceNotFound(
                 f"no regular element found for slot {len(chosen) + 1}",
-                budget=max_scale,
+                budget=_MAX_SCALE,
             )
         chosen.append(found)
     return chosen

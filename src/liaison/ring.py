@@ -160,8 +160,11 @@ def _memo(obj, key, compute):
     The ring's ``_cache`` is the only cache: it holds the ring's entries
     under ``key`` and a module's under ``(module, key)``.  Modules compare
     by value, so equal modules share every entry; entries live as long as
-    the ring.  Racing threads may each compute the value; ``setdefault``
-    hands every one of them the first value stored, so callers never see two.
+    the ring.  Resolutions (one entry per length) and the Hilbert-series
+    tables are entries like any other.  A stored value is never changed
+    afterwards, so no lock is needed: racing threads may each compute the
+    value, and ``setdefault`` hands every one of them the first value
+    stored, so callers never see two.
     """
     if type(obj) is RingCtx:
         cache = obj._cache

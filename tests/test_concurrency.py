@@ -45,24 +45,50 @@ def summary(pairs):
     return out
 
 
+def resolutions(pairs, order):
+    """Betti numbers, completeness and generator degrees of each module's
+    resolution at every length, asked for in ``order``."""
+    out = {}
+    for index, (M, _) in enumerate(pairs):
+        for n in order:
+            res = free_resolution(M, n)
+            out[(index, n)] = (res.betti_numbers(), res.complete, res.level_shifts)
+    return out
+
+
 def test_shared_modules_across_threads():
     expected = summary(fresh_modules())
     for _ in range(ROUNDS):
-        run_round(expected)
+        shared = fresh_modules()
+        # half the threads start at the other module, so more first
+        # computations race
+        results = run_threads(
+            lambda k: summary(shared[::-1])[::-1] if k % 2 else summary(shared)
+        )
+        assert all(r == expected for r in results)
 
 
-def run_round(expected):
-    shared = fresh_modules()
+def test_resolution_lengths_across_threads():
+    # no lock guards the resolutions: each length is its own memo entry,
+    # built from the one below it, so every order of asking agrees
+    lengths = list(range(5))
+    expected = resolutions(fresh_modules(), lengths)
+    for _ in range(ROUNDS):
+        shared = fresh_modules()
+        results = run_threads(
+            lambda k: resolutions(shared, lengths[k % 5:] + lengths[:k % 5])
+        )
+        assert all(r == expected for r in results)
+
+
+def run_threads(task):
+    """[task(k) for k < THREADS], each call in a thread of its own, with
+    thread switches as frequent as the interpreter allows."""
     results, errors = [None] * THREADS, []
 
     def work(k):
         try:
-            # half the threads start at the other module, so more first
-            # computations race
-            if k % 2:
-                results[k] = summary(shared[::-1])[::-1]
-            else:
-                results[k] = summary(shared)
+            results[k] = task(k)
         except Exception as exc:  # reported below with the thread's index
             errors.append((k, exc))
 
@@ -78,4 +104,4 @@ def run_round(expected):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert all(r == expected for r in results)
+    return results

@@ -9,13 +9,11 @@ from liaison.groebner import (
     assert_buchberger,
     buchberger,
     colon,
-    hilbert,
     ideal_contains,
     ideal_intersection,
     leadterm_hilbert,
     lift_through,
     minimal_generator_indices,
-    normal_form,
     reduced_ideal_gb,
     syzygies,
     vec_degree,
@@ -93,26 +91,26 @@ def test_gb_quotient_ring_appends_defining(hypersurface):
 
 def test_nf_single_division_step(F101xy):
     gb = buchberger([(P(F101xy, "x^2 - y"),)], F101xy, 1)
-    assert normal_form((P(F101xy, "x^3"),), gb)[0] == P(F101xy, "x*y")
+    assert gb.normal_form((P(F101xy, "x^3"),))[0] == P(F101xy, "x*y")
 
 
 def test_nf_of_member_is_zero(F101xy):
     gens = [(P(F101xy, "x^2 - y^2"),), (P(F101xy, "x*y"),)]
     gb = buchberger(gens, F101xy, 1)
     for g in gens:
-        assert vec_is_zero(normal_form(g, gb))
+        assert vec_is_zero(gb.normal_form(g))
 
 
 def test_nf_unit_stays(F101xy):
     gb = buchberger([(P(F101xy, "x"),), (P(F101xy, "y"),)], F101xy, 1)
-    assert normal_form((F101xy.one(),), gb)[0] == F101xy.one()
+    assert gb.normal_form((F101xy.one(),))[0] == F101xy.one()
 
 
 def test_nf_idempotent(F101xy):
     gb = buchberger([(P(F101xy, "x^2 - y^2"),), (P(F101xy, "x*y"),)], F101xy, 1)
     v = (P(F101xy, "x^3 + y^3"),)
-    once = normal_form(v, gb)
-    assert normal_form(once, gb) == once
+    once = gb.normal_form(v)
+    assert gb.normal_form(once) == once
 
 
 @settings(max_examples=20, deadline=None)
@@ -122,8 +120,8 @@ def test_nf_additive_on_equal_degrees(seed, deg):
     gb = buchberger([(P(ctx, "x^2 - y^2"),), (P(ctx, "x*y"),)], ctx, 1)
     v = random_homogeneous(ctx, deg, seed)
     w = random_homogeneous(ctx, deg, seed + 7)
-    lhs = normal_form((v + w,), gb)[0]
-    rhs = normal_form((v,), gb)[0] + normal_form((w,), gb)[0]
+    lhs = gb.normal_form((v + w,))[0]
+    rhs = gb.normal_form((v,))[0] + gb.normal_form((w,))[0]
     assert lhs == rhs
 
 
@@ -231,28 +229,28 @@ def test_lift_two_columns(F101xy):
 
 def test_hilbert_full_plane(F101xy):
     gb = buchberger([], F101xy, 1)
-    data = hilbert(gb)
+    data = leadterm_hilbert(gb, 1, (0,))
     assert data.dim == 2
     assert [data.hf(j) for j in range(5)] == [1, 2, 3, 4, 5]
 
 
 def test_hilbert_twisted_cubic(F101xyzw, cubic_ideal):
     gb = buchberger([(g,) for g in cubic_ideal], F101xyzw, 1)
-    data = hilbert(gb)
+    data = leadterm_hilbert(gb, 1, (0,))
     assert data.dim == 2
     assert data.degree == 3
 
 
 def test_hilbert_degree_is_an_int_when_exact():
     R = make_ring(101, ["x", "y"], weights=[1, 2])
-    assert hilbert(buchberger([], R, 1)).degree == Fraction(1, 2)
-    whole = hilbert(buchberger([(P(R, "y"),)], R, 1)).degree
+    assert leadterm_hilbert(buchberger([], R, 1), 1, (0,)).degree == Fraction(1, 2)
+    whole = leadterm_hilbert(buchberger([(P(R, "y"),)], R, 1), 1, (0,)).degree
     assert whole == 1 and type(whole) is int
 
 
 def test_hilbert_point(F101xy):
     gb = buchberger([(P(F101xy, "x"),), (P(F101xy, "y"),)], F101xy, 1)
-    data = hilbert(gb)
+    data = leadterm_hilbert(gb, 1, (0,))
     assert data.dim == 0
     assert data.total_length() == 1
     assert [data.hf(j) for j in range(3)] == [1, 0, 0]
@@ -262,7 +260,7 @@ def test_hilbert_weighted_quotient(semigroup345):
     # R/(x) for the (t^3,t^4,t^5) curve: residues in degrees 0, 4, 5
     ctx = semigroup345
     gb = buchberger([(P(ctx, "x"),)], ctx, 1)
-    data = hilbert(gb)
+    data = leadterm_hilbert(gb, 1, (0,))
     assert data.dim == 0
     assert data.total_length() == 3
     assert [data.hf(j) for j in range(7)] == [1, 0, 0, 0, 1, 1, 0]
@@ -270,10 +268,21 @@ def test_hilbert_weighted_quotient(semigroup345):
 
 def test_hilbert_of_semigroup_ring_itself(semigroup345):
     gb = buchberger([], semigroup345, 1)
-    data = hilbert(gb)
+    data = leadterm_hilbert(gb, 1, (0,))
     assert data.dim == 1
     # numerical semigroup <3,4,5>: gaps exactly at 1 and 2
     assert [data.hf(j) for j in range(8)] == [1, 0, 0, 1, 1, 1, 1, 1]
+
+
+def test_hilbert_of_high_exponents(F101xy):
+    # splitting on a variable lowers one exponent a level, so the monomial
+    # ideal below is split about 400 levels deep
+    e = 400
+    gens = (f"x^{e}*y^{e}", f"x^{e + 1}", f"y^{e + 1}")
+    gb = buchberger([(P(F101xy, s),) for s in gens], F101xy, 1)
+    data = leadterm_hilbert(gb, 1, (0,))
+    assert data.dim == 0
+    assert data.total_length() == (e + 1) ** 2 - 1
 
 
 # -- oracle cross-checks -------------------------------------------------------
@@ -302,7 +311,7 @@ def test_membership_matches_bruteforce(F101xy):
     probes = ["x^3", "x^2*y", "x^3 - x*y^2", "y^3", "x^4 + y^4"]
     for s in probes:
         v = (P(F101xy, s),)
-        assert vec_is_zero(normal_form(v, gb)) == is_member(F101xy, 1, (0,), cols, v)
+        assert vec_is_zero(gb.normal_form(v)) == is_member(F101xy, 1, (0,), cols, v)
 
 
 # -- weighted rank-2 oracle cross-checks -----------------------------------------
@@ -342,7 +351,7 @@ def test_weighted_rank2_matches_bruteforce(data):
     mult = _draw_poly(data, data.draw(st.integers(0, 3)))
     probes.append(tuple(mult * f for f in cols[k]))
     for v in probes:
-        got = vec_is_zero(normal_form(v, gb))
+        got = vec_is_zero(gb.normal_form(v))
         assert got == is_member(ctx, 2, RANK2_SHIFTS, cols, v)
 
 

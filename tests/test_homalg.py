@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from liaison import homalg
+from liaison import cli, homalg
 from liaison.colinkage import class_member
 from liaison.errors import GradeMismatch, InvalidInput
 from liaison.groebner import vec_is_zero
@@ -68,6 +68,32 @@ def test_twisted_cubic_resolution(F101xyzw, cubic_ideal):
     assert res.complete
     assert res.betti_numbers()[:3] == [1, 3, 2]
     assert res.length() == 2
+
+
+def test_completeness_does_not_depend_on_earlier_resolutions():
+    # F_3 = 0 for the twisted cubic, so length 2 never sees a zero level;
+    # resolving to length 4 first must not change what length 2 reports
+    S = make_ring(101, ["x", "y", "z", "w"])
+    cubic = [parse_poly(S, f) for f in ("x*z - y^2", "y*w - z^2", "x*w - y*z")]
+    M = cyclic_module(S, cubic)
+    before = free_resolution(M, 2)
+    assert not before.complete and before.betti_numbers() == [1, 3, 2]
+    assert free_resolution(M, 4).complete
+    after = free_resolution(M, 2)
+    assert after.complete == before.complete
+    assert after == before
+
+    spec = "[ring]\np = 101\nvars = x, y, z, w\n\n[ideal I]\ngens = {}\n\n[ops]\n{}\n"
+    gens = "x*z - y^2, y*w - z^2, x*w - y*z"
+
+    def betti_reports(ops):
+        report, code = cli.run(cli.parse_spec(spec.format(gens, "\n".join(ops))))
+        assert code == 0
+        return [r["data"] for r in report["results"]]
+
+    (alone,) = betti_reports(["betti I 2"])
+    assert alone["complete"] is False
+    assert betti_reports(["betti I 3", "betti I 2"])[1] == alone
 
 
 def test_resolution_of_free_module_has_length_zero(F101xy):

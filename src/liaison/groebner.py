@@ -19,6 +19,19 @@ division-with-remainder lift for arbitrary vectors.  In tracked runs no pair
 is ever discarded: Buchberger's criteria are sound for basis computation but
 would lose syzygy generators, so they are applied only to untracked runs.
 
+Completion can stop at a degree.  ``lift_through`` completes its tracked
+engine up to the highest degree of its right-hand sides, and
+``minimal_generator_indices`` up to the degree of the column it reduces
+next.  That is exact for homogeneous input over a graded ring, the only
+case in which either stops early: pairs pop by degree, an S-vector is never
+of lower degree than its pair, and no basis element can reduce a vector of
+lower degree.  So a lift's engine builds every basis element of degree up
+to the bound, certificate included, as a full completion does, and the
+lifts are the same.  A column is kept when its normal form is nonzero, that
+is when it lies outside the columns kept before it, and a basis complete up
+to its degree decides that.  Such an engine is never stored, and it refuses
+to reduce a vector above its bound.
+
 The engine works on the ring's packed monomial keys directly (see ``ring``):
 a term product is one integer addition and a divisor test one mask test.
 Degrees grow only at pair lcms.  Each pair's degree and each input's degree
@@ -29,6 +42,7 @@ graded input no monomial the engine forms can overflow.
 from __future__ import annotations
 
 import heapq
+import math
 
 from .errors import (
     DegreeOverflow,
@@ -100,6 +114,7 @@ class ModuleGB:
         "use_criteria",
         "reduced",
         "room",
+        "limit",
     )
 
     def __init__(self, ctx, rank, shifts, track=0, track_shifts=()):
@@ -121,6 +136,8 @@ class ModuleGB:
         self.reduced = False
         # a vector of degree D holds monomials of degree up to D - min(shifts)
         self.room = _LIMIT + min(self.shifts, default=0)
+        # complete in every degree up to this one; None: in every degree
+        self.limit = None
 
     # -- low-level term arithmetic ---------------------------------------
 
@@ -254,10 +271,12 @@ class ModuleGB:
             self.leads.append((pos, mono))
             self.degrees.append(deg)
 
-    def add_generators(self, vectors):
+    def add_generators(self, vectors, limit=None):
         """Feed vectors (tuples of Poly over the F-part, or internal vectors
         over all positions) into the basis, then complete with Buchberger's
-        algorithm."""
+        algorithm, up to degree ``limit`` when one is given.  Vectors of
+        degree above ``limit`` are skipped; a limit is sound only for
+        homogeneous input over a graded ring."""
         for vec in vectors:
             if isinstance(vec, tuple):
                 data = _to_internal(vec)
@@ -266,9 +285,11 @@ class ModuleGB:
             deg = self._vector_degree(data)
             if deg is not None:
                 self._check_degree(deg)
+                if limit is not None and deg > limit:
+                    continue
             data = self._normal_form(data)
             self._absorb(data)
-        self._complete()
+        self._complete(limit)
 
     def _absorb(self, data):
         """File a fully reduced vector as basis element or syzygy."""
@@ -293,14 +314,22 @@ class ModuleGB:
                 return True
         return False
 
-    def _complete(self):
-        while self.pairs:
-            _, i, j, lcm = heapq.heappop(self.pairs)
+    def _complete(self, limit=None):
+        """Treat the pairs of degree up to ``limit`` (all pairs when None).
+
+        Pairs pop by degree, and an S-vector is never of lower degree than
+        its pair, so the basis elements of degree <= limit, certificates
+        included, are those a full completion builds.
+        """
+        pairs = self.pairs
+        while pairs and (limit is None or pairs[0][0] <= limit):
+            _, i, j, lcm = heapq.heappop(pairs)
             self.pending.discard((i, j))
             if self.use_criteria and self._criteria_skip(i, j, lcm):
                 continue
             data = self._normal_form(self._s_vector(i, j, lcm))
             self._absorb(data)
+        self.limit = limit
 
     def _s_vector(self, i, j, lcm):
         """t * basis[i] - t' * basis[j], with t * lead_i = t' * lead_j = lcm."""
@@ -366,15 +395,27 @@ class ModuleGB:
         """The basis as tuples of Poly over the F-part positions."""
         return [self._polys(vec, 0, self.rank) for vec in self.basis]
 
+    def _reduced(self, vec):
+        """The normal form of a vector, as an internal vector.  Above the
+        degree a truncated engine is complete to, it would be wrong."""
+        data = _to_internal(vec)
+        if self.limit is not None:
+            deg = self._vector_degree(data)
+            if deg is not None and deg > self.limit:
+                raise InternalConsistencyError(
+                    f"vector of degree {deg} reduced by an engine complete "
+                    f"only up to degree {self.limit}"
+                )
+        return self._normal_form(data)
+
     def normal_form(self, vec):
-        data = self._normal_form(_to_internal(vec))
-        return self._polys(data, 0, self.rank)
+        return self._polys(self._reduced(vec), 0, self.rank)
 
     def reduce_with_certificate(self, vec):
         """Return (remainder, coeffs) with vec = sum(coeffs*tracked) + rem."""
         if not self.track:
             raise InvalidInput("certificates require a tracked engine")
-        data = self._normal_form(_to_internal(vec))
+        data = self._reduced(vec)
         rem = self._polys(data, 0, self.rank)
         p = self.ctx.p
         for pos, d in data.items():
@@ -419,9 +460,11 @@ def reduced_ideal_gb(ctx, polys):
     return [v[0] for v in eng.vectors()]
 
 
-def tracked_engine(ctx, columns, rank, shifts, extra=()):
+def tracked_engine(ctx, columns, rank, shifts, extra=(), limit=None):
     """Engine tracking certificates over ``columns``; ``extra`` columns (for
-    example relations of a target module) and J*e_i ride along untracked."""
+    example relations of a target module) and J*e_i ride along untracked.
+    With a ``limit`` the engine is complete only up to that degree (see
+    ``ModuleGB.add_generators``)."""
     track_shifts = [vec_degree(col, shifts) for col in columns]
     track_shifts = [0 if d is None else d for d in track_shifts]
     eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=track_shifts)
@@ -430,7 +473,7 @@ def tracked_engine(ctx, columns, rank, shifts, extra=()):
         data = _to_internal(col)
         data[rank + k] = {0: 1}
         inputs.append(data)
-    eng.add_generators(inputs + list(extra) + _ring_columns(ctx, rank))
+    eng.add_generators(inputs + list(extra) + _ring_columns(ctx, rank), limit)
     return eng
 
 
@@ -462,19 +505,23 @@ def minimal_generator_indices(columns, ctx, rank, shifts, seed):
     Graded Nakayama: processed in ascending degree, a generator is redundant
     exactly when it lies in the submodule generated by the ones already kept
     (plus the modulus).  One incremental Groebner pass, seeded with the
-    modulus, decides all of them.
+    modulus, decides all of them.  Over a graded ring it is completed only
+    up to the degree of the column about to be reduced, all a column of
+    that degree can be reduced by.
     """
     shifts = tuple(shifts)
-    order = sorted(
-        range(len(columns)), key=lambda i: (vec_degree(columns[i], shifts) or 0, i)
-    )
+    degrees = [vec_degree(col, shifts) for col in columns]
+    order = sorted((d, i) for i, d in enumerate(degrees) if d is not None)
+    graded = ctx.is_graded()
     eng = ModuleGB(ctx, rank, shifts)
     eng._seed(seed)
     kept = []
-    for i in order:
+    for deg, i in order:
+        limit = deg if graded else None
+        eng._complete(limit)
         # add_generators reduces the column once and pushes it iff nonzero
         size = len(eng.basis)
-        eng.add_generators([columns[i]])
+        eng.add_generators([columns[i]], limit)
         if len(eng.basis) > size:
             kept.append(i)
     kept.sort()
@@ -483,9 +530,17 @@ def minimal_generator_indices(columns, ctx, rank, shifts, seed):
 
 def lift_through(a_columns, b_columns, ctx, rank, shifts=None, extra=()):
     """Solve A*X = B modulo <extra> + J.  Returns (X, None) on success where
-    X[j] is the coefficient column for B[j], else (None, first bad column)."""
+    X[j] is the coefficient column for B[j], else (None, first bad column).
+
+    Over a graded ring with homogeneous B and ``extra``, the engine is
+    completed only up to the highest degree of a nonzero B column: no
+    basis element above it can reduce one, and those below it, with their
+    certificates, are built as in a full completion.
+    """
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    eng = tracked_engine(ctx, a_columns, rank, shifts, extra)
+    eng = tracked_engine(
+        ctx, a_columns, rank, shifts, extra, _lift_limit(ctx, b_columns, extra, shifts)
+    )
     out = []
     for j, col in enumerate(b_columns):
         rem, coeffs = eng.reduce_with_certificate(col)
@@ -493,6 +548,21 @@ def lift_through(a_columns, b_columns, ctx, rank, shifts=None, extra=()):
             return None, j
         out.append(coeffs)
     return out, None
+
+
+def _lift_limit(ctx, b_columns, extra, shifts):
+    """The highest degree of a nonzero B column (minus infinity if there is
+    none), or None, for no limit, unless the ring is graded and B and
+    ``extra`` are homogeneous."""
+    if not ctx.is_graded():
+        return None
+    try:
+        for col in extra:
+            vec_degree(col, shifts)
+        degrees = [vec_degree(col, shifts) for col in b_columns]
+    except InhomogeneousInput:
+        return None
+    return max((d for d in degrees if d is not None), default=-math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +628,13 @@ def _kpoly(gens, ctx):
     """Numerator of the Hilbert series of S/(monomial ideal) over the full
     denominator prod(1 - t^w_i); gens are exponent tuples, assumed minimal.
 
-    Pure powers give it directly; otherwise split on a variable v,
-    HS(S/I) = HS(S/(I + v)) + t^w_v HS(S/(I : v)).  Memoized per ring under
-    the set of gens, looked up first and stored last, so that the split,
-    whose depth grows with the exponents, takes one stack frame a level.
+    Pure powers give it directly; otherwise split on a power v^e, with e
+    the smallest positive exponent of v among the mixed generators,
+    HS(S/I) = HS(S/(I + v^e)) + t^(e w_v) HS(S/(I : v^e)).  On both sides
+    fewer mixed generators involve v, so the split is no deeper than the
+    count of variables over the mixed generators, whatever the exponents.
+    Memoized per ring under the set of gens, looked up first and stored
+    last, so that the split takes one stack frame a level.
     """
     key = ("kpoly", frozenset(gens))
     res = _memoized(ctx, key)
@@ -587,13 +660,14 @@ def _kpoly(gens, ctx):
                 (i for i in touched if any(g[i] for g in mixed)),
                 key=lambda i: counts[i],
             )
-            piv = tuple(1 if i == v else 0 for i in range(len(weights)))
-            plus = _minimalize([g for g in gens if g[v] == 0] + [piv])
+            e = min(g[v] for g in mixed if g[v])
+            piv = tuple(e if i == v else 0 for i in range(len(weights)))
+            plus = _minimalize([g for g in gens if g[v] < e] + [piv])
             col = _minimalize(
-                [tuple(max(e - p, 0) for e, p in zip(g, piv)) for g in gens]
+                [tuple(max(a - b, 0) for a, b in zip(g, piv)) for g in gens]
             )
             res = dict(_kpoly(tuple(plus), ctx))
-            _add_series(res, _kpoly(tuple(col), ctx), weights[v])
+            _add_series(res, _kpoly(tuple(col), ctx), e * weights[v])
     return _memo(ctx, key, lambda: res)
 
 

@@ -10,7 +10,16 @@ import pytest
 
 import liaison
 from liaison import homalg
-from liaison.cli import _ARG_KINDS, GALLERIES, HANDLERS, gallery, main, parse_spec, run
+from liaison.cli import (
+    _ARG_KINDS,
+    GALLERIES,
+    HANDLERS,
+    _as_module,
+    gallery,
+    main,
+    parse_spec,
+    run,
+)
 from liaison.errors import (
     InvalidInput,
     NonCMForCanonical,
@@ -298,6 +307,31 @@ def test_explicit_modules_and_K(tmp_path):
     assert results["annihilator"]["data"]["annihilator"] == ["x^2", "x*y"]
     # the mixed ideal fails gk-perfection, so the run exits 1
     assert code == 1
+
+
+def test_hilbert_of_exponents_past_the_recursion_limit(tmp_path):
+    # S/I for I = (x^1000*y^1000, x^1001, y^1001) has numerator
+    # 1 - 2t^1001 - t^2000 + 2t^2001, by inclusion-exclusion over the lcms
+    text = """
+[ring]
+p = 101
+vars = x, y
+
+[ideal I]
+gens = x^1000*y^1000, x^1001, y^1001
+
+[ops]
+hilbert I
+"""
+    f = tmp_path / "high.spec"
+    f.write_text(text)
+    out = tmp_path / "high.json"
+    assert main(["run", str(f), "--json-out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["results"]
+    assert entry["ok"] is True
+    assert entry["data"]["dim"] == 0 and entry["data"]["degree"] == str(1001**2 - 1)
+    M = _as_module(parse_spec(text), "I")
+    assert M.hilbert().numerator == {0: 1, 1001: -2, 2000: -1, 2001: 2}
 
 
 def test_bass_numbers_below_depth(tmp_path):

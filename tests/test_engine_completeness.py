@@ -1,9 +1,18 @@
 """Dual-route checks of the engine core: syzygy completeness and lift
 correctness against degree-by-degree linear algebra."""
 
+from contextlib import contextmanager
+
 from hypothesis import given, settings, strategies as st
 
-from liaison.groebner import lift_through, syzygies, vec_is_zero
+from liaison.groebner import (
+    ModuleGB,
+    lift_through,
+    syzygies,
+    tracked_engine,
+    vec_degree,
+    vec_is_zero,
+)
 from liaison.modules import vec_combine
 from liaison.ring import make_ring
 
@@ -103,3 +112,92 @@ def test_syzygy_of_koszul_over_three_variables():
         got = _syzygy_slice_dim(ctx, syz, 3, (1, 1, 1), d)
         want = _kernel_slice_dim(ctx, cols, 1, (0,), [1, 1, 1], d)
         assert got == want
+
+
+# -- lifts from engines completed only up to the degree of B ------------------
+
+LIFT_RINGS = [
+    make_ring(101, ["x", "y", "z"]),
+    make_ring(101, ["x", "y", "z"], ["x*z - y^2"]),
+    make_ring(101, ["x", "y", "z"], ["x*z - y^2"], weights=[1, 2, 3]),
+]
+LIFT_SHIFTS = (0, 1)
+
+
+@contextmanager
+def _treated_pair_degrees():
+    """Collect the degree of every pair a tracked engine treats."""
+    degrees = []
+    s_vector = ModuleGB._s_vector
+
+    def counted(self, i, j, lcm):
+        if self.track:
+            pos = self.leads[i][0]
+            degrees.append((lcm >> self.ctx._pk.shift) + self.shifts[pos])
+        return s_vector(self, i, j, lcm)
+
+    ModuleGB._s_vector = counted
+    try:
+        yield degrees
+    finally:
+        ModuleGB._s_vector = s_vector
+
+
+def _full_lift(a_cols, b_cols, ctx, extra):
+    """lift_through's answer read from a fully completed tracked engine."""
+    eng = tracked_engine(ctx, a_cols, 2, LIFT_SHIFTS, extra)
+    out = []
+    for j, col in enumerate(b_cols):
+        rem, coeffs = eng.reduce_with_certificate(col)
+        if not vec_is_zero(rem):
+            return None, j
+        out.append(coeffs)
+    return out, None
+
+
+def _vector(ctx, degree, seed):
+    return tuple(random_homogeneous(ctx, degree - s, seed + 7 * s) for s in LIFT_SHIFTS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_truncated_lift_matches_full_engine(data):
+    ctx = data.draw(st.sampled_from(LIFT_RINGS))
+    seed = data.draw(st.integers(1, 2**20))
+    a_degs = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    a_cols = [_vector(ctx, d, seed + 31 * k) for k, d in enumerate(a_degs)]
+    extra = [_vector(ctx, d, seed + 97 * k)
+             for k, d in enumerate(data.draw(st.lists(st.integers(2, 4), max_size=1)))]
+    zero = (ctx.zero(),) * len(LIFT_SHIFTS)
+    b_cols = []
+    for k, kind in enumerate(data.draw(st.lists(
+            st.sampled_from(["span", "zero", "outside"]), min_size=1, max_size=4))):
+        d = data.draw(st.integers(1, 5))
+        if kind == "zero":
+            b_cols.append(zero)
+        elif kind == "outside":
+            b_cols.append(_vector(ctx, d, seed + 13 * k + 5))
+        else:
+            coeffs = [random_homogeneous(ctx, d - a, seed + 11 * k + a) if d >= a
+                      else ctx.zero() for a in a_degs]
+            b_cols.append(vec_combine(a_cols, coeffs, ctx, 2))
+    with _treated_pair_degrees() as treated:
+        got = lift_through(a_cols, b_cols, ctx, 2, LIFT_SHIFTS, extra)
+    assert got == _full_lift(a_cols, b_cols, ctx, extra)
+    top = max((vec_degree(c, LIFT_SHIFTS) for c in b_cols if not vec_is_zero(c)),
+              default=None)
+    assert all(top is not None and d <= top for d in treated), (treated, top)
+
+
+def test_lift_treats_no_pair_above_the_degree_of_b():
+    # the coprime leads x and y pair in degree 2; B lives in degree 1
+    ctx = LIFT_RINGS[0]
+    x, y, z = (ctx.var(k) for k in range(3))
+    with _treated_pair_degrees() as treated:
+        sol, bad = lift_through([(x,), (y,)], [(x - y,), (ctx.zero(),)], ctx, 1, (0,))
+    assert bad is None and sol == [(ctx.one(), -ctx.one()), (ctx.zero(), ctx.zero())]
+    assert treated == []
+    with _treated_pair_degrees() as treated:
+        assert lift_through([(x,), (y,)], [(z,)], ctx, 1, (0,)) == (None, 0)
+        assert lift_through([(x,), (y,)], [], ctx, 1, (0,)) == ([], None)
+    assert treated == []

@@ -20,10 +20,12 @@ from liaison.groebner import (
     vec_is_zero,
 )
 from liaison.errors import DegreeOverflow
+from liaison.homalg import free_resolution
 from liaison.modules import subquotient
 from liaison.ring import make_ring, parse_poly, render_poly
 
 from tests.oracle import (
+    degree_slice_rank,
     hf_of_quotient,
     is_member,
     monomials_of_degree,
@@ -275,8 +277,8 @@ def test_hilbert_of_semigroup_ring_itself(semigroup345):
 
 
 def test_hilbert_of_high_exponents(F101xy):
-    # splitting on a variable lowers one exponent a level, so the monomial
-    # ideal below is split about 400 levels deep
+    # a split on the variable itself, one exponent a level, would go about
+    # 400 levels deep here; the split on its power is two levels deep
     e = 400
     gens = (f"x^{e}*y^{e}", f"x^{e + 1}", f"y^{e + 1}")
     gb = buchberger([(P(F101xy, s),) for s in gens], F101xy, 1)
@@ -371,14 +373,23 @@ def _greedy_kept(cols, rels, ctx, shifts):
     return sorted(kept)
 
 
+def _draw_column(data, ctx, low, high):
+    """A drawn vector of degree in low..high, or now and then the zero one."""
+    if data.draw(st.integers(0, 4)) == 0:
+        return (ctx.zero(),) * len(RANK2_SHIFTS)
+    return _draw_vector(data, data.draw(st.integers(low, high)), ctx)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_seeded_engine_matches_unseeded(data):
     ctx = WEIGHTED_QUOTIENT
     rels = [_draw_vector(data, data.draw(st.integers(2, 5)), ctx)
             for _ in range(data.draw(st.integers(0, 2)))]
-    cols = [_draw_vector(data, data.draw(st.integers(1, 4)), ctx)
-            for _ in range(data.draw(st.integers(1, 3)))]
+    # zero columns and degrees far apart, so that the kept set is decided
+    # by engines completed to very different degrees
+    cols = [_draw_column(data, ctx, 1, 9)
+            for _ in range(data.draw(st.integers(1, 4)))]
     # the module's reduced relation basis, J*F included, is the seed
     seed = subquotient(ctx, [], rels, RANK2_SHIFTS).rels_gb().basis
     before = [{pos: dict(d) for pos, d in vec.items()} for vec in seed]
@@ -396,6 +407,26 @@ def test_seeded_engine_matches_unseeded(data):
     ring._seed(_ring_columns(ctx, 2))
     ring.interreduce()
     assert ring.vectors() == buchberger([], ctx, 2, RANK2_SHIFTS).vectors()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_level_zero_betti_numbers_match_bruteforce(data):
+    # beta_0j = dim (M/mM)_j, with mM spanned by the variables times the
+    # generators, on the degree slices of the oracle
+    ctx = WEIGHTED_QUOTIENT
+    rels = [_draw_vector(data, data.draw(st.integers(2, 5)), ctx)
+            for _ in range(data.draw(st.integers(0, 2)))]
+    gens = [_draw_column(data, ctx, 1, 6)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    M = subquotient(ctx, gens, rels, RANK2_SHIFTS)
+    betti = free_resolution(M, 0).betti()
+    m_gens = [tuple(ctx.var(k) * f for f in col)
+              for k in range(ctx.m) for col in M.gens]
+    for j in range(1, 8):
+        top = degree_slice_rank(ctx, 2, RANK2_SHIFTS, list(M.gens) + list(M.rels), j)
+        low = degree_slice_rank(ctx, 2, RANK2_SHIFTS, m_gens + list(M.rels), j)
+        assert betti.get((0, j), 0) == top - low, j
 
 
 def test_pair_degree_at_the_limit_raises(F101xy):

@@ -318,8 +318,7 @@ class ModuleGB:
         """Treat the pairs of degree up to ``limit`` (all pairs when None).
 
         Pairs pop by degree, and an S-vector is never of lower degree than
-        its pair, so the basis elements of degree <= limit, certificates
-        included, are those a full completion builds.
+        its pair, so the basis is then complete in every degree <= limit.
         """
         pairs = self.pairs
         while pairs and (limit is None or pairs[0][0] <= limit):

@@ -3,8 +3,10 @@ correctness against degree-by-degree linear algebra."""
 
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from liaison.errors import InternalConsistencyError
 from liaison.groebner import (
     ModuleGB,
     lift_through,
@@ -201,3 +203,7 @@ def test_lift_treats_no_pair_above_the_degree_of_b():
         assert lift_through([(x,), (y,)], [(z,)], ctx, 1, (0,)) == (None, 0)
         assert lift_through([(x,), (y,)], [], ctx, 1, (0,)) == ([], None)
     assert treated == []
+    # an engine complete up to degree 1 cannot decide degree 2
+    eng = tracked_engine(ctx, [(x,), (y,)], 1, (0,), limit=1)
+    with pytest.raises(InternalConsistencyError):
+        eng.reduce_with_certificate((x * y,))

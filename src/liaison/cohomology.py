@@ -16,6 +16,7 @@ from . import modules, verdict
 from .errors import InternalConsistencyError, InvalidInput, ZeroDimensional
 from .groebner import HilbertData
 from .homalg import (
+    change_of_rings,
     ext_hilbert,
     ext_vanishes,
     residue_field,
@@ -144,8 +145,6 @@ def schenzel_check(M, N, K, n, c_seq, t):
     ctx = M.ctx
     if t < 1:
         raise InvalidInput("t must be at least 1")
-    from .linkage import change_of_rings
-
     ctx2, Kbar = change_of_rings(ctx, c_seq, K)
     Mbar = transport(M, ctx2)
     left = serre_st_proxy(Mbar, Kbar, t)

@@ -81,7 +81,7 @@ class RegularSequenceNotFound(LiaisonError):
 
 class BrokenChain(LiaisonError):
     def __init__(self, message, step=None):
-        super().__init__(message)
+        super().__init__(message if step is None else f"step {step}: {message}")
         self.step = step
 
 

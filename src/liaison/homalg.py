@@ -32,6 +32,13 @@ non-Gorenstein R they need not stop at all.  K is recognized as the module
 ``linkage.canonical_module`` stored for its ring, which is built only after
 R passed the CM check.
 
+``change_of_rings`` is the one change of rings: for a regular sequence x
+it builds R/(x) from the polynomials themselves, stores it for R under the
+sorted rendered sequence, and moves K to Ext^n(R/(x), K).  The quotient
+route of the bidual obstructions and ``cohomology.schenzel_check`` both
+call it, so every caller passing to R/(x) with the same x shares one ring
+and every result cached over it.
+
 Both complexes follow one degree convention, Hom(R(-d), N) = N(d) and
 R(-d) (x) N = N(-d), so every term is a block sum ⊕ N(d_b) and
 ``_induced`` gives the shape of every map between terms: d (x) N is Hom of
@@ -53,6 +60,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidInput,
     LiftFailed,
+    NotRegularSequence,
     RegularSequenceNotFound,
     RingMismatch,
 )
@@ -539,33 +547,18 @@ def _obstruction_transpose(M, K, n, route):
         route = "quotient" if n > 0 else "direct"
     if route == "quotient" and n > 0:
         try:
-            return _transpose_over_quotient(M, K, n)
+            seq = regular_sequence_in_ideal(M.ctx, modules.annihilator(M), n)
         except RegularSequenceNotFound:
             pass
+        else:
+            ctx2, Kbar = change_of_rings(M.ctx, seq, K)
+            Tr, _ = transpose(modules.transport(M, ctx2), Kbar)
+            return Tr, Kbar, 1
     Om = syzygy(M, n)
     if Om.is_zero():
         return Om, K, n + 1
     Tr, _ = transpose(Om, K)
     return Tr, K, n + 1
-
-
-def _transpose_over_quotient(M, K, n):
-    """The transpose through R/(x) for a regular sequence x in ann(M)."""
-    ctx = M.ctx
-    ann = modules.annihilator(M)
-    seq = regular_sequence_in_ideal(ctx, ann, n)
-    key = ("quotient_ring",) + tuple(sorted(render_poly(f) for f in seq))
-
-    def quotient_ring():
-        defining = [render_poly(g) for g in ctx.defining + tuple(seq)]
-        return make_ring(ctx.p, ctx.names, defining, weights=ctx.weights)
-
-    ctx2 = _memo(ctx, key, quotient_ring)
-    Rx = cyclic_module(ctx, seq)
-    Kbar = modules.transport(ext(n, Rx, K), ctx2)
-    Mbar = modules.transport(M, ctx2)
-    Tr, _ = transpose(Mbar, Kbar)
-    return Tr, Kbar, 1
 
 
 _MAX_SCALE = 3
@@ -618,6 +611,28 @@ def regular_sequence_in_ideal(ctx, i_gens, n):
             )
         chosen.append(found)
     return chosen
+
+
+def change_of_rings(ctx, x_seq, K):
+    """Pass to R/(x) for a regular sequence x; K moves to Ext^n(R/(x), K).
+
+    R/(x) is stored for R under the sorted rendered sequence, so equal
+    sequences share one ring.  x is checked once, when R/(x) is built; a
+    homogeneous regular sequence stays regular in any order.
+    """
+    x_seq = [ctx.lift_poly(f) for f in x_seq if f]
+    if not x_seq:
+        return ctx, K
+
+    def quotient_ring():
+        if not modules.is_regular_sequence(ctx, x_seq):
+            raise NotRegularSequence("the sequence is not regular")
+        return make_ring(ctx.p, ctx.names, ctx.defining + tuple(x_seq), ctx.weights)
+
+    key = ("quotient_ring",) + tuple(sorted(render_poly(f) for f in x_seq))
+    ctx2 = _memo(ctx, key, quotient_ring)
+    Rx = cyclic_module(ctx, x_seq)
+    return ctx2, modules.transport(ext(len(x_seq), Rx, K), ctx2)
 
 
 # ---------------------------------------------------------------------------

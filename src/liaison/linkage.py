@@ -28,6 +28,7 @@ from .errors import (
 )
 from .homalg import (
     bidual_obstructions,
+    change_of_rings,
     ext,
     ext_hilbert,
     ext_vanishes,
@@ -53,11 +54,10 @@ from .modules import (
     ring_depth,
     ring_dim,
     ring_is_cm,
-    subquotient,
     transport,
     twist,
 )
-from .ring import _memo, make_ring, render_poly
+from .ring import _memo, render_poly
 
 
 def default_bound(ctx):
@@ -98,14 +98,7 @@ def _canonical_module(ctx, wsum):
     c = amb.m - ring_dim(ctx)
     R_as_S = cyclic_module(amb, list(ctx.defining))
     E = ext(c, R_as_S, free_module(amb, 1))
-    Etw = twist(E, -wsum)
-    return subquotient(
-        ctx,
-        [tuple(ctx.lift_poly(f) for f in col) for col in Etw.gens],
-        [tuple(ctx.lift_poly(f) for f in col) for col in Etw.rels],
-        Etw.shifts,
-        Etw.rank,
-    )
+    return transport(twist(E, -wsum), ctx)
 
 
 def homothety_map(K):
@@ -343,13 +336,13 @@ def cyclic_link(ctx, i_gens, c_gens, K):
     """
     i_gens = [ctx.lift_poly(f) for f in i_gens if f]
     c_gens = [ctx.lift_poly(f) for f in c_gens if f]
+    RI = cyclic_module(ctx, i_gens)
+    if not all(RI.rels_gb().contains((f,)) for f in c_gens):
+        raise InvalidInput("c is not contained in I")
     c_gb = groebner.buchberger([(g,) for g in c_gens], ctx, 1)
-    for f in c_gens:
-        if not groebner.ideal_contains(i_gens, f, ctx):
-            raise InvalidInput("c is not contained in I")
     if all(c_gb.contains((f,)) for f in i_gens):
         raise EqualIdeals("c equals I; the link would be degenerate")
-    n = grade_of_ideal(ctx, i_gens)
+    n = grade(RI)
     if len(c_gens) != n:
         raise GradeMismatch(
             f"complete intersection has {len(c_gens)} generators, grade of I is {n}"
@@ -419,26 +412,6 @@ def is_horizontally_linked(M):
     R1 = free_module(M.ctx, 1)
     Tr, _ = transpose(M, R1)
     return is_stable(M) and ext_vanishes(1, Tr, R1)
-
-
-# ---------------------------------------------------------------------------
-# regular sequences and change of rings
-
-
-def change_of_rings(ctx, x_seq, K):
-    """Pass to R/(x) for a regular sequence x; K moves to Ext^n(R/x, K)."""
-    x_seq = [ctx.lift_poly(f) for f in x_seq if f]
-    if not x_seq:
-        return ctx, K
-    if not is_regular_sequence(ctx, x_seq):
-        raise NotRegularSequence("the sequence is not regular")
-    n = len(x_seq)
-    defining = [render_poly(g) for g in ctx.defining] + [render_poly(f) for f in x_seq]
-    ctx2 = make_ring(ctx.p, ctx.names, defining, weights=ctx.weights)
-    Rx = cyclic_module(ctx, x_seq)
-    Kbar = ext(n, Rx, K)
-    Kbar2 = transport(Kbar, ctx2)
-    return ctx2, Kbar2
 
 
 # ---------------------------------------------------------------------------

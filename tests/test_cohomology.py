@@ -178,6 +178,29 @@ def test_schenzel_minimal_failing_level_agrees_both_ways(skew_pair):
     assert schenzel_check(N, M, K, 2, c, 2).fails()
 
 
+def test_schenzel_levels_build_one_quotient_ring(monkeypatch):
+    from liaison import homalg
+    from liaison.ring import make_ring
+
+    S = make_ring(101, ["x", "y", "z", "w"])  # no cached R/(c) yet
+    built = []
+    real_make_ring = homalg.make_ring
+
+    def counting_make_ring(*args, **kwargs):
+        built.append(args)
+        return real_make_ring(*args, **kwargs)
+
+    monkeypatch.setattr(homalg, "make_ring", counting_make_ring)
+    K = free_module(S, 1)
+    I = [P(S, s) for s in SKEW]
+    c = [P(S, s) for s in SKEW_CI]
+    M = cyclic_module(S, I)
+    N = cyclic_module(S, annihilator(cyclic_link(S, I, c, K)))
+    assert schenzel_check(M, N, K, 2, c, 1).holds()
+    assert schenzel_check(M, N, K, 2, c, 2).fails()
+    assert len(built) == 1
+
+
 # -- duality ---------------------------------------------------------------------------
 
 

@@ -4,7 +4,13 @@ same answers as a sequential run, with every cache cold at the start."""
 import sys
 import threading
 
-from liaison.homalg import ext, ext_vanishes, free_resolution, tor_vanishes
+from liaison.homalg import (
+    change_of_rings,
+    ext,
+    ext_vanishes,
+    free_resolution,
+    tor_vanishes,
+)
 from liaison.linkage import canonical_module
 from liaison.modules import cyclic_module, free_module, grade
 from liaison.ring import make_ring, parse_poly
@@ -79,6 +85,16 @@ def test_resolution_lengths_across_threads():
             lambda k: resolutions(shared, lengths[k % 5:] + lengths[:k % 5])
         )
         assert all(r == expected for r in results)
+
+
+def test_change_of_rings_across_threads():
+    # every thread passing to R/(c) with the same c gets the one stored ring
+    for _ in range(ROUNDS):
+        S = make_ring(101, ["x", "y", "z", "w"])
+        c = [parse_poly(S, f) for f in ("x*z - y^2", "y*w - z^2")]
+        R1 = free_module(S, 1)
+        rings = run_threads(lambda k: change_of_rings(S, c, R1)[0])
+        assert all(ctx2 is rings[0] for ctx2 in rings)
 
 
 def run_threads(task):

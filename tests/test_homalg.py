@@ -5,7 +5,7 @@ import pytest
 
 from liaison import cli, homalg
 from liaison.colinkage import class_member
-from liaison.errors import GradeMismatch, InvalidInput
+from liaison.errors import GradeMismatch, InvalidInput, NotRegularSequence
 from liaison.groebner import vec_is_zero
 from liaison.homalg import (
     betti_table_text,
@@ -381,6 +381,31 @@ def test_bidual_obstructions_checks_grade(F101xy):
     M = cyclic_module(ctx, [P(ctx, "x")])
     with pytest.raises(GradeMismatch):
         bidual_obstructions(M, free_module(ctx, 1), 2)
+
+
+# -- change of rings ------------------------------------------------------------------
+
+
+def test_change_of_rings_shares_one_quotient_ring():
+    # a ring made here, so no earlier test has built its R/(x)
+    S = make_ring(101, ["x", "y", "z", "w"])
+    cubic = [P(S, f) for f in ("x*z - y^2", "y*w - z^2", "x*w - y*z")]
+    M, R1 = cyclic_module(S, cubic), free_module(S, 1)
+    seq = homalg.regular_sequence_in_ideal(S, annihilator(M), 2)
+    ctx2, Kbar = homalg.change_of_rings(S, seq, R1)
+    assert ctx2 is not S
+    # the ring is stored under the sorted sequence, so the order is immaterial
+    assert homalg.change_of_rings(S, seq[::-1], R1)[0] is ctx2
+    # the quotient route of the obstructions moves M and K the same way
+    Tr, KK, j = homalg._obstruction_transpose(M, R1, 2, "quotient")
+    assert Tr.ctx is ctx2 and KK.ctx is ctx2 and j == 1
+    assert KK == Kbar
+
+
+def test_change_of_rings_rejects_irregular_sequence():
+    S = make_ring(101, ["x", "y", "z"])
+    with pytest.raises(NotRegularSequence):
+        homalg.change_of_rings(S, [P(S, "x*y"), P(S, "x*z")], free_module(S, 1))
 
 
 # -- depth/pd over quotient rings -----------------------------------------------------

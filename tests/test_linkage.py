@@ -3,6 +3,7 @@ import pytest
 from liaison import cli, homalg
 from liaison.colinkage import CoreflexiveEpi, coreflexive_epi, is_colinked_by
 from liaison.errors import (
+    BrokenChain,
     EqualIdeals,
     GradeMismatch,
     InjectivePhi,
@@ -28,6 +29,7 @@ from liaison.linkage import (
     double_link_check,
     grade_of_ideal,
     horizontal_link,
+    is_cm_module,
     is_gk_perfect,
     is_horizontally_linked,
     is_linked_by,
@@ -486,6 +488,35 @@ def test_theorem_t1_iv_kernel_matches_ext_dual(F101x):
     E = ext(1, res.linked_module, R1)
     assert same_hf(Kphi, E)
     assert ideal_strings(annihilator(Kphi)) == ideal_strings(annihilator(E))
+
+
+def test_empty_walk_names_step_zero():
+    with pytest.raises(BrokenChain, match="^step 0: empty walk$") as info:
+        liaison_walk([])
+    assert info.value.step == 0
+
+
+def test_incompatible_walk_names_its_step(F101xyzw, cubic_ideal):
+    # the link of the cubic is a line, not the cubic the second step starts at
+    R1 = free_module(F101xyzw, 1)
+    e = reflexive_epi(
+        natural_cyclic_epi(F101xyzw, cubic_ideal, cubic_ideal[:2]), R1, "Pn"
+    )
+    with pytest.raises(BrokenChain, match="^step 1: steps are not compatible$") as info:
+        liaison_walk([e, e])
+    assert info.value.step == 1
+
+
+def test_cm_category_membership():
+    ctx = make_ring(101, ["x", "y", "z"])
+    R1 = free_module(ctx, 1)
+    plane = cyclic_module(ctx, [P(ctx, "x")])
+    # (x*y, x*z) = (x) meet (y, z): a plane and a line, depth 1 < dim 2
+    plane_and_line = cyclic_module(ctx, [P(ctx, "x*y"), P(ctx, "x*z")])
+    assert is_cm_module(plane)
+    assert category_member("CMn", plane, R1, 3)
+    assert not is_cm_module(plane_and_line)
+    assert not category_member("CMn", plane_and_line, R1, 3)
 
 
 def test_cyclic_link_rejects_irregular_sequence(F101xy):

@@ -86,16 +86,11 @@ def hom_transform(M, K):
 
 
 def _hom_transform(M, K):
-    ctx = M.ctx
     H, conv = hom_module(K, M)
     T = tensor(K, H)
-    gh = len(H.gens)
-    mat = []
     hd = H.gen_degrees()
-    for a in range(len(K.gens)):
-        for l in range(gh):
-            h = conv(H.express_in_gens(H.gens[l]), degree=hd[l])
-            mat.append(h.mat[a])
+    maps = [conv(H.express_in_gens(g), degree=d) for g, d in zip(H.gens, hd)]
+    mat = [h.mat[a] for a in range(len(K.gens)) for h in maps]
     nu = ModuleMap(T, M, mat, check=False)
     return H, T, nu
 

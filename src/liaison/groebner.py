@@ -32,6 +32,19 @@ is when it lies outside the columns kept before it, and a basis complete up
 to its degree decides that.  Such an engine is never stored, and it refuses
 to reduce a vector above its bound.
 
+A module's lifts (``GradedModule.express_in_gens``) and its column
+relations read instead one stored engine of its generators modulo its
+relations, complete in every degree (``GradedModule.gens_engine``).  Its
+certificates for a vector of degree D are those of an engine truncated at
+D.  Both build their basis elements of degree at most D from the same
+inputs and pairs, in the same order, with the same certificates.  An
+input above D, which the truncated engine skips, adds an element above D;
+such an element divides no term of degree D or less, its pairs pop after
+every pair at or below D, and the elements at or below D keep their
+relative numbering, so their pairs pop by (degree, i, j) in the same
+order.  The stored engine is only read: it is never interreduced, and
+each reduction works on a copy of its vector.
+
 The engine works on the ring's packed monomial keys directly (see ``ring``):
 a term product is one integer addition and a divisor test one mask test.
 Degrees grow only at pair lcms.  Each pair's degree and each input's degree
@@ -485,13 +498,19 @@ def syzygies(columns, ctx, rank, shifts=None, extra=(), minimize=True):
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
     if not columns:
         return []
-    eng = tracked_engine(ctx, columns, rank, shifts, extra)
-    track_shifts = eng.shifts[rank:]
-    syz = eng.syzygy_vectors()
-    syz = [s for s in syz if not vec_is_zero(s)]
+    return engine_syzygies(tracked_engine(ctx, columns, rank, shifts, extra), minimize)
+
+
+def engine_syzygies(eng, minimize=True):
+    """The nonzero syzygies of a fully completed tracked engine's columns,
+    pruned to minimal generators when ``minimize``.  Reads the engine and
+    never changes it."""
+    syz = [s for s in eng.syzygy_vectors() if not vec_is_zero(s)]
     if minimize:
-        seed = _ring_columns(ctx, len(columns))
-        kept = minimal_generator_indices(syz, ctx, len(columns), track_shifts, seed)
+        seed = _ring_columns(eng.ctx, eng.track)
+        kept = minimal_generator_indices(
+            syz, eng.ctx, eng.track, eng.shifts[eng.rank:], seed
+        )
         syz = [syz[i] for i in kept]
     return syz
 

@@ -332,10 +332,16 @@ def cyclic_link(ctx, i_gens, c_gens, K):
 
     Returns Kbar/(0 : Ibar) for Kbar = Ext^n(R/c, K).  When K is free of
     rank one the annihilator is additionally checked against the colon ideal
-    (c : I) computed independently.
+    (c : I) computed independently.  Cached by value: the nonzero
+    generators of I and c, and K.
     """
-    i_gens = [ctx.lift_poly(f) for f in i_gens if f]
-    c_gens = [ctx.lift_poly(f) for f in c_gens if f]
+    i_gens = tuple(ctx.lift_poly(f) for f in i_gens if f)
+    c_gens = tuple(ctx.lift_poly(f) for f in c_gens if f)
+    key = ("cyclic_link", i_gens, c_gens, K)
+    return _memo(ctx, key, lambda: _cyclic_link(ctx, i_gens, c_gens, K))
+
+
+def _cyclic_link(ctx, i_gens, c_gens, K):
     RI = cyclic_module(ctx, i_gens)
     if not all(RI.rels_gb().contains((f,)) for f in c_gens):
         raise InvalidInput("c is not contained in I")

@@ -114,20 +114,26 @@ class GradedModule:
     def element_is_zero(self, coords):
         return self.rels_gb().contains(self.coords_to_ambient(coords))
 
+    def gens_engine(self):
+        """The tracked engine of the generators modulo the relations,
+        complete in every degree.  It is only read: it is never
+        interreduced, and each reduction works on a copy of its vector."""
+        return _memo(self, "gens_engine", lambda: groebner.tracked_engine(
+            self.ctx, list(self.gens), self.rank, self.shifts, self.rels))
+
     def express_in_gens(self, vec):
         """Coordinates of an ambient vector over the generators, mod rels."""
-        sol, bad = groebner.lift_through(
-            list(self.gens), [vec], self.ctx, self.rank, self.shifts, extra=self.rels
-        )
-        if sol is None:
+        rem, coeffs = self.gens_engine().reduce_with_certificate(vec)
+        if not vec_is_zero(rem):
             raise InvalidInput("vector does not lie in the module")
-        return sol[0]
+        return coeffs
 
     def column_relations(self):
         """Minimal generators of {u : gens*u = 0 in the module} over R."""
-        return list(_memo(self, "colrels", lambda: tuple(groebner.syzygies(
-            list(self.gens), self.ctx, self.rank, self.shifts, extra=self.rels,
-        ))))
+        if not self.gens:
+            return []
+        return list(_memo(self, "colrels", lambda: tuple(
+            groebner.engine_syzygies(self.gens_engine()))))
 
     # -- numerical data ------------------------------------------------------
 
@@ -595,7 +601,12 @@ def minimize(M):
 
 
 def annihilator(M):
-    """ann(M) as a reduced Groebner basis, via one colon per generator."""
+    """ann(M) as a reduced Groebner basis, via one colon per generator
+    (cached)."""
+    return list(_memo(M, "annihilator", lambda: tuple(_annihilator(M))))
+
+
+def _annihilator(M):
     ctx = M.ctx
     if not M.gens or M.is_zero():
         return groebner.reduced_ideal_gb(ctx, [ctx.one()])

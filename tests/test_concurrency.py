@@ -4,6 +4,7 @@ same answers as a sequential run, with every cache cold at the start."""
 import sys
 import threading
 
+from liaison.groebner import tracked_engine
 from liaison.homalg import (
     change_of_rings,
     ext,
@@ -12,7 +13,7 @@ from liaison.homalg import (
     tor_vanishes,
 )
 from liaison.linkage import canonical_module
-from liaison.modules import cyclic_module, free_module, grade
+from liaison.modules import cyclic_module, free_module, grade, subquotient, vec_combine
 from liaison.ring import make_ring, parse_poly
 
 THREADS = 8
@@ -95,6 +96,45 @@ def test_change_of_rings_across_threads():
         R1 = free_module(S, 1)
         rings = run_threads(lambda k: change_of_rings(S, c, R1)[0])
         assert all(ctx2 is rings[0] for ctx2 in rings)
+
+
+def module_with_vectors():
+    """A cold rank-2 module over the (3, 4, 5) semigroup ring, and one
+    element of it per thread, each a different combination of its
+    generators and relations."""
+    R = make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                  weights=[3, 4, 5])
+    x, y, z = (R.var(k) for k in range(3))
+    M = subquotient(R, [(y, x), (z, y), (x * x, z), (x * z, x * y)],
+                    [(y * z, x * z)], (0, 1))
+    cols = list(M.gens) + list(M.rels)  # of degrees 4, 5, 6, 8 and 9
+    coeffs = [(z, y, x, R.zero(), R.one()), (x * x, z, y, R.zero(), R.zero()),
+              (y * y, x * y, x * x, y, x), (y * z, x * z, x * y, z, y)]
+    vectors = [vec_combine(cols, c, R, 2) for c in coeffs]
+    vectors += [tuple(x * f for f in v) for v in vectors]
+    return M, vectors
+
+
+def engine_state(eng):
+    return ([sorted((p, sorted(d.items())) for p, d in v.items()) for v in eng.basis],
+            list(eng.leads),
+            [sorted((p, sorted(d.items())) for p, d in v.items()) for v in eng.syzygies])
+
+
+def test_module_engine_across_threads():
+    # one engine per module presentation, stored once and only ever read
+    M0, vectors = module_with_vectors()
+    expected = [M0.express_in_gens(v) for v in vectors], M0.column_relations()
+    for _ in range(ROUNDS):
+        M, vectors = module_with_vectors()
+        fresh = tracked_engine(M.ctx, list(M.gens), M.rank, M.shifts, M.rels)
+        results = run_threads(lambda k: (M.express_in_gens(vectors[k]),
+                                         M.column_relations(), M.gens_engine()))
+        eng = results[0][2]
+        assert all(r[2] is eng for r in results)
+        assert [r[0] for r in results] == expected[0]
+        assert all(r[1] == expected[1] for r in results)
+        assert engine_state(eng) == engine_state(fresh)
 
 
 def run_threads(task):

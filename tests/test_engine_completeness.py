@@ -1,12 +1,13 @@
 """Dual-route checks of the engine core: syzygy completeness and lift
-correctness against degree-by-degree linear algebra."""
+correctness against degree-by-degree linear algebra, and the module lifts
+read from one stored engine against the per-call engines they replace."""
 
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liaison.errors import InternalConsistencyError
+from liaison.errors import InternalConsistencyError, InvalidInput
 from liaison.groebner import (
     ModuleGB,
     lift_through,
@@ -15,7 +16,7 @@ from liaison.groebner import (
     vec_degree,
     vec_is_zero,
 )
-from liaison.modules import vec_combine
+from liaison.modules import subquotient, vec_combine
 from liaison.ring import make_ring
 
 from tests.oracle import (
@@ -207,3 +208,81 @@ def test_lift_treats_no_pair_above_the_degree_of_b():
     eng = tracked_engine(ctx, [(x,), (y,)], 1, (0,), limit=1)
     with pytest.raises(InternalConsistencyError):
         eng.reduce_with_certificate((x * y,))
+
+
+# -- module lifts read from the module's one fully completed engine ----------
+
+# (ring, degrees of generators and relations, degrees of test vectors)
+MODULE_RINGS = [
+    (LIFT_RINGS[0], range(1, 4), range(0, 6)),
+    (LIFT_RINGS[1], range(1, 4), range(0, 6)),
+    (make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+               weights=[3, 4, 5]), range(3, 9), range(3, 13)),
+]
+
+
+def _random_module(data):
+    """A random subquotient of rank 2 and a list of test vectors: elements
+    of the module, vectors that may lie outside it, and the zero vector."""
+    ctx, gen_range, vec_range = data.draw(st.sampled_from(MODULE_RINGS))
+    seed = data.draw(st.integers(1, 2**20))
+    gen_degs = data.draw(st.lists(st.sampled_from(gen_range), min_size=1, max_size=3))
+    rel_degs = data.draw(st.lists(st.sampled_from(gen_range), max_size=2))
+    gens = [_vector(ctx, d, seed + 31 * k) for k, d in enumerate(gen_degs)]
+    rels = [_vector(ctx, d, seed + 97 * k) for k, d in enumerate(rel_degs)]
+    M = subquotient(ctx, gens, rels, LIFT_SHIFTS)
+    vectors = [(ctx.zero(),) * len(LIFT_SHIFTS)]
+    for k, d in enumerate(data.draw(st.lists(st.sampled_from(vec_range), max_size=4))):
+        if data.draw(st.booleans()):
+            cols = list(M.gens) + list(M.rels)
+            coeffs = [random_homogeneous(ctx, d - vec_degree(c, LIFT_SHIFTS),
+                                         seed + 11 * k + j)
+                      for j, c in enumerate(cols)]
+            vectors.append(vec_combine(cols, coeffs, ctx, 2))
+        else:
+            vectors.append(_vector(ctx, d, seed + 13 * k + 5))
+    return M, vectors
+
+
+def _lift_or_none(M, vec):
+    try:
+        return M.express_in_gens(vec)
+    except InvalidInput:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_module_lifts_match_per_call_lifts(data):
+    M, vectors = _random_module(data)
+    if not M.gens:
+        return
+    by_degree = sorted(vectors, key=lambda v: vec_degree(v, LIFT_SHIFTS) or 0)
+    for vec in by_degree + by_degree[::-1]:
+        sol, _ = lift_through(list(M.gens), [vec], M.ctx, M.rank, M.shifts,
+                              extra=M.rels)
+        assert _lift_or_none(M, vec) == (sol and sol[0])
+    assert M.column_relations() == syzygies(list(M.gens), M.ctx, M.rank, M.shifts,
+                                            extra=M.rels)
+
+
+def test_module_lifts_and_relations_build_one_tracked_engine():
+    ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])  # a cold cache
+    x, y, z = (ctx.var(k) for k in range(3))
+    M = subquotient(ctx, [(x, ctx.zero()), (y, z), (z, x)], [(y * y, x * z)], (0, 0))
+    built = []
+    init = ModuleGB.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.track:
+            built.append(self)
+
+    ModuleGB.__init__ = counted
+    try:
+        for vec in [(x, ctx.zero()), (y, z), (x + y, z), (x * x, x * z), (x * y, y * z)]:
+            M.express_in_gens(vec)
+        M.column_relations()
+    finally:
+        ModuleGB.__init__ = init
+    assert len(built) == 1 and built[0] is M.gens_engine()

@@ -314,6 +314,26 @@ def test_cyclic_link_equal_ideals_rejected(F101x):
         cyclic_link(ctx, [P(ctx, "x^2")], [P(ctx, "x^2")], free_module(ctx, 1))
 
 
+def _memo_keys(ctx, kind):
+    return [k for k in ctx._cache if isinstance(k, tuple) and k[0] == kind]
+
+
+def test_cyclic_link_is_computed_once_per_value():
+    ctx = make_ring(101, ["x", "y"])  # a cold cache
+    I = [P(ctx, "x^2"), P(ctx, "x*y")]
+    c = [P(ctx, "x^2")]
+    with pytest.raises(InvalidInput):  # c = (y^2) is not inside I
+        cyclic_link(ctx, I, [P(ctx, "y^2")], free_module(ctx, 1))
+    assert _memo_keys(ctx, "cyclic_link") == []  # a call that raises stores nothing
+    linked = cyclic_link(ctx, I, c, free_module(ctx, 1))
+    # equal generators in new lists, a zero generator and an equal K
+    again = cyclic_link(ctx, [ctx.zero()] + [P(ctx, "x^2"), P(ctx, "x*y")],
+                        [P(ctx, "x^2")], free_module(ctx, 1))
+    assert again is linked
+    assert len(_memo_keys(ctx, "cyclic_link")) == 1
+    assert ideal_strings(annihilator(linked)) == ["x"]
+
+
 def test_double_link_univariate_holds(F101x):
     ctx = F101x
     R1 = free_module(ctx, 1)

@@ -203,6 +203,16 @@ def test_annihilator_of_subquotient(F101x):
     assert ideal_strings(annihilator(M)) == ["x"]
 
 
+def test_annihilator_is_cached_by_value(F101xy):
+    ctx = F101xy
+    M = cyclic_module(ctx, [P(ctx, "x^2"), P(ctx, "x*y")])
+    first = annihilator(M)
+    first.clear()  # each call returns a list of its own
+    again = annihilator(cyclic_module(ctx, [P(ctx, "x^2"), P(ctx, "x*y")]))
+    assert ideal_strings(again) == ["x^2", "x*y"]
+    assert ctx._cache[(M, "annihilator")] == tuple(again)
+
+
 # -- invariants ------------------------------------------------------------------
 
 

@@ -124,7 +124,8 @@ def engine_state(eng):
 def test_module_engine_across_threads():
     # one engine per module presentation, stored once and only ever read
     M0, vectors = module_with_vectors()
-    expected = [M0.express_in_gens(v) for v in vectors], M0.column_relations()
+    coords = [M0.express_in_gens(v) for v in vectors]
+    relations = M0.column_relations()
     for _ in range(ROUNDS):
         M, vectors = module_with_vectors()
         fresh = tracked_engine(M.ctx, list(M.gens), M.rank, M.shifts, M.rels)
@@ -132,8 +133,8 @@ def test_module_engine_across_threads():
                                          M.column_relations(), M.gens_engine()))
         eng = results[0][2]
         assert all(r[2] is eng for r in results)
-        assert [r[0] for r in results] == expected[0]
-        assert all(r[1] == expected[1] for r in results)
+        assert [r[0] for r in results] == coords
+        assert all(r[1] == relations for r in results)
         assert engine_state(eng) == engine_state(fresh)
 
 

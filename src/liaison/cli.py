@@ -34,6 +34,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 from . import cohomology, colinkage, groebner, homalg, linkage, modules, verdict
 from .errors import (
@@ -796,18 +797,18 @@ local_cohomology I 1
 }
 
 
-def gallery(name):
+def gallery(name, p=None):
+    """The spec of a built-in gallery; ``p`` as in ``parse_spec``."""
     if name not in GALLERIES:
         raise UnknownGallery(f"no gallery named {name!r}")
-    return parse_spec(GALLERIES[name])
+    return parse_spec(GALLERIES[name], p)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
-def _apply_overrides(text, args):
-    spec = parse_spec(text, p=args.char)
+def _apply_overrides(spec, args):
     if args.bound is not None:
         spec.bound = args.bound
     if args.window is not None:
@@ -845,17 +846,18 @@ def main(argv=None):
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        read = partial(parse_spec, text)
     elif args.command == "gallery":
         if args.name not in GALLERIES:
             print(f"error: no gallery named {args.name!r}", file=sys.stderr)
             return 2
-        text = GALLERIES[args.name]
+        read = partial(gallery, args.name)
     else:
         parser.print_help()
         return 2
 
     try:
-        spec = _apply_overrides(text, args)
+        spec = _apply_overrides(read(args.char), args)
     except (SpecSyntaxError, UnknownName, NonCMForCanonical, LiaisonError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

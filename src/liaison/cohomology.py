@@ -41,9 +41,6 @@ class LocalCohomologyHF(
 ):
     __slots__ = ()
 
-    def is_zero_on_window(self):
-        return all(v == 0 for v in self.hf.values())
-
     def to_json(self):
         return {
             "index": self.index,

@@ -18,32 +18,20 @@ certificates, the syzygies of the tracked columns (reductions to zero), and a
 division-with-remainder lift for arbitrary vectors.  In tracked runs no pair
 is ever discarded: Buchberger's criteria are sound for basis computation but
 would lose syzygy generators, so they are applied only to untracked runs.
+Every lift and every column relation of a module is read from one stored
+tracked engine of its generators modulo its relations, complete in every
+degree (``GradedModule.gens_engine``).  That engine is only read: it is
+never interreduced, and each reduction works on a copy of its vector.
 
-Completion can stop at a degree.  ``lift_through`` completes its tracked
-engine up to the highest degree of its right-hand sides, and
-``minimal_generator_indices`` up to the degree of the column it reduces
-next.  That is exact for homogeneous input over a graded ring, the only
-case in which either stops early: pairs pop by degree, an S-vector is never
-of lower degree than its pair, and no basis element can reduce a vector of
-lower degree.  So a lift's engine builds every basis element of degree up
-to the bound, certificate included, as a full completion does, and the
-lifts are the same.  A column is kept when its normal form is nonzero, that
-is when it lies outside the columns kept before it, and a basis complete up
-to its degree decides that.  Such an engine is never stored, and it refuses
-to reduce a vector above its bound.
-
-A module's lifts (``GradedModule.express_in_gens``) and its column
-relations read instead one stored engine of its generators modulo its
-relations, complete in every degree (``GradedModule.gens_engine``).  Its
-certificates for a vector of degree D are those of an engine truncated at
-D.  Both build their basis elements of degree at most D from the same
-inputs and pairs, in the same order, with the same certificates.  An
-input above D, which the truncated engine skips, adds an element above D;
-such an element divides no term of degree D or less, its pairs pop after
-every pair at or below D, and the elements at or below D keep their
-relative numbering, so their pairs pop by (degree, i, j) in the same
-order.  The stored engine is only read: it is never interreduced, and
-each reduction works on a copy of its vector.
+Completion can stop at a degree: ``minimal_generator_indices`` completes
+its engine only up to the degree of the column it reduces next.  That is
+exact for homogeneous input over a graded ring, the only case in which it
+stops early: pairs pop by degree, an S-vector is never of lower degree than
+its pair, and no basis element can reduce a vector of lower degree.  A
+column is kept when its normal form is nonzero, that is when it lies
+outside the columns kept before it, and a basis complete up to its degree
+decides that.  Such an engine is never stored, and it refuses to reduce a
+vector above its bound.
 
 The engine works on the ring's packed monomial keys directly (see ``ring``):
 a term product is one integer addition and a divisor test one mask test.
@@ -55,7 +43,6 @@ graded input no monomial the engine forms can overflow.
 from __future__ import annotations
 
 import heapq
-import math
 
 from .errors import (
     DegreeOverflow,
@@ -472,11 +459,10 @@ def reduced_ideal_gb(ctx, polys):
     return [v[0] for v in eng.vectors()]
 
 
-def tracked_engine(ctx, columns, rank, shifts, extra=(), limit=None):
-    """Engine tracking certificates over ``columns``; ``extra`` columns (for
-    example relations of a target module) and J*e_i ride along untracked.
-    With a ``limit`` the engine is complete only up to that degree (see
-    ``ModuleGB.add_generators``)."""
+def tracked_engine(ctx, columns, rank, shifts, extra=()):
+    """Engine tracking certificates over ``columns``, complete in every
+    degree; ``extra`` columns (for example the relations of a module) and
+    J*e_i ride along untracked."""
     track_shifts = [vec_degree(col, shifts) for col in columns]
     track_shifts = [0 if d is None else d for d in track_shifts]
     eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=track_shifts)
@@ -485,7 +471,7 @@ def tracked_engine(ctx, columns, rank, shifts, extra=(), limit=None):
         data = _to_internal(col)
         data[rank + k] = {0: 1}
         inputs.append(data)
-    eng.add_generators(inputs + list(extra) + _ring_columns(ctx, rank), limit)
+    eng.add_generators(inputs + list(extra) + _ring_columns(ctx, rank))
     return eng
 
 
@@ -546,43 +532,6 @@ def minimal_generator_indices(columns, ctx, rank, shifts, seed):
     return kept
 
 
-def lift_through(a_columns, b_columns, ctx, rank, shifts=None, extra=()):
-    """Solve A*X = B modulo <extra> + J.  Returns (X, None) on success where
-    X[j] is the coefficient column for B[j], else (None, first bad column).
-
-    Over a graded ring with homogeneous B and ``extra``, the engine is
-    completed only up to the highest degree of a nonzero B column: no
-    basis element above it can reduce one, and those below it, with their
-    certificates, are built as in a full completion.
-    """
-    shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    eng = tracked_engine(
-        ctx, a_columns, rank, shifts, extra, _lift_limit(ctx, b_columns, extra, shifts)
-    )
-    out = []
-    for j, col in enumerate(b_columns):
-        rem, coeffs = eng.reduce_with_certificate(col)
-        if not vec_is_zero(rem):
-            return None, j
-        out.append(coeffs)
-    return out, None
-
-
-def _lift_limit(ctx, b_columns, extra, shifts):
-    """The highest degree of a nonzero B column (minus infinity if there is
-    none), or None, for no limit, unless the ring is graded and B and
-    ``extra`` are homogeneous."""
-    if not ctx.is_graded():
-        return None
-    try:
-        for col in extra:
-            vec_degree(col, shifts)
-        degrees = [vec_degree(col, shifts) for col in b_columns]
-    except InhomogeneousInput:
-        return None
-    return max((d for d in degrees if d is not None), default=-math.inf)
-
-
 # ---------------------------------------------------------------------------
 # colon ideals and intersections
 
@@ -623,11 +572,6 @@ def ideal_intersection(a_gens, b_gens, ctx):
         if f:
             members.append(f)
     return reduced_ideal_gb(ctx, members)
-
-
-def ideal_contains(i_gens, f, ctx):
-    gb = buchberger([(g,) for g in i_gens if g], ctx, 1)
-    return gb.contains((f,))
 
 
 # ---------------------------------------------------------------------------

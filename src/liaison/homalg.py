@@ -414,16 +414,16 @@ def lift_chain_map(f, length):
     ctx = M.ctx
     res = free_resolution(M, length)
     resp = free_resolution(Mp, length)
-    f0_cols = [M.gens[i] for i in res.kept]
-    fp0_cols = [Mp.gens[i] for i in resp.kept]
-    # f_0: image of each minimal generator of M, expressed over Mp's minimal ones
-    images = [Mp.coords_to_ambient(f.mat[i]) for i in res.kept]
-    sol, bad = groebner.lift_through(
-        fp0_cols, images, ctx, Mp.rank, Mp.shifts, extra=Mp.rels
+    # f_0: image of each minimal generator of M, expressed over Mp's minimal
+    # ones; Mp_min equals minimize(Mp)'s copy, so the two share one engine
+    Mp_min = GradedModule(
+        ctx, Mp.rank, Mp.shifts, [Mp.gens[i] for i in resp.kept], Mp.rels
     )
+    images = [Mp.coords_to_ambient(f.mat[i]) for i in res.kept]
+    sol, bad = modules.lift_columns(Mp_min, images)
     if sol is None:
         raise LiftFailed(f"cannot express image of generator {bad}")
-    maps = [list(sol)]
+    maps = [sol]
     for k in range(1, length + 1):
         if not res.rank(k):
             maps.append([])
@@ -438,16 +438,12 @@ def lift_chain_map(f, length):
             targets.append(
                 modules.vec_combine(prev, u, ctx, resp.rank(k - 1))
             )
-        sol, bad = groebner.lift_through(
-            dpk,
-            targets,
-            ctx,
-            resp.rank(k - 1),
-            resp.level_shifts[k - 1],
-        )
+        # built directly: subquotient's canonical form would reorder dpk
+        im_k = GradedModule(ctx, resp.rank(k - 1), resp.level_shifts[k - 1], dpk, ())
+        sol, bad = modules.lift_columns(im_k, targets)
         if sol is None:
             raise LiftFailed(f"chain lift failed at level {k}, column {bad}")
-        maps.append(list(sol))
+        maps.append(sol)
     return maps
 
 
@@ -470,19 +466,12 @@ def ext_induced(i, f, N):
         cols.append(
             tuple(x for col in f_i for x in modules.vec_combine(blocks, col, ctx, r))
         )
-    sol, bad = groebner.lift_through(
-        list(E_tgt.gens),
-        cols,
-        ctx,
-        E_tgt.rank,
-        E_tgt.shifts,
-        extra=E_tgt.rels,
-    )
+    sol, bad = modules.lift_columns(E_tgt, cols)
     if sol is None:
         raise InternalConsistencyError(
             f"induced class escaped the Ext module (column {bad})"
         )
-    return ModuleMap(E_src, E_tgt, list(sol), f.degree, check=False)
+    return ModuleMap(E_src, E_tgt, sol, f.degree, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     RingMismatch,
 )
 from .groebner import vec_degree, vec_is_zero
-from .ring import _memo, parse_poly, render_poly
+from .ring import _memo, render_poly
 
 
 def zero_vec(ctx, rank):
@@ -123,7 +123,10 @@ class GradedModule:
 
     def express_in_gens(self, vec):
         """Coordinates of an ambient vector over the generators, mod rels."""
-        rem, coeffs = self.gens_engine().reduce_with_certificate(vec)
+        if self.gens:
+            rem, coeffs = self.gens_engine().reduce_with_certificate(vec)
+        else:
+            rem, coeffs = self.rels_gb().normal_form(vec), ()
         if not vec_is_zero(rem):
             raise InvalidInput("vector does not lie in the module")
         return coeffs
@@ -169,14 +172,6 @@ class GradedModule:
             "gens": [[render_poly(f) for f in col] for col in self.gens],
             "rels": [[render_poly(f) for f in col] for col in self.rels],
         }
-
-
-def module_from_json(ctx, blob):
-    rank = blob["ambient_rank"]
-    shifts = blob["shifts"]
-    gens = [tuple(parse_poly(ctx, s) for s in col) for col in blob["gens"]]
-    rels = [tuple(parse_poly(ctx, s) for s in col) for col in blob["rels"]]
-    return subquotient(ctx, gens, rels, shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +570,7 @@ def minimize(M):
     from . import homalg
 
     kept = homalg.free_resolution(M, 0).kept
-    kept_cols = [M.gens[i] for i in kept]
-    Mmin = GradedModule(ctx, M.rank, M.shifts, kept_cols, M.rels)
+    Mmin = GradedModule(ctx, M.rank, M.shifts, [M.gens[i] for i in kept], M.rels)
     _memo(Mmin, "rels_gb", M.rels_gb)
     incl_mat = []
     for i in kept:
@@ -584,16 +578,23 @@ def minimize(M):
         col[i] = ctx.one()
         incl_mat.append(col)
     incl = ModuleMap(Mmin, M, incl_mat, check=False)
-    if kept_cols:
-        sols, bad = groebner.lift_through(
-            kept_cols, list(M.gens), ctx, M.rank, M.shifts, extra=M.rels
-        )
-        if sols is None:
-            raise InternalConsistencyError("minimization lost a generator")
-        proj = ModuleMap(M, Mmin, list(sols), check=False)
-    else:
-        proj = zero_map(M, Mmin)
+    sols, _ = lift_columns(Mmin, M.gens)
+    if sols is None:
+        raise InternalConsistencyError("minimization lost a generator")
+    proj = ModuleMap(M, Mmin, sols, check=False)
     return Mmin, proj, incl
+
+
+def lift_columns(M, vectors):
+    """Each vector's coordinates over M's generators, by ``express_in_gens``:
+    (coordinates, None), or (None, j) for the first vector j outside M."""
+    out = []
+    for j, vec in enumerate(vectors):
+        try:
+            out.append(M.express_in_gens(vec))
+        except InvalidInput:
+            return None, j
+    return out, None
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +697,11 @@ def is_regular_sequence(ctx, seq):
 
 
 def transport(M, ctx2):
-    """Reinterpret a module annihilated by the new defining ideal."""
+    """Reinterpret a module annihilated by the new defining ideal (cached)."""
+    return _memo(M, ("transport", ctx2), lambda: _transport(M, ctx2))
+
+
+def _transport(M, ctx2):
     gens = [tuple(ctx2.lift_poly(f) for f in col) for col in M.gens]
     rels = [tuple(ctx2.lift_poly(f) for f in col) for col in M.rels]
     return subquotient(ctx2, gens, rels, M.shifts, M.rank)

@@ -25,7 +25,6 @@ import re
 from .errors import (
     DegreeOverflow,
     InhomogeneousInput,
-    InvalidInput,
     LengthMismatch,
     NonPrimeCharacteristic,
     RingMismatch,
@@ -96,22 +95,10 @@ def _overflow(deg):
     )
 
 
-def mono_mul(a, b, ctx):
-    c = a + b
-    if c >= ctx._pk.top:
-        raise _overflow(c >> ctx._pk.shift)
-    return c
-
-
 def mono_divides(a, b, ctx):
     """Does a divide b?  (exponentwise a <= b, one guard-bit test)"""
     pk = ctx._pk
     return (((b & pk.low) | pk.guard) - (a & pk.low)) & pk.guard == pk.guard
-
-
-def mono_div(b, a):
-    """Quotient b / a; caller guarantees divisibility."""
-    return b - a
 
 
 def mono_lcm(a, b, ctx):
@@ -349,18 +336,6 @@ class Poly:
         p = self.ctx.p
         return Poly(self.ctx, {mono: (c * v) % p for mono, v in self.terms.items()})
 
-    def lead_mono(self):
-        return max(self.terms) if self.terms else None
-
-    def lead_coeff(self):
-        return self.terms[max(self.terms)] if self.terms else 0
-
-    def monic(self):
-        lc = self.lead_coeff()
-        if lc in (0, 1):
-            return self
-        return self.scale(pow(lc, -1, self.ctx.p))
-
     def degree(self):
         """Weighted degree of the leading monomial (None for 0)."""
         return max(self.terms) >> self.ctx._pk.shift if self.terms else None
@@ -377,17 +352,6 @@ class Poly:
 
     def __repr__(self):
         return render_poly(self)
-
-
-def arith(op, a, b):
-    """Spec-surface dispatcher for exact ring arithmetic."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scalar":
-        return a.scale(b) if isinstance(b, int) else b.scale(a)
-    raise InvalidInput(f"unknown arithmetic op {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Dual-route checks of the engine core: syzygy completeness and lift
 correctness against degree-by-degree linear algebra, and the module lifts
-read from one stored engine against the per-call engines they replace."""
+read from one stored engine against membership in the module's bases."""
 
 from contextlib import contextmanager
 
@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison.errors import InternalConsistencyError, InvalidInput
-from liaison.groebner import (
-    ModuleGB,
-    lift_through,
-    syzygies,
-    tracked_engine,
-    vec_degree,
-    vec_is_zero,
+from liaison.groebner import ModuleGB, syzygies, vec_degree, vec_is_zero
+from liaison.homalg import lift_chain_map
+from liaison.modules import (
+    GradedModule,
+    identity_map,
+    minimize,
+    subquotient,
+    vec_combine,
+    zero_module,
 )
-from liaison.modules import subquotient, vec_combine
 from liaison.ring import make_ring
 
 from tests.oracle import (
@@ -95,9 +96,8 @@ def test_lift_recovers_planted_solutions(seed, quotient):
     B = [vec_combine(A, X0, ctx, 2)]
     if vec_is_zero(B[0]):
         return
-    sol, bad = lift_through(A, B, ctx, 2, (0, 0))
-    assert bad is None
-    recomposed = vec_combine(A, sol[0], ctx, 2)
+    sol = GradedModule(ctx, 2, (0, 0), A, ()).express_in_gens(B[0])
+    recomposed = vec_combine(A, sol, ctx, 2)
     diff = tuple(a - b for a, b in zip(recomposed, B[0]))
     gb = __import__("liaison.groebner", fromlist=["buchberger"]).buchberger(
         [], ctx, 2
@@ -117,108 +117,34 @@ def test_syzygy_of_koszul_over_three_variables():
         assert got == want
 
 
-# -- lifts from engines completed only up to the degree of B ------------------
-
-LIFT_RINGS = [
-    make_ring(101, ["x", "y", "z"]),
-    make_ring(101, ["x", "y", "z"], ["x*z - y^2"]),
-    make_ring(101, ["x", "y", "z"], ["x*z - y^2"], weights=[1, 2, 3]),
-]
-LIFT_SHIFTS = (0, 1)
+# -- a truncated engine --------------------------------------------------------
 
 
-@contextmanager
-def _treated_pair_degrees():
-    """Collect the degree of every pair a tracked engine treats."""
-    degrees = []
-    s_vector = ModuleGB._s_vector
-
-    def counted(self, i, j, lcm):
-        if self.track:
-            pos = self.leads[i][0]
-            degrees.append((lcm >> self.ctx._pk.shift) + self.shifts[pos])
-        return s_vector(self, i, j, lcm)
-
-    ModuleGB._s_vector = counted
-    try:
-        yield degrees
-    finally:
-        ModuleGB._s_vector = s_vector
-
-
-def _full_lift(a_cols, b_cols, ctx, extra):
-    """lift_through's answer read from a fully completed tracked engine."""
-    eng = tracked_engine(ctx, a_cols, 2, LIFT_SHIFTS, extra)
-    out = []
-    for j, col in enumerate(b_cols):
-        rem, coeffs = eng.reduce_with_certificate(col)
-        if not vec_is_zero(rem):
-            return None, j
-        out.append(coeffs)
-    return out, None
-
-
-def _vector(ctx, degree, seed):
-    return tuple(random_homogeneous(ctx, degree - s, seed + 7 * s) for s in LIFT_SHIFTS)
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_truncated_lift_matches_full_engine(data):
-    ctx = data.draw(st.sampled_from(LIFT_RINGS))
-    seed = data.draw(st.integers(1, 2**20))
-    a_degs = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    a_cols = [_vector(ctx, d, seed + 31 * k) for k, d in enumerate(a_degs)]
-    extra = [_vector(ctx, d, seed + 97 * k)
-             for k, d in enumerate(data.draw(st.lists(st.integers(2, 4), max_size=1)))]
-    zero = (ctx.zero(),) * len(LIFT_SHIFTS)
-    b_cols = []
-    for k, kind in enumerate(data.draw(st.lists(
-            st.sampled_from(["span", "zero", "outside"]), min_size=1, max_size=4))):
-        d = data.draw(st.integers(1, 5))
-        if kind == "zero":
-            b_cols.append(zero)
-        elif kind == "outside":
-            b_cols.append(_vector(ctx, d, seed + 13 * k + 5))
-        else:
-            coeffs = [random_homogeneous(ctx, d - a, seed + 11 * k + a) if d >= a
-                      else ctx.zero() for a in a_degs]
-            b_cols.append(vec_combine(a_cols, coeffs, ctx, 2))
-    with _treated_pair_degrees() as treated:
-        got = lift_through(a_cols, b_cols, ctx, 2, LIFT_SHIFTS, extra)
-    assert got == _full_lift(a_cols, b_cols, ctx, extra)
-    top = max((vec_degree(c, LIFT_SHIFTS) for c in b_cols if not vec_is_zero(c)),
-              default=None)
-    assert all(top is not None and d <= top for d in treated), (treated, top)
-
-
-def test_lift_treats_no_pair_above_the_degree_of_b():
-    # the coprime leads x and y pair in degree 2; B lives in degree 1
-    ctx = LIFT_RINGS[0]
-    x, y, z = (ctx.var(k) for k in range(3))
-    with _treated_pair_degrees() as treated:
-        sol, bad = lift_through([(x,), (y,)], [(x - y,), (ctx.zero(),)], ctx, 1, (0,))
-    assert bad is None and sol == [(ctx.one(), -ctx.one()), (ctx.zero(), ctx.zero())]
-    assert treated == []
-    with _treated_pair_degrees() as treated:
-        assert lift_through([(x,), (y,)], [(z,)], ctx, 1, (0,)) == (None, 0)
-        assert lift_through([(x,), (y,)], [], ctx, 1, (0,)) == ([], None)
-    assert treated == []
+def test_truncated_engine_refuses_a_vector_above_its_limit():
     # an engine complete up to degree 1 cannot decide degree 2
-    eng = tracked_engine(ctx, [(x,), (y,)], 1, (0,), limit=1)
+    ctx = make_ring(101, ["x", "y", "z"])
+    x, y = ctx.var(0), ctx.var(1)
+    eng = ModuleGB(ctx, 1, (0,), track=2, track_shifts=(1, 1))
+    eng.add_generators([{0: x.terms, 1: {0: 1}}, {0: y.terms, 2: {0: 1}}], limit=1)
     with pytest.raises(InternalConsistencyError):
         eng.reduce_with_certificate((x * y,))
 
 
 # -- module lifts read from the module's one fully completed engine ----------
 
+SHIFTS = (0, 1)
+
 # (ring, degrees of generators and relations, degrees of test vectors)
 MODULE_RINGS = [
-    (LIFT_RINGS[0], range(1, 4), range(0, 6)),
-    (LIFT_RINGS[1], range(1, 4), range(0, 6)),
+    (make_ring(101, ["x", "y", "z"]), range(1, 4), range(0, 6)),
+    (make_ring(101, ["x", "y", "z"], ["x*z - y^2"]), range(1, 4), range(0, 6)),
     (make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
                weights=[3, 4, 5]), range(3, 9), range(3, 13)),
 ]
+
+
+def _vector(ctx, degree, seed):
+    return tuple(random_homogeneous(ctx, degree - s, seed + 7 * s) for s in SHIFTS)
 
 
 def _random_module(data):
@@ -230,12 +156,12 @@ def _random_module(data):
     rel_degs = data.draw(st.lists(st.sampled_from(gen_range), max_size=2))
     gens = [_vector(ctx, d, seed + 31 * k) for k, d in enumerate(gen_degs)]
     rels = [_vector(ctx, d, seed + 97 * k) for k, d in enumerate(rel_degs)]
-    M = subquotient(ctx, gens, rels, LIFT_SHIFTS)
-    vectors = [(ctx.zero(),) * len(LIFT_SHIFTS)]
+    M = subquotient(ctx, gens, rels, SHIFTS)
+    vectors = [(ctx.zero(),) * len(SHIFTS)]
     for k, d in enumerate(data.draw(st.lists(st.sampled_from(vec_range), max_size=4))):
         if data.draw(st.booleans()):
             cols = list(M.gens) + list(M.rels)
-            coeffs = [random_homogeneous(ctx, d - vec_degree(c, LIFT_SHIFTS),
+            coeffs = [random_homogeneous(ctx, d - vec_degree(c, SHIFTS),
                                          seed + 11 * k + j)
                       for j, c in enumerate(cols)]
             vectors.append(vec_combine(cols, coeffs, ctx, 2))
@@ -254,22 +180,37 @@ def _lift_or_none(M, vec):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_module_lifts_match_per_call_lifts(data):
+    # a lift recombines to the vector modulo the relations, and a vector has
+    # none exactly when the basis of generators and relations leaves it out
     M, vectors = _random_module(data)
-    if not M.gens:
-        return
-    by_degree = sorted(vectors, key=lambda v: vec_degree(v, LIFT_SHIFTS) or 0)
+    by_degree = sorted(vectors, key=lambda v: vec_degree(v, SHIFTS) or 0)
     for vec in by_degree + by_degree[::-1]:
-        sol, _ = lift_through(list(M.gens), [vec], M.ctx, M.rank, M.shifts,
-                              extra=M.rels)
-        assert _lift_or_none(M, vec) == (sol and sol[0])
+        coeffs = _lift_or_none(M, vec)
+        assert (coeffs is None) == (not M.full_gb().contains(vec))
+        if coeffs is not None:
+            combined = vec_combine(M.gens, coeffs, M.ctx, M.rank)
+            assert M.rels_gb().contains(tuple(a - b for a, b in zip(combined, vec)))
     assert M.column_relations() == syzygies(list(M.gens), M.ctx, M.rank, M.shifts,
                                             extra=M.rels)
 
 
-def test_module_lifts_and_relations_build_one_tracked_engine():
-    ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])  # a cold cache
-    x, y, z = (ctx.var(k) for k in range(3))
-    M = subquotient(ctx, [(x, ctx.zero()), (y, z), (z, x)], [(y * y, x * z)], (0, 0))
+def test_modules_without_generators_lift_only_their_zero_vectors():
+    ctx = MODULE_RINGS[1][0]
+    x, y, zero = ctx.var(0), ctx.var(1), ctx.zero()
+    Z = zero_module(ctx)
+    assert Z.express_in_gens((zero,)) == ()
+    with pytest.raises(InvalidInput, match="does not lie in the module"):
+        Z.express_in_gens((x,))
+    M = subquotient(ctx, [], [(x, zero)], SHIFTS)
+    assert M.express_in_gens((zero, zero)) == ()
+    assert M.express_in_gens((x * y, zero)) == ()
+    with pytest.raises(InvalidInput, match="does not lie in the module"):
+        M.express_in_gens((y, zero))
+
+
+@contextmanager
+def _tracked_engines():
+    """Collect every tracked engine built inside the block."""
     built = []
     init = ModuleGB.__init__
 
@@ -280,9 +221,30 @@ def test_module_lifts_and_relations_build_one_tracked_engine():
 
     ModuleGB.__init__ = counted
     try:
+        yield built
+    finally:
+        ModuleGB.__init__ = init
+
+
+def test_module_lifts_and_relations_build_one_tracked_engine():
+    ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])  # a cold cache
+    x, y, z = (ctx.var(k) for k in range(3))
+    M = subquotient(ctx, [(x, ctx.zero()), (y, z), (z, x)], [(y * y, x * z)], (0, 0))
+    with _tracked_engines() as built:
         for vec in [(x, ctx.zero()), (y, z), (x + y, z), (x * x, x * z), (x * y, y * z)]:
             M.express_in_gens(vec)
         M.column_relations()
-    finally:
-        ModuleGB.__init__ = init
     assert len(built) == 1 and built[0] is M.gens_engine()
+
+
+def test_minimize_and_level_zero_chain_lift_build_one_tracked_engine():
+    ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])  # a cold cache
+    x, y, z = (ctx.var(k) for k in range(3))
+    # the third generator is x times the first, so minimize drops it
+    M = subquotient(ctx, [(x, y), (z, x), (x * x, x * y)], [(y * y, x * z)], (0, 0))
+    with _tracked_engines() as built:
+        Mmin, _, _ = minimize(M)
+        maps = lift_chain_map(identity_map(M), 0)
+    assert len(Mmin.gens) == 2
+    assert maps == [list(identity_map(Mmin).mat)]
+    assert len(built) == 1 and built[0] is Mmin.gens_engine()

@@ -120,7 +120,7 @@ def test_even_liaison_preserves_middle_cohomology(F101xyzw):
         he = local_cohomology_hf(end, i, (-5, 5))
         assert hs.hf == he.hf
     # and the band content is genuinely nonzero here
-    assert not local_cohomology_hf(start, 1, (-5, 5)).is_zero_on_window()
+    assert any(local_cohomology_hf(start, 1, (-5, 5)).hf.values())
 
 
 def test_coreflexive_duals_stable_on_even_coliaison(semigroup345):

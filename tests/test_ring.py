@@ -10,15 +10,12 @@ from liaison.errors import (
 from tests.oracle import random_homogeneous
 
 from liaison.ring import (
-    arith,
     compare_monomials,
     make_ring,
-    mono_div,
     mono_divides,
     mono_exponents,
     mono_from_exponents,
     mono_lcm,
-    mono_mul,
     parse_poly,
     render_poly,
 )
@@ -57,11 +54,11 @@ def test_univariate_monomial_product(F101x):
     assert x * x * (x * x * x) == parse_poly(F101x, "x^5")
 
 
-def test_arith_dispatcher(F101x):
+def test_sum_product_and_scalar_multiple(F101x):
     x = F101x.var(0)
-    assert arith("add", x, -x) == F101x.zero()
-    assert arith("mul", x, x) == parse_poly(F101x, "x^2")
-    assert arith("scalar", x, 3) == parse_poly(F101x, "3*x")
+    assert x + (-x) == F101x.zero()
+    assert x * x == parse_poly(F101x, "x^2")
+    assert x.scale(3) == parse_poly(F101x, "3*x")
 
 
 def test_ring_mismatch_raises(F101x, F101xy):
@@ -179,15 +176,17 @@ def test_packed_monomials_match_tuple_reference(case):
     assert (a == b) == (ea == eb)
     assert mono_exponents(a, m) == ea and mono_exponents(b, m) == eb
 
+    # the engine multiplies and divides packed monomials by adding and
+    # subtracting their keys
     product = tuple(x + y for x, y in zip(ea, eb))
-    assert mono_mul(a, b, ctx) == mono_from_exponents(product, weights)
-    assert mono_exponents(mono_mul(a, b, ctx), m) == product
+    assert a + b == mono_from_exponents(product, weights)
+    assert mono_exponents(a + b, m) == product
 
     divides = all(x <= y for x, y in zip(ea, eb))
     assert mono_divides(a, b, ctx) == divides
     if divides:
         quotient = tuple(y - x for x, y in zip(ea, eb))
-        assert mono_div(b, a) == mono_from_exponents(quotient, weights)
+        assert b - a == mono_from_exponents(quotient, weights)
 
     lcm = tuple(max(x, y) for x, y in zip(ea, eb))
     assert mono_lcm(a, b, ctx) == mono_from_exponents(lcm, weights)
@@ -198,7 +197,7 @@ def test_degree_limit_raises():
     ctx = make_ring(101, ["x", "y"], weights=[1, 2])
     limit = 1 << 20
     top = ctx.monomial([limit - 1, 0])  # the largest representable x-power
-    assert mono_exponents(top.lead_mono(), 2) == (limit - 1, 0)
+    assert mono_exponents(max(top.terms), 2) == (limit - 1, 0)
     with pytest.raises(DegreeOverflow):
         ctx.monomial([limit, 0])
     with pytest.raises(DegreeOverflow):
@@ -206,6 +205,6 @@ def test_degree_limit_raises():
     with pytest.raises(DegreeOverflow):
         top * ctx.var(0)
     with pytest.raises(DegreeOverflow):
-        mono_mul(top.lead_mono(), ctx.var(1).lead_mono(), ctx)
+        mono_lcm(max(top.terms), max(ctx.var(1).terms), ctx)
     with pytest.raises(DegreeOverflow):
         make_ring(101, ["x"], weights=[limit]).var(0)

@@ -33,11 +33,16 @@ outside the columns kept before it, and a basis complete up to its degree
 decides that.  Such an engine is never stored, and it refuses to reduce a
 vector above its bound.
 
-The engine works on the ring's packed monomial keys directly (see ``ring``):
-a term product is one integer addition and a divisor test one mask test.
-Degrees grow only at pair lcms.  Each pair's degree and each input's degree
-is checked against the encoding's limit less the lowest shift, so for
-graded input no monomial the engine forms can overflow.
+Inside the engine a vector is one dict ``{key: coeff}``: the ring's packed
+monomial (see ``ring``) with the vector's position packed above it, so that
+plain ``<`` on keys is the position-over-term order (see ``ModuleGB``).  A
+term product is one integer addition, a divisor test one mask test, and a
+normal form one loop over a vector's terms in descending key order.  A
+tracked engine keeps each certificate in a dict of its own, so the lead of
+a vector is the ``max`` of its own keys alone.  Degrees grow only at pair
+lcms.  Each pair's degree and each input's degree is checked against the
+encoding's limit less the lowest shift, so for graded input no monomial the
+engine forms can overflow, and no monomial carries into the position.
 """
 
 from __future__ import annotations
@@ -54,8 +59,10 @@ from .errors import (
 from .ring import _LIMIT, Poly, _memo, _memoized, mono_divides, mono_exponents, mono_lcm
 
 # ---------------------------------------------------------------------------
-# vectors: tuples of Poly at the API surface; inside, dicts mapping a position
-# to its terms {mono: coeff}, with absent positions zero
+# vectors: tuples of Poly at the API surface; inside, one dict {key: coeff}
+# per vector, whose keys carry the position above the monomial (see ModuleGB)
+
+_POSITIONS = 1 << 12  # P: an engine has fewer than P positions
 
 
 def vec_is_zero(vec):
@@ -78,39 +85,62 @@ def vec_degree(vec, shifts):
     return deg
 
 
-def _to_internal(vec):
-    return {pos: dict(f.terms) for pos, f in enumerate(vec) if f.terms}
+def _flat(ctx, parts):
+    """The internal vector with the terms {mono: coeff} of each
+    ``(position, terms)`` pair at that position."""
+    span = ctx._pk.span
+    out = {}
+    for pos, terms in parts:
+        prefix = (_POSITIONS - pos) << span
+        for mono, c in terms.items():
+            out[prefix | mono] = c
+    return out
+
+
+def _to_internal(ctx, vec):
+    return _flat(ctx, ((pos, f.terms) for pos, f in enumerate(vec)))
 
 
 def _ring_columns(ctx, rank):
     """The columns J*e_i presenting the quotient ring inside S^rank, as
-    internal vectors sharing the terms of ``ctx.defining``.  Since that is a
-    reduced basis of J, these form a reduced basis of J*S^rank."""
-    return [{pos: g.terms} for pos in range(rank) for g in ctx.defining]
+    internal vectors.  Since ``ctx.defining`` is a reduced basis of J, these
+    form a reduced basis of J*S^rank."""
+    return [_flat(ctx, ((pos, g.terms),)) for pos in range(rank) for g in ctx.defining]
 
 
 class ModuleGB:
     """A (possibly tracked) Groebner basis of a submodule of a free module.
 
-    ``rank`` counts the actual free-module positions; ``track`` further
-    virtual positions carry expression certificates for the first ``track``
-    input columns.  Lead terms are always taken in the first ``rank``
-    positions.
+    ``rank`` counts the free-module positions.  A tracked engine carries an
+    expression certificate over its first ``track`` input columns for every
+    basis vector (``certs``, parallel to ``basis``); a reduction to zero
+    leaves a certificate alone, which is a syzygy of those columns.
+
+    A vector is one dict ``{key: coeff}`` with ``key = ((P - pos) << span) |
+    mono``, where ``P`` is ``_POSITIONS`` and ``span`` the width of the
+    ring's packed monomials (``mono < 1 << span``, see ``ring``).  Plain
+    ``<`` on keys is then the position-over-term order with position 0
+    highest: a vector's lead is ``max`` of its keys, a reducer's multiplier
+    is ``key - lead`` (the position prefix cancels), and ``by_pos`` files
+    the leads under their prefix ``key >> span``.  Certificates use the same
+    keys with the index of a tracked column as position.  Fewer than ``P``
+    positions in all keep every prefix positive and distinct.
     """
 
     __slots__ = (
         "ctx",
         "rank",
         "track",
-        "total",
         "shifts",
         "basis",
-        "leads",
+        "certs",
+        "heads",
         "by_pos",
         "degrees",
         "pairs",
         "pending",
         "syzygies",
+        "fed",
         "use_criteria",
         "reduced",
         "room",
@@ -120,18 +150,23 @@ class ModuleGB:
     def __init__(self, ctx, rank, shifts, track=0, track_shifts=()):
         if len(shifts) != rank or len(track_shifts) != track:
             raise InvalidInput("shift data does not match rank/track")
+        if rank + track >= _POSITIONS:
+            raise InvalidInput(
+                f"{rank + track} engine positions reach the limit {_POSITIONS}"
+            )
         self.ctx = ctx
         self.rank = rank
         self.track = track
-        self.total = rank + track
         self.shifts = tuple(shifts) + tuple(track_shifts)
-        self.basis = []  # list of internal vectors, nonzero positions only
-        self.leads = []  # list[(pos, mono)]
-        self.by_pos = {}  # lead position -> [(lead exponent word, basis index)]
+        self.basis = []  # internal vectors
+        self.certs = []  # their certificates, in a tracked engine only
+        self.heads = []  # the lead key of each basis vector
+        self.by_pos = {}  # lead prefix -> [(lead exponent word, basis index)]
         self.degrees = []  # homogeneous degree of each basis vector
-        self.pairs = []  # heap of (degree, i, j, lcm of the leads)
+        self.pairs = []  # heap of (degree, i, j, lcm of the lead monomials)
         self.pending = set()
-        self.syzygies = []  # internal vectors, read over the track block
+        self.syzygies = []  # certificates of reductions to zero
+        self.fed = 0  # input columns fed so far; the first track are tracked
         self.use_criteria = track == 0
         self.reduced = False
         # a vector of degree D holds monomials of degree up to D - min(shifts)
@@ -139,107 +174,108 @@ class ModuleGB:
         # complete in every degree up to this one; None: in every degree
         self.limit = None
 
+    @property
+    def leads(self):
+        """The lead of each basis vector as (position, monomial)."""
+        pk = self.ctx._pk
+        mask = pk.top - 1
+        return [(_POSITIONS - (h >> pk.span), h & mask) for h in self.heads]
+
     # -- low-level term arithmetic ---------------------------------------
 
-    def _lead(self, data):
-        live = [pos for pos, d in data.items() if d and pos < self.rank]
-        if not live:
-            return None
-        pos = min(live)
-        return pos, max(data[pos])
-
-    def _axpy(self, data, coeff, mono, src):
-        """data -= coeff * t^mono * src, all mod p."""
+    def _axpy(self, data, coeff, mult, src):
+        """data -= coeff * t^mult * src, all mod p."""
         p = self.ctx.p
         c = p - coeff
-        for pos, s in src.items():
-            d = data.get(pos)
-            if d is None:
-                data[pos] = {mono + mb: c * cb % p for mb, cb in s.items()}
-                continue
-            get = d.get
-            for mb, cb in s.items():
-                key = mono + mb
-                r = (get(key, 0) + c * cb) % p
-                if r:
-                    d[key] = r
-                else:
-                    del d[key]
+        get = data.get
+        for k, cb in src.items():
+            key = mult + k
+            r = (get(key, 0) + c * cb) % p
+            if r:
+                data[key] = r
+            else:
+                del data[key]
 
-    def _normal_form(self, data, reducers=None):
-        """Fully reduce data in place against the basis, or against the
-        ``(by_pos, leads, basis)`` given; returns data.
+    def _normal_form(self, data, cert=None, reducers=None):
+        """Fully reduce data against the basis, or against the ``(by_pos,
+        heads, basis)`` given, and return the reduced vector; data is
+        emptied, and ``cert``, when given, follows every step in place.
 
-        Only lead positions are reduced.  A basis vector is zero before its
-        lead position, so reducing one position never touches earlier ones.
+        Terms are taken in descending key order: positions ascending, and in
+        one position monomials descending.  A term goes to the result when
+        no lead at its position divides it; otherwise the first such basis
+        vector reduces it.  Scaled, that vector holds no key above the term,
+        so no term already taken changes.
         """
-        by_pos, leads, basis = reducers or (self.by_pos, self.leads, self.basis)
+        by_pos, heads, basis = reducers or (self.by_pos, self.heads, self.basis)
+        certs = self.certs
         pk = self.ctx._pk
-        low, guard = pk.low, pk.guard
-        for pos in sorted(by_pos):
-            d = data.get(pos)
-            if not d:
-                continue
-            bucket = by_pos[pos]
-            out = {}
-            while d:
-                mono = max(d)
-                room = (mono & low) | guard
+        low, guard, span = pk.low, pk.guard, pk.span
+        axpy = self._axpy
+        out = {}
+        while data:
+            key = max(data)
+            bucket = by_pos.get(key >> span)
+            if bucket:
+                room = (key & low) | guard
                 for lead_exps, idx in bucket:
                     if (room - lead_exps) & guard == guard:
-                        self._axpy(data, d[mono], mono - leads[idx][1], basis[idx])
+                        coeff, mult = data[key], key - heads[idx]
+                        axpy(data, coeff, mult, basis[idx])
+                        if cert is not None:
+                            axpy(cert, coeff, mult, certs[idx])
                         break
                 else:
-                    out[mono] = d.pop(mono)
-            data[pos] = out
-        return data
+                    out[key] = data.pop(key)
+            else:
+                out[key] = data.pop(key)
+        return out
 
-    def _bucket(self, leads):
-        """Lead position -> [(exponent word of the lead, basis index)]."""
-        low = self.ctx._pk.low
+    def _bucket(self, heads):
+        """Lead prefix -> [(exponent word of the lead, basis index)]."""
+        pk = self.ctx._pk
         by_pos = {}
-        for idx, (lp, lm) in enumerate(leads):
-            by_pos.setdefault(lp, []).append((lm & low, idx))
+        for idx, head in enumerate(heads):
+            by_pos.setdefault(head >> pk.span, []).append((head & pk.low, idx))
         return by_pos
 
-    def _make_monic(self, data):
-        lead = self._lead(data)
-        pos, mono = lead
-        c = data[pos][mono]
-        if c != 1:
-            p = self.ctx.p
-            inv = pow(c, -1, p)
-            for d in data.values():
-                for key in d:
-                    d[key] = (d[key] * inv) % p
-
-    def _vector_degree(self, data):
-        live = [pos for pos, d in data.items() if d]
-        if not live:
-            return None
-        pos = min(live)
-        return (max(data[pos]) >> self.ctx._pk.shift) + self.shifts[pos]
+    def _degree(self, head):
+        """The degree of a vector whose lead key is ``head``."""
+        pk = self.ctx._pk
+        pos = _POSITIONS - (head >> pk.span)
+        return ((head & (pk.top - 1)) >> pk.shift) + self.shifts[pos]
 
     # -- basis growth ------------------------------------------------------
 
-    def _push(self, data):
-        lead = self._lead(data)
-        pos, mono = lead
-        self._make_monic(data)
+    def _push(self, data, cert):
+        """File a nonzero reduced vector, made monic, as a basis vector."""
+        head = max(data)
+        c = data[head]
+        if c != 1:
+            p = self.ctx.p
+            inv = pow(c, -1, p)
+            for part in (data, cert or {}):
+                for key in part:
+                    part[key] = (part[key] * inv) % p
         idx = len(self.basis)
-        deg = self._vector_degree(data)
-        self.basis.append({q: d for q, d in data.items() if d})
-        self.leads.append((pos, mono))
+        deg = self._degree(head)
+        self.basis.append(data)
+        if self.track:
+            self.certs.append(cert)
+        self.heads.append(head)
         self.degrees.append(deg)
-        sh = self.ctx._pk.shift
-        bucket = self.by_pos.setdefault(pos, [])
+        pk = self.ctx._pk
+        mask = pk.top - 1
+        mono = head & mask
+        shift = deg - (mono >> pk.shift)  # the shift of the lead position
+        bucket = self.by_pos.setdefault(head >> pk.span, [])
         for _, j in bucket:
-            lcm = mono_lcm(self.leads[j][1], mono, self.ctx)
-            pair_deg = (lcm >> sh) + self.shifts[pos]
+            lcm = mono_lcm(self.heads[j] & mask, mono, self.ctx)
+            pair_deg = (lcm >> pk.shift) + shift
             self._check_degree(pair_deg)
             heapq.heappush(self.pairs, (pair_deg, j, idx, lcm))
             self.pending.add((j, idx))
-        bucket.append((mono & self.ctx._pk.low, idx))
+        bucket.append((head & pk.low, idx))
         self.reduced = False
 
     def _check_degree(self, deg):
@@ -261,51 +297,63 @@ class ModuleGB:
         """
         if self.basis:
             raise InternalConsistencyError("only an empty engine can be seeded")
-        low = self.ctx._pk.low
+        pk = self.ctx._pk
         for data in vectors:
-            deg = self._vector_degree(data)
+            head = max(data)
+            deg = self._degree(head)
             self._check_degree(deg)
-            pos, mono = self._lead(data)
-            self.by_pos.setdefault(pos, []).append((mono & low, len(self.basis)))
+            self.by_pos.setdefault(head >> pk.span, []).append(
+                (head & pk.low, len(self.basis))
+            )
             self.basis.append(data)
-            self.leads.append((pos, mono))
+            if self.track:
+                self.certs.append({})
+            self.heads.append(head)
             self.degrees.append(deg)
 
     def add_generators(self, vectors, limit=None):
-        """Feed vectors (tuples of Poly over the F-part, or internal vectors
-        over all positions) into the basis, then complete with Buchberger's
-        algorithm, up to degree ``limit`` when one is given.  Vectors of
-        degree above ``limit`` are skipped; a limit is sound only for
-        homogeneous input over a graded ring."""
+        """Feed vectors (tuples of Poly over the F-part, or internal vectors)
+        into the basis, then complete with Buchberger's algorithm, up to
+        degree ``limit`` when one is given.  The first ``track`` vectors
+        ever fed are the tracked columns.  Vectors of degree above ``limit``
+        are skipped; a limit is sound only for homogeneous input over a
+        graded ring."""
+        span = self.ctx._pk.span
         for vec in vectors:
             if isinstance(vec, tuple):
-                data = _to_internal(vec)
+                data = _to_internal(self.ctx, vec)
             else:
-                data = {pos: dict(d) for pos, d in vec.items()}
-            deg = self._vector_degree(data)
-            if deg is not None:
+                data = dict(vec)
+            cert = None
+            if self.track:
+                tracked = self.fed < self.track
+                cert = {(_POSITIONS - self.fed) << span: 1} if tracked else {}
+            self.fed += 1
+            if data:
+                deg = self._degree(max(data))
                 self._check_degree(deg)
                 if limit is not None and deg > limit:
                     continue
-            data = self._normal_form(data)
-            self._absorb(data)
+            self._absorb(self._normal_form(data, cert), cert)
         self._complete(limit)
 
-    def _absorb(self, data):
+    def _absorb(self, data, cert):
         """File a fully reduced vector as basis element or syzygy."""
-        if any(d for pos, d in data.items() if pos < self.rank):
-            self._push(data)
-        elif self.track and any(data.values()):
-            self.syzygies.append(data)
+        if data:
+            self._push(data, cert)
+        elif cert:
+            self.syzygies.append(cert)
 
     def _criteria_skip(self, i, j, lcm):
-        pi, mi = self.leads[i]
-        pj, mj = self.leads[j]
-        if self.rank == 1 and lcm == mi + mj:
-            return True  # coprime leads; valid for ideals only
-        guard = self.ctx._pk.guard
-        room = (lcm & self.ctx._pk.low) | guard
-        for lead_exps, k in self.by_pos[pi]:
+        pk = self.ctx._pk
+        hi = self.heads[i]
+        if self.rank == 1:
+            mask = pk.top - 1
+            if lcm == (hi & mask) + (self.heads[j] & mask):
+                return True  # coprime leads; valid for ideals only
+        guard = pk.guard
+        room = (lcm & pk.low) | guard
+        for lead_exps, k in self.by_pos[hi >> pk.span]:
             if k in (i, j) or (room - lead_exps) & guard != guard:
                 continue
             a, b = min(i, k), max(i, k)
@@ -326,54 +374,63 @@ class ModuleGB:
             self.pending.discard((i, j))
             if self.use_criteria and self._criteria_skip(i, j, lcm):
                 continue
-            data = self._normal_form(self._s_vector(i, j, lcm))
-            self._absorb(data)
+            data, cert = self._s_vector(i, j, lcm)
+            self._absorb(self._normal_form(data, cert), cert)
         self.limit = limit
 
     def _s_vector(self, i, j, lcm):
-        """t * basis[i] - t' * basis[j], with t * lead_i = t' * lead_j = lcm."""
-        mult = lcm - self.leads[i][1]
-        data = {
-            pos: {mult + mb: cb for mb, cb in s.items()}
-            for pos, s in self.basis[i].items()
-        }
-        self._axpy(data, 1, lcm - self.leads[j][1], self.basis[j])
-        return data
+        """t * basis[i] - t' * basis[j], with t * lead_i = t' * lead_j = lcm,
+        and its certificate in a tracked engine (None otherwise)."""
+        mask = self.ctx._pk.top - 1
+        mult = lcm - (self.heads[i] & mask)
+        mult_j = lcm - (self.heads[j] & mask)
+        data = {mult + k: c for k, c in self.basis[i].items()}
+        self._axpy(data, 1, mult_j, self.basis[j])
+        if not self.track:
+            return data, None
+        cert = {mult + k: c for k, c in self.certs[i].items()}
+        self._axpy(cert, 1, mult_j, self.certs[j])
+        return data, cert
 
     # -- finishing ---------------------------------------------------------
 
     def interreduce(self):
-        """Auto-reduce to the unique reduced basis (F-part monic, sorted).
+        """Auto-reduce an untracked engine to the unique reduced basis
+        (monic, sorted).
 
         Same-degree distinct leads never divide each other, so one ascending
         pass by degree extracts the minimal lead set.
         """
+        if self.track:
+            raise InvalidInput("a tracked engine is never interreduced")
         if self.reduced:
             return
+        span = self.ctx._pk.span
         keep = []
         by_degree = sorted(range(len(self.basis)), key=lambda i: (self.degrees[i], i))
         for idx in by_degree:
-            pos, mono = self.leads[idx]
+            head = self.heads[idx]
             if any(
-                self.leads[j][0] == pos and mono_divides(self.leads[j][1], mono, self.ctx)
+                self.heads[j] >> span == head >> span
+                and mono_divides(self.heads[j], head, self.ctx)
                 for j in keep
             ):
                 continue
             keep.append(idx)
-        keep.sort(key=lambda i: (self.leads[i][0], -self.leads[i][1]))
-        leads = [self.leads[i] for i in keep]
+        keep.sort(key=lambda i: -self.heads[i])
+        heads = [self.heads[i] for i in keep]
         basis = [self.basis[i] for i in keep]
-        reducers = (self._bucket(leads), leads, basis)
+        reducers = (self._bucket(heads), heads, basis)
         new_basis = []
-        for (pos, lead), vec in zip(leads, basis):
+        for head, vec in zip(heads, basis):
             # Among the kept leads only a vector's own lead divides its lead
             # term, and it divides no smaller term: reduce the tail only.
-            data = {q: dict(d) for q, d in vec.items()}
-            coeff = data[pos].pop(lead)
-            data = self._normal_form(data, reducers)
-            data[pos][lead] = coeff
-            new_basis.append({q: d for q, d in data.items() if d})
-        self.leads = leads
+            data = dict(vec)
+            coeff = data.pop(head)
+            data = self._normal_form(data, None, reducers)
+            data[head] = coeff
+            new_basis.append(data)
+        self.heads = heads
         self.degrees = [self.degrees[i] for i in keep]
         self.basis = new_basis
         self.by_pos = reducers[0]
@@ -381,54 +438,59 @@ class ModuleGB:
 
     # -- queries -----------------------------------------------------------
 
-    def _polys(self, data, lo, hi):
-        """Copies of an internal vector's terms at positions lo..hi-1 as
+    def _polys(self, data, count):
+        """Copies of an internal vector's terms at positions 0..count-1 as
         Poly; the zero positions share one zero Poly."""
-        out = [Poly(self.ctx, {})] * (hi - lo)
-        for pos, d in data.items():
-            if d and lo <= pos < hi:
-                out[pos - lo] = Poly(self.ctx, dict(d))
-        return tuple(out)
+        pk = self.ctx._pk
+        span, mask = pk.span, pk.top - 1
+        parts = {}
+        for key, c in data.items():
+            pos = _POSITIONS - (key >> span)
+            terms = parts.get(pos)
+            if terms is None:
+                parts[pos] = terms = {}
+            terms[key & mask] = c
+        zero = Poly(self.ctx, {})
+        return tuple(
+            Poly(self.ctx, parts[q]) if q in parts else zero for q in range(count)
+        )
 
     def vectors(self):
         """The basis as tuples of Poly over the F-part positions."""
-        return [self._polys(vec, 0, self.rank) for vec in self.basis]
+        return [self._polys(vec, self.rank) for vec in self.basis]
 
     def _reduced(self, vec):
-        """The normal form of a vector, as an internal vector.  Above the
-        degree a truncated engine is complete to, it would be wrong."""
-        data = _to_internal(vec)
-        if self.limit is not None:
-            deg = self._vector_degree(data)
-            if deg is not None and deg > self.limit:
+        """The normal form of a vector, as an internal vector, and its
+        certificate in a tracked engine (None otherwise).  Above the degree
+        a truncated engine is complete to, it would be wrong."""
+        data = _to_internal(self.ctx, vec)
+        if self.limit is not None and data:
+            deg = self._degree(max(data))
+            if deg > self.limit:
                 raise InternalConsistencyError(
                     f"vector of degree {deg} reduced by an engine complete "
                     f"only up to degree {self.limit}"
                 )
-        return self._normal_form(data)
+        cert = {} if self.track else None
+        return self._normal_form(data, cert), cert
 
     def normal_form(self, vec):
-        return self._polys(self._reduced(vec), 0, self.rank)
+        return self._polys(self._reduced(vec)[0], self.rank)
 
     def reduce_with_certificate(self, vec):
         """Return (remainder, coeffs) with vec = sum(coeffs*tracked) + rem."""
         if not self.track:
             raise InvalidInput("certificates require a tracked engine")
-        data = self._reduced(vec)
-        rem = self._polys(data, 0, self.rank)
+        data, cert = self._reduced(vec)
         p = self.ctx.p
-        for pos, d in data.items():
-            if pos >= self.rank:
-                for mono in d:
-                    d[mono] = p - d[mono]
-        coeffs = self._polys(data, self.rank, self.total)
-        return rem, coeffs
+        coeffs = {key: p - c for key, c in cert.items()}
+        return self._polys(data, self.rank), self._polys(coeffs, self.track)
 
     def contains(self, vec):
         return vec_is_zero(self.normal_form(vec))
 
     def syzygy_vectors(self):
-        return [self._polys(sy, self.rank, self.total) for sy in self.syzygies]
+        return [self._polys(cert, self.track) for cert in self.syzygies]
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +528,7 @@ def tracked_engine(ctx, columns, rank, shifts, extra=()):
     track_shifts = [vec_degree(col, shifts) for col in columns]
     track_shifts = [0 if d is None else d for d in track_shifts]
     eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=track_shifts)
-    inputs = []
-    for k, col in enumerate(columns):
-        data = _to_internal(col)
-        data[rank + k] = {0: 1}
-        inputs.append(data)
+    inputs = [_to_internal(ctx, col) for col in columns]
     eng.add_generators(inputs + list(extra) + _ring_columns(ctx, rank))
     return eng
 
@@ -757,14 +815,11 @@ def leadterm_hilbert(gb, rank, shifts):
 
 def assert_buchberger(gb):
     """Re-verify the Buchberger criterion on an emitted basis."""
-    n = len(gb.basis)
-    for i in range(n):
-        for j in range(i):
-            pi, mi = gb.leads[i]
-            pj, mj = gb.leads[j]
+    leads = gb.leads
+    for i, (pi, mi) in enumerate(leads):
+        for j, (pj, mj) in enumerate(leads[:i]):
             if pi != pj:
                 continue
-            data = gb._normal_form(gb._s_vector(i, j, mono_lcm(mi, mj, gb.ctx)))
-            if any(data.get(pos) for pos in range(gb.rank)):
+            if gb._normal_form(*gb._s_vector(i, j, mono_lcm(mi, mj, gb.ctx))):
                 raise AssertionError("Buchberger criterion failed")
     return True

@@ -381,19 +381,20 @@ def _image_engine(functor, k, M, N, res):
     _, tgt, rows = _induced(functor, k, res)
     shifts = tuple(s - d for d in tgt for s in N.shifts)
     eng = groebner.ModuleGB(M.ctx, len(tgt) * r, shifts)
+    # block b starts at position b * r: its keys' position prefix is b * r less
+    span = M.ctx._pk.span
     eng._seed(
-        [{b * r + q: d for q, d in vec.items()}
+        [{key - ((b * r) << span): c for key, c in vec.items()}
          for b in range(len(tgt)) for vec in N.rels_gb().basis]
     )
     gens = [[(q, g) for q, g in enumerate(col) if g] for col in N.gens]
     cols = []
     for row in rows:
         for entries in gens:
-            vec = {}
-            for b, c in enumerate(row):
-                if c:
-                    for q, g in entries:
-                        vec[b * r + q] = (c * g).terms
+            vec = groebner._flat(M.ctx, (
+                (b * r + q, (c * g).terms)
+                for b, c in enumerate(row) if c for q, g in entries
+            ))
             if vec:
                 cols.append(vec)
     eng.add_generators(cols)

@@ -15,7 +15,9 @@ quotient is ``b - a``, the monomial 1 is ``0`` and the degree is
 ``key >> shift``.  Divisibility is one guard-bit test on the ``exps`` words.
 ``B`` is fixed (``_BITS``); a weighted degree at or above ``2**B`` raises
 ``DegreeOverflow`` where degrees grow (monomial construction and products),
-so fields never carry into each other.
+so fields never carry into each other.  Every key is below ``top = 1 <<
+span``, so the bits from ``span`` up are free: the Groebner engine packs a
+free-module position there, one field above the degree (see ``groebner``).
 """
 
 from __future__ import annotations
@@ -65,14 +67,15 @@ class _Packing:
     degree, bounds every other field.
     """
 
-    __slots__ = ("shift", "low", "guard", "top", "units")
+    __slots__ = ("shift", "span", "low", "guard", "top", "units")
 
     def __init__(self, weights):
         m = len(weights)
         self.shift = m * _SPAN + (m - 1) * _BITS
+        self.span = self.shift + _BITS
         self.low = (1 << (m * _SPAN)) - 1
         self.guard = sum(1 << (i * _SPAN + _BITS) for i in range(m))
-        self.top = _LIMIT << self.shift
+        self.top = 1 << self.span
         # the key of x_i, unchecked: var() refuses a weight at the limit
         self.units = tuple(_pack([int(i == k) for k in range(m)], weights)
                            for i in range(m))

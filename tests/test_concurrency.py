@@ -116,9 +116,10 @@ def module_with_vectors():
 
 
 def engine_state(eng):
-    return ([sorted((p, sorted(d.items())) for p, d in v.items()) for v in eng.basis],
+    return ([sorted(v.items()) for v in eng.basis],
+            [sorted(c.items()) for c in eng.certs],
             list(eng.leads),
-            [sorted((p, sorted(d.items())) for p, d in v.items()) for v in eng.syzygies])
+            [sorted(c.items()) for c in eng.syzygies])
 
 
 def test_module_engine_across_threads():

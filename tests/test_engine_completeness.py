@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison.errors import InternalConsistencyError, InvalidInput
-from liaison.groebner import ModuleGB, syzygies, vec_degree, vec_is_zero
+from liaison.groebner import ModuleGB, _to_internal, syzygies, vec_degree, vec_is_zero
 from liaison.homalg import lift_chain_map
 from liaison.modules import (
     GradedModule,
@@ -125,7 +125,8 @@ def test_truncated_engine_refuses_a_vector_above_its_limit():
     ctx = make_ring(101, ["x", "y", "z"])
     x, y = ctx.var(0), ctx.var(1)
     eng = ModuleGB(ctx, 1, (0,), track=2, track_shifts=(1, 1))
-    eng.add_generators([{0: x.terms, 1: {0: 1}}, {0: y.terms, 2: {0: 1}}], limit=1)
+    # the first two vectors fed are the tracked columns
+    eng.add_generators([_to_internal(ctx, (x,)), _to_internal(ctx, (y,))], limit=1)
     with pytest.raises(InternalConsistencyError):
         eng.reduce_with_certificate((x * y,))
 

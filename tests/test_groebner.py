@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison.groebner import (
+    _POSITIONS,
     ModuleGB,
     _ring_columns,
     assert_buchberger,
@@ -14,13 +15,14 @@ from liaison.groebner import (
     minimal_generator_indices,
     reduced_ideal_gb,
     syzygies,
+    tracked_engine,
     vec_degree,
     vec_is_zero,
 )
 from liaison.errors import DegreeOverflow, InvalidInput
 from liaison.homalg import free_resolution
-from liaison.modules import subquotient
-from liaison.ring import make_ring, parse_poly, render_poly
+from liaison.modules import subquotient, vec_combine
+from liaison.ring import make_ring, mono_divides, parse_poly, render_poly
 
 from tests.oracle import (
     degree_slice_rank,
@@ -399,7 +401,7 @@ def test_seeded_engine_matches_unseeded(data):
             for _ in range(data.draw(st.integers(1, 4)))]
     # the module's reduced relation basis, J*F included, is the seed
     seed = subquotient(ctx, [], rels, RANK2_SHIFTS).rels_gb().basis
-    before = [{pos: dict(d) for pos, d in vec.items()} for vec in seed]
+    before = [dict(vec) for vec in seed]
     eng = ModuleGB(ctx, 2, RANK2_SHIFTS)
     eng._seed(seed)
     eng.add_generators(cols)
@@ -414,6 +416,108 @@ def test_seeded_engine_matches_unseeded(data):
     ring._seed(_ring_columns(ctx, 2))
     ring.interreduce()
     assert ring.vectors() == buchberger([], ctx, 2, RANK2_SHIFTS).vectors()
+
+
+SEMIGROUP = make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                     weights=[3, 4, 5])
+
+
+def _draw_module_vector(data, ctx, shifts, degree):
+    """A homogeneous element of degree ``degree`` of the sum of S(-s)."""
+    return tuple(_draw_poly(data, degree - s, ctx) for s in shifts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_untracked_criteria_leave_the_reduced_basis_unchanged(data):
+    # Buchberger's criteria only skip pairs that reduce to zero anyway
+    ctx = SEMIGROUP
+    rank = data.draw(st.integers(2, 3))
+    shifts = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
+    cols = [_draw_module_vector(data, ctx, shifts, data.draw(st.integers(3, 9)))
+            for _ in range(data.draw(st.integers(1, 4)))]
+    bases = []
+    for criteria in (True, False):
+        eng = ModuleGB(ctx, rank, shifts)
+        eng.use_criteria = criteria
+        eng.add_generators(cols + _ring_columns(ctx, rank))
+        eng.interreduce()
+        assert_buchberger(eng)
+        bases.append(eng.vectors())
+    assert bases[0] == bases[1]
+
+
+def _draw_without_middle_lead(data, ctx, shifts, degree):
+    """A drawn vector whose lead is at the first or the last position: either
+    only its last entry is nonzero, or its first one is, or it is zero."""
+    vec = list(_draw_module_vector(data, ctx, shifts, degree))
+    if data.draw(st.booleans()):
+        vec[:-1] = [ctx.zero()] * (len(vec) - 1)
+    elif not vec[0] or data.draw(st.booleans()):
+        vec[1:-1] = [ctx.zero()] * (len(vec) - 2)
+    return tuple(vec)
+
+
+def _add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def _subtract(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reduction_passes_positions_without_a_lead(data):
+    # No generator leads at a middle position, so over S a middle position
+    # holds a lead only where an S-vector puts one (over S/J, J*e_i leads at
+    # every position); a reduction must go on past a middle term that no
+    # lead divides, to the positions after it.
+    ctx = data.draw(st.sampled_from([WEIGHTED, WEIGHTED_QUOTIENT]))
+    rank = data.draw(st.integers(3, 4))
+    shifts = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
+    cols = [_draw_without_middle_lead(data, ctx, shifts, data.draw(st.integers(2, 5)))
+            for _ in range(data.draw(st.integers(1, 4)))]
+    cols = [col for col in cols if not vec_is_zero(col)] or [
+        tuple(ctx.one() if q == rank - 1 else ctx.zero() for q in range(rank))
+    ]
+    degrees = [vec_degree(col, shifts) for col in cols]
+    d = max(degrees) + data.draw(st.integers(0, 2))
+    multipliers = [_draw_poly(data, d - e, ctx) for e in degrees]
+    member = vec_combine(cols, multipliers, ctx, rank)
+    # a member over the generators that lead at the last position only
+    last = vec_combine(cols, [c if not any(col[:-1]) else ctx.zero()
+                              for c, col in zip(multipliers, cols)], ctx, rank)
+    middle = tuple(_draw_poly(data, d - s, ctx) if 0 < q < rank - 1 else ctx.zero()
+                   for q, s in enumerate(shifts))
+    vectors = [member, _add(member, middle), _add(last, middle),
+               _draw_module_vector(data, ctx, shifts, d)]
+    gb = buchberger(cols, ctx, rank, shifts)
+    eng = tracked_engine(ctx, cols, rank, shifts)
+    leads = eng.leads
+    for vec in vectors:
+        assert gb.contains(vec) == is_member(ctx, rank, shifts, cols, vec)
+        rem, coeffs = eng.reduce_with_certificate(vec)
+        # vec = sum(coeffs * cols) + rem modulo J*F, and rem is reduced
+        rest = _subtract(_subtract(vec, vec_combine(cols, coeffs, ctx, rank)), rem)
+        assert is_member(ctx, rank, shifts, [], rest)
+        for q, f in enumerate(rem):
+            for mono in f.terms:
+                assert not any(lp == q and mono_divides(lm, mono, ctx)
+                               for lp, lm in leads)
+    for syz in eng.syzygy_vectors():
+        assert is_member(ctx, rank, shifts, [], vec_combine(cols, syz, ctx, rank))
+
+
+def test_engine_positions_stay_below_the_key_prefix_limit(F101xy):
+    # every position needs its own positive prefix above the monomial bits
+    with pytest.raises(InvalidInput):
+        ModuleGB(F101xy, _POSITIONS, (0,) * _POSITIONS)
+    with pytest.raises(InvalidInput):
+        ModuleGB(F101xy, 1, (0,), track=_POSITIONS - 1,
+                 track_shifts=(0,) * (_POSITIONS - 1))
+    eng = ModuleGB(F101xy, _POSITIONS - 1, (0,) * (_POSITIONS - 1))
+    assert eng.rank == _POSITIONS - 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -34,8 +34,10 @@ decides that.  Such an engine is never stored, and it refuses to reduce a
 vector above its bound.
 
 Inside the engine a vector is one dict ``{key: coeff}``: the ring's packed
-monomial (see ``ring``) with the vector's position packed above it, so that
-plain ``<`` on keys is the position-over-term order (see ``ModuleGB``).  A
+monomial (see ``ring``) with its position packed above its bits, counted
+from the engine's last position, so that plain ``<`` on keys is the
+position-over-term order (see ``ModuleGB``) and a rank-1 engine works on
+the monomials themselves.  A
 term product is one integer addition, a divisor test one mask test, and a
 normal form one loop over a vector's terms in descending key order.  A
 tracked engine keeps each certificate in a dict of its own, so the lead of
@@ -62,8 +64,6 @@ from .ring import _LIMIT, Poly, _memo, _memoized, mono_divides, mono_exponents, 
 # vectors: tuples of Poly at the API surface; inside, one dict {key: coeff}
 # per vector, whose keys carry the position above the monomial (see ModuleGB)
 
-_POSITIONS = 1 << 12  # P: an engine has fewer than P positions
-
 
 def vec_is_zero(vec):
     return all(not f for f in vec)
@@ -85,27 +85,30 @@ def vec_degree(vec, shifts):
     return deg
 
 
-def _flat(ctx, parts):
-    """The internal vector with the terms {mono: coeff} of each
-    ``(position, terms)`` pair at that position."""
+def _flat(ctx, rank, parts):
+    """The internal vector of an engine of ``rank`` positions with the terms
+    {mono: coeff} of each ``(position, terms)`` pair at that position."""
     span = ctx._pk.span
     out = {}
     for pos, terms in parts:
-        prefix = (_POSITIONS - pos) << span
-        for mono, c in terms.items():
-            out[prefix | mono] = c
+        prefix = (rank - 1 - pos) << span
+        if not prefix:
+            out.update(terms)  # the last position: the keys are the monomials
+        elif terms:
+            out.update({prefix | mono: c for mono, c in terms.items()})
     return out
 
 
-def _to_internal(ctx, vec):
-    return _flat(ctx, ((pos, f.terms) for pos, f in enumerate(vec)))
+def _to_internal(ctx, vec, rank):
+    return _flat(ctx, rank, ((pos, f.terms) for pos, f in enumerate(vec)))
 
 
 def _ring_columns(ctx, rank):
     """The columns J*e_i presenting the quotient ring inside S^rank, as
     internal vectors.  Since ``ctx.defining`` is a reduced basis of J, these
     form a reduced basis of J*S^rank."""
-    return [_flat(ctx, ((pos, g.terms),)) for pos in range(rank) for g in ctx.defining]
+    return [_flat(ctx, rank, ((pos, g.terms),))
+            for pos in range(rank) for g in ctx.defining]
 
 
 class ModuleGB:
@@ -116,15 +119,18 @@ class ModuleGB:
     basis vector (``certs``, parallel to ``basis``); a reduction to zero
     leaves a certificate alone, which is a syzygy of those columns.
 
-    A vector is one dict ``{key: coeff}`` with ``key = ((P - pos) << span) |
-    mono``, where ``P`` is ``_POSITIONS`` and ``span`` the width of the
-    ring's packed monomials (``mono < 1 << span``, see ``ring``).  Plain
-    ``<`` on keys is then the position-over-term order with position 0
-    highest: a vector's lead is ``max`` of its keys, a reducer's multiplier
-    is ``key - lead`` (the position prefix cancels), and ``by_pos`` files
-    the leads under their prefix ``key >> span``.  Certificates use the same
-    keys with the index of a tracked column as position.  Fewer than ``P``
-    positions in all keep every prefix positive and distinct.
+    A vector is one dict ``{key: coeff}`` with ``key = ((rank - 1 - pos) <<
+    span) | mono``, where ``span`` is the width of the ring's packed
+    monomials (``mono < 1 << span``, see ``ring``).  Plain ``<`` on keys is
+    then the position-over-term order with position 0 highest: a vector's
+    lead is ``max`` of its keys, a reducer's multiplier is ``key - lead``
+    (the position prefix cancels), and ``by_pos`` files the leads under
+    their prefix ``key >> span``.  At the last position the keys are the
+    monomials themselves, so a vector of a rank-1 engine is converted from
+    and to ``Poly`` terms by copying a dict.  Certificates use the same
+    keys, with ``track`` for ``rank`` and the index of a tracked column as
+    position.  A vector is therefore built for the rank of its engine:
+    another rank needs its keys moved by a multiple of ``1 << span``.
     """
 
     __slots__ = (
@@ -150,10 +156,6 @@ class ModuleGB:
     def __init__(self, ctx, rank, shifts, track=0, track_shifts=()):
         if len(shifts) != rank or len(track_shifts) != track:
             raise InvalidInput("shift data does not match rank/track")
-        if rank + track >= _POSITIONS:
-            raise InvalidInput(
-                f"{rank + track} engine positions reach the limit {_POSITIONS}"
-            )
         self.ctx = ctx
         self.rank = rank
         self.track = track
@@ -179,7 +181,8 @@ class ModuleGB:
         """The lead of each basis vector as (position, monomial)."""
         pk = self.ctx._pk
         mask = pk.top - 1
-        return [(_POSITIONS - (h >> pk.span), h & mask) for h in self.heads]
+        last = self.rank - 1
+        return [(last - (h >> pk.span), h & mask) for h in self.heads]
 
     # -- low-level term arithmetic ---------------------------------------
 
@@ -205,7 +208,9 @@ class ModuleGB:
         one position monomials descending.  A term goes to the result when
         no lead at its position divides it; otherwise the first such basis
         vector reduces it.  Scaled, that vector holds no key above the term,
-        so no term already taken changes.
+        so no term already taken changes.  The leads of a position are
+        looked up at its first term: the keys of a position are those from
+        its ``prefix << span`` up.
         """
         by_pos, heads, basis = reducers or (self.by_pos, self.heads, self.basis)
         certs = self.certs
@@ -213,9 +218,13 @@ class ModuleGB:
         low, guard, span = pk.low, pk.guard, pk.span
         axpy = self._axpy
         out = {}
+        floor, bucket = self.rank << span, None  # above every key
         while data:
             key = max(data)
-            bucket = by_pos.get(key >> span)
+            if key < floor:
+                prefix = key >> span
+                bucket = by_pos.get(prefix)
+                floor = prefix << span
             if bucket:
                 room = (key & low) | guard
                 for lead_exps, idx in bucket:
@@ -242,7 +251,7 @@ class ModuleGB:
     def _degree(self, head):
         """The degree of a vector whose lead key is ``head``."""
         pk = self.ctx._pk
-        pos = _POSITIONS - (head >> pk.span)
+        pos = self.rank - 1 - (head >> pk.span)
         return ((head & (pk.top - 1)) >> pk.shift) + self.shifts[pos]
 
     # -- basis growth ------------------------------------------------------
@@ -321,13 +330,13 @@ class ModuleGB:
         span = self.ctx._pk.span
         for vec in vectors:
             if isinstance(vec, tuple):
-                data = _to_internal(self.ctx, vec)
+                data = _to_internal(self.ctx, vec, self.rank)
             else:
                 data = dict(vec)
             cert = None
             if self.track:
                 tracked = self.fed < self.track
-                cert = {(_POSITIONS - self.fed) << span: 1} if tracked else {}
+                cert = {(self.track - 1 - self.fed) << span: 1} if tracked else {}
             self.fed += 1
             if data:
                 deg = self._degree(max(data))
@@ -439,17 +448,20 @@ class ModuleGB:
     # -- queries -----------------------------------------------------------
 
     def _polys(self, data, count):
-        """Copies of an internal vector's terms at positions 0..count-1 as
-        Poly; the zero positions share one zero Poly."""
+        """Copies of the terms of an internal vector of ``count`` positions
+        as Poly; the zero positions share one zero Poly."""
         pk = self.ctx._pk
-        span, mask = pk.span, pk.top - 1
+        span, mask, last = pk.span, pk.top - 1, count - 1
         parts = {}
-        for key, c in data.items():
-            pos = _POSITIONS - (key >> span)
-            terms = parts.get(pos)
-            if terms is None:
-                parts[pos] = terms = {}
-            terms[key & mask] = c
+        if count == 1:
+            parts[0] = dict(data)  # one position: the keys are the monomials
+        else:
+            for key, c in data.items():
+                pos = last - (key >> span)
+                terms = parts.get(pos)
+                if terms is None:
+                    parts[pos] = terms = {}
+                terms[key & mask] = c
         zero = Poly(self.ctx, {})
         return tuple(
             Poly(self.ctx, parts[q]) if q in parts else zero for q in range(count)
@@ -463,7 +475,7 @@ class ModuleGB:
         """The normal form of a vector, as an internal vector, and its
         certificate in a tracked engine (None otherwise).  Above the degree
         a truncated engine is complete to, it would be wrong."""
-        data = _to_internal(self.ctx, vec)
+        data = _to_internal(self.ctx, vec, self.rank)
         if self.limit is not None and data:
             deg = self._degree(max(data))
             if deg > self.limit:
@@ -528,7 +540,7 @@ def tracked_engine(ctx, columns, rank, shifts, extra=()):
     track_shifts = [vec_degree(col, shifts) for col in columns]
     track_shifts = [0 if d is None else d for d in track_shifts]
     eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=track_shifts)
-    inputs = [_to_internal(ctx, col) for col in columns]
+    inputs = [_to_internal(ctx, col, rank) for col in columns]
     eng.add_generators(inputs + list(extra) + _ring_columns(ctx, rank))
     return eng
 

@@ -380,18 +380,20 @@ def _image_engine(functor, k, M, N, res):
     r = N.rank
     _, tgt, rows = _induced(functor, k, res)
     shifts = tuple(s - d for d in tgt for s in N.shifts)
-    eng = groebner.ModuleGB(M.ctx, len(tgt) * r, shifts)
-    # block b starts at position b * r: its keys' position prefix is b * r less
+    rank = len(tgt) * r
+    eng = groebner.ModuleGB(M.ctx, rank, shifts)
+    # block b holds N's positions with keys (len(tgt) - 1 - b) * r positions
+    # further from the last position than in N's own engine
     span = M.ctx._pk.span
     eng._seed(
-        [{key - ((b * r) << span): c for key, c in vec.items()}
+        [{key + (((len(tgt) - 1 - b) * r) << span): c for key, c in vec.items()}
          for b in range(len(tgt)) for vec in N.rels_gb().basis]
     )
     gens = [[(q, g) for q, g in enumerate(col) if g] for col in N.gens]
     cols = []
     for row in rows:
         for entries in gens:
-            vec = groebner._flat(M.ctx, (
+            vec = groebner._flat(M.ctx, rank, (
                 (b * r + q, (c * g).terms)
                 for b, c in enumerate(row) if c for q, g in entries
             ))

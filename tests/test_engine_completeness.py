@@ -126,7 +126,8 @@ def test_truncated_engine_refuses_a_vector_above_its_limit():
     x, y = ctx.var(0), ctx.var(1)
     eng = ModuleGB(ctx, 1, (0,), track=2, track_shifts=(1, 1))
     # the first two vectors fed are the tracked columns
-    eng.add_generators([_to_internal(ctx, (x,)), _to_internal(ctx, (y,))], limit=1)
+    cols = [_to_internal(ctx, (x,), 1), _to_internal(ctx, (y,), 1)]
+    eng.add_generators(cols, limit=1)
     with pytest.raises(InternalConsistencyError):
         eng.reduce_with_certificate((x * y,))
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison.groebner import (
-    _POSITIONS,
     ModuleGB,
     _ring_columns,
     assert_buchberger,
@@ -509,15 +508,22 @@ def test_reduction_passes_positions_without_a_lead(data):
         assert is_member(ctx, rank, shifts, [], vec_combine(cols, syz, ctx, rank))
 
 
-def test_engine_positions_stay_below_the_key_prefix_limit(F101xy):
-    # every position needs its own positive prefix above the monomial bits
-    with pytest.raises(InvalidInput):
-        ModuleGB(F101xy, _POSITIONS, (0,) * _POSITIONS)
-    with pytest.raises(InvalidInput):
-        ModuleGB(F101xy, 1, (0,), track=_POSITIONS - 1,
-                 track_shifts=(0,) * (_POSITIONS - 1))
-    eng = ModuleGB(F101xy, _POSITIONS - 1, (0,) * (_POSITIONS - 1))
-    assert eng.rank == _POSITIONS - 1
+def test_engine_keys_hold_any_position(F101xy):
+    # a key's prefix counts back from the last position, with no budget of
+    # positions, and at the last position the keys are the monomials
+    rank = 5000
+    x, y, zero = F101xy.var(0), F101xy.var(1), F101xy.zero()
+
+    def at(pos, f):
+        return tuple(f if q == pos else zero for q in range(rank))
+
+    eng = buchberger([at(rank - 1, x), at(0, y)], F101xy, rank)
+    assert eng.leads == [(0, max(y.terms)), (rank - 1, max(x.terms))]
+    assert eng.basis[1] == x.terms
+    assert eng.vectors() == [at(0, y), at(rank - 1, x)]
+    assert eng.contains(at(rank - 1, x * y))
+    assert not eng.contains(at(rank - 2, x))
+    assert eng.normal_form(at(rank - 1, y)) == at(rank - 1, y)
 
 
 @settings(max_examples=25, deadline=None)

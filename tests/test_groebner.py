@@ -426,7 +426,7 @@ def _draw_module_vector(data, ctx, shifts, degree):
     return tuple(_draw_poly(data, degree - s, ctx) for s in shifts)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_untracked_criteria_leave_the_reduced_basis_unchanged(data):
     # Buchberger's criteria only skip pairs that reduce to zero anyway

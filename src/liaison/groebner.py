@@ -18,10 +18,13 @@ certificates, the syzygies of the tracked columns (reductions to zero), and a
 division-with-remainder lift for arbitrary vectors.  In tracked runs no pair
 is ever discarded: Buchberger's criteria are sound for basis computation but
 would lose syzygy generators, so they are applied only to untracked runs.
-Every lift and every column relation of a module is read from one stored
-tracked engine of its generators modulo its relations, complete in every
-degree (``GradedModule.gens_engine``).  That engine is only read: it is
-never interreduced, and each reduction works on a copy of its vector.
+Every lift and every minimal column relation of a presentation is read
+from one stored tracked engine of its generators modulo its relations,
+complete in every degree (``GradedModule.gens_engine``); resolution levels
+(``homalg.level_module``) and the images kernels are taken in are such
+presentations.  That engine is only read: it is never interreduced, and
+each reduction works on a copy of its vector.  ``buchberger`` likewise
+computes each reduced basis once per value and stores it interreduced.
 
 Completion can stop at a degree: ``minimal_generator_indices`` completes
 its engine only up to the degree of the column it reduces next.  That is
@@ -510,20 +513,27 @@ class ModuleGB:
 
 
 def buchberger(columns, ctx, rank, shifts=None):
-    """Reduced Groebner basis of <columns> + J*e_i inside the free module.
-
-    Inhomogeneous generators are tolerated here (degree-based pair selection
-    degrades to a heuristic); graded arithmetic happens one layer up.
+    """Reduced Groebner basis of <columns> + J*e_i inside the free module,
+    computed once per value of the input and only read afterwards.  ``Poly``
+    equality ignores the ring, so a foreign column is refused before the
+    lookup.  Inhomogeneous generators are tolerated here (degree-based pair
+    selection degrades to a heuristic); graded arithmetic happens one layer
+    up.
     """
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
+    columns = tuple(tuple(col) for col in columns)
     for col in columns:
         for f in col:
             if f.ctx is not ctx and not ctx.same_polynomial_ring(f.ctx):
                 raise RingMismatch("generator from a different ring")
-    eng = ModuleGB(ctx, rank, shifts)
-    eng.add_generators(list(columns) + _ring_columns(ctx, rank))
-    eng.interreduce()
-    return eng
+
+    def compute():
+        eng = ModuleGB(ctx, rank, shifts)
+        eng.add_generators(list(columns) + _ring_columns(ctx, rank))
+        eng.interreduce()
+        return eng
+
+    return _memo(ctx, ("buchberger", rank, shifts, columns), compute)
 
 
 def reduced_ideal_gb(ctx, polys):
@@ -545,30 +555,23 @@ def tracked_engine(ctx, columns, rank, shifts, extra=()):
     return eng
 
 
-def syzygies(columns, ctx, rank, shifts=None, extra=(), minimize=True):
-    """Generators of {u : sum(u_k * columns_k) in <extra> + J*F} over R.
-
-    With ``extra`` empty this is the kernel of the matrix as a map of free
-    R-modules, Koszul syzygies from J included.
-    """
+def syzygies(columns, ctx, rank, shifts=None):
+    """Generators of the kernel of the matrix as a map of free R-modules,
+    Koszul syzygies from J included: the certificates of one tracked
+    engine's reductions to zero, not minimal (``engine_syzygies`` is)."""
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    if not columns:
-        return []
-    return engine_syzygies(tracked_engine(ctx, columns, rank, shifts, extra), minimize)
+    return tracked_engine(ctx, columns, rank, shifts).syzygy_vectors()
 
 
-def engine_syzygies(eng, minimize=True):
-    """The nonzero syzygies of a fully completed tracked engine's columns,
-    pruned to minimal generators when ``minimize``.  Reads the engine and
-    never changes it."""
-    syz = [s for s in eng.syzygy_vectors() if not vec_is_zero(s)]
-    if minimize:
-        seed = _ring_columns(eng.ctx, eng.track)
-        kept = minimal_generator_indices(
-            syz, eng.ctx, eng.track, eng.shifts[eng.rank:], seed
-        )
-        syz = [syz[i] for i in kept]
-    return syz
+def engine_syzygies(eng):
+    """A minimal generating subset of the syzygies of a fully completed
+    tracked engine's columns.  Reads the engine and never changes it."""
+    syz = eng.syzygy_vectors()
+    seed = _ring_columns(eng.ctx, eng.track)
+    kept = minimal_generator_indices(
+        syz, eng.ctx, eng.track, eng.shifts[eng.rank:], seed
+    )
+    return [syz[i] for i in kept]
 
 
 def minimal_generator_indices(columns, ctx, rank, shifts, seed):
@@ -618,7 +621,7 @@ def colon(i_gens, j_gens, ctx):
     result = None
     for f in j_gens:
         cols = [(f,)] + [(g,) for g in i_gens if g]
-        syz = syzygies(cols, ctx, 1, minimize=False)
+        syz = syzygies(cols, ctx, 1)
         quot = [s[0] for s in syz if s[0]]
         quot = reduced_ideal_gb(ctx, quot)
         result = quot if result is None else ideal_intersection(result, quot, ctx)
@@ -633,7 +636,7 @@ def ideal_intersection(a_gens, b_gens, ctx):
     if not a_gens or not b_gens:
         return []
     cols = [(f,) for f in a_gens] + [(-g,) for g in b_gens]
-    syz = syzygies(cols, ctx, 1, minimize=False)
+    syz = syzygies(cols, ctx, 1)
     members = []
     for s in syz:
         f = ctx.zero()

@@ -1,13 +1,16 @@
 """Minimal graded free resolutions, Ext and Tor, transposes and the
 obstructions to the double Ext-dual comparison map.
 
-Resolutions are built by iterated syzygy computation with minimal generating
-sets at every step, so differentials land in the maximal ideal and Betti
-numbers read off directly.  Over R = S/J resolutions may be infinite; every
-operation takes the finite length it needs and records the truncation.
-Each length is its own immutable memo entry, one level longer than the
-entry below it, so what a length gives never depends on what was resolved
-before, and threads share resolutions without a lock.
+Resolutions are built level by level: level k + 1 holds the minimal
+column relations of ``level_module(M, res, k)`` (M on its minimal
+generators, or the image of d_k), read from that module's one stored
+engine, which also lifts chain maps through level k.  Differentials land in
+the maximal ideal, so Betti numbers read off directly.  Over R = S/J
+resolutions may be infinite; every operation takes the finite length it
+needs and records the truncation.  Each length is its own immutable memo
+entry, one level longer than the entry below it, so what a length gives
+never depends on what was resolved before, and threads share resolutions
+without a lock.
 
 ``tor_vanishes`` and ``ext_vanishes`` answer whether Tor_i or Ext^i is zero
 without building it: the homology's Hilbert series is that of the middle
@@ -77,7 +80,6 @@ from .modules import (
     image,
     kernel,
     ring_dim,
-    subquotient,
     zero_map,
     zero_module,
 )
@@ -147,14 +149,8 @@ def _resolution_start(M):
 
 def _next_level(M, prev):
     """The resolution one level longer than ``prev``, which is incomplete:
-    the minimal syzygies of its last differential (of F_0 -> M at level 1)."""
-    if len(prev.level_shifts) == 1:
-        cols = [M.gens[i] for i in prev.kept]
-        rank, shifts, extra = M.rank, M.shifts, M.rels
-    else:
-        cols, shifts, extra = prev.diffs[-1], prev.level_shifts[-2], ()
-        rank = len(shifts)
-    syz = groebner.syzygies(cols, M.ctx, rank, shifts, extra=extra)
+    the minimal column relations of its last level module."""
+    syz = level_module(M, prev, len(prev.level_shifts) - 1).column_relations()
     if not syz:
         return prev._replace(complete=True)
     for u in syz:
@@ -166,6 +162,22 @@ def _next_level(M, prev):
     shifts_k = tuple(vec_degree(u, prev.level_shifts[-1]) for u in syz)
     return prev._replace(
         level_shifts=prev.level_shifts + (shifts_k,), diffs=prev.diffs + (tuple(syz),)
+    )
+
+
+def level_module(M, res, k):
+    """The module F_k of ``res`` minimally generates: M on its minimal
+    generators for k = 0, the image of d_k in F_{k-1} for k >= 1, with no
+    relations (``subquotient`` would add J*F's basis: another value, with an
+    engine of its own).  Its engine gives level k + 1, the chain lifts
+    through level k, and ``modules.minimize``."""
+    if k == 0:
+        gens = [M.gens[i] for i in res.kept]
+        L = GradedModule(M.ctx, M.rank, M.shifts, gens, M.rels)
+        _memo(L, "rels_gb", M.rels_gb)
+        return L
+    return GradedModule(
+        M.ctx, res.rank(k - 1), res.level_shifts[k - 1], res.diffs[k - 1], ()
     )
 
 
@@ -218,9 +230,7 @@ def syzygy(M, n):
     res = free_resolution(M, n)
     if n >= len(res.level_shifts) or not res.rank(n):
         return zero_module(M.ctx)
-    return subquotient(
-        M.ctx, res.diffs[n - 1], [], res.level_shifts[n - 1], res.rank(n - 1)
-    )
+    return level_module(M, res, n)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +427,9 @@ def lift_chain_map(f, length):
     ctx = M.ctx
     res = free_resolution(M, length)
     resp = free_resolution(Mp, length)
-    # f_0: image of each minimal generator of M, expressed over Mp's minimal
-    # ones; Mp_min equals minimize(Mp)'s copy, so the two share one engine
-    Mp_min = GradedModule(
-        ctx, Mp.rank, Mp.shifts, [Mp.gens[i] for i in resp.kept], Mp.rels
-    )
+    # f_0: the image of each minimal generator of M, over Mp's minimal ones
     images = [Mp.coords_to_ambient(f.mat[i]) for i in res.kept]
-    sol, bad = modules.lift_columns(Mp_min, images)
+    sol, bad = modules.lift_columns(level_module(Mp, resp, 0), images)
     if sol is None:
         raise LiftFailed(f"cannot express image of generator {bad}")
     maps = [sol]
@@ -433,17 +439,10 @@ def lift_chain_map(f, length):
             continue
         if not resp.rank(k):
             raise LiftFailed("target resolution too short for a nonzero source level")
-        dk = res.diffs[k - 1]
-        dpk = resp.diffs[k - 1]
         prev = maps[k - 1]
-        targets = []
-        for u in dk:
-            targets.append(
-                modules.vec_combine(prev, u, ctx, resp.rank(k - 1))
-            )
-        # built directly: subquotient's canonical form would reorder dpk
-        im_k = GradedModule(ctx, resp.rank(k - 1), resp.level_shifts[k - 1], dpk, ())
-        sol, bad = modules.lift_columns(im_k, targets)
+        targets = [modules.vec_combine(prev, u, ctx, resp.rank(k - 1))
+                   for u in res.diffs[k - 1]]
+        sol, bad = modules.lift_columns(level_module(Mp, resp, k), targets)
         if sol is None:
             raise LiftFailed(f"chain lift failed at level {k}, column {bad}")
         maps.append(sol)

@@ -330,8 +330,7 @@ def kernel(f):
     ctx = src.ctx
     if not tgt.gens or not src.gens:
         return src, identity_map(src)
-    images = f.image_columns_ambient()
-    syz = groebner.syzygies(images, ctx, tgt.rank, tgt.shifts, extra=tgt.rels)
+    syz = image(f)[0].column_relations()
     # syzygy coordinates are over the source generators; a coordinate vector
     # whose ambient image vanishes identically is the zero element of the
     # source (a column relation), so it contributes nothing to the kernel
@@ -569,11 +568,10 @@ def minimize(M):
         return M, identity_map(M), identity_map(M)
     from . import homalg
 
-    kept = homalg.free_resolution(M, 0).kept
-    Mmin = GradedModule(ctx, M.rank, M.shifts, [M.gens[i] for i in kept], M.rels)
-    _memo(Mmin, "rels_gb", M.rels_gb)
+    res = homalg.free_resolution(M, 0)
+    Mmin = homalg.level_module(M, res, 0)
     incl_mat = []
-    for i in kept:
+    for i in res.kept:
         col = [ctx.zero()] * len(M.gens)
         col[i] = ctx.one()
         incl_mat.append(col)
@@ -614,7 +612,7 @@ def _annihilator(M):
     result = None
     for col in M.gens:
         cols = [col] + list(M.rels)
-        syz = groebner.syzygies(cols, ctx, M.rank, M.shifts, minimize=False)
+        syz = groebner.syzygies(cols, ctx, M.rank, M.shifts)
         quot = groebner.reduced_ideal_gb(ctx, [s[0] for s in syz if s[0]])
         result = (
             quot

@@ -10,10 +10,19 @@ from liaison.homalg import (
     ext,
     ext_vanishes,
     free_resolution,
+    level_module,
+    lift_chain_map,
     tor_vanishes,
 )
 from liaison.linkage import canonical_module
-from liaison.modules import cyclic_module, free_module, grade, subquotient, vec_combine
+from liaison.modules import (
+    cyclic_module,
+    free_module,
+    grade,
+    identity_map,
+    subquotient,
+    vec_combine,
+)
 from liaison.ring import make_ring, parse_poly
 
 THREADS = 8
@@ -137,6 +146,36 @@ def test_module_engine_across_threads():
         assert [r[0] for r in results] == coords
         assert all(r[1] == relations for r in results)
         assert engine_state(eng) == engine_state(fresh)
+
+
+def resolve_and_lift(M, order):
+    """The chain lifts of the identity of M at each length, asked for in
+    ``order``, and the engine of each nonzero level of M's resolution."""
+    maps = {}
+    for n in order:
+        free_resolution(M, n)
+        maps[n] = lift_chain_map(identity_map(M), n)
+    res = free_resolution(M, max(order))
+    engines = [level_module(M, res, k).gens_engine()
+               for k in range(len(res.level_shifts)) if res.rank(k)]
+    return maps, engines
+
+
+def test_level_engines_across_threads():
+    # each resolution level of a cold module has one stored engine, which
+    # every thread lifts through
+    lengths = list(range(4))
+    expected, _ = resolve_and_lift(module_with_vectors()[0], lengths)
+    for _ in range(ROUNDS):
+        M, _ = module_with_vectors()
+        results = run_threads(
+            lambda k: resolve_and_lift(M, lengths[k % 4:] + lengths[:k % 4])
+        )
+        assert all(maps == expected for maps, _ in results)
+        engines = results[0][1]
+        assert len(engines) == 4
+        assert all(len(e) == 4 and all(a is b for a, b in zip(e, engines))
+                   for _, e in results)
 
 
 def run_threads(task):

@@ -8,17 +8,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison.errors import InternalConsistencyError, InvalidInput
-from liaison.groebner import ModuleGB, _to_internal, syzygies, vec_degree, vec_is_zero
-from liaison.homalg import lift_chain_map
+from liaison.groebner import (
+    ModuleGB,
+    _to_internal,
+    engine_syzygies,
+    syzygies,
+    tracked_engine,
+    vec_degree,
+    vec_is_zero,
+)
+from liaison.homalg import free_resolution, level_module, lift_chain_map
 from liaison.modules import (
     GradedModule,
+    ModuleMap,
+    cyclic_module,
+    free_module,
     identity_map,
+    image,
+    kernel,
     minimize,
     subquotient,
     vec_combine,
     zero_module,
 )
-from liaison.ring import make_ring
+from liaison.ring import make_ring, parse_poly
 
 from tests.oracle import (
     degree_slice_rank,
@@ -192,8 +205,8 @@ def test_module_lifts_match_per_call_lifts(data):
         if coeffs is not None:
             combined = vec_combine(M.gens, coeffs, M.ctx, M.rank)
             assert M.rels_gb().contains(tuple(a - b for a, b in zip(combined, vec)))
-    assert M.column_relations() == syzygies(list(M.gens), M.ctx, M.rank, M.shifts,
-                                            extra=M.rels)
+    fresh = tracked_engine(M.ctx, list(M.gens), M.rank, M.shifts, M.rels)
+    assert M.column_relations() == engine_syzygies(fresh)
 
 
 def test_modules_without_generators_lift_only_their_zero_vectors():
@@ -250,3 +263,40 @@ def test_minimize_and_level_zero_chain_lift_build_one_tracked_engine():
     assert len(Mmin.gens) == 2
     assert maps == [list(identity_map(Mmin).mat)]
     assert len(built) == 1 and built[0] is Mmin.gens_engine()
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_resolution_levels_and_chain_lifts_share_one_engine_per_level(quotient):
+    # level k's engine gives level k + 1 and lifts chain maps through level
+    # k.  Over S the twisted cubic's resolution stops at level 2, so resolving
+    # to length 3 builds the engine of every nonzero level; over the quotient
+    # ring resolutions do not stop, and resolving to length 4 builds the
+    # engines of levels 0 to 3.
+    if quotient:
+        ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])  # a cold cache
+        M, length, engines = cyclic_module(ctx, [ctx.var(0), ctx.var(1)]), 4, 4
+    else:
+        ctx = make_ring(101, ["x", "y", "z", "w"])  # a cold cache
+        cubic = [parse_poly(ctx, f) for f in ("x*z - y^2", "y*w - z^2", "x*w - y*z")]
+        M, length, engines = cyclic_module(ctx, cubic), 3, 3
+    with _tracked_engines() as resolving:
+        res = free_resolution(M, length)
+    assert len(resolving) == engines
+    assert all(eng is level_module(M, res, k).gens_engine()
+               for k, eng in enumerate(resolving))
+    with _tracked_engines() as lifting:
+        maps = lift_chain_map(identity_map(M), 3)
+    assert lifting == [] and len(maps) == 4
+
+
+def test_kernel_reads_the_engine_of_its_image():
+    ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])  # a cold cache
+    x, y, z = (ctx.var(k) for k in range(3))
+    f = ModuleMap(free_module(ctx, 3, (1, 1, 1)), cyclic_module(ctx, [x * x]),
+                  [(x,), (y,), (z,)])
+    relations = image(f)[0].column_relations()
+    with _tracked_engines() as built:
+        K, incl = kernel(f)
+    assert built == []
+    # over a free source the kernel's generators are the relations themselves
+    assert list(K.gens) == relations and len(relations) == 5

@@ -18,14 +18,15 @@ from liaison.groebner import (
     vec_degree,
     vec_is_zero,
 )
-from liaison.errors import DegreeOverflow, InvalidInput
-from liaison.homalg import free_resolution
-from liaison.modules import subquotient, vec_combine
+from liaison.errors import DegreeOverflow, InvalidInput, RingMismatch
+from liaison.homalg import free_resolution, level_module
+from liaison.modules import GradedModule, cyclic_module, subquotient, vec_combine
 from liaison.ring import make_ring, mono_divides, parse_poly, render_poly
 
 from tests.oracle import (
     degree_slice_rank,
     hf_of_quotient,
+    hf_of_subquotient,
     is_member,
     monomials_of_degree,
     random_homogeneous,
@@ -165,7 +166,7 @@ def test_syzygy_over_quotient_ring(hypersurface):
 
 def test_syzygy_columns_annihilate_matrix(F101xyzw, cubic_ideal):
     cols = [(g,) for g in cubic_ideal]
-    syz = syzygies(cols, F101xyzw, 1)
+    syz = GradedModule(F101xyzw, 1, (0,), cols, ()).column_relations()
     assert len(syz) == 2  # Hilbert-Burch: the cubic has a 3x2 syzygy matrix
     gb = buchberger([], F101xyzw, 1)
     for s in syz:
@@ -544,6 +545,95 @@ def test_level_zero_betti_numbers_match_bruteforce(data):
         top = degree_slice_rank(ctx, 2, RANK2_SHIFTS, list(M.gens) + list(M.rels), j)
         low = degree_slice_rank(ctx, 2, RANK2_SHIFTS, m_gens + list(M.rels), j)
         assert betti.get((0, j), 0) == top - low, j
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_betti_numbers_above_level_zero_match_bruteforce(data):
+    # levels 1-3 over the (3, 4, 5) semigroup ring, whose resolutions never
+    # stop, on the degree slices of the oracle: the image of d_i is the kernel
+    # of the map before it (d_0 is F_0 -> M, whose image is M itself), and
+    # beta_ij counts the minimal generators of level_module(M, res, i) as the
+    # level-zero test counts those of M
+    ctx = SEMIGROUP
+    shifts = (0, data.draw(st.integers(0, 2)))
+    gens = [_draw_module_vector(data, ctx, shifts, data.draw(st.integers(3, 6)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    # relations, so that fewer of the modules are free
+    rels = [_draw_module_vector(data, ctx, shifts, data.draw(st.integers(3, 8)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    M = subquotient(ctx, gens, rels, shifts)
+    res = free_resolution(M, 3)
+    betti = res.betti()
+
+    def image_dim(k, j):
+        if k == 0:
+            return hf_of_subquotient(ctx, M.rank, M.shifts, M.gens, M.rels, j)
+        if not res.rank(k):
+            return 0
+        return hf_of_subquotient(ctx, res.rank(k - 1), res.level_shifts[k - 1],
+                                 res.diffs[k - 1], [], j)
+
+    def free_dim(k, j):
+        return sum(hf_of_quotient(ctx, 1, (0,), [], j - s) for s in res.level_shifts[k])
+
+    for i in range(1, 4):
+        if not res.rank(i - 1):
+            assert not res.rank(i)
+            continue
+        below = res.level_shifts[i - 1]
+        here = res.level_shifts[i] if res.rank(i) else ()
+        for j in range(min(below), max(below + here) + 6):
+            assert free_dim(i - 1, j) - image_dim(i - 1, j) == image_dim(i, j), (i, j)
+        if not here:
+            assert not any(level == i for level, _ in betti)
+            continue
+        L = level_module(M, res, i)
+        rels = list(L.rels)
+        m_gens = [tuple(ctx.var(k) * f for f in col)
+                  for k in range(ctx.m) for col in L.gens]
+        for j in range(min(here) - 1, max(here) + 2):
+            top = degree_slice_rank(ctx, L.rank, L.shifts, list(L.gens) + rels, j)
+            low = degree_slice_rank(ctx, L.rank, L.shifts, m_gens + rels, j)
+            assert betti.get((i, j), 0) == top - low, (i, j)
+
+
+def test_equal_inputs_share_one_reduced_basis(monkeypatch):
+    ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])  # a cold cache
+    x, y, z = (ctx.var(k) for k in range(3))
+    built, interreduced = [], []
+    init, interreduce = ModuleGB.__init__, ModuleGB.interreduce
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def counted_interreduce(self):
+        interreduced.append(self)
+        interreduce(self)
+
+    monkeypatch.setattr(ModuleGB, "__init__", counted_init)
+    monkeypatch.setattr(ModuleGB, "interreduce", counted_interreduce)
+    first = cyclic_module(ctx, [x * x, y * z])
+    second = cyclic_module(ctx, [x * x, y * z])
+    assert len(built) == 1 and interreduced == built
+    assert first.rels_gb() is second.rels_gb() is built[0]
+    cols = [(x * y,), (z * z,)]
+    assert buchberger(cols, ctx, 1) is buchberger(tuple(cols), ctx, 1, [0])
+    # a computation that fails stores nothing
+    half = 1 << 19
+    big = [(ctx.monomial([half, 0, 0]),), (ctx.monomial([0, 0, half]),)]
+    for _ in range(2):
+        with pytest.raises(DegreeOverflow):
+            buchberger(big, ctx, 1)
+    assert not any(key[0] == "buchberger" and key[3] == tuple(big)
+                   for key in ctx._cache if isinstance(key, tuple))
+    # equal terms over another ring are still refused
+    other = make_ring(101, ["u", "v", "w"], ["u*w - v^2"])
+    foreign = [(other.var(0) * other.var(1),), (other.var(2) * other.var(2),)]
+    assert foreign == cols
+    with pytest.raises(RingMismatch):
+        buchberger(foreign, ctx, 1)
 
 
 def test_pair_degree_at_the_limit_raises(F101xy):

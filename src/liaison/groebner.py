@@ -516,10 +516,8 @@ def buchberger(columns, ctx, rank, shifts=None):
     """Reduced Groebner basis of <columns> + J*e_i inside the free module,
     computed once per value of the input and only read afterwards.  ``Poly``
     equality ignores the ring, so a foreign column is refused before the
-    lookup.  Inhomogeneous generators are tolerated here (degree-based pair
-    selection degrades to a heuristic); graded arithmetic happens one layer
-    up.
-    """
+    lookup.  Inhomogeneous generators are tolerated (degree-based pair
+    selection degrades to a heuristic); graded arithmetic is one layer up."""
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
     columns = tuple(tuple(col) for col in columns)
     for col in columns:

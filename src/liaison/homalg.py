@@ -80,6 +80,7 @@ from .modules import (
     image,
     kernel,
     ring_dim,
+    subquotient,
     zero_map,
     zero_module,
 )
@@ -167,10 +168,10 @@ def _next_level(M, prev):
 
 def level_module(M, res, k):
     """The module F_k of ``res`` minimally generates: M on its minimal
-    generators for k = 0, the image of d_k in F_{k-1} for k >= 1, with no
-    relations (``subquotient`` would add J*F's basis: another value, with an
-    engine of its own).  Its engine gives level k + 1, the chain lifts
-    through level k, and ``modules.minimize``."""
+    generators for k = 0, the image of d_k in F_{k-1} for k >= 1.  Its
+    engine gives level k + 1, the chain lifts through level k and
+    ``modules.minimize``.  For k >= 1 it has no relations, so it lacks the
+    J*F that ``restrict_scalars`` needs; ``syzygy`` is the module value."""
     if k == 0:
         gens = [M.gens[i] for i in res.kept]
         L = GradedModule(M.ctx, M.rank, M.shifts, gens, M.rels)
@@ -218,11 +219,9 @@ def projective_dimension(M):
 
 
 def syzygy(M, n):
-    """The n-th syzygy module: image of the n-th differential (n = 0: M).
-
-    For n >= 1 this is the submodule of the free module F_{n-1} generated by
-    the columns of the n-th differential.
-    """
+    """The n-th syzygy module (n = 0: M): for n >= 1 the submodule of the
+    free module F_{n-1} generated by the columns of the n-th differential,
+    as a subquotient, so its relations hold J*F's basis."""
     if n < 0:
         raise InvalidInput(f"syzygy index must be at least 0, got {n}")
     if n == 0:
@@ -230,7 +229,9 @@ def syzygy(M, n):
     res = free_resolution(M, n)
     if n >= len(res.level_shifts) or not res.rank(n):
         return zero_module(M.ctx)
-    return level_module(M, res, n)
+    return subquotient(
+        M.ctx, res.diffs[n - 1], [], res.level_shifts[n - 1], res.rank(n - 1)
+    )
 
 
 # ---------------------------------------------------------------------------

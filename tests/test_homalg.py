@@ -4,6 +4,7 @@ import random
 import pytest
 
 from liaison import cli, homalg
+from liaison.cohomology import grothendieck_band_check
 from liaison.colinkage import class_member
 from liaison.errors import GradeMismatch, InvalidInput, NotRegularSequence
 from liaison.groebner import vec_is_zero
@@ -143,6 +144,18 @@ def test_second_syzygy_of_point_is_free_rank_one(F101xy):
     rep = invariants(Om2)
     assert rep.pd == 0
     assert [Om2.hf(d) for d in range(4)] == [0, 0, 1, 2]
+
+
+def test_syzygy_over_quotient_ring_keeps_its_module_over_the_ambient_ring():
+    # over R = S/J a syzygy module's relations carry J*F, which is what
+    # restrict_scalars relies on: seen over S it is still the R-module
+    R = make_ring(101, ["x", "y", "z"], defining=["x*z - y^2"])
+    Om = syzygy(residue_field(R), 1)
+    OmS = restrict_scalars(Om)
+    assert [OmS.hf(d) for d in range(6)] == [Om.hf(d) for d in range(6)]
+    assert [Om.hf(d) for d in range(4)] == [0, 3, 5, 7]
+    assert depth(Om) == 1 and invariants(Om).dim == 2
+    assert grothendieck_band_check(Om).holds()
 
 
 # -- ext/tor ---------------------------------------------------------------------

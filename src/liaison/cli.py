@@ -326,7 +326,7 @@ def op_betti(spec, name, length: int):
 
 @_operation
 def op_colon(spec, a, b):
-    got = groebner.colon(_as_ideal(spec, a), _as_ideal(spec, b), spec.ring)
+    got = modules.colon(_as_ideal(spec, a), _as_ideal(spec, b), spec.ring)
     return {"colon": _ideal_strings(got)}
 
 

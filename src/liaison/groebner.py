@@ -18,13 +18,16 @@ certificates, the syzygies of the tracked columns (reductions to zero), and a
 division-with-remainder lift for arbitrary vectors.  In tracked runs no pair
 is ever discarded: Buchberger's criteria are sound for basis computation but
 would lose syzygy generators, so they are applied only to untracked runs.
-Every lift and every minimal column relation of a presentation is read
-from one stored tracked engine of its generators modulo its relations,
-complete in every degree (``GradedModule.gens_engine``); resolution levels
-(``homalg.level_module``) and the images kernels are taken in are such
-presentations.  That engine is only read: it is never interreduced, and
-each reduction works on a copy of its vector.  ``buchberger`` likewise
-computes each reduced basis once per value and stores it interreduced.
+Every lift and every syzygy the package reads comes from one stored
+tracked engine of a presentation's generators modulo its relations,
+complete in every degree (``GradedModule.gens_engine``), whose minimal
+syzygies ``engine_syzygies`` selects; resolution levels
+(``homalg.level_module``), the images kernels are taken in, and the
+one-column presentations whose relations are annihilators and colon
+ideals (``modules.annihilator``) are such presentations.  That engine is
+only read: it is never interreduced, and each reduction works on a copy of
+its vector.  ``buchberger`` likewise computes each reduced basis once per
+value and stores it interreduced.
 
 Completion can stop at a degree: ``minimal_generator_indices`` completes
 its engine only up to the degree of the column it reduces next.  That is
@@ -553,14 +556,6 @@ def tracked_engine(ctx, columns, rank, shifts, extra=()):
     return eng
 
 
-def syzygies(columns, ctx, rank, shifts=None):
-    """Generators of the kernel of the matrix as a map of free R-modules,
-    Koszul syzygies from J included: the certificates of one tracked
-    engine's reductions to zero, not minimal (``engine_syzygies`` is)."""
-    shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    return tracked_engine(ctx, columns, rank, shifts).syzygy_vectors()
-
-
 def engine_syzygies(eng):
     """A minimal generating subset of the syzygies of a fully completed
     tracked engine's columns.  Reads the engine and never changes it."""
@@ -601,48 +596,6 @@ def minimal_generator_indices(columns, ctx, rank, shifts, seed):
             kept.append(i)
     kept.sort()
     return kept
-
-
-# ---------------------------------------------------------------------------
-# colon ideals and intersections
-
-
-def colon(i_gens, j_gens, ctx):
-    """(I : J) = {r : rJ <= I}, as a reduced Groebner basis over R.
-
-    Computed one generator at a time: (I : f) is read off the f-coefficients
-    of the syzygies of [f | I | J_ring]; the results are then intersected.
-    """
-    j_gens = [f for f in j_gens if f]
-    if not j_gens:
-        return reduced_ideal_gb(ctx, [ctx.one()])
-    result = None
-    for f in j_gens:
-        cols = [(f,)] + [(g,) for g in i_gens if g]
-        syz = syzygies(cols, ctx, 1)
-        quot = [s[0] for s in syz if s[0]]
-        quot = reduced_ideal_gb(ctx, quot)
-        result = quot if result is None else ideal_intersection(result, quot, ctx)
-    return result
-
-
-def ideal_intersection(a_gens, b_gens, ctx):
-    """I ∩ I' via syzygies of the 1-row matrix [a_1.. -b_1..]; elimination-free
-    so the computation stays homogeneous."""
-    a_gens = [f for f in a_gens if f]
-    b_gens = [f for f in b_gens if f]
-    if not a_gens or not b_gens:
-        return []
-    cols = [(f,) for f in a_gens] + [(-g,) for g in b_gens]
-    syz = syzygies(cols, ctx, 1)
-    members = []
-    for s in syz:
-        f = ctx.zero()
-        for u, a in zip(s[: len(a_gens)], a_gens):
-            f = f + u * a
-        if f:
-            members.append(f)
-    return reduced_ideal_gb(ctx, members)
 
 
 # ---------------------------------------------------------------------------

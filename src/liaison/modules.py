@@ -600,26 +600,28 @@ def lift_columns(M, vectors):
 
 
 def annihilator(M):
-    """ann(M) as a reduced Groebner basis, via one colon per generator
-    (cached)."""
+    """ann(M) as a reduced Groebner basis (cached): the column relations of
+    the one element v = (g_1, ..., g_n) of ⊕_j M(deg g_j), homogeneous of
+    degree 0, since r*v = 0 exactly when r kills every generator."""
     return list(_memo(M, "annihilator", lambda: tuple(_annihilator(M))))
 
 
 def _annihilator(M):
     ctx = M.ctx
-    if not M.gens or M.is_zero():
+    if not M.gens:
         return groebner.reduced_ideal_gb(ctx, [ctx.one()])
-    result = None
-    for col in M.gens:
-        cols = [col] + list(M.rels)
-        syz = groebner.syzygies(cols, ctx, M.rank, M.shifts)
-        quot = groebner.reduced_ideal_gb(ctx, [s[0] for s in syz if s[0]])
-        result = (
-            quot
-            if result is None
-            else groebner.ideal_intersection(result, quot, ctx)
-        )
-    return result
+    B = _hom_sum(M, M.gen_degrees())
+    v = tuple(f for col in M.gens for f in col)
+    rels = GradedModule(ctx, B.rank, B.shifts, [v], B.rels).column_relations()
+    return groebner.reduced_ideal_gb(ctx, [u[0] for u in rels])
+
+
+def colon(i_gens, j_gens, ctx):
+    """(I : J) = ann((I + J)/I) as a reduced Groebner basis over R (cached
+    by value, with the annihilator)."""
+    gens = [(f,) for f in j_gens if f]
+    rels = [(f,) for f in i_gens if f]
+    return annihilator(GradedModule(ctx, 1, (0,), gens, rels))
 
 
 def _num(v):

@@ -28,7 +28,6 @@ from liaison.colinkage import (
 from liaison.groebner import (
     assert_buchberger,
     buchberger,
-    colon,
     reduced_ideal_gb,
 )
 from liaison.homalg import bidual_obstructions, ext, ext_induced
@@ -49,6 +48,7 @@ from liaison.linkage import (
 from liaison.modules import (
     ModuleMap,
     annihilator,
+    colon,
     cyclic_module,
     direct_sum,
     free_module,

@@ -16,6 +16,8 @@ from liaison.homalg import (
 )
 from liaison.linkage import canonical_module
 from liaison.modules import (
+    annihilator,
+    colon,
     cyclic_module,
     free_module,
     grade,
@@ -23,7 +25,7 @@ from liaison.modules import (
     subquotient,
     vec_combine,
 )
-from liaison.ring import make_ring, parse_poly
+from liaison.ring import make_ring, parse_poly, render_poly
 
 THREADS = 8
 ROUNDS = 3
@@ -43,13 +45,17 @@ def fresh_modules():
 
 
 def summary(pairs):
-    """Hilbert functions, Betti numbers, grades and vanishing of the shared
-    work.  Over the semigroup ring, Ext into the canonical module is decided
-    over the polynomial ring, inside the quotient ring's memo."""
+    """Hilbert functions, Betti numbers, grades, vanishing, annihilators and
+    a colon of the shared work.  Over the semigroup ring, Ext into the
+    canonical module is decided over the polynomial ring, inside the
+    quotient ring's memo."""
     out = []
     for M, R1 in pairs:
-        K = canonical_module(M.ctx)
+        ctx = M.ctx
+        K = canonical_module(ctx)
         res = free_resolution(M, 3)
+        ann = annihilator(M)
+        socle = colon(ann[:1], [ctx.var(k) for k in range(ctx.m)], ctx)
         out.append((
             [[ext(i, M, R1).hf(d) for d in WINDOW] for i in range(3)],
             res.betti_numbers(),
@@ -57,6 +63,7 @@ def summary(pairs):
             grade(M),
             [(tor_vanishes(i, M, M), ext_vanishes(i, M, R1), ext_vanishes(i, M, K))
              for i in range(3)],
+            [[render_poly(f) for f in gens] for gens in (ann, annihilator(K), socle)],
         ))
     return out
 

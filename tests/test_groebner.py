@@ -8,19 +8,24 @@ from liaison.groebner import (
     _ring_columns,
     assert_buchberger,
     buchberger,
-    colon,
-    ideal_intersection,
     leadterm_hilbert,
     minimal_generator_indices,
     reduced_ideal_gb,
-    syzygies,
     tracked_engine,
     vec_degree,
     vec_is_zero,
 )
 from liaison.errors import DegreeOverflow, InvalidInput, RingMismatch
 from liaison.homalg import free_resolution, level_module
-from liaison.modules import GradedModule, cyclic_module, subquotient, vec_combine
+from liaison.modules import (
+    GradedModule,
+    annihilator,
+    colon,
+    cyclic_module,
+    direct_sum,
+    subquotient,
+    vec_combine,
+)
 from liaison.ring import make_ring, mono_divides, parse_poly, render_poly
 
 from tests.oracle import (
@@ -142,7 +147,7 @@ def test_nf_additive_on_equal_degrees(seed, deg):
 
 def test_koszul_syzygy(F101xy):
     cols = [(P(F101xy, "x"),), (P(F101xy, "y"),)]
-    syz = syzygies(cols, F101xy, 1)
+    syz = GradedModule(F101xy, 1, (0,), cols, ()).column_relations()
     assert len(syz) == 1
     s = syz[0]
     # generates the same module as (y, -x)
@@ -154,12 +159,13 @@ def test_syzygies_of_identity_vanish(F101xy):
     one = F101xy.one()
     zero = F101xy.zero()
     cols = [(one, zero), (zero, one)]
-    assert syzygies(cols, F101xy, 2) == []
+    assert GradedModule(F101xy, 2, (0, 0), cols, ()).column_relations() == []
 
 
 def test_syzygy_over_quotient_ring(hypersurface):
     # x * y = 0 in R = F101[x,y]/(xy)
-    syz = syzygies([(P(hypersurface, "x"),)], hypersurface, 1)
+    cols = [(P(hypersurface, "x"),)]
+    syz = GradedModule(hypersurface, 1, (0,), cols, ()).column_relations()
     assert len(syz) == 1
     assert render_poly(_monic(syz[0][0])) == "y"
 
@@ -207,8 +213,10 @@ def test_colon_containments(F101xyzw, cubic_ideal):
 
 
 def test_intersection_of_principal_ideals(F101xy):
-    got = ideal_intersection([P(F101xy, "x")], [P(F101xy, "y")], F101xy)
-    assert [render_poly(g) for g in got] == ["x*y"]
+    # (x) ∩ (y) = ann(R/(x) ⊕ R/(y))
+    x, y = P(F101xy, "x"), P(F101xy, "y")
+    S, _, _ = direct_sum(cyclic_module(F101xy, [x]), cyclic_module(F101xy, [y]))
+    assert [render_poly(g) for g in annihilator(S)] == ["x*y"]
 
 
 # -- lifting -----------------------------------------------------------------
@@ -411,7 +419,7 @@ def test_seeded_engine_matches_unseeded(data):
     kept = minimal_generator_indices(cols, ctx, 2, RANK2_SHIFTS, seed)
     assert kept == _greedy_kept(cols, rels, ctx, RANK2_SHIFTS)
     assert seed == before
-    # J*F alone, as syzygies seeds it, against its reduced basis from scratch
+    # J*F alone, as engine_syzygies seeds it, against its reduced basis from scratch
     ring = ModuleGB(ctx, 2, RANK2_SHIFTS)
     ring._seed(_ring_columns(ctx, 2))
     ring.interreduce()

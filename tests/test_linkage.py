@@ -1,17 +1,23 @@
+import importlib.util
+import pathlib
+import random
+
 import pytest
 
-from liaison import cli, homalg
+from liaison import cli, homalg, linkage
 from liaison.colinkage import CoreflexiveEpi, coreflexive_epi, is_colinked_by
 from liaison.errors import (
     BrokenChain,
     EqualIdeals,
     GradeMismatch,
     InjectivePhi,
+    InternalConsistencyError,
     InvalidInput,
     NotCohenMacaulay,
     NuNotIso,
     RegularSequenceNotFound,
 )
+from liaison.groebner import reduced_ideal_gb
 from liaison.homalg import (
     bidual_obstructions,
     ext,
@@ -42,6 +48,7 @@ from liaison.linkage import (
 )
 from liaison.modules import (
     annihilator,
+    colon,
     cyclic_module,
     direct_sum,
     free_module,
@@ -176,8 +183,6 @@ def test_twisted_cubic_links_to_a_line(F101xyzw, cubic_ideal):
     c = cubic_ideal[:2]
     e = reflexive_epi(natural_cyclic_epi(ctx, cubic_ideal, c), R1, "Pn")
     res = link_operator(e)
-    from liaison.groebner import colon
-
     want = colon(c, cubic_ideal, ctx)
     assert ideal_strings(annihilator(res.linked_module)) == ideal_strings(want)
     # degree-one unmixed ideal: a linear subvariety
@@ -334,6 +339,49 @@ def test_cyclic_link_is_computed_once_per_value():
     assert ideal_strings(annihilator(linked)) == ["x"]
 
 
+def test_cyclic_link_checks_the_colon_over_a_quotient_ring(monkeypatch):
+    # over R = S/J a faithful K = R has annihilator J, not the empty list;
+    # the link's annihilator must still be checked against the colon
+    def cone():
+        return make_ring(101, ["x", "y", "z"], ["x*z - y^2"])  # a cold cache
+
+    ctx = cone()
+    I, c = [P(ctx, "x"), P(ctx, "y")], [P(ctx, "x")]
+    linked = cyclic_link(ctx, I, c, free_module(ctx, 1))
+    assert ideal_strings(annihilator(linked)) == ideal_strings(colon(c, I, ctx))
+    assert ideal_strings(colon(c, I, ctx)) == ["x", "y"]
+    ctx = cone()
+    monkeypatch.setattr(linkage, "colon", lambda c_gens, i_gens, ring: [ring.one()])
+    with pytest.raises(InternalConsistencyError):
+        cyclic_link(ctx, [P(ctx, "x"), P(ctx, "y")], [P(ctx, "x")], free_module(ctx, 1))
+
+
+def _generic_link_case(seed, row_degrees):
+    """A seeded Hilbert-Burch link from perfbench's workload generator."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    text, facts = workloads.generic_link_case(random.Random(seed), row_degrees)
+    return cli.parse_spec(text), facts
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("row_degrees", [(1, 1), (1, 2)])
+def test_seeded_hilbert_burch_links(seed, row_degrees):
+    spec, facts = _generic_link_case(seed, row_degrees)
+    ctx, I, c = spec.ring, spec.ideals["I"], spec.ideals["c"]
+    e = reflexive_epi(natural_cyclic_epi(ctx, I, c), free_module(ctx, 1), "Pn")
+    assert is_linked_by(e)
+    linked = colon(c, I, ctx)
+    # Peskine-Szpiro: deg I + deg (c : I) = deg c_1 * deg c_2
+    deg_i = cyclic_module(ctx, I).hilbert().degree
+    deg_linked = cyclic_module(ctx, linked).hilbert().degree
+    assert deg_i == facts["deg_I"]
+    assert deg_i + deg_linked == c[0].degree() * c[1].degree()
+    assert ideal_strings(colon(c, linked, ctx)) == ideal_strings(reduced_ideal_gb(ctx, I))
+
+
 def test_double_link_univariate_holds(F101x):
     ctx = F101x
     R1 = free_module(ctx, 1)
@@ -343,8 +391,6 @@ def test_double_link_univariate_holds(F101x):
 
 def test_double_link_twisted_cubic_returns_ideal(F101xyzw, cubic_ideal):
     ctx = F101xyzw
-    from liaison.groebner import colon, reduced_ideal_gb
-
     c = cubic_ideal[:2]
     first = colon(c, cubic_ideal, ctx)
     second = colon(c, first, ctx)

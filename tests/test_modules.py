@@ -1,12 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liaison.cohomology import ring_type
 from liaison.errors import IllDefinedMap, InhomogeneousInput
+from liaison.groebner import reduced_ideal_gb
+from liaison.linkage import canonical_module
 from liaison.modules import (
+    GradedModule,
     ModuleMap,
     annihilator,
     cokernel,
+    colon,
     cyclic_module,
     direct_sum,
     free_module,
@@ -21,9 +27,14 @@ from liaison.modules import (
     tensor,
     twist,
 )
-from liaison.ring import parse_poly, render_poly
+from liaison.ring import make_ring, parse_poly, render_poly
 
-from tests.oracle import hf_of_subquotient
+from tests.oracle import (
+    hf_of_quotient,
+    hf_of_subquotient,
+    is_member,
+    monomials_of_degree,
+)
 
 
 def P(ctx, s):
@@ -210,6 +221,86 @@ def test_annihilator_is_cached_by_value(F101xy):
     again = annihilator(cyclic_module(ctx, [P(ctx, "x^2"), P(ctx, "x*y")]))
     assert ideal_strings(again) == ["x^2", "x*y"]
     assert ctx._cache[(M, "annihilator")] == tuple(again)
+
+
+# the plane, and the weighted (3, 4, 5) semigroup ring, over which every
+# annihilator and colon holds the defining ideal; each with its range of
+# generator degrees and the degrees whose Hilbert functions are compared
+PLANE = (make_ring(101, ["x", "y"]), (1, 3), 8)
+SEMIGROUP = (make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                       weights=[3, 4, 5]), (3, 8), 16)
+
+
+def _draw_form(data, ctx, degrees):
+    """A homogeneous polynomial of a drawn degree, sparse or 0."""
+    f = ctx.zero()
+    for exps in monomials_of_degree(ctx, data.draw(st.integers(*degrees))):
+        f = f + ctx.monomial(exps, data.draw(st.sampled_from([0, 0, 1, 2, 50, 100])))
+    return f
+
+
+def _assert_annihilator_hf(M, ann, top):
+    """dim R_d - dim ann_d = HF_d of v = (g_1, ..., g_n) in the block sum of
+    the M(deg g_j), on the oracle's degree slices, for d < top."""
+    ctx, zero = M.ctx, M.ctx.zero()
+    n = len(M.gens)
+    shifts = tuple(s - d for d in M.gen_degrees() for s in M.shifts)
+    v = tuple(f for col in M.gens for f in col)
+    rels = [(zero,) * (j * M.rank) + col + (zero,) * ((n - j - 1) * M.rank)
+            for j in range(n) for col in M.rels]
+    for d in range(top):
+        want = hf_of_subquotient(ctx, n * M.rank, shifts, [v], rels, d)
+        assert hf_of_quotient(ctx, 1, (0,), [(q,) for q in ann], d) == want, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_colon_matches_bruteforce(data):
+    ctx, degrees, top = data.draw(st.sampled_from([PLANE, SEMIGROUP]))
+    i_gens = [_draw_form(data, ctx, degrees) for _ in range(data.draw(st.integers(1, 3)))]
+    j_gens = [_draw_form(data, ctx, degrees) for _ in range(data.draw(st.integers(1, 3)))]
+    i_cols = [(f,) for f in i_gens if f]
+    quot = colon(i_gens, j_gens, ctx)
+    for q in quot:
+        for g in j_gens:
+            assert is_member(ctx, 1, (0,), i_cols, (q * g,))  # (I:J)*J <= I
+    for f in i_gens:
+        assert is_member(ctx, 1, (0,), [(q,) for q in quot], (f,))  # I <= (I:J)
+    M = GradedModule(ctx, 1, (0,), [(g,) for g in j_gens if g], i_cols)
+    _assert_annihilator_hf(M, quot, top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_annihilator_matches_bruteforce(data):
+    ctx, degrees, top = data.draw(st.sampled_from([PLANE, SEMIGROUP]))
+    shifts = (0, data.draw(st.integers(0, 1)))
+
+    def vector():
+        d = data.draw(st.integers(*degrees))
+        return tuple(_draw_form(data, ctx, (d - s, d - s)) for s in shifts)
+
+    gens = [vector() for _ in range(data.draw(st.integers(1, 3)))]
+    rels = [vector() for _ in range(data.draw(st.integers(1, 4)))]
+    M = subquotient(ctx, gens, rels, shifts)
+    ann = annihilator(M)
+    for q in ann:
+        for col in M.gens:
+            assert is_member(ctx, 2, shifts, M.rels, tuple(q * f for f in col))
+    _assert_annihilator_hf(M, ann, top)
+
+
+def test_canonical_module_of_a_type_three_ring_is_faithful():
+    # the monomial curve (t^4, t^5, t^6, t^7): Cohen-Macaulay, not Gorenstein
+    ctx = make_ring(
+        101,
+        ["a", "b", "c", "d"],
+        ["a*c - b^2", "a*d - b*c", "a^3 - b*d", "b*d - c^2", "a^2*b - c*d", "a^2*c - d^2"],
+        weights=[4, 5, 6, 7],
+    )
+    om = canonical_module(ctx)
+    assert annihilator(om) == reduced_ideal_gb(ctx, [])
+    assert len(minimize(om)[0].gens) == ring_type(ctx) == 3
 
 
 # -- invariants ------------------------------------------------------------------

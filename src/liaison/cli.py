@@ -22,10 +22,11 @@ run).  Exit 2 covers: an unreadable spec file, an unknown gallery, a
 malformed section or ``key = value`` line, a value that is not an integer
 (``p``, ``weights``, ``ambient``, ``shifts``, ``bound``, ``window``, integer
 operation arguments), a ``window`` or ``--window`` not of the form lo..hi,
-``shifts`` with neither 1 nor ``ambient`` entries, a bad polynomial or
-column, a non-prime characteristic, an unknown operation or wrong argument
-count, an undefined name, and a canonical K over a ring that is not
-Cohen-Macaulay.  Each names its spec line where it has one.
+an ``ambient`` outside 0..4096, ``shifts`` with neither 1 nor ``ambient``
+entries, a bad polynomial or column, a characteristic not a prime below
+2^31 (``p`` or ``--char``), an option before the subcommand, an unknown
+operation or wrong argument count, an undefined name, and a canonical K
+over a non-Cohen-Macaulay ring.  Each names its spec line where it has one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .errors import (
     InvalidInput,
     LiaisonError,
     NonCMForCanonical,
+    NonPrimeCharacteristic,
     SpecSyntaxError,
     UnknownGallery,
     UnknownName,
@@ -175,10 +177,9 @@ def parse_spec(text, p=None):
                 defining = [s.strip() for s in kv["defining"][0].split(",") if s.strip()]
             try:
                 ring_ctx = make_ring(char, var_names, defining, weights)
-            except LiaisonError as exc:
-                bad_line = kv["p"][1] if "p" in kv else header_line
-                raise SpecSyntaxError(str(exc), bad_line)
-            except ValueError as exc:  # variable names, weights, defining
+            except NonPrimeCharacteristic as exc:  # from --char: no spec line
+                raise SpecSyntaxError(str(exc), kv["p"][1] if p is None else None)
+            except (LiaisonError, ValueError) as exc:  # names, weights, defining
                 raise SpecSyntaxError(str(exc), header_line)
         elif name.startswith("ideal "):
             ident = name.split(None, 1)[1]
@@ -197,7 +198,10 @@ def parse_spec(text, p=None):
             if ring_ctx is None:
                 raise SpecSyntaxError("[ring] must come first", header_line)
             kv = _kv(entries)
-            rank = _int(*kv.get("ambient", ("1", header_line)))
+            rank_text, rank_line = kv.get("ambient", ("1", header_line))
+            rank = _int(rank_text, rank_line)
+            if not 0 <= rank <= 4096:  # each position is allocated
+                raise SpecSyntaxError("ambient must be in 0..4096", rank_line)
             shifts_text, shifts_line = kv.get("shifts", ("0", header_line))
             shifts = [_int(s, shifts_line) for s in shifts_text.split(",")]
             if len(shifts) == 1:
@@ -825,7 +829,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="liaison",
         description="module linkage experiment runner",
-        parents=[flags],
     )
     sub = parser.add_subparsers(dest="command")
     run_p = sub.add_parser("run", help="run an experiment spec file", parents=[flags])

@@ -43,14 +43,14 @@ Inside the engine a vector is one dict ``{key: coeff}``: the ring's packed
 monomial (see ``ring``) with its position packed above its bits, counted
 from the engine's last position, so that plain ``<`` on keys is the
 position-over-term order (see ``ModuleGB``) and a rank-1 engine works on
-the monomials themselves.  A
-term product is one integer addition, a divisor test one mask test, and a
-normal form one loop over a vector's terms in descending key order.  A
-tracked engine keeps each certificate in a dict of its own, so the lead of
-a vector is the ``max`` of its own keys alone.  Degrees grow only at pair
-lcms.  Each pair's degree and each input's degree is checked against the
-encoding's limit less the lowest shift, so for graded input no monomial the
-engine forms can overflow, and no monomial carries into the position.
+the monomials themselves.  A term product is one integer addition, a
+divisor test one mask test, and a normal form one loop popping a vector's
+keys from a heap (Monagan-Pearce, CASC 2007).  A certificate rides in its
+vector's dict, under negative keys, so one step reduces both.  Degrees
+grow only at pair lcms.  Each pair's degree and each input's degree is
+checked against the encoding's limit less the lowest shift, so for graded
+input no monomial the engine forms can overflow, and no monomial carries
+into the position.
 """
 
 from __future__ import annotations
@@ -121,9 +121,8 @@ class ModuleGB:
     """A (possibly tracked) Groebner basis of a submodule of a free module.
 
     ``rank`` counts the free-module positions.  A tracked engine carries an
-    expression certificate over its first ``track`` input columns for every
-    basis vector (``certs``, parallel to ``basis``); a reduction to zero
-    leaves a certificate alone, which is a syzygy of those columns.
+    expression certificate over its first ``track`` input columns in every
+    vector; a reduction to zero leaves a certificate alone, a syzygy.
 
     A vector is one dict ``{key: coeff}`` with ``key = ((rank - 1 - pos) <<
     span) | mono``, where ``span`` is the width of the ring's packed
@@ -132,11 +131,12 @@ class ModuleGB:
     lead is ``max`` of its keys, a reducer's multiplier is ``key - lead``
     (the position prefix cancels), and ``by_pos`` files the leads under
     their prefix ``key >> span``.  At the last position the keys are the
-    monomials themselves, so a vector of a rank-1 engine is converted from
-    and to ``Poly`` terms by copying a dict.  Certificates use the same
-    keys, with ``track`` for ``rank`` and the index of a tracked column as
-    position.  A vector is therefore built for the rank of its engine:
-    another rank needs its keys moved by a multiple of ``1 << span``.
+    monomials themselves, so a vector of an untracked rank-1 engine is
+    converted from and to ``Poly`` terms by copying a dict.  Tracked column
+    ``j`` has the keys ``(-(j + 1) << span) | mono``, below every vector
+    key, so a vector with a nonzero vector part still leads with it.  A
+    vector is therefore built for the rank of its engine: another rank
+    needs its keys moved by a multiple of ``1 << span``.
     """
 
     __slots__ = (
@@ -145,7 +145,6 @@ class ModuleGB:
         "track",
         "shifts",
         "basis",
-        "certs",
         "heads",
         "by_pos",
         "degrees",
@@ -166,14 +165,13 @@ class ModuleGB:
         self.rank = rank
         self.track = track
         self.shifts = tuple(shifts) + tuple(track_shifts)
-        self.basis = []  # internal vectors
-        self.certs = []  # their certificates, in a tracked engine only
+        self.basis = []  # internal vectors, certificates included
         self.heads = []  # the lead key of each basis vector
         self.by_pos = {}  # lead prefix -> [(lead exponent word, basis index)]
         self.degrees = []  # homogeneous degree of each basis vector
         self.pairs = []  # heap of (degree, i, j, lcm of the lead monomials)
         self.pending = set()
-        self.syzygies = []  # certificates of reductions to zero
+        self.syzygies = []  # reductions to zero: certificates alone
         self.fed = 0  # input columns fed so far; the first track are tracked
         self.use_criteria = track == 0
         self.reduced = False
@@ -192,41 +190,51 @@ class ModuleGB:
 
     # -- low-level term arithmetic ---------------------------------------
 
-    def _axpy(self, data, coeff, mult, src):
-        """data -= coeff * t^mult * src, all mod p."""
+    def _axpy(self, data, coeff, mult, src, heap=None):
+        """data -= coeff * t^mult * src, all mod p; each vector key (>= 0)
+        that this creates goes on ``heap``, negated, when one is given."""
         p = self.ctx.p
         c = p - coeff
         get = data.get
         for k, cb in src.items():
             key = mult + k
-            r = (get(key, 0) + c * cb) % p
-            if r:
-                data[key] = r
+            old = get(key)
+            if old is None:
+                data[key] = c * cb % p  # nonzero: p is prime
+                if heap is not None and key >= 0:
+                    heapq.heappush(heap, -key)
             else:
-                del data[key]
+                r = (old + c * cb) % p
+                if r:
+                    data[key] = r
+                else:
+                    del data[key]
 
-    def _normal_form(self, data, cert=None, reducers=None):
-        """Fully reduce data against the basis, or against the ``(by_pos,
-        heads, basis)`` given, and return the reduced vector; data is
-        emptied, and ``cert``, when given, follows every step in place.
+    def _normal_form(self, data, reducers=None):
+        """Fully reduce data in place, certificate keys included, against the
+        basis, or against the ``(by_pos, heads, basis)`` given; return it.
 
-        Terms are taken in descending key order: positions ascending, and in
-        one position monomials descending.  A term goes to the result when
-        no lead at its position divides it; otherwise the first such basis
-        vector reduces it.  Scaled, that vector holds no key above the term,
-        so no term already taken changes.  The leads of a position are
-        looked up at its first term: the keys of a position are those from
-        its ``prefix << span`` up.
+        A heap of negated keys yields the vector keys in descending order:
+        positions ascending, and in one position monomials descending.  A
+        term stays when no lead at its position divides it; otherwise the
+        first such basis vector reduces it.  Scaled, that vector holds no key
+        above the term, so no term already taken changes: only the keys a
+        step creates are pushed, and a popped key since cancelled is skipped.
+        The leads of a position are looked up at its first term: the keys of
+        a position are those from its ``prefix << span`` up.
         """
         by_pos, heads, basis = reducers or (self.by_pos, self.heads, self.basis)
-        certs = self.certs
         pk = self.ctx._pk
         low, guard, span = pk.low, pk.guard, pk.span
-        axpy = self._axpy
-        out = {}
+        axpy, pop = self._axpy, heapq.heappop
+        heap = [-key for key in data if key >= 0]
+        heapq.heapify(heap)
         floor, bucket = self.rank << span, None  # above every key
-        while data:
-            key = max(data)
+        while heap:
+            key = -pop(heap)
+            coeff = data.get(key)
+            if coeff is None:
+                continue
             if key < floor:
                 prefix = key >> span
                 bucket = by_pos.get(prefix)
@@ -235,16 +243,9 @@ class ModuleGB:
                 room = (key & low) | guard
                 for lead_exps, idx in bucket:
                     if (room - lead_exps) & guard == guard:
-                        coeff, mult = data[key], key - heads[idx]
-                        axpy(data, coeff, mult, basis[idx])
-                        if cert is not None:
-                            axpy(cert, coeff, mult, certs[idx])
+                        axpy(data, coeff, key - heads[idx], basis[idx], heap)
                         break
-                else:
-                    out[key] = data.pop(key)
-            else:
-                out[key] = data.pop(key)
-        return out
+        return data
 
     def _bucket(self, heads):
         """Lead prefix -> [(exponent word of the lead, basis index)]."""
@@ -262,21 +263,17 @@ class ModuleGB:
 
     # -- basis growth ------------------------------------------------------
 
-    def _push(self, data, cert):
-        """File a nonzero reduced vector, made monic, as a basis vector."""
-        head = max(data)
+    def _push(self, data, head):
+        """File a reduced vector led by ``head``, made monic, as a basis vector."""
         c = data[head]
         if c != 1:
             p = self.ctx.p
             inv = pow(c, -1, p)
-            for part in (data, cert or {}):
-                for key in part:
-                    part[key] = (part[key] * inv) % p
+            for key in data:
+                data[key] = (data[key] * inv) % p
         idx = len(self.basis)
         deg = self._degree(head)
         self.basis.append(data)
-        if self.track:
-            self.certs.append(cert)
         self.heads.append(head)
         self.degrees.append(deg)
         pk = self.ctx._pk
@@ -321,8 +318,6 @@ class ModuleGB:
                 (head & pk.low, len(self.basis))
             )
             self.basis.append(data)
-            if self.track:
-                self.certs.append({})
             self.heads.append(head)
             self.degrees.append(deg)
 
@@ -339,25 +334,29 @@ class ModuleGB:
                 data = _to_internal(self.ctx, vec, self.rank)
             else:
                 data = dict(vec)
-            cert = None
-            if self.track:
-                tracked = self.fed < self.track
-                cert = {(self.track - 1 - self.fed) << span: 1} if tracked else {}
+            column = self.fed
             self.fed += 1
             if data:
                 deg = self._degree(max(data))
                 self._check_degree(deg)
                 if limit is not None and deg > limit:
                     continue
-            self._absorb(self._normal_form(data, cert), cert)
+            if column < self.track:
+                data[-(column + 1) << span] = 1  # the column's own certificate
+            self._absorb(self._normal_form(data))
         self._complete(limit)
 
-    def _absorb(self, data, cert):
-        """File a fully reduced vector as basis element or syzygy."""
+    def _absorb(self, data):
+        """File a fully reduced vector as basis element, or, when its lead is
+        a certificate key, as syzygy."""
         if data:
-            self._push(data, cert)
-        elif cert:
-            self.syzygies.append(cert)
+            # a copy: a reduction's dict keeps room for every key it held
+            data = dict(data)
+            head = max(data)
+            if head >= 0:
+                self._push(data, head)
+            else:
+                self.syzygies.append(data)
 
     def _criteria_skip(self, i, j, lcm):
         pk = self.ctx._pk
@@ -389,23 +388,18 @@ class ModuleGB:
             self.pending.discard((i, j))
             if self.use_criteria and self._criteria_skip(i, j, lcm):
                 continue
-            data, cert = self._s_vector(i, j, lcm)
-            self._absorb(self._normal_form(data, cert), cert)
+            self._absorb(self._normal_form(self._s_vector(i, j, lcm)))
         self.limit = limit
 
     def _s_vector(self, i, j, lcm):
         """t * basis[i] - t' * basis[j], with t * lead_i = t' * lead_j = lcm,
-        and its certificate in a tracked engine (None otherwise)."""
+        certificate included."""
         mask = self.ctx._pk.top - 1
         mult = lcm - (self.heads[i] & mask)
         mult_j = lcm - (self.heads[j] & mask)
         data = {mult + k: c for k, c in self.basis[i].items()}
         self._axpy(data, 1, mult_j, self.basis[j])
-        if not self.track:
-            return data, None
-        cert = {mult + k: c for k, c in self.certs[i].items()}
-        self._axpy(cert, 1, mult_j, self.certs[j])
-        return data, cert
+        return data
 
     # -- finishing ---------------------------------------------------------
 
@@ -442,7 +436,7 @@ class ModuleGB:
             # term, and it divides no smaller term: reduce the tail only.
             data = dict(vec)
             coeff = data.pop(head)
-            data = self._normal_form(data, None, reducers)
+            data = self._normal_form(data, reducers)
             data[head] = coeff
             new_basis.append(data)
         self.heads = heads
@@ -453,13 +447,14 @@ class ModuleGB:
 
     # -- queries -----------------------------------------------------------
 
-    def _polys(self, data, count):
-        """Copies of the terms of an internal vector of ``count`` positions
-        as Poly; the zero positions share one zero Poly."""
+    def _polys(self, data, count, last):
+        """Copies of the terms at ``last - (key >> span)`` in 0..count-1 as
+        Poly: ``last`` is ``rank - 1`` for the vector, -1 for the certificate.
+        The zero positions share one zero Poly."""
         pk = self.ctx._pk
-        span, mask, last = pk.span, pk.top - 1, count - 1
+        span, mask = pk.span, pk.top - 1
         parts = {}
-        if count == 1:
+        if count == 1 and not self.track:
             parts[0] = dict(data)  # one position: the keys are the monomials
         else:
             for key, c in data.items():
@@ -475,12 +470,11 @@ class ModuleGB:
 
     def vectors(self):
         """The basis as tuples of Poly over the F-part positions."""
-        return [self._polys(vec, self.rank) for vec in self.basis]
+        return [self._polys(vec, self.rank, self.rank - 1) for vec in self.basis]
 
     def _reduced(self, vec):
-        """The normal form of a vector, as an internal vector, and its
-        certificate in a tracked engine (None otherwise).  Above the degree
-        a truncated engine is complete to, it would be wrong."""
+        """The normal form of a vector, certificate included.  Above the
+        degree a truncated engine is complete to, it would be wrong."""
         data = _to_internal(self.ctx, vec, self.rank)
         if self.limit is not None and data:
             deg = self._degree(max(data))
@@ -489,26 +483,25 @@ class ModuleGB:
                     f"vector of degree {deg} reduced by an engine complete "
                     f"only up to degree {self.limit}"
                 )
-        cert = {} if self.track else None
-        return self._normal_form(data, cert), cert
+        return self._normal_form(data)
 
     def normal_form(self, vec):
-        return self._polys(self._reduced(vec)[0], self.rank)
+        return self._polys(self._reduced(vec), self.rank, self.rank - 1)
 
     def reduce_with_certificate(self, vec):
         """Return (remainder, coeffs) with vec = sum(coeffs*tracked) + rem."""
         if not self.track:
             raise InvalidInput("certificates require a tracked engine")
-        data, cert = self._reduced(vec)
-        p = self.ctx.p
-        coeffs = {key: p - c for key, c in cert.items()}
-        return self._polys(data, self.rank), self._polys(coeffs, self.track)
+        data = self._reduced(vec)
+        coeffs = {key: self.ctx.p - c for key, c in data.items() if key < 0}
+        rem = self._polys(data, self.rank, self.rank - 1)
+        return rem, self._polys(coeffs, self.track, -1)
 
     def contains(self, vec):
         return vec_is_zero(self.normal_form(vec))
 
     def syzygy_vectors(self):
-        return [self._polys(cert, self.track) for cert in self.syzygies]
+        return [self._polys(cert, self.track, -1) for cert in self.syzygies]
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +779,7 @@ def assert_buchberger(gb):
         for j, (pj, mj) in enumerate(leads[:i]):
             if pi != pj:
                 continue
-            if gb._normal_form(*gb._s_vector(i, j, mono_lcm(mi, mj, gb.ctx))):
+            nf = gb._normal_form(gb._s_vector(i, j, mono_lcm(mi, mj, gb.ctx)))
+            if max(nf, default=-1) >= 0:
                 raise AssertionError("Buchberger criterion failed")
     return True

@@ -612,8 +612,9 @@ def _annihilator(M):
         return groebner.reduced_ideal_gb(ctx, [ctx.one()])
     B = _hom_sum(M, M.gen_degrees())
     v = tuple(f for col in M.gens for f in col)
-    rels = GradedModule(ctx, B.rank, B.shifts, [v], B.rels).column_relations()
-    return groebner.reduced_ideal_gb(ctx, [u[0] for u in rels])
+    # the raw syzygies: the reduced basis is the same from any generating set
+    eng = GradedModule(ctx, B.rank, B.shifts, [v], B.rels).gens_engine()
+    return groebner.reduced_ideal_gb(ctx, [u[0] for u in eng.syzygy_vectors()])
 
 
 def colon(i_gens, j_gens, ctx):

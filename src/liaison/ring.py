@@ -461,7 +461,8 @@ def render_poly(f):
 def make_ring(p, names, defining=(), weights=None):
     """Build R = F_p[names]/(defining); the defining ideal is replaced by its
     reduced Groebner basis.  Contexts are immutable afterwards."""
-    if not isinstance(p, int) or not _is_prime(p) or p >= 2**31:
+    # the range first: trial division of a huge p would never return
+    if not isinstance(p, int) or p >= 2**31 or not _is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p!r} is not a prime < 2^31")
     names = tuple(names)
     if len(set(names)) != len(names) or not names:

@@ -181,6 +181,9 @@ MALFORMED = [
      "shifts = 0, 1, 2"),
     (MINIMAL + "[module M]\ngens = x^\n", [], "gens = x^"),
     (MINIMAL.replace("vars = x", "vars = x, x"), [], "[ring]"),
+    (MINIMAL + "[module M]\nambient = 10000000000000000000\n", [],
+     "ambient = 10000000000000000000"),
+    (MINIMAL + "[module M]\nambient = -1\n", [], "ambient = -1"),
 ]
 
 
@@ -193,6 +196,44 @@ def test_malformed_values_exit_two(tmp_path, capsys, text, flags, bad_line):
     assert err.startswith("parse error")
     if bad_line is not None:
         assert f"line {text.splitlines().index(bad_line) + 1}:" in err
+
+
+HUGE_PRIME = 1000000000000000000000000000057
+
+
+@pytest.mark.parametrize("where", ["spec", "--char"])
+def test_huge_characteristic_exits_two_at_once(tmp_path, where):
+    # the range is tested before the primality, whose trial division of a
+    # 31-digit prime would never return; a --char value has no spec line
+    f = tmp_path / "huge.spec"
+    if where == "spec":
+        f.write_text(MINIMAL.replace("p = 101", f"p = {HUGE_PRIME}"))
+        flags = []
+    else:
+        f.write_text(MINIMAL)
+        flags = ["--char", str(HUGE_PRIME)]
+    src = str(pathlib.Path(liaison.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "liaison.cli", "run", str(f), *flags],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("parse error")
+    assert ("line 3:" in proc.stderr) == (where == "spec")
+
+
+def test_flags_follow_the_subcommand(tmp_path):
+    out = tmp_path / "r.json"
+    args = ["gallery", "univariate-link", "--char", "7", "--bound", "1"]
+    assert main([*args, "--json-out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert blob["ring"].startswith("F_7[") and blob["bound"] == 1
+    # placed before the subcommand they are a usage error, not dropped
+    for flags in (["--char", "7"], ["--bound", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "gallery", "univariate-link", "--json-out", str(out)])
+        assert exc.value.code == 2
 
 
 def _misuse_cases():

@@ -132,8 +132,9 @@ def module_with_vectors():
 
 
 def engine_state(eng):
+    # a basis vector's certificate is held under its negative keys
     return ([sorted(v.items()) for v in eng.basis],
-            [sorted(c.items()) for c in eng.certs],
+            [sorted((k, c) for k, c in v.items() if k < 0) for v in eng.basis],
             list(eng.leads),
             [sorted(c.items()) for c in eng.syzygies])
 

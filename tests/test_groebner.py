@@ -26,7 +26,7 @@ from liaison.modules import (
     subquotient,
     vec_combine,
 )
-from liaison.ring import make_ring, mono_divides, parse_poly, render_poly
+from liaison.ring import Poly, make_ring, mono_divides, parse_poly, render_poly
 
 from tests.oracle import (
     degree_slice_rank,
@@ -515,6 +515,97 @@ def test_reduction_passes_positions_without_a_lead(data):
                                for lp, lm in leads)
     for syz in eng.syzygy_vectors():
         assert is_member(ctx, rank, shifts, [], vec_combine(cols, syz, ctx, rank))
+
+
+SEMIGROUP_4567 = make_ring(
+    101,
+    ["a", "b", "c", "d"],
+    ["a*c - b^2", "a*d - b*c", "a^3 - b*d", "b*d - c^2", "a^2*b - c*d", "a^2*c - d^2"],
+    weights=[4, 5, 6, 7],
+)
+
+
+def _reference_normal_form(eng, vec):
+    """The normal form of ``vec`` against the basis of ``eng``, and its
+    certificate, by the plain loop: take the largest key left with ``max``,
+    reduce it by the first basis vector whose lead at its position divides
+    it, and follow each step on a certificate dict of its own.  Keys are
+    those of ``ModuleGB``: ``((rank - 1 - pos) << span) | mono`` for the
+    vector, and ``(-(j + 1) << span) | mono`` for tracked column j."""
+    ctx, rank = eng.ctx, eng.rank
+    pk = ctx._pk
+    span, mask, p = pk.span, pk.top - 1, ctx.p
+    data = {((rank - 1 - pos) << span) | mono: c
+            for pos, f in enumerate(vec) for mono, c in f.terms.items()}
+    parts = [({k: c for k, c in b.items() if k >= 0},
+              {k: c for k, c in b.items() if k < 0}) for b in eng.basis]
+    out, cert = {}, {}
+    while data:
+        key = max(data)
+        for (pos, lead), (b_vec, b_cert) in zip(eng.leads, parts):
+            if pos == rank - 1 - (key >> span) and mono_divides(lead, key & mask, ctx):
+                coeff, mult = data[key], (key & mask) - lead
+                for target, src in ((data, b_vec), (cert, b_cert)):
+                    for k, c in src.items():
+                        v = (target.get(k + mult, 0) - coeff * c) % p
+                        if v:
+                            target[k + mult] = v
+                        else:
+                            target.pop(k + mult, None)
+                break
+        else:
+            out[key] = data.pop(key)
+    return out, cert
+
+
+def _as_polys(ctx, terms, count, last):
+    """The terms {key: coeff} as ``count`` Poly, key at position
+    ``last - (key >> span)``; every key must land on a position."""
+    span, mask = ctx._pk.span, ctx._pk.top - 1
+    parts = [{} for _ in range(count)]
+    for key, c in terms.items():
+        pos = last - (key >> span)
+        assert 0 <= pos < count, key
+        parts[pos][key & mask] = c
+    return tuple(Poly(ctx, t) for t in parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_normal_forms_match_the_reference_loop(data):
+    # the heap-ordered normal form takes the same steps as the max-per-term
+    # loop, over the rings of the monomial curves (t^3, t^4, t^5) and
+    # (t^4, t^5, t^6, t^7), at ranks 1-4, tracked and untracked
+    ctx = data.draw(st.sampled_from([SEMIGROUP, SEMIGROUP_4567]))
+    rank = data.draw(st.integers(1, 4))
+    shifts = tuple(data.draw(st.integers(0, 3)) for _ in range(rank))
+    low = 2 * min(ctx.weights) + max(shifts)  # each position has monomials
+    cols = [_draw_module_vector(data, ctx, shifts, data.draw(st.integers(low, low + 6)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    cols = [col for col in cols if not vec_is_zero(col)] or [
+        tuple(ctx.var(0) if q == 0 else ctx.zero() for q in range(rank))
+    ]
+    degrees = [vec_degree(col, shifts) for col in cols]
+    d = max(degrees) + data.draw(st.integers(0, 4))
+    member = vec_combine(cols, [_draw_poly(data, d - e, ctx) for e in degrees], ctx, rank)
+    vectors = [member, _add(member, _draw_module_vector(data, ctx, shifts, d)),
+               _draw_module_vector(data, ctx, shifts, d)]
+    tracked = tracked_engine(ctx, cols, rank, shifts)
+    p = ctx.p
+    for eng in (buchberger(cols, ctx, rank, shifts), tracked):
+        for vec in vectors:
+            out, cert = _reference_normal_form(eng, vec)
+            assert eng.normal_form(vec) == _as_polys(ctx, out, rank, rank - 1)
+            if eng is not tracked:
+                assert not cert
+                continue
+            rem, coeffs = eng.reduce_with_certificate(vec)
+            assert rem == _as_polys(ctx, out, rank, rank - 1)
+            negated = {key: p - c for key, c in cert.items()}
+            assert coeffs == _as_polys(ctx, negated, len(cols), -1)
+            # vec = sum(coeffs * cols) + rem modulo J*F
+            rest = _subtract(_subtract(vec, vec_combine(cols, coeffs, ctx, rank)), rem)
+            assert is_member(ctx, rank, shifts, [], rest)
 
 
 def test_engine_keys_hold_any_position(F101xy):

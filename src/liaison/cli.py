@@ -23,10 +23,12 @@ malformed section or ``key = value`` line, a value that is not an integer
 (``p``, ``weights``, ``ambient``, ``shifts``, ``bound``, ``window``, integer
 operation arguments), a ``window`` or ``--window`` not of the form lo..hi,
 an ``ambient`` outside 0..4096, ``shifts`` with neither 1 nor ``ambient``
-entries, a bad polynomial or column, a characteristic not a prime below
-2^31 (``p`` or ``--char``), an option before the subcommand, an unknown
-operation or wrong argument count, an undefined name, and a canonical K
-over a non-Cohen-Macaulay ring.  Each names its spec line where it has one.
+entries or with an entry of absolute value 2^20 or more, a bad polynomial
+or column (a degree reaching 2^20 included), a characteristic not a prime
+below 2^31 (``p`` or ``--char``), an option before the subcommand or after
+``list-galleries``, an unknown operation or wrong argument count, an
+undefined name, and a canonical K over a non-Cohen-Macaulay ring.  Each
+names its spec line where it has one.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .modules import (
     invariants,
     subquotient,
 )
-from .ring import DEFAULT_CHARACTERISTIC, make_ring, parse_poly, render_poly
+from .ring import _LIMIT, DEFAULT_CHARACTERISTIC, make_ring, parse_poly, render_poly
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +118,14 @@ def _int(text, lineno):
         return int(text)
     except ValueError:
         raise SpecSyntaxError(f"integer expected, got {text!r}", lineno) from None
+
+
+def _literal(ctx, text, lineno):
+    """A polynomial literal; a bad one, or one too high, names its line."""
+    try:
+        return parse_poly(ctx, text)
+    except (ValueError, LiaisonError) as exc:
+        raise SpecSyntaxError(str(exc), lineno) from None
 
 
 def _window(text, lineno=None):
@@ -187,12 +197,9 @@ def parse_spec(text, p=None):
             if ring_ctx is None:
                 raise SpecSyntaxError("[ring] must come first", header_line)
             gens_text, lineno = kv.get("gens", ("", header_line))
-            try:
-                ideals[ident] = [
-                    parse_poly(ring_ctx, s) for s in gens_text.split(",") if s.strip()
-                ]
-            except ValueError as exc:
-                raise SpecSyntaxError(str(exc), lineno)
+            ideals[ident] = [
+                _literal(ring_ctx, s, lineno) for s in gens_text.split(",") if s.strip()
+            ]
         elif name.startswith("module "):
             ident = name.split(None, 1)[1]
             if ring_ctx is None:
@@ -208,6 +215,8 @@ def parse_spec(text, p=None):
                 shifts = shifts * rank
             if len(shifts) != rank:
                 raise SpecSyntaxError(f"shifts needs 1 or {rank} entries", shifts_line)
+            if any(abs(s) >= _LIMIT for s in shifts):  # a Hilbert function lists 0..-s
+                raise SpecSyntaxError(f"|shift| must be below {_LIMIT}", shifts_line)
 
             def columns(txt, lineno):
                 cols = []
@@ -215,10 +224,7 @@ def parse_spec(text, p=None):
                     entries_ = [e.strip() for e in col.split(",")]
                     if len(entries_) != rank:
                         raise SpecSyntaxError(f"column needs {rank} entries", lineno)
-                    try:
-                        cols.append(tuple(parse_poly(ring_ctx, e) for e in entries_))
-                    except ValueError as exc:
-                        raise SpecSyntaxError(str(exc), lineno)
+                    cols.append(tuple(_literal(ring_ctx, e, lineno) for e in entries_))
                 return cols
 
             gens = columns(*kv["gens"]) if kv.get("gens", ("", 0))[0] else []
@@ -835,7 +841,7 @@ def main(argv=None):
     run_p.add_argument("file")
     gal_p = sub.add_parser("gallery", help="run a built-in gallery", parents=[flags])
     gal_p.add_argument("name")
-    sub.add_parser("list-galleries", help="list built-in galleries", parents=[flags])
+    sub.add_parser("list-galleries", help="list built-in galleries")
     args = parser.parse_args(argv)
 
     if args.command == "list-galleries":

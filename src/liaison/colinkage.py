@@ -245,9 +245,6 @@ def _require_nu_iso(M, K):
 # coreflexive epimorphisms and the colinkage operator
 
 
-COCATEGORY_TAGS = ("PKn", "GKPKn")
-
-
 class CoreflexiveEpi(namedtuple("CoreflexiveEpi", "phi n K category_tag bound")):
     __slots__ = ()
 

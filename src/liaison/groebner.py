@@ -46,7 +46,10 @@ position-over-term order (see ``ModuleGB``) and a rank-1 engine works on
 the monomials themselves.  A term product is one integer addition, a
 divisor test one mask test, and a normal form one loop popping a vector's
 keys from a heap (Monagan-Pearce, CASC 2007).  A certificate rides in its
-vector's dict, under negative keys, so one step reduces both.  Degrees
+vector's dict, under negative keys, so one step reduces both, and a syzygy
+is a vector of its own rank-``track`` engine, as in a Schreyer frame
+(Erocal-Motsak-Schreyer-Steenpass, JSC 2016).  An engine takes only its own
+vectors: ``Poly`` columns are flattened once, where they enter.  Degrees
 grow only at pair lcms.  Each pair's degree and each input's degree is
 checked against the encoding's limit less the lowest shift, so for graded
 input no monomial the engine forms can overflow, and no monomial carries
@@ -122,7 +125,7 @@ class ModuleGB:
 
     ``rank`` counts the free-module positions.  A tracked engine carries an
     expression certificate over its first ``track`` input columns in every
-    vector; a reduction to zero leaves a certificate alone, a syzygy.
+    vector; a reduction to zero leaves a certificate alone, filed as a syzygy.
 
     A vector is one dict ``{key: coeff}`` with ``key = ((rank - 1 - pos) <<
     span) | mono``, where ``span`` is the width of the ring's packed
@@ -136,7 +139,8 @@ class ModuleGB:
     ``j`` has the keys ``(-(j + 1) << span) | mono``, below every vector
     key, so a vector with a nonzero vector part still leads with it.  A
     vector is therefore built for the rank of its engine: another rank
-    needs its keys moved by a multiple of ``1 << span``.
+    needs its keys moved by a multiple of ``1 << span``.  A syzygy, moved
+    up by ``track << span``, is a vector of a rank-``track`` engine.
     """
 
     __slots__ = (
@@ -322,18 +326,15 @@ class ModuleGB:
             self.degrees.append(deg)
 
     def add_generators(self, vectors, limit=None):
-        """Feed vectors (tuples of Poly over the F-part, or internal vectors)
-        into the basis, then complete with Buchberger's algorithm, up to
-        degree ``limit`` when one is given.  The first ``track`` vectors
+        """Feed internal vectors of this engine's rank, certificates left
+        out, into the basis, then complete with Buchberger's algorithm, up
+        to degree ``limit`` when one is given.  The first ``track`` vectors
         ever fed are the tracked columns.  Vectors of degree above ``limit``
         are skipped; a limit is sound only for homogeneous input over a
         graded ring."""
         span = self.ctx._pk.span
         for vec in vectors:
-            if isinstance(vec, tuple):
-                data = _to_internal(self.ctx, vec, self.rank)
-            else:
-                data = dict(vec)
+            data = dict(vec)
             column = self.fed
             self.fed += 1
             if data:
@@ -348,15 +349,15 @@ class ModuleGB:
 
     def _absorb(self, data):
         """File a fully reduced vector as basis element, or, when its lead is
-        a certificate key, as syzygy."""
+        a certificate key, as syzygy, moved to the tracked columns' engine."""
         if data:
-            # a copy: a reduction's dict keeps room for every key it held
-            data = dict(data)
             head = max(data)
             if head >= 0:
-                self._push(data, head)
+                # a copy: a reduction's dict keeps room for every key it held
+                self._push(dict(data), head)
             else:
-                self.syzygies.append(data)
+                up = self.track << self.ctx._pk.span
+                self.syzygies.append({key + up: c for key, c in data.items()})
 
     def _criteria_skip(self, i, j, lcm):
         pk = self.ctx._pk
@@ -447,10 +448,10 @@ class ModuleGB:
 
     # -- queries -----------------------------------------------------------
 
-    def _polys(self, data, count, last):
-        """Copies of the terms at ``last - (key >> span)`` in 0..count-1 as
-        Poly: ``last`` is ``rank - 1`` for the vector, -1 for the certificate.
-        The zero positions share one zero Poly."""
+    def _polys(self, data, count):
+        """Positions 0..count-1 of a vector of a rank-``count`` engine as
+        Poly copies: ``rank`` for this engine's vectors, ``track`` for its
+        syzygies and moved certificates.  Zero positions share one Poly."""
         pk = self.ctx._pk
         span, mask = pk.span, pk.top - 1
         parts = {}
@@ -458,7 +459,7 @@ class ModuleGB:
             parts[0] = dict(data)  # one position: the keys are the monomials
         else:
             for key, c in data.items():
-                pos = last - (key >> span)
+                pos = count - 1 - (key >> span)
                 terms = parts.get(pos)
                 if terms is None:
                     parts[pos] = terms = {}
@@ -470,7 +471,7 @@ class ModuleGB:
 
     def vectors(self):
         """The basis as tuples of Poly over the F-part positions."""
-        return [self._polys(vec, self.rank, self.rank - 1) for vec in self.basis]
+        return [self._polys(vec, self.rank) for vec in self.basis]
 
     def _reduced(self, vec):
         """The normal form of a vector, certificate included.  Above the
@@ -486,22 +487,22 @@ class ModuleGB:
         return self._normal_form(data)
 
     def normal_form(self, vec):
-        return self._polys(self._reduced(vec), self.rank, self.rank - 1)
+        return self._polys(self._reduced(vec), self.rank)
 
     def reduce_with_certificate(self, vec):
         """Return (remainder, coeffs) with vec = sum(coeffs*tracked) + rem."""
         if not self.track:
             raise InvalidInput("certificates require a tracked engine")
         data = self._reduced(vec)
-        coeffs = {key: self.ctx.p - c for key, c in data.items() if key < 0}
-        rem = self._polys(data, self.rank, self.rank - 1)
-        return rem, self._polys(coeffs, self.track, -1)
+        p, up = self.ctx.p, self.track << self.ctx._pk.span
+        coeffs = {key + up: p - c for key, c in data.items() if key < 0}
+        return self._polys(data, self.rank), self._polys(coeffs, self.track)
 
     def contains(self, vec):
         return vec_is_zero(self.normal_form(vec))
 
     def syzygy_vectors(self):
-        return [self._polys(cert, self.track, -1) for cert in self.syzygies]
+        return [self._polys(syz, self.track) for syz in self.syzygies]
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +524,8 @@ def buchberger(columns, ctx, rank, shifts=None):
 
     def compute():
         eng = ModuleGB(ctx, rank, shifts)
-        eng.add_generators(list(columns) + _ring_columns(ctx, rank))
+        inputs = [_to_internal(ctx, col, rank) for col in columns]
+        eng.add_generators(inputs + _ring_columns(ctx, rank))
         eng.interreduce()
         return eng
 
@@ -541,29 +543,28 @@ def tracked_engine(ctx, columns, rank, shifts, extra=()):
     """Engine tracking certificates over ``columns``, complete in every
     degree; ``extra`` columns (for example the relations of a module) and
     J*e_i ride along untracked."""
-    track_shifts = [vec_degree(col, shifts) for col in columns]
-    track_shifts = [0 if d is None else d for d in track_shifts]
+    track_shifts = [vec_degree(col, shifts) or 0 for col in columns]
     eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=track_shifts)
-    inputs = [_to_internal(ctx, col, rank) for col in columns]
-    eng.add_generators(inputs + list(extra) + _ring_columns(ctx, rank))
+    inputs = [_to_internal(ctx, col, rank) for col in list(columns) + list(extra)]
+    eng.add_generators(inputs + _ring_columns(ctx, rank))
     return eng
 
 
 def engine_syzygies(eng):
-    """A minimal generating subset of the syzygies of a fully completed
-    tracked engine's columns.  Reads the engine and never changes it."""
-    syz = eng.syzygy_vectors()
+    """A minimal generating subset, as tuples of Poly, of the syzygies of a
+    fully completed tracked engine's columns; the engine is only read."""
     seed = _ring_columns(eng.ctx, eng.track)
     kept = minimal_generator_indices(
-        syz, eng.ctx, eng.track, eng.shifts[eng.rank:], seed
+        eng.syzygies, eng.ctx, eng.track, eng.shifts[eng.rank:], seed
     )
-    return [syz[i] for i in kept]
+    return [eng._polys(eng.syzygies[i], eng.track) for i in kept]
 
 
 def minimal_generator_indices(columns, ctx, rank, shifts, seed):
     """Indices of a minimal generating subset of ``columns`` modulo the
-    submodule whose reduced Groebner basis is ``seed`` (internal vectors,
-    J*F included, for example a module's ``rels_gb().basis``).
+    submodule whose reduced Groebner basis is ``seed`` (J*F included, for
+    example a module's ``rels_gb().basis``), all internal vectors of a
+    rank-``rank`` engine over ``shifts``, the columns homogeneous.
 
     Graded Nakayama: processed in ascending degree, a generator is redundant
     exactly when it lies in the submodule generated by the ones already kept
@@ -572,11 +573,9 @@ def minimal_generator_indices(columns, ctx, rank, shifts, seed):
     up to the degree of the column about to be reduced, all a column of
     that degree can be reduced by.
     """
-    shifts = tuple(shifts)
-    degrees = [vec_degree(col, shifts) for col in columns]
-    order = sorted((d, i) for i, d in enumerate(degrees) if d is not None)
+    eng = ModuleGB(ctx, rank, tuple(shifts))
+    order = sorted((eng._degree(max(col)), i) for i, col in enumerate(columns) if col)
     graded = ctx.is_graded()
-    eng = ModuleGB(ctx, rank, shifts)
     eng._seed(seed)
     kept = []
     for deg, i in order:

@@ -141,10 +141,11 @@ def free_resolution(M, length):
 
 def _resolution_start(M):
     """Level 0: the minimal generators of M, F_0 -> M."""
+    degs = M.gen_degrees()  # refuses inhomogeneous generators
+    cols = [groebner._to_internal(M.ctx, col, M.rank) for col in M.gens]
     kept = tuple(groebner.minimal_generator_indices(
-        list(M.gens), M.ctx, M.rank, M.shifts, M.rels_gb().basis
+        cols, M.ctx, M.rank, M.shifts, M.rels_gb().basis
     ))
-    degs = M.gen_degrees()
     return Resolution(kept, (tuple(degs[i] for i in kept),), (), not kept)
 
 

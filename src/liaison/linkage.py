@@ -185,9 +185,6 @@ def is_cm_module(M):
 # reflexive epimorphisms and the linkage operator
 
 
-CATEGORY_TAGS = ("Pn", "GKPn", "CMn", "RefnK")
-
-
 class ReflexiveEpi(namedtuple("ReflexiveEpi", "phi n K category_tag bound")):
     __slots__ = ()
 

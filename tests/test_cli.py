@@ -145,6 +145,17 @@ def test_main_list_galleries(capsys):
     assert len(out) == 10 and "twisted-cubic" in out
 
 
+def test_list_galleries_takes_no_options(tmp_path):
+    # it reads no option, so one after it is a usage error, as one before it
+    out = tmp_path / "r.json"
+    for argv in (["list-galleries", "--json-out", str(out), "--bound", "3"],
+                 ["--json-out", str(out), "list-galleries"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_negative_gallery_exits_one(tmp_path):
     out = tmp_path / "neg.json"
     code = main(["gallery", "mixed-ideal-negative", "--json-out", str(out)])
@@ -184,6 +195,14 @@ MALFORMED = [
     (MINIMAL + "[module M]\nambient = 10000000000000000000\n", [],
      "ambient = 10000000000000000000"),
     (MINIMAL + "[module M]\nambient = -1\n", [], "ambient = -1"),
+    # a literal whose degree reaches the monomial limit 2^20
+    (MINIMAL + "[ideal J]\ngens = x^1000000000000000000000000000000\n", [],
+     "gens = x^1000000000000000000000000000000"),
+    (MINIMAL + "[module M]\ngens = x^2000000\n", [], "gens = x^2000000"),
+    # a shift of size 2^20 or more
+    (MINIMAL + "[module M]\nshifts = -1000000000000000000000000000000\ngens = 1\n", [],
+     "shifts = -1000000000000000000000000000000"),
+    (MINIMAL + "[module M]\nshifts = 1048576\ngens = 1\n", [], "shifts = 1048576"),
 ]
 
 
@@ -283,11 +302,11 @@ PAPER_FACING_CHECKS = {
 
 
 def test_every_definition_has_a_caller_in_the_package():
-    """Every module-level function and class, and every public method, is
-    referenced somewhere in the package outside its own definition.  Import
-    lines do not count.  Exempt: the ``op_*`` handlers, which ``@_operation``
-    registers, the package exports, and the paper-facing checks that state
-    theorems for the acceptance tests."""
+    """Every module-level function, class and assigned name, and every
+    public method, is referenced somewhere in the package outside its own
+    definition.  Import lines do not count.  Exempt: the ``op_*`` handlers,
+    which ``@_operation`` registers, the package exports, dunder names, and
+    the paper-facing checks that state theorems for the acceptance tests."""
     src = pathlib.Path(liaison.__file__).resolve().parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     exempt = PAPER_FACING_CHECKS | set(liaison.__all__)
@@ -296,6 +315,11 @@ def test_every_definition_has_a_caller_in_the_package():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((fname, node.name, node))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.extend((fname, name.id, node) for target in targets
+                            for name in ast.walk(target) if isinstance(name, ast.Name)
+                            and not name.id.startswith("__"))
             if isinstance(node, ast.ClassDef):
                 defs.extend((fname, f"{node.name}.{sub.name}", sub) for sub in node.body
                             if isinstance(sub, ast.FunctionDef)

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from liaison.groebner import (
     ModuleGB,
     _ring_columns,
+    _to_internal,
     assert_buchberger,
     buchberger,
+    engine_syzygies,
     leadterm_hilbert,
     minimal_generator_indices,
     reduced_ideal_gb,
@@ -410,13 +412,14 @@ def test_seeded_engine_matches_unseeded(data):
     # the module's reduced relation basis, J*F included, is the seed
     seed = subquotient(ctx, [], rels, RANK2_SHIFTS).rels_gb().basis
     before = [dict(vec) for vec in seed]
+    flat = [_to_internal(ctx, col, 2) for col in cols]
     eng = ModuleGB(ctx, 2, RANK2_SHIFTS)
     eng._seed(seed)
-    eng.add_generators(cols)
+    eng.add_generators(flat)
     eng.interreduce()
     assert_buchberger(eng)
     assert eng.vectors() == buchberger(rels + cols, ctx, 2, RANK2_SHIFTS).vectors()
-    kept = minimal_generator_indices(cols, ctx, 2, RANK2_SHIFTS, seed)
+    kept = minimal_generator_indices(flat, ctx, 2, RANK2_SHIFTS, seed)
     assert kept == _greedy_kept(cols, rels, ctx, RANK2_SHIFTS)
     assert seed == before
     # J*F alone, as engine_syzygies seeds it, against its reduced basis from scratch
@@ -448,7 +451,8 @@ def test_untracked_criteria_leave_the_reduced_basis_unchanged(data):
     for criteria in (True, False):
         eng = ModuleGB(ctx, rank, shifts)
         eng.use_criteria = criteria
-        eng.add_generators(cols + _ring_columns(ctx, rank))
+        flat = [_to_internal(ctx, col, rank) for col in cols]
+        eng.add_generators(flat + _ring_columns(ctx, rank))
         eng.interreduce()
         assert_buchberger(eng)
         bases.append(eng.vectors())
@@ -606,6 +610,27 @@ def test_normal_forms_match_the_reference_loop(data):
             # vec = sum(coeffs * cols) + rem modulo J*F
             rest = _subtract(_subtract(vec, vec_combine(cols, coeffs, ctx, rank)), rem)
             assert is_member(ctx, rank, shifts, [], rest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_engine_keeps_the_greedy_minimal_syzygies(data):
+    # the printed presentations depend on which syzygies are kept: in
+    # ascending degree, then in the order they were filed, each syzygy
+    # outside those kept before it, over the rings of the monomial curves
+    # (t^3, t^4, t^5) and (t^4, t^5, t^6, t^7)
+    ctx = data.draw(st.sampled_from([SEMIGROUP, SEMIGROUP_4567]))
+    rank = data.draw(st.integers(1, 3))
+    shifts = tuple(data.draw(st.integers(0, 3)) for _ in range(rank))
+    low = 2 * min(ctx.weights) + max(shifts)  # each position has monomials
+    cols = [_draw_module_vector(data, ctx, shifts, data.draw(st.integers(low, low + 5)))
+            for _ in range(data.draw(st.integers(1, 4)))]
+    eng = tracked_engine(ctx, cols, rank, shifts)
+    syz = eng.syzygy_vectors()
+    for u in syz:
+        assert is_member(ctx, rank, shifts, [], vec_combine(cols, u, ctx, rank))
+    kept = _greedy_kept(syz, [], ctx, eng.shifts[eng.rank:])
+    assert engine_syzygies(eng) == [syz[k] for k in kept]
 
 
 def test_engine_keys_hold_any_position(F101xy):

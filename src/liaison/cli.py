@@ -21,14 +21,14 @@ as ``ok: false``, naming the exception type; the later operations still
 run).  Exit 2 covers: an unreadable spec file, an unknown gallery, a
 malformed section or ``key = value`` line, a value that is not an integer
 (``p``, ``weights``, ``ambient``, ``shifts``, ``bound``, ``window``, integer
-operation arguments), a ``window`` or ``--window`` not of the form lo..hi,
-an ``ambient`` outside 0..4096, ``shifts`` with neither 1 nor ``ambient``
-entries or with an entry of absolute value 2^20 or more, a bad polynomial
-or column (a degree reaching 2^20 included), a characteristic not a prime
-below 2^31 (``p`` or ``--char``), an option before the subcommand or after
-``list-galleries``, an unknown operation or wrong argument count, an
-undefined name, and a canonical K over a non-Cohen-Macaulay ring.  Each
-names its spec line where it has one.
+operation arguments), a ``window`` or ``--window`` not of the form lo..hi or
+with an end of absolute value 2^20 or more, an ``ambient`` outside 0..4096,
+``shifts`` with neither 1 nor ``ambient`` entries or with an entry of
+absolute value 2^20 or more, a bad polynomial or column (a degree reaching
+2^20 included), a characteristic not a prime below 2^31 (``p`` or
+``--char``), an option before the subcommand or after ``list-galleries``, an
+unknown operation or wrong argument count, an undefined name, and a canonical
+K over a non-Cohen-Macaulay ring.  Each names its spec line where it has one.
 """
 
 from __future__ import annotations
@@ -133,7 +133,10 @@ def _window(text, lineno=None):
     lo, sep, hi = text.partition("..")
     if not sep:
         raise SpecSyntaxError(f"window must be lo..hi, got {text!r}", lineno)
-    return _int(lo, lineno), _int(hi, lineno)
+    ends = _int(lo, lineno), _int(hi, lineno)
+    if any(abs(e) >= _LIMIT for e in ends):  # hf walks every degree up to an end
+        raise SpecSyntaxError(f"|window end| must be below {_LIMIT}", lineno)
+    return ends
 
 
 # operation name -> handler(spec, *args); run looks the handler up on every

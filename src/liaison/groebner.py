@@ -67,7 +67,7 @@ from .errors import (
     InvalidInput,
     RingMismatch,
 )
-from .ring import _LIMIT, Poly, _memo, _memoized, mono_divides, mono_exponents, mono_lcm
+from .ring import _FIELD, _LIMIT, _SPAN, Poly, _memo, _memoized, mono_divides, mono_lcm
 
 # ---------------------------------------------------------------------------
 # vectors: tuples of Poly at the API surface; inside, one dict {key: coeff}
@@ -94,29 +94,25 @@ def vec_degree(vec, shifts):
     return deg
 
 
-def _flat(ctx, rank, parts):
-    """The internal vector of an engine of ``rank`` positions with the terms
-    {mono: coeff} of each ``(position, terms)`` pair at that position."""
+def _to_internal(ctx, vec, rank):
+    """The internal vector of an engine of ``rank`` positions holding the
+    ``Poly`` entries of ``vec`` at their positions."""
     span = ctx._pk.span
     out = {}
-    for pos, terms in parts:
+    for pos, f in enumerate(vec):
         prefix = (rank - 1 - pos) << span
         if not prefix:
-            out.update(terms)  # the last position: the keys are the monomials
-        elif terms:
-            out.update({prefix | mono: c for mono, c in terms.items()})
+            out.update(f.terms)  # the last position: the keys are the monomials
+        elif f:
+            out.update({prefix | mono: c for mono, c in f.terms.items()})
     return out
-
-
-def _to_internal(ctx, vec, rank):
-    return _flat(ctx, rank, ((pos, f.terms) for pos, f in enumerate(vec)))
 
 
 def _ring_columns(ctx, rank):
     """The columns J*e_i presenting the quotient ring inside S^rank, as
     internal vectors.  Since ``ctx.defining`` is a reduced basis of J, these
     form a reduced basis of J*S^rank."""
-    return [_flat(ctx, rank, ((pos, g.terms),))
+    return [{((rank - 1 - pos) << ctx._pk.span) | mono: c for mono, c in g.terms.items()}
             for pos in range(rank) for g in ctx.defining]
 
 
@@ -591,61 +587,61 @@ def minimal_generator_indices(columns, ctx, rank, shifts, seed):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series from lead terms (Macaulay's principle)
+# Hilbert series from lead terms (Macaulay's principle), on exponent words
 
 
-def _minimalize(gens):
-    out = []
-    for g in sorted(gens, key=sum):
-        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
-            out.append(g)
-    return out
+def _minimal_words(words, guard):
+    """The minimal ones, under divisibility, of packed exponent words
+    (``key & low``, see ``ring``), ascending.  Ascending order is a linear
+    extension of divisibility, so a word is kept unless a word kept before
+    it divides it: one guard-bit test each."""
+    kept = []
+    for w in sorted(words):
+        room = w | guard
+        if not any((room - k) & guard == guard for k in kept):
+            kept.append(w)
+    return tuple(kept)
 
 
-def _kpoly(gens, ctx):
+def _kpoly(words, ctx):
     """Numerator of the Hilbert series of S/(monomial ideal) over the full
-    denominator prod(1 - t^w_i); gens are exponent tuples, assumed minimal.
+    denominator prod(1 - t^w_i) (Bayer-Stillman, JSC 1992); the generators
+    are packed exponent words, assumed minimal, with e_i in field i.
 
     Pure powers give it directly; otherwise split on a power v^e, with e
     the smallest positive exponent of v among the mixed generators,
-    HS(S/I) = HS(S/(I + v^e)) + t^(e w_v) HS(S/(I : v^e)).  On both sides
+    HS(S/I) = HS(S/(I + v^e)) + t^(e w_v) HS(S/(I : v^e)).  The colon
+    subtracts min(field v, e) from field v of each word.  On both sides
     fewer mixed generators involve v, so the split is no deeper than the
     count of variables over the mixed generators, whatever the exponents.
-    Memoized per ring under the set of gens, looked up first and stored
+    Memoized per ring under the set of words, looked up first and stored
     last, so that the split takes one stack frame a level.
     """
-    key = ("kpoly", frozenset(gens))
+    key = ("kpoly", frozenset(words))
     res = _memoized(ctx, key)
     if res is not None:
         return res
-    weights = ctx.weights
-    if not gens:
+    if 0 in words:
+        return _memo(ctx, key, dict)
+    # the shift of each word's highest nonzero field: a pure power has no other
+    tops = [(w.bit_length() - 1) // _SPAN * _SPAN for w in words]
+    mixed = [w for w, s in zip(words, tops) if w & ((1 << s) - 1)]
+    if not mixed:
         res = {0: 1}
-    elif any(sum(g) == 0 for g in gens):
-        res = {}
+        for w, s in zip(words, tops):
+            res = _poly_mul_1mt(res, ctx.weights[s // _SPAN] * (w >> s))
     else:
-        touched = [i for i in range(len(weights)) if any(g[i] for g in gens)]
-        pure = all(sum(1 for e in g if e) == 1 for g in gens)
-        if pure:
-            res = {0: 1}
-            for g in gens:
-                i = next(k for k, e in enumerate(g) if e)
-                res = _poly_mul_1mt(res, weights[i] * g[i])
-        else:
-            counts = {i: sum(1 for g in gens if g[i]) for i in touched}
-            mixed = [g for g in gens if sum(1 for e in g if e) > 1]
-            v = max(
-                (i for i in touched if any(g[i] for g in mixed)),
-                key=lambda i: counts[i],
-            )
-            e = min(g[v] for g in mixed if g[v])
-            piv = tuple(e if i == v else 0 for i in range(len(weights)))
-            plus = _minimalize([g for g in gens if g[v] < e] + [piv])
-            col = _minimalize(
-                [tuple(max(a - b, 0) for a, b in zip(g, piv)) for g in gens]
-            )
-            res = dict(_kpoly(tuple(plus), ctx))
-            _add_series(res, _kpoly(tuple(col), ctx), e * weights[v])
+        v = max(
+            (s for s in range(0, ctx.m * _SPAN, _SPAN)
+             if any((w >> s) & _FIELD for w in mixed)),
+            key=lambda s: sum(1 for w in words if (w >> s) & _FIELD),
+        )
+        e = min((w >> v) & _FIELD for w in mixed if (w >> v) & _FIELD)
+        guard = ctx._pk.guard
+        plus = _minimal_words([w for w in words if (w >> v) & _FIELD < e] + [e << v], guard)
+        col = _minimal_words([w - (min((w >> v) & _FIELD, e) << v) for w in words], guard)
+        res = dict(_kpoly(plus, ctx))
+        _add_series(res, _kpoly(col, ctx), e * ctx.weights[v // _SPAN])
     return _memo(ctx, key, lambda: res)
 
 
@@ -756,14 +752,13 @@ def _hf_value(ctx, d):
 
 def leadterm_hilbert(gb, rank, shifts):
     """HilbertData of F/N from the lead-term module of a reduced basis."""
-    ctx = gb.ctx
-    m = ctx.m
-    per_pos = {pos: [] for pos in range(rank)}
-    for pos, mono in gb.leads:
-        per_pos[pos].append(mono_exponents(mono, m))
+    ctx, pk = gb.ctx, gb.ctx._pk
+    per_pos = [[] for _ in range(rank)]
+    for head in gb.heads:
+        per_pos[rank - 1 - (head >> pk.span)].append(head & pk.low)
     num = {}
     for pos in range(rank):
-        _add_series(num, _kpoly(tuple(_minimalize(per_pos[pos])), ctx), shifts[pos])
+        _add_series(num, _kpoly(_minimal_words(per_pos[pos], pk.guard), ctx), shifts[pos])
     return HilbertData(ctx, num)
 
 

@@ -23,8 +23,8 @@ depth-formula, even-liaison, grade and horizontal-linkage checks.
 
 That basis comes from ``_image_engine``, which builds no direct sum or map:
 it seeds an engine with block copies of N's reduced relation basis, one per
-summand N(±d) of the target, and reduces only the image columns, formed
-from the differential and N's generators.
+summand N(±d) of the target, and reduces only the image columns, built in
+engine keys from the differential and N's generators.
 
 Into the canonical module ω_R of a Cohen-Macaulay R = S/J of codimension
 c, ``ext_vanishes`` works over S instead: Ext^q_S(R, ω_S) is ω_R for q = c
@@ -68,7 +68,7 @@ from .errors import (
     RingMismatch,
 )
 from .groebner import HilbertData, _add_series, vec_degree, vec_is_zero
-from .ring import _memo, _memoized, make_ring, render_poly
+from .ring import _LIMIT, _memo, _memoized, _overflow, make_ring, render_poly
 from .modules import (
     GradedModule,
     ModuleMap,
@@ -384,34 +384,41 @@ def _image_engine(functor, k, M, N, res):
     (see ``_induced``), block b at positions b * N.rank on.
 
     Block copies of N's reduced relation basis form a reduced basis of R
-    (J*B included), so they seed the engine and only the image columns,
-    built here from the rows of the map and N's generators, are reduced.
-    Without d_k (k = 0, or F_k = 0) the engine holds R alone.  Not
-    interreduced.
+    (J*B included) and seed the engine.  Once no product of an entry and a
+    generator of N reaches the monomial limit (refused as by Poly.__mul__,
+    so no key carries into the position), the image columns are fed one at
+    a time, each built by ``_axpy`` from N's flattened generators, with no
+    ``Poly`` product.  Without d_k (k = 0, or F_k = 0) the engine holds R
+    alone.  Not interreduced.
     """
     r = N.rank
     _, tgt, rows = _induced(functor, k, res)
     shifts = tuple(s - d for d in tgt for s in N.shifts)
-    rank = len(tgt) * r
-    eng = groebner.ModuleGB(M.ctx, rank, shifts)
+    eng = groebner.ModuleGB(M.ctx, len(tgt) * r, shifts)
     # block b holds N's positions with keys (len(tgt) - 1 - b) * r positions
     # further from the last position than in N's own engine
-    span = M.ctx._pk.span
-    eng._seed(
-        [{key + (((len(tgt) - 1 - b) * r) << span): c for key, c in vec.items()}
-         for b in range(len(tgt)) for vec in N.rels_gb().basis]
-    )
-    gens = [[(q, g) for q, g in enumerate(col) if g] for col in N.gens]
-    cols = []
-    for row in rows:
-        for entries in gens:
-            vec = groebner._flat(M.ctx, rank, (
-                (b * r + q, (c * g).terms)
-                for b, c in enumerate(row) if c for q, g in entries
-            ))
-            if vec:
-                cols.append(vec)
-    eng.add_generators(cols)
+    blocks = [((len(tgt) - 1 - b) * r) << M.ctx._pk.span for b in range(len(tgt))]
+    eng._seed([{key + block: c for key, c in vec.items()}
+               for block in blocks for vec in N.rels_gb().basis])
+    gens = [(groebner._to_internal(M.ctx, col, r), [g.degree() for g in col if g])
+            for col in N.gens]
+    over = [c.degree() + d for row in rows for _, degs in gens for c in row if c
+            for d in degs if c.degree() + d >= _LIMIT]
+    if over:
+        raise _overflow(over[0])
+    p = M.ctx.p
+
+    def columns():
+        for row in rows:
+            for vec, _ in gens:
+                data = {}
+                for block, c in zip(blocks, row):
+                    for mono, coeff in c.terms.items():
+                        eng._axpy(data, p - coeff, block + mono, vec)
+                if data:
+                    yield data
+
+    eng.add_generators(columns())
     return eng
 
 

@@ -266,13 +266,16 @@ class RingCtx:
 
 
 class Poly:
-    """Sparse polynomial: dict from encoded monomial to coefficient in F_p."""
+    """Sparse polynomial: dict from encoded monomial to coefficient in F_p.
+    No code writes ``terms`` after a Poly is built, so the first ``__hash__``
+    keeps its value; two threads racing there store the same int."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_hash")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
         self.terms = terms
+        self._hash = None
 
     def _check(self, other):
         if self.ctx is not other.ctx and not (
@@ -288,7 +291,9 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __add__(self, other):
         self._check(other)

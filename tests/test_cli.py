@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import json
 import os
@@ -203,6 +204,11 @@ MALFORMED = [
     (MINIMAL + "[module M]\nshifts = -1000000000000000000000000000000\ngens = 1\n", [],
      "shifts = -1000000000000000000000000000000"),
     (MINIMAL + "[module M]\nshifts = 1048576\ngens = 1\n", [], "shifts = 1048576"),
+    # a window end of size 2^20 or more: the Hilbert function walks every degree
+    (MINIMAL + "[options]\nwindow = 1000000000000000..1000000000000000\n", [],
+     "window = 1000000000000000..1000000000000000"),
+    (MINIMAL + "[options]\nwindow = 0..1048576\n", [], "window = 0..1048576"),
+    (MINIMAL, ["--window=-1048576..0"], None),
 ]
 
 
@@ -542,3 +548,50 @@ def test_import_loads_no_heavy_stdlib_modules():
     assert "liaison.cli" in out
     heavy = {"dataclasses", "inspect", "fractions", "decimal", "traceback"}
     assert heavy.isdisjoint(out)
+
+
+# the monomial curve (t^4, t^5, t^6, t^7): Cohen-Macaulay of dimension 1,
+# codimension 3 and type 3, so its canonical module is not free; the ops are
+# those of the galleries semigroup-345, foxby-roundtrip and adjoint-transfer
+SEMIGROUP_4567 = """
+[ring]
+p = 101
+vars = a, b, c, d
+weights = 4, 5, 6, 7
+defining = a*c - b^2, a*d - b*c, a^3 - b*d, b*d - c^2, a^2*b - c*d, a^2*c - d^2
+
+[K]
+kind = canonical
+
+[ideal I]
+gens = a
+
+[ideal c]
+gens = a^2
+
+[options]
+bound = 3
+
+[ops]
+canonical_info
+semidualizing
+bass_numbers 2
+invariants I
+foxby_roundtrip I
+adjoint_transfer I c
+colink I c
+pk_dimension I
+"""
+
+
+def test_type_three_report_is_pinned():
+    # the report as printed, less its timestamp, pinned by its sha256: how
+    # Hilbert numerators, image columns or syzygies are computed may change,
+    # what the report says may not
+    report, code = run(parse_spec(SEMIGROUP_4567))
+    assert code == 0
+    report.pop("timestamp")
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "77af9c575792fd6b2c96cad9b9529008ec0940dc5110c7e780a208d4ef48e36c"
+    )

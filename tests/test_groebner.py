@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from liaison.groebner import (
     ModuleGB,
+    _kpoly,
+    _minimal_words,
     _ring_columns,
     _to_internal,
     assert_buchberger,
@@ -28,7 +30,15 @@ from liaison.modules import (
     subquotient,
     vec_combine,
 )
-from liaison.ring import Poly, make_ring, mono_divides, parse_poly, render_poly
+from liaison.ring import (
+    Poly,
+    make_ring,
+    mono_divides,
+    mono_exponents,
+    mono_from_exponents,
+    parse_poly,
+    render_poly,
+)
 
 from tests.oracle import (
     degree_slice_rank,
@@ -773,3 +783,78 @@ def test_pair_degree_at_the_limit_raises(F101xy):
     cols = [(F101xy.monomial([a, 0]), zero), (F101xy.monomial([0, a]), zero)]
     with pytest.raises(DegreeOverflow):
         buchberger(cols, F101xy, 2, shifts=(0, -5))
+
+
+# ---------------------------------------------------------------------------
+# lead-term Hilbert numerators on packed exponent words, against the tuple
+# code they replaced
+
+
+def _reference_minimalize(gens):
+    """The minimal exponent tuples, by sum, each kept unless a kept one
+    divides it."""
+    out = []
+    for g in sorted(gens, key=sum):
+        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
+            out.append(g)
+    return out
+
+
+def _reference_kpoly(gens, weights):
+    """Numerator of HS(S/(gens)) over prod(1 - t^w_i) for minimal exponent
+    tuples, split on v^e as ``_kpoly`` splits, with no memo."""
+    if not gens:
+        return {0: 1}
+    if any(sum(g) == 0 for g in gens):
+        return {}
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    if not mixed:
+        res = {0: 1}
+        for g in gens:
+            i = next(k for k, e in enumerate(g) if e)
+            out = dict(res)
+            for d, c in res.items():
+                out[d + weights[i] * g[i]] = out.get(d + weights[i] * g[i], 0) - c
+            res = {d: c for d, c in out.items() if c}
+        return res
+    counts = {i: sum(1 for g in gens if g[i]) for i in range(len(weights))}
+    v = max((i for i in range(len(weights)) if any(g[i] for g in mixed)),
+            key=lambda i: counts[i])
+    e = min(g[v] for g in mixed if g[v])
+    piv = tuple(e if i == v else 0 for i in range(len(weights)))
+    res = _reference_kpoly(_reference_minimalize([g for g in gens if g[v] < e] + [piv]),
+                           weights)
+    col = _reference_kpoly(
+        _reference_minimalize([tuple(max(a - b, 0) for a, b in zip(g, piv)) for g in gens]),
+        weights)
+    for d, c in col.items():
+        res[d + e * weights[v]] = res.get(d + e * weights[v], 0) + c
+    return {d: c for d, c in res.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_word_numerators_match_the_tuple_reference(data):
+    # weights (1, 1, 1), (3, 4, 5) and (4, 5, 6, 7); the monomial sets hold
+    # duplicates, non-minimal monomials, pure powers and the unit monomial
+    ctx = data.draw(st.sampled_from([make_ring(101, ["x", "y", "z"]), SEMIGROUP,
+                                     SEMIGROUP_4567]))
+    m = ctx.m
+    exps = st.lists(st.integers(0, 4), min_size=m, max_size=m).map(tuple)
+    gens = data.draw(st.lists(exps, max_size=8))
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, e = data.draw(st.integers(0, m - 1)), data.draw(st.integers(1, 6))
+        gens.append(tuple(e if k == i else 0 for k in range(m)))
+    if gens:
+        g, i = data.draw(st.sampled_from(gens)), data.draw(st.integers(0, m - 1))
+        gens += [g, tuple(x + (k == i) for k, x in enumerate(g))]
+    if data.draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * m)
+    pk = ctx._pk
+    words = [mono_from_exponents(g, ctx.weights) & pk.low
+             for g in data.draw(st.permutations(gens))]
+    minimal = _minimal_words(words, pk.guard)
+    assert list(minimal) == sorted(minimal)
+    expected = _reference_minimalize(gens)
+    assert sorted(mono_exponents(w, m) for w in minimal) == sorted(expected)
+    assert _kpoly(minimal, ctx) == _reference_kpoly(expected, ctx.weights)

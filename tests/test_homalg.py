@@ -6,7 +6,7 @@ import pytest
 from liaison import cli, homalg
 from liaison.cohomology import grothendieck_band_check
 from liaison.colinkage import class_member
-from liaison.errors import GradeMismatch, InvalidInput, NotRegularSequence
+from liaison.errors import DegreeOverflow, GradeMismatch, InvalidInput, NotRegularSequence
 from liaison.groebner import vec_is_zero
 from liaison.homalg import (
     betti_table_text,
@@ -653,6 +653,52 @@ def test_image_engine_matches_the_direct_sum_route():
                 eng.interreduce()
                 assert_buchberger(eng)
                 assert eng.vectors() == want.vectors()
+
+
+def test_image_columns_make_no_poly_product(monkeypatch):
+    """The image columns are built in engine keys: over the (3, 4, 5)
+    semigroup ring, deciding Tor and Ext into the canonical module runs no
+    ``Poly.__mul__`` inside ``_image_engine``."""
+    from liaison.linkage import canonical_module
+    from liaison.ring import Poly
+
+    R = make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                  weights=[3, 4, 5])  # a cold cache
+    K = canonical_module(R)
+    inside, engines, products = [], [], []
+    real_engine, real_mul = homalg._image_engine, Poly.__mul__
+
+    def watched_engine(functor, *args):
+        inside.append(functor)
+        try:
+            return real_engine(functor, *args)
+        finally:
+            engines.append(inside.pop())
+
+    def counted_mul(self, other):
+        if inside:
+            products.append(inside[-1])
+        return real_mul(self, other)
+
+    monkeypatch.setattr(homalg, "_image_engine", watched_engine)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+    for M in (residue_field(R), cyclic_module(R, [P(R, "x")]), K):
+        for i in (1, 2):
+            homalg.tor_vanishes(i, M, K)
+            homalg.ext_vanishes(i, M, K)
+    assert set(engines) == {"tor", "ext"}
+    assert products == []
+
+
+def test_image_columns_refuse_a_product_at_the_monomial_limit():
+    # x * y^(2^20 - 1) reaches the limit: refused before any key could
+    # carry into the position bits
+    ctx = make_ring(101, ["x", "y"])
+    M = cyclic_module(ctx, [P(ctx, "x")])
+    N = subquotient(ctx, [(P(ctx, "y^1048575"),)], [], (0,))
+    with pytest.raises(DegreeOverflow, match="weighted degree 1048576"):
+        homalg.tor_vanishes(1, M, N)
 
 
 def test_vanishing_over_the_semigroup_ring(semigroup345):

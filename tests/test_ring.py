@@ -208,3 +208,33 @@ def test_degree_limit_raises():
         mono_lcm(max(top.terms), max(ctx.var(1).terms), ctx)
     with pytest.raises(DegreeOverflow):
         make_ring(101, ["x"], weights=[limit]).var(0)
+
+
+def test_cached_hash_follows_the_terms():
+    # every Poly is hashed before it is an operand; afterwards each hash
+    # still matches its terms, and no operation changed an operand's terms
+    from liaison.groebner import tracked_engine
+
+    ctx = make_ring(101, ["x", "y", "z"])
+    twin = make_ring(101, ["x", "y", "z"])
+    seen = []
+
+    def hashed(*polys):
+        for h in polys:
+            hash(h)
+            seen.append((h, dict(h.terms)))
+        return polys
+
+    f, g = hashed(parse_poly(ctx, "3*x^2*y - z^3 + 5*x*y*z"),
+                  parse_poly(ctx, "x^2*y + 7*z^3 - y*z^2"))
+    s, d, p, _, _, _, _ = hashed(f + g, f - g, f * g, f * 3, f.scale(50), f - f,
+                                 twin.lift_poly(f))
+    hashed(s * d, s + p, d - s, p.scale(2))
+    eng = tracked_engine(ctx, [(f, g), (g, s)], 2, (0, 0))
+    x = ctx.var(0)
+    hashed(*(h for vec in eng.vectors() + eng.syzygy_vectors() for h in vec))
+    rem, coeffs = eng.reduce_with_certificate((x * f, x * d))
+    hashed(*rem, *coeffs)
+    for h, terms in seen:
+        assert h.terms == terms
+        assert hash(h) == hash(frozenset(h.terms.items()))

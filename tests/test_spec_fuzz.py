@@ -1,7 +1,7 @@
 """The failure contract, fuzzed: gallery specs with lines deleted, duplicated
 and swapped, names renamed, bad literals, and huge and negative integers
 never print a traceback on stdout, exit 0, 1, 2 or 3, and exit 2 exactly
-when the spec does not parse."""
+when the spec or a drawn ``--window`` does not parse."""
 
 import contextlib
 import io
@@ -16,9 +16,9 @@ HUGE_PRIME = 1000000000000000000000000000057
 # any integer of the spec may take these, the characteristic included; four
 # are at least 2^31, two of them primes whose trial division would not end
 WILD = [0, 1, 3, -1, -7, 2**31 - 1, 2**31, 2**61 - 1, 10**30, -(10**30), HUGE_PRIME]
-# the integers that size work are capped instead: the window small, the
-# bound and operation arguments (walk steps, betti length, ...) small or
-# hugely negative
+# the integers that size work are capped instead: the bound and operation
+# arguments (walk steps, betti length, ...) small or hugely negative; a
+# window takes small ones or wild ones, which the parser refuses from 2^20 on
 SMALL = [-2, -1, 0, 1, 2, 3]
 LITERALS = ["", "abc", "x^", "1/2", "2**3", "x^-1", "(x", "0x10", "1e3", "x y",
             "*", ",", ";", "..", "3..", "..3", "x^99999999999999999999", "[", "="]
@@ -66,11 +66,12 @@ SPECS = sorted(GALLERIES.values()) + [MODULE_SPEC]
 
 
 def _integers_for(line):
-    """The integers a line may take: a ``window`` small ones, a ``bound``
-    and an operation line (no ``=``) small or hugely negative ones."""
+    """The integers a line may take: a ``window`` small or wild ones, a
+    ``bound`` and an operation line (no ``=``) small or hugely negative
+    ones."""
     key, sep, _ = line.partition("=")
     if key.strip() == "window":
-        return SMALL
+        return SMALL + WILD
     return SMALL + [-(10**30)] if not sep or key.strip() == "bound" else WILD
 
 
@@ -133,9 +134,16 @@ def test_mutated_specs_keep_the_failure_contract(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "mutated.spec"
     path.write_text(text)
     flags = [] if bound is None else ["--bound", str(bound)]
+    # a --window as wild as a window line; an end of size 2^20 or more is
+    # refused, since the Hilbert function would walk every degree up to it
+    end = st.sampled_from(SMALL + WILD)
+    ends = data.draw(st.none() | st.tuples(end, end))
+    if ends:
+        flags.append(f"--window={ends[0]}..{ends[1]}")
+    refused = bound is None or any(abs(e) >= 2**20 for e in ends or ())
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["run", str(path), *flags])
     assert "Traceback" not in out.getvalue()
     assert code in (0, 1, 2, 3)
-    assert (code == 2) == (bound is None), err.getvalue()
+    assert (code == 2) == refused, err.getvalue()

@@ -323,7 +323,7 @@ def op_hilbert(spec, name):
     return {
         "dim": data.dim,
         "degree": str(data.degree),
-        "hf": [{"degree": d, "value": M.hf(d)} for d in range(lo, hi + 1)],
+        "hf": [{"degree": d, "value": v} for d, v in M.hf_window(lo, hi).items()],
     }
 
 

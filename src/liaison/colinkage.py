@@ -42,6 +42,7 @@ from .homalg import (
 from .modules import (
     ModuleMap,
     _hom_element,
+    _unit,
     cokernel,
     grade,
     hom_induced_post,
@@ -67,14 +68,12 @@ def _tensor_transform(M, K):
     ctx = M.ctx
     T = tensor(M, K)
     H, _ = hom_module(K, T)
-    gk = len(K.gens)
-    gt = len(T.gens)
+    gk = len(K._gens)
+    gt = len(T._gens)
     mat = []
-    for j in range(len(M.gens)):
+    for j in range(len(M._gens)):
         # the map K -> M (x) K, k_a -> m_j (x) k_a
-        cols = [[ctx.zero()] * gt for _ in range(gk)]
-        for a in range(gk):
-            cols[a][j * gk + a] = ctx.one()
+        cols = [_unit(ctx, gt, j * gk + a) for a in range(gk)]
         mat.append(H.express_in_gens(_hom_element(T, cols)))
     mu = ModuleMap(M, H, mat, check=False)
     return T, H, mu
@@ -89,8 +88,8 @@ def _hom_transform(M, K):
     H, conv = hom_module(K, M)
     T = tensor(K, H)
     hd = H.gen_degrees()
-    maps = [conv(H.express_in_gens(g), degree=d) for g, d in zip(H.gens, hd)]
-    mat = [h.mat[a] for a in range(len(K.gens)) for h in maps]
+    maps = [conv(H.express_in_gens(g), degree=d) for g, d in zip(H._gens, hd)]
+    mat = [h.mat[a] for a in range(len(K._gens)) for h in maps]
     nu = ModuleMap(T, M, mat, check=False)
     return H, T, nu
 

@@ -39,21 +39,18 @@ outside the columns kept before it, and a basis complete up to its degree
 decides that.  Such an engine is never stored, and it refuses to reduce a
 vector above its bound.
 
-Inside the engine a vector is one dict ``{key: coeff}``: the ring's packed
-monomial (see ``ring``) with its position packed above its bits, counted
-from the engine's last position, so that plain ``<`` on keys is the
-position-over-term order (see ``ModuleGB``) and a rank-1 engine works on
-the monomials themselves.  A term product is one integer addition, a
-divisor test one mask test, and a normal form one loop popping a vector's
-keys from a heap (Monagan-Pearce, CASC 2007).  A certificate rides in its
-vector's dict, under negative keys, so one step reduces both, and a syzygy
+A vector is one dict ``{key: coeff}``, the ring's packed monomial (see
+``ring``) with its position packed above it (see ``ModuleGB``): a term
+product is one integer addition, a divisor test one mask test, and a normal
+form one loop popping keys from a heap (Monagan-Pearce, CASC 2007).  A
+certificate rides in its vector's dict, under negative keys, and a syzygy
 is a vector of its own rank-``track`` engine, as in a Schreyer frame
-(Erocal-Motsak-Schreyer-Steenpass, JSC 2016).  An engine takes only its own
-vectors: ``Poly`` columns are flattened once, where they enter.  Degrees
-grow only at pair lcms.  Each pair's degree and each input's degree is
-checked against the encoding's limit less the lowest shift, so for graded
-input no monomial the engine forms can overflow, and no monomial carries
-into the position.
+(Erocal-Motsak-Schreyer-Steenpass, JSC 2016).  Modules hold such vectors
+as ``Vec``s, so engines take and give nothing else: ``_to_internal`` and
+``_polys`` convert ``Poly`` columns only where they are parsed or printed.
+Each pair's and each input's degree is checked against the encoding's limit
+less the lowest shift, so for graded input no monomial the engine forms
+overflows into the position.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ import heapq
 
 from .errors import (
     DegreeOverflow,
-    InhomogeneousInput,
     InternalConsistencyError,
     InvalidInput,
     RingMismatch,
@@ -70,42 +66,76 @@ from .errors import (
 from .ring import _FIELD, _LIMIT, _SPAN, Poly, _memo, _memoized, mono_divides, mono_lcm
 
 # ---------------------------------------------------------------------------
-# vectors: tuples of Poly at the API surface; inside, one dict {key: coeff}
-# per vector, whose keys carry the position above the monomial (see ModuleGB)
+# vectors: one dict {key: coeff} per vector, whose keys carry the position
+# above the monomial (see ModuleGB); tuples of Poly only at the edges
 
 
-def vec_is_zero(vec):
-    return all(not f for f in vec)
+class Vec(dict):
+    """An engine vector as modules and memo keys hold it, never written once
+    shared, its hash computed once (racing threads store the same int)."""
 
+    __slots__ = ("_hash",)
 
-def vec_degree(vec, shifts):
-    """Common homogeneous degree of a free-module vector, or None if zero."""
-    deg = None
-    for pos, f in enumerate(vec):
-        if not f:
-            continue
-        if not f.is_homogeneous():
-            raise InhomogeneousInput("vector component is not homogeneous")
-        d = f.degree() + shifts[pos]
-        if deg is None:
-            deg = d
-        elif deg != d:
-            raise InhomogeneousInput("vector components have mixed degrees")
-    return deg
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.items()))
+            return h
 
 
 def _to_internal(ctx, vec, rank):
-    """The internal vector of an engine of ``rank`` positions holding the
-    ``Poly`` entries of ``vec`` at their positions."""
+    """The Vec of rank ``rank`` of a column of Poly, refusing an entry from
+    another polynomial ring (``Poly`` equality ignores the ring)."""
     span = ctx._pk.span
-    out = {}
+    out = Vec()
     for pos, f in enumerate(vec):
+        if f.ctx is not ctx and not ctx.same_polynomial_ring(f.ctx):
+            raise RingMismatch("generator from a different ring")
         prefix = (rank - 1 - pos) << span
-        if not prefix:
-            out.update(f.terms)  # the last position: the keys are the monomials
-        elif f:
-            out.update({prefix | mono: c for mono, c in f.terms.items()})
+        out.update({prefix | mono: c for mono, c in f.terms.items()})
     return out
+
+
+def _polys(ctx, vec, count):
+    """A vector of rank ``count`` as a column of Poly; zeros share one Poly."""
+    pk = ctx._pk
+    span, mask = pk.span, pk.top - 1
+    parts = {}
+    for key, c in vec.items():
+        parts.setdefault(count - 1 - (key >> span), {})[key & mask] = c
+    zero = Poly(ctx, {})
+    return tuple(Poly(ctx, parts[q]) if q in parts else zero for q in range(count))
+
+
+def _lead_degree(ctx, vec, shifts):
+    """The degree of a homogeneous vector of rank ``len(shifts)``, from its
+    lead key; None for zero."""
+    if not vec:
+        return None
+    pk = ctx._pk
+    head = max(vec)
+    return ((head & (pk.top - 1)) >> pk.shift) + shifts[len(shifts) - 1 - (head >> pk.span)]
+
+
+def _axpy(data, coeff, mult, src, p, heap=None):
+    """data -= coeff * t^mult * src, all mod p; each vector key (>= 0) that
+    this creates goes on ``heap``, negated, when one is given."""
+    c = p - coeff
+    get = data.get
+    for k, cb in src.items():
+        key = mult + k
+        old = get(key)
+        if old is None:
+            data[key] = c * cb % p  # nonzero: p is prime
+            if heap is not None and key >= 0:
+                heapq.heappush(heap, -key)
+        else:
+            r = (old + c * cb) % p
+            if r:
+                data[key] = r
+            else:
+                del data[key]
 
 
 def _ring_columns(ctx, rank):
@@ -129,14 +159,11 @@ class ModuleGB:
     then the position-over-term order with position 0 highest: a vector's
     lead is ``max`` of its keys, a reducer's multiplier is ``key - lead``
     (the position prefix cancels), and ``by_pos`` files the leads under
-    their prefix ``key >> span``.  At the last position the keys are the
-    monomials themselves, so a vector of an untracked rank-1 engine is
-    converted from and to ``Poly`` terms by copying a dict.  Tracked column
-    ``j`` has the keys ``(-(j + 1) << span) | mono``, below every vector
-    key, so a vector with a nonzero vector part still leads with it.  A
-    vector is therefore built for the rank of its engine: another rank
-    needs its keys moved by a multiple of ``1 << span``.  A syzygy, moved
-    up by ``track << span``, is a vector of a rank-``track`` engine.
+    their prefix ``key >> span``; at the last position the keys are the
+    monomials themselves.  Tracked column ``j`` has the keys ``(-(j + 1)
+    << span) | mono``, below every vector key.  Another rank needs the keys
+    moved by a multiple of ``1 << span``: a syzygy, moved up by ``track <<
+    span``, is a vector of a rank-``track`` engine.
     """
 
     __slots__ = (
@@ -190,26 +217,6 @@ class ModuleGB:
 
     # -- low-level term arithmetic ---------------------------------------
 
-    def _axpy(self, data, coeff, mult, src, heap=None):
-        """data -= coeff * t^mult * src, all mod p; each vector key (>= 0)
-        that this creates goes on ``heap``, negated, when one is given."""
-        p = self.ctx.p
-        c = p - coeff
-        get = data.get
-        for k, cb in src.items():
-            key = mult + k
-            old = get(key)
-            if old is None:
-                data[key] = c * cb % p  # nonzero: p is prime
-                if heap is not None and key >= 0:
-                    heapq.heappush(heap, -key)
-            else:
-                r = (old + c * cb) % p
-                if r:
-                    data[key] = r
-                else:
-                    del data[key]
-
     def _normal_form(self, data, reducers=None):
         """Fully reduce data in place, certificate keys included, against the
         basis, or against the ``(by_pos, heads, basis)`` given; return it.
@@ -226,7 +233,7 @@ class ModuleGB:
         by_pos, heads, basis = reducers or (self.by_pos, self.heads, self.basis)
         pk = self.ctx._pk
         low, guard, span = pk.low, pk.guard, pk.span
-        axpy, pop = self._axpy, heapq.heappop
+        p, axpy, pop = self.ctx.p, _axpy, heapq.heappop
         heap = [-key for key in data if key >= 0]
         heapq.heapify(heap)
         floor, bucket = self.rank << span, None  # above every key
@@ -243,7 +250,7 @@ class ModuleGB:
                 room = (key & low) | guard
                 for lead_exps, idx in bucket:
                     if (room - lead_exps) & guard == guard:
-                        axpy(data, coeff, key - heads[idx], basis[idx], heap)
+                        axpy(data, coeff, key - heads[idx], basis[idx], p, heap)
                         break
         return data
 
@@ -395,7 +402,7 @@ class ModuleGB:
         mult = lcm - (self.heads[i] & mask)
         mult_j = lcm - (self.heads[j] & mask)
         data = {mult + k: c for k, c in self.basis[i].items()}
-        self._axpy(data, 1, mult_j, self.basis[j])
+        _axpy(data, 1, mult_j, self.basis[j], self.ctx.p)
         return data
 
     # -- finishing ---------------------------------------------------------
@@ -431,7 +438,7 @@ class ModuleGB:
         for head, vec in zip(heads, basis):
             # Among the kept leads only a vector's own lead divides its lead
             # term, and it divides no smaller term: reduce the tail only.
-            data = dict(vec)
+            data = Vec(vec)
             coeff = data.pop(head)
             data = self._normal_form(data, reducers)
             data[head] = coeff
@@ -444,35 +451,10 @@ class ModuleGB:
 
     # -- queries -----------------------------------------------------------
 
-    def _polys(self, data, count):
-        """Positions 0..count-1 of a vector of a rank-``count`` engine as
-        Poly copies: ``rank`` for this engine's vectors, ``track`` for its
-        syzygies and moved certificates.  Zero positions share one Poly."""
-        pk = self.ctx._pk
-        span, mask = pk.span, pk.top - 1
-        parts = {}
-        if count == 1 and not self.track:
-            parts[0] = dict(data)  # one position: the keys are the monomials
-        else:
-            for key, c in data.items():
-                pos = count - 1 - (key >> span)
-                terms = parts.get(pos)
-                if terms is None:
-                    parts[pos] = terms = {}
-                terms[key & mask] = c
-        zero = Poly(self.ctx, {})
-        return tuple(
-            Poly(self.ctx, parts[q]) if q in parts else zero for q in range(count)
-        )
-
-    def vectors(self):
-        """The basis as tuples of Poly over the F-part positions."""
-        return [self._polys(vec, self.rank) for vec in self.basis]
-
     def _reduced(self, vec):
-        """The normal form of a vector, certificate included.  Above the
-        degree a truncated engine is complete to, it would be wrong."""
-        data = _to_internal(self.ctx, vec, self.rank)
+        """The normal form of a copy of a vector, certificate included;
+        refused above the degree a truncated engine is complete to."""
+        data = dict(vec)
         if self.limit is not None and data:
             deg = self._degree(max(data))
             if deg > self.limit:
@@ -483,22 +465,26 @@ class ModuleGB:
         return self._normal_form(data)
 
     def normal_form(self, vec):
-        return self._polys(self._reduced(vec), self.rank)
+        """The normal form of a vector of this engine's rank."""
+        data = self._reduced(vec)
+        return {key: c for key, c in data.items() if key >= 0} if self.track else data
 
     def reduce_with_certificate(self, vec):
-        """Return (remainder, coeffs) with vec = sum(coeffs*tracked) + rem."""
+        """Return (remainder, coeffs) with vec = sum(coeffs*tracked) + rem,
+        coeffs a vector of rank ``track``."""
         if not self.track:
             raise InvalidInput("certificates require a tracked engine")
-        data = self._reduced(vec)
         p, up = self.ctx.p, self.track << self.ctx._pk.span
-        coeffs = {key + up: p - c for key, c in data.items() if key < 0}
-        return self._polys(data, self.rank), self._polys(coeffs, self.track)
+        rem, coeffs = {}, {}
+        for key, c in self._reduced(vec).items():
+            if key >= 0:
+                rem[key] = c
+            else:
+                coeffs[key + up] = p - c
+        return rem, coeffs
 
     def contains(self, vec):
-        return vec_is_zero(self.normal_form(vec))
-
-    def syzygy_vectors(self):
-        return [self._polys(syz, self.track) for syz in self.syzygies]
+        return not self.normal_form(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +492,16 @@ class ModuleGB:
 
 
 def buchberger(columns, ctx, rank, shifts=None):
-    """Reduced Groebner basis of <columns> + J*e_i inside the free module,
-    computed once per value of the input and only read afterwards.  ``Poly``
-    equality ignores the ring, so a foreign column is refused before the
-    lookup.  Inhomogeneous generators are tolerated (degree-based pair
+    """Reduced Groebner basis, of Vecs, of <columns> + J*e_i for Vecs of
+    rank ``rank``, computed once per value of the input and only read
+    afterwards.  Inhomogeneous generators are tolerated (degree-based pair
     selection degrades to a heuristic); graded arithmetic is one layer up."""
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    columns = tuple(tuple(col) for col in columns)
-    for col in columns:
-        for f in col:
-            if f.ctx is not ctx and not ctx.same_polynomial_ring(f.ctx):
-                raise RingMismatch("generator from a different ring")
+    columns = tuple(columns)
 
     def compute():
         eng = ModuleGB(ctx, rank, shifts)
-        inputs = [_to_internal(ctx, col, rank) for col in columns]
-        eng.add_generators(inputs + _ring_columns(ctx, rank))
+        eng.add_generators(list(columns) + _ring_columns(ctx, rank))
         eng.interreduce()
         return eng
 
@@ -530,30 +510,27 @@ def buchberger(columns, ctx, rank, shifts=None):
 
 def reduced_ideal_gb(ctx, polys):
     """Reduced Groebner basis of an ideal (rank-1 case), as a list of Poly."""
-    cols = [(f,) for f in polys if f]
-    eng = buchberger(cols, ctx, 1)
-    return [v[0] for v in eng.vectors()]
+    eng = buchberger([_to_internal(ctx, (f,), 1) for f in polys if f], ctx, 1)
+    return [Poly(ctx, dict(vec)) for vec in eng.basis]  # rank 1: keys are monomials
 
 
-def tracked_engine(ctx, columns, rank, shifts, extra=()):
-    """Engine tracking certificates over ``columns``, complete in every
-    degree; ``extra`` columns (for example the relations of a module) and
-    J*e_i ride along untracked."""
-    track_shifts = [vec_degree(col, shifts) or 0 for col in columns]
-    eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=track_shifts)
-    inputs = [_to_internal(ctx, col, rank) for col in list(columns) + list(extra)]
-    eng.add_generators(inputs + _ring_columns(ctx, rank))
+def tracked_engine(ctx, columns, rank, shifts, degrees, extra=()):
+    """Engine tracking certificates over the ``columns`` of these degrees,
+    complete in every degree; ``extra`` vectors (for example a module's
+    relations) and J*e_i ride along untracked."""
+    eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=degrees)
+    eng.add_generators(list(columns) + list(extra) + _ring_columns(ctx, rank))
     return eng
 
 
 def engine_syzygies(eng):
-    """A minimal generating subset, as tuples of Poly, of the syzygies of a
-    fully completed tracked engine's columns; the engine is only read."""
+    """A minimal generating subset of the syzygies, Vecs of rank ``track``,
+    of a fully completed tracked engine's columns; the engine is only read."""
     seed = _ring_columns(eng.ctx, eng.track)
     kept = minimal_generator_indices(
         eng.syzygies, eng.ctx, eng.track, eng.shifts[eng.rank:], seed
     )
-    return [eng._polys(eng.syzygies[i], eng.track) for i in kept]
+    return [Vec(eng.syzygies[i]) for i in kept]
 
 
 def minimal_generator_indices(columns, ctx, rank, shifts, seed):
@@ -717,10 +694,16 @@ class HilbertData:
         return Fraction(total, wprod)
 
     def hf(self, d):
-        return sum(c * _ambient_hf(self.ctx, d - j) for j, c in self.numerator.items())
+        return self.hf_window(d, d)[d]
 
     def hf_window(self, lo, hi):
-        return {d: self.hf(d) for d in range(lo, hi + 1)}
+        """{d: HF(d)} for lo <= d <= hi, each value a sum of table lookups."""
+        num = self.numerator
+        if not num or hi < min(num):
+            return {d: 0 for d in range(lo, hi + 1)}
+        series = _ambient_series(self.ctx, hi - min(num))
+        return {d: sum(c * series[d - j] for j, c in num.items() if d >= j)
+                for d in range(lo, hi + 1)}
 
     def total_length(self):
         """Sum of all Hilbert function values; requires dimension <= 0."""
@@ -731,23 +714,21 @@ class HilbertData:
         return self.degree
 
 
-def _ambient_hf(ctx, d):
-    """Hilbert function of the ambient weighted polynomial ring at d,
-    memoized per ring and degree."""
-    if d < 0:
-        return 0
-    return _memo(ctx, ("ambient_hf", d), lambda: _hf_value(ctx, d))
+def _ambient_series(ctx, d):
+    """The coefficients of t^0..t^(n-1) in prod 1/(1 - t^w_i), for the least
+    power of two n > max(d, 63), as one memo tuple per n, by prefix sums with
+    stride w_i: a window of D degrees costs O(D + n * m)."""
+    n = 1 << max(d, 63).bit_length()
 
+    def compute():
+        series = [1] + [0] * (n - 1)
+        for w in ctx.weights:
+            # multiply by 1/(1 - t^w): prefix sums with stride w
+            for i in range(w, n):
+                series[i] += series[i - w]
+        return tuple(series)
 
-def _hf_value(ctx, d):
-    """The coefficient of t^d in prod 1/(1 - t^w_i)."""
-    series = [0] * (d + 1)
-    series[0] = 1
-    for w in ctx.weights:
-        # multiply by 1/(1 - t^w): prefix sums with stride w
-        for i in range(w, d + 1):
-            series[i] += series[i - w]
-    return series[d]
+    return _memo(ctx, ("ambient_series", n), compute)
 
 
 def leadterm_hilbert(gb, rank, shifts):

@@ -2,9 +2,9 @@
 obstructions to the double Ext-dual comparison map.
 
 Resolutions are built level by level: level k + 1 holds the minimal
-column relations of ``level_module(M, res, k)`` (M on its minimal
-generators, or the image of d_k), read from that module's one stored
-engine, which also lifts chain maps through level k.  Differentials land in
+syzygies, Vecs, of ``level_module(M, res, k)`` (M on its minimal
+generators, or the image of d_k, whose generators they are), read from that
+module's one stored engine, which also lifts chain maps.  Differentials land in
 the maximal ideal, so Betti numbers read off directly.  Over R = S/J
 resolutions may be infinite; every operation takes the finite length it
 needs and records the truncation.  Each length is its own immutable memo
@@ -22,9 +22,8 @@ depth, Bass numbers, local cohomology, the bidual obstructions and the
 depth-formula, even-liaison, grade and horizontal-linkage checks.
 
 That basis comes from ``_image_engine``, which builds no direct sum or map:
-it seeds an engine with block copies of N's reduced relation basis, one per
-summand N(±d) of the target, and reduces only the image columns, built in
-engine keys from the differential and N's generators.
+it seeds an engine with block copies of N's relation basis, one per summand
+N(±d) of the target, and reduces only the image columns.
 
 Into the canonical module ω_R of a Cohen-Macaulay R = S/J of codimension
 c, ``ext_vanishes`` works over S instead: Ext^q_S(R, ω_S) is ω_R for q = c
@@ -67,20 +66,24 @@ from .errors import (
     RegularSequenceNotFound,
     RingMismatch,
 )
-from .groebner import HilbertData, _add_series, vec_degree, vec_is_zero
+from .groebner import HilbertData, Vec, _add_series, _axpy, _lead_degree, _polys
 from .ring import _LIMIT, _memo, _memoized, _overflow, make_ring, render_poly
 from .modules import (
     GradedModule,
     ModuleMap,
     _dual_map,
     _hom_sum,
+    _stacked,
+    _subquotient,
+    _transpose,
+    _units,
     cokernel,
     cyclic_module,
     free_module,
     image,
     kernel,
     ring_dim,
-    subquotient,
+    vec_combine,
     zero_map,
     zero_module,
 )
@@ -92,8 +95,8 @@ from .modules import (
 class Resolution(namedtuple("Resolution", "kept level_shifts diffs complete")):
     """An initial segment of the minimal graded free resolution of a module.
 
-    ``diffs[k]`` is the matrix of F_{k+1} -> F_k, stored as columns of
-    coordinates over the basis of F_k; ``level_shifts[k]`` are the generator
+    ``diffs[k]`` is the matrix of F_{k+1} -> F_k, stored as columns, Vecs
+    of rank F_k (``GradedModule.syzygies``); ``level_shifts[k]`` are the generator
     degrees of F_k.  ``kept`` indexes the minimal generators inside the
     module's gens, giving the augmentation F_0 -> M.  ``complete`` says that
     some F_k with k at most the requested length was seen to be zero, so
@@ -141,10 +144,9 @@ def free_resolution(M, length):
 
 def _resolution_start(M):
     """Level 0: the minimal generators of M, F_0 -> M."""
-    degs = M.gen_degrees()  # refuses inhomogeneous generators
-    cols = [groebner._to_internal(M.ctx, col, M.rank) for col in M.gens]
+    degs = M.gen_degrees()
     kept = tuple(groebner.minimal_generator_indices(
-        cols, M.ctx, M.rank, M.shifts, M.rels_gb().basis
+        M._gens, M.ctx, M.rank, M.shifts, M.rels_gb().basis
     ))
     return Resolution(kept, (tuple(degs[i] for i in kept),), (), not kept)
 
@@ -152,16 +154,13 @@ def _resolution_start(M):
 def _next_level(M, prev):
     """The resolution one level longer than ``prev``, which is incomplete:
     the minimal column relations of its last level module."""
-    syz = level_module(M, prev, len(prev.level_shifts) - 1).column_relations()
+    syz = level_module(M, prev, len(prev.level_shifts) - 1).syzygies()
     if not syz:
         return prev._replace(complete=True)
-    for u in syz:
-        for entry in u:
-            if entry and entry.degree() == 0:
-                raise InternalConsistencyError(
-                    "non-minimal differential: unit entry survived"
-                )
-    shifts_k = tuple(vec_degree(u, prev.level_shifts[-1]) for u in syz)
+    mask = M.ctx._pk.top - 1
+    if any(not key & mask for u in syz for key in u):
+        raise InternalConsistencyError("non-minimal differential: unit entry survived")
+    shifts_k = tuple(_lead_degree(M.ctx, u, prev.level_shifts[-1]) for u in syz)
     return prev._replace(
         level_shifts=prev.level_shifts + (shifts_k,), diffs=prev.diffs + (tuple(syz),)
     )
@@ -174,8 +173,8 @@ def level_module(M, res, k):
     ``modules.minimize``.  For k >= 1 it has no relations, so it lacks the
     J*F that ``restrict_scalars`` needs; ``syzygy`` is the module value."""
     if k == 0:
-        gens = [M.gens[i] for i in res.kept]
-        L = GradedModule(M.ctx, M.rank, M.shifts, gens, M.rels)
+        gens = [M._gens[i] for i in res.kept]
+        L = GradedModule(M.ctx, M.rank, M.shifts, gens, M._rels)
         _memo(L, "rels_gb", M.rels_gb)
         return L
     return GradedModule(
@@ -189,13 +188,9 @@ def restrict_scalars(M):
     The stored relations already contain J times the ambient basis (they are
     a reduced basis of rels + J), so only the context changes.
     """
-    ctx = M.ctx
-    if not ctx.defining:
+    if not M.ctx.defining:
         return M
-    amb = ctx.ambient()
-    gens = [tuple(amb.lift_poly(f) for f in col) for col in M.gens]
-    rels = [tuple(amb.lift_poly(f) for f in col) for col in M.rels]
-    return GradedModule(amb, M.rank, M.shifts, gens, rels)
+    return GradedModule(M.ctx.ambient(), M.rank, M.shifts, M._gens, M._rels)
 
 
 def residue_field(ctx):
@@ -230,8 +225,8 @@ def syzygy(M, n):
     res = free_resolution(M, n)
     if n >= len(res.level_shifts) or not res.rank(n):
         return zero_module(M.ctx)
-    return subquotient(
-        M.ctx, res.diffs[n - 1], [], res.level_shifts[n - 1], res.rank(n - 1)
+    return _subquotient(
+        M.ctx, res.rank(n - 1), res.level_shifts[n - 1], res.diffs[n - 1], []
     )
 
 
@@ -239,22 +234,23 @@ def syzygy(M, n):
 # the Hom and tensor complexes, Ext and Tor
 
 
-def _induced(functor, k, res):
+def _induced(functor, k, res, ctx):
     """The shape of the map d_k: F_k -> F_{k-1} induces on the complex of
     F(M) with N: (source degrees, target degrees, rows).  It maps
     ⊕_b N(src[b]) -> ⊕_c N(tgt[c]), block b's x to ⊕_c rows[b][c] x, under
-    Hom(R(-d), N) = N(d) and R(-d) (x) N = N(-d).  For "tor" it is
-    d_k (x) N: F_k (x) N -> F_{k-1} (x) N, rows the columns of d_k; for
-    "ext" Hom(d_k, N): Hom(F_{k-1}, N) -> Hom(F_k, N), rows the rows of d_k.
-    Without d_k (k = 0, or F_k = 0) there are no rows."""
+    Hom(R(-d), N) = N(d) and R(-d) (x) N = N(-d); row b is a Vec of rank
+    len(tgt).  For "tor" it is d_k (x) N: F_k (x) N -> F_{k-1} (x) N, rows
+    the columns of d_k; for "ext" Hom(d_k, N): Hom(F_{k-1}, N) -> Hom(F_k,
+    N), rows the rows of d_k.  Without d_k (k = 0, or F_k = 0) there are no
+    rows."""
 
     def degs(j):
         return res.level_shifts[j] if 0 <= j < len(res.level_shifts) else ()
 
-    d = res.diffs[k - 1] if 0 < k <= len(res.diffs) else []
+    d = res.diffs[k - 1] if 0 < k <= len(res.diffs) else ()
     if functor == "tor":
-        return [-e for e in degs(k)], [-e for e in degs(k - 1)], d
-    return list(degs(k - 1)), list(degs(k)), list(zip(*d))
+        return [-e for e in degs(k)], [-e for e in degs(k - 1)], list(d)
+    return list(degs(k - 1)), list(degs(k)), _transpose(d, len(degs(k - 1)), ctx._pk.span)
 
 
 def ext(i, M, N):
@@ -284,14 +280,14 @@ def _homology(functor, i, M, N):
     if not res.rank(i):
         return zero_module(ctx)
     out_k, in_k = (i + 1, i) if functor == "ext" else (i, i + 1)
-    src, tgt, rows = _induced(functor, out_k, res)
+    src, tgt, rows = _induced(functor, out_k, res, ctx)
     if rows:
-        cycles = kernel(_dual_map(N, src, tgt, rows)[0])[0].gens
+        cycles = kernel(_dual_map(N, src, tgt, rows)[0])[0]._gens
     else:
-        cycles = [col for col in _hom_sum(N, src).gens if not vec_is_zero(col)]
+        cycles = [vec for vec in _hom_sum(N, src)._gens if vec]
     eng = _image_engine(functor, in_k, M, N, res)
     eng.interreduce()
-    H = GradedModule(ctx, eng.rank, eng.shifts, cycles, eng.vectors())
+    H = GradedModule(ctx, eng.rank, eng.shifts, cycles, eng.basis)
     _memo(H, "rels_gb", lambda: eng)
     return H
 
@@ -348,7 +344,7 @@ def _series(functor, i, M, N):
     hs_n = N.hilbert().numerator
     # the middle term is the source of the map out of it: Hom(d_{i+1}, N)
     # or d_i (x) N
-    for d in _induced(functor, i + 1 if functor == "ext" else i, res)[0]:
+    for d in _induced(functor, i + 1 if functor == "ext" else i, res, M.ctx)[0]:
         _add_series(series, hs_n, -d)
     # the Tor differential d_k (x) N lands in level k - 1, Hom(d_k, N) in level k
     for k in (i, i + 1):
@@ -368,7 +364,7 @@ def _image_series(functor, k, M, N, res):
         eng = _image_engine(functor, k, M, N, res)
         series = {}
         free_n = groebner.leadterm_hilbert(N.rels_gb(), N.rank, N.shifts).numerator
-        for d in _induced(functor, k, res)[1]:
+        for d in _induced(functor, k, res, M.ctx)[1]:
             _add_series(series, free_n, -d)
         # the lead terms need not be minimal: leadterm_hilbert minimalizes
         quotient = groebner.leadterm_hilbert(eng, eng.rank, eng.shifts).numerator
@@ -384,37 +380,37 @@ def _image_engine(functor, k, M, N, res):
     (see ``_induced``), block b at positions b * N.rank on.
 
     Block copies of N's reduced relation basis form a reduced basis of R
-    (J*B included) and seed the engine.  Once no product of an entry and a
-    generator of N reaches the monomial limit (refused as by Poly.__mul__,
-    so no key carries into the position), the image columns are fed one at
-    a time, each built by ``_axpy`` from N's flattened generators, with no
-    ``Poly`` product.  Without d_k (k = 0, or F_k = 0) the engine holds R
-    alone.  Not interreduced.
+    (J*B included) and seed the engine.  The image columns are fed one at
+    a time, each added up by ``_axpy`` from the rows' terms and N's
+    generators, once no such product reaches the monomial limit (refused as
+    by Poly.__mul__).  Without d_k the engine holds R alone.  Not
+    interreduced.
     """
     r = N.rank
-    _, tgt, rows = _induced(functor, k, res)
+    pk = M.ctx._pk
+    span, mask = pk.span, pk.top - 1
+    _, tgt, rows = _induced(functor, k, res, M.ctx)
     shifts = tuple(s - d for d in tgt for s in N.shifts)
     eng = groebner.ModuleGB(M.ctx, len(tgt) * r, shifts)
-    # block b holds N's positions with keys (len(tgt) - 1 - b) * r positions
-    # further from the last position than in N's own engine
-    blocks = [((len(tgt) - 1 - b) * r) << M.ctx._pk.span for b in range(len(tgt))]
-    eng._seed([{key + block: c for key, c in vec.items()}
-               for block in blocks for vec in N.rels_gb().basis])
-    gens = [(groebner._to_internal(M.ctx, col, r), [g.degree() for g in col if g])
-            for col in N.gens]
-    over = [c.degree() + d for row in rows for _, degs in gens for c in row if c
-            for d in degs if c.degree() + d >= _LIMIT]
-    if over:
-        raise _overflow(over[0])
+    # a row key of prefix c = len(tgt) - 1 - b is in block b, whose keys sit
+    # c * r positions further from the last one than in N's own engine
+    moves = [(c * r) << span for c in range(len(tgt))]
+    eng._seed([{key + up: c for key, c in vec.items()}
+               for up in reversed(moves) for vec in N.rels_gb().basis])
+    gens = N._gens
+    row_top = max((key & mask for row in rows for key in row), default=None)
+    if row_top is not None and any(gens):
+        deg = (row_top >> pk.shift) + (max(key & mask for v in gens for key in v) >> pk.shift)
+        if deg >= _LIMIT:
+            raise _overflow(deg)
     p = M.ctx.p
 
     def columns():
         for row in rows:
-            for vec, _ in gens:
+            for vec in gens:
                 data = {}
-                for block, c in zip(blocks, row):
-                    for mono, coeff in c.terms.items():
-                        eng._axpy(data, p - coeff, block + mono, vec)
+                for key, coeff in row.items():
+                    _axpy(data, p - coeff, moves[key >> span] + (key & mask), vec, p)
                 if data:
                     yield data
 
@@ -431,6 +427,7 @@ def lift_chain_map(f, length):
 
     Returns a list of matrices (columns = coords over the F_k(M') basis).
     Squares commute by construction; failure to lift is an internal error.
+    A column of d_k is read as coordinates, the rest stays in Vecs.
     """
     M, Mp = f.source, f.target
     ctx = M.ctx
@@ -448,8 +445,10 @@ def lift_chain_map(f, length):
             continue
         if not resp.rank(k):
             raise LiftFailed("target resolution too short for a nonzero source level")
-        prev = maps[k - 1]
-        targets = [modules.vec_combine(prev, u, ctx, resp.rank(k - 1))
+        # f_{k-1}(e_b) in F_{k-1}(M'), whose basis generates level k of M'
+        units = _units(ctx, resp.rank(k - 1))
+        prev = [vec_combine(units, col, ctx) for col in maps[k - 1]]
+        targets = [vec_combine(prev, _polys(ctx, u, res.rank(k - 1)), ctx)
                    for u in res.diffs[k - 1]]
         sol, bad = modules.lift_columns(level_module(Mp, resp, k), targets)
         if sol is None:
@@ -470,13 +469,17 @@ def ext_induced(i, f, N):
     # a generator of Ext^i(M', N) is phi in Hom(F_i(M'), N), one block of
     # width N.rank per basis element of F_i(M'); precomposition with f_i
     # gives the block phi(f_i(e_j)) of Hom(F_i(M), N) for each column of f_i
-    r = N.rank
+    r, count = N.rank, E_src.rank // N.rank
+    span = ctx._pk.span
+    mask = (1 << span) - 1
     cols = []
-    for phi in E_src.gens:
-        blocks = [phi[b:b + r] for b in range(0, len(phi), r)]
-        cols.append(
-            tuple(x for col in f_i for x in modules.vec_combine(blocks, col, ctx, r))
-        )
+    for phi in E_src._gens:
+        # block b of phi as a Vec of rank r: key prefix (count - 1 - b) * r + q
+        blocks = [Vec() for _ in range(count)]
+        for key, c in phi.items():
+            pre = key >> span
+            blocks[count - 1 - pre // r][((pre % r) << span) | (key & mask)] = c
+        cols.append(_stacked([vec_combine(blocks, col, ctx) for col in f_i], r, span))
     sol, bad = modules.lift_columns(E_tgt, cols)
     if sol is None:
         raise InternalConsistencyError(
@@ -503,7 +506,7 @@ def transpose(M, K):
     res = free_resolution(M, 1)
     if not res.rank(1):
         return zero_module(ctx), zero_module(ctx)
-    h, _, _ = _dual_map(K, *_induced("ext", 1, res))
+    h, _, _ = _dual_map(K, *_induced("ext", 1, res, ctx))
     Tr, _ = cokernel(h)
     lam, _ = image(h)
     return Tr, lam

@@ -26,9 +26,9 @@ from .errors import (
     NotRegularSequence,
     ZeroModule,
 )
+from .groebner import _to_internal
 from .homalg import (
     bidual_obstructions,
-    change_of_rings,
     ext,
     ext_hilbert,
     ext_vanishes,
@@ -48,6 +48,7 @@ from .modules import (
     free_module,
     grade,
     hom_module,
+    identity_map,
     invariants,
     is_iso,
     is_regular_sequence,
@@ -106,11 +107,7 @@ def homothety_map(K):
     """The homothety R -> Hom(K, K), sending 1 to the identity of K."""
     ctx = K.ctx
     H, _ = hom_module(K, K)
-    g = len(K.gens)
-    identity = [
-        [ctx.one() if a == j else ctx.zero() for a in range(g)] for j in range(g)
-    ]
-    coords = H.express_in_gens(_hom_element(K, identity))
+    coords = H.express_in_gens(_hom_element(K, identity_map(K).mat))
     R1 = free_module(ctx, 1)
     return ModuleMap(R1, H, [coords], check=False)
 
@@ -341,10 +338,11 @@ def cyclic_link(ctx, i_gens, c_gens, K):
 
 def _cyclic_link(ctx, i_gens, c_gens, K):
     RI = cyclic_module(ctx, i_gens)
-    if not all(RI.rels_gb().contains((f,)) for f in c_gens):
+    c_vecs = [_to_internal(ctx, (g,), 1) for g in c_gens]
+    if not all(RI.rels_gb().contains(v) for v in c_vecs):
         raise InvalidInput("c is not contained in I")
-    c_gb = groebner.buchberger([(g,) for g in c_gens], ctx, 1)
-    if all(c_gb.contains((f,)) for f in i_gens):
+    c_gb = groebner.buchberger(c_vecs, ctx, 1)
+    if all(c_gb.contains(_to_internal(ctx, (f,), 1)) for f in i_gens):
         raise EqualIdeals("c equals I; the link would be degenerate")
     n = grade(RI)
     if len(c_gens) != n:
@@ -356,7 +354,7 @@ def _cyclic_link(ctx, i_gens, c_gens, K):
     Rc = cyclic_module(ctx, c_gens)
     Kbar = ext(n, Rc, K)
     linked = annihilate_quotient(Kbar, i_gens)
-    if len(K.gens) == 1 and annihilator(K) == groebner.reduced_ideal_gb(ctx, []):
+    if len(K._gens) == 1 and annihilator(K) == groebner.reduced_ideal_gb(ctx, []):
         expected = colon(c_gens, i_gens, ctx)
         got = annihilator(linked)
         if [render_poly(g) for g in expected] != [render_poly(g) for g in got]:
@@ -375,7 +373,7 @@ def annihilate_quotient(Kbar, i_gens):
     degs = [f.homogeneous_degree() for f in i_gens]
     # x -> (f*x)_f is Hom(d, Kbar) for the row d = (f_1 .. f_r); its source
     # Hom(R, Kbar) is Kbar itself, kept so that Kbar's cached data is reused
-    h, _, target = _dual_map(Kbar, [0], degs, [tuple(i_gens)])
+    h, _, target = _dual_map(Kbar, [0], degs, [_to_internal(Kbar.ctx, i_gens, len(i_gens))])
     mult = ModuleMap(Kbar, target, h.mat, check=False)
     Kc, incl = kernel(mult)
     Q, _ = cokernel(incl)
@@ -399,16 +397,16 @@ def is_stable(M):
     R1 = free_module(ctx, 1)
     H, conv = hom_module(M, R1)
     trace = []
-    for idx in range(len(H.gens)):
-        coords = H.express_in_gens(H.gens[idx])
+    for idx, vec in enumerate(H._gens):
+        coords = H.express_in_gens(vec)
         f = conv(coords, degree=H.gen_degrees()[idx])
         for col in f.mat:
             if col[0]:
                 trace.append(col[0])
     if not trace:
         return True
-    gb = groebner.buchberger([(g,) for g in trace], ctx, 1)
-    return not gb.contains((ctx.one(),))
+    gb = groebner.buchberger([_to_internal(ctx, (g,), 1) for g in trace], ctx, 1)
+    return not gb.contains({0: 1})
 
 
 def is_horizontally_linked(M):

@@ -1,13 +1,17 @@
 """Finitely generated graded R-modules as subquotients of free modules.
 
-A module is (im gens + im rels)/(im rels) inside R^rank with degree shifts.
-Generators are stored exactly as passed (after homogeneity validation), so
-matrix indices of maps stay stable; ``minimize`` produces the pruned copy
-together with the comparison maps.  All values are immutable after
-construction and safe to share between threads.  Modules are values: equal
-(with equal hashes) exactly when ring object, rank, shifts, generators and
-relations agree, and what is derived from a module is cached in its ring
-under that value (``ring._memo``).
+A module is (im gens + im rels)/(im rels) inside R^rank with degree shifts,
+its generators and relations ``Vec``s of its rank (see ``groebner``), as is
+every ambient vector: ``subquotient`` parses ``Poly`` columns once, and
+``gens``, ``rels`` and ``to_json`` print them back.  A block of a direct sum
+is a key shift.  Coordinates over generators (map matrices, column
+relations, lifts) are tuples of Poly; ``syzygies``, the differentials of a
+resolution, are Vecs.  Generators are stored exactly as passed, so matrix
+indices of maps stay stable; ``minimize`` produces the pruned copy with the
+comparison maps.  Values are immutable and safe to share between threads.
+Modules are values: equal (with equal hashes) exactly when ring object,
+rank, shifts, generators and relations agree, and what is derived from a
+module is cached in its ring under that value (``ring._memo``).
 """
 
 from __future__ import annotations
@@ -23,57 +27,82 @@ from .errors import (
     InvalidInput,
     RingMismatch,
 )
-from .groebner import vec_degree, vec_is_zero
-from .ring import _memo, render_poly
+from .groebner import Vec, _axpy, _lead_degree, _polys, _to_internal
+from .ring import _LIMIT, Poly, _memo, _overflow, render_poly
 
 
-def zero_vec(ctx, rank):
-    return (ctx.zero(),) * rank
+def vec_combine(columns, coeffs, ctx):
+    """Sum of coeffs[j] * columns[j], Vecs of one rank with Poly
+    coefficients, by ``_axpy``; a product at the monomial limit is refused,
+    as by ``Poly.__mul__``, before a key could carry into the position."""
+    pk, p = ctx._pk, ctx.p
+    mask = pk.top - 1
+    acc = Vec()
+    for u, col in zip(coeffs, columns):
+        if u.terms and col:
+            deg = (max(u.terms) >> pk.shift) + (max(k & mask for k in col) >> pk.shift)
+            if deg >= _LIMIT:
+                raise _overflow(deg)
+            for mono, c in u.terms.items():
+                _axpy(acc, p - c, mono, col, p)
+    return acc
 
 
-def vec_combine(columns, coeffs, ctx, rank):
-    """Sum of coeffs[j] * columns[j]."""
-    return _combine(_entries(columns), coeffs, ctx, rank)
+def _moved(vec, up):
+    """The Vec with every key moved up by ``up``, a multiple of ``1 << span``."""
+    return Vec(zip(map(up.__add__, vec), vec.values()))
 
 
-def _entries(columns):
-    """Each column as its nonzero entries, ((position, entry), ...)."""
-    return tuple(
-        tuple((pos, f) for pos, f in enumerate(col) if f.terms) for col in columns
-    )
+def _stacked(vecs, rank, span):
+    """The vectors of rank ``rank`` one after the other, as one Vec of rank
+    ``len(vecs) * rank``."""
+    out = Vec()
+    for j, vec in enumerate(vecs):
+        up = ((len(vecs) - 1 - j) * rank) << span
+        out.update({key + up: c for key, c in vec.items()})
+    return out
 
 
-def _combine(entries, coeffs, ctx, rank):
-    """vec_combine over columns given by ``_entries``."""
-    acc = list(zero_vec(ctx, rank))
-    for u, col in zip(coeffs, entries):
-        if u.terms:
-            for pos, f in col:
-                acc[pos] = acc[pos] + u * f
-    return tuple(acc)
+def _transpose(cols, count, span):
+    """The ``count`` rows, Vecs of rank ``len(cols)``, of the matrix whose
+    columns are the Vecs ``cols`` of rank ``count``; no columns, no rows."""
+    if not cols:
+        return []
+    mask = (1 << span) - 1
+    rows = [Vec() for _ in range(count)]
+    for j, col in enumerate(cols):
+        prefix = (len(cols) - 1 - j) << span
+        for key, c in col.items():
+            rows[count - 1 - (key >> span)][prefix | (key & mask)] = c
+    return rows
 
 
 class GradedModule:
-    __slots__ = ("ctx", "rank", "shifts", "gens", "rels", "_hash", "_entries")
+    __slots__ = ("ctx", "rank", "shifts", "_gens", "_rels", "_hash", "_degs")
 
     def __init__(self, ctx, rank, shifts, gens, rels):
+        """Generators and relations are Vecs of rank ``rank``, homogeneous."""
         self.ctx = ctx
         self.rank = rank
         self.shifts = tuple(shifts)
-        self.gens = tuple(tuple(col) for col in gens)
-        self.rels = tuple(tuple(col) for col in rels)
+        self._gens = tuple(gens)
+        self._rels = tuple(rels)
         self._hash = None
-        self._entries = None
+        self._degs = None
+
+    # the generators and relations as columns of Poly, built on every read
+    gens = property(lambda self: tuple(_polys(self.ctx, v, self.rank) for v in self._gens))
+    rels = property(lambda self: tuple(_polys(self.ctx, v, self.rank) for v in self._rels))
 
     def _value(self):
         # the ring compares (and hashes) by identity
-        return (self.ctx, self.rank, self.shifts, self.gens, self.rels)
+        return (self.ctx, self.rank, self.shifts, self._gens, self._rels)
 
     def __eq__(self, other):
         return isinstance(other, GradedModule) and self._value() == other._value()
 
     def __hash__(self):
-        # computed once: hashing a Poly builds a frozenset of its terms
+        # computed once, from the hash each Vec keeps
         if self._hash is None:
             self._hash = hash(self._value())
         return self._hash
@@ -81,62 +110,59 @@ class GradedModule:
     # -- basic structure ---------------------------------------------------
 
     def gen_degrees(self):
-        def compute():
-            degs = (vec_degree(col, self.shifts) for col in self.gens)
-            return tuple(0 if d is None else d for d in degs)
-
-        return _memo(self, "gen_degrees", compute)
+        """The degree of each generator (0 for a zero one), read once."""
+        if self._degs is None:
+            self._degs = tuple(_lead_degree(self.ctx, vec, self.shifts) or 0
+                               for vec in self._gens)
+        return self._degs
 
     def rels_gb(self):
         return _memo(self, "rels_gb", lambda: groebner.buchberger(
-            self.rels, self.ctx, self.rank, self.shifts))
+            self._rels, self.ctx, self.rank, self.shifts))
 
     def full_gb(self):
         return _memo(self, "full_gb", lambda: groebner.buchberger(
-            list(self.gens) + list(self.rels), self.ctx, self.rank, self.shifts))
+            self._gens + self._rels, self.ctx, self.rank, self.shifts))
 
     def is_zero(self):
         return _memo(self, "is_zero", lambda: all(
-            self.rels_gb().contains(col) for col in self.gens))
+            self.rels_gb().contains(vec) for vec in self._gens))
 
     def coords_to_ambient(self, coords):
-        """vec_combine(gens, coords), over the gens' once-computed entries.
-
-        The entries sit on the object, not in the ring's cache: a cache key
-        would hash the module's whole value, and most modules combined here
-        (the direct sums of a Hom or tensor complex) are built, used once
-        and dropped.
-        """
-        if self._entries is None:
-            self._entries = _entries(self.gens)
-        return _combine(self._entries, coords, self.ctx, self.rank)
+        """The ambient Vec of the element with these Poly coordinates."""
+        return vec_combine(self._gens, coords, self.ctx)
 
     def element_is_zero(self, coords):
         return self.rels_gb().contains(self.coords_to_ambient(coords))
 
     def gens_engine(self):
         """The tracked engine of the generators modulo the relations,
-        complete in every degree.  It is only read: it is never
-        interreduced, and each reduction works on a copy of its vector."""
+        complete in every degree, and only read."""
         return _memo(self, "gens_engine", lambda: groebner.tracked_engine(
-            self.ctx, list(self.gens), self.rank, self.shifts, self.rels))
+            self.ctx, self._gens, self.rank, self.shifts, self.gen_degrees(),
+            self._rels))
 
     def express_in_gens(self, vec):
-        """Coordinates of an ambient vector over the generators, mod rels."""
-        if self.gens:
+        """Poly coordinates over the generators of an ambient Vec, mod rels."""
+        if self._gens:
             rem, coeffs = self.gens_engine().reduce_with_certificate(vec)
         else:
-            rem, coeffs = self.rels_gb().normal_form(vec), ()
-        if not vec_is_zero(rem):
+            rem, coeffs = self.rels_gb().normal_form(vec), {}
+        if rem:
             raise InvalidInput("vector does not lie in the module")
-        return coeffs
+        return _polys(self.ctx, coeffs, len(self._gens))
+
+    def syzygies(self):
+        """Minimal generators of {u : gens*u = 0 in the module} over R, as
+        Vecs of rank ``len(gens)``: the next differential of a resolution."""
+        if not self._gens:
+            return ()
+        return _memo(self, "colrels", lambda: tuple(
+            groebner.engine_syzygies(self.gens_engine())))
 
     def column_relations(self):
-        """Minimal generators of {u : gens*u = 0 in the module} over R."""
-        if not self.gens:
-            return []
-        return list(_memo(self, "colrels", lambda: tuple(
-            groebner.engine_syzygies(self.gens_engine()))))
+        """``syzygies`` as Poly coordinate tuples."""
+        return [_polys(self.ctx, u, len(self._gens)) for u in self.syzygies()]
 
     # -- numerical data ------------------------------------------------------
 
@@ -161,8 +187,8 @@ class GradedModule:
 
     def __repr__(self):
         return (
-            f"GradedModule(rank={self.rank}, gens={len(self.gens)}, "
-            f"rels={len(self.rels)} over {self.ctx!r})"
+            f"GradedModule(rank={self.rank}, gens={len(self._gens)}, "
+            f"rels={len(self._rels)} over {self.ctx!r})"
         )
 
     def to_json(self):
@@ -178,63 +204,72 @@ class GradedModule:
 # constructors
 
 
-def _validated_columns(ctx, cols, rank, shifts, drop_zero=False):
+def _validated_columns(ctx, cols, rank, shifts):
+    """Poly columns as nonzero Vecs, checked for length and homogeneity."""
+    pk = ctx._pk
+    mask = pk.top - 1
     out = []
     for col in cols:
-        col = tuple(ctx.lift_poly(f) for f in col)
         if len(col) != rank:
             raise InvalidInput("column length does not match ambient rank")
-        vec_degree(col, shifts)  # raises InhomogeneousInput on bad input
-        if drop_zero and vec_is_zero(col):
-            continue
-        out.append(col)
+        vec = _to_internal(ctx, col, rank)
+        degs = {((key & mask) >> pk.shift) + shifts[rank - 1 - (key >> pk.span)]
+                for key in vec}
+        if len(degs) > 1:
+            raise InhomogeneousInput("column is not homogeneous")
+        if vec:
+            out.append(vec)
     return out
 
 
 def subquotient(ctx, gens, rels, shifts=None, rank=None):
-    """The module (<gens> + <rels>)/<rels> in R^rank, canonicalized.
+    """The module (<gens> + <rels>)/<rels> in R^rank, canonicalized, from
+    columns of Poly.
 
     Relations are replaced by their reduced Groebner basis; identically zero
     generator columns are dropped.
     """
-    if not ctx.is_graded():
-        raise InhomogeneousInput("module layer needs a graded ring context")
     if rank is None:
         rank = len(shifts) if shifts is not None else (len(gens[0]) if gens else 1)
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    gens = _validated_columns(ctx, gens, rank, shifts, drop_zero=True)
-    rels = _validated_columns(ctx, rels, rank, shifts, drop_zero=True)
-    gb = groebner.buchberger(rels, ctx, rank, shifts)
-    mod = GradedModule(ctx, rank, shifts, gens, gb.vectors())
+    return _subquotient(ctx, rank, shifts, _validated_columns(ctx, gens, rank, shifts),
+                        _validated_columns(ctx, rels, rank, shifts))
+
+
+def _subquotient(ctx, rank, shifts, gens, rels):
+    """``subquotient`` of homogeneous Vecs."""
+    if not ctx.is_graded():
+        raise InhomogeneousInput("module layer needs a graded ring context")
+    gb = groebner.buchberger([vec for vec in rels if vec], ctx, rank, shifts)
+    mod = GradedModule(ctx, rank, shifts, [vec for vec in gens if vec], gb.basis)
     _memo(mod, "rels_gb", lambda: gb)
     return mod
 
 
+def _units(ctx, rank):
+    """The basis vectors e_0, ..., e_{rank-1} of R^rank."""
+    return [Vec({(rank - 1 - i) << ctx._pk.span: 1}) for i in range(rank)]
+
+
 def free_module(ctx, rank, shifts=None):
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    gens = []
-    for i in range(rank):
-        col = [ctx.zero()] * rank
-        col[i] = ctx.one()
-        gens.append(tuple(col))
-    return subquotient(ctx, gens, [], shifts, rank)
+    return _subquotient(ctx, rank, shifts, _units(ctx, rank), [])
 
 
 def cyclic_module(ctx, ideal_gens, twist_by=0):
     """R/I as a rank-1 subquotient."""
-    gens = [(ctx.one(),)]
-    rels = [(ctx.lift_poly(f),) for f in ideal_gens if f]
-    return subquotient(ctx, gens, rels, (-twist_by,), 1)
+    rels = [(f,) for f in ideal_gens if f]
+    return subquotient(ctx, [(ctx.one(),)], rels, (-twist_by,), 1)
 
 
 def zero_module(ctx):
-    return subquotient(ctx, [], [], (0,), 1)
+    return _subquotient(ctx, 1, (0,), [], [])
 
 
 def twist(M, a):
     """M(a): degrees shift down by a, HF_{M(a)}(d) = HF_M(d + a)."""
     return GradedModule(
-        M.ctx, M.rank, tuple(s - a for s in M.shifts), M.gens, M.rels
+        M.ctx, M.rank, tuple(s - a for s in M.shifts), M._gens, M._rels
     )
 
 
@@ -258,10 +293,10 @@ class ModuleMap:
         self.target = target
         self.mat = tuple(tuple(row) for row in mat)
         self.degree = degree
-        if len(self.mat) != len(source.gens):
+        if len(self.mat) != len(source._gens):
             raise IllDefinedMap("matrix width does not match source generators")
         for col in self.mat:
-            if len(col) != len(target.gens):
+            if len(col) != len(target._gens):
                 raise IllDefinedMap("matrix height does not match target generators")
         if check:
             self._check_well_defined()
@@ -287,7 +322,7 @@ class ModuleMap:
 
     def apply_coords(self, coords):
         """Image of an element given in source generator coordinates."""
-        out = [self.target.ctx.zero()] * len(self.target.gens)
+        out = [self.target.ctx.zero()] * len(self.target._gens)
         for j, u in enumerate(coords):
             if not u:
                 continue
@@ -302,7 +337,7 @@ class ModuleMap:
     def compose(self, other):
         """self o other (apply other first)."""
         if other.target is not self.source:
-            if other.target.gens != self.source.gens:
+            if other.target._gens != self.source._gens:
                 raise IllDefinedMap("maps are not composable")
         mat = [self.apply_coords(col) for col in other.mat]
         return ModuleMap(
@@ -310,25 +345,25 @@ class ModuleMap:
         )
 
 
+def _unit(ctx, n, i):
+    """The Poly coordinates of generator i of n."""
+    return tuple(ctx.one() if k == i else ctx.zero() for k in range(n))
+
+
 def identity_map(M):
-    n = len(M.gens)
-    mat = []
-    for j in range(n):
-        col = [M.ctx.zero()] * n
-        col[j] = M.ctx.one()
-        mat.append(col)
-    return ModuleMap(M, M, mat, check=False)
+    n = len(M._gens)
+    return ModuleMap(M, M, [_unit(M.ctx, n, j) for j in range(n)], check=False)
 
 
 def zero_map(M, N):
-    return ModuleMap(M, N, [[N.ctx.zero()] * len(N.gens) for _ in M.gens], check=False)
+    return ModuleMap(M, N, [[N.ctx.zero()] * len(N._gens) for _ in M._gens], check=False)
 
 
 def kernel(f):
     """Kernel of f, with its inclusion into the source."""
     src, tgt = f.source, f.target
     ctx = src.ctx
-    if not tgt.gens or not src.gens:
+    if not tgt._gens or not src._gens:
         return src, identity_map(src)
     syz = image(f)[0].column_relations()
     # syzygy coordinates are over the source generators; a coordinate vector
@@ -337,11 +372,11 @@ def kernel(f):
     kept, ker_cols = [], []
     for u in syz:
         amb = src.coords_to_ambient(u)
-        if vec_is_zero(amb):
+        if not amb:
             continue
         kept.append(u)
         ker_cols.append(amb)
-    K = GradedModule(ctx, src.rank, src.shifts, ker_cols, src.rels)
+    K = GradedModule(ctx, src.rank, src.shifts, ker_cols, src._rels)
     _memo(K, "rels_gb", src.rels_gb)
     incl = ModuleMap(K, src, kept, check=False)
     return K, incl
@@ -350,9 +385,9 @@ def kernel(f):
 def cokernel(f):
     """Cokernel of f, with the projection from the target."""
     tgt = f.target
-    rels = list(tgt.rels) + f.image_columns_ambient()
+    rels = list(tgt._rels) + f.image_columns_ambient()
     gb = groebner.buchberger(rels, tgt.ctx, tgt.rank, tgt.shifts)
-    C = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, tgt.gens, gb.vectors())
+    C = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, tgt._gens, gb.basis)
     _memo(C, "rels_gb", lambda: gb)
     proj = ModuleMap(tgt, C, identity_map(tgt).mat, check=False)
     return C, proj
@@ -362,7 +397,7 @@ def image(f):
     """Image of f as a submodule of the target, with its inclusion."""
     tgt = f.target
     cols = f.image_columns_ambient()
-    I = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, cols, tgt.rels)
+    I = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, cols, tgt._rels)
     incl = ModuleMap(I, tgt, list(f.mat), check=False)
     return I, incl
 
@@ -381,16 +416,18 @@ def is_iso(f):
 
 
 def _block_sum(mods):
-    """The block sum of modules over one ring, without the maps."""
+    """The block sum of modules over one ring, without the maps: each
+    block's keys move up past the positions after it."""
     ctx = mods[0].ctx
+    span = ctx._pk.span
     rank = sum(M.rank for M in mods)
     shifts = tuple(s for M in mods for s in M.shifts)
     gens, rels = [], []
     pos = 0
     for M in mods:
-        before, after = (ctx.zero(),) * pos, (ctx.zero(),) * (rank - pos - M.rank)
-        gens.extend(before + col + after for col in M.gens)
-        rels.extend(before + col + after for col in M.rels)
+        up = (rank - pos - M.rank) << span
+        gens.extend(_moved(vec, up) for vec in M._gens)
+        rels.extend(_moved(vec, up) for vec in M._rels)
         pos += M.rank
     return GradedModule(ctx, rank, shifts, gens, rels)
 
@@ -399,17 +436,13 @@ def direct_sum(*mods):
     """Block sum, with injections and projections."""
     S = _block_sum(mods)
     ctx = S.ctx
-
-    def unit(n, pos):
-        return [ctx.one() if p == pos else ctx.zero() for p in range(n)]
-
-    total = len(S.gens)
+    total = len(S._gens)
     injections, projections = [], []
     start = 0
     for M in mods:
-        g = len(M.gens)
-        inj = [unit(total, start + j) for j in range(g)]
-        proj = [unit(g, k - start) for k in range(total)]
+        g = len(M._gens)
+        inj = [_unit(ctx, total, start + j) for j in range(g)]
+        proj = [_unit(ctx, g, k - start) for k in range(total)]
         injections.append(ModuleMap(M, S, inj, check=False))
         projections.append(ModuleMap(S, M, proj, check=False))
         start += g
@@ -421,45 +454,33 @@ def tensor(M, N):
     if M.ctx is not N.ctx:
         raise RingMismatch("tensor over different rings")
     ctx = M.ctx
-    A = M.column_relations()
-    B = N.column_relations()
-    gm, gn = len(M.gens), len(N.gens)
+    span = ctx._pk.span
+    mask = (1 << span) - 1
+    gm, gn = len(M._gens), len(N._gens)
     dm, dn = M.gen_degrees(), N.gen_degrees()
     rank = gm * gn
     shifts = tuple(dm[i] + dn[j] for i in range(gm) for j in range(gn))
-    gens = []
-    for k in range(rank):
-        col = [ctx.zero()] * rank
-        col[k] = ctx.one()
-        gens.append(tuple(col))
     rels = []
-    for u in A:  # u over M gens; u (x) e_j
+    # u (x) e_j: u_i at position i * gn + j, key prefix (gm-1-i) * gn + gn-1-j
+    for u in M.syzygies():
         for j in range(gn):
-            col = [ctx.zero()] * rank
-            for i in range(gm):
-                if u[i]:
-                    col[i * gn + j] = u[i]
-            rels.append(tuple(col))
-    for v in B:
+            rels.append(Vec({(((key >> span) * gn + gn - 1 - j) << span) | (key & mask): c
+                             for key, c in u.items()}))
+    for v in N.syzygies():  # e_i (x) v: v_j at position i * gn + j
         for i in range(gm):
-            col = [ctx.zero()] * rank
-            for j in range(gn):
-                if v[j]:
-                    col[i * gn + j] = v[j]
-            rels.append(tuple(col))
-    T = subquotient(ctx, gens, rels, shifts, rank)
-    return T
+            rels.append(_moved(v, ((gm - 1 - i) * gn) << span))
+    return _subquotient(ctx, rank, shifts, _units(ctx, rank), rels)
 
 
 def tensor_map(f, N):
     """f (x) id_N for f a ModuleMap."""
     src = tensor(f.source, N)
     tgt = tensor(f.target, N)
-    gn = len(N.gens)
+    gn = len(N._gens)
     mat = []
-    for j in range(len(f.source.gens)):
+    for j in range(len(f.source._gens)):
         for b in range(gn):
-            col = [f.target.ctx.zero()] * (len(f.target.gens) * gn)
+            col = [f.target.ctx.zero()] * (len(f.target._gens) * gn)
             for i, entry in enumerate(f.mat[j]):
                 if entry:
                     col[i * gn + b] = entry
@@ -478,18 +499,18 @@ def _hom_sum(N, degs):
 
 
 def _dual_map(N, src_degs, tgt_degs, rows):
-    """Hom(d, N) for the matrix d: F' -> F given by its rows, one per basis
-    element of F, each over the basis of F': the map ⊕ N(src) -> ⊕ N(tgt),
+    """Hom(d, N) for the matrix d: F' -> F given by its rows, Vecs over the
+    basis of F', one per basis element of F: the map ⊕ N(src) -> ⊕ N(tgt),
     phi -> phi o d."""
-    ctx = N.ctx
-    gn = len(N.gens)
+    gn = len(N._gens)
     H0 = _hom_sum(N, src_degs)
     H1 = _hom_sum(N, tgt_degs)
     mat = []
     for row in rows:
+        entries = _polys(N.ctx, row, len(tgt_degs))
         for a in range(gn):
-            col = [ctx.zero()] * (len(tgt_degs) * gn)
-            for k, c in enumerate(row):
+            col = [N.ctx.zero()] * (len(tgt_degs) * gn)
+            for k, c in enumerate(entries):
                 if c:
                     col[k * gn + a] = c
             mat.append(col)
@@ -508,20 +529,21 @@ def hom_module(M, N):
 
 
 def _hom_module(M, N):
-    if not M.gens:
+    if not M._gens:
         return zero_module(M.ctx), lambda coords, degree=0: zero_map(M, N)
     dm = M.gen_degrees()
-    colrels = M.column_relations()
+    colrels = M.syzygies()
     if not colrels:
         return _hom_sum(N, dm), _hom_converter(M, N)
-    degs = [vec_degree(u, dm) for u in colrels]
-    h, _, _ = _dual_map(N, dm, degs, list(zip(*colrels)))
+    degs = [_lead_degree(M.ctx, u, dm) for u in colrels]
+    rows = _transpose(colrels, len(dm), M.ctx._pk.span)
+    h, _, _ = _dual_map(N, dm, degs, rows)
     H, incl = kernel(h)
     return H, _hom_converter(M, N, incl)
 
 
 def _hom_converter(M, N, incl=None):
-    gm, gn = len(M.gens), len(N.gens)
+    gm, gn = len(M._gens), len(N._gens)
 
     def element_as_map(coords, degree=0):
         """Rebuild a Hom element (coordinates over H's generators) as a map."""
@@ -538,9 +560,9 @@ def _hom_converter(M, N, incl=None):
 
 
 def _hom_element(N, mat):
-    """Ambient vector of the element of Hom(-, N) whose map has matrix mat
+    """Ambient Vec of the element of Hom(-, N) whose map has matrix mat
     (one column of N-generator coordinates per source generator)."""
-    return tuple(f for col in mat for f in N.coords_to_ambient(col))
+    return _stacked([N.coords_to_ambient(col) for col in mat], N.rank, N.ctx._pk.span)
 
 
 def hom_induced_post(f, K):
@@ -548,10 +570,8 @@ def hom_induced_post(f, K):
     HS, conv_s = hom_module(K, f.source)
     HT, _ = hom_module(K, f.target)
     mat = []
-    for j in range(len(HS.gens)):
-        coords = [HS.ctx.zero()] * len(HS.gens)
-        coords[j] = HS.ctx.one()
-        phi = conv_s(coords, degree=HS.gen_degrees()[j])
+    for j in range(len(HS._gens)):
+        phi = conv_s(_unit(HS.ctx, len(HS._gens), j), degree=HS.gen_degrees()[j])
         comp = f.compose(phi)  # K -> target
         mat.append(HT.express_in_gens(_hom_element(f.target, comp.mat)))
     return ModuleMap(HS, HT, mat, f.degree, check=False), HS, HT
@@ -564,19 +584,15 @@ def hom_induced_post(f, K):
 def minimize(M):
     """Minimal-generator copy of M with the comparison maps (proj, incl)."""
     ctx = M.ctx
-    if not M.gens:
+    if not M._gens:
         return M, identity_map(M), identity_map(M)
     from . import homalg
 
     res = homalg.free_resolution(M, 0)
     Mmin = homalg.level_module(M, res, 0)
-    incl_mat = []
-    for i in res.kept:
-        col = [ctx.zero()] * len(M.gens)
-        col[i] = ctx.one()
-        incl_mat.append(col)
+    incl_mat = [_unit(ctx, len(M._gens), i) for i in res.kept]
     incl = ModuleMap(Mmin, M, incl_mat, check=False)
-    sols, _ = lift_columns(Mmin, M.gens)
+    sols, _ = lift_columns(Mmin, M._gens)
     if sols is None:
         raise InternalConsistencyError("minimization lost a generator")
     proj = ModuleMap(M, Mmin, sols, check=False)
@@ -584,7 +600,7 @@ def minimize(M):
 
 
 def lift_columns(M, vectors):
-    """Each vector's coordinates over M's generators, by ``express_in_gens``:
+    """Each ambient Vec's coordinates over M's generators, by ``express_in_gens``:
     (coordinates, None), or (None, j) for the first vector j outside M."""
     out = []
     for j, vec in enumerate(vectors):
@@ -608,20 +624,21 @@ def annihilator(M):
 
 def _annihilator(M):
     ctx = M.ctx
-    if not M.gens:
+    if not M._gens:
         return groebner.reduced_ideal_gb(ctx, [ctx.one()])
     B = _hom_sum(M, M.gen_degrees())
-    v = tuple(f for col in M.gens for f in col)
-    # the raw syzygies: the reduced basis is the same from any generating set
-    eng = GradedModule(ctx, B.rank, B.shifts, [v], B.rels).gens_engine()
-    return groebner.reduced_ideal_gb(ctx, [u[0] for u in eng.syzygy_vectors()])
+    v = _stacked(M._gens, M.rank, ctx._pk.span)
+    # the raw syzygies, of rank 1: any generating set gives the reduced basis
+    eng = GradedModule(ctx, B.rank, B.shifts, [v], B._rels).gens_engine()
+    gb = groebner.buchberger([Vec(u) for u in eng.syzygies], ctx, 1)
+    return [Poly(ctx, dict(u)) for u in gb.basis]
 
 
 def colon(i_gens, j_gens, ctx):
     """(I : J) = ann((I + J)/I) as a reduced Groebner basis over R (cached
     by value, with the annihilator)."""
-    gens = [(f,) for f in j_gens if f]
-    rels = [(f,) for f in i_gens if f]
+    gens = [_to_internal(ctx, (f,), 1) for f in j_gens if f]
+    rels = [_to_internal(ctx, (f,), 1) for f in i_gens if f]
     return annihilator(GradedModule(ctx, 1, (0,), gens, rels))
 
 
@@ -703,9 +720,10 @@ def transport(M, ctx2):
 
 
 def _transport(M, ctx2):
-    gens = [tuple(ctx2.lift_poly(f) for f in col) for col in M.gens]
-    rels = [tuple(ctx2.lift_poly(f) for f in col) for col in M.rels]
-    return subquotient(ctx2, gens, rels, M.shifts, M.rank)
+    # one polynomial ring packs its monomials one way: the keys carry over
+    if not ctx2.same_polynomial_ring(M.ctx):
+        raise RingMismatch("polynomial from an incompatible ring")
+    return _subquotient(ctx2, M.rank, M.shifts, M._gens, M._rels)
 
 
 def invariants(M):

@@ -4,7 +4,6 @@ same answers as a sequential run, with every cache cold at the start."""
 import sys
 import threading
 
-from liaison.groebner import tracked_engine
 from liaison.homalg import (
     change_of_rings,
     ext,
@@ -23,9 +22,10 @@ from liaison.modules import (
     grade,
     identity_map,
     subquotient,
-    vec_combine,
 )
 from liaison.ring import make_ring, parse_poly, render_poly
+
+from tests.polyref import express, tracked_engine, vec_combine
 
 THREADS = 8
 ROUNDS = 3
@@ -142,12 +142,12 @@ def engine_state(eng):
 def test_module_engine_across_threads():
     # one engine per module presentation, stored once and only ever read
     M0, vectors = module_with_vectors()
-    coords = [M0.express_in_gens(v) for v in vectors]
+    coords = [express(M0, v) for v in vectors]
     relations = M0.column_relations()
     for _ in range(ROUNDS):
         M, vectors = module_with_vectors()
         fresh = tracked_engine(M.ctx, list(M.gens), M.rank, M.shifts, M.rels)
-        results = run_threads(lambda k: (M.express_in_gens(vectors[k]),
+        results = run_threads(lambda k: (express(M, vectors[k]),
                                          M.column_relations(), M.gens_engine()))
         eng = results[0][2]
         assert all(r[2] is eng for r in results)

@@ -7,7 +7,6 @@ from liaison import cli, homalg
 from liaison.cohomology import grothendieck_band_check
 from liaison.colinkage import class_member
 from liaison.errors import DegreeOverflow, GradeMismatch, InvalidInput, NotRegularSequence
-from liaison.groebner import vec_is_zero
 from liaison.homalg import (
     betti_table_text,
     bidual_obstructions,
@@ -38,6 +37,8 @@ from liaison.modules import (
     twist,
 )
 from liaison.ring import make_ring, parse_poly, render_poly
+
+from tests.polyref import buchberger, contains, diffs, vec_combine, vec_is_zero, vectors
 
 from tests.oracle import hf_of_subquotient
 
@@ -103,15 +104,13 @@ def test_resolution_of_free_module_has_length_zero(F101xy):
 
 
 def test_differentials_compose_to_zero(F101xyzw, cubic_ideal):
-    from liaison.modules import vec_combine
-
     M = cyclic_module(F101xyzw, cubic_ideal)
     res = free_resolution(M, 3)
-    d1, d2 = res.diffs[0], res.diffs[1]
+    d1, d2 = diffs(M.ctx, res, 1), diffs(M.ctx, res, 2)
     for u in d2:
         comp = vec_combine(d1, u, M.ctx, 1)
         gb = M.rels_gb()
-        assert gb.contains(comp)
+        assert contains(gb, comp)
 
 
 def test_iterated_syzygies_terminate_over_polynomial_ring(F101xyzw, cubic_ideal):
@@ -471,18 +470,14 @@ def test_lift_chain_map_with_degree_shift(F101xy):
     f = ModuleMap(twist(M, -2), M, [[P(ctx, "x^2")]])
     maps = lift_chain_map(f, 2)
     # commuting squares certified by recomposition at level 1
-    from liaison.modules import vec_combine
-
     res_src = free_resolution(twist(M, -2), 2)
     res_tgt = free_resolution(M, 2)
-    for j, u in enumerate(res_src.diffs[0]):
+    for j, u in enumerate(diffs(ctx, res_src, 1)):
         lhs = vec_combine(maps[0], u, ctx, res_tgt.rank(0))
-        rhs = vec_combine(res_tgt.diffs[0], maps[1][j], ctx, res_tgt.rank(0))
+        rhs = vec_combine(diffs(ctx, res_tgt, 1), maps[1][j], ctx, res_tgt.rank(0))
         diff = tuple(a - b for a, b in zip(lhs, rhs))
-        from liaison.groebner import buchberger, vec_is_zero
-
         gb = buchberger([], ctx, res_tgt.rank(0))
-        assert gb.contains(diff)
+        assert contains(gb, diff)
 
 
 # -- one cache per ring, keyed by module value ---------------------------------
@@ -624,8 +619,9 @@ def test_vanishing_agrees_with_the_modules(semigroup345):
 def test_image_engine_matches_the_direct_sum_route():
     """The seeded image engine spans what the direct-sum route spans: the
     target's block relations plus the image columns, reduced from scratch."""
-    from liaison.groebner import assert_buchberger, buchberger
-    from liaison.modules import _dual_map
+    from liaison.groebner import assert_buchberger
+    from liaison.groebner import buchberger as engine_buchberger
+    from liaison.modules import _dual_map, _transpose
 
     rng = random.Random(20261020)
     ctx = make_ring(101, ["x", "y", "z"], ["x*z - y^2"])
@@ -644,15 +640,15 @@ def test_image_engine_matches_the_direct_sum_route():
                     # its rows are the columns of d
                     f, _, B = _dual_map(N, [-e for e in src], [-e for e in tgt], d)
                 else:
-                    f, _, B = _dual_map(N, tgt, src, list(zip(*d)))
-                want = buchberger(
-                    list(B.rels) + f.image_columns_ambient(), ctx, B.rank, B.shifts
+                    f, _, B = _dual_map(N, tgt, src, _transpose(d, len(tgt), ctx._pk.span))
+                want = engine_buchberger(
+                    list(B._rels) + f.image_columns_ambient(), ctx, B.rank, B.shifts
                 )
                 eng = homalg._image_engine(functor, k, M, N, res)
                 assert eng.shifts == B.shifts
                 eng.interreduce()
                 assert_buchberger(eng)
-                assert eng.vectors() == want.vectors()
+                assert vectors(eng) == vectors(want)
 
 
 def test_image_columns_make_no_poly_product(monkeypatch):

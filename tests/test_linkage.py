@@ -20,6 +20,7 @@ from liaison.errors import (
 from liaison.groebner import reduced_ideal_gb
 from liaison.homalg import (
     bidual_obstructions,
+    change_of_rings,
     ext,
     ext_vanishes,
     kernel_obstruction_vanishes,
@@ -29,7 +30,6 @@ from liaison.linkage import (
     ReflexiveEpi,
     category_member,
     canonical_module,
-    change_of_rings,
     cyclic_link,
     depth_formula_check,
     double_link_check,

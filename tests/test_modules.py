@@ -8,7 +8,6 @@ from liaison.errors import IllDefinedMap, InhomogeneousInput
 from liaison.groebner import reduced_ideal_gb
 from liaison.linkage import canonical_module
 from liaison.modules import (
-    GradedModule,
     ModuleMap,
     annihilator,
     cokernel,
@@ -29,6 +28,7 @@ from liaison.modules import (
 )
 from liaison.ring import make_ring, parse_poly, render_poly
 
+from tests.polyref import module
 from tests.oracle import (
     hf_of_quotient,
     hf_of_subquotient,
@@ -163,7 +163,7 @@ def test_hom_endomorphisms_of_quotient(F101x):
     for d in range(3):
         assert H.hf(d) == M.hf(d)
     # the identity generator reconstitutes as an isomorphism
-    coords = H.express_in_gens(H.gens[0])
+    coords = H.express_in_gens(H._gens[0])
     f = as_map(coords, degree=0)
     assert is_iso(f) or is_iso(ModuleMap(M, M, [[-(f.mat[0][0])]], check=False))
 
@@ -266,7 +266,7 @@ def test_colon_matches_bruteforce(data):
             assert is_member(ctx, 1, (0,), i_cols, (q * g,))  # (I:J)*J <= I
     for f in i_gens:
         assert is_member(ctx, 1, (0,), [(q,) for q in quot], (f,))  # I <= (I:J)
-    M = GradedModule(ctx, 1, (0,), [(g,) for g in j_gens if g], i_cols)
+    M = module(ctx, 1, (0,), [(g,) for g in j_gens if g], i_cols)
     _assert_annihilator_hf(M, quot, top)
 
 

@@ -213,7 +213,7 @@ def test_degree_limit_raises():
 def test_cached_hash_follows_the_terms():
     # every Poly is hashed before it is an operand; afterwards each hash
     # still matches its terms, and no operation changed an operand's terms
-    from liaison.groebner import tracked_engine
+    from tests.polyref import reduce_with_certificate, syzygy_vectors, tracked_engine, vectors
 
     ctx = make_ring(101, ["x", "y", "z"])
     twin = make_ring(101, ["x", "y", "z"])
@@ -232,8 +232,8 @@ def test_cached_hash_follows_the_terms():
     hashed(s * d, s + p, d - s, p.scale(2))
     eng = tracked_engine(ctx, [(f, g), (g, s)], 2, (0, 0))
     x = ctx.var(0)
-    hashed(*(h for vec in eng.vectors() + eng.syzygy_vectors() for h in vec))
-    rem, coeffs = eng.reduce_with_certificate((x * f, x * d))
+    hashed(*(h for vec in vectors(eng) + syzygy_vectors(eng) for h in vec))
+    rem, coeffs = reduce_with_certificate(eng, (x * f, x * d))
     hashed(*rem, *coeffs)
     for h, terms in seen:
         assert h.terms == terms

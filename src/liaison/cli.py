@@ -410,7 +410,7 @@ def op_canonical_info(spec):
 
     omin, _, _ = minimize(om)
     return {
-        "min_generators": len(omin.gens),
+        "min_generators": len(omin._gens),
         "annihilator": _ideal_strings(annihilator(om)),
         "presentation": omin.to_json(),
     }

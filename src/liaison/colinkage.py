@@ -42,7 +42,7 @@ from .homalg import (
 from .modules import (
     ModuleMap,
     _hom_element,
-    _unit,
+    _units,
     cokernel,
     grade,
     hom_induced_post,
@@ -69,13 +69,11 @@ def _tensor_transform(M, K):
     T = tensor(M, K)
     H, _ = hom_module(K, T)
     gk = len(K._gens)
-    gt = len(T._gens)
-    mat = []
-    for j in range(len(M._gens)):
-        # the map K -> M (x) K, k_a -> m_j (x) k_a
-        cols = [_unit(ctx, gt, j * gk + a) for a in range(gk)]
-        mat.append(H.express_in_gens(_hom_element(T, cols)))
-    mu = ModuleMap(M, H, mat, check=False)
+    units = _units(ctx, len(T._gens))
+    # the map K -> M (x) K, k_a -> m_j (x) k_a, for each generator m_j
+    cols = [H.express_in_gens(_hom_element(T, units[j * gk:(j + 1) * gk]))
+            for j in range(len(M._gens))]
+    mu = ModuleMap(M, H, cols, check=False)
     return T, H, mu
 
 
@@ -89,8 +87,8 @@ def _hom_transform(M, K):
     T = tensor(K, H)
     hd = H.gen_degrees()
     maps = [conv(H.express_in_gens(g), degree=d) for g, d in zip(H._gens, hd)]
-    mat = [h.mat[a] for a in range(len(K._gens)) for h in maps]
-    nu = ModuleMap(T, M, mat, check=False)
+    cols = [h.cols[a] for a in range(len(K._gens)) for h in maps]
+    nu = ModuleMap(T, M, cols, check=False)
     return H, T, nu
 
 

@@ -471,11 +471,11 @@ class ModuleGB:
 
     def reduce_with_certificate(self, vec):
         """Return (remainder, coeffs) with vec = sum(coeffs*tracked) + rem,
-        coeffs a vector of rank ``track``."""
+        coeffs a Vec of rank ``track``."""
         if not self.track:
             raise InvalidInput("certificates require a tracked engine")
         p, up = self.ctx.p, self.track << self.ctx._pk.span
-        rem, coeffs = {}, {}
+        rem, coeffs = {}, Vec()
         for key, c in self._reduced(vec).items():
             if key >= 0:
                 rem[key] = c

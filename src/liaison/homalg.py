@@ -4,13 +4,15 @@ obstructions to the double Ext-dual comparison map.
 Resolutions are built level by level: level k + 1 holds the minimal
 syzygies, Vecs, of ``level_module(M, res, k)`` (M on its minimal
 generators, or the image of d_k, whose generators they are), read from that
-module's one stored engine, which also lifts chain maps.  Differentials land in
-the maximal ideal, so Betti numbers read off directly.  Over R = S/J
-resolutions may be infinite; every operation takes the finite length it
-needs and records the truncation.  Each length is its own immutable memo
-entry, one level longer than the entry below it, so what a length gives
-never depends on what was resolved before, and threads share resolutions
-without a lock.
+module's one stored engine, which also lifts chain maps.  A lifted chain
+map's columns are coordinate Vecs like the differentials' (see
+``modules``), so a lift and ``ext_induced`` convert nothing to ``Poly``.
+Differentials land in the maximal ideal, so Betti numbers read off
+directly.  Over R = S/J resolutions may be infinite; every operation takes
+the finite length it needs and records the truncation.  Each length is its
+own immutable memo entry, one level longer than the entry below it, so
+what a length gives never depends on what was resolved before, and threads
+share resolutions without a lock.
 
 ``tor_vanishes`` and ``ext_vanishes`` answer whether Tor_i or Ext^i is zero
 without building it: the homology's Hilbert series is that of the middle
@@ -66,17 +68,17 @@ from .errors import (
     RegularSequenceNotFound,
     RingMismatch,
 )
-from .groebner import HilbertData, Vec, _add_series, _axpy, _lead_degree, _polys
+from .groebner import HilbertData, _add_series, _axpy, _lead_degree
 from .ring import _LIMIT, _memo, _memoized, _overflow, make_ring, render_poly
 from .modules import (
     GradedModule,
     ModuleMap,
     _dual_map,
     _hom_sum,
+    _split,
     _stacked,
     _subquotient,
     _transpose,
-    _units,
     cokernel,
     cyclic_module,
     free_module,
@@ -425,16 +427,17 @@ def _image_engine(functor, k, M, N, res):
 def lift_chain_map(f, length):
     """Lift f: M -> M' to chain maps F_k(M) -> F_k(M'), k <= length.
 
-    Returns a list of matrices (columns = coords over the F_k(M') basis).
+    Returns a list of matrices, each a list of columns: coordinate Vecs
+    over the F_k(M') basis, which are also the ambient vectors of F_k(M').
     Squares commute by construction; failure to lift is an internal error.
-    A column of d_k is read as coordinates, the rest stays in Vecs.
+    A column of d_k is the coordinate Vec that combines f_{k-1}'s columns.
     """
     M, Mp = f.source, f.target
     ctx = M.ctx
     res = free_resolution(M, length)
     resp = free_resolution(Mp, length)
     # f_0: the image of each minimal generator of M, over Mp's minimal ones
-    images = [Mp.coords_to_ambient(f.mat[i]) for i in res.kept]
+    images = [Mp.coords_to_ambient(f.cols[i]) for i in res.kept]
     sol, bad = modules.lift_columns(level_module(Mp, resp, 0), images)
     if sol is None:
         raise LiftFailed(f"cannot express image of generator {bad}")
@@ -445,11 +448,8 @@ def lift_chain_map(f, length):
             continue
         if not resp.rank(k):
             raise LiftFailed("target resolution too short for a nonzero source level")
-        # f_{k-1}(e_b) in F_{k-1}(M'), whose basis generates level k of M'
-        units = _units(ctx, resp.rank(k - 1))
-        prev = [vec_combine(units, col, ctx) for col in maps[k - 1]]
-        targets = [vec_combine(prev, _polys(ctx, u, res.rank(k - 1)), ctx)
-                   for u in res.diffs[k - 1]]
+        # f_{k-1}(d_k(e_b)) in F_{k-1}(M'), whose basis generates level k of M'
+        targets = [vec_combine(maps[k - 1], u, ctx) for u in res.diffs[k - 1]]
         sol, bad = modules.lift_columns(level_module(Mp, resp, k), targets)
         if sol is None:
             raise LiftFailed(f"chain lift failed at level {k}, column {bad}")
@@ -471,14 +471,9 @@ def ext_induced(i, f, N):
     # gives the block phi(f_i(e_j)) of Hom(F_i(M), N) for each column of f_i
     r, count = N.rank, E_src.rank // N.rank
     span = ctx._pk.span
-    mask = (1 << span) - 1
     cols = []
     for phi in E_src._gens:
-        # block b of phi as a Vec of rank r: key prefix (count - 1 - b) * r + q
-        blocks = [Vec() for _ in range(count)]
-        for key, c in phi.items():
-            pre = key >> span
-            blocks[count - 1 - pre // r][((pre % r) << span) | (key & mask)] = c
+        blocks = _split(phi, count, r, span)
         cols.append(_stacked([vec_combine(blocks, col, ctx) for col in f_i], r, span))
     sol, bad = modules.lift_columns(E_tgt, cols)
     if sol is None:

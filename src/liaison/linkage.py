@@ -41,6 +41,7 @@ from .modules import (
     _dual_map,
     _hom_element,
     _num,
+    _units,
     annihilator,
     cokernel,
     colon,
@@ -107,7 +108,7 @@ def homothety_map(K):
     """The homothety R -> Hom(K, K), sending 1 to the identity of K."""
     ctx = K.ctx
     H, _ = hom_module(K, K)
-    coords = H.express_in_gens(_hom_element(K, identity_map(K).mat))
+    coords = H.express_in_gens(_hom_element(K, identity_map(K).cols))
     R1 = free_module(ctx, 1)
     return ModuleMap(R1, H, [coords], check=False)
 
@@ -374,7 +375,7 @@ def annihilate_quotient(Kbar, i_gens):
     # x -> (f*x)_f is Hom(d, Kbar) for the row d = (f_1 .. f_r); its source
     # Hom(R, Kbar) is Kbar itself, kept so that Kbar's cached data is reused
     h, _, target = _dual_map(Kbar, [0], degs, [_to_internal(Kbar.ctx, i_gens, len(i_gens))])
-    mult = ModuleMap(Kbar, target, h.mat, check=False)
+    mult = ModuleMap(Kbar, target, h.cols, check=False)
     Kc, incl = kernel(mult)
     Q, _ = cokernel(incl)
     return Q
@@ -397,15 +398,12 @@ def is_stable(M):
     R1 = free_module(ctx, 1)
     H, conv = hom_module(M, R1)
     trace = []
-    for idx, vec in enumerate(H._gens):
-        coords = H.express_in_gens(vec)
-        f = conv(coords, degree=H.gen_degrees()[idx])
-        for col in f.mat:
-            if col[0]:
-                trace.append(col[0])
+    for vec, d in zip(H._gens, H.gen_degrees()):
+        # R has one generator: a column's keys are the monomials of its entry
+        trace.extend(col for col in conv(H.express_in_gens(vec), degree=d).cols if col)
     if not trace:
         return True
-    gb = groebner.buchberger([_to_internal(ctx, (g,), 1) for g in trace], ctx, 1)
+    gb = groebner.buchberger(trace, ctx, 1)
     return not gb.contains({0: 1})
 
 
@@ -489,7 +487,7 @@ def natural_cyclic_epi(ctx, i_gens, c_gens, twist_by=0):
     """The natural surjection R/c ->> R/I for c <= I (optionally twisted)."""
     X = cyclic_module(ctx, c_gens, twist_by)
     M = cyclic_module(ctx, i_gens, twist_by)
-    return ModuleMap(X, M, [[ctx.one()]])
+    return ModuleMap(X, M, _units(ctx, 1))
 
 
 def build_cyclic_walk(ctx, i_gens, c_gens, K, steps=2, tag="Pn", bound=None):

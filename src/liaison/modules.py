@@ -4,9 +4,12 @@ A module is (im gens + im rels)/(im rels) inside R^rank with degree shifts,
 its generators and relations ``Vec``s of its rank (see ``groebner``), as is
 every ambient vector: ``subquotient`` parses ``Poly`` columns once, and
 ``gens``, ``rels`` and ``to_json`` print them back.  A block of a direct sum
-is a key shift.  Coordinates over generators (map matrices, column
-relations, lifts) are tuples of Poly; ``syzygies``, the differentials of a
-resolution, are Vecs.  Generators are stored exactly as passed, so matrix
+is a key shift.  Coordinates over n generators (a map's columns, the
+``syzygies`` that are a resolution's differentials, the lifts of
+``express_in_gens``) are Vecs of rank n, generator j under the key prefix
+n - 1 - j, so a tensor, Hom or dual map is built by moving keys
+(``_spread``, ``_split``) and applied by ``vec_combine``; no ``Poly``
+product is formed.  Generators are stored exactly as passed, so the column
 indices of maps stay stable; ``minimize`` produces the pruned copy with the
 comparison maps.  Values are immutable and safe to share between threads.
 Modules are values: equal (with equal hashes) exactly when ring object,
@@ -31,19 +34,26 @@ from .groebner import Vec, _axpy, _lead_degree, _polys, _to_internal
 from .ring import _LIMIT, Poly, _memo, _overflow, render_poly
 
 
-def vec_combine(columns, coeffs, ctx):
-    """Sum of coeffs[j] * columns[j], Vecs of one rank with Poly
-    coefficients, by ``_axpy``; a product at the monomial limit is refused,
-    as by ``Poly.__mul__``, before a key could carry into the position."""
+def vec_combine(columns, coords, ctx):
+    """Sum of u_j * columns[j] for the coordinate Vec u of rank
+    ``len(columns)`` (entry j under the key prefix ``len(columns) - 1 - j``,
+    as ``syzygies`` are keyed), the columns Vecs of one rank, by ``_axpy``;
+    per column, a product at the monomial limit is refused, as by
+    ``Poly.__mul__``, before a key could carry into the position."""
     pk, p = ctx._pk, ctx.p
-    mask = pk.top - 1
+    span, mask = pk.span, pk.top - 1
+    last = len(columns) - 1
+    parts = {}
+    for key, c in coords.items():
+        parts.setdefault(last - (key >> span), {})[key & mask] = c
     acc = Vec()
-    for u, col in zip(coeffs, columns):
-        if u.terms and col:
-            deg = (max(u.terms) >> pk.shift) + (max(k & mask for k in col) >> pk.shift)
+    for j in sorted(parts):
+        col, u = columns[j], parts[j]
+        if col:
+            deg = (max(u) >> pk.shift) + (max(k & mask for k in col) >> pk.shift)
             if deg >= _LIMIT:
                 raise _overflow(deg)
-            for mono, c in u.terms.items():
+            for mono, c in u.items():
                 _axpy(acc, p - c, mono, col, p)
     return acc
 
@@ -75,6 +85,25 @@ def _transpose(cols, count, span):
         for key, c in col.items():
             rows[count - 1 - (key >> span)][prefix | (key & mask)] = c
     return rows
+
+
+def _spread(vec, n, i, span):
+    """The Vec whose entry k * n + i is entry k of ``vec``, the others zero:
+    ``n`` times its rank."""
+    mask = (1 << span) - 1
+    low = n - 1 - i
+    return Vec({(((key >> span) * n + low) << span) | (key & mask): c
+                for key, c in vec.items()})
+
+
+def _split(vec, count, r, span):
+    """The ``count`` blocks, Vecs of rank ``r``, of a Vec of rank ``count * r``."""
+    mask = (1 << span) - 1
+    blocks = [Vec() for _ in range(count)]
+    for key, c in vec.items():
+        pre = key >> span
+        blocks[count - 1 - pre // r][((pre % r) << span) | (key & mask)] = c
+    return blocks
 
 
 class GradedModule:
@@ -129,7 +158,7 @@ class GradedModule:
             self.rels_gb().contains(vec) for vec in self._gens))
 
     def coords_to_ambient(self, coords):
-        """The ambient Vec of the element with these Poly coordinates."""
+        """The ambient Vec of the element with this coordinate Vec."""
         return vec_combine(self._gens, coords, self.ctx)
 
     def element_is_zero(self, coords):
@@ -143,14 +172,16 @@ class GradedModule:
             self._rels))
 
     def express_in_gens(self, vec):
-        """Poly coordinates over the generators of an ambient Vec, mod rels."""
+        """The coordinates over the generators of an ambient Vec, mod rels: a
+        Vec of rank ``len(_gens)``, the certificate as
+        ``reduce_with_certificate`` gives it."""
         if self._gens:
-            rem, coeffs = self.gens_engine().reduce_with_certificate(vec)
+            rem, coords = self.gens_engine().reduce_with_certificate(vec)
         else:
-            rem, coeffs = self.rels_gb().normal_form(vec), {}
+            rem, coords = self.rels_gb().normal_form(vec), Vec()
         if rem:
             raise InvalidInput("vector does not lie in the module")
-        return _polys(self.ctx, coeffs, len(self._gens))
+        return coords
 
     def syzygies(self):
         """Minimal generators of {u : gens*u = 0 in the module} over R, as
@@ -159,10 +190,6 @@ class GradedModule:
             return ()
         return _memo(self, "colrels", lambda: tuple(
             groebner.engine_syzygies(self.gens_engine())))
-
-    def column_relations(self):
-        """``syzygies`` as Poly coordinate tuples."""
-        return [_polys(self.ctx, u, len(self._gens)) for u in self.syzygies()]
 
     # -- numerical data ------------------------------------------------------
 
@@ -280,83 +307,71 @@ def twist(M, a):
 class ModuleMap:
     """Graded homomorphism given by images of source generators.
 
-    ``mat[j]`` holds the coordinates of f(source gen j) over target gens.
+    ``cols[j]`` holds the coordinates of f(source gen j) over the target's
+    generators: a Vec of rank ``len(target._gens)``, keyed as ``syzygies``
+    are, and never written once the map is built.
     """
 
-    __slots__ = ("source", "target", "mat", "degree")
+    __slots__ = ("source", "target", "cols", "degree")
 
-    def __init__(self, source, target, mat, degree=0, check=True):
+    def __init__(self, source, target, cols, degree=0, check=True):
         if source.ctx is not target.ctx:
             if not source.ctx.same_polynomial_ring(target.ctx):
                 raise RingMismatch("map between modules over different rings")
         self.source = source
         self.target = target
-        self.mat = tuple(tuple(row) for row in mat)
+        self.cols = tuple(cols)
         self.degree = degree
-        if len(self.mat) != len(source._gens):
+        if len(self.cols) != len(source._gens):
             raise IllDefinedMap("matrix width does not match source generators")
-        for col in self.mat:
-            if len(col) != len(target._gens):
-                raise IllDefinedMap("matrix height does not match target generators")
+        span = target.ctx._pk.span
+        if any(col and max(col) >> span >= len(target._gens) for col in self.cols):
+            raise IllDefinedMap("matrix height does not match target generators")
         if check:
             self._check_well_defined()
 
     def _check_well_defined(self):
         src_deg = self.source.gen_degrees()
         tgt_deg = self.target.gen_degrees()
-        for j, col in enumerate(self.mat):
-            for i, entry in enumerate(col):
-                if not entry:
-                    continue
-                if not entry.is_homogeneous():
-                    raise IllDefinedMap("map entry is inhomogeneous")
-                if entry.degree() != src_deg[j] + self.degree - tgt_deg[i]:
+        pk = self.target.ctx._pk
+        mask, last = pk.top - 1, len(tgt_deg) - 1
+        for j, col in enumerate(self.cols):
+            for key in col:
+                i, deg = last - (key >> pk.span), (key & mask) >> pk.shift
+                want = src_deg[j] + self.degree - tgt_deg[i]
+                if deg != want:
                     raise IllDefinedMap(
-                        f"entry ({i},{j}) has degree {entry.degree()}, expected "
-                        f"{src_deg[j] + self.degree - tgt_deg[i]}"
+                        f"entry ({i},{j}) has a term of degree {deg}, expected {want}"
                     )
-        for u in self.source.column_relations():
-            w = self.apply_coords(u)
-            if not self.target.element_is_zero(w):
+        for u in self.source.syzygies():
+            if not self.target.element_is_zero(self.apply_coords(u)):
                 raise IllDefinedMap("source relation does not map to zero")
 
     def apply_coords(self, coords):
-        """Image of an element given in source generator coordinates."""
-        out = [self.target.ctx.zero()] * len(self.target._gens)
-        for j, u in enumerate(coords):
-            if not u:
-                continue
-            for i, entry in enumerate(self.mat[j]):
-                if entry:
-                    out[i] = out[i] + u * entry
-        return tuple(out)
+        """Image of an element given by its coordinate Vec over the source
+        generators, as a coordinate Vec over the target generators."""
+        return vec_combine(self.cols, coords, self.target.ctx)
 
     def image_columns_ambient(self):
-        return [self.target.coords_to_ambient(col) for col in self.mat]
+        return [self.target.coords_to_ambient(col) for col in self.cols]
 
     def compose(self, other):
         """self o other (apply other first)."""
         if other.target is not self.source:
             if other.target._gens != self.source._gens:
                 raise IllDefinedMap("maps are not composable")
-        mat = [self.apply_coords(col) for col in other.mat]
+        cols = [self.apply_coords(col) for col in other.cols]
         return ModuleMap(
-            other.source, self.target, mat, self.degree + other.degree, check=False
+            other.source, self.target, cols, self.degree + other.degree, check=False
         )
 
 
-def _unit(ctx, n, i):
-    """The Poly coordinates of generator i of n."""
-    return tuple(ctx.one() if k == i else ctx.zero() for k in range(n))
-
-
 def identity_map(M):
-    n = len(M._gens)
-    return ModuleMap(M, M, [_unit(M.ctx, n, j) for j in range(n)], check=False)
+    return ModuleMap(M, M, _units(M.ctx, len(M._gens)), check=False)
 
 
 def zero_map(M, N):
-    return ModuleMap(M, N, [[N.ctx.zero()] * len(N._gens) for _ in M._gens], check=False)
+    return ModuleMap(M, N, [Vec()] * len(M._gens), check=False)
 
 
 def kernel(f):
@@ -365,7 +380,7 @@ def kernel(f):
     ctx = src.ctx
     if not tgt._gens or not src._gens:
         return src, identity_map(src)
-    syz = image(f)[0].column_relations()
+    syz = image(f)[0].syzygies()
     # syzygy coordinates are over the source generators; a coordinate vector
     # whose ambient image vanishes identically is the zero element of the
     # source (a column relation), so it contributes nothing to the kernel
@@ -389,7 +404,7 @@ def cokernel(f):
     gb = groebner.buchberger(rels, tgt.ctx, tgt.rank, tgt.shifts)
     C = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, tgt._gens, gb.basis)
     _memo(C, "rels_gb", lambda: gb)
-    proj = ModuleMap(tgt, C, identity_map(tgt).mat, check=False)
+    proj = ModuleMap(tgt, C, _units(tgt.ctx, len(tgt._gens)), check=False)
     return C, proj
 
 
@@ -398,7 +413,7 @@ def image(f):
     tgt = f.target
     cols = f.image_columns_ambient()
     I = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, cols, tgt._rels)
-    incl = ModuleMap(I, tgt, list(f.mat), check=False)
+    incl = ModuleMap(I, tgt, f.cols, check=False)
     return I, incl
 
 
@@ -437,13 +452,13 @@ def direct_sum(*mods):
     S = _block_sum(mods)
     ctx = S.ctx
     total = len(S._gens)
+    units = _units(ctx, total)
     injections, projections = [], []
     start = 0
     for M in mods:
         g = len(M._gens)
-        inj = [_unit(ctx, total, start + j) for j in range(g)]
-        proj = [_unit(ctx, g, k - start) for k in range(total)]
-        injections.append(ModuleMap(M, S, inj, check=False))
+        proj = [Vec()] * start + _units(ctx, g) + [Vec()] * (total - start - g)
+        injections.append(ModuleMap(M, S, units[start:start + g], check=False))
         projections.append(ModuleMap(S, M, proj, check=False))
         start += g
     return S, injections, projections
@@ -455,17 +470,12 @@ def tensor(M, N):
         raise RingMismatch("tensor over different rings")
     ctx = M.ctx
     span = ctx._pk.span
-    mask = (1 << span) - 1
     gm, gn = len(M._gens), len(N._gens)
     dm, dn = M.gen_degrees(), N.gen_degrees()
     rank = gm * gn
     shifts = tuple(dm[i] + dn[j] for i in range(gm) for j in range(gn))
-    rels = []
-    # u (x) e_j: u_i at position i * gn + j, key prefix (gm-1-i) * gn + gn-1-j
-    for u in M.syzygies():
-        for j in range(gn):
-            rels.append(Vec({(((key >> span) * gn + gn - 1 - j) << span) | (key & mask): c
-                             for key, c in u.items()}))
+    # u (x) e_j: u_i at position i * gn + j
+    rels = [_spread(u, gn, j, span) for u in M.syzygies() for j in range(gn)]
     for v in N.syzygies():  # e_i (x) v: v_j at position i * gn + j
         for i in range(gm):
             rels.append(_moved(v, ((gm - 1 - i) * gn) << span))
@@ -476,16 +486,10 @@ def tensor_map(f, N):
     """f (x) id_N for f a ModuleMap."""
     src = tensor(f.source, N)
     tgt = tensor(f.target, N)
-    gn = len(N._gens)
-    mat = []
-    for j in range(len(f.source._gens)):
-        for b in range(gn):
-            col = [f.target.ctx.zero()] * (len(f.target._gens) * gn)
-            for i, entry in enumerate(f.mat[j]):
-                if entry:
-                    col[i * gn + b] = entry
-            mat.append(col)
-    return ModuleMap(src, tgt, mat, f.degree, check=False), src, tgt
+    gn, span = len(N._gens), N.ctx._pk.span
+    # source generator (j, b) goes to f's column j (x) e_b
+    cols = [_spread(col, gn, b, span) for col in f.cols for b in range(gn)]
+    return ModuleMap(src, tgt, cols, f.degree, check=False), src, tgt
 
 
 def _hom_sum(N, degs):
@@ -502,19 +506,12 @@ def _dual_map(N, src_degs, tgt_degs, rows):
     """Hom(d, N) for the matrix d: F' -> F given by its rows, Vecs over the
     basis of F', one per basis element of F: the map ⊕ N(src) -> ⊕ N(tgt),
     phi -> phi o d."""
-    gn = len(N._gens)
+    gn, span = len(N._gens), N.ctx._pk.span
     H0 = _hom_sum(N, src_degs)
     H1 = _hom_sum(N, tgt_degs)
-    mat = []
-    for row in rows:
-        entries = _polys(N.ctx, row, len(tgt_degs))
-        for a in range(gn):
-            col = [N.ctx.zero()] * (len(tgt_degs) * gn)
-            for k, c in enumerate(entries):
-                if c:
-                    col[k * gn + a] = c
-            mat.append(col)
-    return ModuleMap(H0, H1, mat, check=False), H0, H1
+    # generator a of block b goes to generator a of each block k, times row b's entry k
+    cols = [_spread(row, gn, a, span) for row in rows for a in range(gn)]
+    return ModuleMap(H0, H1, cols, check=False), H0, H1
 
 
 def hom_module(M, N):
@@ -543,38 +540,32 @@ def _hom_module(M, N):
 
 
 def _hom_converter(M, N, incl=None):
-    gm, gn = len(M._gens), len(N._gens)
+    gm, gn, span = len(M._gens), len(N._gens), M.ctx._pk.span
 
     def element_as_map(coords, degree=0):
-        """Rebuild a Hom element (coordinates over H's generators) as a map."""
-        if incl is not None:
-            flat = incl.apply_coords(coords)
-        else:
-            flat = coords
-        mat = []
-        for j in range(gm):
-            mat.append(tuple(flat[j * gn + a] for a in range(gn)))
-        return ModuleMap(M, N, mat, degree, check=False)
+        """Rebuild a Hom element (coordinates over H's generators) as a map:
+        block j of its coordinates over ⊕ N(d_j) is column j."""
+        flat = incl.apply_coords(coords) if incl is not None else coords
+        return ModuleMap(M, N, _split(flat, gm, gn, span), degree, check=False)
 
     return element_as_map
 
 
-def _hom_element(N, mat):
-    """Ambient Vec of the element of Hom(-, N) whose map has matrix mat
-    (one column of N-generator coordinates per source generator)."""
-    return _stacked([N.coords_to_ambient(col) for col in mat], N.rank, N.ctx._pk.span)
+def _hom_element(N, cols):
+    """Ambient Vec of the element of Hom(-, N) whose map has these columns
+    (one coordinate Vec over N's generators per source generator)."""
+    return _stacked([N.coords_to_ambient(col) for col in cols], N.rank, N.ctx._pk.span)
 
 
 def hom_induced_post(f, K):
     """Hom(K, f): Hom(K, source) -> Hom(K, target) by postcomposition."""
     HS, conv_s = hom_module(K, f.source)
     HT, _ = hom_module(K, f.target)
-    mat = []
-    for j in range(len(HS._gens)):
-        phi = conv_s(_unit(HS.ctx, len(HS._gens), j), degree=HS.gen_degrees()[j])
-        comp = f.compose(phi)  # K -> target
-        mat.append(HT.express_in_gens(_hom_element(f.target, comp.mat)))
-    return ModuleMap(HS, HT, mat, f.degree, check=False), HS, HT
+    cols = []
+    for unit, d in zip(_units(HS.ctx, len(HS._gens)), HS.gen_degrees()):
+        comp = f.compose(conv_s(unit, degree=d))  # K -> target
+        cols.append(HT.express_in_gens(_hom_element(f.target, comp.cols)))
+    return ModuleMap(HS, HT, cols, f.degree, check=False), HS, HT
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +574,14 @@ def hom_induced_post(f, K):
 
 def minimize(M):
     """Minimal-generator copy of M with the comparison maps (proj, incl)."""
-    ctx = M.ctx
     if not M._gens:
         return M, identity_map(M), identity_map(M)
     from . import homalg
 
     res = homalg.free_resolution(M, 0)
     Mmin = homalg.level_module(M, res, 0)
-    incl_mat = [_unit(ctx, len(M._gens), i) for i in res.kept]
-    incl = ModuleMap(Mmin, M, incl_mat, check=False)
+    units = _units(M.ctx, len(M._gens))
+    incl = ModuleMap(Mmin, M, [units[i] for i in res.kept], check=False)
     sols, _ = lift_columns(Mmin, M._gens)
     if sols is None:
         raise InternalConsistencyError("minimization lost a generator")
@@ -600,8 +590,9 @@ def minimize(M):
 
 
 def lift_columns(M, vectors):
-    """Each ambient Vec's coordinates over M's generators, by ``express_in_gens``:
-    (coordinates, None), or (None, j) for the first vector j outside M."""
+    """Each ambient Vec's coordinate Vec over M's generators, by
+    ``express_in_gens``: (coordinates, None), or (None, j) for the first
+    vector j outside M."""
     out = []
     for j, vec in enumerate(vectors):
         try:

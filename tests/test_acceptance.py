@@ -42,7 +42,6 @@ from liaison.linkage import (
     reflexive_epi,
 )
 from liaison.modules import (
-    ModuleMap,
     annihilator,
     colon,
     cyclic_module,
@@ -56,7 +55,7 @@ from liaison.modules import (
 )
 from liaison.ring import make_ring, parse_poly, render_poly
 
-from tests.polyref import buchberger
+from tests.polyref import buchberger, coords, matrix, poly_map
 
 SUITE_START = time.monotonic()
 WINDOW = (-4, 7)  # 12 degrees
@@ -168,7 +167,7 @@ def test_criterion_03_linkage_criterion_vs_unmixedness(S1, S2, S4):
     # k + R over F101[x]: grade 0, embedded maximal ideal -> mixed
     k_plus_R, _, projs = direct_sum(cyclic_module(S1, [P(S1, "x")]), free_module(S1, 1))
     F2 = free_module(S1, 2)
-    phi = ModuleMap(F2, k_plus_R, [[S1.one(), S1.zero()], [S1.zero(), S1.one()]])
+    phi = poly_map(F2, k_plus_R, [[S1.one(), S1.zero()], [S1.zero(), S1.one()]])
     cases.append((reflexive_epi(phi, R1(S1), "Pn"), False))
     cases.append((reflexive_epi(natural_cyclic_epi(S3, [P(S3, "x^2"), P(S3, "x*y")], [P(S3, "x^2")]), R1(S3), "Pn"), False))
     agree = 0
@@ -350,17 +349,15 @@ def test_criterion_12_homological_consistency(S2, S4):
     A = cyclic_module(ctx, [P(ctx, "x^3")])
     B = cyclic_module(ctx, [P(ctx, "x^2")])
     C = cyclic_module(ctx, [P(ctx, "x")])
-    f = ModuleMap(A, B, [[ctx.one()]])
-    g = ModuleMap(B, C, [[ctx.one()]])
+    f = poly_map(A, B, [[ctx.one()]])
+    g = poly_map(B, C, [[ctx.one()]])
     lhs = ext_induced(1, g.compose(f), R1)
     rhs = ext_induced(1, f, R1).compose(ext_induced(1, g, R1))
-    for c1, c2 in zip(lhs.mat, rhs.mat):
+    n = len(lhs.target._gens)
+    for c1, c2 in zip(matrix(lhs), matrix(rhs)):
         for a, b in zip(c1, c2):
             assert a == b or lhs.target.element_is_zero(
-                tuple(
-                    (a - b) if i == 0 else ctx.zero()
-                    for i in range(len(lhs.target.gens))
-                )
+                coords(ctx, tuple((a - b) if i == 0 else ctx.zero() for i in range(n)), n)
             )
     report(12, True, "AB, Grothendieck band, and Ext functoriality: zero violations")
 

@@ -30,7 +30,6 @@ from liaison.linkage import (
     reflexive_epi,
 )
 from liaison.modules import (
-    ModuleMap,
     annihilator,
     cyclic_module,
     direct_sum,
@@ -38,6 +37,8 @@ from liaison.modules import (
     is_iso,
 )
 from liaison.ring import make_ring, parse_poly, render_poly
+
+from tests.polyref import poly_map
 
 
 def P(ctx, s):
@@ -295,7 +296,7 @@ def test_pk_dimension_of_K_mod_parameter(semigroup345, omega345):
     x = P(ctx, "x")
     from liaison.modules import cokernel, twist
 
-    mul = ModuleMap(twist(om, -3), om, [[x if i == j else ctx.zero() for i in range(len(om.gens))] for j in range(len(om.gens))], check=False)
+    mul = poly_map(twist(om, -3), om, [[x if i == j else ctx.zero() for i in range(len(om.gens))] for j in range(len(om.gens))], check=False)
     Q, _ = cokernel(mul)
     v, val = pk_dimension(Q, om, 3)
     assert v.holds() and val == 1

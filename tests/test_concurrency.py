@@ -13,19 +13,24 @@ from liaison.homalg import (
     lift_chain_map,
     tor_vanishes,
 )
-from liaison.linkage import canonical_module
+from liaison.linkage import canonical_module, homothety_map
 from liaison.modules import (
     annihilator,
     colon,
     cyclic_module,
     free_module,
     grade,
+    hom_induced_post,
+    hom_module,
     identity_map,
+    is_iso,
+    kernel,
     subquotient,
+    tensor_map,
 )
 from liaison.ring import make_ring, parse_poly, render_poly
 
-from tests.polyref import express, tracked_engine, vec_combine
+from tests.polyref import column_relations, express, poly_map, tracked_engine, vec_combine
 
 THREADS = 8
 ROUNDS = 3
@@ -143,12 +148,12 @@ def test_module_engine_across_threads():
     # one engine per module presentation, stored once and only ever read
     M0, vectors = module_with_vectors()
     coords = [express(M0, v) for v in vectors]
-    relations = M0.column_relations()
+    relations = column_relations(M0)
     for _ in range(ROUNDS):
         M, vectors = module_with_vectors()
         fresh = tracked_engine(M.ctx, list(M.gens), M.rank, M.shifts, M.rels)
         results = run_threads(lambda k: (express(M, vectors[k]),
-                                         M.column_relations(), M.gens_engine()))
+                                         column_relations(M), M.gens_engine()))
         eng = results[0][2]
         assert all(r[2] is eng for r in results)
         assert [r[0] for r in results] == coords
@@ -184,6 +189,47 @@ def test_level_engines_across_threads():
         assert len(engines) == 4
         assert all(len(e) == 4 and all(a is b for a, b in zip(e, engines))
                    for _, e in results)
+
+
+def map_work(M, K, g):
+    """Hom(K, M), each of its generators as a map phi: K -> M through the
+    converter, and g o phi with the maps it induces on K (x) - and Hom(K, -),
+    the latter composed with the homothety R -> Hom(K, K): their columns,
+    a kernel's Hilbert numerator and isomorphism tests."""
+    H, conv = hom_module(K, M)
+    theta = homothety_map(K)
+    out = []
+    for vec, d in zip(H._gens, H.gen_degrees()):
+        phi = conv(H.express_in_gens(vec), degree=d)
+        gphi = g.compose(phi)
+        post = hom_induced_post(gphi, K)[0]
+        tens = tensor_map(gphi, K)[0]
+        out.append((phi.cols, gphi.cols, post.compose(theta).cols, tens.cols,
+                    kernel(tens)[0].hilbert().numerator, is_iso(phi), is_iso(post)))
+    return out
+
+
+def module_and_map():
+    """The cold rank-2 module, the canonical module of its ring, and
+    multiplication by x on the module."""
+    M = module_with_vectors()[0]
+    R, n = M.ctx, len(M._gens)
+    x = R.var(0)
+    g = poly_map(M, M, [[x if i == j else R.zero() for i in range(n)] for j in range(n)],
+                 degree=3, check=False)
+    return M, canonical_module(R), g
+
+
+def test_maps_across_threads():
+    # a map's columns are shared Vecs that nothing writes
+    expected = map_work(*module_and_map())
+    assert len(expected) > 1 and any(row[0] for row in expected)
+    for _ in range(ROUNDS):
+        M, K, g = module_and_map()
+        before = [dict(col) for col in g.cols]
+        results = run_threads(lambda k: map_work(M, K, g))
+        assert all(r == expected for r in results)
+        assert [dict(col) for col in g.cols] == before
 
 
 def run_threads(task):

@@ -521,6 +521,42 @@ invariants I
         assert code == 1
 
 
+def test_inhomogeneous_spec_ideal(tmp_path):
+    # a spec ideal is not checked for homogeneity when it is parsed: the
+    # Groebner and colon operations take it as it is, and every operation
+    # that builds R/I refuses it
+    text = """
+[ring]
+p = 101
+vars = x, y, z
+
+[ideal I]
+gens = x^2 + y, x*z
+
+[ideal c]
+gens = x*z
+
+[ops]
+groebner I
+colon c I
+annihilator I
+invariants I
+regular_sequence I 1
+cyclic_link I c
+"""
+    f = tmp_path / "inhom.spec"
+    f.write_text(text)
+    out = tmp_path / "inhom.json"
+    code = main(["run", str(f), "--json-out", str(out)])
+    results = json.loads(out.read_text())["results"]
+    assert results[0]["data"] == {"reduced_gb": ["x^2 + y", "x*z", "y*z"]}
+    assert results[1]["data"] == {"colon": ["x*z"]}
+    for entry in results[2:]:
+        assert entry["ok"] is False, entry["op"]
+        assert entry["error"] == "column is not homogeneous", entry["op"]
+    assert code == 1
+
+
 def test_unexpected_exception_becomes_exit_three(monkeypatch, capsys):
     def broken(spec, name):
         raise RuntimeError("boom")

@@ -50,14 +50,15 @@ from .errors import (
     UnknownGallery,
     UnknownName,
 )
+from .groebner import _to_ideal
 from .modules import (
+    _cyclic_module,
     annihilator,
-    cyclic_module,
     free_module,
     invariants,
     subquotient,
 )
-from .ring import _LIMIT, DEFAULT_CHARACTERISTIC, make_ring, parse_poly, render_poly
+from .ring import _LIMIT, DEFAULT_CHARACTERISTIC, _ideal_strings, make_ring, parse_poly
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +201,9 @@ def parse_spec(text, p=None):
             if ring_ctx is None:
                 raise SpecSyntaxError("[ring] must come first", header_line)
             gens_text, lineno = kv.get("gens", ("", header_line))
-            ideals[ident] = [
+            ideals[ident] = _to_ideal(ring_ctx, [
                 _literal(ring_ctx, s, lineno) for s in gens_text.split(",") if s.strip()
-            ]
+            ])
         elif name.startswith("module "):
             ident = name.split(None, 1)[1]
             if ring_ctx is None:
@@ -291,17 +292,13 @@ def parse_spec(text, p=None):
 def _as_module(spec, name):
     if name in spec.modules:
         return spec.modules[name]
-    return cyclic_module(spec.ring, spec.ideals[name])
+    return _cyclic_module(spec.ring, spec.ideals[name])
 
 
 def _as_ideal(spec, name):
     if name in spec.ideals:
         return spec.ideals[name]
     raise UnknownName(f"{name!r} is not an ideal")
-
-
-def _ideal_strings(gens):
-    return [render_poly(g) for g in gens]
 
 
 @_operation
@@ -311,8 +308,8 @@ def op_invariants(spec, name):
 
 @_operation
 def op_groebner(spec, name):
-    gb = groebner.reduced_ideal_gb(spec.ring, _as_ideal(spec, name))
-    return {"reduced_gb": _ideal_strings(gb)}
+    gb = groebner.buchberger(_as_ideal(spec, name), spec.ring, 1)
+    return {"reduced_gb": _ideal_strings(spec.ring, gb.basis)}
 
 
 @_operation
@@ -340,21 +337,21 @@ def op_betti(spec, name, length: int):
 @_operation
 def op_colon(spec, a, b):
     got = modules.colon(_as_ideal(spec, a), _as_ideal(spec, b), spec.ring)
-    return {"colon": _ideal_strings(got)}
+    return {"colon": _ideal_strings(spec.ring, got)}
 
 
 @_operation
 def op_annihilator(spec, name):
-    return {"annihilator": _ideal_strings(annihilator(_as_module(spec, name)))}
+    return {"annihilator": _ideal_strings(spec.ring, annihilator(_as_module(spec, name)))}
 
 
 @_operation
 def op_cyclic_link(spec, iname, cname):
     K = spec.resolve_K()
-    linked = linkage.cyclic_link(
+    linked = linkage._cyclic_link(
         spec.ring, _as_ideal(spec, iname), _as_ideal(spec, cname), K
     )
-    return {"annihilator": _ideal_strings(annihilator(linked))}
+    return {"annihilator": _ideal_strings(spec.ring, annihilator(linked))}
 
 
 def _cyclic_epi(spec, iname, cname):
@@ -411,7 +408,7 @@ def op_canonical_info(spec):
     omin, _, _ = minimize(om)
     return {
         "min_generators": len(omin._gens),
-        "annihilator": _ideal_strings(annihilator(om)),
+        "annihilator": _ideal_strings(spec.ring, annihilator(om)),
         "presentation": omin.to_json(),
     }
 
@@ -436,11 +433,10 @@ def op_schenzel(spec, iname, cname, t: int):
     K = spec.resolve_K()
     I = _as_ideal(spec, iname)
     c = _as_ideal(spec, cname)
-    M = cyclic_module(spec.ring, I)
-    linked = linkage.cyclic_link(spec.ring, I, c, K)
-    N = cyclic_module(spec.ring, annihilator(linked))
-    n = linkage.grade_of_ideal(spec.ring, I)
-    v = cohomology.schenzel_check(M, N, K, n, c, t)
+    M = _cyclic_module(spec.ring, I)
+    linked = linkage._cyclic_link(spec.ring, I, c, K)
+    N = _cyclic_module(spec.ring, annihilator(linked))
+    v = cohomology.schenzel_check(M, N, K, modules.grade(M), c, t)
     return {"verdict": v.to_json(), "t": t}
 
 
@@ -449,9 +445,9 @@ def op_duality(spec, iname, cname, i: int):
     K = spec.resolve_K()
     I = _as_ideal(spec, iname)
     c = _as_ideal(spec, cname)
-    M = cyclic_module(spec.ring, I)
-    linked = linkage.cyclic_link(spec.ring, I, c, K)
-    N = cyclic_module(spec.ring, annihilator(linked))
+    M = _cyclic_module(spec.ring, I)
+    linked = linkage._cyclic_link(spec.ring, I, c, K)
+    N = _cyclic_module(spec.ring, annihilator(linked))
     v = cohomology.duality_check(M, N, [i], spec.window)
     return {"verdict": v.to_json(), "index": i}
 
@@ -473,7 +469,7 @@ def op_self_link_sum(spec, name):
     res = linkage.link_operator(e)
     lo, hi = spec.window
     return {
-        "linked_annihilator": _ideal_strings(annihilator(res.linked_module)),
+        "linked_annihilator": _ideal_strings(spec.ring, annihilator(res.linked_module)),
         "self_link_hf_match": all(
             res.linked_module.hf(d) == M.hf(d) for d in range(lo, hi + 1)
         ),
@@ -506,7 +502,7 @@ def op_colink(spec, iname, cname):
     lo, hi = spec.window
     return {
         "colinked_presentation": col.to_json(),
-        "annihilator_gb": _ideal_strings(annihilator(col)),
+        "annihilator_gb": _ideal_strings(spec.ring, annihilator(col)),
         "hf": [{"degree": d, "value": col.hf(d)} for d in range(lo, hi + 1)],
         "bass_certificate": colinkage.class_member(
             "Bass", ce.phi.source, K, spec.bound
@@ -523,14 +519,13 @@ def op_adjoint_transfer(spec, iname, cname):
     lo, hi = spec.window
     M = e.phi.target
     col, _ = colinkage.colink_operator(ce)
-    closed = linkage.cyclic_link(
+    closed = linkage._cyclic_link(
         spec.ring, _as_ideal(spec, iname), _as_ideal(spec, cname), K
     )
     return {
         "forward_tag": ce.category_tag,
         "is_colinked": colinkage.is_colinked_by(ce),
-        "colink_matches_closed_form": _ideal_strings(annihilator(col))
-        == _ideal_strings(annihilator(closed)),
+        "colink_matches_closed_form": annihilator(col) == annihilator(closed),
         "roundtrip_hf_match": all(
             back.phi.target.hf(d) == M.hf(d) for d in range(lo, hi + 1)
         ),
@@ -558,14 +553,14 @@ def op_horizontal(spec, name):
     lam = linkage.horizontal_link(M)
     return {
         "is_horizontally_linked": linkage.is_horizontally_linked(M),
-        "lambda_annihilator": _ideal_strings(annihilator(lam)),
+        "lambda_annihilator": _ideal_strings(spec.ring, annihilator(lam)),
     }
 
 
 @_operation
 def op_regular_sequence(spec, name, n: int):
     seq = homalg.regular_sequence_in_ideal(spec.ring, _as_ideal(spec, name), n)
-    return {"sequence": [render_poly(f) for f in seq]}
+    return {"sequence": _ideal_strings(spec.ring, seq)}
 
 
 def _contains_failed_verdict(data):

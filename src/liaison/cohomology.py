@@ -132,7 +132,8 @@ def ring_type(ctx, depth=None):
 
 
 def schenzel_check(M, N, K, n, c_seq, t):
-    """Serre-condition level of M against the cohomology band of N.
+    """Serre-condition level of M against the cohomology band of N, for c
+    a regular sequence of Vecs.
 
     Both sides are evaluated independently: the torsionfreeness proxy of M
     over R/(c) with the moved semidualizing module, and the vanishing of

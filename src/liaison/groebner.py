@@ -46,8 +46,10 @@ form one loop popping keys from a heap (Monagan-Pearce, CASC 2007).  A
 certificate rides in its vector's dict, under negative keys, and a syzygy
 is a vector of its own rank-``track`` engine, as in a Schreyer frame
 (Erocal-Motsak-Schreyer-Steenpass, JSC 2016).  Modules hold such vectors
-as ``Vec``s, so engines take and give nothing else: ``_to_internal`` and
-``_polys`` convert ``Poly`` columns only where they are parsed or printed.
+as ``Vec``s, and an ideal is a tuple of Vecs of rank 1, so engines take and
+give nothing else: ``_to_internal`` and ``_polys`` convert ``Poly`` columns
+only where they are parsed or printed, and where the exported API takes
+``Poly`` generators.
 Each pair's and each input's degree is checked against the encoding's limit
 less the lowest shift, so for graded input no monomial the engine forms
 overflows into the position.
@@ -95,6 +97,12 @@ def _to_internal(ctx, vec, rank):
         prefix = (rank - 1 - pos) << span
         out.update({prefix | mono: c for mono, c in f.terms.items()})
     return out
+
+
+def _to_ideal(ctx, polys):
+    """An ideal as the package holds it: its nonzero Poly generators as
+    Vecs of rank 1, whose keys are the monomials."""
+    return tuple(_to_internal(ctx, (f,), 1) for f in polys if f)
 
 
 def _polys(ctx, vec, count):
@@ -506,12 +514,6 @@ def buchberger(columns, ctx, rank, shifts=None):
         return eng
 
     return _memo(ctx, ("buchberger", rank, shifts, columns), compute)
-
-
-def reduced_ideal_gb(ctx, polys):
-    """Reduced Groebner basis of an ideal (rank-1 case), as a list of Poly."""
-    eng = buchberger([_to_internal(ctx, (f,), 1) for f in polys if f], ctx, 1)
-    return [Poly(ctx, dict(vec)) for vec in eng.basis]  # rank 1: keys are monomials
 
 
 def tracked_engine(ctx, columns, rank, shifts, degrees, extra=()):

@@ -37,11 +37,11 @@ non-Gorenstein R they need not stop at all.  K is recognized as the module
 R passed the CM check.
 
 ``change_of_rings`` is the one change of rings: for a regular sequence x
-it builds R/(x) from the polynomials themselves, stores it for R under the
-sorted rendered sequence, and moves K to Ext^n(R/(x), K).  The quotient
-route of the bidual obstructions and ``cohomology.schenzel_check`` both
-call it, so every caller passing to R/(x) with the same x shares one ring
-and every result cached over it.
+of Vecs it builds R/(x), stores it for R under the multiset of x, and
+moves K to Ext^n(R/(x), K).  The quotient route of the bidual obstructions
+and ``cohomology.schenzel_check`` both call it, so every caller passing to
+R/(x) with the same x, in any order, shares one ring and every result
+cached over it.
 
 Both complexes follow one degree convention, Hom(R(-d), N) = N(d) and
 R(-d) (x) N = N(-d), so every term is a block sum ⊕ N(d_b) and
@@ -55,7 +55,7 @@ relations the image engine of the map into it, interreduced.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import partial
 
 from . import groebner, modules
@@ -68,11 +68,12 @@ from .errors import (
     RegularSequenceNotFound,
     RingMismatch,
 )
-from .groebner import HilbertData, _add_series, _axpy, _lead_degree
-from .ring import _LIMIT, _memo, _memoized, _overflow, make_ring, render_poly
+from .groebner import HilbertData, Vec, _add_series, _axpy, _lead_degree
+from .ring import _LIMIT, _memo, _memoized, _overflow, make_ring
 from .modules import (
     GradedModule,
     ModuleMap,
+    _cyclic_module,
     _dual_map,
     _hom_sum,
     _split,
@@ -80,7 +81,6 @@ from .modules import (
     _subquotient,
     _transpose,
     cokernel,
-    cyclic_module,
     free_module,
     image,
     kernel,
@@ -196,7 +196,13 @@ def restrict_scalars(M):
 
 
 def residue_field(ctx):
-    return _memo(ctx, "residue_field", lambda: cyclic_module(ctx, ctx.gens()))
+    """R/(x_1..x_m); a weight at the monomial limit is refused, as
+    ``RingCtx.var`` refuses it."""
+    for w in ctx.weights:
+        if w >= _LIMIT:
+            raise _overflow(w)
+    return _memo(ctx, "residue_field", lambda: _cyclic_module(
+        ctx, tuple(Vec({unit: 1}) for unit in ctx._pk.units)))
 
 
 def ambient_pd(M):
@@ -562,23 +568,26 @@ def _obstruction_transpose(M, K, n, route):
 _MAX_SCALE = 3
 
 
-def regular_sequence_in_ideal(ctx, i_gens, n):
-    """Deterministic search for a regular sequence of length n inside I.
+def regular_sequence_in_ideal(ctx, ideal, n):
+    """Deterministic search for a regular sequence of length n inside an
+    ideal of Vecs, returned as a list of Vecs.
 
     Scalar combinations of the equal-degree generators are enumerated with
-    coefficients in {0, +-1, ..., +-s}, s escalating to _MAX_SCALE; every
-    prefix is verified exactly via the grade.
+    coefficients in {0, +-1, ..., +-s}, s escalating to _MAX_SCALE, and
+    added up by ``_axpy``.  A candidate f after the chosen regular sequence
+    is kept when R/(chosen, f) is nonzero of grade one more, which the
+    grade decides exactly.
     """
     import itertools
 
     if n < 0:
         raise InvalidInput(f"regular sequence length must be at least 0, got {n}")
-    i_gens = [ctx.lift_poly(f) for f in i_gens if f]
-    if not i_gens or modules.grade(cyclic_module(ctx, i_gens)) < n:
+    if not ideal or modules.grade(_cyclic_module(ctx, ideal)) < n:
         raise RegularSequenceNotFound(f"ideal has grade below {n}", budget=_MAX_SCALE)
     by_degree = {}
-    for f in i_gens:
-        by_degree.setdefault(f.homogeneous_degree(), []).append(f)
+    for f in ideal:
+        by_degree.setdefault(_lead_degree(ctx, f, (0,)), []).append(f)
+    p = ctx.p
     chosen = []
     for _ in range(n):
         found = None
@@ -589,13 +598,13 @@ def regular_sequence_in_ideal(ctx, i_gens, n):
                 for combo in itertools.product(coeffs, repeat=len(basis)):
                     if all(c == 0 for c in combo):
                         continue
-                    f = ctx.zero()
-                    for c, gpol in zip(combo, basis):
-                        if c:
-                            f = f + gpol.scale(c)
+                    f = Vec()
+                    for c, g in zip(combo, basis):
+                        if c % p:
+                            _axpy(f, -c % p, 0, g, p)  # f += c * g
                     if not f:
                         continue
-                    if modules.is_regular_sequence(ctx, chosen + [f]):
+                    if modules._extends_regular(ctx, chosen + [f]):
                         found = f
                         break
                 if found:
@@ -612,24 +621,24 @@ def regular_sequence_in_ideal(ctx, i_gens, n):
 
 
 def change_of_rings(ctx, x_seq, K):
-    """Pass to R/(x) for a regular sequence x; K moves to Ext^n(R/(x), K).
+    """Pass to R/(x) for a regular sequence x of Vecs; K moves to
+    Ext^n(R/(x), K).
 
-    R/(x) is stored for R under the sorted rendered sequence, so equal
-    sequences share one ring.  x is checked once, when R/(x) is built; a
-    homogeneous regular sequence stays regular in any order.
+    R/(x) is stored for R under the multiset of x, so sequences that differ
+    only in order share one ring.  x is checked once, when R/(x) is built;
+    a homogeneous regular sequence stays regular in any order.
     """
-    x_seq = [ctx.lift_poly(f) for f in x_seq if f]
     if not x_seq:
         return ctx, K
 
     def quotient_ring():
         if not modules.is_regular_sequence(ctx, x_seq):
             raise NotRegularSequence("the sequence is not regular")
-        return make_ring(ctx.p, ctx.names, ctx.defining + tuple(x_seq), ctx.weights)
+        defining = [Vec(g.terms) for g in ctx.defining]
+        return make_ring(ctx.p, ctx.names, defining + list(x_seq), ctx.weights)
 
-    key = ("quotient_ring",) + tuple(sorted(render_poly(f) for f in x_seq))
-    ctx2 = _memo(ctx, key, quotient_ring)
-    Rx = cyclic_module(ctx, x_seq)
+    ctx2 = _memo(ctx, ("quotient_ring", frozenset(Counter(x_seq).items())), quotient_ring)
+    Rx = _cyclic_module(ctx, x_seq)
     return ctx2, modules.transport(ext(len(x_seq), Rx, K), ctx2)
 
 

@@ -26,7 +26,7 @@ from .errors import (
     NotRegularSequence,
     ZeroModule,
 )
-from .groebner import _to_internal
+from .groebner import Vec, _lead_degree, _to_ideal
 from .homalg import (
     bidual_obstructions,
     ext,
@@ -38,14 +38,15 @@ from .homalg import (
 )
 from .modules import (
     ModuleMap,
+    _cyclic_module,
     _dual_map,
     _hom_element,
     _num,
+    _stacked,
     _units,
     annihilator,
     cokernel,
     colon,
-    cyclic_module,
     free_module,
     grade,
     hom_module,
@@ -60,7 +61,7 @@ from .modules import (
     transport,
     twist,
 )
-from .ring import _memo, render_poly
+from .ring import _ideal_strings, _memo
 
 
 def default_bound(ctx):
@@ -99,7 +100,7 @@ def canonical_module(ctx):
 def _canonical_module(ctx, wsum):
     amb = ctx.ambient()
     c = amb.m - ring_dim(ctx)
-    R_as_S = cyclic_module(amb, list(ctx.defining))
+    R_as_S = _cyclic_module(amb, tuple(Vec(g.terms) for g in ctx.defining))
     E = ext(c, R_as_S, free_module(amb, 1))
     return transport(twist(E, -wsum), ctx)
 
@@ -197,7 +198,8 @@ class LinkResult(
         lo, hi = -6, 6
         return {
             "linked_presentation": self.linked_module.to_json(),
-            "annihilator_gb": [render_poly(g) for g in annihilator(self.linked_module)],
+            "annihilator_gb": _ideal_strings(
+                self.linked_module.ctx, annihilator(self.linked_module)),
             "betti": {
                 f"{i},{d}": v
                 for (i, d), v in free_resolution(self.linked_module, 2).betti().items()
@@ -292,7 +294,7 @@ def double_link_check(e):
     M2 = second.linked_module
     lo, hi = -6, 6
     hf_match = all(M.hf(d) == M2.hf(d) for d in range(lo, hi + 1))
-    ann_match = _ideal_eq(annihilator(M), annihilator(M2), M.ctx)
+    ann_match = annihilator(M) == annihilator(M2)
     if E1.is_zero():
         if not (hf_match and ann_match):
             raise InternalConsistencyError(
@@ -311,39 +313,33 @@ def double_link_check(e):
     return verdict.fails(witness=f"kernel obstruction HF {delta}")
 
 
-def _ideal_eq(a, b, ctx):
-    return [render_poly(g) for g in a] == [render_poly(g) for g in b]
-
-
 # ---------------------------------------------------------------------------
 # cyclic (classical) linkage
 
 
-def grade_of_ideal(ctx, gens):
-    return grade(cyclic_module(ctx, gens))
-
-
 def cyclic_link(ctx, i_gens, c_gens, K):
-    """Theorem-backed link of R/I over the complete intersection c <= I.
+    """Theorem-backed link of R/I over the complete intersection c <= I,
+    for I and c given by Poly generators.
 
     Returns Kbar/(0 : Ibar) for Kbar = Ext^n(R/c, K).  When K is free of
     rank one the annihilator is additionally checked against the colon ideal
-    (c : I) computed independently.  Cached by value: the nonzero
-    generators of I and c, and K.
+    (c : I) computed independently.
     """
-    i_gens = tuple(ctx.lift_poly(f) for f in i_gens if f)
-    c_gens = tuple(ctx.lift_poly(f) for f in c_gens if f)
-    key = ("cyclic_link", i_gens, c_gens, K)
-    return _memo(ctx, key, lambda: _cyclic_link(ctx, i_gens, c_gens, K))
+    return _cyclic_link(ctx, _to_ideal(ctx, i_gens), _to_ideal(ctx, c_gens), K)
 
 
 def _cyclic_link(ctx, i_gens, c_gens, K):
-    RI = cyclic_module(ctx, i_gens)
-    c_vecs = [_to_internal(ctx, (g,), 1) for g in c_gens]
-    if not all(RI.rels_gb().contains(v) for v in c_vecs):
+    """``cyclic_link`` of ideals of Vecs, cached by value: I, c and K."""
+    key = ("cyclic_link", i_gens, c_gens, K)
+    return _memo(ctx, key, lambda: _link_by_ideal(ctx, i_gens, c_gens, K))
+
+
+def _link_by_ideal(ctx, i_gens, c_gens, K):
+    RI = _cyclic_module(ctx, i_gens)
+    if not all(RI.rels_gb().contains(v) for v in c_gens):
         raise InvalidInput("c is not contained in I")
-    c_gb = groebner.buchberger(c_vecs, ctx, 1)
-    if all(c_gb.contains(_to_internal(ctx, (f,), 1)) for f in i_gens):
+    c_gb = groebner.buchberger(c_gens, ctx, 1)
+    if all(c_gb.contains(f) for f in i_gens):
         raise EqualIdeals("c equals I; the link would be degenerate")
     n = grade(RI)
     if len(c_gens) != n:
@@ -352,13 +348,10 @@ def _cyclic_link(ctx, i_gens, c_gens, K):
         )
     if not is_regular_sequence(ctx, c_gens):
         raise NotRegularSequence("the given generators of c are not regular")
-    Rc = cyclic_module(ctx, c_gens)
-    Kbar = ext(n, Rc, K)
+    Kbar = ext(n, _cyclic_module(ctx, c_gens), K)
     linked = annihilate_quotient(Kbar, i_gens)
-    if len(K._gens) == 1 and annihilator(K) == groebner.reduced_ideal_gb(ctx, []):
-        expected = colon(c_gens, i_gens, ctx)
-        got = annihilator(linked)
-        if [render_poly(g) for g in expected] != [render_poly(g) for g in got]:
+    if len(K._gens) == 1 and annihilator(K) == tuple(groebner.buchberger((), ctx, 1).basis):
+        if colon(c_gens, i_gens, ctx) != annihilator(linked):
             raise InternalConsistencyError(
                 "annihilator of the cyclic link differs from the colon ideal"
             )
@@ -366,15 +359,16 @@ def _cyclic_link(ctx, i_gens, c_gens, K):
 
 
 def annihilate_quotient(Kbar, i_gens):
-    """Kbar / (0 :_Kbar I) for an ideal I.
+    """Kbar / (0 :_Kbar I) for a homogeneous ideal I of Vecs.
 
     The colon submodule is the kernel of x -> (f*x)_f into the direct sum of
     Kbar twisted up by the generator degrees (so the map has degree zero).
     """
-    degs = [f.homogeneous_degree() for f in i_gens]
+    ctx = Kbar.ctx
+    degs = [_lead_degree(ctx, f, (0,)) for f in i_gens]
     # x -> (f*x)_f is Hom(d, Kbar) for the row d = (f_1 .. f_r); its source
     # Hom(R, Kbar) is Kbar itself, kept so that Kbar's cached data is reused
-    h, _, target = _dual_map(Kbar, [0], degs, [_to_internal(Kbar.ctx, i_gens, len(i_gens))])
+    h, _, target = _dual_map(Kbar, [0], degs, [_stacked(i_gens, 1, ctx._pk.span)])
     mult = ModuleMap(Kbar, target, h.cols, check=False)
     Kc, incl = kernel(mult)
     Q, _ = cokernel(incl)
@@ -438,7 +432,7 @@ def liaison_walk(epis, window=(-6, 6)):
         if k > 0:
             prev_linked = results[-1].linked_module
             cur = e.phi.target
-            same_ann = _ideal_eq(annihilator(prev_linked), annihilator(cur), cur.ctx)
+            same_ann = annihilator(prev_linked) == annihilator(cur)
             same_hf = all(
                 prev_linked.hf(d) == cur.hf(d)
                 for d in range(window[0], window[1] + 1)
@@ -484,14 +478,16 @@ def liaison_walk(epis, window=(-6, 6)):
 
 
 def natural_cyclic_epi(ctx, i_gens, c_gens, twist_by=0):
-    """The natural surjection R/c ->> R/I for c <= I (optionally twisted)."""
-    X = cyclic_module(ctx, c_gens, twist_by)
-    M = cyclic_module(ctx, i_gens, twist_by)
+    """The natural surjection R/c ->> R/I for ideals c <= I of Vecs
+    (optionally twisted)."""
+    X = _cyclic_module(ctx, c_gens, twist_by)
+    M = _cyclic_module(ctx, i_gens, twist_by)
     return ModuleMap(X, M, _units(ctx, 1))
 
 
 def build_cyclic_walk(ctx, i_gens, c_gens, K, steps=2, tag="Pn", bound=None):
-    """Chain of cyclic links I ~ (c:I) ~ ... with twist-matched steps.
+    """Chain of cyclic links I ~ (c:I) ~ ... with twist-matched steps, for
+    ideals of Vecs.
 
     Linked modules come with a degree shift inherited from Ext^n(R/c, K);
     each subsequent image module is built with the matching twist so the
@@ -499,7 +495,7 @@ def build_cyclic_walk(ctx, i_gens, c_gens, K, steps=2, tag="Pn", bound=None):
     pass on the nose.
     """
     epis = []
-    current = list(i_gens)
+    current = i_gens
     tw = 0
     for k in range(steps):
         e = reflexive_epi(

@@ -3,11 +3,13 @@
 A module is (im gens + im rels)/(im rels) inside R^rank with degree shifts,
 its generators and relations ``Vec``s of its rank (see ``groebner``), as is
 every ambient vector: ``subquotient`` parses ``Poly`` columns once, and
-``gens``, ``rels`` and ``to_json`` print them back.  A block of a direct sum
-is a key shift.  Coordinates over n generators (a map's columns, the
-``syzygies`` that are a resolution's differentials, the lifts of
-``express_in_gens``) are Vecs of rank n, generator j under the key prefix
-n - 1 - j, so a tensor, Hom or dual map is built by moving keys
+``gens``, ``rels`` and ``to_json`` print them back.  An ideal is a tuple of
+Vecs of rank 1 (``annihilator`` and ``colon`` give one, ``_cyclic_module``
+takes one); the exported ``cyclic_module`` takes ``Poly`` generators.  A
+block of a direct sum is a key shift.  Coordinates over n generators (a
+map's columns, the ``syzygies`` that are a resolution's differentials, the
+lifts of ``express_in_gens``) are Vecs of rank n, generator j under the key
+prefix n - 1 - j, so a tensor, Hom or dual map is built by moving keys
 (``_spread``, ``_split``) and applied by ``vec_combine``; no ``Poly``
 product is formed.  Generators are stored exactly as passed, so the column
 indices of maps stay stable; ``minimize`` produces the pruned copy with the
@@ -30,8 +32,8 @@ from .errors import (
     InvalidInput,
     RingMismatch,
 )
-from .groebner import Vec, _axpy, _lead_degree, _polys, _to_internal
-from .ring import _LIMIT, Poly, _memo, _overflow, render_poly
+from .groebner import Vec, _axpy, _lead_degree, _polys, _to_ideal, _to_internal
+from .ring import _LIMIT, _memo, _overflow, render_poly
 
 
 def vec_combine(columns, coords, ctx):
@@ -231,19 +233,22 @@ class GradedModule:
 # constructors
 
 
+def _check_homogeneous(ctx, vec, shifts):
+    """Refuse a Vec of rank ``len(shifts)`` with terms of two degrees."""
+    pk = ctx._pk
+    mask, last = pk.top - 1, len(shifts) - 1
+    if len({((key & mask) >> pk.shift) + shifts[last - (key >> pk.span)] for key in vec}) > 1:
+        raise InhomogeneousInput("column is not homogeneous")
+
+
 def _validated_columns(ctx, cols, rank, shifts):
     """Poly columns as nonzero Vecs, checked for length and homogeneity."""
-    pk = ctx._pk
-    mask = pk.top - 1
     out = []
     for col in cols:
         if len(col) != rank:
             raise InvalidInput("column length does not match ambient rank")
         vec = _to_internal(ctx, col, rank)
-        degs = {((key & mask) >> pk.shift) + shifts[rank - 1 - (key >> pk.span)]
-                for key in vec}
-        if len(degs) > 1:
-            raise InhomogeneousInput("column is not homogeneous")
+        _check_homogeneous(ctx, vec, shifts)
         if vec:
             out.append(vec)
     return out
@@ -284,9 +289,15 @@ def free_module(ctx, rank, shifts=None):
 
 
 def cyclic_module(ctx, ideal_gens, twist_by=0):
-    """R/I as a rank-1 subquotient."""
-    rels = [(f,) for f in ideal_gens if f]
-    return subquotient(ctx, [(ctx.one(),)], rels, (-twist_by,), 1)
+    """R/I as a rank-1 subquotient, for I given by Poly generators."""
+    return _cyclic_module(ctx, _to_ideal(ctx, ideal_gens), twist_by)
+
+
+def _cyclic_module(ctx, ideal, twist_by=0):
+    """``cyclic_module`` of an ideal of Vecs, each checked to be homogeneous."""
+    for f in ideal:
+        _check_homogeneous(ctx, f, (0,))
+    return _subquotient(ctx, 1, (-twist_by,), _units(ctx, 1), ideal)
 
 
 def zero_module(ctx):
@@ -607,30 +618,28 @@ def lift_columns(M, vectors):
 
 
 def annihilator(M):
-    """ann(M) as a reduced Groebner basis (cached): the column relations of
-    the one element v = (g_1, ..., g_n) of ⊕_j M(deg g_j), homogeneous of
-    degree 0, since r*v = 0 exactly when r kills every generator."""
-    return list(_memo(M, "annihilator", lambda: tuple(_annihilator(M))))
+    """ann(M), an ideal of Vecs forming its reduced Groebner basis (cached):
+    the column relations of the one element v = (g_1, ..., g_n) of
+    ⊕_j M(deg g_j), homogeneous of degree 0, since r*v = 0 exactly when r
+    kills every generator."""
+    return _memo(M, "annihilator", lambda: _annihilator(M))
 
 
 def _annihilator(M):
     ctx = M.ctx
     if not M._gens:
-        return groebner.reduced_ideal_gb(ctx, [ctx.one()])
+        return tuple(groebner.buchberger(_units(ctx, 1), ctx, 1).basis)
     B = _hom_sum(M, M.gen_degrees())
     v = _stacked(M._gens, M.rank, ctx._pk.span)
     # the raw syzygies, of rank 1: any generating set gives the reduced basis
     eng = GradedModule(ctx, B.rank, B.shifts, [v], B._rels).gens_engine()
-    gb = groebner.buchberger([Vec(u) for u in eng.syzygies], ctx, 1)
-    return [Poly(ctx, dict(u)) for u in gb.basis]
+    return tuple(groebner.buchberger([Vec(u) for u in eng.syzygies], ctx, 1).basis)
 
 
 def colon(i_gens, j_gens, ctx):
-    """(I : J) = ann((I + J)/I) as a reduced Groebner basis over R (cached
-    by value, with the annihilator)."""
-    gens = [_to_internal(ctx, (f,), 1) for f in j_gens if f]
-    rels = [_to_internal(ctx, (f,), 1) for f in i_gens if f]
-    return annihilator(GradedModule(ctx, 1, (0,), gens, rels))
+    """(I : J) = ann((I + J)/I) for ideals of Vecs, as ``annihilator`` gives
+    it (cached by value, with the annihilator)."""
+    return annihilator(GradedModule(ctx, 1, (0,), j_gens, i_gens))
 
 
 def _num(v):
@@ -694,15 +703,16 @@ def _grade(M):
     raise InternalConsistencyError("grade exceeded dim R on a nonzero module")
 
 
+def _extends_regular(ctx, seq):
+    """Is R/(seq) nonzero, of grade len(seq)?  For a sequence of Vecs whose
+    proper prefixes are regular sequences, that says it is one too."""
+    Q = _cyclic_module(ctx, seq)
+    return not Q.is_zero() and grade(Q) == len(seq)
+
+
 def is_regular_sequence(ctx, seq):
-    """Prefix test: grade(f_1..f_k) = k for every k."""
-    for k in range(1, len(seq) + 1):
-        Q = cyclic_module(ctx, seq[:k])
-        if Q.is_zero():
-            return False
-        if grade(Q) != k:
-            return False
-    return True
+    """Prefix test on Vecs: grade(f_1..f_k) = k for every k."""
+    return all(_extends_regular(ctx, seq[:k]) for k in range(1, len(seq) + 1))
 
 
 def transport(M, ctx2):

@@ -26,7 +26,6 @@ import re
 
 from .errors import (
     DegreeOverflow,
-    InhomogeneousInput,
     LengthMismatch,
     NonPrimeCharacteristic,
     RingMismatch,
@@ -200,13 +199,6 @@ class RingCtx:
     def zero(self):
         return Poly(self, {})
 
-    def one(self):
-        return self.const(1)
-
-    def const(self, c):
-        c %= self.p
-        return Poly(self, {0: c} if c else {})
-
     def var(self, i):
         if self.weights[i] >= _LIMIT:
             raise _overflow(self.weights[i])
@@ -214,12 +206,6 @@ class RingCtx:
 
     def gens(self):
         return [self.var(i) for i in range(self.m)]
-
-    def monomial(self, exps, coeff=1):
-        coeff %= self.p
-        if not coeff:
-            return self.zero()
-        return Poly(self, {mono_from_exponents(exps, self.weights): coeff})
 
     # -- structural helpers --------------------------------------------------
 
@@ -235,14 +221,6 @@ class RingCtx:
             and self.names == other.names
             and self.weights == other.weights
         )
-
-    def lift_poly(self, f):
-        """Reinterpret a polynomial from a compatible context in this one."""
-        if f.ctx is self:
-            return f
-        if not self.same_polynomial_ring(f.ctx):
-            raise RingMismatch("polynomial from an incompatible ring")
-        return Poly(self, dict(f.terms))
 
     def is_graded(self):
         """True when the defining ideal is homogeneous, so R is graded.
@@ -353,11 +331,6 @@ class Poly:
         degs = {mono >> sh for mono in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_degree(self):
-        if not self.is_homogeneous():
-            raise InhomogeneousInput(f"{render_poly(self)} is not homogeneous")
-        return self.degree()
-
     def __repr__(self):
         return render_poly(self)
 
@@ -385,7 +358,7 @@ def parse_poly(ctx, text):
         return ctx.zero()
 
     name_index = {nm: i for i, nm in enumerate(ctx.names)}
-    result = ctx.zero()
+    terms = {}
     i = 0
     while i < len(tokens):
         sign = 1
@@ -422,8 +395,15 @@ def parse_poly(ctx, text):
             else:
                 raise ValueError(f"unknown variable {tok!r}")
             expect_factor = False
-        result = result + ctx.monomial(exps, coeff)
-    return result
+        coeff %= ctx.p
+        if coeff:
+            mono = mono_from_exponents(exps, ctx.weights)
+            coeff = (terms.get(mono, 0) + coeff) % ctx.p
+            if coeff:
+                terms[mono] = coeff
+            else:
+                del terms[mono]
+    return Poly(ctx, terms)
 
 
 def render_poly(f):
@@ -459,13 +439,21 @@ def render_poly(f):
     return out
 
 
+def _ideal_strings(ctx, ideal):
+    """An ideal's generators, rank-1 engine vectors keyed by the monomials,
+    rendered."""
+    return [render_poly(Poly(ctx, dict(f))) for f in ideal]
+
+
 # ---------------------------------------------------------------------------
 # ring construction
 
 
 def make_ring(p, names, defining=(), weights=None):
-    """Build R = F_p[names]/(defining); the defining ideal is replaced by its
-    reduced Groebner basis.  Contexts are immutable afterwards."""
+    """Build R = F_p[names]/(defining); the defining ideal, given by
+    polynomial literals or by rank-1 engine vectors (``groebner.Vec``, keyed
+    by the monomials), is replaced by its reduced Groebner basis.  Contexts
+    are immutable afterwards."""
     # the range first: trial division of a huge p would never return
     if not isinstance(p, int) or p >= 2**31 or not _is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p!r} is not a prime < 2^31")
@@ -478,19 +466,14 @@ def make_ring(p, names, defining=(), weights=None):
     ):
         raise ValueError("weights must be positive integers, one per variable")
     ctx = RingCtx(p, names, weights)
-    polys = []
-    for f in defining:
-        if isinstance(f, str):
-            f = parse_poly(ctx, f)
-        else:
-            f = ctx.lift_poly(f)
-        if f:
-            polys.append(f)
-    if not polys:
-        return ctx
     from . import groebner
 
-    gb = groebner.reduced_ideal_gb(ctx, polys)
+    ideal = [groebner.Vec(parse_poly(ctx, f).terms) if isinstance(f, str) else f
+             for f in defining]
+    ideal = [f for f in ideal if f]
+    if not ideal:
+        return ctx
+    gb = [Poly(ctx, dict(f)) for f in groebner.buchberger(ideal, ctx, 1).basis]
     if any(g.degree() == 0 for g in gb):
         raise ValueError("defining ideal is the whole ring")
     return RingCtx(p, names, weights, gb)

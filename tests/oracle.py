@@ -5,7 +5,7 @@ coefficient matrix of the generators' multiples, and Gauss-eliminate over
 F_p.  Slow but trustworthy; used to freeze expected values in the tests.
 """
 
-from liaison.ring import mono_exponents
+from liaison.ring import Poly, mono_exponents, mono_from_exponents
 
 
 def monomials_of_degree(ctx, d):
@@ -114,12 +114,13 @@ def hf_of_subquotient(ctx, rank, shifts, gens, rels, d):
 
 def random_homogeneous(ctx, degree, seed):
     """Deterministic pseudo-random homogeneous polynomial of given degree."""
-    f = ctx.zero()
+    terms = {}
     state = seed
     for exps in monomials_of_degree(ctx, degree):
         state = (state * 1103515245 + 12345) % (2**31)
-        f = f + ctx.monomial(exps, state % ctx.p)
-    return f
+        if state % ctx.p:
+            terms[mono_from_exponents(exps, ctx.weights)] = state % ctx.p
+    return Poly(ctx, terms)
 
 
 def is_member(ctx, rank, shifts, cols, vec):

@@ -1,9 +1,11 @@
 """Poly-level forms of the engine-vector API, for tests written with Poly.
 
-Modules, maps and engines take and give ``Vec``s (see ``liaison.groebner``);
-these helpers flatten Poly columns with ``_to_internal`` and read results
-back with ``_polys``, the two conversions the package keeps for parsing and
-printing.  ``vec_combine`` here is the Poly product sum the package used
+Modules, maps, ideals and engines take and give ``Vec``s (see
+``liaison.groebner``); these helpers flatten Poly columns with
+``_to_internal`` and read results back with ``_polys``, the two conversions
+the package keeps for parsing and printing.  An ideal is a tuple of Vecs of
+rank 1, whose keys are the monomials: ``ideal`` makes one from Poly
+generators, and ``ideal_polys`` and ``ideal_strings`` read one back.  ``vec_combine`` here is the Poly product sum the package used
 before its vectors were engine vectors, and ``PolyMap`` with the functions
 after it is the map layer as it was before a map's columns were Vecs: the
 reference the Vec map layer is tested against.
@@ -11,8 +13,36 @@ reference the Vec map layer is tested against.
 
 from liaison import groebner, modules
 from liaison.errors import InhomogeneousInput
-from liaison.groebner import _polys, _to_internal
+from liaison.groebner import _polys, _to_ideal, _to_internal
 from liaison.modules import GradedModule, ModuleMap
+from liaison.ring import Poly, mono_from_exponents, render_poly
+
+
+def one(ctx):
+    return Poly(ctx, {0: 1})
+
+
+def monomial(ctx, exps, coeff=1):
+    """coeff * x^exps, refused at the monomial limit unless coeff is 0 mod p."""
+    coeff %= ctx.p
+    return Poly(ctx, {mono_from_exponents(exps, ctx.weights): coeff} if coeff else {})
+
+
+# ---------------------------------------------------------------------------
+# ideals: tuples of Vecs of rank 1
+
+
+def ideal(ctx, polys):
+    """The ideal of these Poly generators, as the package holds it."""
+    return _to_ideal(ctx, polys)
+
+
+def ideal_polys(ctx, gens):
+    return [Poly(ctx, dict(f)) for f in gens]
+
+
+def ideal_strings(ctx, gens):
+    return [render_poly(f) for f in ideal_polys(ctx, gens)]
 
 
 def vec_is_zero(vec):
@@ -128,7 +158,7 @@ def matrix(f):
 
 def unit(ctx, n, i):
     """The Poly coordinates of generator i of n."""
-    return tuple(ctx.one() if k == i else ctx.zero() for k in range(n))
+    return tuple(one(ctx) if k == i else ctx.zero() for k in range(n))
 
 
 class PolyMap:

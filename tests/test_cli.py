@@ -557,6 +557,17 @@ cyclic_link I c
     assert code == 1
 
 
+def test_residue_field_refuses_a_weight_at_the_limit():
+    # no literal names x, but depth reads R/(x, y), whose x reaches the limit
+    text = MINIMAL.replace("vars = x", "vars = x, y\nweights = 1048576, 1").replace(
+        "gens = x", "gens = y")
+    report, code = run(parse_spec(text))
+    (entry,) = report["results"]
+    assert entry["ok"] is False
+    assert entry["error"] == "weighted degree 1048576 reaches the monomial limit 1048576"
+    assert code == 1
+
+
 def test_unexpected_exception_becomes_exit_three(monkeypatch, capsys):
     def broken(spec, name):
         raise RuntimeError("boom")

@@ -17,6 +17,8 @@ from liaison.linkage import cyclic_link
 from liaison.modules import annihilator, cyclic_module, direct_sum, free_module
 from liaison.ring import parse_poly
 
+from tests.polyref import ideal, ideal_polys
+
 
 def P(ctx, s):
     return parse_poly(ctx, s)
@@ -33,8 +35,8 @@ def skew_pair(F101xyzw):
     c = [P(ctx, s) for s in SKEW_CI]
     M = cyclic_module(ctx, I)
     linked = cyclic_link(ctx, I, c, free_module(ctx, 1))
-    N = cyclic_module(ctx, annihilator(linked))
-    return ctx, M, N, I, c
+    N = cyclic_module(ctx, ideal_polys(ctx, annihilator(linked)))
+    return ctx, M, N, I, ideal(ctx, c)
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +45,8 @@ def cubic_pair(F101xyzw, cubic_ideal):
     c = cubic_ideal[:2]
     M = cyclic_module(ctx, cubic_ideal)
     linked = cyclic_link(ctx, cubic_ideal, c, free_module(ctx, 1))
-    N = cyclic_module(ctx, annihilator(linked))
-    return ctx, M, N, cubic_ideal, c
+    N = cyclic_module(ctx, ideal_polys(ctx, annihilator(linked)))
+    return ctx, M, N, cubic_ideal, ideal(ctx, c)
 
 
 # -- local cohomology tables ------------------------------------------------------
@@ -195,9 +197,9 @@ def test_schenzel_levels_build_one_quotient_ring(monkeypatch):
     I = [P(S, s) for s in SKEW]
     c = [P(S, s) for s in SKEW_CI]
     M = cyclic_module(S, I)
-    N = cyclic_module(S, annihilator(cyclic_link(S, I, c, K)))
-    assert schenzel_check(M, N, K, 2, c, 1).holds()
-    assert schenzel_check(M, N, K, 2, c, 2).fails()
+    N = cyclic_module(S, ideal_polys(S, annihilator(cyclic_link(S, I, c, K))))
+    assert schenzel_check(M, N, K, 2, ideal(S, c), 1).holds()
+    assert schenzel_check(M, N, K, 2, ideal(S, c), 2).fails()
     assert len(built) == 1
 
 
@@ -272,9 +274,9 @@ def test_numbers_read_from_ext_build_no_ext_module(monkeypatch):
     # come from a nonzero transpose
     T = make_ring(101, ["x", "y", "z", "w"])
     K = free_module(T, 1)
-    skew = [P(T, s) for s in SKEW]
+    skew = ideal(T, [P(T, s) for s in SKEW])
     e = reflexive_epi(
-        natural_cyclic_epi(T, skew, [P(T, s) for s in SKEW_CI]), K, "Pn"
+        natural_cyclic_epi(T, skew, ideal(T, [P(T, s) for s in SKEW_CI])), K, "Pn"
     )
     # the induced map Ext^n(M, K) -> Ext^n(X, K) uses both Ext as modules,
     # and so does the transpose over R/(x), through K's image Ext^n(R/(x), K)

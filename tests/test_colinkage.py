@@ -36,9 +36,9 @@ from liaison.modules import (
     free_module,
     is_iso,
 )
-from liaison.ring import make_ring, parse_poly, render_poly
+from liaison.ring import make_ring, parse_poly
 
-from tests.polyref import poly_map
+from tests.polyref import ideal, ideal_strings, poly_map
 
 
 def P(ctx, s):
@@ -46,7 +46,7 @@ def P(ctx, s):
 
 
 def anns(M):
-    return [render_poly(g) for g in annihilator(M)]
+    return ideal_strings(M.ctx, annihilator(M))
 
 
 def same_hf(A, B, lo=-6, hi=8):
@@ -315,10 +315,10 @@ def test_pk_dimension_undecided_without_bass(semigroup345, omega345):
 def test_colink_coincides_with_link_for_trivial_K(F101xy):
     ctx = F101xy
     R1 = free_module(ctx, 1)
-    e = reflexive_epi(natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^2")]), R1, "Pn")
+    e = reflexive_epi(natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), R1, "Pn")
     res = link_operator(e)
     ce = coreflexive_epi(
-        natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^2")]), R1, "PKn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), R1, "PKn"
     )
     col, _ = colink_operator(ce)
     assert anns(col) == anns(res.linked_module)
@@ -330,7 +330,7 @@ def test_colink_agrees_with_closed_form_over_semigroup(semigroup345, omega345):
     ctx = semigroup345
     om = omega345
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^2")]), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
     )
     ce = adjoint_transfer_forward(e, bound=4)
     col, _ = colink_operator(ce)
@@ -343,7 +343,7 @@ def test_is_colinked_by_unmixed_cyclic(semigroup345, omega345):
     ctx = semigroup345
     om = omega345
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^2")]), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
     )
     ce = adjoint_transfer_forward(e, bound=4)
     assert is_colinked_by(ce)
@@ -353,7 +353,7 @@ def test_is_colinked_by_detects_mixed(F101xy):
     ctx = F101xy
     R1 = free_module(ctx, 1)
     ce = coreflexive_epi(
-        natural_cyclic_epi(ctx, [P(ctx, "x^2"), P(ctx, "x*y")], [P(ctx, "x^2")]),
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x^2"), P(ctx, "x*y")]), ideal(ctx, [P(ctx, "x^2")])),
         R1,
         "PKn",
     )
@@ -375,7 +375,7 @@ def test_direct_sum_self_colink(semigroup345, omega345):
 def test_adjoint_transfer_identity_for_trivial_K(F101xy):
     ctx = F101xy
     R1 = free_module(ctx, 1)
-    e = reflexive_epi(natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^2")]), R1, "Pn")
+    e = reflexive_epi(natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), R1, "Pn")
     ce = adjoint_transfer_forward(e)
     assert ce.n == e.n
     assert same_hf(ce.phi.target, e.phi.target)
@@ -386,7 +386,7 @@ def test_adjoint_roundtrip_over_semigroup(semigroup345, omega345):
     om = omega345
     M = cyclic_module(ctx, [P(ctx, "x")])
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^2")]), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
     )
     ce = adjoint_transfer_forward(e, bound=4)
     back = adjoint_transfer_backward(ce, bound=4)
@@ -401,7 +401,7 @@ def test_linkage_colinkage_predicates_agree(semigroup345, omega345):
     ctx = semigroup345
     om = omega345
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^2")]), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
     )
     ce = adjoint_transfer_forward(e, bound=4)
     assert is_linked_by(e) == is_colinked_by(ce)
@@ -413,7 +413,7 @@ def test_unmixedness_triangle(semigroup345, omega345):
     ctx = semigroup345
     om = omega345
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^2")]), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
     )
     ce = adjoint_transfer_forward(e, bound=4)
     from liaison.homalg import bidual_obstructions

@@ -28,9 +28,18 @@ from liaison.modules import (
     subquotient,
     tensor_map,
 )
-from liaison.ring import make_ring, parse_poly, render_poly
+from liaison.ring import make_ring, parse_poly
 
-from tests.polyref import column_relations, express, poly_map, tracked_engine, vec_combine
+from tests.polyref import (
+    column_relations,
+    express,
+    ideal,
+    ideal_strings,
+    one,
+    poly_map,
+    tracked_engine,
+    vec_combine,
+)
 
 THREADS = 8
 ROUNDS = 3
@@ -60,7 +69,7 @@ def summary(pairs):
         K = canonical_module(ctx)
         res = free_resolution(M, 3)
         ann = annihilator(M)
-        socle = colon(ann[:1], [ctx.var(k) for k in range(ctx.m)], ctx)
+        socle = colon(ann[:1], ideal(ctx, ctx.gens()), ctx)
         out.append((
             [[ext(i, M, R1).hf(d) for d in WINDOW] for i in range(3)],
             res.betti_numbers(),
@@ -68,7 +77,7 @@ def summary(pairs):
             grade(M),
             [(tor_vanishes(i, M, M), ext_vanishes(i, M, R1), ext_vanishes(i, M, K))
              for i in range(3)],
-            [[render_poly(f) for f in gens] for gens in (ann, annihilator(K), socle)],
+            [ideal_strings(ctx, gens) for gens in (ann, annihilator(K), socle)],
         ))
     return out
 
@@ -113,7 +122,7 @@ def test_change_of_rings_across_threads():
     # every thread passing to R/(c) with the same c gets the one stored ring
     for _ in range(ROUNDS):
         S = make_ring(101, ["x", "y", "z", "w"])
-        c = [parse_poly(S, f) for f in ("x*z - y^2", "y*w - z^2")]
+        c = ideal(S, [parse_poly(S, f) for f in ("x*z - y^2", "y*w - z^2")])
         R1 = free_module(S, 1)
         rings = run_threads(lambda k: change_of_rings(S, c, R1)[0])
         assert all(ctx2 is rings[0] for ctx2 in rings)
@@ -129,7 +138,7 @@ def module_with_vectors():
     M = subquotient(R, [(y, x), (z, y), (x * x, z), (x * z, x * y)],
                     [(y * z, x * z)], (0, 1))
     cols = list(M.gens) + list(M.rels)  # of degrees 4, 5, 6, 8 and 9
-    coeffs = [(z, y, x, R.zero(), R.one()), (x * x, z, y, R.zero(), R.zero()),
+    coeffs = [(z, y, x, R.zero(), one(R)), (x * x, z, y, R.zero(), R.zero()),
               (y * y, x * y, x * x, y, x), (y * z, x * z, x * y, z, y)]
     vectors = [vec_combine(cols, c, R, 2) for c in coeffs]
     vectors += [tuple(x * f for f in v) for v in vectors]

@@ -84,7 +84,7 @@ def test_syzygies_are_complete(seed, quotient):
     cols = [c for c in cols if not vec_is_zero(c)]
     if not cols:
         return
-    degs = [c[0].homogeneous_degree() for c in cols]
+    degs = [vec_degree(c, (0,)) for c in cols]
     syz = column_relations(module(ctx, 1, (0,), cols, ()))
     # soundness: every generator annihilates the matrix mod J
     for u in syz:

@@ -26,7 +26,7 @@ from liaison.ring import make_ring, render_poly
 from tests.oracle import monomials_of_degree
 from tests.polyref import column_relations, coords, express
 from tests.polyref import vec_combine as poly_combine
-from tests.polyref import vec_degree, vec_is_zero
+from tests.polyref import monomial, vec_degree, vec_is_zero
 
 SEMIGROUP_345 = make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
                           weights=[3, 4, 5])
@@ -104,12 +104,25 @@ def _draw_form(data, ctx, degree):
     """A homogeneous polynomial of the given degree, sparse or 0."""
     f = ctx.zero()
     for exps in monomials_of_degree(ctx, degree):
-        f = f + ctx.monomial(exps, data.draw(st.sampled_from([0, 0, 0, 1, 3, 100])))
+        f = f + monomial(ctx, exps, data.draw(st.sampled_from([0, 0, 0, 1, 3, 100])))
     return f
 
 
 def _draw_vector(data, ctx, shifts, degree):
     return tuple(_draw_form(data, ctx, degree - s) for s in shifts)
+
+
+def _draw_nonzero_vector(data, ctx, shifts, degree):
+    """``_draw_vector``, with one term put at a drawn position when every
+    entry came out 0; some position must have monomials of its degree."""
+    vec = _draw_vector(data, ctx, shifts, degree)
+    if vec_is_zero(vec):
+        pos = data.draw(st.sampled_from(
+            [i for i, s in enumerate(shifts) if monomials_of_degree(ctx, degree - s)]))
+        exps = data.draw(st.sampled_from(monomials_of_degree(ctx, degree - shifts[pos])))
+        term = monomial(ctx, exps, data.draw(st.sampled_from([1, 3, 100])))
+        vec = vec[:pos] + (term,) + vec[pos + 1:]
+    return vec
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,7 @@ from liaison.errors import (
     NuNotIso,
     RegularSequenceNotFound,
 )
-from liaison.groebner import reduced_ideal_gb
+from liaison.groebner import buchberger as vec_buchberger
 from liaison.homalg import (
     bidual_obstructions,
     change_of_rings,
@@ -33,7 +33,6 @@ from liaison.linkage import (
     cyclic_link,
     depth_formula_check,
     double_link_check,
-    grade_of_ideal,
     horizontal_link,
     is_cm_module,
     is_gk_perfect,
@@ -58,13 +57,16 @@ from liaison.modules import (
 )
 from liaison.ring import make_ring, parse_poly, render_poly
 
+from tests.polyref import ideal, ideal_polys, ideal_strings, one
+
 
 def P(ctx, s):
     return parse_poly(ctx, s)
 
 
-def ideal_strings(gens):
-    return [render_poly(g) for g in gens]
+def I_(ctx, gens):
+    """The ideal of these Polys or polynomial literals, as the package holds it."""
+    return ideal(ctx, [P(ctx, g) if isinstance(g, str) else g for g in gens])
 
 
 def same_hf(A, B, lo=-6, hi=8):
@@ -87,7 +89,7 @@ def test_canonical_module_of_hypersurface_is_cyclic(hypersurface):
     assert len(omin.gens) == 1
     # faithful (Gorenstein up to shift): the annihilator is the zero ideal of
     # R, whose S-representation is the defining ideal itself
-    assert ideal_strings(annihilator(om)) == ideal_strings(hypersurface.defining)
+    assert ideal_polys(hypersurface, annihilator(om)) == list(hypersurface.defining)
 
 
 def test_canonical_module_of_semigroup_curve_type_two(semigroup345):
@@ -153,9 +155,9 @@ def test_twisted_cubic_is_gk_perfect(F101xyzw, cubic_ideal):
 def test_univariate_link_realizes_colon(F101x):
     ctx = F101x
     R1 = free_module(ctx, 1)
-    e = reflexive_epi(natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^3")]), R1, "Pn")
+    e = reflexive_epi(natural_cyclic_epi(ctx, I_(ctx, ["x"]), I_(ctx, ["x^3"])), R1, "Pn")
     res = link_operator(e)
-    assert ideal_strings(annihilator(res.linked_module)) == ["x^2"]
+    assert ideal_strings(ctx, annihilator(res.linked_module)) == ["x^2"]
     E1, E2 = res.obstructions
     assert E1.is_zero() and E2.is_zero()
     assert is_linked_by(e)
@@ -173,20 +175,20 @@ def test_direct_sum_self_link(F101xy):
     e = reflexive_epi(pM, R1, "Pn")
     res = link_operator(e)
     assert same_hf(res.linked_module, M)
-    assert ideal_strings(annihilator(res.linked_module)) == ideal_strings(annihilator(E))
+    assert annihilator(res.linked_module) == annihilator(E)
     assert is_linked_by(e)
 
 
 def test_twisted_cubic_links_to_a_line(F101xyzw, cubic_ideal):
     ctx = F101xyzw
     R1 = free_module(ctx, 1)
-    c = cubic_ideal[:2]
-    e = reflexive_epi(natural_cyclic_epi(ctx, cubic_ideal, c), R1, "Pn")
+    I, c = I_(ctx, cubic_ideal), I_(ctx, cubic_ideal[:2])
+    e = reflexive_epi(natural_cyclic_epi(ctx, I, c), R1, "Pn")
     res = link_operator(e)
-    want = colon(c, cubic_ideal, ctx)
-    assert ideal_strings(annihilator(res.linked_module)) == ideal_strings(want)
+    want = colon(c, I, ctx)
+    assert annihilator(res.linked_module) == want
     # degree-one unmixed ideal: a linear subvariety
-    assert all(g.degree() == 1 for g in want)
+    assert all(g.degree() == 1 for g in ideal_polys(ctx, want))
 
 
 def test_injective_phi_rejected(F101x):
@@ -204,7 +206,7 @@ def test_is_linked_by_fails_on_mixed_ideal(F101xy):
     ctx = F101xy
     R1 = free_module(ctx, 1)
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, [P(ctx, "x^2"), P(ctx, "x*y")], [P(ctx, "x^2")]),
+        natural_cyclic_epi(ctx, I_(ctx, ["x^2", "x*y"]), I_(ctx, ["x^2"])),
         R1,
         "Pn",
     )
@@ -222,7 +224,8 @@ def _gallery_image_modules():
         for _, args, _ in spec.ops:
             named += [a for a in args if a in spec.ideals and a not in named]
         for a in named:
-            yield f"{name} {a}", cyclic_module(spec.ring, spec.ideals[a]), K
+            M = cyclic_module(spec.ring, ideal_polys(spec.ring, spec.ideals[a]))
+            yield f"{name} {a}", M, K
 
 
 def _criterion_3_image_modules():
@@ -276,7 +279,7 @@ def test_linkage_and_colinkage_criteria_keep_their_raises(F101x, semigroup345):
         is_linked_by(reflexive_epi(identity_map(M), R1, "Pn"))
     with pytest.raises(InjectivePhi):
         is_colinked_by(coreflexive_epi(identity_map(M), R1, "PKn"))
-    phi = natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^3")])
+    phi = natural_cyclic_epi(ctx, I_(ctx, ["x"]), I_(ctx, ["x^3"]))
     with pytest.raises(GradeMismatch):
         is_linked_by(ReflexiveEpi(phi, 0, R1, "Pn", 3))
     with pytest.raises(GradeMismatch):
@@ -286,7 +289,7 @@ def test_linkage_and_colinkage_criteria_keep_their_raises(F101x, semigroup345):
     # onto the residue field of the semigroup ring, whose nu is not iso
     S = semigroup345
     om = canonical_module(S)
-    onto_k = natural_cyclic_epi(S, [P(S, v) for v in "xyz"], [P(S, "x")])
+    onto_k = natural_cyclic_epi(S, I_(S, "xyz"), I_(S, ["x"]))
     with pytest.raises(NuNotIso):
         is_colinked_by(CoreflexiveEpi(onto_k, 1, om, "PKn", 3))
     with pytest.raises(InvalidInput):
@@ -299,7 +302,7 @@ def test_linkage_and_colinkage_criteria_keep_their_raises(F101x, semigroup345):
 def test_cyclic_link_univariate(F101x):
     ctx = F101x
     linked = cyclic_link(ctx, [P(ctx, "x")], [P(ctx, "x^3")], free_module(ctx, 1))
-    assert ideal_strings(annihilator(linked)) == ["x^2"]
+    assert ideal_strings(ctx, annihilator(linked)) == ["x^2"]
 
 
 def test_cyclic_link_grade_mismatch(F101xy):
@@ -336,7 +339,7 @@ def test_cyclic_link_is_computed_once_per_value():
                         [P(ctx, "x^2")], free_module(ctx, 1))
     assert again is linked
     assert len(_memo_keys(ctx, "cyclic_link")) == 1
-    assert ideal_strings(annihilator(linked)) == ["x"]
+    assert ideal_strings(ctx, annihilator(linked)) == ["x"]
 
 
 def test_cyclic_link_checks_the_colon_over_a_quotient_ring(monkeypatch):
@@ -348,10 +351,10 @@ def test_cyclic_link_checks_the_colon_over_a_quotient_ring(monkeypatch):
     ctx = cone()
     I, c = [P(ctx, "x"), P(ctx, "y")], [P(ctx, "x")]
     linked = cyclic_link(ctx, I, c, free_module(ctx, 1))
-    assert ideal_strings(annihilator(linked)) == ideal_strings(colon(c, I, ctx))
-    assert ideal_strings(colon(c, I, ctx)) == ["x", "y"]
+    assert annihilator(linked) == colon(I_(ctx, c), I_(ctx, I), ctx)
+    assert ideal_strings(ctx, colon(I_(ctx, c), I_(ctx, I), ctx)) == ["x", "y"]
     ctx = cone()
-    monkeypatch.setattr(linkage, "colon", lambda c_gens, i_gens, ring: [ring.one()])
+    monkeypatch.setattr(linkage, "colon", lambda c_gens, i_gens, ring: I_(ring, [one(ring)]))
     with pytest.raises(InternalConsistencyError):
         cyclic_link(ctx, [P(ctx, "x"), P(ctx, "y")], [P(ctx, "x")], free_module(ctx, 1))
 
@@ -375,26 +378,27 @@ def test_seeded_hilbert_burch_links(seed, row_degrees):
     assert is_linked_by(e)
     linked = colon(c, I, ctx)
     # Peskine-Szpiro: deg I + deg (c : I) = deg c_1 * deg c_2
-    deg_i = cyclic_module(ctx, I).hilbert().degree
-    deg_linked = cyclic_module(ctx, linked).hilbert().degree
+    deg_i = cyclic_module(ctx, ideal_polys(ctx, I)).hilbert().degree
+    deg_linked = cyclic_module(ctx, ideal_polys(ctx, linked)).hilbert().degree
     assert deg_i == facts["deg_I"]
-    assert deg_i + deg_linked == c[0].degree() * c[1].degree()
-    assert ideal_strings(colon(c, linked, ctx)) == ideal_strings(reduced_ideal_gb(ctx, I))
+    c1, c2 = ideal_polys(ctx, c)
+    assert deg_i + deg_linked == c1.degree() * c2.degree()
+    assert colon(c, linked, ctx) == tuple(vec_buchberger(I, ctx, 1).basis)
 
 
 def test_double_link_univariate_holds(F101x):
     ctx = F101x
     R1 = free_module(ctx, 1)
-    e = reflexive_epi(natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^3")]), R1, "Pn")
+    e = reflexive_epi(natural_cyclic_epi(ctx, I_(ctx, ["x"]), I_(ctx, ["x^3"])), R1, "Pn")
     assert double_link_check(e).holds()
 
 
 def test_double_link_twisted_cubic_returns_ideal(F101xyzw, cubic_ideal):
     ctx = F101xyzw
-    c = cubic_ideal[:2]
-    first = colon(c, cubic_ideal, ctx)
+    I, c = I_(ctx, cubic_ideal), I_(ctx, cubic_ideal[:2])
+    first = colon(c, I, ctx)
     second = colon(c, first, ctx)
-    assert ideal_strings(second) == ideal_strings(reduced_ideal_gb(ctx, cubic_ideal))
+    assert second == tuple(vec_buchberger(I, ctx, 1).basis)
 
 
 # -- horizontal linkage ---------------------------------------------------------------
@@ -417,9 +421,9 @@ def test_horizontal_link_over_artinian_hypersurface():
     M = cyclic_module(ctx, [P(ctx, "x")])
     assert is_horizontally_linked(M)
     lam = horizontal_link(M)
-    assert ideal_strings(annihilator(lam)) == ["x^2"]
+    assert ideal_strings(ctx, annihilator(lam)) == ["x^2"]
     lam2 = horizontal_link(minimize(lam)[0])
-    assert ideal_strings(annihilator(lam2)) == ["x"]
+    assert ideal_strings(ctx, annihilator(lam2)) == ["x"]
     assert same_hf(lam2, M, 0, 4)
 
 
@@ -434,27 +438,28 @@ def test_mixed_ideal_not_horizontally_linked(F101xy):
 
 def test_regular_sequence_in_maximal_ideal(F101xy):
     ctx = F101xy
-    seq = regular_sequence_in_ideal(ctx, [P(ctx, "x"), P(ctx, "y")], 2)
+    seq = ideal_polys(ctx, regular_sequence_in_ideal(ctx, I_(ctx, ["x", "y"]), 2))
     assert len(seq) == 2
-    assert grade_of_ideal(ctx, seq) == 2
+    assert grade(cyclic_module(ctx, seq)) == 2
 
 
 def test_regular_sequence_in_twisted_cubic(F101xyzw, cubic_ideal):
-    seq = regular_sequence_in_ideal(F101xyzw, cubic_ideal, 2)
+    ctx = F101xyzw
+    seq = ideal_polys(ctx, regular_sequence_in_ideal(ctx, I_(ctx, cubic_ideal), 2))
     assert len(seq) == 2
     assert all(g.degree() == 2 for g in seq)
-    assert grade_of_ideal(F101xyzw, seq) == 2
+    assert grade(cyclic_module(ctx, seq)) == 2
 
 
 def test_regular_sequence_not_found(F101xy):
     with pytest.raises(RegularSequenceNotFound):
-        regular_sequence_in_ideal(F101xy, [P(F101xy, "x")], 2)
+        regular_sequence_in_ideal(F101xy, I_(F101xy, ["x"]), 2)
 
 
 def test_change_of_rings_produces_twisted_quotient(F101xy):
     ctx = F101xy
     R1 = free_module(ctx, 1)
-    ctx2, Kbar = change_of_rings(ctx, [P(ctx, "x")], R1)
+    ctx2, Kbar = change_of_rings(ctx, I_(ctx, ["x"]), R1)
     assert render_poly(ctx2.defining[0]) == "x"
     # Ext^1(R/x, R) = (R/x)(1): one basis element in each degree >= -1
     assert [Kbar.hf(d) for d in (-2, -1, 0, 1)] == [0, 1, 1, 1]
@@ -473,7 +478,7 @@ def test_change_of_rings_ext_comparison(F101xy):
     R1 = free_module(ctx, 1)
     k = cyclic_module(ctx, [P(ctx, "x"), P(ctx, "y")])
     E2 = ext(2, k, R1)
-    ctx2, Kbar = change_of_rings(ctx, [P(ctx, "x")], R1)
+    ctx2, Kbar = change_of_rings(ctx, I_(ctx, ["x"]), R1)
     k2 = cyclic_module(ctx2, [P(ctx2, "x"), P(ctx2, "y")])
     E1 = ext(1, k2, Kbar)
     assert same_hf(E2, E1)
@@ -486,7 +491,7 @@ from liaison.linkage import build_cyclic_walk as _cyclic_walk_builder
 
 
 def _cyclic_walk(ctx, i_gens, c_gens, K, steps=2, tag="Pn"):
-    return _cyclic_walk_builder(ctx, i_gens, c_gens, K, steps=steps, tag=tag)
+    return _cyclic_walk_builder(ctx, I_(ctx, i_gens), I_(ctx, c_gens), K, steps=steps, tag=tag)
 
 
 def test_liaison_walk_univariate(F101x):
@@ -511,7 +516,7 @@ def test_liaison_walk_skew_lines(F101xyzw):
     # the ends carry the same nonzero top Ext dual
     start = epis[0].phi.target
     end_ann = annihilator(link_operator(epis[1]).linked_module)
-    assert ideal_strings(end_ann) == ideal_strings(annihilator(start))
+    assert end_ann == annihilator(start)
     assert not ext(3, start, R1).is_zero()
 
 
@@ -520,7 +525,7 @@ def test_depth_formula_on_skew_lines(F101xyzw):
     R1 = free_module(ctx, 1)
     I = [P(ctx, "x*z"), P(ctx, "x*w"), P(ctx, "y*z"), P(ctx, "y*w")]
     c = [P(ctx, "x*z"), P(ctx, "y*w")]
-    e = reflexive_epi(natural_cyclic_epi(ctx, I, c), R1, "Pn")
+    e = reflexive_epi(natural_cyclic_epi(ctx, I_(ctx, I), I_(ctx, c)), R1, "Pn")
     v = depth_formula_check(e)
     assert v.holds()
 
@@ -528,7 +533,9 @@ def test_depth_formula_on_skew_lines(F101xyzw):
 def test_depth_formula_on_cm_pair(F101xyzw, cubic_ideal):
     ctx = F101xyzw
     R1 = free_module(ctx, 1)
-    e = reflexive_epi(natural_cyclic_epi(ctx, cubic_ideal, cubic_ideal[:2]), R1, "Pn")
+    e = reflexive_epi(
+        natural_cyclic_epi(ctx, I_(ctx, cubic_ideal), I_(ctx, cubic_ideal[:2])), R1, "Pn"
+    )
     assert depth_formula_check(e).holds()
 
 
@@ -546,14 +553,14 @@ def test_theorem_t1_iv_kernel_matches_ext_dual(F101x):
     # agree in Hilbert function and annihilator
     ctx = F101x
     R1 = free_module(ctx, 1)
-    e = reflexive_epi(natural_cyclic_epi(ctx, [P(ctx, "x")], [P(ctx, "x^3")]), R1, "Pn")
+    e = reflexive_epi(natural_cyclic_epi(ctx, I_(ctx, ["x"]), I_(ctx, ["x^3"])), R1, "Pn")
     res = link_operator(e)
     from liaison.modules import kernel
 
     Kphi, _ = kernel(e.phi)
     E = ext(1, res.linked_module, R1)
     assert same_hf(Kphi, E)
-    assert ideal_strings(annihilator(Kphi)) == ideal_strings(annihilator(E))
+    assert annihilator(Kphi) == annihilator(E)
 
 
 def test_empty_walk_names_step_zero():
@@ -566,7 +573,9 @@ def test_incompatible_walk_names_its_step(F101xyzw, cubic_ideal):
     # the link of the cubic is a line, not the cubic the second step starts at
     R1 = free_module(F101xyzw, 1)
     e = reflexive_epi(
-        natural_cyclic_epi(F101xyzw, cubic_ideal, cubic_ideal[:2]), R1, "Pn"
+        natural_cyclic_epi(F101xyzw, I_(F101xyzw, cubic_ideal), I_(F101xyzw, cubic_ideal[:2])),
+        R1,
+        "Pn",
     )
     with pytest.raises(BrokenChain, match="^step 1: steps are not compatible$") as info:
         liaison_walk([e, e])

@@ -1,14 +1,14 @@
 """Maps hold engine vectors: the map layer against the Poly-tuple map code
-it replaced (``tests.polyref``), and the semigroup galleries converting
-between ``Vec`` and ``Poly`` only where reports are printed."""
+it replaced (``tests.polyref``), and the galleries converting between
+``Vec`` and ``Poly`` only where specs are parsed and reports printed."""
 
 import sys
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from liaison import cli, groebner, ring
+from liaison import cli, groebner, linkage, modules, ring
 from liaison.errors import IllDefinedMap
 from liaison.groebner import Vec, _polys
 from liaison.homalg import free_resolution
@@ -35,6 +35,7 @@ from tests.test_engine_vectors import (
     SEMIGROUP_345,
     SEMIGROUP_4567,
     _draw_form,
+    _draw_nonzero_vector,
     _draw_vector,
 )
 
@@ -67,12 +68,13 @@ def test_map_layer_matches_the_poly_reference(data):
     shifts = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
     low = min(ctx.weights) + max(shifts)
 
-    def vector():
-        return _draw_vector(data, ctx, shifts, data.draw(st.integers(low, low + 4)))
+    def vector(draw=_draw_vector):
+        return draw(data, ctx, shifts, data.draw(st.integers(low, low + 4)))
 
-    N = subquotient(ctx, [vector() for _ in range(data.draw(st.integers(1, 3)))],
-                    [vector() for _ in range(data.draw(st.integers(0, 2)))], shifts)
-    assume(N._gens)
+    # the first generator is nonzero, so N has one; the smallest degree of
+    # the position of the largest shift is a weight, which has a monomial
+    gens = [vector(_draw_nonzero_vector)] + [vector() for _ in range(data.draw(st.integers(0, 2)))]
+    N = subquotient(ctx, gens, [vector() for _ in range(data.draw(st.integers(0, 2)))], shifts)
     dn = N.gen_degrees()
     # f: F -> N from a free module, any matrix of the right degrees
     src_degs = [data.draw(st.sampled_from(dn)) + data.draw(st.integers(0, 5))
@@ -149,28 +151,26 @@ def test_map_layer_matches_the_poly_reference(data):
 
 
 def test_semigroup_galleries_convert_only_at_the_edges(monkeypatch):
-    """The three semigroup galleries in one process, each on its own cold
-    ring: ``_polys`` runs only under ``to_json`` and the ``gens``/``rels``
-    views, and no Poly product or sum runs in ``liaison.modules``."""
+    """The ten galleries in one process, each on its own cold ring, convert
+    between ``Poly`` and ``Vec`` only at the edges.  ``_to_internal``, and
+    the exported entrances that take ``Poly`` generators (``subquotient``,
+    ``cyclic_module``, ``cyclic_link``), run only under ``cli.parse_spec``;
+    a ``Poly`` is built (by ``_polys`` or otherwise) only under
+    ``parse_spec``, ``make_ring`` or printing: ``to_json``, the
+    ``gens``/``rels`` views and ``_ideal_strings``; and no package code
+    calls ``Poly``'s ``+``, ``-``, ``*`` or ``scale``."""
     calls, printing = Counter(), [0]
 
     def count(name, fn):
-        def counted(*args):
-            caller = sys._getframe(1)
-            while caller.f_code.co_name.startswith("<"):  # a comprehension
-                caller = caller.f_back
-            calls[name, caller.f_globals["__name__"], caller.f_code.co_name,
-                  bool(printing[0])] += 1
-            return fn(*args)
+        def counted(*args, **kwargs):
+            frame, on = sys._getframe(1), set()
+            while frame is not None:
+                on.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+                frame = frame.f_back
+            calls[name, ("liaison.cli", "parse_spec") in on,
+                  ("liaison.ring", "make_ring") in on, bool(printing[0])] += 1
+            return fn(*args, **kwargs)
         return counted
-
-    for name in ("_polys", "_to_internal"):
-        original = getattr(groebner, name)
-        for module_name, mod in list(sys.modules.items()):
-            if module_name.startswith("liaison") and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, count(name, original))
-    for name in ("__mul__", "__add__", "__sub__"):
-        monkeypatch.setattr(ring.Poly, name, count(name, getattr(ring.Poly, name)))
 
     def printing_in(fn):
         def inner(*args):
@@ -181,20 +181,29 @@ def test_semigroup_galleries_convert_only_at_the_edges(monkeypatch):
                 printing[0] -= 1
         return inner
 
+    for name, wrap in [("_to_internal", count), ("_polys", count),
+                       ("subquotient", count), ("cyclic_module", count),
+                       ("cyclic_link", count), ("_ideal_strings", printing_in)]:
+        originals = {getattr(mod, name) for mod in (groebner, ring, modules, linkage)
+                     if hasattr(mod, name)}
+        for module_name, mod in list(sys.modules.items()):
+            if module_name.startswith("liaison") and getattr(mod, name, None) in originals:
+                fn = getattr(mod, name)
+                monkeypatch.setattr(mod, name, count(name, fn) if wrap is count else wrap(fn))
+    for name in ("__init__", "__add__", "__sub__", "__neg__", "__mul__", "scale"):
+        monkeypatch.setattr(ring.Poly, name, count(name, getattr(ring.Poly, name)))
     monkeypatch.setattr(GradedModule, "to_json", printing_in(GradedModule.to_json))
     for name in ("gens", "rels"):
         monkeypatch.setattr(GradedModule, name,
                             property(printing_in(getattr(GradedModule, name).fget)))
-    for name in ("semigroup-345", "foxby-roundtrip", "adjoint-transfer"):
-        assert cli.run(cli.gallery(name))[1] == 0
-    assert any(key[0] == "_polys" for key in calls)
-    assert [key for key in calls if key[0] == "_polys" and not key[3]] == []
-    assert [key for key in calls if key[0].startswith("__") and key[1] == "liaison.modules"] == []
-    # Poly columns are flattened where specs and ideals are read, and nowhere
-    # on the paths of maps, kernels, Hom and lifts
-    assert {key[2] for key in calls if key[0] == "_to_internal"} <= {
-        "_validated_columns", "reduced_ideal_gb", "colon", "_cyclic_link",
-        "annihilate_quotient"}
+    for name in sorted(cli.GALLERIES):
+        assert cli.run(cli.gallery(name))[1] == (name == "mixed-ideal-negative")
+    names = {key[0] for key in calls}
+    assert {"_to_internal", "_polys", "__init__"} <= names
+    edges = ("_to_internal", "subquotient", "cyclic_module", "cyclic_link")
+    assert [key for key in calls if key[0] in edges and not key[1]] == []
+    assert [key for key in calls if key[0] in ("_polys", "__init__") and not any(key[1:])] == []
+    assert names <= {*edges, "_polys", "__init__"}
 
 
 def test_map_columns_are_checked_key_by_key():

@@ -54,6 +54,7 @@ relations the image engine of the map into it, interreduced.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter, namedtuple
 from functools import partial
@@ -69,7 +70,7 @@ from .errors import (
     RingMismatch,
 )
 from .groebner import HilbertData, Vec, _add_series, _axpy, _lead_degree
-from .ring import _LIMIT, _memo, _memoized, _overflow, make_ring
+from .ring import _LIMIT, _make_ring, _memo, _memoized, _overflow
 from .modules import (
     GradedModule,
     ModuleMap,
@@ -196,13 +197,8 @@ def restrict_scalars(M):
 
 
 def residue_field(ctx):
-    """R/(x_1..x_m); a weight at the monomial limit is refused, as
-    ``RingCtx.var`` refuses it."""
-    for w in ctx.weights:
-        if w >= _LIMIT:
-            raise _overflow(w)
     return _memo(ctx, "residue_field", lambda: _cyclic_module(
-        ctx, tuple(Vec({unit: 1}) for unit in ctx._pk.units)))
+        ctx, tuple(Vec({ctx._unit(i): 1}) for i in range(ctx.m))))
 
 
 def ambient_pd(M):
@@ -578,8 +574,6 @@ def regular_sequence_in_ideal(ctx, ideal, n):
     is kept when R/(chosen, f) is nonzero of grade one more, which the
     grade decides exactly.
     """
-    import itertools
-
     if n < 0:
         raise InvalidInput(f"regular sequence length must be at least 0, got {n}")
     if not ideal or modules.grade(_cyclic_module(ctx, ideal)) < n:
@@ -634,8 +628,7 @@ def change_of_rings(ctx, x_seq, K):
     def quotient_ring():
         if not modules.is_regular_sequence(ctx, x_seq):
             raise NotRegularSequence("the sequence is not regular")
-        defining = [Vec(g.terms) for g in ctx.defining]
-        return make_ring(ctx.p, ctx.names, defining + list(x_seq), ctx.weights)
+        return _make_ring(ctx.ambient(), (*(Vec(g.terms) for g in ctx.defining), *x_seq))
 
     ctx2 = _memo(ctx, ("quotient_ring", frozenset(Counter(x_seq).items())), quotient_ring)
     Rx = _cyclic_module(ctx, x_seq)

@@ -478,16 +478,14 @@ def liaison_walk(epis, window=(-6, 6)):
 
 
 def natural_cyclic_epi(ctx, i_gens, c_gens, twist_by=0):
-    """The natural surjection R/c ->> R/I for ideals c <= I of Vecs
-    (optionally twisted)."""
+    """The natural surjection R/c ->> R/I for Vec ideals c <= I (optionally twisted)."""
     X = _cyclic_module(ctx, c_gens, twist_by)
     M = _cyclic_module(ctx, i_gens, twist_by)
     return ModuleMap(X, M, _units(ctx, 1))
 
 
 def build_cyclic_walk(ctx, i_gens, c_gens, K, steps=2, tag="Pn", bound=None):
-    """Chain of cyclic links I ~ (c:I) ~ ... with twist-matched steps, for
-    ideals of Vecs.
+    """Chain of cyclic links I ~ (c:I) ~ ... of Vec ideals, with twist-matched steps.
 
     Linked modules come with a degree shift inherited from Ext^n(R/c, K);
     each subsequent image module is built with the matching twist so the

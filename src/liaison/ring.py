@@ -200,9 +200,13 @@ class RingCtx:
         return Poly(self, {})
 
     def var(self, i):
+        return Poly(self, {self._unit(i): 1})
+
+    def _unit(self, i):
+        """The packed monomial x_i, refused at the monomial limit."""
         if self.weights[i] >= _LIMIT:
             raise _overflow(self.weights[i])
-        return Poly(self, {self._pk.units[i]: 1})
+        return self._pk.units[i]
 
     def gens(self):
         return [self.var(i) for i in range(self.m)]
@@ -451,9 +455,9 @@ def _ideal_strings(ctx, ideal):
 
 def make_ring(p, names, defining=(), weights=None):
     """Build R = F_p[names]/(defining); the defining ideal, given by
-    polynomial literals or by rank-1 engine vectors (``groebner.Vec``, keyed
-    by the monomials), is replaced by its reduced Groebner basis.  Contexts
-    are immutable afterwards."""
+    polynomial literals or by ``Poly``s of the same polynomial ring, is
+    replaced by its reduced Groebner basis.  Contexts are immutable
+    afterwards."""
     # the range first: trial division of a huge p would never return
     if not isinstance(p, int) or p >= 2**31 or not _is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p!r} is not a prime < 2^31")
@@ -466,14 +470,21 @@ def make_ring(p, names, defining=(), weights=None):
     ):
         raise ValueError("weights must be positive integers, one per variable")
     ctx = RingCtx(p, names, weights)
+    from .groebner import _to_ideal
+
+    R = _make_ring(ctx, _to_ideal(ctx, [
+        parse_poly(ctx, f) if isinstance(f, str) else f for f in defining]))
+    if any(g.degree() == 0 for g in R.defining):
+        raise ValueError("defining ideal is the whole ring")
+    return R
+
+
+def _make_ring(ctx, ideal):
+    """ctx/(ideal) for a polynomial ring ctx and an ideal of nonzero rank-1
+    engine vectors (``groebner.Vec``, keyed by the monomials)."""
     from . import groebner
 
-    ideal = [groebner.Vec(parse_poly(ctx, f).terms) if isinstance(f, str) else f
-             for f in defining]
-    ideal = [f for f in ideal if f]
     if not ideal:
         return ctx
     gb = [Poly(ctx, dict(f)) for f in groebner.buchberger(ideal, ctx, 1).basis]
-    if any(g.degree() == 0 for g in gb):
-        raise ValueError("defining ideal is the whole ring")
-    return RingCtx(p, names, weights, gb)
+    return RingCtx(ctx.p, ctx.names, ctx.weights, gb)

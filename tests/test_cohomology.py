@@ -186,13 +186,13 @@ def test_schenzel_levels_build_one_quotient_ring(monkeypatch):
 
     S = make_ring(101, ["x", "y", "z", "w"])  # no cached R/(c) yet
     built = []
-    real_make_ring = homalg.make_ring
+    real_make_ring = homalg._make_ring
 
     def counting_make_ring(*args, **kwargs):
         built.append(args)
         return real_make_ring(*args, **kwargs)
 
-    monkeypatch.setattr(homalg, "make_ring", counting_make_ring)
+    monkeypatch.setattr(homalg, "_make_ring", counting_make_ring)
     K = free_module(S, 1)
     I = [P(S, s) for s in SKEW]
     c = [P(S, s) for s in SKEW_CI]

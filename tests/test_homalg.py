@@ -437,16 +437,16 @@ def test_change_of_rings_keys_the_multiset_and_keeps_the_order(monkeypatch):
     S = make_ring(101, ["x", "y", "z"], ["z^2"])  # a cold cache
     R1 = free_module(S, 1)
     built = []
-    real_make_ring = homalg.make_ring
+    real_make_ring = homalg._make_ring
 
-    def recording_make_ring(p, names, defining, weights):
-        built.append(list(defining))
-        return real_make_ring(p, names, defining, weights)
+    def recording_make_ring(ctx, gens):
+        built.append(list(gens))
+        return real_make_ring(ctx, gens)
 
-    monkeypatch.setattr(homalg, "make_ring", recording_make_ring)
+    monkeypatch.setattr(homalg, "_make_ring", recording_make_ring)
     x, y = ideal(S, [P(S, "x"), P(S, "y")])
     ctx2, _ = homalg.change_of_rings(S, [y, x], R1)
-    # make_ring gets J, then x in the caller's order
+    # the ring is built from J, then x in the caller's order
     assert built == [[ideal(S, S.defining)[0], y, x]]
     # (x, x) is not (x): a repeated element is never regular
     assert homalg.change_of_rings(S, [x], R1)[0] is not ctx2

@@ -36,6 +36,14 @@ def test_make_ring_reduces_defining_ideal():
     assert rendered == ["x^2 - y", "y^2 - x"]
 
 
+def test_make_ring_takes_polys_of_the_same_polynomial_ring():
+    S = make_ring(7, ["x", "y"])
+    ctx = make_ring(7, ["x", "y"], [parse_poly(S, "x^2 - y"), "y^2 - x", S.zero()])
+    assert sorted(render_poly(g) for g in ctx.defining) == ["x^2 - y", "y^2 - x"]
+    with pytest.raises(RingMismatch):
+        make_ring(7, ["x", "z"], [parse_poly(S, "x")])
+
+
 def test_make_ring_rejects_nonprime():
     with pytest.raises(NonPrimeCharacteristic):
         make_ring(4, ["x"])

@@ -24,8 +24,8 @@ malformed section or ``key = value`` line, a value that is not an integer
 operation arguments), a ``window`` or ``--window`` not of the form lo..hi or
 with an end of absolute value 2^20 or more, an ``ambient`` outside 0..4096,
 ``shifts`` with neither 1 nor ``ambient`` entries or with an entry of
-absolute value 2^20 or more, a bad polynomial or column (a degree reaching
-2^20 included), a characteristic not a prime below 2^31 (``p`` or
+absolute value 2^20 or more, a weight of 2^20 or more, a bad polynomial or
+column (a degree reaching 2^20 included), a characteristic not a prime below 2^31 (``p`` or
 ``--char``), an option before the subcommand or after ``list-galleries``, an
 unknown operation or wrong argument count, an undefined name, and a canonical
 K over a non-Cohen-Macaulay ring.  Each names its spec line where it has one.
@@ -41,6 +41,7 @@ from functools import partial
 
 from . import cohomology, colinkage, groebner, homalg, linkage, modules, verdict
 from .errors import (
+    DegreeOverflow,
     InternalConsistencyError,
     InvalidInput,
     LiaisonError,
@@ -189,10 +190,14 @@ def parse_spec(text, p=None):
             defining = []
             if "defining" in kv and kv["defining"][0]:
                 defining = [s.strip() for s in kv["defining"][0].split(",") if s.strip()]
-            try:
-                ring_ctx = make_ring(char, var_names, defining, weights)
+            poly_ring = None
+            try:  # the polynomial ring first: an overflow there is a weight's
+                poly_ring = make_ring(char, var_names, (), weights)
+                ring_ctx = make_ring(char, var_names, defining, weights) if defining else poly_ring
             except NonPrimeCharacteristic as exc:  # from --char: no spec line
                 raise SpecSyntaxError(str(exc), kv["p"][1] if p is None else None)
+            except DegreeOverflow as exc:  # a weight, or a defining literal too high
+                raise SpecSyntaxError(str(exc), kv["weights"][1] if poly_ring is None else header_line)
             except (LiaisonError, ValueError) as exc:  # names, weights, defining
                 raise SpecSyntaxError(str(exc), header_line)
         elif name.startswith("ideal "):
@@ -470,9 +475,7 @@ def op_self_link_sum(spec, name):
     lo, hi = spec.window
     return {
         "linked_annihilator": _ideal_strings(spec.ring, annihilator(res.linked_module)),
-        "self_link_hf_match": all(
-            res.linked_module.hf(d) == M.hf(d) for d in range(lo, hi + 1)
-        ),
+        "self_link_hf_match": res.linked_module.hf_window(lo, hi) == M.hf_window(lo, hi),
         "is_linked": linkage.is_linked_by(e),
     }
 
@@ -486,7 +489,7 @@ def op_foxby_roundtrip(spec, name):
     lo, hi = spec.window
     return {
         "mu_iso": modules.is_iso(mu),
-        "roundtrip_hf_match": all(M.hf(d) == H.hf(d) for d in range(lo, hi + 1)),
+        "roundtrip_hf_match": M.hf_window(lo, hi) == H.hf_window(lo, hi),
         "auslander": colinkage.class_member("Auslander", M, K, spec.bound).to_json(),
         "bass_of_transform": colinkage.class_member("Bass", T, K, spec.bound).to_json(),
     }
@@ -526,9 +529,7 @@ def op_adjoint_transfer(spec, iname, cname):
         "forward_tag": ce.category_tag,
         "is_colinked": colinkage.is_colinked_by(ce),
         "colink_matches_closed_form": annihilator(col) == annihilator(closed),
-        "roundtrip_hf_match": all(
-            back.phi.target.hf(d) == M.hf(d) for d in range(lo, hi + 1)
-        ),
+        "roundtrip_hf_match": back.phi.target.hf_window(lo, hi) == M.hf_window(lo, hi),
         "mu_iso": colinkage.mu_is_iso(M, K),
     }
 

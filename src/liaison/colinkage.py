@@ -24,11 +24,9 @@ from .errors import (
     BassMembershipUndecided,
     ClassMembershipUndecided,
     GradeMismatch,
-    IllDefinedMap,
     InjectivePhi,
     InternalConsistencyError,
     InvalidInput,
-    LiaisonError,
     NuNotIso,
 )
 from .homalg import (
@@ -144,19 +142,12 @@ FOXBY_CLASSES = ("Auslander", "Bass")
 
 
 def class_member(class_name, M, K, bound):
-    """Bounded certificate of Auslander or Bass class membership (cached).
+    """Bounded certificate of Auslander or Bass class membership.
 
     Lists every vanishing check up to the bound; the verdict is
     ``class_verdict``'s.
     """
     _check_class(class_name)
-    return _memo(
-        M, ("class_member", class_name, K, bound),
-        lambda: _class_member(class_name, M, K, bound),
-    )
-
-
-def _class_member(class_name, M, K, bound):
     nat = _natural_map_is_iso(class_name, M, K)
     checks = list(_vanishing_checks(class_name, M, K, bound))
     tor_checks = tuple((i, z) for functor, i, z in checks if functor == "tor")
@@ -166,19 +157,12 @@ def _class_member(class_name, M, K, bound):
 
 
 def class_verdict(class_name, M, K, bound):
-    """The verdict of ``class_member`` alone (cached).
+    """The verdict of ``class_member`` alone.
 
     Checks the natural map, then Tor_i and Ext^i for i = 1..bound, and
     stops at the first failure, whose index is the smallest failing one.
     """
     _check_class(class_name)
-    return _memo(
-        M, ("class_verdict", class_name, K, bound),
-        lambda: _class_verdict(class_name, M, K, bound),
-    )
-
-
-def _class_verdict(class_name, M, K, bound):
     if not _natural_map_is_iso(class_name, M, K):
         return verdict.fails(witness="natural map not an isomorphism")
     for _, i, z in _vanishing_checks(class_name, M, K, bound):
@@ -272,19 +256,7 @@ def category_comember(tag, Y, K, bound):
 
 def coreflexive_epi(phi, K, tag, bound=None, n=None):
     """Certify phi: Y ->> N as a coreflexive homomorphism for the tag."""
-    bound = linkage.default_bound(phi.source.ctx) if bound is None else bound
-    C, _ = cokernel(phi)
-    if not C.is_zero():
-        raise IllDefinedMap("phi is not surjective")
-    gy = grade(phi.source)
-    gn = grade(phi.target)
-    if n is None:
-        n = gy
-    if gy != n or gn != n:
-        raise GradeMismatch(f"grades ({gy}, {gn}) differ from n = {n}")
-    if not category_comember(tag, phi.source, K, bound):
-        raise LiaisonError(f"source module fails the {tag} membership test")
-    return CoreflexiveEpi(phi, n, K, tag, bound)
+    return linkage._certified_epi(CoreflexiveEpi, category_comember, phi, K, tag, bound, n)
 
 
 def colink_operator(e):

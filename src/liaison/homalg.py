@@ -198,7 +198,7 @@ def restrict_scalars(M):
 
 def residue_field(ctx):
     return _memo(ctx, "residue_field", lambda: _cyclic_module(
-        ctx, tuple(Vec({ctx._unit(i): 1}) for i in range(ctx.m))))
+        ctx, tuple(Vec({unit: 1}) for unit in ctx._pk.units)))
 
 
 def ambient_pd(M):

@@ -228,19 +228,25 @@ def category_member(tag, X, K, bound):
 
 def reflexive_epi(phi, K, tag, bound=None, n=None):
     """Certify phi: X ->> M as a reflexive homomorphism for the tag."""
+    return _certified_epi(ReflexiveEpi, category_member, phi, K, tag, bound, n)
+
+
+def _certified_epi(cls, member, phi, K, tag, bound, n):
+    """``cls(phi, n, K, tag, bound)`` for an epimorphism phi whose source and
+    target have grade n and whose source passes ``member`` for the tag."""
     bound = default_bound(phi.source.ctx) if bound is None else bound
     C, _ = cokernel(phi)
     if not C.is_zero():
         raise IllDefinedMap("phi is not surjective")
-    gx = grade(phi.source)
-    gm = grade(phi.target)
+    gs = grade(phi.source)
+    gt = grade(phi.target)
     if n is None:
-        n = gx
-    if gx != n or gm != n:
-        raise GradeMismatch(f"grades ({gx}, {gm}) differ from n = {n}")
-    if not category_member(tag, phi.source, K, bound):
+        n = gs
+    if gs != n or gt != n:
+        raise GradeMismatch(f"grades ({gs}, {gt}) differ from n = {n}")
+    if not member(tag, phi.source, K, bound):
         raise LiaisonError(f"source module fails the {tag} membership test")
-    return ReflexiveEpi(phi, n, K, tag, bound)
+    return cls(phi, n, K, tag, bound)
 
 
 def link_operator(e):
@@ -293,7 +299,7 @@ def double_link_check(e):
     M = e.phi.target
     M2 = second.linked_module
     lo, hi = -6, 6
-    hf_match = all(M.hf(d) == M2.hf(d) for d in range(lo, hi + 1))
+    hf_match = M.hf_window(lo, hi) == M2.hf_window(lo, hi)
     ann_match = annihilator(M) == annihilator(M2)
     if E1.is_zero():
         if not (hf_match and ann_match):
@@ -433,10 +439,7 @@ def liaison_walk(epis, window=(-6, 6)):
             prev_linked = results[-1].linked_module
             cur = e.phi.target
             same_ann = annihilator(prev_linked) == annihilator(cur)
-            same_hf = all(
-                prev_linked.hf(d) == cur.hf(d)
-                for d in range(window[0], window[1] + 1)
-            )
+            same_hf = prev_linked.hf_window(*window) == cur.hf_window(*window)
             if not (same_ann and same_hf):
                 raise BrokenChain("steps are not compatible", step=k)
         results.append(link_operator(e))
@@ -459,11 +462,8 @@ def liaison_walk(epis, window=(-6, 6)):
         hi_ext_equal = True
         ctx = start.ctx
         for i in range(n + 1, ctx.m + 2):
-            A = ext_hilbert(i, start, K)
-            B = ext_hilbert(i, end, K)
-            if any(
-                A.hf(d) != B.hf(d) for d in range(window[0], window[1] + 1)
-            ):
+            A = ext_hilbert(i, start, K).hf_window(*window)
+            if A != ext_hilbert(i, end, K).hf_window(*window):
                 hi_ext_equal = False
                 break
         report["even_ext_agree"] = hi_ext_equal

@@ -152,8 +152,7 @@ class GradedModule:
             self._rels, self.ctx, self.rank, self.shifts))
 
     def full_gb(self):
-        return _memo(self, "full_gb", lambda: groebner.buchberger(
-            self._gens + self._rels, self.ctx, self.rank, self.shifts))
+        return groebner.buchberger(self._gens + self._rels, self.ctx, self.rank, self.shifts)
 
     def is_zero(self):
         return _memo(self, "is_zero", lambda: all(
@@ -661,18 +660,14 @@ class InvariantReport(
         }
 
 
-def ring_module(ctx):
-    return _memo(ctx, "ring_module", lambda: free_module(ctx, 1))
-
-
 def ring_dim(ctx):
-    return _memo(ctx, "ring_dim", lambda: ring_module(ctx).dim())
+    return _memo(ctx, "ring_dim", lambda: free_module(ctx, 1).dim())
 
 
 def ring_depth(ctx):
     from . import homalg
 
-    return _memo(ctx, "ring_depth", lambda: homalg.depth(ring_module(ctx)))
+    return _memo(ctx, "ring_depth", lambda: homalg.depth(free_module(ctx, 1)))
 
 
 def ring_is_cm(ctx):
@@ -696,7 +691,7 @@ def _grade(M):
         return ring_dim(ctx) - M.dim()
     from . import homalg
 
-    R1 = ring_module(ctx)
+    R1 = free_module(ctx, 1)
     for i in range(ring_dim(ctx) + 1):
         if not homalg.ext_vanishes(i, M, R1):
             return i
@@ -716,11 +711,7 @@ def is_regular_sequence(ctx, seq):
 
 
 def transport(M, ctx2):
-    """Reinterpret a module annihilated by the new defining ideal (cached)."""
-    return _memo(M, ("transport", ctx2), lambda: _transport(M, ctx2))
-
-
-def _transport(M, ctx2):
+    """Reinterpret a module annihilated by the new defining ideal."""
     # one polynomial ring packs its monomials one way: the keys carry over
     if not ctx2.same_polynomial_ring(M.ctx):
         raise RingMismatch("polynomial from an incompatible ring")

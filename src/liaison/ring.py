@@ -15,9 +15,10 @@ quotient is ``b - a``, the monomial 1 is ``0`` and the degree is
 ``key >> shift``.  Divisibility is one guard-bit test on the ``exps`` words.
 ``B`` is fixed (``_BITS``); a weighted degree at or above ``2**B`` raises
 ``DegreeOverflow`` where degrees grow (monomial construction and products),
-so fields never carry into each other.  Every key is below ``top = 1 <<
-span``, so the bits from ``span`` up are free: the Groebner engine packs a
-free-module position there, one field above the degree (see ``groebner``).
+and a variable weight there when the ring is built, so fields never carry
+into each other.  Every key is below ``top = 1 << span``, so the bits from
+``span`` up are free: the Groebner engine packs a free-module position
+there, one field above the degree (see ``groebner``).
 """
 
 from __future__ import annotations
@@ -69,13 +70,16 @@ class _Packing:
     __slots__ = ("shift", "span", "low", "guard", "top", "units")
 
     def __init__(self, weights):
+        for w in weights:
+            if w >= _LIMIT:  # x_i itself would not fit
+                raise _overflow(w)
         m = len(weights)
         self.shift = m * _SPAN + (m - 1) * _BITS
         self.span = self.shift + _BITS
         self.low = (1 << (m * _SPAN)) - 1
         self.guard = sum(1 << (i * _SPAN + _BITS) for i in range(m))
         self.top = 1 << self.span
-        # the key of x_i, unchecked: var() refuses a weight at the limit
+        # the key of x_i
         self.units = tuple(_pack([int(i == k) for k in range(m)], weights)
                            for i in range(m))
 
@@ -200,13 +204,7 @@ class RingCtx:
         return Poly(self, {})
 
     def var(self, i):
-        return Poly(self, {self._unit(i): 1})
-
-    def _unit(self, i):
-        """The packed monomial x_i, refused at the monomial limit."""
-        if self.weights[i] >= _LIMIT:
-            raise _overflow(self.weights[i])
-        return self._pk.units[i]
+        return Poly(self, {self._pk.units[i]: 1})
 
     def gens(self):
         return [self.var(i) for i in range(self.m)]

@@ -209,6 +209,12 @@ MALFORMED = [
      "window = 1000000000000000..1000000000000000"),
     (MINIMAL + "[options]\nwindow = 0..1048576\n", [], "window = 0..1048576"),
     (MINIMAL, ["--window=-1048576..0"], None),
+    # a weight the monomial packing cannot store, refused when the ring is built
+    (MINIMAL.replace("vars = x", "vars = x, y\nweights = 1048576, 1"), [],
+     "weights = 1048576, 1"),
+    # a defining literal too high names the section, not the weights
+    (MINIMAL.replace("vars = x", "vars = x, y\nweights = 2, 1\ndefining = y^2000000"), [],
+     "[ring]"),
 ]
 
 
@@ -557,17 +563,6 @@ cyclic_link I c
     assert code == 1
 
 
-def test_residue_field_refuses_a_weight_at_the_limit():
-    # no literal names x, but depth reads R/(x, y), whose x reaches the limit
-    text = MINIMAL.replace("vars = x", "vars = x, y\nweights = 1048576, 1").replace(
-        "gens = x", "gens = y")
-    report, code = run(parse_spec(text))
-    (entry,) = report["results"]
-    assert entry["ok"] is False
-    assert entry["error"] == "weighted degree 1048576 reaches the monomial limit 1048576"
-    assert code == 1
-
-
 def test_unexpected_exception_becomes_exit_three(monkeypatch, capsys):
     def broken(spec, name):
         raise RuntimeError("boom")
@@ -652,6 +647,38 @@ def test_gallery_report_is_pinned(name):
     report.pop("timestamp")
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GALLERY_DIGESTS[name]
+
+
+def _memo_kinds(ctx):
+    """The kind of every entry in the caches of ctx and of the rings stored
+    there (ambient and quotient rings): a ring entry's key, or its first
+    element; a module entry's inner key, or its first element."""
+    kinds, rings, seen = set(), [ctx], set()
+    while rings:
+        ring = rings.pop()
+        if ring in seen:
+            continue
+        seen.add(ring)
+        for key, value in ring._cache.items():
+            if isinstance(key, tuple) and isinstance(key[0], liaison.GradedModule):
+                key = key[1]
+            kinds.add(key[0] if isinstance(key, tuple) else key)
+            if isinstance(value, liaison.RingCtx):
+                rings.append(value)
+    return kinds
+
+
+def test_wrappers_served_by_inner_entries_store_nothing():
+    # a Foxby certificate or verdict, a transported module, the ring as a
+    # module and a module's full basis are never read again or are rebuilt
+    # from entries the cache holds (mu/nu, the transforms, the vanishing
+    # entries, buchberger's entry for the same columns): none is stored
+    removed = {"class_member", "class_verdict", "transport", "ring_module", "full_gb"}
+    for name in sorted(GALLERIES):
+        spec = gallery(name)
+        run(spec)
+        kinds = _memo_kinds(spec.ring)
+        assert "buchberger" in kinds and not kinds & removed, name
 
 
 def test_type_three_report_is_pinned():

@@ -862,4 +862,4 @@ def test_repeated_hom_and_certificate_run_hom_kernel_once(monkeypatch):
     second = class_member("Bass", M, K, 1)
     hom_module(K, M)
     assert len(calls) == 1
-    assert second is first
+    assert second == first

@@ -227,7 +227,7 @@ def test_degree_limit_raises():
     with pytest.raises(DegreeOverflow):
         mono_lcm(max(top.terms), max(ctx.var(1).terms), ctx)
     with pytest.raises(DegreeOverflow):
-        make_ring(101, ["x"], weights=[limit]).var(0)
+        make_ring(101, ["x"], weights=[limit])
 
 
 def test_cached_hash_follows_the_terms():

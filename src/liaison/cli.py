@@ -175,6 +175,8 @@ def parse_spec(text, p=None):
     ops = []
     for name, header_line, entries in sections:
         if name == "ring":
+            if ring_ctx is not None:  # ideals and modules are already over the first
+                raise SpecSyntaxError("a spec has one [ring] section", header_line)
             kv = _kv(entries)
             try:
                 var_names = [v.strip() for v in kv["vars"][0].split(",") if v.strip()]
@@ -187,6 +189,9 @@ def parse_spec(text, p=None):
             if "weights" in kv:
                 text_, lineno = kv["weights"]
                 weights = [_int(w, lineno) for w in text_.split(",") if w.strip()]
+                if weights and (len(weights) != len(var_names) or min(weights) < 1):
+                    raise SpecSyntaxError(
+                        "weights must be positive integers, one per variable", lineno)
             defining = []
             if "defining" in kv and kv["defining"][0]:
                 defining = [s.strip() for s in kv["defining"][0].split(",") if s.strip()]

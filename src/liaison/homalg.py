@@ -36,12 +36,25 @@ non-Gorenstein R they need not stop at all.  K is recognized as the module
 ``linkage.canonical_module`` stored for its ring, which is built only after
 R passed the CM check.
 
-``change_of_rings`` is the one change of rings: for a regular sequence x
-of Vecs it builds R/(x), stores it for R under the multiset of x, and
-moves K to Ext^n(R/(x), K).  The quotient route of the bidual obstructions
-and ``cohomology.schenzel_check`` both call it, so every caller passing to
-R/(x) with the same x, in any order, shares one ring and every result
-cached over it.
+When x is regular on R and on M and xN = 0, Ext^i_R(M, N) = Ext^i_{R/(x)}
+(M/xM, N) as graded modules (Bruns-Herzog, Lemma 3.1.16): a minimal
+resolution F of M gives the resolution F/xF of M/xM, and Hom_R(F, N) =
+Hom_{R/(x)}(F/xF, N).  So, into any N but the canonical module,
+``ext_vanishes`` and ``ext_hilbert`` take their series over R/(x) whenever
+N's annihilator basis holds such an x, the one of lowest degree, chosen
+once per (N, M): there a maximal Cohen-Macaulay M over a non-Gorenstein R
+resolves with the same Betti numbers and far shorter vectors.  x is L-regular exactly when
+HS(L/xL) = (1 - t^deg x) HS(L).  R without defining ideal or Artinian, M of
+dimension 0 and N of dimension dim R have no such x and are refused before
+any search.  Tor stays over R: Tor_i(M, ω) resolves M, which the route
+would trade for ω/xω, whose Betti numbers grow as ω's do.
+
+``quotient_ring`` builds R/(x) for a regular sequence x of Vecs and stores
+it for R under the multiset of x, so the Ext route, the quotient route of
+the bidual obstructions and ``cohomology.schenzel_check`` (both through
+``change_of_rings``, which also moves K to Ext^n(R/(x), K)) share one ring
+per x, in any order, and every result cached over it.  Modules move there
+with ``modules.transport``.
 
 Both complexes follow one degree convention, Hom(R(-d), N) = N(d) and
 R(-d) (x) N = N(-d), so every term is a block sum ⊕ N(d_b) and
@@ -69,7 +82,7 @@ from .errors import (
     RegularSequenceNotFound,
     RingMismatch,
 )
-from .groebner import HilbertData, Vec, _add_series, _axpy, _lead_degree
+from .groebner import HilbertData, Vec, _add_series, _axpy, _lead_degree, _poly_mul_1mt
 from .ring import _LIMIT, _make_ring, _memo, _memoized, _overflow
 from .modules import (
     GradedModule,
@@ -81,11 +94,13 @@ from .modules import (
     _stacked,
     _subquotient,
     _transpose,
+    annihilator,
     cokernel,
     free_module,
     image,
     kernel,
     ring_dim,
+    transport,
     vec_combine,
     zero_map,
     zero_module,
@@ -335,12 +350,24 @@ def _vanishes(functor, i, M, N):
 
 
 def _series(functor, i, M, N):
-    """Hilbert numerator of the homology at the middle of B_in -> B -> B_out
-    of the tensor ("tor") or dual ("ext") complex of F(M) with N, where
-    B = F_i (x) N or Hom(F_i, N): HS(B) - HS(image in B) - HS(image in
-    B_out)."""
+    """Hilbert numerator of Tor_i(M, N) or Ext^i(M, N), by ``_ring_series``
+    over R, or for Ext over R/(x) from M/xM and N when a regular element x
+    kills N (module docstring)."""
     if M.is_zero() or N.is_zero():
         return {}
+    if functor == "ext":
+        x = _memo(N, ("ext_route", M), lambda: _regular_annihilator(M, N))
+        if x is not None:
+            ctx2 = quotient_ring(M.ctx, (x,))
+            return _ring_series("ext", i, transport(M, ctx2), transport(N, ctx2))
+    return _ring_series(functor, i, M, N)
+
+
+def _ring_series(functor, i, M, N):
+    """Hilbert numerator of the homology at the middle of B_in -> B -> B_out
+    of the tensor ("tor") or dual ("ext") complex of F(M) with N over M's
+    ring, where B = F_i (x) N or Hom(F_i, N): HS(B) - HS(image in B) -
+    HS(image in B_out), for M and N nonzero."""
     res = free_resolution(M, i + 1)
     if not res.rank(i):
         return {}
@@ -354,6 +381,32 @@ def _series(functor, i, M, N):
     for k in (i, i + 1):
         _add_series(series, _image_series(functor, k, M, N, res), sign=-1)
     return series
+
+
+def _regular_annihilator(M, N):
+    """The lowest-degree element x of N's annihilator basis that is regular
+    on R and on M, or None.  A ring without defining ideal, an Artinian
+    ring, an N of R's dimension (which no regular element kills) and an M
+    of dimension 0 have none, decided before any search."""
+    ctx = M.ctx
+    dim_r = ring_dim(ctx) if ctx.defining else 0
+    if not dim_r or N.dim() == dim_r or not M.dim():
+        return None
+    R1 = free_module(ctx, 1)
+    for x in sorted(annihilator(N), key=lambda f: _lead_degree(ctx, f, (0,))):
+        d = _lead_degree(ctx, x, (0,))
+        if _regular_on(R1, _cyclic_module(ctx, (x,)), d) and _regular_on(
+            M, transport(M, quotient_ring(ctx, (x,))), d
+        ):
+            return x
+    return None
+
+
+def _regular_on(L, L_mod_x, d):
+    """Whether x of degree d > 0 is regular on L, given L/xL: HS(L/xL) =
+    (1 - t^d) HS(L) + t^d HS(0 :_L x), so exactly when HS(L/xL) = (1 - t^d)
+    HS(L).  Both rings lie over one S, so the numerators compare."""
+    return L_mod_x.hilbert().numerator == _poly_mul_1mt(L.hilbert().numerator, d)
 
 
 def _image_series(functor, k, M, N, res):
@@ -547,12 +600,12 @@ def _obstruction_transpose(M, K, n, route):
         route = "quotient" if n > 0 else "direct"
     if route == "quotient" and n > 0:
         try:
-            seq = regular_sequence_in_ideal(M.ctx, modules.annihilator(M), n)
+            seq = regular_sequence_in_ideal(M.ctx, annihilator(M), n)
         except RegularSequenceNotFound:
             pass
         else:
             ctx2, Kbar = change_of_rings(M.ctx, seq, K)
-            Tr, _ = transpose(modules.transport(M, ctx2), Kbar)
+            Tr, _ = transpose(transport(M, ctx2), Kbar)
             return Tr, Kbar, 1
     Om = syzygy(M, n)
     if Om.is_zero():
@@ -615,24 +668,26 @@ def regular_sequence_in_ideal(ctx, ideal, n):
 
 
 def change_of_rings(ctx, x_seq, K):
-    """Pass to R/(x) for a regular sequence x of Vecs; K moves to
-    Ext^n(R/(x), K).
-
-    R/(x) is stored for R under the multiset of x, so sequences that differ
-    only in order share one ring.  x is checked once, when R/(x) is built;
-    a homogeneous regular sequence stays regular in any order.
-    """
+    """Pass to R/(x) = ``quotient_ring(ctx, x_seq)`` for a regular sequence
+    x of Vecs; K moves to Ext^n(R/(x), K)."""
     if not x_seq:
         return ctx, K
+    ctx2 = quotient_ring(ctx, x_seq)
+    return ctx2, transport(ext(len(x_seq), _cyclic_module(ctx, x_seq), K), ctx2)
 
-    def quotient_ring():
+
+def quotient_ring(ctx, x_seq):
+    """R/(x) for a regular sequence x of Vecs, stored for R under the
+    multiset of x, so sequences that differ only in order share one ring.
+    x is checked once, when R/(x) is built; a homogeneous regular sequence
+    stays regular in any order."""
+
+    def compute():
         if not modules.is_regular_sequence(ctx, x_seq):
             raise NotRegularSequence("the sequence is not regular")
         return _make_ring(ctx.ambient(), (*(Vec(g.terms) for g in ctx.defining), *x_seq))
 
-    ctx2 = _memo(ctx, ("quotient_ring", frozenset(Counter(x_seq).items())), quotient_ring)
-    Rx = _cyclic_module(ctx, x_seq)
-    return ctx2, modules.transport(ext(len(x_seq), Rx, K), ctx2)
+    return _memo(ctx, ("quotient_ring", frozenset(Counter(x_seq).items())), compute)
 
 
 # ---------------------------------------------------------------------------

@@ -711,11 +711,25 @@ def is_regular_sequence(ctx, seq):
 
 
 def transport(M, ctx2):
-    """Reinterpret a module annihilated by the new defining ideal."""
+    """M (x) R' over a quotient R' = ``ctx2`` of M's ring, on the same
+    polynomial ring: M itself when R''s defining ideal J' kills M.
+
+    Over R' the relations take in J'F, which is all of M's relations need
+    when M's generators are F's unit vectors: F/(Rel + J'F) = M/J'M.  Other
+    generators G would leave (G + Rel + J'F)/(Rel + J'F), which drops
+    G ∩ J'F, so M moves as the cokernel of its minimal presentation d_1."""
     # one polynomial ring packs its monomials one way: the keys carry over
     if not ctx2.same_polynomial_ring(M.ctx):
         raise RingMismatch("polynomial from an incompatible ring")
-    return _subquotient(ctx2, M.rank, M.shifts, M._gens, M._rels)
+    if M._gens == tuple(_units(M.ctx, M.rank)):
+        return _subquotient(ctx2, M.rank, M.shifts, M._gens, M._rels)
+    from . import homalg
+
+    res = homalg.free_resolution(M, 1)
+    if not res.kept:
+        return zero_module(ctx2)
+    n, d_1 = len(res.kept), res.diffs[0] if res.diffs else ()
+    return _subquotient(ctx2, n, res.level_shifts[0], _units(ctx2, n), d_1)
 
 
 def invariants(M):

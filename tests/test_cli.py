@@ -215,6 +215,12 @@ MALFORMED = [
     # a defining literal too high names the section, not the weights
     (MINIMAL.replace("vars = x", "vars = x, y\nweights = 2, 1\ndefining = y^2000000"), [],
      "[ring]"),
+    # a weight that is not positive, or one too few, names the weights line
+    (MINIMAL.replace("vars = x", "vars = x, y\nweights = 0, 1"), [], "weights = 0, 1"),
+    (MINIMAL.replace("vars = x", "vars = x, y\nweights = 2"), [], "weights = 2"),
+    # a second ring would leave the ideals before it over the first
+    (MINIMAL.replace("[ops]", "[ring]  # the second\np = 7\nvars = y\n\n[ops]"), [],
+     "[ring]  # the second"),
 ]
 
 

@@ -30,6 +30,8 @@ from liaison.errors import (
     UnknownName,
 )
 
+from tests.test_ext_route import routed_ext_questions, watch_ext_questions
+
 MINIMAL = """
 [ring]
 p = 101
@@ -687,14 +689,19 @@ def test_wrappers_served_by_inner_entries_store_nothing():
         assert "buchberger" in kinds and not kinds & removed, name
 
 
-def test_type_three_report_is_pinned():
+def test_type_three_report_is_pinned(monkeypatch):
     # the report as printed, less its timestamp, pinned by its sha256: how
     # Hilbert numerators, image columns or syzygies are computed may change,
     # what the report says may not
-    report, code = run(parse_spec(SEMIGROUP_4567))
+    questions = watch_ext_questions(monkeypatch)
+    spec = parse_spec(SEMIGROUP_4567)
+    report, code = run(spec)
     assert code == 0
     report.pop("timestamp")
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "77af9c575792fd6b2c96cad9b9529008ec0940dc5110c7e780a208d4ef48e36c"
     )
+    # the same run: of the 9 Ext questions decided through _series over
+    # the ring, the 6 whose N has a regular annihilator go over R/(x)
+    assert routed_ext_questions(spec.ring, *questions) == (9, 6)

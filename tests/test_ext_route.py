@@ -3,12 +3,11 @@ Ext^i_R(M, N) = Ext^i_{R/(x)}(M/xM, N) as graded modules, so ``ext_vanishes``
 and ``ext_hilbert`` answer over R/(x).  Checked against the route over R,
 and the moves to R/(x) that it rests on."""
 
-import pathlib
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from liaison import cli, homalg
+from liaison import homalg
 from liaison.homalg import depth, ext_hilbert, ext_vanishes
 from liaison.linkage import canonical_module
 from liaison.modules import annihilator, cyclic_module, subquotient, tensor, transport
@@ -153,38 +152,34 @@ def test_routed_ext_matches_the_ring_route():
     assert {key[2] for key in routed} == {"R/I", "K (x) R/I", "fR/fI"}
 
 
-SPEC_4567 = (pathlib.Path(__file__).resolve().parent / "fixtures"
-             / "semigroup4567_bound4.spec").read_text().replace("bound = 4", "bound = 3")
-
-
-def test_every_type_three_question_with_a_regular_annihilator_takes_the_route(monkeypatch):
-    """The Ext questions that the type-three spec at bound 3 decides through
-    ``_series`` over its ring, counted with wrappers: each one whose N has
-    an annihilator regular on R and on M is answered over R/(x), from M/xM
-    and N, and never over R; each other one is answered over R."""
+def watch_ext_questions(monkeypatch):
+    """Lists that collect (i, M, N) of every Ext question ``_series`` and
+    ``_ring_series`` are asked, filled while the monkeypatch holds."""
     asked, answered = [], []
-
-    def watch(name, into):
+    for name, into in (("_series", asked), ("_ring_series", answered)):
         real = getattr(homalg, name)
 
-        def watched(functor, i, M, N):
+        def watched(functor, i, M, N, real=real, into=into):
             if functor == "ext":
                 into.append((i, M, N))
             return real(functor, i, M, N)
 
         monkeypatch.setattr(homalg, name, watched)
+    return asked, answered
 
-    watch("_series", asked)
-    watch("_ring_series", answered)
-    spec = cli.parse_spec(SPEC_4567)
-    assert cli.run(spec)[1] == 0
-    ctx = spec.ring
-    questions = [q for q in asked if q[1].ctx is ctx]
+
+def routed_ext_questions(ring, asked, answered):
+    """Checks that each Ext question ``_series`` got over ``ring`` whose N
+    has an annihilator regular on R and on M was answered over R/(x), from
+    M/xM and N, and never over R, and that every other one was answered
+    over R; returns how many questions there were and how many went over
+    R/(x).  ``tests/test_cli.py`` reads it on the type-three spec."""
+    questions = [q for q in asked if q[1].ctx is ring]
     routed = [q for q in questions if _has_regular_annihilator(*q[1:])]
     for i, M, N in questions:
-        x = ctx._cache[N, ("ext_route", M)]
+        x = ring._cache[N, ("ext_route", M)]
         assert ((i, M, N) in routed) == (x is not None) == ((i, M, N) not in answered)
         if x is not None:
-            ctx2 = homalg.quotient_ring(ctx, (x,))
+            ctx2 = homalg.quotient_ring(ring, (x,))
             assert (i, transport(M, ctx2), transport(N, ctx2)) in answered
-    assert (len(questions), len(routed)) == (9, 6)
+    return len(questions), len(routed)

@@ -173,10 +173,20 @@ def parse_spec(text, p=None):
     k_kind, k_name = "trivial", None
     bound, window = None, (-6, 6)
     ops = []
+    seen = set()
     for name, header_line, entries in sections:
+        # a second [ring] would leave the ideals and modules before it over
+        # the first; a second [K], [options] or ideal or module of one name
+        # would replace the first unseen
+        kind, _, ident = name.partition(" ")
+        named = kind in ("ideal", "module")
+        key = ("name", ident.strip()) if named else name
+        if key in seen and name != "ops":
+            raise SpecSyntaxError(
+                f"{ident.strip()!r} names a second ideal or module" if named
+                else f"a spec has one [{name}] section", header_line)
+        seen.add(key)
         if name == "ring":
-            if ring_ctx is not None:  # ideals and modules are already over the first
-                raise SpecSyntaxError("a spec has one [ring] section", header_line)
             kv = _kv(entries)
             try:
                 var_names = [v.strip() for v in kv["vars"][0].split(",") if v.strip()]
@@ -277,8 +287,6 @@ def parse_spec(text, p=None):
     if ring_ctx is None:
         raise SpecSyntaxError("spec has no [ring] section", 1)
     names = set(ideals) | set(mods)
-    if len(names) != len(ideals) + len(mods):
-        raise SpecSyntaxError("ideal/module names must be unique", 1)
     for op, args, lineno in ops:
         for kind, arg in zip(_ARG_KINDS[op], args):
             if kind == "name" and arg not in names:

@@ -43,11 +43,15 @@ Hom_{R/(x)}(F/xF, N).  So, into any N but the canonical module,
 ``ext_vanishes`` and ``ext_hilbert`` take their series over R/(x) whenever
 N's annihilator basis holds such an x, the one of lowest degree, chosen
 once per (N, M): there a maximal Cohen-Macaulay M over a non-Gorenstein R
-resolves with the same Betti numbers and far shorter vectors.  x is L-regular exactly when
-HS(L/xL) = (1 - t^deg x) HS(L).  R without defining ideal or Artinian, M of
-dimension 0 and N of dimension dim R have no such x and are refused before
-any search.  Tor stays over R: Tor_i(M, ω) resolves M, which the route
-would trade for ω/xω, whose Betti numbers grow as ω's do.
+resolves with the same Betti numbers and far shorter vectors.  When
+moreover N and ω_R move to one module over R/(x), N is ω/xω, which is
+ω_{R/(x)} up to a twist (Bruns-Herzog 3.3.5, graded 3.6.12), and R/(x)
+is Cohen-Macaulay, so ``ext_vanishes`` decides Ext^{i+c}_S(M/xM, ω_S), c
+the codimension of R/(x), as for ω_R itself.  x is L-regular exactly when
+HS(L/xL) = (1 - t^deg x) HS(L).  R without defining ideal or Artinian, M
+of dimension 0 and N of dimension dim R have no such x and are refused
+before any search.  Tor stays over R: Tor_i(M, ω) resolves M, which the
+route would trade for ω/xω, whose Betti numbers grow as ω's do.
 
 ``quotient_ring`` builds R/(x) for a regular sequence x of Vecs and stores
 it for R under the multiset of x, so the Ext route, the quotient route of
@@ -340,13 +344,33 @@ def ext_hilbert(i, M, N):
 
 def _vanishes(functor, i, M, N):
     """Whether the homology is zero: over positive weights a graded module
-    is zero exactly when its Hilbert series is."""
-    if functor == "ext" and N == _memoized(N.ctx, "canonical_module"):
-        # Ext^i_R(M, ω_R) = Ext^{i+c}_S(M, ω_S), c = codim R (module docstring)
-        MS = restrict_scalars(M)
-        c = MS.ctx.m - ring_dim(N.ctx)
-        return ext_vanishes(i + c, MS, free_module(MS.ctx, 1))
+    is zero exactly when its Hilbert series is.  Ext into ω_R, or into
+    ω/xω for the x of the R/(x) route, is decided over S instead (module
+    docstring)."""
+    if functor == "ext" and not (M.is_zero() or N.is_zero()):
+        omega = _memoized(N.ctx, "canonical_module")
+        if N == omega:
+            return _dual_vanishes(i, M)
+        x = _ext_route(M, N) if omega is not None else None
+        if x is not None:
+            ctx2 = quotient_ring(M.ctx, (x,))
+            if transport(N, ctx2) == transport(omega, ctx2):
+                # N = ω/xω, which is ω_{R/(x)} up to a twist
+                return _dual_vanishes(i, transport(M, ctx2))
     return not _series(functor, i, M, N)
+
+
+def _dual_vanishes(i, M):
+    """Whether Ext^i(M, ω) = 0 over M's Cohen-Macaulay ring, as
+    Ext^{i+c}_S(M, ω_S) with c its codimension and ω_S a twist of S."""
+    MS = restrict_scalars(M)
+    c = MS.ctx.m - ring_dim(M.ctx)
+    return ext_vanishes(i + c, MS, free_module(MS.ctx, 1))
+
+
+def _ext_route(M, N):
+    """The x of the R/(x) route for Ext(M, N), or None; chosen once."""
+    return _memo(N, ("ext_route", M), lambda: _regular_annihilator(M, N))
 
 
 def _series(functor, i, M, N):
@@ -356,7 +380,7 @@ def _series(functor, i, M, N):
     if M.is_zero() or N.is_zero():
         return {}
     if functor == "ext":
-        x = _memo(N, ("ext_route", M), lambda: _regular_annihilator(M, N))
+        x = _ext_route(M, N)
         if x is not None:
             ctx2 = quotient_ring(M.ctx, (x,))
             return _ring_series("ext", i, transport(M, ctx2), transport(N, ctx2))

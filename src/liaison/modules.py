@@ -661,7 +661,13 @@ class InvariantReport(
 
 
 def ring_dim(ctx):
-    return _memo(ctx, "ring_dim", lambda: free_module(ctx, 1).dim())
+    """dim R, from the lead words of the reduced basis ``ctx.defining``,
+    which minimally generate the initial ideal: no engine is built."""
+    def compute():
+        words = tuple(max(g.terms) & ctx._pk.low for g in ctx.defining)
+        return groebner.HilbertData(ctx, groebner._kpoly(words, ctx)).dim
+
+    return _memo(ctx, "ring_dim", compute)
 
 
 def ring_depth(ctx):

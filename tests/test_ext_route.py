@@ -1,16 +1,19 @@
 """Ext over R/(x): when x is regular on R and on M and kills N,
 Ext^i_R(M, N) = Ext^i_{R/(x)}(M/xM, N) as graded modules, so ``ext_vanishes``
-and ``ext_hilbert`` answer over R/(x).  Checked against the route over R,
-and the moves to R/(x) that it rests on."""
+and ``ext_hilbert`` answer over R/(x), and ``ext_vanishes`` into N = ω/xω
+over S.  Checked against the route over R, and the moves to R/(x) that it
+rests on."""
 
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from liaison import homalg
-from liaison.homalg import depth, ext_hilbert, ext_vanishes
+from liaison.homalg import depth, ext_hilbert, ext_vanishes, restrict_scalars
 from liaison.linkage import canonical_module
-from liaison.modules import annihilator, cyclic_module, subquotient, tensor, transport
+from liaison.modules import (
+    annihilator, cyclic_module, free_module, ring_dim, subquotient, tensor, transport,
+)
 from liaison.ring import make_ring, parse_poly
 
 from tests.oracle import monomials_of_degree
@@ -152,34 +155,121 @@ def test_routed_ext_matches_the_ring_route():
     assert {key[2] for key in routed} == {"R/I", "K (x) R/I", "fR/fI"}
 
 
+# the cone over (t^3, t^4, t^5): Cohen-Macaulay of dimension 2, where
+# Ext^i(M, ω/xω) need not vanish for i >= 1 (it does over the curves for
+# maximal Cohen-Macaulay M, R/(x) being Artinian there)
+SEMIGROUP_345_CONE = make_ring(
+    101, ["x", "y", "z", "w"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"], weights=[3, 4, 5, 1])
+
+DUAL_RINGS = {
+    # (ring, low degrees of forms, fixed ideals for M)
+    **RINGS,
+    "345 cone": (SEMIGROUP_345_CONE, [1, 2, 3, 4, 5],
+                 [["x", "y"], ["w"], ["x", "w"], ["y", "z", "w"]]),
+}
+
+
+def _over_s_from_m_mod_x(M, N):
+    """Whether ``ext_vanishes`` decided Ext(M, N) over S from M/xM: N's
+    route found an x, and N/xN is ω/xω."""
+    x = M.ctx._cache.get((N, ("ext_route", M)))
+    if x is None:
+        return False
+    ctx2 = homalg.quotient_ring(M.ctx, (x,))
+    return transport(N, ctx2) == transport(canonical_module(M.ctx), ctx2)
+
+
+def test_ext_into_omega_mod_x_over_s_matches_the_ring_route():
+    """``ext_vanishes(i, M, ω ⊗ R/(f))`` against the route over R called
+    directly, for i = 0..3, over the two monomial curves and the cone over
+    the first.  Where f is regular on R and on M it is answered over S, as
+    Ext^{i+c}_S(M/fM, S) with c the codimension of R/(f): ω/fω is
+    ω_{R/(f)} up to a twist (Bruns-Herzog 3.1.16 and 3.3.5)."""
+    answers, over_s = Counter(), Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(DUAL_RINGS)))
+        ctx, degrees, ideals = DUAL_RINGS[name]
+        m_kind, M = _draw_m(data, ctx, degrees, ideals)
+        f = _draw_nonzero_form(data, ctx, degrees)
+        N = tensor(canonical_module(ctx), cyclic_module(ctx, [f]))
+        got = [ext_vanishes(i, M, N) for i in range(4)]
+        for i in range(4):
+            assert got[i] == (not homalg._ring_series("ext", i, M, N))
+        if _over_s_from_m_mod_x(M, N):
+            over_s[name, m_kind] += 1
+            answers.update((i > 0, vanishes) for i, vanishes in enumerate(got))
+
+    check()
+    # both answers come over S, and a nonzero Ext^i with i >= 1 among them
+    assert {(False, False), (True, True), (True, False)} <= set(answers)
+    # on each ring (26 of the 40 examples under hypothesis 6.155)
+    assert sum(over_s.values()) >= 20
+    assert {key[0] for key in over_s} == set(DUAL_RINGS)
+
+
+def test_ext1_of_the_cone_mod_w_into_omega_mod_x_is_nonzero():
+    # M = R/(w) has dimension 1 and M/xM = R/(w, x) dimension 0 over the
+    # one-dimensional R/(x), so Ext^i_R(M, ω/xω) = Ext^i_{R/(x)}(M/xM,
+    # ω_{R/(x)}) = Ext^{i+3}_S(R/(w, x), S)(twist) is nonzero for i = 1 alone
+    R = SEMIGROUP_345_CONE
+    x, w = R.var(0), R.var(3)
+    M = cyclic_module(R, [w])
+    N = tensor(canonical_module(R), cyclic_module(R, [x]))
+    got = [ext_vanishes(i, M, N) for i in range(4)]
+    assert got == [True, False, True, True]
+    assert got == [not homalg._ring_series("ext", i, M, N) for i in range(4)]
+    assert _over_s_from_m_mod_x(M, N)
+
+
 def watch_ext_questions(monkeypatch):
-    """Lists that collect (i, M, N) of every Ext question ``_series`` and
-    ``_ring_series`` are asked, filled while the monkeypatch holds."""
-    asked, answered = [], []
-    for name, into in (("_series", asked), ("_ring_series", answered)):
+    """Lists, by function name, that collect (i, M, N) of every Ext
+    question ``_vanishes``, ``_series``, ``_ring_series`` and
+    ``ext_vanishes`` are asked, filled while the monkeypatch holds."""
+    calls = {name: [] for name in ("_vanishes", "_series", "_ring_series", "ext_vanishes")}
+    for name, into in calls.items():
         real = getattr(homalg, name)
 
-        def watched(functor, i, M, N, real=real, into=into):
-            if functor == "ext":
-                into.append((i, M, N))
-            return real(functor, i, M, N)
+        def watched(*args, real=real, into=into):
+            if args[0] != "tor":  # ext_vanishes takes no functor
+                into.append(args[-3:])
+            return real(*args)
 
         monkeypatch.setattr(homalg, name, watched)
-    return asked, answered
+    return calls
 
 
-def routed_ext_questions(ring, asked, answered):
-    """Checks that each Ext question ``_series`` got over ``ring`` whose N
-    has an annihilator regular on R and on M was answered over R/(x), from
-    M/xM and N, and never over R, and that every other one was answered
-    over R; returns how many questions there were and how many went over
-    R/(x).  ``tests/test_cli.py`` reads it on the type-three spec."""
-    questions = [q for q in asked if q[1].ctx is ring]
-    routed = [q for q in questions if _has_regular_annihilator(*q[1:])]
+def routed_ext_questions(ring, calls):
+    """Checks how each Ext question over ``ring`` that ``_vanishes`` or
+    ``_series`` got, into an N other than ω_R, was answered:
+      - over R, where N has no annihilator regular on R and on M;
+      - over S from M/xM, where there is such an x, N/xN = ω/xω and the
+        question asks for vanishing: as Ext^{i+c}_S((M/xM)_S, S) with c the
+        codimension of R/(x);
+      - over R/(x), from M/xM and N, otherwise; never over R when routed.
+    Returns how many questions there were, and how many went over R/(x)
+    and over S.  ``tests/test_cli.py`` reads it on the type-three spec."""
+    omega = canonical_module(ring)
+    answered = calls["_ring_series"]
+    questions = [q for q in dict.fromkeys(calls["_vanishes"] + calls["_series"])
+                 if q[1].ctx is ring and q[2] != omega]
+    over_r2 = over_s = 0
     for i, M, N in questions:
         x = ring._cache[N, ("ext_route", M)]
-        assert ((i, M, N) in routed) == (x is not None) == ((i, M, N) not in answered)
-        if x is not None:
-            ctx2 = homalg.quotient_ring(ring, (x,))
-            assert (i, transport(M, ctx2), transport(N, ctx2)) in answered
-    return len(questions), len(routed)
+        assert (x is not None) == _has_regular_annihilator(M, N)
+        assert (x is None) == ((i, M, N) in answered)
+        if x is None:
+            continue
+        ctx2 = homalg.quotient_ring(ring, (x,))
+        M2, N2 = transport(M, ctx2), transport(N, ctx2)
+        if (i, M, N) in calls["_vanishes"] and N2 == transport(omega, ctx2):
+            S = ctx2.ambient()
+            c = S.m - ring_dim(ctx2)
+            assert (i + c, restrict_scalars(M2), free_module(S, 1)) in calls["ext_vanishes"]
+            over_s += 1
+        else:
+            assert (i, M2, N2) in answered
+            over_r2 += 1
+    return len(questions), over_r2, over_s

@@ -19,9 +19,10 @@ reported as ``ok: false``), 2 usage or parse error, 3 internal consistency
 failure or any other unexpected exception in an operation (also reported
 as ``ok: false``, naming the exception type; the later operations still
 run).  Exit 2 covers: an unreadable spec file, an unknown gallery, a
-malformed section or ``key = value`` line, a value that is not an integer
-(``p``, ``weights``, ``ambient``, ``shifts``, ``bound``, ``window``, integer
-operation arguments), a ``window`` or ``--window`` not of the form lo..hi or
+malformed section or ``key = value`` line, a key its section does not take,
+a value that is not an integer (``p``, ``weights``, ``ambient``, ``shifts``,
+``bound``, ``window``, integer operation arguments), a ``bound`` or
+``--bound`` below 0, a ``window`` or ``--window`` not of the form lo..hi or
 with an end of absolute value 2^20 or more, an ``ambient`` outside 0..4096,
 ``shifts`` with neither 1 nor ``ambient`` entries or with an entry of
 absolute value 2^20 or more, a weight of 2^20 or more, a bad polynomial or
@@ -105,13 +106,17 @@ def _split_sections(text):
     return sections
 
 
-def _kv(entries):
+def _kv(entries, keys):
+    """{key: (value, line)}; a key not in ``keys`` names its line."""
     out = {}
     for lineno, line in entries:
         if "=" not in line:
             raise SpecSyntaxError(f"expected key = value, got {line!r}", lineno)
         key, val = line.split("=", 1)
-        out[key.strip()] = (val.strip(), lineno)
+        key = key.strip()
+        if key not in keys:
+            raise SpecSyntaxError(f"unknown key {key!r}, expected {', '.join(keys)}", lineno)
+        out[key] = (val.strip(), lineno)
     return out
 
 
@@ -139,6 +144,13 @@ def _window(text, lineno=None):
     if any(abs(e) >= _LIMIT for e in ends):  # hf walks every degree up to an end
         raise SpecSyntaxError(f"|window end| must be below {_LIMIT}", lineno)
     return ends
+
+
+def _bound(value, lineno=None):
+    """A bound below 0 names its line; shared by ``[options] bound`` and --bound."""
+    if value < 0:
+        raise SpecSyntaxError(f"bound must be at least 0, got {value}", lineno)
+    return value
 
 
 # operation name -> handler(spec, *args); run looks the handler up on every
@@ -170,7 +182,7 @@ def parse_spec(text, p=None):
     sections = _split_sections(text)
     ring_ctx = None
     ideals, mods = {}, {}
-    k_kind, k_name = "trivial", None
+    k_kind, k_name, k_line = "trivial", None, None
     bound, window = None, (-6, 6)
     ops = []
     seen = set()
@@ -187,7 +199,7 @@ def parse_spec(text, p=None):
                 else f"a spec has one [{name}] section", header_line)
         seen.add(key)
         if name == "ring":
-            kv = _kv(entries)
+            kv = _kv(entries, ("p", "vars", "weights", "defining"))
             try:
                 var_names = [v.strip() for v in kv["vars"][0].split(",") if v.strip()]
             except KeyError as missing:
@@ -217,7 +229,7 @@ def parse_spec(text, p=None):
                 raise SpecSyntaxError(str(exc), header_line)
         elif name.startswith("ideal "):
             ident = name.split(None, 1)[1]
-            kv = _kv(entries)
+            kv = _kv(entries, ("gens",))
             if ring_ctx is None:
                 raise SpecSyntaxError("[ring] must come first", header_line)
             gens_text, lineno = kv.get("gens", ("", header_line))
@@ -228,7 +240,7 @@ def parse_spec(text, p=None):
             ident = name.split(None, 1)[1]
             if ring_ctx is None:
                 raise SpecSyntaxError("[ring] must come first", header_line)
-            kv = _kv(entries)
+            kv = _kv(entries, ("ambient", "shifts", "gens", "rels"))
             rank_text, rank_line = kv.get("ambient", ("1", header_line))
             rank = _int(rank_text, rank_line)
             if not 0 <= rank <= 4096:  # each position is allocated
@@ -258,15 +270,16 @@ def parse_spec(text, p=None):
             except LiaisonError as exc:  # inhomogeneous columns
                 raise SpecSyntaxError(str(exc), header_line)
         elif name == "K":
-            kv = _kv(entries)
+            kv = _kv(entries, ("kind", "name"))
             k_kind = kv.get("kind", ("trivial", 0))[0]
             if k_kind not in ("trivial", "canonical", "explicit"):
                 raise SpecSyntaxError(f"unknown K kind {k_kind!r}", header_line)
-            k_name = kv.get("name", (None, 0))[0]
+            k_name, k_line = kv.get("name", (None, header_line))
         elif name == "options":
-            kv = _kv(entries)
+            kv = _kv(entries, ("bound", "window"))
             if "bound" in kv:
-                bound = _int(*kv["bound"])
+                text_, lineno = kv["bound"]
+                bound = _bound(_int(text_, lineno), lineno)
             if "window" in kv:
                 window = _window(*kv["window"])
         elif name == "ops":
@@ -292,7 +305,7 @@ def parse_spec(text, p=None):
             if kind == "name" and arg not in names:
                 raise UnknownName(f"line {lineno}: undefined name {arg!r}")
     if k_kind == "explicit" and k_name not in mods:
-        raise UnknownName(f"K refers to undefined module {k_name!r}")
+        raise UnknownName(f"line {k_line}: K refers to undefined module {k_name!r}")
     if k_kind == "canonical":
         if ring_ctx.defining and not modules.ring_is_cm(ring_ctx):
             raise NonCMForCanonical(
@@ -446,26 +459,24 @@ def op_local_cohomology(spec, name, i: int):
     return data.to_json()
 
 
+def _linked_pair(spec, iname, cname):
+    """(M, N): M = R/I and N = R/ann(L), L the module c links M to over K."""
+    I = _as_ideal(spec, iname)
+    linked = linkage._cyclic_link(spec.ring, I, _as_ideal(spec, cname), spec.resolve_K())
+    return _cyclic_module(spec.ring, I), _cyclic_module(spec.ring, annihilator(linked))
+
+
 @_operation
 def op_schenzel(spec, iname, cname, t: int):
-    K = spec.resolve_K()
-    I = _as_ideal(spec, iname)
-    c = _as_ideal(spec, cname)
-    M = _cyclic_module(spec.ring, I)
-    linked = linkage._cyclic_link(spec.ring, I, c, K)
-    N = _cyclic_module(spec.ring, annihilator(linked))
-    v = cohomology.schenzel_check(M, N, K, modules.grade(M), c, t)
+    M, N = _linked_pair(spec, iname, cname)
+    v = cohomology.schenzel_check(
+        M, N, spec.resolve_K(), modules.grade(M), _as_ideal(spec, cname), t)
     return {"verdict": v.to_json(), "t": t}
 
 
 @_operation
 def op_duality(spec, iname, cname, i: int):
-    K = spec.resolve_K()
-    I = _as_ideal(spec, iname)
-    c = _as_ideal(spec, cname)
-    M = _cyclic_module(spec.ring, I)
-    linked = linkage._cyclic_link(spec.ring, I, c, K)
-    N = _cyclic_module(spec.ring, annihilator(linked))
+    M, N = _linked_pair(spec, iname, cname)
     v = cohomology.duality_check(M, N, [i], spec.window)
     return {"verdict": v.to_json(), "index": i}
 
@@ -832,7 +843,7 @@ def gallery(name, p=None):
 
 def _apply_overrides(spec, args):
     if args.bound is not None:
-        spec.bound = args.bound
+        spec.bound = _bound(args.bound)
     if args.window is not None:
         spec.window = _window(args.window)
     return spec

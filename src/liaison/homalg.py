@@ -14,44 +14,41 @@ own immutable memo entry, one level longer than the entry below it, so
 what a length gives never depends on what was resolved before, and threads
 share resolutions without a lock.
 
-``tor_vanishes`` and ``ext_vanishes`` answer whether Tor_i or Ext^i is zero
-without building it: the homology's Hilbert series is that of the middle
-term less those of the incoming and outgoing images, each image's from the
-lead terms of an untracked Groebner basis.  Over positive weights a graded
-module is zero exactly when its Hilbert series is.  ``ext_hilbert`` returns
-that series as HilbertData, for the callers that read Ext only as numbers:
-depth, Bass numbers, local cohomology, the bidual obstructions and the
-depth-formula, even-liaison, grade and horizontal-linkage checks.
+``tor_vanishes`` and ``ext_hilbert`` read Tor_i and Ext^i as Hilbert
+series without building them: the middle term's series less those of the
+incoming and outgoing images, each image's from the lead terms of an
+untracked Groebner basis, which ``_image_engine`` builds with no direct sum
+or map: it seeds an engine with block copies of N's relation basis, one per
+summand N(±d) of the target, and reduces only the image columns.  Over
+positive weights a graded module is zero exactly when its series is, so
+``ext_vanishes`` is ``ext_hilbert(...).is_zero()``.  Depth, Bass numbers,
+local cohomology, the bidual obstructions and the depth-formula,
+even-liaison, grade and horizontal-linkage checks read Ext only so.
 
-That basis comes from ``_image_engine``, which builds no direct sum or map:
-it seeds an engine with block copies of N's relation basis, one per summand
-N(±d) of the target, and reduces only the image columns.
+``_series`` alone picks the ring, by the first route that applies (w is
+the sum of the weights, c the codimension of M's ring, R/(x) in route 2):
 
-Into the canonical module ω_R of a Cohen-Macaulay R = S/J of codimension
-c, ``ext_vanishes`` works over S instead: Ext^q_S(R, ω_S) is ω_R for q = c
-and zero otherwise, so the change-of-rings spectral sequence collapses to
-Ext^i_R(M, ω_R) = Ext^{i+c}_S(M, ω_S) (Bruns-Herzog 3.3), and ω_S is a
-twist of S.  Over S resolutions stop within dim S steps, where over a
-non-Gorenstein R they need not stop at all.  K is recognized as the module
-``linkage.canonical_module`` stored for its ring, which is built only after
-R passed the CM check.
-
-When x is regular on R and on M and xN = 0, Ext^i_R(M, N) = Ext^i_{R/(x)}
-(M/xM, N) as graded modules (Bruns-Herzog, Lemma 3.1.16): a minimal
-resolution F of M gives the resolution F/xF of M/xM, and Hom_R(F, N) =
-Hom_{R/(x)}(F/xF, N).  So, into any N but the canonical module,
-``ext_vanishes`` and ``ext_hilbert`` take their series over R/(x) whenever
-N's annihilator basis holds such an x, the one of lowest degree, chosen
-once per (N, M): there a maximal Cohen-Macaulay M over a non-Gorenstein R
-resolves with the same Betti numbers and far shorter vectors.  When
-moreover N and ω_R move to one module over R/(x), N is ω/xω, which is
-ω_{R/(x)} up to a twist (Bruns-Herzog 3.3.5, graded 3.6.12), and R/(x)
-is Cohen-Macaulay, so ``ext_vanishes`` decides Ext^{i+c}_S(M/xM, ω_S), c
-the codimension of R/(x), as for ω_R itself.  x is L-regular exactly when
-HS(L/xL) = (1 - t^deg x) HS(L).  R without defining ideal or Artinian, M
-of dimension 0 and N of dimension dim R have no such x and are refused
-before any search.  Tor stays over R: Tor_i(M, ω) resolves M, which the
-route would trade for ω/xω, whose Betti numbers grow as ω's do.
+1. Ext into the canonical module ω_R of a Cohen-Macaulay R = S/J goes over
+   S as t^w HS(Ext^{i+c}_S(M, S)): Ext^q_S(R, ω_S) is ω_R for q = c and
+   zero otherwise, so the change-of-rings spectral sequence collapses to
+   Ext^i_R(M, ω_R) = Ext^{i+c}_S(M, ω_S) (Bruns-Herzog 3.3), ω_S = S(-w).
+   Over S resolutions stop within dim S steps, where over a non-Gorenstein
+   R they need not stop at all.  ω_R is the module
+   ``linkage.canonical_module`` stored for R once R passed the CM check.
+2. Ext into an N with an x of route 3 and N/xN = ω/xω goes over S as
+   t^{w + deg x} HS(Ext^{i+c}_S((M/xM)_S, S)): R/(x) is Cohen-Macaulay and
+   ω/xω = ω_{R/(x)}(-deg x) (Bruns-Herzog 3.3.5, graded 3.6.12).
+3. Any other Ext with an x goes over R/(x): when x is regular on R and on
+   M and xN = 0, Ext^i_R(M, N) = Ext^i_{R/(x)}(M/xM, N) as graded modules
+   (Bruns-Herzog, Lemma 3.1.16), as F/xF resolves M/xM for a minimal
+   resolution F of M and Hom_R(F, N) = Hom_{R/(x)}(F/xF, N).  x is the
+   lowest-degree element of N's annihilator basis regular on R and on M,
+   chosen once per (N, M), where a maximal Cohen-Macaulay M over a
+   non-Gorenstein R resolves with far shorter vectors.  x is L-regular
+   exactly when HS(L/xL) = (1 - t^deg x) HS(L).  R without defining ideal
+   or Artinian, M of dimension 0 and N of dimension dim R have none.
+4. Everything else, Tor included, goes over R: Tor_i(M, ω) resolves M,
+   which route 3 would trade for ω/xω, whose Betti numbers grow as ω's do.
 
 ``quotient_ring`` builds R/(x) for a regular sequence x of Vecs and stores
 it for R under the multiset of x, so the Ext route, the quotient route of
@@ -323,14 +320,12 @@ def tor_vanishes(i, M, N):
     """Whether Tor_i^R(M, N) = 0, decided without building the module."""
     if i < 0:
         raise InvalidInput(f"Tor index must be at least 0, got {i}")
-    return _memo(M, ("tor_vanishes", i, N), lambda: _vanishes("tor", i, M, N))
+    return _memo(M, ("tor_vanishes", i, N), lambda: not _series("tor", i, M, N))
 
 
 def ext_vanishes(i, M, N):
-    """Whether Ext^i_R(M, N) = 0, decided without building the module."""
-    if i < 0:
-        raise InvalidInput(f"Ext index must be at least 0, got {i}")
-    return _memo(M, ("ext_vanishes", i, N), lambda: _vanishes("ext", i, M, N))
+    """Whether Ext^i_R(M, N) = 0: whether its Hilbert series is zero."""
+    return ext_hilbert(i, M, N).is_zero()
 
 
 def ext_hilbert(i, M, N):
@@ -342,49 +337,35 @@ def ext_hilbert(i, M, N):
     )
 
 
-def _vanishes(functor, i, M, N):
-    """Whether the homology is zero: over positive weights a graded module
-    is zero exactly when its Hilbert series is.  Ext into ω_R, or into
-    ω/xω for the x of the R/(x) route, is decided over S instead (module
-    docstring)."""
-    if functor == "ext" and not (M.is_zero() or N.is_zero()):
-        omega = _memoized(N.ctx, "canonical_module")
-        if N == omega:
-            return _dual_vanishes(i, M)
-        x = _ext_route(M, N) if omega is not None else None
-        if x is not None:
-            ctx2 = quotient_ring(M.ctx, (x,))
-            if transport(N, ctx2) == transport(omega, ctx2):
-                # N = ω/xω, which is ω_{R/(x)} up to a twist
-                return _dual_vanishes(i, transport(M, ctx2))
-    return not _series(functor, i, M, N)
-
-
-def _dual_vanishes(i, M):
-    """Whether Ext^i(M, ω) = 0 over M's Cohen-Macaulay ring, as
-    Ext^{i+c}_S(M, ω_S) with c its codimension and ω_S a twist of S."""
-    MS = restrict_scalars(M)
-    c = MS.ctx.m - ring_dim(M.ctx)
-    return ext_vanishes(i + c, MS, free_module(MS.ctx, 1))
-
-
-def _ext_route(M, N):
-    """The x of the R/(x) route for Ext(M, N), or None; chosen once."""
-    return _memo(N, ("ext_route", M), lambda: _regular_annihilator(M, N))
-
-
 def _series(functor, i, M, N):
-    """Hilbert numerator of Tor_i(M, N) or Ext^i(M, N), by ``_ring_series``
-    over R, or for Ext over R/(x) from M/xM and N when a regular element x
-    kills N (module docstring)."""
+    """Hilbert numerator of Tor_i(M, N) or Ext^i(M, N), over the ring of
+    the first route of the module docstring that applies."""
     if M.is_zero() or N.is_zero():
         return {}
     if functor == "ext":
-        x = _ext_route(M, N)
+        omega = _memoized(N.ctx, "canonical_module")
+        w = sum(M.ctx.weights)
+        if N == omega:
+            return _dual_series(i, M, w)
+        x = _memo(N, ("ext_route", M), lambda: _regular_annihilator(M, N))  # chosen once
         if x is not None:
             ctx2 = quotient_ring(M.ctx, (x,))
-            return _ring_series("ext", i, transport(M, ctx2), transport(N, ctx2))
+            M2, N2 = transport(M, ctx2), transport(N, ctx2)
+            if omega is not None and N2 == transport(omega, ctx2):
+                # N = ω/xω, which is ω_{R/(x)}(-deg x)
+                return _dual_series(i, M2, w + _lead_degree(M.ctx, x, (0,)))
+            return _ring_series("ext", i, M2, N2)
     return _ring_series(functor, i, M, N)
+
+
+def _dual_series(i, M, twist):
+    """Hilbert numerator of Ext^i(M, Ext^c_S(R, S)(-twist)), R M's CM ring
+    of codimension c: that of Ext^{i+c}_S(M, S), shifted by ``twist``."""
+    MS = restrict_scalars(M)
+    c = MS.ctx.m - ring_dim(M.ctx)
+    series = {}
+    _add_series(series, ext_hilbert(i + c, MS, free_module(MS.ctx, 1)).numerator, twist)
+    return series
 
 
 def _ring_series(functor, i, M, N):
@@ -605,7 +586,7 @@ def bidual_obstructions(M, K, n):
 
 def kernel_obstruction_vanishes(M, K, n):
     """Whether ``bidual_obstructions(M, K, n)[0]`` is zero, decided by
-    ``ext_vanishes`` alone (over S when K' is the canonical module)."""
+    ``ext_vanishes`` alone, over the ring ``_series`` picks for it."""
     Tr, KK, j = _obstruction_transpose(M, K, n, "auto")
     return Tr.is_zero() or ext_vanishes(j, Tr, KK)
 

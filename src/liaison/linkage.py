@@ -84,7 +84,7 @@ def canonical_module(ctx):
     For R = S/J of codimension c this is Ext^c_S(R, S) twisted by minus the
     sum of the variable weights (the ambient canonical twist); for the
     polynomial ring itself it is a twisted free rank-one module.  The
-    stored module is what ``homalg.ext_vanishes`` recognizes to decide
+    stored module is what ``homalg._series`` recognizes to answer
     Ext^i_R(M, K) over S.
     """
     wsum = sum(ctx.weights)

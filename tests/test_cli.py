@@ -236,7 +236,24 @@ MALFORMED = [
      "[module M]  # the second"),
     (MINIMAL + "[module I]  # named as the ideal\ngens = 1\n", [],
      "[module I]  # named as the ideal"),
+    # a negative bound would report "holds" after checking nothing
+    (MINIMAL + "[options]\nbound = -3\n", [], "bound = -3"),
+    (MINIMAL, ["--bound=-1"], None),
+    # an unknown or misspelt key would run as if it were absent
+    (MINIMAL + "[options]\nfoo = 3\n", [], "foo = 3"),
+    (MINIMAL + "[options]\nbonud = 9\n", [], "bonud = 9"),
+    (MINIMAL.replace("vars = x", "vars = x\nweight = 2"), [], "weight = 2"),
+    # an explicit K names its name line, or the [K] header without one
+    (MINIMAL + "[K]\nkind = explicit\nname = M\n", [], "name = M"),
+    (MINIMAL + "[K]\nkind = explicit\n", [], "[K]"),
 ]
+
+
+def test_bound_zero_is_allowed(tmp_path):
+    assert parse_spec(MINIMAL + "[options]\nbound = 0\n").bound == 0
+    out = tmp_path / "r.json"
+    assert main(["gallery", "univariate-link", "--bound", "0", "--json-out", str(out)]) == 0
+    assert json.loads(out.read_text())["bound"] == 0
 
 
 @pytest.mark.parametrize("text, flags, bad_line", MALFORMED)
@@ -693,10 +710,12 @@ def _memo_kinds(ctx):
 
 def test_wrappers_served_by_inner_entries_store_nothing():
     # a Foxby certificate or verdict, a transported module, the ring as a
-    # module and a module's full basis are never read again or are rebuilt
-    # from entries the cache holds (mu/nu, the transforms, the vanishing
-    # entries, buchberger's entry for the same columns): none is stored
-    removed = {"class_member", "class_verdict", "transport", "ring_module", "full_gb"}
+    # module, a module's full basis and whether an Ext vanishes are never
+    # read again or are rebuilt from entries the cache holds (mu/nu, the
+    # transforms, the vanishing entries, buchberger's entry for the same
+    # columns, ext_hilbert's entry): none is stored
+    removed = {"class_member", "class_verdict", "transport", "ring_module", "full_gb",
+               "ext_vanishes"}
     for name in sorted(GALLERIES):
         spec = gallery(name)
         run(spec)

@@ -215,13 +215,13 @@ def test_pk_dimension_stops_at_the_natural_map(monkeypatch):
     om = canonical_module(S)
     M = cyclic_module(S, [P(S, "x")])
     calls = []
-    real = homalg._vanishes
+    real = homalg._series
 
     def counting(functor, i, A, B):
         calls.append((functor, i))
         return real(functor, i, A, B)
 
-    monkeypatch.setattr(homalg, "_vanishes", counting)
+    monkeypatch.setattr(homalg, "_series", counting)
     v, val = pk_dimension(M, om, 4)
     assert v.status == "undecided_at_bound" and val is None
     assert calls == []

@@ -552,14 +552,14 @@ def test_repeated_certificate_computes_each_tor_once(monkeypatch):
     M = cyclic_module(ctx, [P(ctx, "x")])
     K = free_module(ctx, 1)
     calls = []
-    real_vanishes = homalg._vanishes
+    real_series = homalg._series
 
-    def counting_vanishes(functor, i, A, B):
+    def counting_series(functor, i, A, B):
         if functor == "tor":
             calls.append(i)
-        return real_vanishes(functor, i, A, B)
+        return real_series(functor, i, A, B)
 
-    monkeypatch.setattr(homalg, "_vanishes", counting_vanishes)
+    monkeypatch.setattr(homalg, "_series", counting_series)
     bound = 2
     for _ in range(2):
         cert = class_member("Bass", M, K, bound)
@@ -744,8 +744,9 @@ def test_vanishing_over_the_semigroup_ring(semigroup345):
 
 def test_canonical_ext_vanishing_matches_the_ring_route():
     """Into the canonical module K of a CM quotient R = S/J, ext_vanishes
-    answers over S (Ext^i_R(M, K) = Ext^{i+c}_S(M, ω_S)); each answer is
-    checked against Ext^i_R(M, K) built over R."""
+    and ext_hilbert answer over S (Ext^i_R(M, K) = Ext^{i+c}_S(M, ω_S));
+    each answer is checked against Ext^i_R(M, K) built over R, and each
+    series against the route over R."""
     from liaison.linkage import canonical_module
     from liaison.modules import ring_dim
 
@@ -769,8 +770,10 @@ def test_canonical_ext_vanishing_matches_the_ring_route():
             for i in range(4):
                 z = homalg.ext_vanishes(i, M, K)
                 assert z == ext(i, M, K).is_zero()
+                assert homalg.ext_hilbert(i, M, K).numerator == homalg._ring_series(
+                    "ext", i, M, K)
                 # the answer was decided over S
-                assert (restrict_scalars(M), ("ext_vanishes", i + c, free_module(S, 1))) in S._cache
+                assert (restrict_scalars(M), ("ext_hilbert", i + c, free_module(S, 1))) in S._cache
                 outcomes.add(z)
         assert outcomes == {True, False}
 

@@ -19,17 +19,18 @@ reported as ``ok: false``), 2 usage or parse error, 3 internal consistency
 failure or any other unexpected exception in an operation (also reported
 as ``ok: false``, naming the exception type; the later operations still
 run).  Exit 2 covers: an unreadable spec file, an unknown gallery, a
-malformed section or ``key = value`` line, a key its section does not take,
-a value that is not an integer (``p``, ``weights``, ``ambient``, ``shifts``,
-``bound``, ``window``, integer operation arguments), a ``bound`` or
-``--bound`` below 0, a ``window`` or ``--window`` not of the form lo..hi or
-with an end of absolute value 2^20 or more, an ``ambient`` outside 0..4096,
-``shifts`` with neither 1 nor ``ambient`` entries or with an entry of
-absolute value 2^20 or more, a weight of 2^20 or more, a bad polynomial or
-column (a degree reaching 2^20 included), a characteristic not a prime below 2^31 (``p`` or
-``--char``), an option before the subcommand or after ``list-galleries``, an
-unknown operation or wrong argument count, an undefined name, and a canonical
-K over a non-Cohen-Macaulay ring.  Each names its spec line where it has one.
+malformed section or ``key = value`` line, a key its section does not take
+or already has, a value that is not an integer (``p``, ``weights``,
+``ambient``, ``shifts``, ``bound``, ``window``, integer operation
+arguments), a ``bound`` or ``--bound`` below 0, a ``window`` or ``--window``
+not of the form lo..hi or with an end of absolute value 2^20 or more, an
+``ambient`` outside 0..4096, ``shifts`` with neither 1 nor ``ambient``
+entries or with an entry of absolute value 2^20 or more, a weight of 2^20 or
+more, a bad polynomial or column (a degree reaching 2^20 included), a
+characteristic not a prime below 2^31 (``p`` or ``--char``), an option
+before the subcommand or after ``list-galleries``, an unknown operation or
+wrong argument count, an undefined name, and a canonical K over a
+non-Cohen-Macaulay ring.  Each names its spec line where it has one.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .modules import (
     annihilator,
     free_module,
     invariants,
+    minimize,
     subquotient,
 )
 from .ring import _LIMIT, DEFAULT_CHARACTERISTIC, _ideal_strings, make_ring, parse_poly
@@ -107,7 +109,8 @@ def _split_sections(text):
 
 
 def _kv(entries, keys):
-    """{key: (value, line)}; a key not in ``keys`` names its line."""
+    """{key: (value, line)}; a key not in ``keys``, or given a second time,
+    names its line."""
     out = {}
     for lineno, line in entries:
         if "=" not in line:
@@ -116,6 +119,8 @@ def _kv(entries, keys):
         key = key.strip()
         if key not in keys:
             raise SpecSyntaxError(f"unknown key {key!r}, expected {', '.join(keys)}", lineno)
+        if key in out:
+            raise SpecSyntaxError(f"{key!r} given a second time", lineno)
         out[key] = (val.strip(), lineno)
     return out
 
@@ -396,7 +401,7 @@ def _cyclic_epi(spec, iname, cname):
 @_operation
 def op_link(spec, iname, cname):
     res = linkage.link_operator(_cyclic_epi(spec, iname, cname))
-    return res.to_json()
+    return res.to_json(spec.window)
 
 
 @_operation
@@ -434,8 +439,6 @@ def op_semidualizing(spec):
 @_operation
 def op_canonical_info(spec):
     om = linkage.canonical_module(spec.ring)
-    from .modules import minimize
-
     omin, _, _ = minimize(om)
     return {
         "min_generators": len(omin._gens),
@@ -890,7 +893,7 @@ def main(argv=None):
 
     try:
         spec = _apply_overrides(read(args.char), args)
-    except (SpecSyntaxError, UnknownName, NonCMForCanonical, LiaisonError) as exc:
+    except LiaisonError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     report, code = run(spec)

@@ -37,7 +37,7 @@ def _dual_ext(M, i):
 
 
 class LocalCohomologyHF(
-    namedtuple("LocalCohomologyHF", "module index hf finite_length")
+    namedtuple("LocalCohomologyHF", "index hf finite_length")
 ):
     __slots__ = ()
 
@@ -56,7 +56,7 @@ def local_cohomology_hf(M, i, window):
     lo, hi = window
     table = {j: E.hf(-j - wsum) for j in range(lo, hi + 1)}
     finite = E.dim <= 0
-    return LocalCohomologyHF(M, i, table, finite)
+    return LocalCohomologyHF(i, table, finite)
 
 
 def local_cohomology_is_zero(M, i):

@@ -120,10 +120,7 @@ def mu_is_iso(M, K):
 
 
 class FoxbyCert(
-    namedtuple(
-        "FoxbyCert",
-        "module class_name bound natural_map_iso tor_checks ext_checks verdict",
-    )
+    namedtuple("FoxbyCert", "class_name bound natural_map_iso tor_checks ext_checks verdict")
 ):
     __slots__ = ()
 
@@ -153,7 +150,7 @@ def class_member(class_name, M, K, bound):
     tor_checks = tuple((i, z) for functor, i, z in checks if functor == "tor")
     ext_checks = tuple((i, z) for functor, i, z in checks if functor == "ext")
     v = class_verdict(class_name, M, K, bound)
-    return FoxbyCert(M, class_name, bound, nat, tor_checks, ext_checks, v)
+    return FoxbyCert(class_name, bound, nat, tor_checks, ext_checks, v)
 
 
 def class_verdict(class_name, M, K, bound):

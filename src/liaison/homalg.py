@@ -44,9 +44,9 @@ the sum of the weights, c the codimension of M's ring, R/(x) in route 2):
    resolution F of M and Hom_R(F, N) = Hom_{R/(x)}(F/xF, N).  x is the
    lowest-degree element of N's annihilator basis regular on R and on M,
    chosen once per (N, M), where a maximal Cohen-Macaulay M over a
-   non-Gorenstein R resolves with far shorter vectors.  x is L-regular
-   exactly when HS(L/xL) = (1 - t^deg x) HS(L).  R without defining ideal
-   or Artinian, M of dimension 0 and N of dimension dim R have none.
+   non-Gorenstein R resolves with far shorter vectors, and regular as
+   ``modules.regular_on`` decides from Hilbert series.  R without defining
+   ideal or Artinian, M of dimension 0 and N of dimension dim R have none.
 4. Everything else, Tor included, goes over R: Tor_i(M, ω) resolves M,
    which route 3 would trade for ω/xω, whose Betti numbers grow as ω's do.
 
@@ -83,7 +83,7 @@ from .errors import (
     RegularSequenceNotFound,
     RingMismatch,
 )
-from .groebner import HilbertData, Vec, _add_series, _axpy, _lead_degree, _poly_mul_1mt
+from .groebner import HilbertData, Vec, _add_series, _axpy, _lead_degree
 from .ring import _LIMIT, _make_ring, _memo, _memoized, _overflow
 from .modules import (
     GradedModule,
@@ -397,21 +397,12 @@ def _regular_annihilator(M, N):
     dim_r = ring_dim(ctx) if ctx.defining else 0
     if not dim_r or N.dim() == dim_r or not M.dim():
         return None
-    R1 = free_module(ctx, 1)
     for x in sorted(annihilator(N), key=lambda f: _lead_degree(ctx, f, (0,))):
-        d = _lead_degree(ctx, x, (0,))
-        if _regular_on(R1, _cyclic_module(ctx, (x,)), d) and _regular_on(
-            M, transport(M, quotient_ring(ctx, (x,))), d
+        if modules.is_regular_sequence(ctx, (x,)) and modules.regular_on(
+            M, transport(M, quotient_ring(ctx, (x,))), _lead_degree(ctx, x, (0,))
         ):
             return x
     return None
-
-
-def _regular_on(L, L_mod_x, d):
-    """Whether x of degree d > 0 is regular on L, given L/xL: HS(L/xL) =
-    (1 - t^d) HS(L) + t^d HS(0 :_L x), so exactly when HS(L/xL) = (1 - t^d)
-    HS(L).  Both rings lie over one S, so the numerators compare."""
-    return L_mod_x.hilbert().numerator == _poly_mul_1mt(L.hilbert().numerator, d)
 
 
 def _image_series(functor, k, M, N, res):
@@ -624,52 +615,47 @@ _MAX_SCALE = 3
 
 def regular_sequence_in_ideal(ctx, ideal, n):
     """Deterministic search for a regular sequence of length n inside an
-    ideal of Vecs, returned as a list of Vecs.
-
-    Scalar combinations of the equal-degree generators are enumerated with
-    coefficients in {0, +-1, ..., +-s}, s escalating to _MAX_SCALE, and
-    added up by ``_axpy``.  A candidate f after the chosen regular sequence
-    is kept when R/(chosen, f) is nonzero of grade one more, which the
-    grade decides exactly.
-    """
+    ideal of Vecs, returned as a list of Vecs: each slot takes the first of
+    ``_combinations`` that ``modules.regular_on`` finds regular on
+    R/(chosen)."""
     if n < 0:
         raise InvalidInput(f"regular sequence length must be at least 0, got {n}")
     if not ideal or modules.grade(_cyclic_module(ctx, ideal)) < n:
         raise RegularSequenceNotFound(f"ideal has grade below {n}", budget=_MAX_SCALE)
-    by_degree = {}
-    for f in ideal:
-        by_degree.setdefault(_lead_degree(ctx, f, (0,)), []).append(f)
-    p = ctx.p
     chosen = []
     for _ in range(n):
-        found = None
-        for s in range(1, _MAX_SCALE + 1):
-            coeffs = [0] + [c for k in range(1, s + 1) for c in (k, -k)]
-            for d in sorted(by_degree):
-                basis = by_degree[d]
-                for combo in itertools.product(coeffs, repeat=len(basis)):
-                    if all(c == 0 for c in combo):
-                        continue
-                    f = Vec()
-                    for c, g in zip(combo, basis):
-                        if c % p:
-                            _axpy(f, -c % p, 0, g, p)  # f += c * g
-                    if not f:
-                        continue
-                    if modules._extends_regular(ctx, chosen + [f]):
-                        found = f
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
+        L = _cyclic_module(ctx, chosen)
+        found = next((f for f in _combinations(ctx, ideal) if modules.regular_on(
+            L, _cyclic_module(ctx, (*chosen, f)), _lead_degree(ctx, f, (0,)))), None)
+        if found is None:
             raise RegularSequenceNotFound(
                 f"no regular element found for slot {len(chosen) + 1}",
                 budget=_MAX_SCALE,
             )
         chosen.append(found)
     return chosen
+
+
+def _combinations(ctx, ideal):
+    """The nonzero scalar combinations of the equal-degree generators of an
+    ideal of Vecs, added up by ``_axpy``: coefficients in {0, +-1, ...,
+    +-s}, s rising to _MAX_SCALE, then the lowest degree first, then in
+    ``itertools.product`` order."""
+    by_degree = {}
+    for f in ideal:
+        by_degree.setdefault(_lead_degree(ctx, f, (0,)), []).append(f)
+    p = ctx.p
+    for s in range(1, _MAX_SCALE + 1):
+        coeffs = [0] + [c for k in range(1, s + 1) for c in (k, -k)]
+        for d in sorted(by_degree):
+            basis = by_degree[d]
+            for combo in itertools.product(coeffs, repeat=len(basis)):
+                f = Vec()
+                for c, g in zip(combo, basis):
+                    if c % p:
+                        _axpy(f, -c % p, 0, g, p)  # f += c * g
+                if f:
+                    yield f
 
 
 def change_of_rings(ctx, x_seq, K):
@@ -703,11 +689,8 @@ def depth(M):
     """depth(M) = min{i : Ext^i_S(k, M_S) != 0}, each index decided by
     ``ext_vanishes``.  That resolves k, not M_S, so it stays independent of
     the S-free resolution route used for pd, which makes Auslander-Buchsbaum
-    a real cross-check."""
-    return _memo(M, "depth", lambda: _depth(M))
-
-
-def _depth(M):
+    a real cross-check.  It stores nothing: ``ext_hilbert`` entries serve
+    a second call."""
     MS = restrict_scalars(M)
     amb = MS.ctx
     k = residue_field(amb)

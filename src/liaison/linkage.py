@@ -189,13 +189,13 @@ class ReflexiveEpi(namedtuple("ReflexiveEpi", "phi n K category_tag bound")):
 
 
 class LinkResult(
-    namedtuple("LinkResult", "linked_module link_epi obstructions epi")
+    namedtuple("LinkResult", "linked_module link_epi obstructions")
 ):
     __slots__ = ()
 
-    def to_json(self):
+    def to_json(self, window):
         E1, E2 = self.obstructions
-        lo, hi = -6, 6
+        lo, hi = window
         return {
             "linked_presentation": self.linked_module.to_json(),
             "annihilator_gb": _ideal_strings(
@@ -272,7 +272,7 @@ def _link_operator(e):
         raise InternalConsistencyError(
             f"linked module has grade {g}, expected {n}"
         )
-    return LinkResult(linked, proj, obstructions, e)
+    return LinkResult(linked, proj, obstructions)
 
 
 def is_linked_by(e):
@@ -484,7 +484,7 @@ def natural_cyclic_epi(ctx, i_gens, c_gens, twist_by=0):
     return ModuleMap(X, M, _units(ctx, 1))
 
 
-def build_cyclic_walk(ctx, i_gens, c_gens, K, steps=2, tag="Pn", bound=None):
+def build_cyclic_walk(ctx, i_gens, c_gens, K, steps=2, bound=None):
     """Chain of cyclic links I ~ (c:I) ~ ... of Vec ideals, with twist-matched steps.
 
     Linked modules come with a degree shift inherited from Ext^n(R/c, K);
@@ -497,7 +497,7 @@ def build_cyclic_walk(ctx, i_gens, c_gens, K, steps=2, tag="Pn", bound=None):
     tw = 0
     for k in range(steps):
         e = reflexive_epi(
-            natural_cyclic_epi(ctx, current, c_gens, twist_by=tw), K, tag, bound
+            natural_cyclic_epi(ctx, current, c_gens, twist_by=tw), K, "Pn", bound
         )
         epis.append(e)
         res = link_operator(e)

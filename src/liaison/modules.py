@@ -32,7 +32,9 @@ from .errors import (
     InvalidInput,
     RingMismatch,
 )
-from .groebner import Vec, _axpy, _lead_degree, _polys, _to_ideal, _to_internal
+from .groebner import (
+    Vec, _axpy, _lead_degree, _poly_mul_1mt, _polys, _to_ideal, _to_internal,
+)
 from .ring import _LIMIT, _memo, _overflow, render_poly
 
 
@@ -646,7 +648,7 @@ def _num(v):
 
 
 class InvariantReport(
-    namedtuple("InvariantReport", "dim depth grade pd cod pd_ambient")
+    namedtuple("InvariantReport", "dim depth grade pd cod")
 ):
     __slots__ = ()
 
@@ -704,16 +706,22 @@ def _grade(M):
     raise InternalConsistencyError("grade exceeded dim R on a nonzero module")
 
 
-def _extends_regular(ctx, seq):
-    """Is R/(seq) nonzero, of grade len(seq)?  For a sequence of Vecs whose
-    proper prefixes are regular sequences, that says it is one too."""
-    Q = _cyclic_module(ctx, seq)
-    return not Q.is_zero() and grade(Q) == len(seq)
+def regular_on(L, L_mod_x, d):
+    """Whether x of degree d is regular on a nonzero L, given L/xL (None
+    for a zero x).  HS(L/xL) = (1 - t^d) HS(L) + t^d HS(0 :_L x), and for
+    d > 0 Nakayama keeps L/xL nonzero, so exactly when d > 0 and HS(L/xL) =
+    (1 - t^d) HS(L).  Both modules lie over one S, so the numerators
+    compare.  This is the package's one regularity test."""
+    return d is not None and d > 0 and (
+        L_mod_x.hilbert().numerator == _poly_mul_1mt(L.hilbert().numerator, d))
 
 
 def is_regular_sequence(ctx, seq):
-    """Prefix test on Vecs: grade(f_1..f_k) = k for every k."""
-    return all(_extends_regular(ctx, seq[:k]) for k in range(1, len(seq) + 1))
+    """Whether the Vecs f_1..f_n are a regular sequence on R: ``regular_on``
+    for each step from R/(f_1..f_{k-1}) to R/(f_1..f_k)."""
+    return all(regular_on(_cyclic_module(ctx, seq[:k - 1]), _cyclic_module(ctx, seq[:k]),
+                          _lead_degree(ctx, seq[k - 1], (0,)))
+               for k in range(1, len(seq) + 1))
 
 
 def transport(M, ctx2):
@@ -743,7 +751,7 @@ def invariants(M):
     from . import homalg
 
     if M.is_zero():
-        return InvariantReport(None, None, math.inf, None, None, 0)
+        return InvariantReport(None, None, math.inf, None, None)
     ctx = M.ctx
     d = M.dim()
     dep = homalg.depth(M)
@@ -761,4 +769,4 @@ def invariants(M):
     cod = ring_dim(ctx) - d
     if pd is not math.inf and gr > pd:
         raise InternalConsistencyError("grade exceeds finite projective dimension")
-    return InvariantReport(d, dep, gr, pd, cod, pd_amb)
+    return InvariantReport(d, dep, gr, pd, cod)

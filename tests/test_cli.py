@@ -243,6 +243,9 @@ MALFORMED = [
     (MINIMAL + "[options]\nfoo = 3\n", [], "foo = 3"),
     (MINIMAL + "[options]\nbonud = 9\n", [], "bonud = 9"),
     (MINIMAL.replace("vars = x", "vars = x\nweight = 2"), [], "weight = 2"),
+    # a key given twice would run at its last value
+    (MINIMAL + "[options]\nbound = 2\nbound = 5  # the second\n", [],
+     "bound = 5  # the second"),
     # an explicit K names its name line, or the [K] header without one
     (MINIMAL + "[K]\nkind = explicit\nname = M\n", [], "name = M"),
     (MINIMAL + "[K]\nkind = explicit\n", [], "[K]"),
@@ -254,6 +257,15 @@ def test_bound_zero_is_allowed(tmp_path):
     out = tmp_path / "r.json"
     assert main(["gallery", "univariate-link", "--bound", "0", "--json-out", str(out)]) == 0
     assert json.loads(out.read_text())["bound"] == 0
+
+
+def test_link_reports_the_window_it_was_given():
+    spec = parse_spec(MINIMAL.replace("[ops]\ninvariants I", "[ideal c]\ngens = x^3\n\n"
+                                      "[options]\nwindow = 0..2\n\n[ops]\nlink I c"))
+    report, code = run(spec)
+    assert code == 0 and report["window"] == [0, 2]
+    hfs = report["results"][0]["data"]["obstruction_hilbert_functions"]
+    assert [list(hf) for hf in hfs.values()] == [[0, 1, 2]] * 2
 
 
 @pytest.mark.parametrize("text, flags, bad_line", MALFORMED)
@@ -352,11 +364,12 @@ PAPER_FACING_CHECKS = {
 
 
 def test_every_definition_has_a_caller_in_the_package():
-    """Every module-level function, class and assigned name, and every
-    public method, is referenced somewhere in the package outside its own
-    definition.  Import lines do not count.  Exempt: the ``op_*`` handlers,
-    which ``@_operation`` registers, the package exports, dunder names, and
-    the paper-facing checks that state theorems for the acceptance tests."""
+    """Every module-level function, class and assigned name, every public
+    method and every field of a class's namedtuple base is referenced
+    somewhere in the package outside its own definition.  Import lines do
+    not count.  Exempt: the ``op_*`` handlers, which ``@_operation``
+    registers, the package exports, dunder names, and the paper-facing
+    checks that state theorems for the acceptance tests."""
     src = pathlib.Path(liaison.__file__).resolve().parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     exempt = PAPER_FACING_CHECKS | set(liaison.__all__)
@@ -374,6 +387,11 @@ def test_every_definition_has_a_caller_in_the_package():
                 defs.extend((fname, f"{node.name}.{sub.name}", sub) for sub in node.body
                             if isinstance(sub, ast.FunctionDef)
                             and not sub.name.startswith("_"))
+                # a namedtuple base's fields, read anywhere (its own to_json too)
+                defs.extend((fname, f"{node.name}.{field}", base) for base in node.bases
+                            if isinstance(base, ast.Call)
+                            and getattr(base.func, "id", None) == "namedtuple"
+                            for field in base.args[1].value.replace(",", " ").split())
     uses = [(node, node.id if isinstance(node, ast.Name) else node.attr)
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
@@ -710,12 +728,12 @@ def _memo_kinds(ctx):
 
 def test_wrappers_served_by_inner_entries_store_nothing():
     # a Foxby certificate or verdict, a transported module, the ring as a
-    # module, a module's full basis and whether an Ext vanishes are never
-    # read again or are rebuilt from entries the cache holds (mu/nu, the
-    # transforms, the vanishing entries, buchberger's entry for the same
-    # columns, ext_hilbert's entry): none is stored
+    # module, a module's full basis, whether an Ext vanishes and a depth are
+    # never read again or are rebuilt from entries the cache holds (mu/nu,
+    # the transforms, the vanishing entries, buchberger's entry for the same
+    # columns, ext_hilbert's entries): none is stored
     removed = {"class_member", "class_verdict", "transport", "ring_module", "full_gb",
-               "ext_vanishes"}
+               "ext_vanishes", "depth"}
     for name in sorted(GALLERIES):
         spec = gallery(name)
         run(spec)

@@ -490,8 +490,8 @@ def test_change_of_rings_ext_comparison(F101xy):
 from liaison.linkage import build_cyclic_walk as _cyclic_walk_builder
 
 
-def _cyclic_walk(ctx, i_gens, c_gens, K, steps=2, tag="Pn"):
-    return _cyclic_walk_builder(ctx, I_(ctx, i_gens), I_(ctx, c_gens), K, steps=steps, tag=tag)
+def _cyclic_walk(ctx, i_gens, c_gens, K, steps=2):
+    return _cyclic_walk_builder(ctx, I_(ctx, i_gens), I_(ctx, c_gens), K, steps=steps)
 
 
 def test_liaison_walk_univariate(F101x):

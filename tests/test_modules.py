@@ -1,26 +1,32 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison.cohomology import ring_type
-from liaison.errors import IllDefinedMap, InhomogeneousInput
+from liaison.errors import IllDefinedMap, InhomogeneousInput, RegularSequenceNotFound
 from liaison.groebner import buchberger
+from liaison.homalg import regular_sequence_in_ideal
 from liaison.linkage import canonical_module
 from liaison.modules import (
+    _cyclic_module,
     annihilator,
     cokernel,
     colon,
     cyclic_module,
     direct_sum,
     free_module,
+    grade,
     hom_module,
     identity_map,
     image,
     invariants,
     is_iso,
+    is_regular_sequence,
     kernel,
     minimize,
+    regular_on,
     subquotient,
     tensor,
     twist,
@@ -43,6 +49,7 @@ from tests.oracle import (
     is_member,
     monomials_of_degree,
 )
+from tests.test_ext_route import SEMIGROUP_4567, _draw_nonzero_form
 
 
 def P(ctx, s):
@@ -305,6 +312,69 @@ def test_canonical_module_of_a_type_three_ring_is_faithful():
     om = canonical_module(ctx)
     assert annihilator(om) == tuple(buchberger((), ctx, 1).basis)
     assert len(minimize(om)[0].gens) == ring_type(ctx) == 3
+
+
+# -- regular sequences -----------------------------------------------------------
+
+# two planes meeting in a point: dimension 2, depth 1, not Cohen-Macaulay
+TWO_PLANES = make_ring(101, ["a", "b", "c", "d"], ["a*c", "a*d", "b*c", "b*d"])
+
+REGULARITY_RINGS = {
+    # (ring, degrees of the drawn forms, 0 for a unit)
+    "plane": (PLANE[0], [0, 1, 2]),
+    "345": (SEMIGROUP[0], [0, 3, 4, 5]),
+    "4567": (SEMIGROUP_4567, [0, 4, 5, 6]),
+    "two planes": (TWO_PLANES, [0, 1, 2]),
+}
+
+
+def _regular_by_grade(ctx, seq):
+    """The grade test the Hilbert series test replaced: for every k,
+    R/(f_1..f_k) is nonzero of grade k."""
+    for k in range(1, len(seq) + 1):
+        Q = _cyclic_module(ctx, seq[:k])
+        if Q.is_zero() or grade(Q) != k:
+            return False
+    return True
+
+
+def test_regular_sequence_matches_the_grade_test():
+    """``is_regular_sequence``, which asks ``regular_on`` at each step,
+    against the grade test, on one or two nonzero forms over the plane, the
+    monomial curves (t^3, t^4, t^5) and (t^4, t^5, t^6, t^7), and two planes
+    meeting in a point."""
+    answers = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(REGULARITY_RINGS)))
+        ctx, degrees = REGULARITY_RINGS[name]
+        seq = ideal(ctx, [_draw_nonzero_form(data, ctx, degrees)
+                          for _ in range(data.draw(st.integers(1, 2)))])
+        got = is_regular_sequence(ctx, seq)
+        assert got == _regular_by_grade(ctx, seq)
+        answers[name, got] += 1
+
+    check()
+    assert set(answers) == {(name, got) for name in REGULARITY_RINGS for got in (True, False)}
+
+
+def test_regularity_off_cohen_macaulay():
+    ctx = TWO_PLANES
+    a_c, b_d = ideal(ctx, [P(ctx, "a + c"), P(ctx, "b + d")])
+    # a + c lies in neither (a, b) nor (c, d); modulo it the maximal ideal
+    # kills a, so b + d is a zero divisor there, though R/(a + c, b + d)
+    # has dimension 0
+    assert is_regular_sequence(ctx, (a_c,))
+    assert not is_regular_sequence(ctx, (a_c, b_d))
+    assert _cyclic_module(ctx, (a_c, b_d)).dim() == 0
+    # a unit is never regular: R/(1) = 0
+    with pytest.raises(RegularSequenceNotFound):
+        regular_sequence_in_ideal(ctx, ideal(ctx, [one(ctx)]), 1)
+    # nor is zero, which has no degree
+    R1 = free_module(ctx, 1)
+    assert not regular_on(R1, R1, None)
 
 
 # -- invariants ------------------------------------------------------------------

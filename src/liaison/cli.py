@@ -11,8 +11,8 @@ Spec grammar (INI-like; see README for the full description):
     [ops]             one operation per line: VERB ARG...
 
 Operations are registered once, with the ``_operation`` decorator on their
-handler; the handler's annotations give the argument kinds (``int`` or a
-name of an ideal or module).
+handler; the handler's annotations give the argument kinds: ``int``,
+``Ideal`` (the name of an ideal) or none (the name of an ideal or module).
 
 Exit codes: 0 ok, 1 some verdict failed (or an operation raised an error,
 reported as ``ok: false``), 2 usage or parse error, 3 internal consistency
@@ -29,7 +29,8 @@ entries or with an entry of absolute value 2^20 or more, a weight of 2^20 or
 more, a bad polynomial or column (a degree reaching 2^20 included), a
 characteristic not a prime below 2^31 (``p`` or ``--char``), an option
 before the subcommand or after ``list-galleries``, an unknown operation or
-wrong argument count, an undefined name, and a canonical K over a
+wrong argument count, an undefined name, a module's name where an
+operation takes an ideal, an unknown K kind, and a canonical K over a
 non-Cohen-Macaulay ring.  Each names its spec line where it has one.
 """
 
@@ -161,20 +162,26 @@ def _bound(value, lineno=None):
 # operation name -> handler(spec, *args); run looks the handler up on every
 # call, so entries may be replaced (for example by a profiler)
 HANDLERS = {}
-# operation name -> argument kinds, "int" or "name"; kept apart from HANDLERS
-# so that a replaced handler does not change how specs parse
+# operation name -> argument kinds, "int", "ideal" or "name"; kept apart from
+# HANDLERS so that a replaced handler does not change how specs parse
 _ARG_KINDS = {}
+
+
+class Ideal(str):
+    """The annotation of an operation parameter that takes the name of an
+    ``[ideal]`` section, and not of a ``[module]``."""
 
 
 def _operation(handler):
     """Register ``op_NAME`` as operation NAME; parameters after ``spec``
-    annotated ``int`` take integers, the others names.  The annotations are
+    annotated ``int`` take integers, those annotated ``Ideal`` the names of
+    ideals, the others the names of ideals or modules.  The annotations are
     strings (``from __future__ import annotations``)."""
     name = handler.__name__.removeprefix("op_")
     code = handler.__code__
     params = code.co_varnames[1 : code.co_argcount]
-    notes = handler.__annotations__
-    _ARG_KINDS[name] = ["int" if notes.get(p) == "int" else "name" for p in params]
+    kinds = {"int": "int", "Ideal": "ideal"}
+    _ARG_KINDS[name] = [kinds.get(handler.__annotations__.get(p), "name") for p in params]
     HANDLERS[name] = handler
     return handler
 
@@ -276,9 +283,9 @@ def parse_spec(text, p=None):
                 raise SpecSyntaxError(str(exc), header_line)
         elif name == "K":
             kv = _kv(entries, ("kind", "name"))
-            k_kind = kv.get("kind", ("trivial", 0))[0]
+            k_kind, kind_line = kv.get("kind", ("trivial", header_line))
             if k_kind not in ("trivial", "canonical", "explicit"):
-                raise SpecSyntaxError(f"unknown K kind {k_kind!r}", header_line)
+                raise SpecSyntaxError(f"unknown K kind {k_kind!r}", kind_line)
             k_name, k_line = kv.get("name", (None, header_line))
         elif name == "options":
             kv = _kv(entries, ("bound", "window"))
@@ -307,8 +314,10 @@ def parse_spec(text, p=None):
     names = set(ideals) | set(mods)
     for op, args, lineno in ops:
         for kind, arg in zip(_ARG_KINDS[op], args):
-            if kind == "name" and arg not in names:
+            if kind != "int" and arg not in names:
                 raise UnknownName(f"line {lineno}: undefined name {arg!r}")
+            if kind == "ideal" and arg not in ideals:
+                raise UnknownName(f"line {lineno}: {arg!r} is not an ideal")
     if k_kind == "explicit" and k_name not in mods:
         raise UnknownName(f"line {k_line}: K refers to undefined module {k_name!r}")
     if k_kind == "canonical":
@@ -343,7 +352,7 @@ def op_invariants(spec, name):
 
 
 @_operation
-def op_groebner(spec, name):
+def op_groebner(spec, name: Ideal):
     gb = groebner.buchberger(_as_ideal(spec, name), spec.ring, 1)
     return {"reduced_gb": _ideal_strings(spec.ring, gb.basis)}
 
@@ -371,7 +380,7 @@ def op_betti(spec, name, length: int):
 
 
 @_operation
-def op_colon(spec, a, b):
+def op_colon(spec, a: Ideal, b: Ideal):
     got = modules.colon(_as_ideal(spec, a), _as_ideal(spec, b), spec.ring)
     return {"colon": _ideal_strings(spec.ring, got)}
 
@@ -382,7 +391,7 @@ def op_annihilator(spec, name):
 
 
 @_operation
-def op_cyclic_link(spec, iname, cname):
+def op_cyclic_link(spec, iname: Ideal, cname: Ideal):
     K = spec.resolve_K()
     linked = linkage._cyclic_link(
         spec.ring, _as_ideal(spec, iname), _as_ideal(spec, cname), K
@@ -399,24 +408,24 @@ def _cyclic_epi(spec, iname, cname):
 
 
 @_operation
-def op_link(spec, iname, cname):
+def op_link(spec, iname: Ideal, cname: Ideal):
     res = linkage.link_operator(_cyclic_epi(spec, iname, cname))
     return res.to_json(spec.window)
 
 
 @_operation
-def op_double_link(spec, iname, cname):
+def op_double_link(spec, iname: Ideal, cname: Ideal):
     v = linkage.double_link_check(_cyclic_epi(spec, iname, cname))
     return {"verdict": v.to_json()}
 
 
 @_operation
-def op_is_linked(spec, iname, cname):
+def op_is_linked(spec, iname: Ideal, cname: Ideal):
     return {"linked": linkage.is_linked_by(_cyclic_epi(spec, iname, cname))}
 
 
 @_operation
-def op_walk(spec, iname, cname, steps: int):
+def op_walk(spec, iname: Ideal, cname: Ideal, steps: int):
     K = spec.resolve_K()
     epis = linkage.build_cyclic_walk(
         spec.ring, _as_ideal(spec, iname), _as_ideal(spec, cname), K, steps,
@@ -470,22 +479,21 @@ def _linked_pair(spec, iname, cname):
 
 
 @_operation
-def op_schenzel(spec, iname, cname, t: int):
+def op_schenzel(spec, iname: Ideal, cname: Ideal, t: int):
     M, N = _linked_pair(spec, iname, cname)
-    v = cohomology.schenzel_check(
-        M, N, spec.resolve_K(), modules.grade(M), _as_ideal(spec, cname), t)
+    v = cohomology.schenzel_check(M, N, spec.resolve_K(), _as_ideal(spec, cname), t)
     return {"verdict": v.to_json(), "t": t}
 
 
 @_operation
-def op_duality(spec, iname, cname, i: int):
+def op_duality(spec, iname: Ideal, cname: Ideal, i: int):
     M, N = _linked_pair(spec, iname, cname)
     v = cohomology.duality_check(M, N, [i], spec.window)
     return {"verdict": v.to_json(), "index": i}
 
 
 @_operation
-def op_depth_formula(spec, iname, cname):
+def op_depth_formula(spec, iname: Ideal, cname: Ideal):
     v = linkage.depth_formula_check(_cyclic_epi(spec, iname, cname))
     return {"verdict": v.to_json()}
 
@@ -523,7 +531,7 @@ def op_foxby_roundtrip(spec, name):
 
 
 @_operation
-def op_colink(spec, iname, cname):
+def op_colink(spec, iname: Ideal, cname: Ideal):
     """Colink through the adjoint transfer and emit the full transcript."""
     K = spec.resolve_K()
     e = _cyclic_epi(spec, iname, cname)
@@ -541,7 +549,7 @@ def op_colink(spec, iname, cname):
 
 
 @_operation
-def op_adjoint_transfer(spec, iname, cname):
+def op_adjoint_transfer(spec, iname: Ideal, cname: Ideal):
     K = spec.resolve_K()
     e = _cyclic_epi(spec, iname, cname)
     ce = colinkage.adjoint_transfer_forward(e, spec.bound)
@@ -586,7 +594,7 @@ def op_horizontal(spec, name):
 
 
 @_operation
-def op_regular_sequence(spec, name, n: int):
+def op_regular_sequence(spec, name: Ideal, n: int):
     seq = homalg.regular_sequence_in_ideal(spec.ring, _as_ideal(spec, name), n)
     return {"sequence": _ideal_strings(spec.ring, seq)}
 

@@ -106,24 +106,22 @@ def is_generalized_cm(M):
 
 
 def bass_numbers(M, upto):
-    """mu^i = total k-dimension of Ext^i_R(k, M) for 0 <= i <= upto."""
+    """mu^i = total k-dimension of Ext^i_R(k, M) for 0 <= i <= upto; a
+    zero Ext has dimension -1 and total length 0."""
     ctx = M.ctx
     k = residue_field(ctx)
     out = []
     for i in range(upto + 1):
         data = ext_hilbert(i, k, M)
-        if data.is_zero():
-            out.append(0)
-            continue
         if data.dim > 0:
             raise InternalConsistencyError("Bass-number Ext has positive dimension")
         out.append(data.total_length())
     return out
 
 
-def ring_type(ctx, depth=None):
+def ring_type(ctx):
     """The Cohen-Macaulay type: mu^{depth R}(R)."""
-    dep = modules.ring_depth(ctx) if depth is None else depth
+    dep = modules.ring_depth(ctx)
     return bass_numbers(free_module(ctx, 1), dep)[dep]
 
 
@@ -131,9 +129,10 @@ def ring_type(ctx, depth=None):
 # the two theorem-level dual checks on linked pairs
 
 
-def schenzel_check(M, N, K, n, c_seq, t):
+def schenzel_check(M, N, K, c_seq, t):
     """Serre-condition level of M against the cohomology band of N, for c
-    a regular sequence of Vecs.
+    a regular sequence of Vecs as long as the common grade of M and N:
+    ``change_of_rings`` reads the grade from that length.
 
     Both sides are evaluated independently: the torsionfreeness proxy of M
     over R/(c) with the moved semidualizing module, and the vanishing of

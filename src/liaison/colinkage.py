@@ -71,8 +71,7 @@ def _tensor_transform(M, K):
     # the map K -> M (x) K, k_a -> m_j (x) k_a, for each generator m_j
     cols = [H.express_in_gens(_hom_element(T, units[j * gk:(j + 1) * gk]))
             for j in range(len(M._gens))]
-    mu = ModuleMap(M, H, cols, check=False)
-    return T, H, mu
+    return T, ModuleMap(M, H, cols, check=False)
 
 
 def hom_transform(M, K):
@@ -86,33 +85,29 @@ def _hom_transform(M, K):
     hd = H.gen_degrees()
     maps = [conv(H.express_in_gens(g), degree=d) for g, d in zip(H._gens, hd)]
     cols = [h.cols[a] for a in range(len(K._gens)) for h in maps]
-    nu = ModuleMap(T, M, cols, check=False)
-    return H, T, nu
+    return H, ModuleMap(T, M, cols, check=False)
 
 
 def foxby_transform(direction, M, K):
     """Spec surface: the transform with its natural comparison map."""
     if direction == "tensorK":
-        T, _, mu = tensor_transform(M, K)
-        return T, mu
+        return tensor_transform(M, K)
     if direction == "homK":
-        H, _, nu = hom_transform(M, K)
-        return H, nu
+        return hom_transform(M, K)
     raise InvalidInput(f"unknown direction {direction!r}")
 
 
 def nu_is_injective(M, K):
-    _, _, nu = hom_transform(M, K)
-    Knu, _ = kernel(nu)
+    Knu, _ = kernel(hom_transform(M, K)[1])
     return Knu.is_zero()
 
 
 def nu_is_iso(M, K):
-    return _memo(M, ("nu_is_iso", K), lambda: is_iso(hom_transform(M, K)[2]))
+    return _memo(M, ("nu_is_iso", K), lambda: is_iso(hom_transform(M, K)[1]))
 
 
 def mu_is_iso(M, K):
-    return _memo(M, ("mu_is_iso", K), lambda: is_iso(tensor_transform(M, K)[2]))
+    return _memo(M, ("mu_is_iso", K), lambda: is_iso(tensor_transform(M, K)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +266,7 @@ def colink_operator(e):
         raise BassMembershipUndecided("source not certified in the Bass class")
     if not nu_is_injective(phi.target, K):
         raise NuNotIso("evaluation map of the image is not injective")
-    phi_dual, HY, HN = hom_induced_post(phi, K)
+    phi_dual = hom_induced_post(phi, K)
     Cd, _ = cokernel(phi_dual)
     if not Cd.is_zero():
         raise InternalConsistencyError("Hom(K, phi) failed to be surjective")
@@ -308,8 +303,7 @@ def adjoint_transfer_forward(e, bound=None):
     bound = e.bound if bound is None else bound
     if not class_verdict("Auslander", e.phi.target, K, bound).holds():
         raise ClassMembershipUndecided("image module not certified Auslander")
-    phi_t, src, tgt = tensor_map(e.phi, K)
-    return coreflexive_epi(phi_t, K, "PKn", bound, n=e.n)
+    return coreflexive_epi(tensor_map(e.phi, K), K, "PKn", bound, n=e.n)
 
 
 def adjoint_transfer_backward(e, bound=None):
@@ -318,5 +312,4 @@ def adjoint_transfer_backward(e, bound=None):
     bound = e.bound if bound is None else bound
     if not class_verdict("Bass", e.phi.target, K, bound).holds():
         raise ClassMembershipUndecided("image module not certified Bass")
-    psi_dual, _, _ = hom_induced_post(e.phi, K)
-    return linkage.reflexive_epi(psi_dual, K, "Pn", bound, n=e.n)
+    return linkage.reflexive_epi(hom_induced_post(e.phi, K), K, "Pn", bound, n=e.n)

@@ -74,10 +74,6 @@ class ClassMembershipUndecided(LiaisonError):
 class RegularSequenceNotFound(LiaisonError):
     """Deterministic search exhausted its coefficient budget."""
 
-    def __init__(self, message, budget=None):
-        super().__init__(message)
-        self.budget = budget
-
 
 class BrokenChain(LiaisonError):
     def __init__(self, message, step=None):
@@ -96,7 +92,6 @@ class UnknownGallery(LiaisonError):
 class SpecSyntaxError(LiaisonError):
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
 
 
 class UnknownName(LiaisonError):

@@ -30,10 +30,12 @@ its vector.  ``buchberger`` likewise computes each reduced basis once per
 value and stores it interreduced.
 
 Completion can stop at a degree: ``minimal_generator_indices`` completes
-its engine only up to the degree of the column it reduces next.  That is
-exact for homogeneous input over a graded ring, the only case in which it
-stops early: pairs pop by degree, an S-vector is never of lower degree than
-its pair, and no basis element can reduce a vector of lower degree.  A
+its engine only up to the degree of the column it reduces next, and feeds
+``add_generators`` that column with its own degree as the limit, so no
+caller feeds a vector above the limit it gives.  That is exact for
+homogeneous input over a graded ring, the only case in which it stops
+early: pairs pop by degree, an S-vector is never of lower degree than its
+pair, and no basis element can reduce a vector of lower degree.  A
 column is kept when its normal form is nonzero, that is when it lies
 outside the columns kept before it, and a basis complete up to its degree
 decides that.  Such an engine is never stored, and it refuses to reduce a
@@ -182,7 +184,6 @@ class ModuleGB:
         "basis",
         "heads",
         "by_pos",
-        "degrees",
         "pairs",
         "pending",
         "syzygies",
@@ -203,7 +204,6 @@ class ModuleGB:
         self.basis = []  # internal vectors, certificates included
         self.heads = []  # the lead key of each basis vector
         self.by_pos = {}  # lead prefix -> [(lead exponent word, basis index)]
-        self.degrees = []  # homogeneous degree of each basis vector
         self.pairs = []  # heap of (degree, i, j, lcm of the lead monomials)
         self.pending = set()
         self.syzygies = []  # reductions to zero: certificates alone
@@ -290,7 +290,6 @@ class ModuleGB:
         deg = self._degree(head)
         self.basis.append(data)
         self.heads.append(head)
-        self.degrees.append(deg)
         pk = self.ctx._pk
         mask = pk.top - 1
         mono = head & mask
@@ -327,32 +326,28 @@ class ModuleGB:
         pk = self.ctx._pk
         for data in vectors:
             head = max(data)
-            deg = self._degree(head)
-            self._check_degree(deg)
+            self._check_degree(self._degree(head))
             self.by_pos.setdefault(head >> pk.span, []).append(
                 (head & pk.low, len(self.basis))
             )
             self.basis.append(data)
             self.heads.append(head)
-            self.degrees.append(deg)
 
     def add_generators(self, vectors, limit=None):
         """Feed internal vectors of this engine's rank, certificates left
         out, into the basis, then complete with Buchberger's algorithm, up
         to degree ``limit`` when one is given.  The first ``track`` vectors
-        ever fed are the tracked columns.  Vectors of degree above ``limit``
-        are skipped; a limit is sound only for homogeneous input over a
-        graded ring."""
+        ever fed are the tracked columns.  A caller that gives a limit feeds
+        no vector above it, as ``minimal_generator_indices`` feeds one
+        column at that column's degree; a limit is sound only for
+        homogeneous input over a graded ring."""
         span = self.ctx._pk.span
         for vec in vectors:
             data = dict(vec)
             column = self.fed
             self.fed += 1
             if data:
-                deg = self._degree(max(data))
-                self._check_degree(deg)
-                if limit is not None and deg > limit:
-                    continue
+                self._check_degree(self._degree(max(data)))
             if column < self.track:
                 data[-(column + 1) << span] = 1  # the column's own certificate
             self._absorb(self._normal_form(data))
@@ -428,7 +423,7 @@ class ModuleGB:
             return
         span = self.ctx._pk.span
         keep = []
-        by_degree = sorted(range(len(self.basis)), key=lambda i: (self.degrees[i], i))
+        by_degree = sorted(range(len(self.basis)), key=lambda i: (self._degree(self.heads[i]), i))
         for idx in by_degree:
             head = self.heads[idx]
             if any(
@@ -452,7 +447,6 @@ class ModuleGB:
             data[head] = coeff
             new_basis.append(data)
         self.heads = heads
-        self.degrees = [self.degrees[i] for i in keep]
         self.basis = new_basis
         self.by_pos = reducers[0]
         self.reduced = True
@@ -683,8 +677,6 @@ class HilbertData:
     def degree(self):
         """Multiplicity: reduced numerator at t = 1 over the weight product
         (an integer whenever it is one; a Fraction otherwise)."""
-        if not self.numerator:
-            return 0
         total = sum(self._reduced.values())
         wprod = 1
         for w in self.ctx.weights:

@@ -302,7 +302,7 @@ def _homology(functor, i, M, N):
     out_k, in_k = (i + 1, i) if functor == "ext" else (i, i + 1)
     src, tgt, rows = _induced(functor, out_k, res, ctx)
     if rows:
-        cycles = kernel(_dual_map(N, src, tgt, rows)[0])[0]._gens
+        cycles = kernel(_dual_map(N, src, tgt, rows))[0]._gens
     else:
         cycles = [vec for vec in _hom_sum(N, src)._gens if vec]
     eng = _image_engine(functor, in_k, M, N, res)
@@ -552,7 +552,7 @@ def transpose(M, K):
     res = free_resolution(M, 1)
     if not res.rank(1):
         return zero_module(ctx), zero_module(ctx)
-    h, _, _ = _dual_map(K, *_induced("ext", 1, res, ctx))
+    h = _dual_map(K, *_induced("ext", 1, res, ctx))
     Tr, _ = cokernel(h)
     lam, _ = image(h)
     return Tr, lam
@@ -603,10 +603,7 @@ def _obstruction_transpose(M, K, n, route):
             ctx2, Kbar = change_of_rings(M.ctx, seq, K)
             Tr, _ = transpose(transport(M, ctx2), Kbar)
             return Tr, Kbar, 1
-    Om = syzygy(M, n)
-    if Om.is_zero():
-        return Om, K, n + 1
-    Tr, _ = transpose(Om, K)
+    Tr, _ = transpose(syzygy(M, n), K)
     return Tr, K, n + 1
 
 
@@ -621,7 +618,7 @@ def regular_sequence_in_ideal(ctx, ideal, n):
     if n < 0:
         raise InvalidInput(f"regular sequence length must be at least 0, got {n}")
     if not ideal or modules.grade(_cyclic_module(ctx, ideal)) < n:
-        raise RegularSequenceNotFound(f"ideal has grade below {n}", budget=_MAX_SCALE)
+        raise RegularSequenceNotFound(f"ideal has grade below {n}")
     chosen = []
     for _ in range(n):
         L = _cyclic_module(ctx, chosen)
@@ -629,9 +626,7 @@ def regular_sequence_in_ideal(ctx, ideal, n):
             L, _cyclic_module(ctx, (*chosen, f)), _lead_degree(ctx, f, (0,)))), None)
         if found is None:
             raise RegularSequenceNotFound(
-                f"no regular element found for slot {len(chosen) + 1}",
-                budget=_MAX_SCALE,
-            )
+                f"no regular element found for slot {len(chosen) + 1}")
         chosen.append(found)
     return chosen
 
@@ -640,11 +635,14 @@ def _combinations(ctx, ideal):
     """The nonzero scalar combinations of the equal-degree generators of an
     ideal of Vecs, added up by ``_axpy``: coefficients in {0, +-1, ...,
     +-s}, s rising to _MAX_SCALE, then the lowest degree first, then in
-    ``itertools.product`` order."""
+    ``itertools.product`` order.  A combination that is a multiple, mod p,
+    of one yielded before is skipped: it spans the same ideal, so
+    ``regular_on`` gives it the same answer."""
     by_degree = {}
     for f in ideal:
         by_degree.setdefault(_lead_degree(ctx, f, (0,)), []).append(f)
     p = ctx.p
+    seen = set()  # each combination made monic
     for s in range(1, _MAX_SCALE + 1):
         coeffs = [0] + [c for k in range(1, s + 1) for c in (k, -k)]
         for d in sorted(by_degree):
@@ -655,7 +653,11 @@ def _combinations(ctx, ideal):
                     if c % p:
                         _axpy(f, -c % p, 0, g, p)  # f += c * g
                 if f:
-                    yield f
+                    inv = pow(f[max(f)], -1, p)
+                    monic = frozenset((key, c * inv % p) for key, c in f.items())
+                    if monic not in seen:
+                        seen.add(monic)
+                        yield f
 
 
 def change_of_rings(ctx, x_seq, K):

@@ -73,7 +73,7 @@ def default_bound(ctx):
 
 
 class SemidualizingCert(
-    namedtuple("SemidualizingCert", "K bound homothety_iso ext_vanishing verdict")
+    namedtuple("SemidualizingCert", "homothety_iso ext_vanishing verdict")
 ):
     __slots__ = ()
 
@@ -117,7 +117,7 @@ def homothety_map(K):
 def is_semidualizing(K, bound):
     """Certify the homothety isomorphism and Ext vanishing up to the bound."""
     if K.is_zero():
-        return SemidualizingCert(K, bound, False, (), verdict.fails("zero module"))
+        return SemidualizingCert(False, (), verdict.fails("zero module"))
     hom_iso = is_iso(homothety_map(K))
     checks = []
     first_bad = None
@@ -132,7 +132,7 @@ def is_semidualizing(K, bound):
         v = verdict.fails(f"Ext^{first_bad}(K,K) != 0")
     else:
         v = verdict.holds(bound=bound)
-    return SemidualizingCert(K, bound, hom_iso, tuple(checks), v)
+    return SemidualizingCert(hom_iso, tuple(checks), v)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +374,8 @@ def annihilate_quotient(Kbar, i_gens):
     degs = [_lead_degree(ctx, f, (0,)) for f in i_gens]
     # x -> (f*x)_f is Hom(d, Kbar) for the row d = (f_1 .. f_r); its source
     # Hom(R, Kbar) is Kbar itself, kept so that Kbar's cached data is reused
-    h, _, target = _dual_map(Kbar, [0], degs, [_stacked(i_gens, 1, ctx._pk.span)])
-    mult = ModuleMap(Kbar, target, h.cols, check=False)
+    h = _dual_map(Kbar, [0], degs, [_stacked(i_gens, 1, ctx._pk.span)])
+    mult = ModuleMap(Kbar, h.target, h.cols, check=False)
     Kc, incl = kernel(mult)
     Q, _ = cokernel(incl)
     return Q
@@ -459,16 +459,11 @@ def liaison_walk(epis, window=(-6, 6)):
     if gk_start.holds() != gk_end.holds():
         raise InternalConsistencyError("perfection flipped along the walk")
     if len(epis) % 2 == 0:
-        hi_ext_equal = True
-        ctx = start.ctx
-        for i in range(n + 1, ctx.m + 2):
+        for i in range(n + 1, start.ctx.m + 2):
             A = ext_hilbert(i, start, K).hf_window(*window)
             if A != ext_hilbert(i, end, K).hf_window(*window):
-                hi_ext_equal = False
-                break
-        report["even_ext_agree"] = hi_ext_equal
-        if not hi_ext_equal:
-            raise InternalConsistencyError("even liaison failed Ext invariance")
+                raise InternalConsistencyError("even liaison failed Ext invariance")
+        report["even_ext_agree"] = True
         pd_a = invariants(start).pd
         pd_b = invariants(end).pd
         report["pd_pair"] = [_num(pd_a), _num(pd_b)]

@@ -496,19 +496,15 @@ def tensor(M, N):
 
 def tensor_map(f, N):
     """f (x) id_N for f a ModuleMap."""
-    src = tensor(f.source, N)
-    tgt = tensor(f.target, N)
     gn, span = len(N._gens), N.ctx._pk.span
     # source generator (j, b) goes to f's column j (x) e_b
     cols = [_spread(col, gn, b, span) for col in f.cols for b in range(gn)]
-    return ModuleMap(src, tgt, cols, f.degree, check=False), src, tgt
+    return ModuleMap(tensor(f.source, N), tensor(f.target, N), cols, f.degree, check=False)
 
 
 def _hom_sum(N, degs):
     """⊕_j N(d_j) = Hom(⊕ R(-d_j), N), block j at positions j * N.rank on."""
     parts = [twist(N, d) for d in degs]
-    if not parts:
-        return None
     if len(parts) == 1:
         return parts[0]
     return _block_sum(parts)
@@ -519,11 +515,9 @@ def _dual_map(N, src_degs, tgt_degs, rows):
     basis of F', one per basis element of F: the map ⊕ N(src) -> ⊕ N(tgt),
     phi -> phi o d."""
     gn, span = len(N._gens), N.ctx._pk.span
-    H0 = _hom_sum(N, src_degs)
-    H1 = _hom_sum(N, tgt_degs)
     # generator a of block b goes to generator a of each block k, times row b's entry k
     cols = [_spread(row, gn, a, span) for row in rows for a in range(gn)]
-    return ModuleMap(H0, H1, cols, check=False), H0, H1
+    return ModuleMap(_hom_sum(N, src_degs), _hom_sum(N, tgt_degs), cols, check=False)
 
 
 def hom_module(M, N):
@@ -546,8 +540,7 @@ def _hom_module(M, N):
         return _hom_sum(N, dm), _hom_converter(M, N)
     degs = [_lead_degree(M.ctx, u, dm) for u in colrels]
     rows = _transpose(colrels, len(dm), M.ctx._pk.span)
-    h, _, _ = _dual_map(N, dm, degs, rows)
-    H, incl = kernel(h)
+    H, incl = kernel(_dual_map(N, dm, degs, rows))
     return H, _hom_converter(M, N, incl)
 
 
@@ -577,7 +570,7 @@ def hom_induced_post(f, K):
     for unit, d in zip(_units(HS.ctx, len(HS._gens)), HS.gen_degrees()):
         comp = f.compose(conv_s(unit, degree=d))  # K -> target
         cols.append(HT.express_in_gens(_hom_element(f.target, comp.cols)))
-    return ModuleMap(HS, HT, cols, f.degree, check=False), HS, HT
+    return ModuleMap(HS, HT, cols, f.degree, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +578,8 @@ def hom_induced_post(f, K):
 
 
 def minimize(M):
-    """Minimal-generator copy of M with the comparison maps (proj, incl)."""
-    if not M._gens:
-        return M, identity_map(M), identity_map(M)
+    """Minimal-generator copy of M with the comparison maps (proj, incl);
+    for M without generators, a module equal to M and maps without columns."""
     from . import homalg
 
     res = homalg.free_resolution(M, 0)
@@ -762,10 +754,7 @@ def invariants(M):
             f"Auslander-Buchsbaum violated: pd_S={pd_amb}, depth={dep}, m={m}"
         )
     gr = grade(M)
-    if ctx.defining:
-        pd = homalg.projective_dimension(M)
-    else:
-        pd = pd_amb
+    pd = homalg.projective_dimension(M)
     cod = ring_dim(ctx) - d
     if pd is not math.inf and gr > pd:
         raise InternalConsistencyError("grade exceeds finite projective dimension")

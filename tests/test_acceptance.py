@@ -240,14 +240,14 @@ def test_criterion_07_schenzel_biconditional(S4):
     Mcm = cyclic_module(S4, Icm)
     Ncm = cyclic_module(S4, ideal_polys(S4, annihilator(cyclic_link(S4, Icm, ccm, K))))
     for t in (1, 2):
-        assert schenzel_check(Mcm, Ncm, K, 2, ideal(S4, ccm), t).holds()
+        assert schenzel_check(Mcm, Ncm, K, ideal(S4, ccm), t).holds()
     Isk = [P(S4, s) for s in SKEW]
     csk = [P(S4, s) for s in SKEW_CI]
     Msk = cyclic_module(S4, Isk)
     Nsk = cyclic_module(S4, ideal_polys(S4, annihilator(cyclic_link(S4, Isk, csk, K))))
-    assert schenzel_check(Msk, Nsk, K, 2, ideal(S4, csk), 1).holds()
-    assert schenzel_check(Msk, Nsk, K, 2, ideal(S4, csk), 2).fails()
-    assert schenzel_check(Nsk, Msk, K, 2, ideal(S4, csk), 2).fails()
+    assert schenzel_check(Msk, Nsk, K, ideal(S4, csk), 1).holds()
+    assert schenzel_check(Msk, Nsk, K, ideal(S4, csk), 2).fails()
+    assert schenzel_check(Nsk, Msk, K, ideal(S4, csk), 2).fails()
     report(7, True, "CM pair holds for t=1..dim; non-CM pair fails at t=2 both ways")
 
 

@@ -11,11 +11,12 @@ import sys
 import pytest
 
 import liaison
-from liaison import homalg
+from liaison import groebner, homalg
 from liaison.cli import (
     _ARG_KINDS,
     GALLERIES,
     HANDLERS,
+    Ideal,
     _as_module,
     gallery,
     main,
@@ -249,6 +250,13 @@ MALFORMED = [
     # an explicit K names its name line, or the [K] header without one
     (MINIMAL + "[K]\nkind = explicit\nname = M\n", [], "name = M"),
     (MINIMAL + "[K]\nkind = explicit\n", [], "[K]"),
+    # an unknown K kind names its kind line
+    (MINIMAL + "[K]\nkind = dualizing\n", [], "kind = dualizing"),
+    # a module's name where an operation takes an ideal names the op's line
+    (MINIMAL.replace("invariants I", "groebner M") + "[module M]\ngens = 1\n", [],
+     "groebner M"),
+    (MINIMAL.replace("invariants I", "colon M I") + "[module M]\ngens = 1\n", [],
+     "colon M I"),
 ]
 
 
@@ -406,6 +414,46 @@ def test_every_definition_has_a_caller_in_the_package():
     assert unused == []
 
 
+def test_every_parameter_and_attribute_is_read():
+    """Every parameter of a package ``def`` is read in its body, and every
+    attribute an ``__init__`` sets on ``self`` is read somewhere in the
+    package or the tests (by attribute name, as the definition lint
+    matches names)."""
+    src = pathlib.Path(liaison.__file__).resolve().parent
+    tests = pathlib.Path(__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    test_trees = [ast.parse(path.read_text()) for path in sorted(tests.glob("*.py"))]
+    read_attrs = {node.attr for tree in [*trees.values(), *test_trees]
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for fname, tree in trees.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            if "super" in read:  # a bare super() reads the method's first argument
+                read.add(params[0].arg)
+            unread.extend(f"{fname}: {func.name}({p.arg})" for p in params
+                          if p.arg not in read)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                unread.extend(
+                    f"{fname}: {cls.name}.{node.attr}" for node in ast.walk(init)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"
+                    and node.attr not in read_attrs)
+    assert unread == []
+
+
 def test_every_import_is_read_in_its_module():
     """Every name a package module imports is read in that module.  The
     re-exports of ``liaison/__init__.py`` are exempt."""
@@ -437,7 +485,8 @@ def test_operations_reject_wrong_argument_count():
     assert len(HANDLERS) == 26
     for op, handler in HANDLERS.items():
         params = list(inspect.signature(handler, eval_str=True).parameters.values())
-        kinds = ["int" if p.annotation is int else "name" for p in params[1:]]
+        kinds = ["int" if p.annotation is int else "ideal" if p.annotation is Ideal
+                 else "name" for p in params[1:]]
         assert _ARG_KINDS[op] == kinds, op
         arity = len(inspect.signature(handler).parameters) - 1
         for count in (arity - 1, arity + 1):
@@ -694,17 +743,61 @@ GALLERY_DIGESTS = {
 }
 
 
+# the work of each pinned run, as ceilings: (built engines, normal forms).
+# A route that gives the same bytes for far more work passes the digests
+# but not these.  A change that lowers the work lowers the ceiling.
+GALLERY_WORK = {
+    "adjoint-transfer": (165, 4066),
+    "depth-formula": (118, 806),
+    "direct-sum-self-link": (46, 134),
+    "even-liaison-ext": (171, 1258),
+    "foxby-roundtrip": (71, 1333),
+    "mixed-ideal-negative": (101, 237),
+    "schenzel": (77, 384),
+    "semigroup-345": (72, 823),
+    "twisted-cubic": (137, 713),
+    "univariate-link": (71, 156),
+}
+# the type-three spec, by bound
+TYPE_THREE_WORK = {3: (221, 21721), 4: (221, 21721), 5: (221, 21721)}
+
+
+def count_work(monkeypatch):
+    """[built engines, normal forms], counted while the monkeypatch holds:
+    calls of ``ModuleGB.__init__`` and ``ModuleGB._normal_form``."""
+    counts = [0, 0]
+    real_init, real_normal_form = groebner.ModuleGB.__init__, groebner.ModuleGB._normal_form
+
+    def init(self, *args, **kwargs):
+        counts[0] += 1
+        real_init(self, *args, **kwargs)
+
+    def normal_form(self, *args):
+        counts[1] += 1
+        return real_normal_form(self, *args)
+
+    monkeypatch.setattr(groebner.ModuleGB, "__init__", init)
+    monkeypatch.setattr(groebner.ModuleGB, "_normal_form", normal_form)
+    return counts
+
+
+def assert_work_within(counts, ceiling):
+    assert all(n <= top for n, top in zip(counts, ceiling)), (counts, ceiling)
+
+
 def test_every_gallery_is_pinned():
-    assert sorted(GALLERY_DIGESTS) == sorted(GALLERIES)
+    assert sorted(GALLERY_DIGESTS) == sorted(GALLERY_WORK) == sorted(GALLERIES)
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY_DIGESTS))
-def test_gallery_report_is_pinned(name):
+def test_gallery_report_is_pinned(name, monkeypatch):
+    work = count_work(monkeypatch)
     report, code = run(gallery(name))
     assert code == (1 if name == "mixed-ideal-negative" else 0)
     report.pop("timestamp")
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GALLERY_DIGESTS[name]
+    assert_work_within(work, GALLERY_WORK[name])
 
 
 def _memo_kinds(ctx):
@@ -746,9 +839,11 @@ def test_type_three_report_is_pinned(monkeypatch):
     # Hilbert numerators, image columns or syzygies are computed may change,
     # what the report says may not
     questions = watch_ext_questions(monkeypatch)
+    work = count_work(monkeypatch)
     spec = parse_spec(SEMIGROUP_4567)
     report, code = run(spec)
     assert code == 0
+    assert_work_within(work, TYPE_THREE_WORK[3])
     report.pop("timestamp")
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -761,13 +856,15 @@ def test_type_three_report_is_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("bound", [4, 5])
-def test_type_three_report_at_higher_bounds_is_pinned(bound):
+def test_type_three_report_at_higher_bounds_is_pinned(bound, monkeypatch):
     # each under a second since Ext into ω/xω is decided over S; bound 5
     # took minutes and hundreds of MiB before
     stem = FIXTURES / f"semigroup4567_bound{bound}"
+    work = count_work(monkeypatch)
     report, code = run(parse_spec(stem.with_suffix(".spec").read_text()))
     assert code == 0
     report.pop("timestamp")
     text = json.dumps(report, indent=2, sort_keys=True)
     want = stem.with_suffix(".sha256").read_text().split()[0]
     assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert_work_within(work, TYPE_THREE_WORK[bound])

@@ -161,14 +161,14 @@ def test_schenzel_on_cm_pair(cubic_pair):
     ctx, M, N, I, c = cubic_pair
     K = free_module(ctx, 1)
     for t in (1, 2):
-        assert schenzel_check(M, N, K, 2, c, t).holds()
+        assert schenzel_check(M, N, K, c, t).holds()
 
 
 def test_schenzel_on_skew_lines(skew_pair):
     ctx, M, N, I, c = skew_pair
     K = free_module(ctx, 1)
-    assert schenzel_check(M, N, K, 2, c, 1).holds()
-    v = schenzel_check(M, N, K, 2, c, 2)
+    assert schenzel_check(M, N, K, c, 1).holds()
+    v = schenzel_check(M, N, K, c, 2)
     assert v.fails()
 
 
@@ -176,8 +176,8 @@ def test_schenzel_minimal_failing_level_agrees_both_ways(skew_pair):
     # run it in the other order too: N linked back to M
     ctx, M, N, I, c = skew_pair
     K = free_module(ctx, 1)
-    assert schenzel_check(N, M, K, 2, c, 1).holds()
-    assert schenzel_check(N, M, K, 2, c, 2).fails()
+    assert schenzel_check(N, M, K, c, 1).holds()
+    assert schenzel_check(N, M, K, c, 2).fails()
 
 
 def test_schenzel_levels_build_one_quotient_ring(monkeypatch):
@@ -198,8 +198,8 @@ def test_schenzel_levels_build_one_quotient_ring(monkeypatch):
     c = [P(S, s) for s in SKEW_CI]
     M = cyclic_module(S, I)
     N = cyclic_module(S, ideal_polys(S, annihilator(cyclic_link(S, I, c, K))))
-    assert schenzel_check(M, N, K, 2, ideal(S, c), 1).holds()
-    assert schenzel_check(M, N, K, 2, ideal(S, c), 2).fails()
+    assert schenzel_check(M, N, K, ideal(S, c), 1).holds()
+    assert schenzel_check(M, N, K, ideal(S, c), 2).fails()
     assert len(built) == 1
 
 

@@ -83,7 +83,7 @@ def test_hom_transform_roundtrip_on_free_sum(semigroup345, omega345):
     # P (x) K recovered by Hom(K, -) for a rank-2 free P
     ctx = semigroup345
     F2 = free_module(ctx, 2)
-    T, _, mu = tensor_transform(F2, omega345)
+    T, mu = tensor_transform(F2, omega345)
     assert is_iso(mu)
     H, _ = __import__("liaison.modules", fromlist=["hom_module"]).hom_module(
         omega345, T
@@ -99,6 +99,19 @@ def test_free_module_is_auslander(semigroup345, omega345):
 def test_K_is_bass(semigroup345, omega345):
     cert = class_member("Bass", omega345, omega345, 3)
     assert cert.verdict.holds()
+
+
+def test_gk_perfect_comember(F101xy, semigroup345, omega345):
+    # K = R puts every module in the Bass class, so GKPKn is GKPn there
+    ctx = F101xy
+    R1 = free_module(ctx, 1)
+    assert category_comember("GKPKn", cyclic_module(ctx, [P(ctx, "x")]), R1, 3)
+    assert not category_comember("GKPKn", cyclic_module(ctx, [P(ctx, "x^2"), P(ctx, "x*y")]),
+                                 R1, 3)
+    # over the (3, 4, 5) curve, omega is Bass and its own Gorenstein dual; R
+    # is not Bass, the ring not being Gorenstein
+    assert category_comember("GKPKn", omega345, omega345, 3)
+    assert not category_comember("GKPKn", free_module(semigroup345, 1), omega345, 3)
 
 
 def test_gorenstein_context_both_classes(hypersurface):

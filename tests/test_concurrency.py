@@ -211,8 +211,8 @@ def map_work(M, K, g):
     for vec, d in zip(H._gens, H.gen_degrees()):
         phi = conv(H.express_in_gens(vec), degree=d)
         gphi = g.compose(phi)
-        post = hom_induced_post(gphi, K)[0]
-        tens = tensor_map(gphi, K)[0]
+        post = hom_induced_post(gphi, K)
+        tens = tensor_map(gphi, K)
         out.append((phi.cols, gphi.cols, post.compose(theta).cols, tens.cols,
                     kernel(tens)[0].hilbert().numerator, is_iso(phi), is_iso(post)))
     return out

@@ -42,15 +42,19 @@ def test_transport_keeps_a_module_whose_generators_do_not_span():
     assert transport(Q, ctx2)._gens == Q._gens
 
 
-def test_xR_mod_x2R_over_the_semigroup_ring_takes_the_route():
+def test_xR_mod_x2R_over_the_semigroup_ring_takes_the_route(monkeypatch):
     R = SEMIGROUP_345
     x = R.var(0)
     K = canonical_module(R)
     N = subquotient(R, [(x,)], [(x * x,)])
+    over_r = homalg._ring_series
+    questions = watch_ext_questions(monkeypatch)
     for i in range(3):
         assert not ext_vanishes(i, K, N)
-        assert ext_hilbert(i, K, N).numerator == homalg._ring_series("ext", i, K, N)
+        assert ext_hilbert(i, K, N).numerator == over_r("ext", i, K, N)
     assert R._cache[N, ("ext_route", K)] == ideal(R, [x])[0]
+    # each of the three went over R/(x) (route 3), none over R
+    assert routed_ext_questions(R, questions) == (3, 3, 0)
 
 
 def _draw_nonzero_form(data, ctx, degrees):

@@ -6,7 +6,13 @@ import pytest
 from liaison import cli, homalg
 from liaison.cohomology import grothendieck_band_check
 from liaison.colinkage import class_member
-from liaison.errors import DegreeOverflow, GradeMismatch, InvalidInput, NotRegularSequence
+from liaison.errors import (
+    DegreeOverflow,
+    GradeMismatch,
+    InvalidInput,
+    NotRegularSequence,
+    RegularSequenceNotFound,
+)
 from liaison.homalg import (
     betti_table_text,
     bidual_obstructions,
@@ -407,6 +413,25 @@ def test_bidual_obstructions_checks_grade(F101xy):
         bidual_obstructions(M, free_module(ctx, 1), 2)
 
 
+def test_obstructions_fall_back_to_the_direct_route(monkeypatch, F101xy):
+    # without a regular sequence in ann M the quotient route takes the
+    # direct one, whose obstructions are the same graded vector spaces
+    ctx = F101xy
+    R1 = free_module(ctx, 1)
+    M = cyclic_module(ctx, [P(ctx, "x^2"), P(ctx, "x*y")])
+    assert homalg._obstruction_transpose(M, R1, 1, "auto")[2] == 1  # R/(x)
+    quotient = [E.numerator for E in bidual_obstructions(M, R1, 1)]
+    direct = homalg._obstruction_transpose(M, R1, 1, "direct")
+    assert direct[2] == 2 and quotient[0]
+
+    def not_found(ctx, ideal, n):
+        raise RegularSequenceNotFound(f"none of length {n}")
+
+    monkeypatch.setattr(homalg, "regular_sequence_in_ideal", not_found)
+    assert homalg._obstruction_transpose(M, R1, 1, "auto") == direct
+    assert [E.numerator for E in bidual_obstructions(M, R1, 1)] == quotient
+
+
 # -- change of rings ------------------------------------------------------------------
 
 
@@ -673,9 +698,10 @@ def test_image_engine_matches_the_direct_sum_route():
                 if functor == "tor":
                     # d (x) N is Hom of the transpose of d with negated degrees:
                     # its rows are the columns of d
-                    f, _, B = _dual_map(N, [-e for e in src], [-e for e in tgt], d)
+                    f = _dual_map(N, [-e for e in src], [-e for e in tgt], d)
                 else:
-                    f, _, B = _dual_map(N, tgt, src, _transpose(d, len(tgt), ctx._pk.span))
+                    f = _dual_map(N, tgt, src, _transpose(d, len(tgt), ctx._pk.span))
+                B = f.target
                 want = engine_buchberger(
                     list(B._rels) + f.image_columns_ambient(), ctx, B.rank, B.shifts
                 )

@@ -594,6 +594,21 @@ def test_cm_category_membership():
     assert not category_member("CMn", plane_and_line, R1, 3)
 
 
+def test_gk_perfect_and_reflexive_category_membership(F101xy):
+    # R/(x) is perfect, so both hold; the mixed (x^2, x*y) = (x) meet
+    # (x, y)^2 has pd 2 > grade 1 and a nonzero kernel-side obstruction
+    ctx = F101xy
+    R1 = free_module(ctx, 1)
+    line = cyclic_module(ctx, [P(ctx, "x")])
+    mixed = cyclic_module(ctx, [P(ctx, "x^2"), P(ctx, "x*y")])
+    for tag in ("GKPn", "RefnK"):
+        assert category_member(tag, line, R1, 3), tag
+        assert not category_member(tag, mixed, R1, 3), tag
+    # an epimorphism onto a module is certified for a source that passes
+    e = reflexive_epi(natural_cyclic_epi(ctx, I_(ctx, ["x"]), I_(ctx, ["x^3"])), R1, "RefnK")
+    assert (e.category_tag, e.n) == ("RefnK", 1)
+
+
 def test_cyclic_link_rejects_irregular_sequence(F101xy):
     ctx = F101xy
     from liaison.errors import NotRegularSequence

@@ -377,6 +377,28 @@ def test_regularity_off_cohen_macaulay():
     assert not regular_on(R1, R1, None)
 
 
+def test_regular_sequence_search_tests_each_quotient_once(monkeypatch):
+    # f and -f, and a combination repeated at a larger scale, span one ideal:
+    # the search asks regular_on once per quotient, and chooses as before
+    from liaison import modules
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return regular_on(*args)
+
+    monkeypatch.setattr(modules, "regular_on", counted)
+    ctx = TWO_PLANES
+    with pytest.raises(RegularSequenceNotFound):
+        regular_sequence_in_ideal(ctx, ideal(ctx, [one(ctx)]), 1)
+    assert len(calls) == 1  # 12 when repeats were tested
+    calls.clear()
+    maximal = ideal(ctx, [P(ctx, v) for v in "abcd"])
+    assert regular_sequence_in_ideal(ctx, maximal, 1) == list(ideal(ctx, [P(ctx, "b + d")]))
+    assert len(calls) == 6  # 10 when repeats were tested
+
+
 # -- invariants ------------------------------------------------------------------
 
 
@@ -431,6 +453,17 @@ def test_minimize_projection_is_iso(F101xy):
     assert len(Mmin.gens) == 1
     assert is_iso(proj)
     assert is_iso(incl)
+
+
+def test_minimize_of_a_module_without_generators(F101xy):
+    # the general path: no minimal generators, a copy equal to M, and maps
+    # without columns between the two
+    ctx = F101xy
+    M = subquotient(ctx, [], [(P(ctx, "x"),)], (0,), 1)
+    Mmin, proj, incl = minimize(M)
+    assert Mmin == M and Mmin.is_zero()
+    assert (proj.source, proj.target, proj.cols) == (M, Mmin, ())
+    assert (incl.source, incl.target, incl.cols) == (Mmin, M, ())
 
 
 def test_direct_sum_with_zero(F101xy):

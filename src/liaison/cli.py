@@ -15,22 +15,22 @@ handler; the handler's annotations give the argument kinds: ``int``,
 ``Ideal`` (the name of an ideal) or none (the name of an ideal or module).
 
 Exit codes: 0 ok, 1 some verdict failed (or an operation raised an error,
-reported as ``ok: false``), 2 usage or parse error, 3 internal consistency
-failure or any other unexpected exception in an operation (also reported
-as ``ok: false``, naming the exception type; the later operations still
-run).  Exit 2 covers: an unreadable spec file, an unknown gallery, a
-malformed section or ``key = value`` line, a key its section does not take
-or already has, a value that is not an integer (``p``, ``weights``,
-``ambient``, ``shifts``, ``bound``, ``window``, integer operation
-arguments), a ``bound`` or ``--bound`` below 0, a ``window`` or ``--window``
-not of the form lo..hi or with an end of absolute value 2^20 or more, an
-``ambient`` outside 0..4096, ``shifts`` with neither 1 nor ``ambient``
-entries or with an entry of absolute value 2^20 or more, a weight of 2^20 or
-more, a bad polynomial or column (a degree reaching 2^20 included), a
-characteristic not a prime below 2^31 (``p`` or ``--char``), an option
-before the subcommand or after ``list-galleries``, an unknown operation or
-wrong argument count, an undefined name, a module's name where an
-operation takes an ideal, an unknown K kind, and a canonical K over a
+reported as ``ok: false`` with its spec ``line``), 2 usage or parse error, 3
+internal consistency failure or any other unexpected exception in an
+operation (also reported as ``ok: false``, naming the exception type; the
+later operations still run).  Exit 2 covers: an unreadable spec file, an
+unknown gallery, a malformed section or ``key = value`` line, a key its
+section does not take or already has, a value that is not an integer (``p``,
+``weights``, ``ambient``, ``shifts``, ``bound``, ``window``, integer
+operation arguments), a ``bound`` or ``--bound`` below 0, a ``window`` or
+``--window`` not of the form lo..hi or with an end of absolute value 2^20 or
+more, an ``ambient`` outside 0..4096, ``shifts`` with neither 1 nor
+``ambient`` entries or with an entry of absolute value 2^20 or more, a
+weight of 2^20 or more, a bad polynomial or column (a degree reaching 2^20
+included), a characteristic not a prime below 2^31 (``p`` or ``--char``), an
+option before the subcommand or after ``list-galleries``, an unknown
+operation or wrong argument count, an undefined name, a module's name where
+an operation takes an ideal, an unknown K kind, and a canonical K over a
 non-Cohen-Macaulay ring.  Each names its spec line where it has one.
 """
 
@@ -409,8 +409,21 @@ def _cyclic_epi(spec, iname, cname):
 
 @_operation
 def op_link(spec, iname: Ideal, cname: Ideal):
-    res = linkage.link_operator(_cyclic_epi(spec, iname, cname))
-    return res.to_json(spec.window)
+    e = _cyclic_epi(spec, iname, cname)
+    L = linkage.link_operator(e).linked_module
+    E1, E2 = homalg.bidual_obstructions(e.phi.target, e.K, e.n)
+    lo, hi = spec.window
+    return {
+        "linked_presentation": L.to_json(),
+        "annihilator_gb": _ideal_strings(spec.ring, annihilator(L)),
+        "betti": {
+            f"{i},{d}": v for (i, d), v in homalg.free_resolution(L, 2).betti().items()
+        },
+        "obstruction_hilbert_functions": {
+            "kernel_side": E1.hf_window(lo, hi),
+            "cokernel_side": E2.hf_window(lo, hi),
+        },
+    }
 
 
 @_operation
@@ -643,6 +656,8 @@ def run(spec):
             entry["ok"] = False
             entry["error"] = f"internal error: {type(exc).__name__}: {exc}"
             exit_code = 3
+        if not entry["ok"]:
+            entry["line"] = lineno
         results.append(entry)
     report = {
         "ring": repr(spec.ring),

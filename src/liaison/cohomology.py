@@ -3,9 +3,9 @@
 No Cech complexes: the Hilbert function of H^i_m(M) at degree j is read off
 as HF of Ext^{m-i}_S(M, S) at -j-w, where w is the sum of the variable
 weights (the ambient canonical twist).  Restriction of scalars makes this
-valid for modules over quotient rings as well.  Every Ext here is read as
-numbers only, so it comes from ``homalg.ext_hilbert`` or ``ext_vanishes``
-and no Ext module is built.
+valid for modules over quotient rings as well; ``homalg.dual_hilbert``
+gives that Ext.  Every Ext here is read as numbers only, so it comes from
+``homalg.ext_hilbert`` or ``ext_vanishes`` and no Ext module is built.
 """
 
 from __future__ import annotations
@@ -14,26 +14,15 @@ from collections import namedtuple
 
 from . import modules, verdict
 from .errors import InternalConsistencyError, InvalidInput, ZeroDimensional
-from .groebner import HilbertData
 from .homalg import (
     change_of_rings,
+    dual_hilbert,
     ext_hilbert,
     ext_vanishes,
     residue_field,
-    restrict_scalars,
     transpose,
 )
 from .modules import free_module, invariants, transport
-
-
-def _dual_ext(M, i):
-    """Hilbert data of Ext^{m-i}_S(M, S), the graded dual of H^i_m(M)."""
-    MS = restrict_scalars(M)
-    amb = MS.ctx
-    j = amb.m - i
-    if j < 0:
-        return HilbertData(amb, {})
-    return ext_hilbert(j, MS, free_module(amb, 1))
 
 
 class LocalCohomologyHF(
@@ -51,7 +40,7 @@ class LocalCohomologyHF(
 
 def local_cohomology_hf(M, i, window):
     """Hilbert function table of H^i_m(M) on the window."""
-    E = _dual_ext(M, i)
+    E = dual_hilbert(M.ctx.m - i, M)
     wsum = sum(M.ctx.weights)
     lo, hi = window
     table = {j: E.hf(-j - wsum) for j in range(lo, hi + 1)}
@@ -61,7 +50,7 @@ def local_cohomology_hf(M, i, window):
 
 def local_cohomology_is_zero(M, i):
     """Exact vanishing of H^i_m(M), window-free (module-level dual test)."""
-    return _dual_ext(M, i).is_zero()
+    return dual_hilbert(M.ctx.m - i, M).is_zero()
 
 
 def grothendieck_band_check(M):
@@ -100,7 +89,7 @@ def is_generalized_cm(M):
     if rep.dim is None or rep.dim < 1:
         raise ZeroDimensional("generalized CM is about positive dimension")
     for i in range(rep.dim):
-        if _dual_ext(M, i).dim > 0:
+        if dual_hilbert(M.ctx.m - i, M).dim > 0:
             return False
     return True
 

@@ -35,6 +35,7 @@ the sum of the weights, c the codimension of M's ring, R/(x) in route 2):
    Over S resolutions stop within dim S steps, where over a non-Gorenstein
    R they need not stop at all.  ω_R is the module
    ``linkage.canonical_module`` stored for R once R passed the CM check.
+   ``dual_hilbert`` gives the Ext_S term, as it gives local cohomology.
 2. Ext into an N with an x of route 3 and N/xN = ω/xω goes over S as
    t^{w + deg x} HS(Ext^{i+c}_S((M/xM)_S, S)): R/(x) is Cohen-Macaulay and
    ω/xω = ω_{R/(x)}(-deg x) (Bruns-Herzog 3.3.5, graded 3.6.12).
@@ -342,30 +343,33 @@ def _series(functor, i, M, N):
     the first route of the module docstring that applies."""
     if M.is_zero() or N.is_zero():
         return {}
-    if functor == "ext":
-        omega = _memoized(N.ctx, "canonical_module")
-        w = sum(M.ctx.weights)
-        if N == omega:
-            return _dual_series(i, M, w)
+    if functor == "tor":
+        return _ring_series("tor", i, M, N)
+    omega = _memoized(N.ctx, "canonical_module")
+    w = sum(M.ctx.weights)
+    if N != omega:
         x = _memo(N, ("ext_route", M), lambda: _regular_annihilator(M, N))  # chosen once
-        if x is not None:
-            ctx2 = quotient_ring(M.ctx, (x,))
-            M2, N2 = transport(M, ctx2), transport(N, ctx2)
-            if omega is not None and N2 == transport(omega, ctx2):
-                # N = ω/xω, which is ω_{R/(x)}(-deg x)
-                return _dual_series(i, M2, w + _lead_degree(M.ctx, x, (0,)))
-            return _ring_series("ext", i, M2, N2)
-    return _ring_series(functor, i, M, N)
+        if x is None:
+            return _ring_series("ext", i, M, N)
+        w += _lead_degree(M.ctx, x, (0,))
+        ctx2 = quotient_ring(M.ctx, (x,))
+        M, N = transport(M, ctx2), transport(N, ctx2)
+        if omega is None or N != transport(omega, ctx2):
+            return _ring_series("ext", i, M, N)
+        # N = ω/xω, which is ω_{R/(x)}(-deg x)
+    # Ext^i_R(M, ω_R) is the Ext_S term at j = i + c, c = dim S - dim R
+    data = dual_hilbert(i + M.ctx.m - ring_dim(M.ctx), M)
+    return {d + w: v for d, v in data.numerator.items()}
 
 
-def _dual_series(i, M, twist):
-    """Hilbert numerator of Ext^i(M, Ext^c_S(R, S)(-twist)), R M's CM ring
-    of codimension c: that of Ext^{i+c}_S(M, S), shifted by ``twist``."""
+def dual_hilbert(j, M):
+    """The HilbertData of Ext^j_S(M, S), M taken over the polynomial ring S
+    under its ring; zero for j < 0.  By local duality it is that of the
+    graded dual of H^{dim S - j}_m(M), twisted by the sum of the weights."""
     MS = restrict_scalars(M)
-    c = MS.ctx.m - ring_dim(M.ctx)
-    series = {}
-    _add_series(series, ext_hilbert(i + c, MS, free_module(MS.ctx, 1)).numerator, twist)
-    return series
+    if j < 0:
+        return HilbertData(MS.ctx, {})
+    return ext_hilbert(j, MS, free_module(MS.ctx, 1))
 
 
 def _ring_series(functor, i, M, N):
@@ -547,15 +551,12 @@ def transpose(M, K):
     if M.ctx is not K.ctx and not M.ctx.same_polynomial_ring(K.ctx):
         raise RingMismatch("transpose needs modules over one ring")
     ctx = M.ctx
-    if M.is_zero():
-        return zero_module(ctx), zero_module(ctx)
     res = free_resolution(M, 1)
     if not res.rank(1):
         return zero_module(ctx), zero_module(ctx)
     h = _dual_map(K, *_induced("ext", 1, res, ctx))
     Tr, _ = cokernel(h)
-    lam, _ = image(h)
-    return Tr, lam
+    return Tr, image(h)
 
 
 def bidual_obstructions(M, K, n):

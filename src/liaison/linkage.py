@@ -61,7 +61,7 @@ from .modules import (
     transport,
     twist,
 )
-from .ring import _ideal_strings, _memo
+from .ring import _memo
 
 
 def default_bound(ctx):
@@ -188,27 +188,8 @@ class ReflexiveEpi(namedtuple("ReflexiveEpi", "phi n K category_tag bound")):
     __slots__ = ()
 
 
-class LinkResult(
-    namedtuple("LinkResult", "linked_module link_epi obstructions")
-):
+class LinkResult(namedtuple("LinkResult", "linked_module link_epi")):
     __slots__ = ()
-
-    def to_json(self, window):
-        E1, E2 = self.obstructions
-        lo, hi = window
-        return {
-            "linked_presentation": self.linked_module.to_json(),
-            "annihilator_gb": _ideal_strings(
-                self.linked_module.ctx, annihilator(self.linked_module)),
-            "betti": {
-                f"{i},{d}": v
-                for (i, d), v in free_resolution(self.linked_module, 2).betti().items()
-            },
-            "obstruction_hilbert_functions": {
-                "kernel_side": E1.hf_window(lo, hi),
-                "cokernel_side": E2.hf_window(lo, hi),
-            },
-        }
 
 
 def category_member(tag, X, K, bound):
@@ -251,8 +232,9 @@ def _certified_epi(cls, member, phi, K, tag, bound, n):
 
 def link_operator(e):
     """The linked module of a reflexive epimorphism: the cokernel of the
-    induced injection Ext^n(M,K) -> Ext^n(X,K), with its epimorphism and
-    the double-dual obstructions of M attached (cached per epimorphism)."""
+    induced injection Ext^n(M,K) -> Ext^n(X,K), with its epimorphism
+    (cached per epimorphism).  Whether phi links M is a separate question:
+    ``is_linked_by``, or ``bidual_obstructions`` for both obstructions."""
     return _memo(e.phi.target, ("link_operator", e), lambda: _link_operator(e))
 
 
@@ -266,13 +248,12 @@ def _link_operator(e):
     if not Kind.is_zero():
         raise InternalConsistencyError("Ext^n(phi,K) failed to be injective")
     linked, proj = cokernel(induced)
-    obstructions = bidual_obstructions(phi.target, K, n)
     g = grade(linked)
     if g != n:
         raise InternalConsistencyError(
             f"linked module has grade {g}, expected {n}"
         )
-    return LinkResult(linked, proj, obstructions)
+    return LinkResult(linked, proj)
 
 
 def is_linked_by(e):
@@ -291,9 +272,8 @@ def double_link_check(e):
     Hilbert functions and annihilators); a nonzero cokernel-side obstruction
     is reported but does not obstruct being linked.
     """
-    first = link_operator(e)
-    E1, E2 = first.obstructions
-    psi = first.link_epi
+    psi = link_operator(e).link_epi
+    E1, E2 = bidual_obstructions(e.phi.target, e.K, e.n)
     e2 = reflexive_epi(psi, e.K, e.category_tag, e.bound, n=e.n)
     second = link_operator(e2)
     M = e.phi.target

@@ -392,7 +392,7 @@ def kernel(f):
     ctx = src.ctx
     if not tgt._gens or not src._gens:
         return src, identity_map(src)
-    syz = image(f)[0].syzygies()
+    syz = image(f).syzygies()
     # syzygy coordinates are over the source generators; a coordinate vector
     # whose ambient image vanishes identically is the zero element of the
     # source (a column relation), so it contributes nothing to the kernel
@@ -421,12 +421,9 @@ def cokernel(f):
 
 
 def image(f):
-    """Image of f as a submodule of the target, with its inclusion."""
+    """Image of f as a submodule of the target."""
     tgt = f.target
-    cols = f.image_columns_ambient()
-    I = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, cols, tgt._rels)
-    incl = ModuleMap(I, tgt, f.cols, check=False)
-    return I, incl
+    return GradedModule(tgt.ctx, tgt.rank, tgt.shifts, f.image_columns_ambient(), tgt._rels)
 
 
 def is_iso(f):

@@ -289,7 +289,7 @@ def test_kernel_reads_the_engine_of_its_image():
     x, y, z = (ctx.var(k) for k in range(3))
     f = poly_map(free_module(ctx, 3, (1, 1, 1)), cyclic_module(ctx, [x * x]),
                  [(x,), (y,), (z,)])
-    relations = column_relations(image(f)[0])
+    relations = column_relations(image(f))
     with _tracked_engines() as built:
         K, incl = kernel(f)
     assert built == []

@@ -158,9 +158,42 @@ def test_univariate_link_realizes_colon(F101x):
     e = reflexive_epi(natural_cyclic_epi(ctx, I_(ctx, ["x"]), I_(ctx, ["x^3"])), R1, "Pn")
     res = link_operator(e)
     assert ideal_strings(ctx, annihilator(res.linked_module)) == ["x^2"]
-    E1, E2 = res.obstructions
+    E1, E2 = bidual_obstructions(e.phi.target, e.K, e.n)
     assert E1.is_zero() and E2.is_zero()
     assert is_linked_by(e)
+
+
+class ObstructionAsked(Exception):
+    pass
+
+
+def test_the_link_operator_asks_for_no_obstruction(monkeypatch):
+    # the link is the cokernel of Ext^n(phi, K) alone: linking, the depth
+    # formula and a walk ask for no double-dual obstruction; the double
+    # link and the link report read both
+    def asked(*args):
+        raise ObstructionAsked
+
+    for module, name in ((linkage, "bidual_obstructions"), (homalg, "bidual_obstructions"),
+                         (homalg, "_obstruction_transpose")):
+        monkeypatch.setattr(module, name, asked)
+    ctx = make_ring(101, ["x", "y", "z", "w"])  # a cold cache
+    R1 = free_module(ctx, 1)
+    # skew lines: pd 3 > grade 2, so the walk's perfection checks fail at
+    # Ext^3, before they reach an obstruction
+    I = I_(ctx, ["x*z", "x*w", "y*z", "y*w"])
+    c = I_(ctx, ["x*z", "y*w"])
+    e = reflexive_epi(natural_cyclic_epi(ctx, I, c), R1, "Pn")
+    assert annihilator(link_operator(e).linked_module) == colon(c, I, ctx)
+    assert depth_formula_check(e).holds()
+    epis = linkage.build_cyclic_walk(ctx, I, c, R1, steps=2)
+    assert liaison_walk(epis)["pd_pair"] == [3, 3]
+    with pytest.raises(ObstructionAsked):
+        double_link_check(e)
+    spec = cli.parse_spec("[ring]\np = 101\nvars = x\n[ideal I]\ngens = x\n"
+                          "[ideal c]\ngens = x^3\n[ops]\nlink I c\n")
+    with pytest.raises(ObstructionAsked):
+        cli.op_link(spec, "I", "c")
 
 
 def test_direct_sum_self_link(F101xy):

@@ -510,7 +510,7 @@ def test_hf_additive_along_kernel_image(F101xy):
     F1 = free_module(ctx, 1)
     f = poly_map(F2, F1, [[P(ctx, "x^2")], [P(ctx, "x*y")]], degree=2)
     K, _ = kernel(f)
-    I, _ = image(f)
+    I = image(f)
     for d in range(6):
         assert F2.hf(d) == K.hf(d) + I.hf(d + 2)
 

@@ -202,7 +202,7 @@ def test_bidual_cokernel_equals_next_ext_of_link(F101xyzw):
     c = ideal(ctx, [P(ctx, s) for s in ("x*z", "y*w")])
     e = reflexive_epi(natural_cyclic_epi(ctx, I, c), K, "Pn")
     res = link_operator(e)
-    E1, E2 = res.obstructions
+    E1, E2 = bidual_obstructions(e.phi.target, e.K, e.n)
     assert E1.is_zero()
     assert not E2.is_zero()
     E_next = ext(3, res.linked_module, K)

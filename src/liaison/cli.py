@@ -548,7 +548,7 @@ def op_colink(spec, iname: Ideal, cname: Ideal):
     """Colink through the adjoint transfer and emit the full transcript."""
     K = spec.resolve_K()
     e = _cyclic_epi(spec, iname, cname)
-    ce = colinkage.adjoint_transfer_forward(e, spec.bound)
+    ce = colinkage.adjoint_transfer_forward(e)
     col, _ = colinkage.colink_operator(ce)
     lo, hi = spec.window
     return {
@@ -565,8 +565,8 @@ def op_colink(spec, iname: Ideal, cname: Ideal):
 def op_adjoint_transfer(spec, iname: Ideal, cname: Ideal):
     K = spec.resolve_K()
     e = _cyclic_epi(spec, iname, cname)
-    ce = colinkage.adjoint_transfer_forward(e, spec.bound)
-    back = colinkage.adjoint_transfer_backward(ce, spec.bound)
+    ce = colinkage.adjoint_transfer_forward(e)
+    back = colinkage.adjoint_transfer_backward(ce)
     lo, hi = spec.window
     M = e.phi.target
     col, _ = colinkage.colink_operator(ce)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import homalg, linkage, verdict
+from . import linkage, verdict
 from .errors import (
     BassMembershipUndecided,
     ClassMembershipUndecided,
@@ -33,7 +33,6 @@ from .homalg import (
     bidual_obstructions,
     ext,
     ext_vanishes,
-    kernel_obstruction_vanishes,
     projective_dimension,
     tor_vanishes,
 )
@@ -218,10 +217,6 @@ def _require_nu_iso(M, K):
 # coreflexive epimorphisms and the colinkage operator
 
 
-class CoreflexiveEpi(namedtuple("CoreflexiveEpi", "phi n K category_tag bound")):
-    __slots__ = ()
-
-
 def pk_dimension(M, K, bound):
     """(verdict, value): the K-projective dimension via pd(Hom(K, M)).
 
@@ -248,17 +243,17 @@ def category_comember(tag, Y, K, bound):
 
 def coreflexive_epi(phi, K, tag, bound=None, n=None):
     """Certify phi: Y ->> N as a coreflexive homomorphism for the tag."""
-    return linkage._certified_epi(CoreflexiveEpi, category_comember, phi, K, tag, bound, n)
+    return linkage._certified_epi(category_comember, phi, K, tag, bound, n)
 
 
 def colink_operator(e):
-    """The colinked module: cokernel of D^n(N) -> D^n(Y) for phi: Y ->> N.
+    """The colinked module of a coreflexive phi: Y ->> N, the cokernel of
+    D^n(phi) = Ext^n(Hom(K, phi), K): the link of Hom(K, phi), a ``LinkResult``.
 
     Bass membership of Y (bounded) and injectivity of the evaluation map on
-    N make Hom(K,-) exact on the defining sequence, so the cokernel of the
-    induced map on the Hom-side duals computes the image of the operator.
+    N make Hom(K,-) exact on the defining sequence, so Hom(K, phi) is onto.
     """
-    phi, n, K = e.phi, e.n, e.K
+    phi, K = e.phi, e.K
     Kphi, _ = kernel(phi)
     if Kphi.is_zero():
         raise InjectivePhi("phi is injective; colinkage needs a nonzero kernel")
@@ -270,46 +265,36 @@ def colink_operator(e):
     Cd, _ = cokernel(phi_dual)
     if not Cd.is_zero():
         raise InternalConsistencyError("Hom(K, phi) failed to be surjective")
-    induced = homalg.ext_induced(n, phi_dual, K)
-    colinked, proj = cokernel(induced)
-    g = grade(colinked)
-    if g != n:
-        raise InternalConsistencyError(
-            f"colinked module has grade {g}, expected {n}"
-        )
-    return colinked, proj
+    # the private operator: the memoized one keys on the map, by identity
+    return linkage._link_operator(e._replace(phi=phi_dual))
 
 
 def is_colinked_by(e):
-    """Colinkage criterion: the kernel-side codual obstruction vanishes."""
-    Kphi, _ = kernel(e.phi)
-    if Kphi.is_zero():
-        raise InjectivePhi("phi is injective; colinkage needs a nonzero kernel")
+    """Colinkage criterion: the linkage criterion, once nu on N is iso."""
     _require_nu_iso(e.phi.target, e.K)
-    return kernel_obstruction_vanishes(e.phi.target, e.K, e.n)
+    return linkage.is_linked_by(e)
 
 
 # ---------------------------------------------------------------------------
 # adjoint transfer between the linked and colinked worlds
 
 
-def adjoint_transfer_forward(e, bound=None):
+def adjoint_transfer_forward(e):
     """Carry a reflexive epi phi: X ->> M to phi (x) K: X(x)K ->> M(x)K.
 
-    Needs the image module in the Auslander class (bounded certificate);
-    the result is certified coreflexive for the K-projective tag.
+    Needs the image module in the Auslander class at ``e.bound`` (bounded
+    certificate); the result is certified coreflexive for PKn there.
     """
     K = e.K
-    bound = e.bound if bound is None else bound
-    if not class_verdict("Auslander", e.phi.target, K, bound).holds():
+    if not class_verdict("Auslander", e.phi.target, K, e.bound).holds():
         raise ClassMembershipUndecided("image module not certified Auslander")
-    return coreflexive_epi(tensor_map(e.phi, K), K, "PKn", bound, n=e.n)
+    return coreflexive_epi(tensor_map(e.phi, K), K, "PKn", e.bound, n=e.n)
 
 
-def adjoint_transfer_backward(e, bound=None):
-    """Carry a coreflexive epi psi: Y ->> N to Hom(K, psi): Y' ->> N'."""
+def adjoint_transfer_backward(e):
+    """Carry a coreflexive epi psi: Y ->> N to Hom(K, psi): Y' ->> N', with
+    N in the Bass class at ``e.bound``; certified reflexive at that bound."""
     K = e.K
-    bound = e.bound if bound is None else bound
-    if not class_verdict("Bass", e.phi.target, K, bound).holds():
+    if not class_verdict("Bass", e.phi.target, K, e.bound).holds():
         raise ClassMembershipUndecided("image module not certified Bass")
-    return linkage.reflexive_epi(hom_induced_post(e.phi, K), K, "Pn", bound, n=e.n)
+    return linkage.reflexive_epi(hom_induced_post(e.phi, K), K, "Pn", e.bound, n=e.n)

@@ -104,7 +104,6 @@ from .modules import (
     ring_dim,
     transport,
     vec_combine,
-    zero_map,
     zero_module,
 )
 
@@ -208,8 +207,6 @@ def restrict_scalars(M):
     The stored relations already contain J times the ambient basis (they are
     a reduced basis of rels + J), so only the context changes.
     """
-    if not M.ctx.defining:
-        return M
     return GradedModule(M.ctx.ambient(), M.rank, M.shifts, M._gens, M._rels)
 
 
@@ -518,8 +515,6 @@ def ext_induced(i, f, N):
     ctx = M.ctx
     E_tgt = ext(i, M, N)  # Ext^i(M, N)
     E_src = ext(i, Mp, N)  # Ext^i(M', N)
-    if E_src.is_zero() or E_tgt.is_zero():
-        return zero_map(E_src, E_tgt)
     f_i = lift_chain_map(f, i)[i]
     # a generator of Ext^i(M', N) is phi in Hom(F_i(M'), N), one block of
     # width N.rank per basis element of F_i(M'); precomposition with f_i

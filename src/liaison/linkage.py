@@ -3,8 +3,8 @@
 The central construction: from an epimorphism phi: X ->> M with X in an
 n-reflexive subcategory and grade(X) = grade(M) = n, the induced injection
 Ext^n(M, K) -> Ext^n(X, K) has a grade-unmixed cokernel, the linked module.
-Cyclic (classical) linkage, horizontal linkage, liaison walks and the
-preservation statements all route through this operator.
+Cyclic (classical) linkage, horizontal linkage, liaison walks, the
+preservation statements and colinkage all route through this operator.
 """
 
 from __future__ import annotations
@@ -184,7 +184,8 @@ def is_cm_module(M):
 # reflexive epimorphisms and the linkage operator
 
 
-class ReflexiveEpi(namedtuple("ReflexiveEpi", "phi n K category_tag bound")):
+class Epi(namedtuple("Epi", "phi n K category_tag bound")):
+    """A certified epimorphism, reflexive or coreflexive for its tag."""
     __slots__ = ()
 
 
@@ -209,11 +210,11 @@ def category_member(tag, X, K, bound):
 
 def reflexive_epi(phi, K, tag, bound=None, n=None):
     """Certify phi: X ->> M as a reflexive homomorphism for the tag."""
-    return _certified_epi(ReflexiveEpi, category_member, phi, K, tag, bound, n)
+    return _certified_epi(category_member, phi, K, tag, bound, n)
 
 
-def _certified_epi(cls, member, phi, K, tag, bound, n):
-    """``cls(phi, n, K, tag, bound)`` for an epimorphism phi whose source and
+def _certified_epi(member, phi, K, tag, bound, n):
+    """``Epi(phi, n, K, tag, bound)`` for an epimorphism phi whose source and
     target have grade n and whose source passes ``member`` for the tag."""
     bound = default_bound(phi.source.ctx) if bound is None else bound
     C, _ = cokernel(phi)
@@ -227,7 +228,7 @@ def _certified_epi(cls, member, phi, K, tag, bound, n):
         raise GradeMismatch(f"grades ({gs}, {gt}) differ from n = {n}")
     if not member(tag, phi.source, K, bound):
         raise LiaisonError(f"source module fails the {tag} membership test")
-    return cls(phi, n, K, tag, bound)
+    return Epi(phi, n, K, tag, bound)
 
 
 def link_operator(e):

@@ -388,10 +388,8 @@ def zero_map(M, N):
 
 def kernel(f):
     """Kernel of f, with its inclusion into the source."""
-    src, tgt = f.source, f.target
+    src = f.source
     ctx = src.ctx
-    if not tgt._gens or not src._gens:
-        return src, identity_map(src)
     syz = image(f).syzygies()
     # syzygy coordinates are over the source generators; a coordinate vector
     # whose ambient image vanishes identically is the zero element of the
@@ -729,8 +727,6 @@ def transport(M, ctx2):
     from . import homalg
 
     res = homalg.free_resolution(M, 1)
-    if not res.kept:
-        return zero_module(ctx2)
     n, d_1 = len(res.kept), res.diffs[0] if res.diffs else ()
     return _subquotient(ctx2, n, res.level_shifts[0], _units(ctx2, n), d_1)
 

@@ -312,7 +312,7 @@ def test_criterion_11_foxby_adjoint_equivalence(T345):
     assert is_linked_by(e)
     aus = class_member("Auslander", e.phi.target, om, 4)
     assert aus.verdict.holds()
-    ce = adjoint_transfer_forward(e, bound=4)
+    ce = adjoint_transfer_forward(e)
     assert is_colinked_by(ce)
     assert mu_is_iso(e.phi.target, om)
     # even coliaison walk: colink twice and compare K-projective dimensions

@@ -19,7 +19,7 @@ from liaison.colinkage import (
     pk_dimension,
     tensor_transform,
 )
-from liaison.errors import InvalidInput, NuNotIso
+from liaison.errors import InternalConsistencyError, InvalidInput, NuNotIso
 from liaison.homalg import ext
 from liaison.linkage import (
     canonical_module,
@@ -35,6 +35,7 @@ from liaison.modules import (
     direct_sum,
     free_module,
     is_iso,
+    zero_map,
 )
 from liaison.ring import make_ring, parse_poly
 
@@ -343,22 +344,45 @@ def test_colink_agrees_with_closed_form_over_semigroup(semigroup345, omega345):
     ctx = semigroup345
     om = omega345
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn",
+        bound=4,
     )
-    ce = adjoint_transfer_forward(e, bound=4)
+    ce = adjoint_transfer_forward(e)
     col, _ = colink_operator(ce)
     closed = cyclic_link(ctx, [P(ctx, "x")], [P(ctx, "x^2")], om)
     assert anns(col) == anns(closed)
     assert same_hf(col, closed)
 
 
+def test_colink_operator_checks_that_the_induced_map_is_injective(
+        semigroup345, omega345, monkeypatch):
+    # D^n(phi) = Ext^n(Hom(K, phi), K) is injective for a coreflexive phi;
+    # a zero induced map must raise, not return its cokernel
+    ctx = semigroup345
+    e = reflexive_epi(
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])),
+        omega345, "Pn", bound=4,
+    )
+    ce = adjoint_transfer_forward(e)
+    real = homalg.ext_induced
+
+    def zero_induced(i, f, N):
+        induced = real(i, f, N)
+        return zero_map(induced.source, induced.target)
+
+    monkeypatch.setattr(homalg, "ext_induced", zero_induced)
+    with pytest.raises(InternalConsistencyError, match="injective"):
+        colink_operator(ce)
+
+
 def test_is_colinked_by_unmixed_cyclic(semigroup345, omega345):
     ctx = semigroup345
     om = omega345
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn",
+        bound=4,
     )
-    ce = adjoint_transfer_forward(e, bound=4)
+    ce = adjoint_transfer_forward(e)
     assert is_colinked_by(ce)
 
 
@@ -399,10 +423,11 @@ def test_adjoint_roundtrip_over_semigroup(semigroup345, omega345):
     om = omega345
     M = cyclic_module(ctx, [P(ctx, "x")])
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn",
+        bound=4,
     )
-    ce = adjoint_transfer_forward(e, bound=4)
-    back = adjoint_transfer_backward(ce, bound=4)
+    ce = adjoint_transfer_forward(e)
+    back = adjoint_transfer_backward(ce)
     # the round trip returns the start up to natural isomorphism
     assert same_hf(back.phi.target, M)
     assert anns(back.phi.target) == anns(M)
@@ -414,9 +439,10 @@ def test_linkage_colinkage_predicates_agree(semigroup345, omega345):
     ctx = semigroup345
     om = omega345
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn",
+        bound=4,
     )
-    ce = adjoint_transfer_forward(e, bound=4)
+    ce = adjoint_transfer_forward(e)
     assert is_linked_by(e) == is_colinked_by(ce)
 
 
@@ -426,9 +452,10 @@ def test_unmixedness_triangle(semigroup345, omega345):
     ctx = semigroup345
     om = omega345
     e = reflexive_epi(
-        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn"
+        natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])), om, "Pn",
+        bound=4,
     )
-    ce = adjoint_transfer_forward(e, bound=4)
+    ce = adjoint_transfer_forward(e)
     from liaison.homalg import bidual_obstructions
 
     E1, _ = bidual_obstructions(e.phi.target, om, 1)

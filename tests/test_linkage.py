@@ -5,7 +5,7 @@ import random
 import pytest
 
 from liaison import cli, homalg, linkage
-from liaison.colinkage import CoreflexiveEpi, coreflexive_epi, is_colinked_by
+from liaison.colinkage import coreflexive_epi, is_colinked_by
 from liaison.errors import (
     BrokenChain,
     EqualIdeals,
@@ -27,7 +27,7 @@ from liaison.homalg import (
     regular_sequence_in_ideal,
 )
 from liaison.linkage import (
-    ReflexiveEpi,
+    Epi,
     category_member,
     canonical_module,
     cyclic_link,
@@ -314,9 +314,9 @@ def test_linkage_and_colinkage_criteria_keep_their_raises(F101x, semigroup345):
         is_colinked_by(coreflexive_epi(identity_map(M), R1, "PKn"))
     phi = natural_cyclic_epi(ctx, I_(ctx, ["x"]), I_(ctx, ["x^3"]))
     with pytest.raises(GradeMismatch):
-        is_linked_by(ReflexiveEpi(phi, 0, R1, "Pn", 3))
+        is_linked_by(Epi(phi, 0, R1, "Pn", 3))
     with pytest.raises(GradeMismatch):
-        is_colinked_by(CoreflexiveEpi(phi, 0, R1, "PKn", 3))
+        is_colinked_by(Epi(phi, 0, R1, "PKn", 3))
     with pytest.raises(GradeMismatch):
         kernel_obstruction_vanishes(M, R1, 0)
     # onto the residue field of the semigroup ring, whose nu is not iso
@@ -324,7 +324,11 @@ def test_linkage_and_colinkage_criteria_keep_their_raises(F101x, semigroup345):
     om = canonical_module(S)
     onto_k = natural_cyclic_epi(S, I_(S, "xyz"), I_(S, ["x"]))
     with pytest.raises(NuNotIso):
-        is_colinked_by(CoreflexiveEpi(onto_k, 1, om, "PKn", 3))
+        is_colinked_by(Epi(onto_k, 1, om, "PKn", 3))
+    # nu is checked before the kernel: an injective phi onto k fails on nu
+    k = homalg.residue_field(S)
+    with pytest.raises(NuNotIso):
+        is_colinked_by(Epi(identity_map(k), 1, om, "PKn", 3))
     with pytest.raises(InvalidInput):
         category_member("Qn", M, R1, 3)
 

@@ -131,7 +131,7 @@ def test_coreflexive_duals_stable_on_even_coliaison(semigroup345):
     )
     from liaison.colinkage import adjoint_transfer_forward
 
-    ce = adjoint_transfer_forward(e, bound=4)
+    ce = adjoint_transfer_forward(e)
     col1, proj1 = colink_operator(ce)
     ce2 = coreflexive_epi(proj1, om, "PKn", bound=4, n=ce.n)
     col2, _ = colink_operator(ce2)

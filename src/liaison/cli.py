@@ -340,12 +340,6 @@ def _as_module(spec, name):
     return _cyclic_module(spec.ring, spec.ideals[name])
 
 
-def _as_ideal(spec, name):
-    if name in spec.ideals:
-        return spec.ideals[name]
-    raise UnknownName(f"{name!r} is not an ideal")
-
-
 @_operation
 def op_invariants(spec, name):
     return invariants(_as_module(spec, name)).to_json()
@@ -353,7 +347,7 @@ def op_invariants(spec, name):
 
 @_operation
 def op_groebner(spec, name: Ideal):
-    gb = groebner.buchberger(_as_ideal(spec, name), spec.ring, 1)
+    gb = groebner.buchberger(spec.ideals[name], spec.ring, 1)
     return {"reduced_gb": _ideal_strings(spec.ring, gb.basis)}
 
 
@@ -381,7 +375,7 @@ def op_betti(spec, name, length: int):
 
 @_operation
 def op_colon(spec, a: Ideal, b: Ideal):
-    got = modules.colon(_as_ideal(spec, a), _as_ideal(spec, b), spec.ring)
+    got = modules.colon(spec.ideals[a], spec.ideals[b], spec.ring)
     return {"colon": _ideal_strings(spec.ring, got)}
 
 
@@ -394,7 +388,7 @@ def op_annihilator(spec, name):
 def op_cyclic_link(spec, iname: Ideal, cname: Ideal):
     K = spec.resolve_K()
     linked = linkage._cyclic_link(
-        spec.ring, _as_ideal(spec, iname), _as_ideal(spec, cname), K
+        spec.ring, spec.ideals[iname], spec.ideals[cname], K
     )
     return {"annihilator": _ideal_strings(spec.ring, annihilator(linked))}
 
@@ -402,7 +396,7 @@ def op_cyclic_link(spec, iname: Ideal, cname: Ideal):
 def _cyclic_epi(spec, iname, cname):
     K = spec.resolve_K()
     phi = linkage.natural_cyclic_epi(
-        spec.ring, _as_ideal(spec, iname), _as_ideal(spec, cname)
+        spec.ring, spec.ideals[iname], spec.ideals[cname]
     )
     return linkage.reflexive_epi(phi, K, "Pn", spec.bound)
 
@@ -441,7 +435,7 @@ def op_is_linked(spec, iname: Ideal, cname: Ideal):
 def op_walk(spec, iname: Ideal, cname: Ideal, steps: int):
     K = spec.resolve_K()
     epis = linkage.build_cyclic_walk(
-        spec.ring, _as_ideal(spec, iname), _as_ideal(spec, cname), K, steps,
+        spec.ring, spec.ideals[iname], spec.ideals[cname], K, steps,
         bound=spec.bound,
     )
     return linkage.liaison_walk(epis, spec.window)
@@ -486,22 +480,22 @@ def op_local_cohomology(spec, name, i: int):
 
 def _linked_pair(spec, iname, cname):
     """(M, N): M = R/I and N = R/ann(L), L the module c links M to over K."""
-    I = _as_ideal(spec, iname)
-    linked = linkage._cyclic_link(spec.ring, I, _as_ideal(spec, cname), spec.resolve_K())
+    I = spec.ideals[iname]
+    linked = linkage._cyclic_link(spec.ring, I, spec.ideals[cname], spec.resolve_K())
     return _cyclic_module(spec.ring, I), _cyclic_module(spec.ring, annihilator(linked))
 
 
 @_operation
 def op_schenzel(spec, iname: Ideal, cname: Ideal, t: int):
     M, N = _linked_pair(spec, iname, cname)
-    v = cohomology.schenzel_check(M, N, spec.resolve_K(), _as_ideal(spec, cname), t)
+    v = cohomology.schenzel_check(M, N, spec.resolve_K(), spec.ideals[cname], t)
     return {"verdict": v.to_json(), "t": t}
 
 
 @_operation
 def op_duality(spec, iname: Ideal, cname: Ideal, i: int):
     M, N = _linked_pair(spec, iname, cname)
-    v = cohomology.duality_check(M, N, [i], spec.window)
+    v = cohomology.duality_check(M, N, i, spec.window)
     return {"verdict": v.to_json(), "index": i}
 
 
@@ -571,7 +565,7 @@ def op_adjoint_transfer(spec, iname: Ideal, cname: Ideal):
     M = e.phi.target
     col, _ = colinkage.colink_operator(ce)
     closed = linkage._cyclic_link(
-        spec.ring, _as_ideal(spec, iname), _as_ideal(spec, cname), K
+        spec.ring, spec.ideals[iname], spec.ideals[cname], K
     )
     return {
         "forward_tag": ce.category_tag,
@@ -608,7 +602,7 @@ def op_horizontal(spec, name):
 
 @_operation
 def op_regular_sequence(spec, name: Ideal, n: int):
-    seq = homalg.regular_sequence_in_ideal(spec.ring, _as_ideal(spec, name), n)
+    seq = homalg.regular_sequence_in_ideal(spec.ring, spec.ideals[name], n)
     return {"sequence": _ideal_strings(spec.ring, seq)}
 
 

@@ -158,7 +158,7 @@ def schenzel_check(M, N, K, c_seq, t):
     )
 
 
-def duality_check(M, N, band, window):
+def duality_check(M, N, i, window):
     """Graded Matlis duality between H^i(M) and H^{d-i}(N) on the window.
 
     Degrees are matched by HF_{H^i(M)}(j) = HF_{H^{d-i}(N)}(-j), the Matlis
@@ -169,18 +169,11 @@ def duality_check(M, N, band, window):
     if dM != dN:
         return verdict.fails(witness=f"dimensions differ: {dM} vs {dN}")
     lo, hi = window
-    per_index = {}
-    all_ok = True
-    for i in band:
-        left = local_cohomology_hf(M, i, window)
-        right = local_cohomology_hf(N, dM - i, (-hi, -lo))
-        ok = all(left.hf[j] == right.hf[-j] for j in range(lo, hi + 1))
-        per_index[i] = ok
-        all_ok = all_ok and ok
-    if all_ok:
-        return verdict.holds(detail=f"indices {sorted(per_index)}")
-    bad = [i for i, ok in per_index.items() if not ok]
-    return verdict.fails(witness=f"mismatch at H^{bad}")
+    left = local_cohomology_hf(M, i, window)
+    right = local_cohomology_hf(N, dM - i, (-hi, -lo))
+    if all(left.hf[j] == right.hf[-j] for j in range(lo, hi + 1)):
+        return verdict.holds(detail=f"indices [{i}]")
+    return verdict.fails(witness=f"mismatch at H^[{i}]")
 
 
 def torsionfree_duality_check(M, K, t, window):

@@ -21,10 +21,8 @@ from collections import namedtuple
 
 from . import linkage, verdict
 from .errors import (
-    BassMembershipUndecided,
     ClassMembershipUndecided,
     GradeMismatch,
-    InjectivePhi,
     InternalConsistencyError,
     InvalidInput,
     NuNotIso,
@@ -250,15 +248,15 @@ def colink_operator(e):
     """The colinked module of a coreflexive phi: Y ->> N, the cokernel of
     D^n(phi) = Ext^n(Hom(K, phi), K): the link of Hom(K, phi), a ``LinkResult``.
 
-    Bass membership of Y (bounded) and injectivity of the evaluation map on
-    N make Hom(K,-) exact on the defining sequence, so Hom(K, phi) is onto.
+    Bass membership of Y (bounded, established when e was certified) and
+    injectivity of the evaluation map on N make Hom(K,-) exact on the
+    defining sequence, so Hom(K, phi) is onto.  Its kernel is nonzero too,
+    for any K: were Hom(K, phi) injective, being onto it would be an
+    isomorphism, and so would K (x) Hom(K, phi); naturality gives
+    phi nu_Y = nu_N (K (x) Hom(K, phi)) with nu_Y an isomorphism and nu_N
+    injective, so phi would be injective, against its certified kernel.
     """
     phi, K = e.phi, e.K
-    Kphi, _ = kernel(phi)
-    if Kphi.is_zero():
-        raise InjectivePhi("phi is injective; colinkage needs a nonzero kernel")
-    if not class_verdict("Bass", phi.source, K, e.bound).holds():
-        raise BassMembershipUndecided("source not certified in the Bass class")
     if not nu_is_injective(phi.target, K):
         raise NuNotIso("evaluation map of the image is not injective")
     phi_dual = hom_induced_post(phi, K)

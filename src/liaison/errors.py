@@ -63,10 +63,6 @@ class NuNotIso(LiaisonError):
     pass
 
 
-class BassMembershipUndecided(LiaisonError):
-    pass
-
-
 class ClassMembershipUndecided(LiaisonError):
     pass
 

@@ -575,7 +575,7 @@ def kernel_obstruction_vanishes(M, K, n):
     """Whether ``bidual_obstructions(M, K, n)[0]`` is zero, decided by
     ``ext_vanishes`` alone, over the ring ``_series`` picks for it."""
     Tr, KK, j = _obstruction_transpose(M, K, n, "auto")
-    return Tr.is_zero() or ext_vanishes(j, Tr, KK)
+    return ext_vanishes(j, Tr, KK)
 
 
 def _obstruction_transpose(M, K, n, route):

@@ -185,7 +185,13 @@ def is_cm_module(M):
 
 
 class Epi(namedtuple("Epi", "phi n K category_tag bound")):
-    """A certified epimorphism, reflexive or coreflexive for its tag."""
+    """A certified epimorphism, reflexive or coreflexive for its tag.
+
+    ``_certified_epi`` builds every one, and the operators take what it
+    established as given: phi is onto, has a nonzero kernel, its source and
+    target have grade n, and its source passes the membership test of the
+    tag at the bound (for the coreflexive tags, Bass class membership).
+    """
     __slots__ = ()
 
 
@@ -214,12 +220,16 @@ def reflexive_epi(phi, K, tag, bound=None, n=None):
 
 
 def _certified_epi(member, phi, K, tag, bound, n):
-    """``Epi(phi, n, K, tag, bound)`` for an epimorphism phi whose source and
-    target have grade n and whose source passes ``member`` for the tag."""
+    """``Epi(phi, n, K, tag, bound)`` for an epimorphism phi with a nonzero
+    kernel whose source and target have grade n and whose source passes
+    ``member`` for the tag."""
     bound = default_bound(phi.source.ctx) if bound is None else bound
     C, _ = cokernel(phi)
     if not C.is_zero():
         raise IllDefinedMap("phi is not surjective")
+    Kphi, _ = kernel(phi)
+    if Kphi.is_zero():
+        raise InjectivePhi("phi is injective; linkage needs a nonzero kernel")
     gs = grade(phi.source)
     gt = grade(phi.target)
     if n is None:
@@ -241,9 +251,6 @@ def link_operator(e):
 
 def _link_operator(e):
     phi, n, K = e.phi, e.n, e.K
-    Kphi, _ = kernel(phi)
-    if Kphi.is_zero():
-        raise InjectivePhi("phi is injective; linkage needs a nonzero kernel")
     induced = homalg.ext_induced(n, phi, K)
     Kind, _ = kernel(induced)
     if not Kind.is_zero():
@@ -259,11 +266,7 @@ def _link_operator(e):
 
 def is_linked_by(e):
     """Linkage criterion: the kernel-side obstruction of im(phi) vanishes."""
-    phi = e.phi
-    Kphi, _ = kernel(phi)
-    if Kphi.is_zero():
-        raise InjectivePhi("phi is injective; linkage needs a nonzero kernel")
-    return kernel_obstruction_vanishes(phi.target, e.K, e.n)
+    return kernel_obstruction_vanishes(e.phi.target, e.K, e.n)
 
 
 def double_link_check(e):

@@ -258,14 +258,14 @@ def test_criterion_08_local_cohomology_duality(S4):
     csk = [P(S4, s) for s in SKEW_CI]
     Msk = cyclic_module(S4, Isk)
     Nsk = cyclic_module(S4, ideal_polys(S4, annihilator(cyclic_link(S4, Isk, csk, K))))
-    assert duality_check(Msk, Nsk, [1], (-5, 5)).holds()
+    assert duality_check(Msk, Nsk, 1, (-5, 5)).holds()
     assert any(local_cohomology_hf(Msk, 1, (-5, 5)).hf.values())
     # CM pair: identically-zero match
     Icm = [P(S4, s) for s in CUBIC]
     ccm = [P(S4, s) for s in CUBIC_CI]
     Mcm = cyclic_module(S4, Icm)
     Ncm = cyclic_module(S4, ideal_polys(S4, annihilator(cyclic_link(S4, Icm, ccm, K))))
-    assert duality_check(Mcm, Ncm, [1], (-5, 5)).holds()
+    assert duality_check(Mcm, Ncm, 1, (-5, 5)).holds()
     assert not any(local_cohomology_hf(Mcm, 1, (-5, 5)).hf.values())
     report(8, True, "Matlis-dual Hilbert tables match entrywise on both pairs")
 

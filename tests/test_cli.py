@@ -475,6 +475,32 @@ def test_every_import_is_read_in_its_module():
     assert unread == []
 
 
+def test_every_epi_is_built_by_its_certification():
+    """``Epi(...)`` is called only in ``linkage._certified_epi``, so every
+    Epi the package builds carries what certification checks; and an Epi
+    is changed by ``_replace`` only in ``colinkage.colink_operator``, which
+    swaps in Hom(K, phi).  A ``_replace`` counts as an Epi's when every
+    keyword it passes is a field of Epi."""
+    src = pathlib.Path(liaison.__file__).resolve().parent
+    fields = set(liaison.linkage.Epi._fields)
+    builds, replaces = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee == "Epi":
+                    builds.add((path.name, func.name))
+                if callee == "_replace" and {kw.arg for kw in node.keywords} <= fields:
+                    replaces.add((path.name, func.name))
+    assert builds == {("linkage.py", "_certified_epi")}
+    assert replaces == {("colinkage.py", "colink_operator")}
+
+
 def test_readme_lists_every_operation():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     paragraph = readme.read_text().split("Operations:", 1)[1].split("\n\n", 1)[0]
@@ -634,6 +660,34 @@ invariants I
         assert code == 1
 
 
+def test_isomorphism_fails_where_it_is_certified(tmp_path):
+    # R/I ->> R/I has no kernel: certifying it refuses it, before any link,
+    # linkage criterion or colink is computed
+    text = """
+[ring]
+p = 101
+vars = x
+
+[ideal I]
+gens = x
+
+[ops]
+link I I
+is_linked I I
+colink I I
+"""
+    f = tmp_path / "iso.spec"
+    f.write_text(text)
+    out = tmp_path / "iso.json"
+    code = main(["run", str(f), "--json-out", str(out)])
+    results = json.loads(out.read_text())["results"]
+    assert [entry["op"] for entry in results] == ["link", "is_linked", "colink"]
+    for entry in results:
+        assert entry["ok"] is False, entry["op"]
+        assert entry["error"] == "phi is injective; linkage needs a nonzero kernel", entry["op"]
+    assert code == 1
+
+
 def test_inhomogeneous_spec_ideal(tmp_path):
     # a spec ideal is not checked for homogeneity when it is parsed: the
     # Groebner and colon operations take it as it is, and every operation
@@ -750,7 +804,7 @@ GALLERY_DIGESTS = {
 # but not these, and a change that lowers the work must record it here.
 # Each run parses its own ring, so the counts do not depend on test order.
 GALLERY_WORK = {
-    "adjoint-transfer": (169, 4221),
+    "adjoint-transfer": (169, 4222),
     "depth-formula": (78, 498),
     "direct-sum-self-link": (46, 131),
     "even-liaison-ext": (92, 661),
@@ -762,7 +816,7 @@ GALLERY_WORK = {
     "univariate-link": (58, 127),
 }
 # the type-three spec, by bound
-TYPE_THREE_WORK = {3: (225, 22384), 4: (225, 22384), 5: (225, 22384)}
+TYPE_THREE_WORK = {3: (225, 22385), 4: (225, 22385), 5: (225, 22385)}
 
 
 def count_work(monkeypatch):

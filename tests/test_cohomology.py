@@ -208,12 +208,12 @@ def test_schenzel_levels_build_one_quotient_ring(monkeypatch):
 
 def test_duality_vacuous_on_cm_pair(cubic_pair):
     ctx, M, N, _, _ = cubic_pair
-    assert duality_check(M, N, [1], (-5, 5)).holds()
+    assert duality_check(M, N, 1, (-5, 5)).holds()
 
 
 def test_duality_on_generalized_cm_pair(skew_pair):
     ctx, M, N, _, _ = skew_pair
-    v = duality_check(M, N, [1], (-5, 5))
+    v = duality_check(M, N, 1, (-5, 5))
     assert v.holds()
     # the middle cohomology is genuinely nonzero on both sides
     assert any(local_cohomology_hf(M, 1, (-5, 5)).hf.values())
@@ -224,7 +224,7 @@ def test_duality_negative_control(F101xyzw, cubic_ideal, skew_pair):
     # deliberately mismatched modules (not linked): the tables disagree
     ctx, M, _, _, _ = skew_pair
     other = cyclic_module(ctx, cubic_ideal)
-    v = duality_check(M, other, [1], (-5, 5))
+    v = duality_check(M, other, 1, (-5, 5))
     assert v.fails()
 
 

@@ -34,7 +34,9 @@ from liaison.modules import (
     cyclic_module,
     direct_sum,
     free_module,
+    hom_induced_post,
     is_iso,
+    kernel,
     zero_map,
 )
 from liaison.ring import make_ring, parse_poly
@@ -427,6 +429,9 @@ def test_adjoint_roundtrip_over_semigroup(semigroup345, omega345):
         bound=4,
     )
     ce = adjoint_transfer_forward(e)
+    # colink_operator takes Hom(K, phi) to have a nonzero kernel without
+    # checking it: its docstring derives that from the certified kernel
+    assert not kernel(hom_induced_post(ce.phi, om))[0].is_zero()
     back = adjoint_transfer_backward(ce)
     # the round trip returns the start up to natural isomorphism
     assert same_hf(back.phi.target, M)

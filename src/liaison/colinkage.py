@@ -100,11 +100,11 @@ def nu_is_injective(M, K):
 
 
 def nu_is_iso(M, K):
-    return _memo(M, ("nu_is_iso", K), lambda: is_iso(hom_transform(M, K)[1]))
+    return is_iso(hom_transform(M, K)[1])
 
 
 def mu_is_iso(M, K):
-    return _memo(M, ("mu_is_iso", K), lambda: is_iso(tensor_transform(M, K)[1]))
+    return is_iso(tensor_transform(M, K)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ one-column presentations whose relations are annihilators and colon
 ideals (``modules.annihilator``) are such presentations.  That engine is
 only read: it is never interreduced, and each reduction works on a copy of
 its vector.  ``buchberger`` likewise computes each reduced basis once per
-value and stores it interreduced.
+value and stores it interreduced, under its input and under its own
+basis (``reduced_engine``), so a module whose relations are that basis
+finds the engine by value.
 
 Completion can stop at a degree: ``minimal_generator_indices`` completes
 its engine only up to the degree of the column it reduces next, and feeds
@@ -189,7 +191,6 @@ class ModuleGB:
         "syzygies",
         "fed",
         "use_criteria",
-        "reduced",
         "room",
         "limit",
     )
@@ -209,7 +210,6 @@ class ModuleGB:
         self.syzygies = []  # reductions to zero: certificates alone
         self.fed = 0  # input columns fed so far; the first track are tracked
         self.use_criteria = track == 0
-        self.reduced = False
         # a vector of degree D holds monomials of degree up to D - min(shifts)
         self.room = _LIMIT + min(self.shifts, default=0)
         # complete in every degree up to this one; None: in every degree
@@ -302,7 +302,6 @@ class ModuleGB:
             heapq.heappush(self.pairs, (pair_deg, j, idx, lcm))
             self.pending.add((j, idx))
         bucket.append((head & pk.low, idx))
-        self.reduced = False
 
     def _check_degree(self, deg):
         """Refuse a vector degree whose monomials could reach the limit."""
@@ -419,8 +418,6 @@ class ModuleGB:
         """
         if self.track:
             raise InvalidInput("a tracked engine is never interreduced")
-        if self.reduced:
-            return
         span = self.ctx._pk.span
         keep = []
         by_degree = sorted(range(len(self.basis)), key=lambda i: (self._degree(self.heads[i]), i))
@@ -449,7 +446,6 @@ class ModuleGB:
         self.heads = heads
         self.basis = new_basis
         self.by_pos = reducers[0]
-        self.reduced = True
 
     # -- queries -----------------------------------------------------------
 
@@ -495,19 +491,27 @@ class ModuleGB:
 
 def buchberger(columns, ctx, rank, shifts=None):
     """Reduced Groebner basis, of Vecs, of <columns> + J*e_i for Vecs of
-    rank ``rank``, computed once per value of the input and only read
-    afterwards.  Inhomogeneous generators are tolerated (degree-based pair
-    selection degrades to a heuristic); graded arithmetic is one layer up."""
+    rank ``rank``, computed once per value of the input, filed under the
+    basis too (``reduced_engine``), and only read afterwards.
+    Inhomogeneous generators are tolerated (degree-based pair selection
+    degrades to a heuristic); graded arithmetic is one layer up."""
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
     columns = tuple(columns)
 
     def compute():
         eng = ModuleGB(ctx, rank, shifts)
         eng.add_generators(list(columns) + _ring_columns(ctx, rank))
-        eng.interreduce()
-        return eng
+        return reduced_engine(eng)
 
     return _memo(ctx, ("buchberger", rank, shifts, columns), compute)
+
+
+def reduced_engine(eng):
+    """The completed untracked engine, interreduced, as ``buchberger`` of its
+    own basis B gives it: filed under B, the engine filed first returned.
+    B holds the reductions of J*e_i, so the reduced basis of <B> + J*F is B."""
+    eng.interreduce()
+    return _memo(eng.ctx, ("buchberger", eng.rank, eng.shifts, tuple(eng.basis)), lambda: eng)
 
 
 def tracked_engine(ctx, columns, rank, shifts, degrees, extra=()):

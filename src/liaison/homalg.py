@@ -64,7 +64,7 @@ R(-d) (x) N = N(-d), so every term is a block sum ⊕ N(d_b) and
 the transpose of d, with the degrees negated.  ``ext`` and ``tor`` share
 ``_homology``: its cycles are the kernel of the map out of the middle term
 (the whole middle term, less zero columns, when there is none) and its
-relations the image engine of the map into it, interreduced.
+relations the image engine of the map into it, filed under its basis.
 """
 
 from __future__ import annotations
@@ -193,9 +193,7 @@ def level_module(M, res, k):
     J*F that ``restrict_scalars`` needs; ``syzygy`` is the module value."""
     if k == 0:
         gens = [M._gens[i] for i in res.kept]
-        L = GradedModule(M.ctx, M.rank, M.shifts, gens, M._rels)
-        _memo(L, "rels_gb", M.rels_gb)
-        return L
+        return GradedModule(M.ctx, M.rank, M.shifts, gens, M._rels)
     return GradedModule(
         M.ctx, res.rank(k - 1), res.level_shifts[k - 1], res.diffs[k - 1], ()
     )
@@ -211,8 +209,7 @@ def restrict_scalars(M):
 
 
 def residue_field(ctx):
-    return _memo(ctx, "residue_field", lambda: _cyclic_module(
-        ctx, tuple(Vec({unit: 1}) for unit in ctx._pk.units)))
+    return _cyclic_module(ctx, tuple(Vec({unit: 1}) for unit in ctx._pk.units))
 
 
 def ambient_pd(M):
@@ -290,7 +287,7 @@ def _homology(functor, i, M, N):
     F(M) with N.  Its generators are the cycles: the kernel of the map out
     of the middle term, or the middle term ⊕ N(±d) itself when there is
     none; its relations are the incoming image with the middle term's
-    relations, from ``_image_engine``, interreduced."""
+    relations, from ``_image_engine``, filed by ``reduced_engine``."""
     ctx = M.ctx
     if M.is_zero() or N.is_zero():
         return zero_module(ctx)
@@ -303,11 +300,8 @@ def _homology(functor, i, M, N):
         cycles = kernel(_dual_map(N, src, tgt, rows))[0]._gens
     else:
         cycles = [vec for vec in _hom_sum(N, src)._gens if vec]
-    eng = _image_engine(functor, in_k, M, N, res)
-    eng.interreduce()
-    H = GradedModule(ctx, eng.rank, eng.shifts, cycles, eng.basis)
-    _memo(H, "rels_gb", lambda: eng)
-    return H
+    eng = groebner.reduced_engine(_image_engine(functor, in_k, M, N, res))
+    return GradedModule(ctx, eng.rank, eng.shifts, cycles, eng.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -567,30 +561,29 @@ def bidual_obstructions(M, K, n):
     growth over Golod-like quotients) bounded.  Both routes compute the
     same graded vector spaces.
     """
-    Tr, KK, j = _obstruction_transpose(M, K, n, "auto")
+    Tr, KK, j = _obstruction_transpose(M, K, n)
     return ext_hilbert(j, Tr, KK), ext_hilbert(j + 1, Tr, KK)
 
 
 def kernel_obstruction_vanishes(M, K, n):
     """Whether ``bidual_obstructions(M, K, n)[0]`` is zero, decided by
     ``ext_vanishes`` alone, over the ring ``_series`` picks for it."""
-    Tr, KK, j = _obstruction_transpose(M, K, n, "auto")
+    Tr, KK, j = _obstruction_transpose(M, K, n)
     return ext_vanishes(j, Tr, KK)
 
 
-def _obstruction_transpose(M, K, n, route):
+def _obstruction_transpose(M, K, n):
     """(Tr, K', j): the obstructions are Ext^j(Tr, K') and Ext^{j+1}(Tr, K').
 
-    The direct route gives the transpose of the n-th syzygy, K and n + 1;
-    the quotient route (n > 0) the transpose over R/(x), K's image there
-    and 1.  Tr may be zero, over the ring of the route taken.
+    For n > 0 the quotient route gives the transpose over R/(x), K's image
+    there and 1; for n = 0, or when the annihilator holds no regular
+    sequence of length n, the direct route gives the transpose of the n-th
+    syzygy, K and n + 1.  Tr may be zero, over the ring of the route taken.
     """
     g = modules.grade(M)
     if g != n:
         raise GradeMismatch(f"module has grade {g}, expected {n}")
-    if route == "auto":
-        route = "quotient" if n > 0 else "direct"
-    if route == "quotient" and n > 0:
+    if n > 0:
         try:
             seq = regular_sequence_in_ideal(M.ctx, annihilator(M), n)
         except RegularSequenceNotFound:

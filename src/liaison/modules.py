@@ -150,8 +150,7 @@ class GradedModule:
         return self._degs
 
     def rels_gb(self):
-        return _memo(self, "rels_gb", lambda: groebner.buchberger(
-            self._rels, self.ctx, self.rank, self.shifts))
+        return groebner.buchberger(self._rels, self.ctx, self.rank, self.shifts)
 
     def full_gb(self):
         return groebner.buchberger(self._gens + self._rels, self.ctx, self.rank, self.shifts)
@@ -274,9 +273,7 @@ def _subquotient(ctx, rank, shifts, gens, rels):
     if not ctx.is_graded():
         raise InhomogeneousInput("module layer needs a graded ring context")
     gb = groebner.buchberger([vec for vec in rels if vec], ctx, rank, shifts)
-    mod = GradedModule(ctx, rank, shifts, [vec for vec in gens if vec], gb.basis)
-    _memo(mod, "rels_gb", lambda: gb)
-    return mod
+    return GradedModule(ctx, rank, shifts, [vec for vec in gens if vec], gb.basis)
 
 
 def _units(ctx, rank):
@@ -402,7 +399,6 @@ def kernel(f):
         kept.append(u)
         ker_cols.append(amb)
     K = GradedModule(ctx, src.rank, src.shifts, ker_cols, src._rels)
-    _memo(K, "rels_gb", src.rels_gb)
     incl = ModuleMap(K, src, kept, check=False)
     return K, incl
 
@@ -413,7 +409,6 @@ def cokernel(f):
     rels = list(tgt._rels) + f.image_columns_ambient()
     gb = groebner.buchberger(rels, tgt.ctx, tgt.rank, tgt.shifts)
     C = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, tgt._gens, gb.basis)
-    _memo(C, "rels_gb", lambda: gb)
     proj = ModuleMap(tgt, C, _units(tgt.ctx, len(tgt._gens)), check=False)
     return C, proj
 
@@ -677,10 +672,6 @@ def grade(M):
     """
     if M.is_zero():
         return math.inf
-    return _memo(M, "grade", lambda: _grade(M))
-
-
-def _grade(M):
     ctx = M.ctx
     if ring_is_cm(ctx):
         return ring_dim(ctx) - M.dim()

@@ -154,7 +154,9 @@ def _memo(obj, key, compute):
     under ``key`` and a module's under ``(module, key)``.  Modules compare
     by value, so equal modules share every entry; entries live as long as
     the ring.  Resolutions (one entry per length) and the Hilbert-series
-    tables are entries like any other.  A stored value is never changed
+    tables are entries like any other.  A value is stored only by the
+    function that computes it (a reduced basis under its input and under
+    itself, ``groebner.reduced_engine``).  A stored value is never changed
     afterwards, so no lock is needed: racing threads may each compute the
     value, and ``setdefault`` hands every one of them the first value
     stored, so callers never see two.

@@ -501,6 +501,19 @@ def test_every_epi_is_built_by_its_certification():
     assert replaces == {("colinkage.py", "colink_operator")}
 
 
+def test_no_memo_value_is_discarded():
+    """No statement calls ``_memo(...)`` only to store a value for another
+    caller: a value is stored by the function that computes it and reads it."""
+    src = pathlib.Path(liaison.__file__).resolve().parent
+    discarded = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "_memo"):
+                discarded.append(f"{path.name}:{node.lineno}")
+    assert discarded == []
+
+
 def test_readme_lists_every_operation():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     paragraph = readme.read_text().split("Operations:", 1)[1].split("\n\n", 1)[0]
@@ -804,19 +817,19 @@ GALLERY_DIGESTS = {
 # but not these, and a change that lowers the work must record it here.
 # Each run parses its own ring, so the counts do not depend on test order.
 GALLERY_WORK = {
-    "adjoint-transfer": (169, 4222),
-    "depth-formula": (78, 498),
+    "adjoint-transfer": (165, 4118),
+    "depth-formula": (76, 496),
     "direct-sum-self-link": (46, 131),
-    "even-liaison-ext": (92, 661),
-    "foxby-roundtrip": (71, 1333),
-    "mixed-ideal-negative": (89, 212),
-    "schenzel": (77, 383),
-    "semigroup-345": (72, 823),
-    "twisted-cubic": (118, 650),
+    "even-liaison-ext": (87, 643),
+    "foxby-roundtrip": (70, 1307),
+    "mixed-ideal-negative": (87, 210),
+    "schenzel": (76, 379),
+    "semigroup-345": (71, 777),
+    "twisted-cubic": (117, 642),
     "univariate-link": (58, 127),
 }
 # the type-three spec, by bound
-TYPE_THREE_WORK = {3: (225, 22385), 4: (225, 22385), 5: (225, 22385)}
+TYPE_THREE_WORK = {3: (220, 21910), 4: (220, 21910), 5: (220, 21910)}
 
 
 def count_work(monkeypatch):
@@ -876,19 +889,25 @@ def _memo_kinds(ctx):
     return kinds
 
 
+# memo kinds whose values are never read again or are rebuilt from entries
+# the cache holds: a Foxby certificate or verdict, a transported module, the
+# ring as a module, a module's full basis and its relation basis (buchberger's
+# entries for the same columns, filed under each basis too), whether an Ext
+# vanishes, a depth and a grade (ext_hilbert's and the Hilbert entries), the
+# residue field (buchberger's entry for its ideal), and whether mu or nu is an
+# isomorphism (the transforms, kernel and cokernel entries)
+WRAPPERS_THAT_STORE_NOTHING = {
+    "class_member", "class_verdict", "transport", "ring_module", "full_gb", "rels_gb",
+    "ext_vanishes", "depth", "grade", "residue_field", "nu_is_iso", "mu_is_iso",
+}
+
+
 def test_wrappers_served_by_inner_entries_store_nothing():
-    # a Foxby certificate or verdict, a transported module, the ring as a
-    # module, a module's full basis, whether an Ext vanishes and a depth are
-    # never read again or are rebuilt from entries the cache holds (mu/nu,
-    # the transforms, the vanishing entries, buchberger's entry for the same
-    # columns, ext_hilbert's entries): none is stored
-    removed = {"class_member", "class_verdict", "transport", "ring_module", "full_gb",
-               "ext_vanishes", "depth"}
     for name in sorted(GALLERIES):
         spec = gallery(name)
         run(spec)
         kinds = _memo_kinds(spec.ring)
-        assert "buchberger" in kinds and not kinds & removed, name
+        assert "buchberger" in kinds and not kinds & WRAPPERS_THAT_STORE_NOTHING, name
 
 
 def test_type_three_report_is_pinned(monkeypatch):
@@ -910,6 +929,7 @@ def test_type_three_report_is_pinned(monkeypatch):
     # than ω_R, the 6 whose N has a regular annihilator x are all into
     # ω/xω and ask for vanishing, so they go over S from M/xM
     assert routed_ext_questions(spec.ring, questions) == (9, 0, 6)
+    assert not _memo_kinds(spec.ring) & WRAPPERS_THAT_STORE_NOTHING
 
 
 @pytest.mark.parametrize("bound", [4, 5])

@@ -282,7 +282,7 @@ def test_numbers_read_from_ext_build_no_ext_module(monkeypatch):
     # and so does the transpose over R/(x), through K's image Ext^n(R/(x), K)
     homalg.ext(e.n, e.phi.source, K)
     homalg.ext(e.n, e.phi.target, K)
-    homalg._obstruction_transpose(e.phi.target, K, e.n, "auto")
+    homalg._obstruction_transpose(e.phi.target, K, e.n)
     calls = []
     real_homology = homalg._homology
 

@@ -4,10 +4,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liaison import groebner
 from liaison.cohomology import ring_type
 from liaison.errors import IllDefinedMap, InhomogeneousInput, RegularSequenceNotFound
 from liaison.groebner import buchberger
-from liaison.homalg import regular_sequence_in_ideal
+from liaison.homalg import ext, regular_sequence_in_ideal
 from liaison.linkage import canonical_module
 from liaison.modules import (
     _cyclic_module,
@@ -147,6 +148,32 @@ def test_cokernel_of_maximal_ideal_inclusion(F101xy):
     f = poly_map(F2, F1, [[P(ctx, "x")], [P(ctx, "y")]])
     C, _ = cokernel(f)
     assert [C.hf(d) for d in range(3)] == [1, 0, 0]
+
+
+def test_a_relation_basis_is_found_by_its_value(monkeypatch):
+    # buchberger files each reduced basis under its own vectors: the image
+    # of a map reads its target's engine, and an Ext module the engine its
+    # relations were interreduced in
+    ctx = make_ring(101, ["x", "y"])  # a cold cache
+    R1 = free_module(ctx, 1)
+    # relations given by a basis that is not reduced
+    Q = subquotient(ctx, [(one(ctx),)], [(P(ctx, "x*y"),), (P(ctx, "x^2 + x*y"),)], (0,), 1)
+    F2 = free_module(ctx, 2)
+    C, _ = cokernel(poly_map(F2, R1, [[P(ctx, "x + y")], [P(ctx, "y")]], degree=1))
+    for target in (Q, C):
+        f = poly_map(R1, target, [[P(ctx, "x")]], degree=1)
+        assert image(f).rels_gb() is target.rels_gb()
+    E = ext(1, Q, R1)
+    built = []
+    init = groebner.ModuleGB.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.ModuleGB, "__init__", counted_init)
+    assert E._rels and E.rels_gb().basis == list(E._rels)
+    assert built == []
 
 
 # -- Hom and tensor --------------------------------------------------------------

@@ -176,17 +176,16 @@ def test_ext_duals_are_grade_unmixed_even_for_mixed_input(F101xy, F101xyzw):
 def test_obstruction_routes_agree(F101xy):
     # the direct transpose formula and the quotient-ring route compute the
     # same obstruction spaces (cross-check of the default implementation)
-    from liaison.homalg import _obstruction_transpose, ext_hilbert
+    from liaison.homalg import _obstruction_transpose, ext_hilbert, syzygy, transpose
 
-    def obstructions(M, R1, route):
-        Tr, KK, j = _obstruction_transpose(M, R1, 1, route)
+    def obstructions(Tr, KK, j):
         return ext_hilbert(j, Tr, KK), ext_hilbert(j + 1, Tr, KK)
 
     R1 = free_module(F101xy, 1)
     for gens in (["x"], ["x^2", "x*y"], ["x^2 + x*y"]):
         M = cyclic_module(F101xy, [P(F101xy, s) for s in gens])
-        d1, d2 = obstructions(M, R1, "direct")
-        q1, q2 = obstructions(M, R1, "quotient")
+        d1, d2 = obstructions(transpose(syzygy(M, 1), R1)[0], R1, 2)
+        q1, q2 = obstructions(*_obstruction_transpose(M, R1, 1))
         assert same_hf(d1, q1) and same_hf(d2, q2)
 
 

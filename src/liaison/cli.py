@@ -526,11 +526,11 @@ def op_self_link_sum(spec, name):
 def op_foxby_roundtrip(spec, name):
     K = spec.resolve_K()
     M = _as_module(spec, name)
-    T, mu = colinkage.foxby_transform("tensorK", M, K)
-    H, nu = colinkage.foxby_transform("homK", T, K)
+    T, _ = colinkage.foxby_transform("tensorK", M, K)
+    H, _ = colinkage.foxby_transform("homK", T, K)
     lo, hi = spec.window
     return {
-        "mu_iso": modules.is_iso(mu),
+        "mu_iso": colinkage.mu_is_iso(M, K),
         "roundtrip_hf_match": M.hf_window(lo, hi) == H.hf_window(lo, hi),
         "auslander": colinkage.class_member("Auslander", M, K, spec.bound).to_json(),
         "bass_of_transform": colinkage.class_member("Bass", T, K, spec.bound).to_json(),

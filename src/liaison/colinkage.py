@@ -42,8 +42,8 @@ from .modules import (
     grade,
     hom_induced_post,
     hom_module,
+    is_injective,
     is_iso,
-    kernel,
     tensor,
     tensor_map,
 )
@@ -95,8 +95,7 @@ def foxby_transform(direction, M, K):
 
 
 def nu_is_injective(M, K):
-    Knu, _ = kernel(hom_transform(M, K)[1])
-    return Knu.is_zero()
+    return is_injective(hom_transform(M, K)[1])
 
 
 def nu_is_iso(M, K):

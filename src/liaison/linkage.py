@@ -52,6 +52,7 @@ from .modules import (
     hom_module,
     identity_map,
     invariants,
+    is_injective,
     is_iso,
     is_regular_sequence,
     kernel,
@@ -224,11 +225,9 @@ def _certified_epi(member, phi, K, tag, bound, n):
     kernel whose source and target have grade n and whose source passes
     ``member`` for the tag."""
     bound = default_bound(phi.source.ctx) if bound is None else bound
-    C, _ = cokernel(phi)
-    if not C.is_zero():
+    if not cokernel(phi)[0].is_zero():
         raise IllDefinedMap("phi is not surjective")
-    Kphi, _ = kernel(phi)
-    if Kphi.is_zero():
+    if is_injective(phi):
         raise InjectivePhi("phi is injective; linkage needs a nonzero kernel")
     gs = grade(phi.source)
     gt = grade(phi.target)

@@ -386,7 +386,6 @@ def zero_map(M, N):
 def kernel(f):
     """Kernel of f, with its inclusion into the source."""
     src = f.source
-    ctx = src.ctx
     syz = image(f).syzygies()
     # syzygy coordinates are over the source generators; a coordinate vector
     # whose ambient image vanishes identically is the zero element of the
@@ -398,17 +397,15 @@ def kernel(f):
             continue
         kept.append(u)
         ker_cols.append(amb)
-    K = GradedModule(ctx, src.rank, src.shifts, ker_cols, src._rels)
-    incl = ModuleMap(K, src, kept, check=False)
-    return K, incl
+    K = GradedModule(src.ctx, src.rank, src.shifts, ker_cols, src._rels)
+    return K, ModuleMap(K, src, kept, check=False)
 
 
 def cokernel(f):
     """Cokernel of f, with the projection from the target."""
     tgt = f.target
-    rels = list(tgt._rels) + f.image_columns_ambient()
-    gb = groebner.buchberger(rels, tgt.ctx, tgt.rank, tgt.shifts)
-    C = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, tgt._gens, gb.basis)
+    # the relations im f + rels: the basis ``is_injective`` reads too
+    C = GradedModule(tgt.ctx, tgt.rank, tgt.shifts, tgt._gens, image(f).full_gb().basis)
     proj = ModuleMap(tgt, C, _units(tgt.ctx, len(tgt._gens)), check=False)
     return C, proj
 
@@ -419,13 +416,18 @@ def image(f):
     return GradedModule(tgt.ctx, tgt.rank, tgt.shifts, f.image_columns_ambient(), tgt._rels)
 
 
+def is_injective(f):
+    """Whether f: M -> N of degree a has zero kernel, from Hilbert series:
+    M_d -> (im f)_{d+a} is onto with kernel (ker f)_d, so HS(im f) = t^a
+    (HS(M) - HS(ker f)), and a graded module is zero exactly when its series
+    is.  Both series lie over one S, so the numerators compare."""
+    shifted = {d + f.degree: c for d, c in f.source.hilbert().numerator.items()}
+    return image(f).hilbert().numerator == shifted
+
+
 def is_iso(f):
-    """True iff the given degree-0 map has zero kernel and zero cokernel."""
-    K, _ = kernel(f)
-    if not K.is_zero():
-        return False
-    C, _ = cokernel(f)
-    return C.is_zero()
+    """True iff the map, of any degree, has zero cokernel and zero kernel."""
+    return cokernel(f)[0].is_zero() and is_injective(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Maps hold engine vectors: the map layer against the Poly-tuple map code
-it replaced (``tests.polyref``), and the galleries converting between
-``Vec`` and ``Poly`` only where specs are parsed and reports printed."""
+it replaced (``tests.polyref``), the galleries converting between ``Vec``
+and ``Poly`` only where specs are parsed and reports printed, and
+injectivity and isomorphism read from Hilbert series against the kernel
+and cokernel modules."""
 
 import sys
 from collections import Counter
@@ -21,13 +23,14 @@ from liaison.modules import (
     free_module,
     hom_induced_post,
     hom_module,
+    is_injective,
     is_iso,
     kernel,
     minimize,
     subquotient,
     tensor_map,
 )
-from liaison.ring import render_poly
+from liaison.ring import make_ring, render_poly
 
 from tests import polyref
 from tests.polyref import PolyMap, coords, express, matrix, module, poly_map, unit
@@ -144,6 +147,70 @@ def test_map_layer_matches_the_poly_reference(data):
     Mmin, proj, incl = minimize(N)
     assert matrix(incl) == [unit(ctx, len(dn), i) for i in free_resolution(N, 0).kept]
     assert matrix(proj) == [express(Mmin, col) for col in N.gens]
+
+
+# ---------------------------------------------------------------------------
+# injectivity and isomorphism from Hilbert series
+
+MAP_RINGS = {
+    "F_101[x,y]": make_ring(101, ["x", "y"]),
+    "<3,4,5>": SEMIGROUP_345,
+    "<4,5,6,7>": SEMIGROUP_4567,
+}
+
+
+def _draw_subquotient(data, ctx):
+    """A module of rank 1 or 2 with one to three generators, the first
+    nonzero, and up to two relations."""
+    rank = data.draw(st.integers(1, 2))
+    shifts = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
+    low = min(ctx.weights) + max(shifts)
+
+    def vector(draw=_draw_vector):
+        return draw(data, ctx, shifts, data.draw(st.integers(low, low + 3)))
+
+    gens = [vector(_draw_nonzero_vector)] + [vector() for _ in range(data.draw(st.integers(0, 2)))]
+    return subquotient(ctx, gens, [vector() for _ in range(data.draw(st.integers(0, 2)))], shifts)
+
+
+def test_injectivity_and_isomorphism_match_the_kernel():
+    """``is_injective`` and ``is_iso``, which build no kernel, against the
+    kernel and cokernel modules tested for zero, on random homogeneous maps
+    into subquotients over F_101[x,y] and the monomial curves (t^3, t^4,
+    t^5) and (t^4, t^5, t^6, t^7): maps from free modules, of degree 0 or a
+    weight, and multiplication by a form on the module, of degree 0 or a
+    weight.  Each answer comes out both ways, on maps of both degrees."""
+    outcomes = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(MAP_RINGS)))
+        ctx = MAP_RINGS[name]
+        N = _draw_subquotient(data, ctx)
+        dn = N.gen_degrees()
+        degree = data.draw(st.sampled_from([0, min(ctx.weights), max(ctx.weights)]))
+        if data.draw(st.booleans()):
+            src_degs = [data.draw(st.sampled_from(dn)) + data.draw(st.integers(0, 3))
+                        for _ in range(data.draw(st.integers(1, 2)))]
+            f = poly_map(free_module(ctx, len(src_degs), src_degs), N,
+                         _draw_matrix(data, ctx, src_degs, dn, degree), degree)
+        else:
+            r = _draw_form(data, ctx, degree)
+            f = poly_map(N, N, [tuple(r if i == j else ctx.zero() for i in range(len(dn)))
+                                for j in range(len(dn))], degree)
+        injective = kernel(f)[0].is_zero()
+        iso = injective and cokernel(f)[0].is_zero()
+        assert is_injective(f) == injective
+        assert is_iso(f) == iso
+        outcomes["injective", injective, degree > 0] += 1
+        outcomes["iso", iso] += 1
+        outcomes[name] += 1
+
+    check()
+    for key in [("injective", answer, positive) for answer in (True, False)
+                for positive in (True, False)] + [("iso", True), ("iso", False), *MAP_RINGS]:
+        assert outcomes[key] >= 5, outcomes
 
 
 # ---------------------------------------------------------------------------

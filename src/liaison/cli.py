@@ -23,15 +23,16 @@ unknown gallery, a malformed section or ``key = value`` line, a key its
 section does not take or already has, a value that is not an integer (``p``,
 ``weights``, ``ambient``, ``shifts``, ``bound``, ``window``, integer
 operation arguments), a ``bound`` or ``--bound`` below 0, a ``window`` or
-``--window`` not of the form lo..hi or with an end of absolute value 2^20 or
-more, an ``ambient`` outside 0..4096, ``shifts`` with neither 1 nor
-``ambient`` entries or with an entry of absolute value 2^20 or more, a
-weight of 2^20 or more, a bad polynomial or column (a degree reaching 2^20
-included), a characteristic not a prime below 2^31 (``p`` or ``--char``), an
-option before the subcommand or after ``list-galleries``, an unknown
-operation or wrong argument count, an undefined name, a module's name where
-an operation takes an ideal, an unknown K kind, and a canonical K over a
-non-Cohen-Macaulay ring.  Each names its spec line where it has one.
+``--window`` not of the form lo..hi, with lo above hi or with an end of
+absolute value 2^20 or more, an ``ambient`` outside 0..4096, ``shifts``
+with neither 1 nor ``ambient`` entries or with an entry of absolute value
+2^20 or more, a weight of 2^20 or more, a bad polynomial or column (a
+degree reaching 2^20 included), a characteristic not a prime below 2^31
+(``p`` or ``--char``), an option before the subcommand or after
+``list-galleries``, an unknown operation or wrong argument count, an
+undefined name, a module's name where an operation takes an ideal, an
+unknown K kind, and a canonical K over a non-Cohen-Macaulay ring.  Each
+names its spec line where it has one.
 """
 
 from __future__ import annotations
@@ -149,6 +150,8 @@ def _window(text, lineno=None):
     ends = _int(lo, lineno), _int(hi, lineno)
     if any(abs(e) >= _LIMIT for e in ends):  # hf walks every degree up to an end
         raise SpecSyntaxError(f"|window end| must be below {_LIMIT}", lineno)
+    if ends[0] > ends[1]:  # an empty window would compare nothing
+        raise SpecSyntaxError("window must have lo <= hi", lineno)
     return ends
 
 
@@ -900,9 +903,6 @@ def main(argv=None):
             return 2
         read = partial(parse_spec, text)
     elif args.command == "gallery":
-        if args.name not in GALLERIES:
-            print(f"error: no gallery named {args.name!r}", file=sys.stderr)
-            return 2
         read = partial(gallery, args.name)
     else:
         parser.print_help()

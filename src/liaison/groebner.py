@@ -20,8 +20,9 @@ is ever discarded: Buchberger's criteria are sound for basis computation but
 would lose syzygy generators, so they are applied only to untracked runs.
 Every lift and every syzygy the package reads comes from one stored
 tracked engine of a presentation's generators modulo its relations,
-complete in every degree (``GradedModule.gens_engine``), whose minimal
-syzygies ``engine_syzygies`` selects; resolution levels
+complete in every degree (``GradedModule.gens_engine``), which
+``tracked_engine`` returns holding only a minimal subset of its syzygies,
+selected before anyone reads it; resolution levels
 (``homalg.level_module``), the images kernels are taken in, and the
 one-column presentations whose relations are annihilators and colon
 ideals (``modules.annihilator``) are such presentations.  That engine is
@@ -163,7 +164,8 @@ class ModuleGB:
 
     ``rank`` counts the free-module positions.  A tracked engine carries an
     expression certificate over its first ``track`` input columns in every
-    vector; a reduction to zero leaves a certificate alone, filed as a syzygy.
+    vector; a reduction to zero leaves a certificate alone, filed as a syzygy,
+    of which ``tracked_engine`` keeps a minimal generating subset.
 
     A vector is one dict ``{key: coeff}`` with ``key = ((rank - 1 - pos) <<
     span) | mono``, where ``span`` is the width of the ring's packed
@@ -207,7 +209,7 @@ class ModuleGB:
         self.by_pos = {}  # lead prefix -> [(lead exponent word, basis index)]
         self.pairs = []  # heap of (degree, i, j, lcm of the lead monomials)
         self.pending = set()
-        self.syzygies = []  # reductions to zero: certificates alone
+        self.syzygies = []  # reductions to zero: certificates alone (see tracked_engine)
         self.fed = 0  # input columns fed so far; the first track are tracked
         self.use_criteria = track == 0
         # a vector of degree D holds monomials of degree up to D - min(shifts)
@@ -517,20 +519,15 @@ def reduced_engine(eng):
 def tracked_engine(ctx, columns, rank, shifts, degrees, extra=()):
     """Engine tracking certificates over the ``columns`` of these degrees,
     complete in every degree; ``extra`` vectors (for example a module's
-    relations) and J*e_i ride along untracked."""
+    relations) and J*e_i ride along untracked.  Its ``syzygies``, Vecs of
+    rank ``track``, are a minimal generating subset of the raw ones, which
+    are dropped before the engine is returned."""
     eng = ModuleGB(ctx, rank, shifts, track=len(columns), track_shifts=degrees)
     eng.add_generators(list(columns) + list(extra) + _ring_columns(ctx, rank))
+    raw = eng.syzygies
+    kept = minimal_generator_indices(raw, ctx, eng.track, degrees, _ring_columns(ctx, eng.track))
+    eng.syzygies = tuple(Vec(raw[i]) for i in kept)
     return eng
-
-
-def engine_syzygies(eng):
-    """A minimal generating subset of the syzygies, Vecs of rank ``track``,
-    of a fully completed tracked engine's columns; the engine is only read."""
-    seed = _ring_columns(eng.ctx, eng.track)
-    kept = minimal_generator_indices(
-        eng.syzygies, eng.ctx, eng.track, eng.shifts[eng.rank:], seed
-    )
-    return [Vec(eng.syzygies[i]) for i in kept]
 
 
 def minimal_generator_indices(columns, ctx, rank, shifts, seed):

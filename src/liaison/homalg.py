@@ -606,6 +606,8 @@ def regular_sequence_in_ideal(ctx, ideal, n):
     R/(chosen)."""
     if n < 0:
         raise InvalidInput(f"regular sequence length must be at least 0, got {n}")
+    if n == 0:  # the empty sequence, even in the zero ideal
+        return []
     if not ideal or modules.grade(_cyclic_module(ctx, ideal)) < n:
         raise RegularSequenceNotFound(f"ideal has grade below {n}")
     chosen = []

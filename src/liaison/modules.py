@@ -168,7 +168,7 @@ class GradedModule:
 
     def gens_engine(self):
         """The tracked engine of the generators modulo the relations,
-        complete in every degree, and only read."""
+        complete in every degree, holding its minimal syzygies alone; only read."""
         return _memo(self, "gens_engine", lambda: groebner.tracked_engine(
             self.ctx, self._gens, self.rank, self.shifts, self.gen_degrees(),
             self._rels))
@@ -188,10 +188,7 @@ class GradedModule:
     def syzygies(self):
         """Minimal generators of {u : gens*u = 0 in the module} over R, as
         Vecs of rank ``len(gens)``: the next differential of a resolution."""
-        if not self._gens:
-            return ()
-        return _memo(self, "colrels", lambda: tuple(
-            groebner.engine_syzygies(self.gens_engine())))
+        return self.gens_engine().syzygies if self._gens else ()
 
     # -- numerical data ------------------------------------------------------
 
@@ -616,9 +613,9 @@ def _annihilator(M):
         return tuple(groebner.buchberger(_units(ctx, 1), ctx, 1).basis)
     B = _hom_sum(M, M.gen_degrees())
     v = _stacked(M._gens, M.rank, ctx._pk.span)
-    # the raw syzygies, of rank 1: any generating set gives the reduced basis
-    eng = GradedModule(ctx, B.rank, B.shifts, [v], B._rels).gens_engine()
-    return tuple(groebner.buchberger([Vec(u) for u in eng.syzygies], ctx, 1).basis)
+    # the engine's minimal syzygies, of rank 1: any generating set gives the reduced basis
+    syz = GradedModule(ctx, B.rank, B.shifts, [v], B._rels).syzygies()
+    return tuple(groebner.buchberger(syz, ctx, 1).basis)
 
 
 def colon(i_gens, j_gens, ctx):

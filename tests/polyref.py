@@ -90,8 +90,27 @@ def tracked_engine(ctx, cols, rank, shifts, extra=()):
                                    flat(ctx, extra, rank))
 
 
-def engine_syzygies(eng):
-    return [_polys(eng.ctx, u, eng.track) for u in groebner.engine_syzygies(eng)]
+def raw_syzygies(ctx, cols, rank, shifts, extra=()):
+    """Every syzygy the engine of ``tracked_engine`` finds, before it keeps a
+    minimal subset: a bare ``ModuleGB`` fed as ``groebner.tracked_engine``
+    feeds one."""
+    degrees = [vec_degree(col, shifts) or 0 for col in cols]
+    eng = groebner.ModuleGB(ctx, rank, shifts, track=len(cols), track_shifts=degrees)
+    eng.add_generators(flat(ctx, cols, rank) + flat(ctx, extra, rank)
+                       + groebner._ring_columns(ctx, rank))
+    return syzygy_vectors(eng)
+
+
+def greedy_kept(cols, rels, ctx, shifts):
+    """Reference for ``minimal_generator_indices``, one basis from scratch per
+    column: in ascending degree, keep a column outside what is kept so far."""
+    order = sorted(range(len(cols)), key=lambda i: (vec_degree(cols[i], shifts) or 0, i))
+    kept = []
+    for i in order:
+        gb = buchberger([cols[j] for j in kept] + rels, ctx, len(shifts), shifts)
+        if not contains(gb, cols[i]):
+            kept.append(i)
+    return sorted(kept)
 
 
 def vectors(eng):

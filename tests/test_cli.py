@@ -138,6 +138,7 @@ def test_main_run_spec_file(tmp_path):
 
 def test_main_usage_errors(tmp_path, capsys):
     assert main(["gallery", "no-such"]) == 2
+    assert capsys.readouterr().err == "parse error: no gallery named 'no-such'\n"
     bad = tmp_path / "bad.spec"
     bad.write_text("[ring]\np = 4\nvars = x\n")
     assert main(["run", str(bad)]) == 2
@@ -212,6 +213,9 @@ MALFORMED = [
      "window = 1000000000000000..1000000000000000"),
     (MINIMAL + "[options]\nwindow = 0..1048576\n", [], "window = 0..1048576"),
     (MINIMAL, ["--window=-1048576..0"], None),
+    # a window whose lo is above its hi would compare nothing
+    (MINIMAL + "[options]\nwindow = 3..-3\n", [], "window = 3..-3"),
+    (MINIMAL, ["--window=3..-3"], None),
     # a weight the monomial packing cannot store, refused when the ring is built
     (MINIMAL.replace("vars = x", "vars = x, y\nweights = 1048576, 1"), [],
      "weights = 1048576, 1"),
@@ -720,6 +724,14 @@ invariants I
         assert code == 1
 
 
+def test_regular_sequence_of_length_zero_in_the_zero_ideal():
+    spec = parse_spec(MINIMAL.replace("[ops]\ninvariants I",
+                                      "[ideal Z]\ngens = 0\n\n[ops]\nregular_sequence Z 0"))
+    report, code = run(spec)
+    assert report["results"][0]["data"] == {"sequence": []}
+    assert code == 0
+
+
 def test_isomorphism_fails_where_it_is_certified(tmp_path):
     # R/I ->> R/I has no kernel: certifying it refuses it, before any link,
     # linkage criterion or colink is computed
@@ -864,19 +876,19 @@ GALLERY_DIGESTS = {
 # but not these, and a change that lowers the work must record it here.
 # Each run parses its own ring, so the counts do not depend on test order.
 GALLERY_WORK = {
-    "adjoint-transfer": (155, 3858),
-    "depth-formula": (75, 488),
-    "direct-sum-self-link": (44, 124),
-    "even-liaison-ext": (85, 628),
-    "foxby-roundtrip": (68, 1278),
-    "mixed-ideal-negative": (85, 198),
-    "schenzel": (76, 377),
-    "semigroup-345": (71, 807),
-    "twisted-cubic": (115, 625),
-    "univariate-link": (56, 116),
+    "adjoint-transfer": (157, 3870),
+    "depth-formula": (76, 490),
+    "direct-sum-self-link": (46, 127),
+    "even-liaison-ext": (86, 632),
+    "foxby-roundtrip": (69, 1281),
+    "mixed-ideal-negative": (86, 199),
+    "schenzel": (78, 379),
+    "semigroup-345": (72, 848),
+    "twisted-cubic": (118, 629),
+    "univariate-link": (59, 118),
 }
 # the type-three spec, by bound
-TYPE_THREE_WORK = {3: (211, 21268), 4: (211, 21268), 5: (211, 21268)}
+TYPE_THREE_WORK = {3: (212, 21488), 4: (212, 21488), 5: (212, 21488)}
 
 
 def count_work(monkeypatch):
@@ -917,22 +929,30 @@ def test_gallery_report_is_pinned(name, monkeypatch):
     assert_work_is(work, GALLERY_WORK[name])
 
 
-def _memo_kinds(ctx):
-    """The kind of every entry in the caches of ctx and of the rings stored
-    there (ambient and quotient rings): a ring entry's key, or its first
-    element; a module entry's inner key, or its first element."""
-    kinds, rings, seen = set(), [ctx], set()
+def _memo_entries(ctx):
+    """Every (key, value) in the caches of ctx and of the rings stored there
+    (ambient and quotient rings)."""
+    rings, seen = [ctx], set()
     while rings:
         ring = rings.pop()
         if ring in seen:
             continue
         seen.add(ring)
         for key, value in ring._cache.items():
-            if isinstance(key, tuple) and isinstance(key[0], liaison.GradedModule):
-                key = key[1]
-            kinds.add(key[0] if isinstance(key, tuple) else key)
+            yield key, value
             if isinstance(value, liaison.RingCtx):
                 rings.append(value)
+
+
+def _memo_kinds(ctx):
+    """The kind of every memo entry of ctx (see ``_memo_entries``): a ring
+    entry's key, or its first element; a module entry's inner key, or its
+    first element."""
+    kinds = set()
+    for key, _ in _memo_entries(ctx):
+        if isinstance(key, tuple) and isinstance(key[0], liaison.GradedModule):
+            key = key[1]
+        kinds.add(key[0] if isinstance(key, tuple) else key)
     return kinds
 
 
@@ -941,11 +961,13 @@ def _memo_kinds(ctx):
 # ring as a module, a module's full basis and its relation basis (buchberger's
 # entries for the same columns, filed under each basis too), whether an Ext
 # vanishes, a depth and a grade (ext_hilbert's and the Hilbert entries), the
-# residue field (buchberger's entry for its ideal), and whether mu or nu is an
-# isomorphism (the transforms, kernel and cokernel entries)
+# residue field (buchberger's entry for its ideal), whether mu or nu is an
+# isomorphism (the transforms, kernel and cokernel entries), and a module's
+# minimal syzygies (its stored engine holds them)
 WRAPPERS_THAT_STORE_NOTHING = {
     "class_member", "class_verdict", "transport", "ring_module", "full_gb", "rels_gb",
     "ext_vanishes", "depth", "grade", "residue_field", "nu_is_iso", "mu_is_iso",
+    "colrels",
 }
 
 
@@ -977,6 +999,16 @@ def test_type_three_report_is_pinned(monkeypatch):
     # ω/xω and ask for vanishing, so they go over S from M/xM
     assert routed_ext_questions(spec.ring, questions) == (9, 0, 6)
     assert not _memo_kinds(spec.ring) & WRAPPERS_THAT_STORE_NOTHING
+    # every stored tracked engine holds its module's minimal syzygies alone:
+    # a selection from them keeps each one
+    engines = [(key[0], eng) for key, eng in _memo_entries(spec.ring)
+               if isinstance(key, tuple) and key[1:] == ("gens_engine",)]
+    for M, eng in engines:
+        assert eng.syzygies == M.syzygies()
+        assert groebner.minimal_generator_indices(
+            eng.syzygies, M.ctx, eng.track, M.gen_degrees(),
+            groebner._ring_columns(M.ctx, eng.track)) == list(range(len(eng.syzygies)))
+    assert (len(engines), sum(len(eng.syzygies) for _, eng in engines)) == (60, 838)
 
 
 @pytest.mark.parametrize("bound", [4, 5])

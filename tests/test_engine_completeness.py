@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from liaison.errors import InternalConsistencyError, InvalidInput
 from liaison.groebner import ModuleGB, _to_internal, buchberger
 from liaison.homalg import free_resolution, level_module, lift_chain_map
+from liaison.linkage import canonical_module
 from liaison.modules import (
     cyclic_module,
     free_module,
@@ -25,10 +26,12 @@ from liaison.ring import make_ring, parse_poly
 from tests.polyref import (
     column_relations,
     contains,
-    engine_syzygies,
     express,
+    greedy_kept,
     module,
     poly_map,
+    raw_syzygies,
+    syzygy_vectors,
     tracked_engine,
     vec_combine,
     vec_degree,
@@ -201,7 +204,26 @@ def test_module_lifts_match_per_call_lifts(data):
             combined = vec_combine(M.gens, coeffs, M.ctx, M.rank)
             assert contains(M.rels_gb(), tuple(a - b for a, b in zip(combined, vec)))
     fresh = tracked_engine(M.ctx, list(M.gens), M.rank, M.shifts, M.rels)
-    assert column_relations(M) == engine_syzygies(fresh)
+    assert column_relations(M) == syzygy_vectors(fresh)
+
+
+@pytest.mark.parametrize("which", ["canonical", "subquotient"])
+def test_stored_engine_keeps_only_the_minimal_syzygies(which):
+    # over the ring of (t^3, t^4, t^5) the engines of the canonical module
+    # and of a rank-2 subquotient find more syzygies than generate: the
+    # stored engine holds the minimal ones, those the greedy selection keeps
+    ctx = make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                    weights=[3, 4, 5])  # a cold cache
+    x, y, z = (ctx.var(k) for k in range(3))
+    if which == "canonical":
+        M = canonical_module(ctx)
+    else:
+        M = module(ctx, 2, (0, 1), [(y, x), (z, y), (x * x, z)], [(x * y, x * x)])
+    gens, rels = list(M.gens), list(M.rels)
+    syz = raw_syzygies(ctx, gens, M.rank, M.shifts, rels)
+    kept = [syz[k] for k in greedy_kept(syz, [], ctx, M.gen_degrees())]
+    assert len(kept) < len(syz)
+    assert syzygy_vectors(M.gens_engine()) == column_relations(M) == kept
 
 
 def test_modules_without_generators_lift_only_their_zero_vectors():

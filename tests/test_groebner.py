@@ -37,9 +37,9 @@ from tests.polyref import (
     column_relations,
     contains,
     diffs,
-    engine_syzygies,
     express,
     flat,
+    greedy_kept,
     ideal,
     ideal_polys,
     ideal_strings,
@@ -47,6 +47,7 @@ from tests.polyref import (
     monomial,
     normal_form,
     one,
+    raw_syzygies,
     reduce_with_certificate,
     syzygy_vectors,
     tracked_engine,
@@ -407,18 +408,6 @@ def test_weighted_rank2_matches_bruteforce(data):
 WEIGHTED_QUOTIENT = make_ring(101, ["x", "y", "z"], ["x*z - y^2"], weights=[1, 2, 3])
 
 
-def _greedy_kept(cols, rels, ctx, shifts):
-    """Reference for minimal_generator_indices, one basis from scratch per
-    column: in ascending degree, keep a column outside what is kept so far."""
-    order = sorted(range(len(cols)), key=lambda i: (vec_degree(cols[i], shifts) or 0, i))
-    kept = []
-    for i in order:
-        gb = buchberger([cols[j] for j in kept] + rels, ctx, len(shifts), shifts)
-        if not contains(gb, cols[i]):
-            kept.append(i)
-    return sorted(kept)
-
-
 def _draw_column(data, ctx, low, high):
     """A drawn vector of degree in low..high, or now and then the zero one."""
     if data.draw(st.integers(0, 4)) == 0:
@@ -447,9 +436,10 @@ def test_seeded_engine_matches_unseeded(data):
     assert_buchberger(eng)
     assert vectors(eng) == vectors(buchberger(rels + cols, ctx, 2, RANK2_SHIFTS))
     kept = minimal_generator_indices(flat, ctx, 2, RANK2_SHIFTS, seed)
-    assert kept == _greedy_kept(cols, rels, ctx, RANK2_SHIFTS)
+    assert kept == greedy_kept(cols, rels, ctx, RANK2_SHIFTS)
     assert seed == before
-    # J*F alone, as engine_syzygies seeds it, against its reduced basis from scratch
+    # J*F alone, as tracked_engine seeds its selection, against its reduced
+    # basis from scratch
     ring = ModuleGB(ctx, 2, RANK2_SHIFTS)
     ring._seed(_ring_columns(ctx, 2))
     ring.interreduce()
@@ -653,11 +643,11 @@ def test_engine_keeps_the_greedy_minimal_syzygies(data):
     cols = [_draw_module_vector(data, ctx, shifts, data.draw(st.integers(low, low + 5)))
             for _ in range(data.draw(st.integers(1, 4)))]
     eng = tracked_engine(ctx, cols, rank, shifts)
-    syz = syzygy_vectors(eng)
+    syz = raw_syzygies(ctx, cols, rank, shifts)
     for u in syz:
         assert is_member(ctx, rank, shifts, [], vec_combine(cols, u, ctx, rank))
-    kept = _greedy_kept(syz, [], ctx, eng.shifts[eng.rank:])
-    assert engine_syzygies(eng) == [syz[k] for k in kept]
+    kept = greedy_kept(syz, [], ctx, eng.shifts[eng.rank:])
+    assert syzygy_vectors(eng) == [syz[k] for k in kept]
 
 
 def test_engine_keys_hold_any_position(F101xy):

@@ -452,6 +452,15 @@ def test_change_of_rings_shares_one_quotient_ring():
     assert KK == Kbar
 
 
+def test_regular_sequence_of_length_zero_is_always_found():
+    # the empty sequence lies in every ideal, the zero ideal included
+    S = make_ring(101, ["x", "y"])
+    assert homalg.regular_sequence_in_ideal(S, (), 0) == []
+    assert homalg.regular_sequence_in_ideal(S, ideal(S, [P(S, "x")]), 0) == []
+    with pytest.raises(RegularSequenceNotFound, match="grade below 1"):
+        homalg.regular_sequence_in_ideal(S, (), 1)
+
+
 def test_change_of_rings_rejects_irregular_sequence():
     S = make_ring(101, ["x", "y", "z"])
     with pytest.raises(NotRegularSequence):

@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 from liaison import groebner
 from liaison.cohomology import ring_type
 from liaison.errors import IllDefinedMap, InhomogeneousInput, RegularSequenceNotFound
-from liaison.groebner import buchberger
+from liaison.groebner import Vec, buchberger
 from liaison.homalg import ext, regular_sequence_in_ideal
 from liaison.linkage import canonical_module
 from liaison.modules import (
+    GradedModule,
     _cyclic_module,
+    _hom_sum,
+    _stacked,
     annihilator,
     cokernel,
     colon,
@@ -306,6 +309,46 @@ def test_colon_matches_bruteforce(data):
         assert is_member(ctx, 1, (0,), [(q,) for q in quot], (f,))  # I <= (I:J)
     M = module(ctx, 1, (0,), [(g,) for g in j_gens if g], i_cols)
     _assert_annihilator_hf(M, quot, top)
+
+
+# F_101[x, y, z], and its quotient by an inhomogeneous form, which is not
+# graded: there a selection of syzygies completes its engine in every degree
+POLYNOMIAL = make_ring(101, ["x", "y", "z"])
+UNGRADED = make_ring(101, ["x", "y", "z"], ["x^2 - y"])
+SMALL_EXPONENTS = [e for d in range(3) for e in monomials_of_degree(POLYNOMIAL, d)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_colon_of_inhomogeneous_ideals_matches_the_raw_syzygies(data):
+    # colon(I, J) is the reduced basis of the minimal syzygies of its
+    # annihilator presentation, selected from ideals that need not be
+    # homogeneous, over a ring that need not be graded; any generating set
+    # gives that basis, so the raw syzygies of a bare engine give it too
+    ctx = data.draw(st.sampled_from([POLYNOMIAL, UNGRADED]))
+
+    def draw_poly():
+        # one to three terms of degree at most 2
+        exps = data.draw(st.lists(st.sampled_from(SMALL_EXPONENTS), min_size=1,
+                                  max_size=3, unique=True))
+        f = ctx.zero()
+        for e in exps:
+            f = f + monomial(ctx, e, data.draw(st.sampled_from([1, 2, 50, 100])))
+        return f
+
+    i_gens = [draw_poly() for _ in range(data.draw(st.integers(1, 2)))]
+    j_gens = [draw_poly() for _ in range(data.draw(st.integers(1, 2)))]
+    if not any(j_gens):
+        j_gens = [ctx.var(0) + one(ctx)]
+    got = colon(ideal(ctx, i_gens), ideal(ctx, j_gens), ctx)
+    # the presentation modules.annihilator builds for (I + J)/I
+    M = GradedModule(ctx, 1, (0,), ideal(ctx, j_gens), ideal(ctx, i_gens))
+    B = _hom_sum(M, M.gen_degrees())
+    v = _stacked(M._gens, M.rank, ctx._pk.span)
+    degrees = GradedModule(ctx, B.rank, B.shifts, [v], B._rels).gen_degrees()
+    raw = groebner.ModuleGB(ctx, B.rank, B.shifts, track=1, track_shifts=degrees)
+    raw.add_generators([v] + list(B._rels) + groebner._ring_columns(ctx, B.rank))
+    assert got == tuple(buchberger([Vec(u) for u in raw.syzygies], ctx, 1).basis)
 
 
 @settings(max_examples=40, deadline=None)

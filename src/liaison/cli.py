@@ -235,7 +235,7 @@ def parse_spec(text, p=None):
             poly_ring = None
             try:  # the polynomial ring first: an overflow there is a weight's
                 poly_ring = make_ring(char, var_names, (), weights)
-                ring_ctx = make_ring(char, var_names, defining, weights) if defining else poly_ring
+                ring_ctx = make_ring(char, var_names, defining, weights)
             except NonPrimeCharacteristic as exc:  # from --char: no spec line
                 raise SpecSyntaxError(str(exc), kv["p"][1] if p is None else None)
             except DegreeOverflow as exc:  # a weight, or a defining literal too high
@@ -583,7 +583,7 @@ def op_adjoint_transfer(spec, iname: Ideal, cname: Ideal):
 def op_pk_dimension(spec, name):
     K = spec.resolve_K()
     v, val = colinkage.pk_dimension(_as_module(spec, name), K, spec.bound)
-    return {"verdict": v.to_json(), "value": val}
+    return {"verdict": v.to_json(), "value": modules._num(val)}
 
 
 @_operation

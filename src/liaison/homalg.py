@@ -663,8 +663,11 @@ def change_of_rings(ctx, x_seq, K):
 def quotient_ring(ctx, x_seq):
     """R/(x) for a regular sequence x of Vecs, stored for R under the
     multiset of x, so sequences that differ only in order share one ring.
-    x is checked once, when R/(x) is built; a homogeneous regular sequence
-    stays regular in any order."""
+    ``ring._make_ring`` files it in the polynomial ring under its reduced
+    basis, so the same quotient reached from an equal definition, through
+    ``make_ring`` or from another R, is the same ring.  x is checked once,
+    when R/(x) is built for R; a homogeneous regular sequence stays regular
+    in any order."""
 
     def compute():
         if not modules.is_regular_sequence(ctx, x_seq):

@@ -19,11 +19,19 @@ and a variable weight there when the ring is built, so fields never carry
 into each other.  Every key is below ``top = 1 << span``, so the bits from
 ``span`` up are free: the Groebner engine packs a free-module position
 there, one field above the degree (see ``groebner``).
+
+There is one ring per definition.  ``make_ring`` takes a polynomial ring
+from a registry keyed by ``(p, names, weights)`` and files a quotient in
+its polynomial ring's cache under the reduced basis of J, so rings built
+from equal definitions are one object and share every cached value.  The
+registry holds its rings weakly: a ring that nothing holds is freed, and a
+quotient keeps its polynomial ring alive.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 
 from .errors import (
     DegreeOverflow,
@@ -152,9 +160,10 @@ def _memo(obj, key, compute):
 
     The ring's ``_cache`` is the only cache: it holds the ring's entries
     under ``key`` and a module's under ``(module, key)``.  Modules compare
-    by value, so equal modules share every entry; entries live as long as
-    the ring.  Resolutions (one entry per length) and the Hilbert-series
-    tables are entries like any other.  A value is stored only by the
+    by value and there is one ring per definition (``make_ring``), so equal
+    modules share every entry; entries live as long as the ring.
+    Resolutions (one entry per length) and the Hilbert-series tables are
+    entries like any other.  A value is stored only by the
     function that computes it (a reduced basis under its input and under
     itself, ``groebner.reduced_engine``).  A stored value is never changed
     afterwards, so no lock is needed: racing threads may each compute the
@@ -189,9 +198,10 @@ class RingCtx:
     (standard grading).  Values are safe to share between threads.
     """
 
-    __slots__ = ("p", "names", "weights", "m", "defining", "_pk", "_cache")
+    __slots__ = ("p", "names", "weights", "m", "defining", "_pk", "_cache",
+                 "_ambient", "__weakref__")
 
-    def __init__(self, p, names, weights, defining=()):
+    def __init__(self, p, names, weights, defining=(), ambient=None):
         self.p = p
         self.names = tuple(names)
         self.weights = tuple(weights)
@@ -199,6 +209,7 @@ class RingCtx:
         self.defining = tuple(defining)
         self._pk = _Packing(self.weights)
         self._cache = {}
+        self._ambient = ambient
 
     # -- basic constructors ------------------------------------------------
 
@@ -214,10 +225,9 @@ class RingCtx:
     # -- structural helpers --------------------------------------------------
 
     def ambient(self):
-        """The polynomial ring S underneath (J = 0)."""
-        if not self.defining:
-            return self
-        return _memo(self, "ambient", lambda: RingCtx(self.p, self.names, self.weights))
+        """The polynomial ring S underneath (J = 0): the registered ring
+        whose cache holds this one (``make_ring``)."""
+        return self if self._ambient is None else self._ambient
 
     def same_polynomial_ring(self, other):
         return (
@@ -453,11 +463,18 @@ def _ideal_strings(ctx, ideal):
 # ring construction
 
 
+# the polynomial rings by (p, names, weights), held weakly
+_RINGS = weakref.WeakValueDictionary()
+
+
 def make_ring(p, names, defining=(), weights=None):
-    """Build R = F_p[names]/(defining); the defining ideal, given by
-    polynomial literals or by ``Poly``s of the same polynomial ring, is
-    replaced by its reduced Groebner basis.  Contexts are immutable
-    afterwards."""
+    """R = F_p[names]/(defining); the defining ideal, given by polynomial
+    literals or by ``Poly``s of the same polynomial ring, is replaced by its
+    reduced Groebner basis.  Equal definitions (p, names, weights and the
+    reduced basis) give the same immutable context: the polynomial ring from
+    ``_RINGS``, a quotient from its cache (``_make_ring``).  Two threads that
+    miss the registry together may each build a ring, which loses only the
+    sharing, since every cached value is a function of its key."""
     # the range first: trial division of a huge p would never return
     if not isinstance(p, int) or p >= 2**31 or not _is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p!r} is not a prime < 2^31")
@@ -469,7 +486,9 @@ def make_ring(p, names, defining=(), weights=None):
         not isinstance(w, int) or w < 1 for w in weights
     ):
         raise ValueError("weights must be positive integers, one per variable")
-    ctx = RingCtx(p, names, weights)
+    ctx = _RINGS.get((p, names, weights))
+    if ctx is None:
+        ctx = _RINGS.setdefault((p, names, weights), RingCtx(p, names, weights))
     from .groebner import _to_ideal
 
     R = _make_ring(ctx, _to_ideal(ctx, [
@@ -481,10 +500,13 @@ def make_ring(p, names, defining=(), weights=None):
 
 def _make_ring(ctx, ideal):
     """ctx/(ideal) for a polynomial ring ctx and an ideal of nonzero rank-1
-    engine vectors (``groebner.Vec``, keyed by the monomials)."""
+    engine vectors (``groebner.Vec``, keyed by the monomials), stored in
+    ctx's cache under the ideal's reduced basis, so ideals with one reduced
+    basis give one ring."""
     from . import groebner
 
     if not ideal:
         return ctx
-    gb = [Poly(ctx, dict(f)) for f in groebner.buchberger(ideal, ctx, 1).basis]
-    return RingCtx(ctx.p, ctx.names, ctx.weights, gb)
+    basis = tuple(groebner.buchberger(ideal, ctx, 1).basis)
+    return _memo(ctx, ("quotient", basis), lambda: RingCtx(
+        ctx.p, ctx.names, ctx.weights, [Poly(ctx, dict(f)) for f in basis], ctx))

@@ -1,6 +1,24 @@
+import weakref
+
 import pytest
 
+from liaison import ring
 from liaison.ring import make_ring
+
+
+@pytest.fixture(autouse=True)
+def cold_rings(monkeypatch):
+    """An empty ring registry for each test, so that equal ring definitions
+    share a ring within a test but no test sees another's rings and cached
+    values (work pins and cold-cache tests count on it).  Calling the
+    fixture's value empties the registry again: the next ``make_ring``
+    builds a ring with a cold cache."""
+
+    def cold():
+        monkeypatch.setattr(ring, "_RINGS", weakref.WeakValueDictionary())
+
+    cold()
+    return cold
 
 
 @pytest.fixture(scope="session")

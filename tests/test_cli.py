@@ -640,6 +640,37 @@ def test_explicit_modules_and_K(tmp_path):
     assert code == 1
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_infinite_pk_dimension_prints_as_json(tmp_path, capsys):
+    # K = R over the (3, 4, 5) semigroup ring: the Bass verdict holds and
+    # Hom(R, m) = m has infinite pd, which prints as "infinite", not as the
+    # non-JSON token Infinity
+    f = tmp_path / "pk.spec"
+    f.write_text("""
+[ring]
+p = 101
+vars = x, y, z
+weights = 3, 4, 5
+defining = y^2 - x*z, z^2 - x^2*y, x^3 - y*z
+
+[K]
+kind = trivial
+
+[ideal m]
+gens = x, y, z
+
+[ops]
+pk_dimension m
+""")
+    assert main(["run", str(f)]) == 0
+    blob = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    data = blob["results"][0]["data"]
+    assert data["verdict"]["status"] == "holds" and data["value"] == "infinite"
+
+
 def test_hilbert_of_exponents_past_the_recursion_limit(tmp_path):
     # S/I for I = (x^1000*y^1000, x^1001, y^1001) has numerator
     # 1 - 2t^1001 - t^2000 + 2t^2001, by inclusion-exclusion over the lcms
@@ -874,21 +905,22 @@ GALLERY_DIGESTS = {
 # the work of each pinned run, exactly: (built engines, normal forms).
 # A route that gives the same bytes for far more work passes the digests
 # but not these, and a change that lowers the work must record it here.
-# Each run parses its own ring, so the counts do not depend on test order.
+# Each test starts with an empty ring registry (conftest's ``cold_rings``),
+# so each run parses a cold ring and the counts do not depend on test order.
 GALLERY_WORK = {
-    "adjoint-transfer": (157, 3870),
+    "adjoint-transfer": (154, 3860),
     "depth-formula": (76, 490),
     "direct-sum-self-link": (46, 127),
     "even-liaison-ext": (86, 632),
-    "foxby-roundtrip": (69, 1281),
+    "foxby-roundtrip": (67, 1272),
     "mixed-ideal-negative": (86, 199),
     "schenzel": (78, 379),
-    "semigroup-345": (72, 848),
+    "semigroup-345": (71, 840),
     "twisted-cubic": (118, 629),
     "univariate-link": (59, 118),
 }
 # the type-three spec, by bound
-TYPE_THREE_WORK = {3: (212, 21488), 4: (212, 21488), 5: (212, 21488)}
+TYPE_THREE_WORK = {3: (209, 21466), 4: (209, 21466), 5: (209, 21466)}
 
 
 def count_work(monkeypatch):
@@ -929,15 +961,40 @@ def test_gallery_report_is_pinned(name, monkeypatch):
     assert_work_is(work, GALLERY_WORK[name])
 
 
+# the three galleries over the (3, 4, 5) semigroup ring, in the order of
+# perfbench's semigroup-canonical workload, and their work in one process,
+# parsing included
+SEMIGROUP_GALLERIES = ("semigroup-345", "foxby-roundtrip", "adjoint-transfer")
+SEMIGROUP_WORK = (194, 4479)
+
+
+def test_semigroup_galleries_in_one_process_are_pinned(monkeypatch):
+    # equal [ring] sections parse to one ring, so the later galleries find
+    # the earlier ones' entries (298 engines and 5,999 normal forms when
+    # each spec built its own ring)
+    work = count_work(monkeypatch)
+    specs = [gallery(name) for name in SEMIGROUP_GALLERIES]
+    assert all(spec.ring is specs[0].ring for spec in specs)
+    assert all(spec.resolve_K() is specs[0].resolve_K() for spec in specs)
+    for name, spec in zip(SEMIGROUP_GALLERIES, specs):
+        report, code = run(spec)
+        assert code == 0
+        report.pop("timestamp")
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == GALLERY_DIGESTS[name]
+    assert_work_is(work, SEMIGROUP_WORK)
+
+
 def _memo_entries(ctx):
-    """Every (key, value) in the caches of ctx and of the rings stored there
-    (ambient and quotient rings)."""
+    """Every (key, value) in the caches of ctx, of its ambient ring and of
+    the quotient rings stored there, and so on."""
     rings, seen = [ctx], set()
     while rings:
         ring = rings.pop()
         if ring in seen:
             continue
         seen.add(ring)
+        rings.append(ring.ambient())
         for key, value in ring._cache.items():
             yield key, value
             if isinstance(value, liaison.RingCtx):

@@ -1,9 +1,11 @@
 """The README's concurrency promise: modules shared between threads give the
-same answers as a sequential run, with every cache cold at the start."""
+same answers as a sequential run, with every cache cold at the start (each
+round empties the ring registry through the ``cold_rings`` fixture)."""
 
 import sys
 import threading
 
+from liaison import cli
 from liaison.homalg import (
     change_of_rings,
     ext,
@@ -42,6 +44,7 @@ from tests.polyref import (
 )
 
 THREADS = 8
+SEMIGROUP_GALLERIES = ("semigroup-345", "foxby-roundtrip", "adjoint-transfer")
 ROUNDS = 3
 WINDOW = range(-4, 9)
 
@@ -93,9 +96,10 @@ def resolutions(pairs, order):
     return out
 
 
-def test_shared_modules_across_threads():
+def test_shared_modules_across_threads(cold_rings):
     expected = summary(fresh_modules())
     for _ in range(ROUNDS):
+        cold_rings()
         shared = fresh_modules()
         # half the threads start at the other module, so more first
         # computations race
@@ -105,12 +109,13 @@ def test_shared_modules_across_threads():
         assert all(r == expected for r in results)
 
 
-def test_resolution_lengths_across_threads():
+def test_resolution_lengths_across_threads(cold_rings):
     # no lock guards the resolutions: each length is its own memo entry,
     # built from the one below it, so every order of asking agrees
     lengths = list(range(5))
     expected = resolutions(fresh_modules(), lengths)
     for _ in range(ROUNDS):
+        cold_rings()
         shared = fresh_modules()
         results = run_threads(
             lambda k: resolutions(shared, lengths[k % 5:] + lengths[:k % 5])
@@ -118,9 +123,10 @@ def test_resolution_lengths_across_threads():
         assert all(r == expected for r in results)
 
 
-def test_change_of_rings_across_threads():
+def test_change_of_rings_across_threads(cold_rings):
     # every thread passing to R/(c) with the same c gets the one stored ring
     for _ in range(ROUNDS):
+        cold_rings()
         S = make_ring(101, ["x", "y", "z", "w"])
         c = ideal(S, [parse_poly(S, f) for f in ("x*z - y^2", "y*w - z^2")])
         R1 = free_module(S, 1)
@@ -153,12 +159,13 @@ def engine_state(eng):
             [sorted(c.items()) for c in eng.syzygies])
 
 
-def test_module_engine_across_threads():
+def test_module_engine_across_threads(cold_rings):
     # one engine per module presentation, stored once and only ever read
     M0, vectors = module_with_vectors()
     coords = [express(M0, v) for v in vectors]
     relations = column_relations(M0)
     for _ in range(ROUNDS):
+        cold_rings()
         M, vectors = module_with_vectors()
         fresh = tracked_engine(M.ctx, list(M.gens), M.rank, M.shifts, M.rels)
         results = run_threads(lambda k: (express(M, vectors[k]),
@@ -183,12 +190,13 @@ def resolve_and_lift(M, order):
     return maps, engines
 
 
-def test_level_engines_across_threads():
+def test_level_engines_across_threads(cold_rings):
     # each resolution level of a cold module has one stored engine, which
     # every thread lifts through
     lengths = list(range(4))
     expected, _ = resolve_and_lift(module_with_vectors()[0], lengths)
     for _ in range(ROUNDS):
+        cold_rings()
         M, _ = module_with_vectors()
         results = run_threads(
             lambda k: resolve_and_lift(M, lengths[k % 4:] + lengths[:k % 4])
@@ -229,16 +237,36 @@ def module_and_map():
     return M, canonical_module(R), g
 
 
-def test_maps_across_threads():
+def test_maps_across_threads(cold_rings):
     # a map's columns are shared Vecs that nothing writes
     expected = map_work(*module_and_map())
     assert len(expected) > 1 and any(row[0] for row in expected)
     for _ in range(ROUNDS):
+        cold_rings()
         M, K, g = module_and_map()
         before = [dict(col) for col in g.cols]
         results = run_threads(lambda k: map_work(M, K, g))
         assert all(r == expected for r in results)
         assert [dict(col) for col in g.cols] == before
+
+
+def gallery_report(name):
+    """A gallery's report, less its timestamp, from a spec parsed here."""
+    report, _ = cli.run(cli.gallery(name))
+    report.pop("timestamp")
+    return report
+
+
+def test_gallery_specs_across_threads(cold_rings):
+    # the three galleries over the (3, 4, 5) semigroup ring parse to one
+    # ring, so threads that each parse a spec and run its ops race on one
+    # cache (two threads that miss the registry together may each build the
+    # ring, which loses only the sharing); every report equals the one a
+    # sequential run gives
+    expected = {name: gallery_report(name) for name in SEMIGROUP_GALLERIES}
+    cold_rings()
+    reports = run_threads(lambda k: gallery_report(SEMIGROUP_GALLERIES[k % 3]))
+    assert all(r == expected[SEMIGROUP_GALLERIES[k % 3]] for k, r in enumerate(reports))
 
 
 def run_threads(task):

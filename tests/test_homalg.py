@@ -1,9 +1,12 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
 from liaison import cli, homalg
+from liaison.groebner import Vec
 from liaison.cohomology import grothendieck_band_check
 from liaison.colinkage import class_member
 from liaison.errors import (
@@ -567,18 +570,62 @@ def test_equal_modules_share_derived_results(F101xy):
 
 
 def test_modules_over_separate_rings_share_nothing():
-    R, S = make_ring(101, ["x", "y"]), make_ring(101, ["x", "y"])
+    # rings that differ in p, weights, variable order or J stay distinct
+    R = make_ring(101, ["x", "y"])
     A = cyclic_module(R, [P(R, "x")])
-    B = cyclic_module(S, [P(S, "x")])
-    assert A.to_json() == B.to_json()
-    assert A != B
-    assert A.hilbert() is not B.hilbert()
-    assert ext(1, A, A) is not ext(1, B, B)
+    ext(1, A, A)
     module_keys = [
         k for k in R._cache if isinstance(k, tuple) and isinstance(k[0], GradedModule)
     ]
-    assert module_keys
-    assert all(k[0].ctx is R and k not in S._cache for k in module_keys)
+    assert module_keys and all(k[0].ctx is R for k in module_keys)
+    others = [
+        make_ring(103, ["x", "y"]),
+        make_ring(101, ["x", "y"], weights=[1, 2]),
+        make_ring(101, ["y", "x"]),
+        make_ring(101, ["x", "y"], ["y^3"]),
+    ]
+    assert len({id(S) for S in [R, *others]}) == 5
+    for S in others:
+        B = cyclic_module(S, [P(S, "x")])
+        if not S.defining:  # equal to look at
+            assert A.to_json() == B.to_json()
+        assert A != B
+        assert A.hilbert() is not B.hilbert()
+        assert ext(1, A, A) is not ext(1, B, B)
+        assert not any(k in S._cache for k in module_keys)
+
+
+def test_equal_ring_definitions_give_one_ring():
+    names, weights = ["x", "y", "z"], [3, 4, 5]
+    R = make_ring(101, names, ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"], weights)
+    S = make_ring(101, tuple(names), (), tuple(weights))
+    assert R.ambient() is S
+    assert make_ring(101, ["x", "y"]) is make_ring(101, ["x", "y"], weights=[1, 1])
+    # other generators of J, one of them redundant, with its reduced basis
+    again = make_ring(101, names, [
+        "x*z - y^2", "3*x^3 - 3*y*z", P(S, "z^2 - x^2*y"), "x^4 - x*y*z"], weights)
+    assert again is R
+    A, B = (cyclic_module(ctx, [ctx.var(0)]) for ctx in (R, again))
+    assert A == B and ext(1, A, A) is ext(1, B, B)
+    # R/(x) is filed in S under its reduced basis too, however it is reached
+    x = (Vec(R.var(0).terms),)
+    Rx = homalg.quotient_ring(R, x)
+    assert Rx is homalg.quotient_ring(again, x) is make_ring(
+        101, names, ["x", "y^2", "y*z", "z^2"], weights)
+    assert Rx.ambient() is S
+
+
+def test_a_ring_nothing_holds_is_freed():
+    R = make_ring(101, ["x", "y"], ["x*y"])
+    A = cyclic_module(R, [P(R, "x")])
+    ext(1, A, A)
+    gc.collect()
+    # a quotient keeps its polynomial ring, and so its registry entry, alive
+    assert make_ring(101, ["x", "y"]) is R.ambient()
+    refs = [weakref.ref(R), weakref.ref(R.ambient())]
+    del R, A
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_repeated_certificate_computes_each_tor_once(monkeypatch):

@@ -217,7 +217,7 @@ def test_injectivity_and_isomorphism_match_the_kernel():
 # conversions only at the edges
 
 
-def test_semigroup_galleries_convert_only_at_the_edges(monkeypatch):
+def test_semigroup_galleries_convert_only_at_the_edges(monkeypatch, cold_rings):
     """The ten galleries in one process, each on its own cold ring, convert
     between ``Poly`` and ``Vec`` only at the edges.  ``_to_internal``, and
     the exported entrances that take ``Poly`` generators (``subquotient``,
@@ -266,6 +266,7 @@ def test_semigroup_galleries_convert_only_at_the_edges(monkeypatch):
         monkeypatch.setattr(GradedModule, name,
                             property(printing_in(getattr(GradedModule, name).fget)))
     for name in sorted(cli.GALLERIES):
+        cold_rings()
         assert cli.run(cli.gallery(name))[1] == (name == "mixed-ideal-negative")
     names = {key[0] for key in calls}
     assert {"_to_internal", "_polys", "__init__"} <= names

@@ -15,7 +15,9 @@ handler; the handler's annotations give the argument kinds: ``int``,
 ``Ideal`` (the name of an ideal) or none (the name of an ideal or module).
 
 Exit codes: 0 ok, 1 some verdict failed (or an operation raised an error,
-reported as ``ok: false`` with its spec ``line``), 2 usage or parse error, 3
+reported as ``ok: false`` with its spec ``line``; so are a walk or a
+Schenzel check on a pair that c does not link, and an operation that takes
+K when an explicit K is not semidualizing), 2 usage or parse error, 3
 internal consistency failure or any other unexpected exception in an
 operation (also reported as ``ok: false``, naming the exception type; the
 later operations still run).  Exit 2 covers: an unreadable spec file, an
@@ -82,12 +84,23 @@ class ExperimentSpec:
         self.window = window
         self.ops = ops
 
-    def resolve_K(self):
+    def stated_K(self):
+        """K as the spec states it, semidualizing or not."""
         if self.k_kind == "trivial":
             return free_module(self.ring, 1)
         if self.k_kind == "canonical":
             return linkage.canonical_module(self.ring)
         return self.modules[self.k_name]
+
+    def resolve_K(self):
+        """``stated_K``, refused, naming the witness, when it is explicit and
+        not semidualizing at the bound (R and a canonical module are)."""
+        K = self.stated_K()
+        if self.k_kind == "explicit":
+            v = linkage.is_semidualizing(K, self.bound).verdict
+            if not v.holds():
+                raise LiaisonError(f"K is not semidualizing: {v.witness}")
+        return K
 
 
 def _split_sections(text):
@@ -446,8 +459,7 @@ def op_walk(spec, iname: Ideal, cname: Ideal, steps: int):
 
 @_operation
 def op_semidualizing(spec):
-    K = spec.resolve_K()
-    cert = linkage.is_semidualizing(K, spec.bound)
+    cert = linkage.is_semidualizing(spec.stated_K(), spec.bound)
     return {
         "verdict": cert.verdict.to_json(),
         "homothety_iso": cert.homothety_iso,
@@ -491,7 +503,13 @@ def _linked_pair(spec, iname, cname):
 @_operation
 def op_schenzel(spec, iname: Ideal, cname: Ideal, t: int):
     M, N = _linked_pair(spec, iname, cname)
-    v = cohomology.schenzel_check(M, N, spec.resolve_K(), spec.ideals[cname], t)
+    try:
+        v = cohomology.schenzel_check(M, N, spec.resolve_K(), spec.ideals[cname], t)
+    except InternalConsistencyError:
+        # the biconditional holds for linked pairs only
+        if not linkage.is_linked_by(_cyclic_epi(spec, iname, cname)):
+            raise LiaisonError(f"{cname} does not link {iname}") from None
+        raise
     return {"verdict": v.to_json(), "t": t}
 
 

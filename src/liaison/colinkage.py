@@ -262,8 +262,7 @@ def colink_operator(e):
     Cd, _ = cokernel(phi_dual)
     if not Cd.is_zero():
         raise InternalConsistencyError("Hom(K, phi) failed to be surjective")
-    # the private operator: the memoized one keys on the map, by identity
-    return linkage._link_operator(e._replace(phi=phi_dual))
+    return linkage.link_operator(e._replace(phi=phi_dual))
 
 
 def is_colinked_by(e):

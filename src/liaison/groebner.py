@@ -28,9 +28,9 @@ one-column presentations whose relations are annihilators and colon
 ideals (``modules.annihilator``) are such presentations.  That engine is
 only read: it is never interreduced, and each reduction works on a copy of
 its vector.  ``buchberger`` likewise computes each reduced basis once per
-value and stores it interreduced, under its input and under its own
-basis (``reduced_engine``), so a module whose relations are that basis
-finds the engine by value.
+value of its columns and rank and stores it interreduced, under its input
+and under its own basis (``reduced_engine``), so a module whose relations
+are that basis, or a twist of them, finds the engine by value.
 
 Completion can stop at a degree: ``minimal_generator_indices`` completes
 its engine only up to the degree of the column it reduces next, and feeds
@@ -493,27 +493,28 @@ class ModuleGB:
 
 def buchberger(columns, ctx, rank, shifts=None):
     """Reduced Groebner basis, of Vecs, of <columns> + J*e_i for Vecs of
-    rank ``rank``, computed once per value of the input, filed under the
-    basis too (``reduced_engine``), and only read afterwards.
-    Inhomogeneous generators are tolerated (degree-based pair selection
-    degrades to a heuristic); graded arithmetic is one layer up."""
-    shifts = tuple(shifts) if shifts is not None else (0,) * rank
+    rank ``rank``, computed once per value of the columns and rank (shifts
+    order no term, so every shift gives one basis), filed under the basis
+    too (``reduced_engine``), and only read afterwards.  Inhomogeneous
+    generators are tolerated (degree-based pair selection degrades to a
+    heuristic); graded arithmetic is one layer up."""
     columns = tuple(columns)
 
     def compute():
-        eng = ModuleGB(ctx, rank, shifts)
+        eng = ModuleGB(ctx, rank, (0,) * rank if shifts is None else shifts)
         eng.add_generators(list(columns) + _ring_columns(ctx, rank))
         return reduced_engine(eng)
 
-    return _memo(ctx, ("buchberger", rank, shifts, columns), compute)
+    return _memo(ctx, ("buchberger", rank, columns), compute)
 
 
 def reduced_engine(eng):
     """The completed untracked engine, interreduced, as ``buchberger`` of its
-    own basis B gives it: filed under B, the engine filed first returned.
-    B holds the reductions of J*e_i, so the reduced basis of <B> + J*F is B."""
+    own basis B gives it: filed under (rank, B), the engine filed first
+    returned, whose ``shifts`` no reader takes.  B holds the reductions of
+    J*e_i, so the reduced basis of <B> + J*F is B."""
     eng.interreduce()
-    return _memo(eng.ctx, ("buchberger", eng.rank, eng.shifts, tuple(eng.basis)), lambda: eng)
+    return _memo(eng.ctx, ("buchberger", eng.rank, tuple(eng.basis)), lambda: eng)
 
 
 def tracked_engine(ctx, columns, rank, shifts, degrees, extra=()):

@@ -51,12 +51,12 @@ the sum of the weights, c the codimension of M's ring, R/(x) in route 2):
 4. Everything else, Tor included, goes over R: Tor_i(M, ω) resolves M,
    which route 3 would trade for ω/xω, whose Betti numbers grow as ω's do.
 
-``quotient_ring`` builds R/(x) for a regular sequence x of Vecs and stores
-it for R under the multiset of x, so the Ext route, the quotient route of
-the bidual obstructions and ``cohomology.schenzel_check`` (both through
-``change_of_rings``, which also moves K to Ext^n(R/(x), K)) share one ring
-per x, in any order, and every result cached over it.  Modules move there
-with ``modules.transport``.
+``quotient_ring`` builds R/(x) for a regular sequence x of Vecs, which
+``ring._make_ring`` files under its reduced basis, so the Ext route, the
+quotient route of the bidual obstructions and ``cohomology.schenzel_check``
+(both through ``change_of_rings``, which also moves K to Ext^n(R/(x), K))
+share one ring per quotient, and every result cached over it.  Modules
+move there with ``modules.transport``.
 
 Both complexes follow one degree convention, Hom(R(-d), N) = N(d) and
 R(-d) (x) N = N(-d), so every term is a block sum ⊕ N(d_b) and
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import partial
 
 from . import groebner, modules
@@ -301,7 +301,9 @@ def _homology(functor, i, M, N):
     else:
         cycles = [vec for vec in _hom_sum(N, src)._gens if vec]
     eng = groebner.reduced_engine(_image_engine(functor, in_k, M, N, res))
-    return GradedModule(ctx, eng.rank, eng.shifts, cycles, eng.basis)
+    # the middle term's shifts: a filed engine's may be another twist's
+    shifts = tuple(s - d for d in src for s in N.shifts)
+    return GradedModule(ctx, eng.rank, shifts, cycles, eng.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -661,20 +663,14 @@ def change_of_rings(ctx, x_seq, K):
 
 
 def quotient_ring(ctx, x_seq):
-    """R/(x) for a regular sequence x of Vecs, stored for R under the
-    multiset of x, so sequences that differ only in order share one ring.
+    """R/(x) for a regular sequence x of Vecs, storing nothing:
     ``ring._make_ring`` files it in the polynomial ring under its reduced
-    basis, so the same quotient reached from an equal definition, through
-    ``make_ring`` or from another R, is the same ring.  x is checked once,
-    when R/(x) is built for R; a homogeneous regular sequence stays regular
-    in any order."""
-
-    def compute():
-        if not modules.is_regular_sequence(ctx, x_seq):
-            raise NotRegularSequence("the sequence is not regular")
-        return _make_ring(ctx.ambient(), (*(Vec(g.terms) for g in ctx.defining), *x_seq))
-
-    return _memo(ctx, ("quotient_ring", frozenset(Counter(x_seq).items())), compute)
+    basis, so every sequence and every definition that gives that quotient
+    finds the same ring.  x is checked on each call, against Hilbert series
+    the cache holds after the first."""
+    if not modules.is_regular_sequence(ctx, x_seq):
+        raise NotRegularSequence("the sequence is not regular")
+    return _make_ring(ctx.ambient(), (*(Vec(g.terms) for g in ctx.defining), *x_seq))
 
 
 # ---------------------------------------------------------------------------

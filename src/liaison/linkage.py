@@ -242,10 +242,12 @@ def _certified_epi(member, phi, K, tag, bound, n):
 
 def link_operator(e):
     """The linked module of a reflexive epimorphism: the cokernel of the
-    induced injection Ext^n(M,K) -> Ext^n(X,K), with its epimorphism
-    (cached per epimorphism).  Whether phi links M is a separate question:
-    ``is_linked_by``, or ``bidual_obstructions`` for both obstructions."""
-    return _memo(e.phi.target, ("link_operator", e), lambda: _link_operator(e))
+    induced injection Ext^n(M,K) -> Ext^n(X,K), with its epimorphism,
+    cached under what it reads (the map's value, n and K), so equal maps
+    certified apart share one link.  Whether phi links M is a separate
+    question: ``is_linked_by``, or ``bidual_obstructions`` for both."""
+    key = ("link_operator", e.phi.source, e.phi.cols, e.phi.degree, e.n, e.K)
+    return _memo(e.phi.target, key, lambda: _link_operator(e))
 
 
 def _link_operator(e):
@@ -402,7 +404,8 @@ def is_horizontally_linked(M):
 
 
 def liaison_walk(epis, window=(-6, 6)):
-    """Run a chain of links, asserting the preservation statements.
+    """Run a chain of links, asserting the preservation statements (see
+    ``_preservation_failed`` for one that fails).
 
     Consecutive steps must match: the linked module of step k is the image
     module of step k+1 (same annihilator and Hilbert function).  Records the
@@ -440,19 +443,29 @@ def liaison_walk(epis, window=(-6, 6)):
         "gk_perfect_agree": gk_start.holds() == gk_end.holds(),
     }
     if gk_start.holds() != gk_end.holds():
-        raise InternalConsistencyError("perfection flipped along the walk")
+        raise _preservation_failed(epis, "perfection flipped along the walk")
     if len(epis) % 2 == 0:
         for i in range(n + 1, start.ctx.m + 2):
             A = ext_hilbert(i, start, K).hf_window(*window)
             if A != ext_hilbert(i, end, K).hf_window(*window):
-                raise InternalConsistencyError("even liaison failed Ext invariance")
+                raise _preservation_failed(epis, "even liaison failed Ext invariance")
         report["even_ext_agree"] = True
         pd_a = invariants(start).pd
         pd_b = invariants(end).pd
         report["pd_pair"] = [_num(pd_a), _num(pd_b)]
         if pd_a is not math.inf and pd_b is not math.inf and pd_a != pd_b:
-            raise InternalConsistencyError("even liaison changed a finite pd")
+            raise _preservation_failed(epis, "even liaison changed a finite pd")
     return report
+
+
+def _preservation_failed(epis, message):
+    """A failed preservation statement's error: it holds for links only, so
+    ``BrokenChain`` at the first step that does not link, else a theorem
+    failure.  Called only on failure: a walk that holds asks no criterion."""
+    for k, e in enumerate(epis):
+        if not is_linked_by(e):
+            return BrokenChain(f"the epimorphism does not link ({message})", step=k)
+    return InternalConsistencyError(message)
 
 
 def natural_cyclic_epi(ctx, i_gens, c_gens, twist_by=0):

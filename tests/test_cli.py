@@ -842,6 +842,104 @@ def test_unexpected_exception_becomes_exit_three(monkeypatch, capsys):
     assert "RuntimeError: boom" in capsys.readouterr().err
 
 
+# specs that miss one hypothesis of the paper, with what each error names:
+# c does not link I, so a walk's preservation statements and the Schenzel
+# biconditional need not hold; and an explicit K that is not semidualizing
+# (the zero module, and a module whose homothety is not an isomorphism)
+MISSED_HYPOTHESES = [
+    ("""
+[ring]
+p = 101
+vars = x, y
+[ideal I]
+gens = x^2, x*y
+[ideal c]
+gens = x^2
+[ops]
+walk I c 2
+walk I c 1
+schenzel I c 1
+""", "does not link"),
+    ("""
+[ring]
+p = 101
+vars = x, y, z
+weights = 3, 4, 5
+defining = y^2 - x*z, z^2 - x^2*y, x^3 - y*z
+[ideal I]
+gens = x, y
+[ideal c]
+gens = x
+[ops]
+walk I c 2
+""", "does not link"),
+    ("""
+[ring]
+p = 101
+vars = x, y, z
+[module Zm]
+ambient = 2
+gens = 1, 0
+rels = 1, 0
+[K]
+kind = explicit
+name = Zm
+[ideal I]
+gens = x
+[ideal c]
+gens = x^2
+[ops]
+semidualizing
+link I c
+schenzel I c 1
+""", "not semidualizing: zero module"),
+    ("""
+[ring]
+p = 101
+vars = x, y, z
+weights = 3, 4, 5
+defining = y^2 - x*z, z^2 - x^2*y, x^3 - y*z
+[module A]
+ambient = 2
+shifts = 0, 1
+gens = 1, 0; 0, x
+rels = x^2, 0
+[K]
+kind = explicit
+name = A
+[ideal I]
+gens = x
+[ideal c]
+gens = x^2
+[options]
+bound = 2
+[ops]
+semidualizing
+gk_perfect I
+double_link I c
+""", "not semidualizing: homothety not an isomorphism"),
+]
+
+
+@pytest.mark.parametrize("text, named", MISSED_HYPOTHESES)
+def test_a_missed_hypothesis_is_an_error_not_a_bug(text, named, tmp_path, capsys):
+    # exit 1, not 3: each entry fails naming the hypothesis, and no
+    # internal consistency check trips; semidualizing still reports its
+    # verdict on the K that the other operations refuse
+    f = tmp_path / "missed.spec"
+    f.write_text(text)
+    code = main(["run", str(f)])
+    out, err = capsys.readouterr()
+    results = json.loads(out)["results"]
+    assert code == 1
+    for entry in results:
+        if entry["op"] == "semidualizing":
+            assert entry["ok"] and entry["data"]["verdict"]["status"] == "fails"
+        else:
+            assert not entry["ok"] and named in entry["error"], entry
+    assert "Traceback" not in out + err
+
+
 def test_walk_links_each_epimorphism_once(monkeypatch):
     # every link of the walk runs Ext^n(phi, K) once; building the walk and
     # checking it share the links of its two epimorphisms
@@ -908,19 +1006,19 @@ GALLERY_DIGESTS = {
 # Each test starts with an empty ring registry (conftest's ``cold_rings``),
 # so each run parses a cold ring and the counts do not depend on test order.
 GALLERY_WORK = {
-    "adjoint-transfer": (154, 3860),
+    "adjoint-transfer": (151, 3796),
     "depth-formula": (76, 490),
-    "direct-sum-self-link": (46, 127),
-    "even-liaison-ext": (86, 632),
+    "direct-sum-self-link": (45, 124),
+    "even-liaison-ext": (85, 628),
     "foxby-roundtrip": (67, 1272),
-    "mixed-ideal-negative": (86, 199),
+    "mixed-ideal-negative": (84, 193),
     "schenzel": (78, 379),
-    "semigroup-345": (71, 840),
-    "twisted-cubic": (118, 629),
-    "univariate-link": (59, 118),
+    "semigroup-345": (70, 823),
+    "twisted-cubic": (117, 625),
+    "univariate-link": (57, 109),
 }
 # the type-three spec, by bound
-TYPE_THREE_WORK = {3: (209, 21466), 4: (209, 21466), 5: (209, 21466)}
+TYPE_THREE_WORK = {3: (205, 21275), 4: (205, 21275), 5: (205, 21275)}
 
 
 def count_work(monkeypatch):
@@ -965,7 +1063,7 @@ def test_gallery_report_is_pinned(name, monkeypatch):
 # perfbench's semigroup-canonical workload, and their work in one process,
 # parsing included
 SEMIGROUP_GALLERIES = ("semigroup-345", "foxby-roundtrip", "adjoint-transfer")
-SEMIGROUP_WORK = (194, 4479)
+SEMIGROUP_WORK = (190, 4398)
 
 
 def test_semigroup_galleries_in_one_process_are_pinned(monkeypatch):
@@ -1019,21 +1117,31 @@ def _memo_kinds(ctx):
 # entries for the same columns, filed under each basis too), whether an Ext
 # vanishes, a depth and a grade (ext_hilbert's and the Hilbert entries), the
 # residue field (buchberger's entry for its ideal), whether mu or nu is an
-# isomorphism (the transforms, kernel and cokernel entries), and a module's
-# minimal syzygies (its stored engine holds them)
+# isomorphism (the transforms, kernel and cokernel entries), a module's
+# minimal syzygies (its stored engine holds them), and R/(x) (the quotient
+# entry under its reduced basis)
 WRAPPERS_THAT_STORE_NOTHING = {
     "class_member", "class_verdict", "transport", "ring_module", "full_gb", "rels_gb",
     "ext_vanishes", "depth", "grade", "residue_field", "nu_is_iso", "mu_is_iso",
-    "colrels",
+    "colrels", "quotient_ring",
 }
 
 
+def _holds_map(key):
+    """Whether a memo key holds a ModuleMap, looking inside tuples."""
+    return isinstance(key, liaison.ModuleMap) or (
+        isinstance(key, tuple) and any(_holds_map(part) for part in key))
+
+
 def test_wrappers_served_by_inner_entries_store_nothing():
+    # and no entry is keyed by a map, which compares by identity: a link
+    # is filed under the map's value
     for name in sorted(GALLERIES):
         spec = gallery(name)
         run(spec)
         kinds = _memo_kinds(spec.ring)
         assert "buchberger" in kinds and not kinds & WRAPPERS_THAT_STORE_NOTHING, name
+        assert not any(_holds_map(key) for key, _ in _memo_entries(spec.ring)), name
 
 
 def test_type_three_report_is_pinned(monkeypatch):

@@ -356,14 +356,17 @@ def test_colink_agrees_with_closed_form_over_semigroup(semigroup345, omega345):
     assert same_hf(col, closed)
 
 
-def test_colink_operator_checks_that_the_induced_map_is_injective(
-        semigroup345, omega345, monkeypatch):
+def test_colink_operator_checks_that_the_induced_map_is_injective(monkeypatch):
     # D^n(phi) = Ext^n(Hom(K, phi), K) is injective for a coreflexive phi;
-    # a zero induced map must raise, not return its cokernel
-    ctx = semigroup345
+    # a zero induced map must raise, not return its cokernel.  The ring is
+    # built here under the test's cold registry: over the shared fixture an
+    # earlier test's equal colink would be served by value, and the patched
+    # ext_induced would never run
+    ctx = make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                    weights=[3, 4, 5])
     e = reflexive_epi(
         natural_cyclic_epi(ctx, ideal(ctx, [P(ctx, "x")]), ideal(ctx, [P(ctx, "x^2")])),
-        omega345, "Pn", bound=4,
+        canonical_module(ctx), "Pn", bound=4,
     )
     ce = adjoint_transfer_forward(e)
     real = homalg.ext_induced

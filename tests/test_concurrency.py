@@ -15,7 +15,13 @@ from liaison.homalg import (
     lift_chain_map,
     tor_vanishes,
 )
-from liaison.linkage import canonical_module, homothety_map
+from liaison.linkage import (
+    canonical_module,
+    homothety_map,
+    link_operator,
+    natural_cyclic_epi,
+    reflexive_epi,
+)
 from liaison.modules import (
     annihilator,
     colon,
@@ -248,6 +254,25 @@ def test_maps_across_threads(cold_rings):
         results = run_threads(lambda k: map_work(M, K, g))
         assert all(r == expected for r in results)
         assert [dict(col) for col in g.cols] == before
+
+
+def certify_and_link(R, K):
+    """The link of R/(x) by R/(x^2), from an epimorphism certified here."""
+    x = R.var(0)
+    return link_operator(reflexive_epi(
+        natural_cyclic_epi(R, ideal(R, [x]), ideal(R, [x * x])), K, "Pn", bound=3))
+
+
+def test_equal_links_across_threads(cold_rings):
+    # each thread certifies its own epimorphism from an equal map; the link
+    # is filed under the map's value, so every thread gets the first stored
+    for _ in range(ROUNDS):
+        cold_rings()
+        R = make_ring(101, ["x", "y", "z"], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+                      weights=[3, 4, 5])
+        K = canonical_module(R)
+        links = run_threads(lambda k: certify_and_link(R, K))
+        assert all(link is links[0] for link in links)
 
 
 def gallery_report(name):

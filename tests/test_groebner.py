@@ -22,6 +22,7 @@ from liaison.modules import (
     cyclic_module,
     direct_sum,
     subquotient,
+    twist,
 )
 from liaison.ring import (
     Poly,
@@ -761,13 +762,17 @@ def test_equal_inputs_share_one_reduced_basis(monkeypatch):
     assert first.rels_gb() is second.rels_gb() is built[0]
     cols = [(x * y,), (z * z,)]
     assert buchberger(cols, ctx, 1) is buchberger(tuple(cols), ctx, 1, [0])
+    # shifts order no term: equal columns under other shifts share the basis
+    assert buchberger(cols, ctx, 1, [3]) is buchberger(cols, ctx, 1)
+    pair = [(x, y), (z, x)]
+    assert buchberger(pair, ctx, 2, [0, 1]) is buchberger(pair, ctx, 2, [-2, 5])
     # a computation that fails stores nothing
     half = 1 << 19
     big = [(monomial(ctx, [half, 0, 0]),), (monomial(ctx, [0, 0, half]),)]
     for _ in range(2):
         with pytest.raises(DegreeOverflow):
             buchberger(big, ctx, 1)
-    assert not any(key[0] == "buchberger" and key[3] == tuple(flat(ctx, big, 1))
+    assert not any(key[0] == "buchberger" and key[2] == tuple(flat(ctx, big, 1))
                    for key in ctx._cache if isinstance(key, tuple))
     # equal terms over another ring are still refused
     other = make_ring(101, ["u", "v", "w"], ["u*w - v^2"])
@@ -775,6 +780,15 @@ def test_equal_inputs_share_one_reduced_basis(monkeypatch):
     assert foreign == cols
     with pytest.raises(RingMismatch):
         buchberger(foreign, ctx, 1)
+
+
+def test_a_twist_shares_its_module_s_relation_engine():
+    # a twist moves every shift, and shifts order no term
+    ctx = make_ring(101, ["x", "y", "z"])  # a cold cache
+    x, y, z = (ctx.var(k) for k in range(3))
+    M = cyclic_module(ctx, [x * y, y * z, z * z])
+    assert twist(M, 3).shifts != M.shifts
+    assert twist(M, 3).rels_gb() is M.rels_gb()
 
 
 def test_pair_degree_at_the_limit_raises(F101xy):

@@ -163,6 +163,27 @@ def test_univariate_link_realizes_colon(F101x):
     assert is_linked_by(e)
 
 
+def test_equal_maps_certified_apart_share_one_link(monkeypatch):
+    # the link reads the map's value, n and K, not the tag or the bound, so
+    # two epimorphisms certified from equal maps give one link, built once
+    ctx = make_ring(101, ["x", "y"])  # a cold cache
+    R1 = free_module(ctx, 1)
+    I, c = I_(ctx, ["x"]), I_(ctx, ["x^3"])
+    first = reflexive_epi(natural_cyclic_epi(ctx, I, c), R1, "Pn")
+    second = reflexive_epi(natural_cyclic_epi(ctx, I, c), R1, "RefnK", bound=3)
+    assert first.phi is not second.phi
+    runs = []
+    real = homalg.ext_induced
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homalg, "ext_induced", counted)
+    assert link_operator(first) is link_operator(second)
+    assert len(runs) == 1
+
+
 class ObstructionAsked(Exception):
     pass
 

@@ -483,7 +483,7 @@ def op_bass_numbers(spec, upto: int):
     if upto < 0:
         raise InvalidInput(f"bass_numbers needs a bound of at least 0, got {upto}")
     depth = modules.ring_depth(spec.ring)
-    mu = cohomology.bass_numbers(free_module(spec.ring, 1), max(upto, depth))
+    mu = cohomology.ring_bass_numbers(spec.ring, max(upto, depth))
     return {"bass_numbers": mu[: upto + 1], "type": mu[depth]}
 
 

@@ -19,9 +19,11 @@ from .homalg import (
     dual_hilbert,
     ext_hilbert,
     ext_vanishes,
+    graded_betti,
     residue_field,
     transpose,
 )
+from .linkage import canonical_module
 from .modules import free_module, invariants, transport
 
 
@@ -108,10 +110,24 @@ def bass_numbers(M, upto):
     return out
 
 
+def ring_bass_numbers(ctx, upto):
+    """mu^i(m, R) for 0 <= i <= upto.  For a Cohen-Macaulay R of dimension
+    d they are 0 below d and mu^{i+d} = beta_i(ω) (Bruns-Herzog 3.3), read
+    from ``graded_betti`` of the canonical module, which over R/(x)
+    resolves far faster than Ext^i(k, R) over R; any other R takes
+    ``bass_numbers`` of R."""
+    if not modules.ring_is_cm(ctx):
+        return bass_numbers(free_module(ctx, 1), upto)
+    d = modules.ring_dim(ctx)
+    shifts, _ = graded_betti(canonical_module(ctx), max(upto - d, 0))
+    mu = [0] * d + [len(level) for level in shifts]
+    return (mu + [0] * upto)[: upto + 1]
+
+
 def ring_type(ctx):
     """The Cohen-Macaulay type: mu^{depth R}(R)."""
     dep = modules.ring_depth(ctx)
-    return bass_numbers(free_module(ctx, 1), dep)[dep]
+    return ring_bass_numbers(ctx, dep)[dep]
 
 
 # ---------------------------------------------------------------------------

@@ -491,21 +491,30 @@ class ModuleGB:
 # high-level entry points
 
 
-def buchberger(columns, ctx, rank, shifts=None):
+def buchberger(columns, ctx, rank, shifts=None, rels=None):
     """Reduced Groebner basis, of Vecs, of <columns> + J*e_i for Vecs of
     rank ``rank``, computed once per value of the columns and rank (shifts
     order no term, so every shift gives one basis), filed under the basis
-    too (``reduced_engine``), and only read afterwards.  Inhomogeneous
-    generators are tolerated (degree-based pair selection degrades to a
-    heuristic); graded arithmetic is one layer up."""
+    too (``reduced_engine``), and only read afterwards.  With ``rels`` (a
+    module's relations) it is the basis of <columns> + <rels> + J*e_i,
+    filed under columns + rels, as the reduced basis is unique: the engine
+    starts from the reduced basis of <rels> + J*e_i, which ``buchberger``
+    holds, and is fed the columns alone.  Inhomogeneous generators are
+    tolerated (degree-based pair selection degrades to a heuristic);
+    graded arithmetic is one layer up."""
     columns = tuple(columns)
+    shifts = (0,) * rank if shifts is None else shifts
 
     def compute():
-        eng = ModuleGB(ctx, rank, (0,) * rank if shifts is None else shifts)
-        eng.add_generators(list(columns) + _ring_columns(ctx, rank))
+        eng = ModuleGB(ctx, rank, shifts)
+        if rels is None:
+            eng.add_generators(list(columns) + _ring_columns(ctx, rank))
+        else:
+            eng._seed(buchberger(rels, ctx, rank, shifts).basis)
+            eng.add_generators(columns)
         return reduced_engine(eng)
 
-    return _memo(ctx, ("buchberger", rank, columns), compute)
+    return _memo(ctx, ("buchberger", rank, columns + tuple(rels or ())), compute)
 
 
 def reduced_engine(eng):

@@ -25,8 +25,10 @@ positive weights a graded module is zero exactly when its series is, so
 local cohomology, the bidual obstructions and the depth-formula,
 even-liaison, grade and horizontal-linkage checks read Ext only so.
 
-``_series`` alone picks the ring, by the first route that applies (w is
-the sum of the weights, c the codimension of M's ring, R/(x) in route 2):
+``_series`` alone picks the ring for Ext and Tor, by the first of routes
+1-4 that applies (w is the sum of the weights, c the codimension of M's
+ring, R/(x) in route 2); ``graded_betti`` picks it for Betti numbers read
+alone, by route 5:
 
 1. Ext into the canonical module ω_R of a Cohen-Macaulay R = S/J goes over
    S as t^w HS(Ext^{i+c}_S(M, S)): Ext^q_S(R, ω_S) is ω_R for q = c and
@@ -50,6 +52,13 @@ the sum of the weights, c the codimension of M's ring, R/(x) in route 2):
    ideal or Artinian, M of dimension 0 and N of dimension dim R have none.
 4. Everything else, Tor included, goes over R: Tor_i(M, ω) resolves M,
    which route 3 would trade for ω/xω, whose Betti numbers grow as ω's do.
+5. The graded Betti numbers of M go over R/(x), as those of M/xM, for the
+   first x regular on R that ``regular_sequence_in_ideal`` finds among the
+   variables, when x is regular on M too; over R otherwise.  The Bass
+   numbers of a Cohen-Macaulay R are read so, from ω
+   (``cohomology.ring_bass_numbers``), where Ext^i(k, R) over a
+   non-Gorenstein R resolves k ever longer.  Modules built from the
+   differentials resolve over R.
 
 ``quotient_ring`` builds R/(x) for a regular sequence x of Vecs, which
 ``ring._make_ring`` files under its reduced basis, so the Ext route, the
@@ -208,8 +217,13 @@ def restrict_scalars(M):
     return GradedModule(M.ctx.ambient(), M.rank, M.shifts, M._gens, M._rels)
 
 
+def _variables(ctx):
+    """The variables of R as an ideal of Vecs, in their order."""
+    return tuple(Vec({unit: 1}) for unit in ctx._pk.units)
+
+
 def residue_field(ctx):
-    return _cyclic_module(ctx, tuple(Vec({unit: 1}) for unit in ctx._pk.units))
+    return _cyclic_module(ctx, _variables(ctx))
 
 
 def ambient_pd(M):
@@ -227,6 +241,28 @@ def projective_dimension(M):
     cap = M.ctx.m + 1
     res = free_resolution(M, cap)
     return res.length() if res.complete else math.inf
+
+
+def graded_betti(M, length):
+    """The level shifts and ``complete`` of M's minimal resolution to the
+    requested length, read over R/(x) for the first x that
+    ``regular_sequence_in_ideal`` finds among the variables, when x is also
+    regular on M: then F/xF resolves M/xM minimally over R/(x), with the
+    same graded Betti numbers, since Tor^R_i(M, R/(x)) = 0 for i > 0 and
+    the differentials stay in m.  Without such an x (an Artinian R, M of
+    depth 0) M resolves over R.  It stores nothing: the resolution over the
+    ring it takes is the entry."""
+    ctx = M.ctx
+    try:
+        (x,) = regular_sequence_in_ideal(ctx, _variables(ctx), 1)
+    except RegularSequenceNotFound:
+        pass
+    else:
+        moved = transport(M, quotient_ring(ctx, (x,)))
+        if modules.regular_on(M, moved, _lead_degree(ctx, x, (0,))):
+            M = moved
+    res = free_resolution(M, length)
+    return res.level_shifts, res.complete
 
 
 def syzygy(M, n):

@@ -153,7 +153,7 @@ class GradedModule:
         return groebner.buchberger(self._rels, self.ctx, self.rank, self.shifts)
 
     def full_gb(self):
-        return groebner.buchberger(self._gens + self._rels, self.ctx, self.rank, self.shifts)
+        return groebner.buchberger(self._gens, self.ctx, self.rank, self.shifts, self._rels)
 
     def is_zero(self):
         return _memo(self, "is_zero", lambda: all(

@@ -1006,19 +1006,19 @@ GALLERY_DIGESTS = {
 # Each test starts with an empty ring registry (conftest's ``cold_rings``),
 # so each run parses a cold ring and the counts do not depend on test order.
 GALLERY_WORK = {
-    "adjoint-transfer": (151, 3796),
-    "depth-formula": (76, 490),
-    "direct-sum-self-link": (45, 124),
-    "even-liaison-ext": (85, 628),
-    "foxby-roundtrip": (67, 1272),
-    "mixed-ideal-negative": (84, 193),
-    "schenzel": (78, 379),
-    "semigroup-345": (70, 823),
-    "twisted-cubic": (117, 625),
-    "univariate-link": (57, 109),
+    "adjoint-transfer": (152, 3443),
+    "depth-formula": (76, 474),
+    "direct-sum-self-link": (45, 120),
+    "even-liaison-ext": (85, 614),
+    "foxby-roundtrip": (67, 1097),
+    "mixed-ideal-negative": (84, 184),
+    "schenzel": (78, 363),
+    "semigroup-345": (67, 716),
+    "twisted-cubic": (117, 598),
+    "univariate-link": (57, 106),
 }
 # the type-three spec, by bound
-TYPE_THREE_WORK = {3: (205, 21275), 4: (205, 21275), 5: (205, 21275)}
+TYPE_THREE_WORK = {3: (196, 18396), 4: (196, 18396), 5: (196, 18396)}
 
 
 def count_work(monkeypatch):
@@ -1063,7 +1063,7 @@ def test_gallery_report_is_pinned(name, monkeypatch):
 # perfbench's semigroup-canonical workload, and their work in one process,
 # parsing included
 SEMIGROUP_GALLERIES = ("semigroup-345", "foxby-roundtrip", "adjoint-transfer")
-SEMIGROUP_WORK = (190, 4398)
+SEMIGROUP_WORK = (181, 3848)
 
 
 def test_semigroup_galleries_in_one_process_are_pinned(monkeypatch):
@@ -1118,12 +1118,13 @@ def _memo_kinds(ctx):
 # vanishes, a depth and a grade (ext_hilbert's and the Hilbert entries), the
 # residue field (buchberger's entry for its ideal), whether mu or nu is an
 # isomorphism (the transforms, kernel and cokernel entries), a module's
-# minimal syzygies (its stored engine holds them), and R/(x) (the quotient
-# entry under its reduced basis)
+# minimal syzygies (its stored engine holds them), R/(x) (the quotient
+# entry under its reduced basis), and graded Betti numbers (the resolution
+# over the ring they are read over)
 WRAPPERS_THAT_STORE_NOTHING = {
     "class_member", "class_verdict", "transport", "ring_module", "full_gb", "rels_gb",
     "ext_vanishes", "depth", "grade", "residue_field", "nu_is_iso", "mu_is_iso",
-    "colrels", "quotient_ring",
+    "colrels", "quotient_ring", "graded_betti",
 }
 
 
@@ -1159,10 +1160,11 @@ def test_type_three_report_is_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "77af9c575792fd6b2c96cad9b9529008ec0940dc5110c7e780a208d4ef48e36c"
     )
-    # the same run: of the 9 Ext questions over the ring into an N other
-    # than ω_R, the 6 whose N has a regular annihilator x are all into
-    # ω/xω and ask for vanishing, so they go over S from M/xM
-    assert routed_ext_questions(spec.ring, questions) == (9, 0, 6)
+    # the same run: the 6 Ext questions over the ring into an N other than
+    # ω_R all have an N with a regular annihilator x, are into ω/xω and ask
+    # for vanishing, so they go over S from M/xM (the Bass numbers, read
+    # from ω's Betti numbers, ask none)
+    assert routed_ext_questions(spec.ring, questions) == (6, 0, 6)
     assert not _memo_kinds(spec.ring) & WRAPPERS_THAT_STORE_NOTHING
     # every stored tracked engine holds its module's minimal syzygies alone:
     # a selection from them keeps each one
@@ -1173,7 +1175,7 @@ def test_type_three_report_is_pinned(monkeypatch):
         assert groebner.minimal_generator_indices(
             eng.syzygies, M.ctx, eng.track, M.gen_degrees(),
             groebner._ring_columns(M.ctx, eng.track)) == list(range(len(eng.syzygies)))
-    assert (len(engines), sum(len(eng.syzygies) for _, eng in engines)) == (60, 838)
+    assert (len(engines), sum(len(eng.syzygies) for _, eng in engines)) == (57, 786)
 
 
 @pytest.mark.parametrize("bound", [4, 5])

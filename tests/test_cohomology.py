@@ -1,5 +1,6 @@
 import pytest
 
+from liaison import homalg
 from liaison.cohomology import (
     bass_numbers,
     duality_check,
@@ -7,6 +8,7 @@ from liaison.cohomology import (
     is_generalized_cm,
     local_cohomology_hf,
     local_cohomology_is_zero,
+    ring_bass_numbers,
     ring_type,
     schenzel_check,
     serre_st_proxy,
@@ -14,8 +16,10 @@ from liaison.cohomology import (
 )
 from liaison.errors import ZeroDimensional
 from liaison.linkage import cyclic_link
-from liaison.modules import annihilator, cyclic_module, direct_sum, free_module
-from liaison.ring import parse_poly
+from liaison.modules import (
+    annihilator, cyclic_module, direct_sum, free_module, ring_depth, ring_dim, ring_is_cm,
+)
+from liaison.ring import _memoized, make_ring, parse_poly
 
 from tests.polyref import ideal, ideal_polys
 
@@ -144,6 +148,48 @@ def test_bass_numbers_of_univariate_ring(F101x):
 def test_bass_numbers_of_residue_field_are_binomials(F101xy):
     k = cyclic_module(F101xy, [P(F101xy, "x"), P(F101xy, "y")])
     assert bass_numbers(k, 2) == [1, 2, 1]
+
+
+# (variables, weights, defining ideal, mu^0..mu^{d+3} of R): the two monomial
+# curves, the cone over the first (d = 2), a Gorenstein quadric cone, a
+# polynomial ring, two Artinian rings (no x is regular there, so omega
+# resolves over R) and a ring that is not Cohen-Macaulay
+BASS_RINGS = {
+    "<3,4,5>": ("xyz", [3, 4, 5], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"], [0, 2, 3, 6, 12]),
+    "<4,5,6,7>": ("abcd", [4, 5, 6, 7], ["a*c - b^2", "a*d - b*c", "a^3 - b*d", "b*d - c^2",
+                                         "a^2*b - c*d", "a^2*c - d^2"], [0, 3, 8, 24, 72]),
+    "cone": ("xyzw", [3, 4, 5, 1], ["y^2 - x*z", "z^2 - x^2*y", "x^3 - y*z"],
+             [0, 0, 2, 3, 6, 12]),
+    "xz - y^2": ("xyz", None, ["x*z - y^2"], [0, 0, 1, 0, 0, 0]),
+    "F[x,y]": ("xy", None, [], [0, 0, 1, 0, 0, 0]),
+    "(x^2, y^2)": ("xy", None, ["x^2", "y^2"], [1, 0, 0, 0]),
+    "(x^2, xy, y^2)": ("xy", None, ["x^2", "x*y", "y^2"], [2, 3, 6, 12]),
+    "(x^2, xy) not CM": ("xy", None, ["x^2", "x*y"], [1, 2, 2, 4, 6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASS_RINGS))
+def test_bass_numbers_of_the_ring_are_the_betti_numbers_of_omega(name, monkeypatch):
+    """mu^i(m, R) = 0 for i < d and mu^{i+d}(m, R) = beta_i(omega) over a
+    Cohen-Macaulay R of dimension d (Bruns-Herzog 3.3): ``ring_bass_numbers``
+    reads them from ``graded_betti``, against Ext^i(k, R) for i <= d + 3.
+    omega resolves over R/(x) where R has positive depth, over R where it is
+    Artinian; a ring that is not Cohen-Macaulay takes the Ext path."""
+    names, weights, defining, want = BASS_RINGS[name]
+    R = make_ring(101, list(names), defining, weights=weights)
+    d = ring_dim(R)
+    resolved = []
+    real = homalg.free_resolution
+    monkeypatch.setattr(homalg, "free_resolution",
+                        lambda M, length: resolved.append(M.ctx) or real(M, length))
+    assert ring_bass_numbers(R, d + 3) == want
+    if ring_is_cm(R):
+        # the last resolution is omega's, from graded_betti
+        assert (resolved[-1] is R) == (d == 0)
+    else:
+        assert _memoized(R, "canonical_module") is None
+    assert bass_numbers(free_module(R, 1), d + 3) == want
+    assert ring_type(R) == want[ring_depth(R)]
 
 
 def test_semigroup_ring_has_type_two(semigroup345):

@@ -482,9 +482,8 @@ def op_canonical_info(spec):
 def op_bass_numbers(spec, upto: int):
     if upto < 0:
         raise InvalidInput(f"bass_numbers needs a bound of at least 0, got {upto}")
-    depth = modules.ring_depth(spec.ring)
-    mu = cohomology.ring_bass_numbers(spec.ring, max(upto, depth))
-    return {"bass_numbers": mu[: upto + 1], "type": mu[depth]}
+    return {"bass_numbers": cohomology.ring_bass_numbers(spec.ring, upto),
+            "type": cohomology.ring_type(spec.ring)}
 
 
 @_operation

@@ -45,20 +45,18 @@ alone, by route 5:
    M and xN = 0, Ext^i_R(M, N) = Ext^i_{R/(x)}(M/xM, N) as graded modules
    (Bruns-Herzog, Lemma 3.1.16), as F/xF resolves M/xM for a minimal
    resolution F of M and Hom_R(F, N) = Hom_{R/(x)}(F/xF, N).  x is the
-   lowest-degree element of N's annihilator basis regular on R and on M,
-   chosen once per (N, M), where a maximal Cohen-Macaulay M over a
-   non-Gorenstein R resolves with far shorter vectors, and regular as
-   ``modules.regular_on`` decides from Hilbert series.  R without defining
-   ideal or Artinian, M of dimension 0 and N of dimension dim R have none.
+   lowest-degree element of N's annihilator basis regular on R and on M
+   (``_regular_element``); over R/(x) a maximal Cohen-Macaulay M over a
+   non-Gorenstein R resolves with far shorter vectors.  R without defining
+   ideal or Artinian, N of dimension dim R and M of dimension 0 have none.
 4. Everything else, Tor included, goes over R: Tor_i(M, ω) resolves M,
    which route 3 would trade for ω/xω, whose Betti numbers grow as ω's do.
 5. The graded Betti numbers of M go over R/(x), as those of M/xM, for the
-   first x regular on R that ``regular_sequence_in_ideal`` finds among the
-   variables, when x is regular on M too; over R otherwise.  The Bass
-   numbers of a Cohen-Macaulay R are read so, from ω
-   (``cohomology.ring_bass_numbers``), where Ext^i(k, R) over a
-   non-Gorenstein R resolves k ever longer.  Modules built from the
-   differentials resolve over R.
+   lowest-degree variable x regular on R and on M, found by the same
+   search as route 3; over R when there is none.  The Bass numbers of a
+   Cohen-Macaulay R are read so, from ω (``cohomology.ring_bass_numbers``),
+   where Ext^i(k, R) over a non-Gorenstein R resolves k ever longer.
+   Modules built from the differentials resolve over R.
 
 ``quotient_ring`` builds R/(x) for a regular sequence x of Vecs, which
 ``ring._make_ring`` files under its reduced basis, so the Ext route, the
@@ -245,23 +243,15 @@ def projective_dimension(M):
 
 def graded_betti(M, length):
     """The level shifts and ``complete`` of M's minimal resolution to the
-    requested length, read over R/(x) for the first x that
-    ``regular_sequence_in_ideal`` finds among the variables, when x is also
-    regular on M: then F/xF resolves M/xM minimally over R/(x), with the
-    same graded Betti numbers, since Tor^R_i(M, R/(x)) = 0 for i > 0 and
-    the differentials stay in m.  Without such an x (an Artinian R, M of
-    depth 0) M resolves over R.  It stores nothing: the resolution over the
-    ring it takes is the entry."""
-    ctx = M.ctx
-    try:
-        (x,) = regular_sequence_in_ideal(ctx, _variables(ctx), 1)
-    except RegularSequenceNotFound:
-        pass
-    else:
-        moved = transport(M, quotient_ring(ctx, (x,)))
-        if modules.regular_on(M, moved, _lead_degree(ctx, x, (0,))):
-            M = moved
-    res = free_resolution(M, length)
+    requested length, read over R/(x) for the lowest-degree variable x
+    regular on R and on M (``_regular_element``): then F/xF resolves M/xM
+    minimally over R/(x), with the same graded Betti numbers, since
+    Tor^R_i(M, R/(x)) = 0 for i > 0 and the differentials stay in m.
+    Without such an x (M of dimension 0 or depth 0, no variable regular)
+    M resolves over R.  It stores nothing: the resolution over the ring it
+    takes is the entry."""
+    found = M.dim() > 0 and _regular_element(M, _variables(M.ctx))
+    res = free_resolution(found[1] if found else M, length)
     return res.level_shifts, res.complete
 
 
@@ -377,13 +367,13 @@ def _series(functor, i, M, N):
     omega = _memoized(N.ctx, "canonical_module")
     w = sum(M.ctx.weights)
     if N != omega:
-        x = _memo(N, ("ext_route", M), lambda: _regular_annihilator(M, N))  # chosen once
-        if x is None:
+        found = _regular_annihilator(M, N)
+        if found is None:
             return _ring_series("ext", i, M, N)
+        x, M = found
         w += _lead_degree(M.ctx, x, (0,))
-        ctx2 = quotient_ring(M.ctx, (x,))
-        M, N = transport(M, ctx2), transport(N, ctx2)
-        if omega is None or N != transport(omega, ctx2):
+        N = transport(N, M.ctx)
+        if omega is None or N != transport(omega, M.ctx):
             return _ring_series("ext", i, M, N)
         # N = ω/xω, which is ω_{R/(x)}(-deg x)
     # Ext^i_R(M, ω_R) is the Ext_S term at j = i + c, c = dim S - dim R
@@ -422,19 +412,26 @@ def _ring_series(functor, i, M, N):
 
 
 def _regular_annihilator(M, N):
-    """The lowest-degree element x of N's annihilator basis that is regular
-    on R and on M, or None.  A ring without defining ideal, an Artinian
-    ring, an N of R's dimension (which no regular element kills) and an M
-    of dimension 0 have none, decided before any search."""
-    ctx = M.ctx
-    dim_r = ring_dim(ctx) if ctx.defining else 0
+    """Route 3's ``_regular_element`` of N's annihilator basis, or None.  A
+    ring without defining ideal, an Artinian ring, an N of R's dimension
+    (which no regular element kills) and an M of dimension 0 have none,
+    decided before any search."""
+    dim_r = ring_dim(M.ctx) if M.ctx.defining else 0
     if not dim_r or N.dim() == dim_r or not M.dim():
         return None
-    for x in sorted(annihilator(N), key=lambda f: _lead_degree(ctx, f, (0,))):
-        if modules.is_regular_sequence(ctx, (x,)) and modules.regular_on(
-            M, transport(M, quotient_ring(ctx, (x,))), _lead_degree(ctx, x, (0,))
-        ):
-            return x
+    return _regular_element(M, annihilator(N))
+
+
+def _regular_element(M, ideal):
+    """(x, M/xM over R/(x)) for the lowest-degree x of an ideal basis of
+    Vecs that is regular on R and on M, as ``modules.regular_on`` decides
+    from Hilbert series, or None.  Routes 3 and 5 both take x so."""
+    ctx = M.ctx
+    for x in sorted(ideal, key=lambda f: _lead_degree(ctx, f, (0,))):
+        if modules.is_regular_sequence(ctx, (x,)):
+            moved = transport(M, quotient_ring(ctx, (x,)))
+            if modules.regular_on(M, moved, _lead_degree(ctx, x, (0,))):
+                return x, moved
     return None
 
 

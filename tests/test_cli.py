@@ -371,7 +371,7 @@ def test_value_errors_stay_in_the_spec_parsers():
 
 PAPER_FACING_CHECKS = {
     "assert_buchberger", "cohom_dual", "codual_obstructions", "is_generalized_cm",
-    "torsionfree_duality_check", "grothendieck_band_check", "ring_type",
+    "torsionfree_duality_check", "grothendieck_band_check",
 }
 
 
@@ -1013,12 +1013,14 @@ GALLERY_WORK = {
     "foxby-roundtrip": (67, 1097),
     "mixed-ideal-negative": (84, 184),
     "schenzel": (78, 363),
-    "semigroup-345": (67, 716),
+    "semigroup-345": (65, 704),
     "twisted-cubic": (117, 598),
     "univariate-link": (57, 106),
 }
 # the type-three spec, by bound
-TYPE_THREE_WORK = {3: (196, 18396), 4: (196, 18396), 5: (196, 18396)}
+TYPE_THREE_WORK = {3: (194, 18380), 4: (194, 18380), 5: (194, 18380)}
+# the m-spec (``foxby_roundtrip m`` over the type-three ring) at bound 2
+M_SPEC_WORK = (79, 10532)
 
 
 def count_work(monkeypatch):
@@ -1063,7 +1065,7 @@ def test_gallery_report_is_pinned(name, monkeypatch):
 # perfbench's semigroup-canonical workload, and their work in one process,
 # parsing included
 SEMIGROUP_GALLERIES = ("semigroup-345", "foxby-roundtrip", "adjoint-transfer")
-SEMIGROUP_WORK = (181, 3848)
+SEMIGROUP_WORK = (179, 3837)
 
 
 def test_semigroup_galleries_in_one_process_are_pinned(monkeypatch):
@@ -1124,7 +1126,7 @@ def _memo_kinds(ctx):
 WRAPPERS_THAT_STORE_NOTHING = {
     "class_member", "class_verdict", "transport", "ring_module", "full_gb", "rels_gb",
     "ext_vanishes", "depth", "grade", "residue_field", "nu_is_iso", "mu_is_iso",
-    "colrels", "quotient_ring", "graded_betti",
+    "colrels", "quotient_ring", "graded_betti", "ext_route",
 }
 
 
@@ -1191,3 +1193,16 @@ def test_type_three_report_at_higher_bounds_is_pinned(bound, monkeypatch):
     want = stem.with_suffix(".sha256").read_text().split()[0]
     assert hashlib.sha256(text.encode()).hexdigest() == want
     assert_work_is(work, TYPE_THREE_WORK[bound])
+
+
+def test_m_spec_report_is_pinned(monkeypatch):
+    # the residue field is in neither Foxby class, so the run exits 1; CI
+    # runs the same spec at bounds 3 and 4 against the sha256 files beside it
+    work = count_work(monkeypatch)
+    report, code = run(parse_spec((FIXTURES / "semigroup4567_m.spec").read_text()))
+    assert code == 1
+    report.pop("timestamp")
+    text = json.dumps(report, indent=2, sort_keys=True)
+    want = (FIXTURES / "semigroup4567_m_bound2.sha256").read_text().split()[0]
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert_work_is(work, M_SPEC_WORK)

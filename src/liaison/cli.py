@@ -438,7 +438,7 @@ def op_link(spec, iname: Ideal, cname: Ideal):
 
 @_operation
 def op_double_link(spec, iname: Ideal, cname: Ideal):
-    v = linkage.double_link_check(_cyclic_epi(spec, iname, cname))
+    v = linkage.double_link_check(_cyclic_epi(spec, iname, cname), spec.window)
     return {"verdict": v.to_json()}
 
 

@@ -1,5 +1,4 @@
 import ast
-import hashlib
 import inspect
 import json
 import os
@@ -24,6 +23,7 @@ from liaison.cli import (
     run,
 )
 from liaison.errors import (
+    InternalConsistencyError,
     InvalidInput,
     NonCMForCanonical,
     SpecSyntaxError,
@@ -31,6 +31,7 @@ from liaison.errors import (
     UnknownName,
 )
 
+from tests.pins import PINS, check
 from tests.test_ext_route import routed_ext_questions, watch_ext_questions
 
 MINIMAL = """
@@ -261,6 +262,16 @@ MALFORMED = [
      "groebner M"),
     (MINIMAL.replace("invariants I", "colon M I") + "[module M]\ngens = 1\n", [],
      "colon M I"),
+    (MINIMAL + "[ideal J\ngens = x\n", [], "[ideal J"),
+    # an ideal or a module needs the ring it lies over
+    ("[ideal J]\ngens = x\n" + MINIMAL, [], "[ideal J]"),
+    ("[module M]\ngens = 1\n" + MINIMAL, [], "[module M]"),
+    ("[options]\nbound = 2\n", [], "[options]"),
+    # a module column of the wrong length names its line; an inhomogeneous
+    # one, or a defining ideal that is the whole ring, names its section
+    (MINIMAL + "[module M]\nambient = 2\ngens = 1\n", [], "gens = 1"),
+    (MINIMAL + "[module M]\nambient = 2\ngens = 1, x\n", [], "[module M]"),
+    (MINIMAL.replace("vars = x", "vars = x\ndefining = x, x - 1"), [], "[ring]"),
 ]
 
 
@@ -278,6 +289,14 @@ def test_link_reports_the_window_it_was_given():
     assert code == 0 and report["window"] == [0, 2]
     hfs = report["results"][0]["data"]["obstruction_hilbert_functions"]
     assert [list(hf) for hf in hfs.values()] == [[0, 1, 2]] * 2
+
+
+def test_double_link_witness_reads_the_window_it_was_given():
+    spec = gallery("mixed-ideal-negative")
+    spec.window = (0, 2)
+    (entry,) = [e for e in run(spec)[0]["results"] if e["op"] == "double_link"]
+    assert entry["data"]["verdict"] == {
+        "status": "fails", "witness": "kernel obstruction HF {0: 0, 1: 1, 2: 0}"}
 
 
 @pytest.mark.parametrize("text, flags, bad_line", MALFORMED)
@@ -554,15 +573,14 @@ def _kernel_zero_tests(func):
 def test_no_kernel_is_built_only_to_be_tested_for_zero():
     """Whether a map is injective is ``modules.is_injective``, read from
     Hilbert series: no function builds a kernel module only to ask whether
-    it is zero.  The one site kept is ``linkage._link_operator``'s internal
-    consistency check that Ext^n(phi, K) is injective."""
+    it is zero."""
     src = pathlib.Path(liaison.__file__).resolve().parent
     sites = set()
     for path in sorted(src.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
             if isinstance(func, ast.FunctionDef) and _kernel_zero_tests(func):
                 sites.add((path.name, func.name))
-    assert sites == {("linkage.py", "_link_operator")}
+    assert sites == set()
 
 
 def test_readme_lists_every_operation():
@@ -827,19 +845,23 @@ cyclic_link I c
     assert code == 1
 
 
-def test_unexpected_exception_becomes_exit_three(monkeypatch, capsys):
+@pytest.mark.parametrize("exc, error", [
+    (RuntimeError("boom"), "internal error: RuntimeError: boom"),
+    (InternalConsistencyError("boom"), "internal consistency: boom"),
+])
+def test_unexpected_exception_becomes_exit_three(exc, error, monkeypatch, capsys):
     def broken(spec, name):
-        raise RuntimeError("boom")
+        raise exc
 
     monkeypatch.setitem(HANDLERS, "invariants", broken)
     spec = parse_spec(MINIMAL.replace("invariants I", "invariants I\nhilbert I"))
     report, code = run(spec)
     first, second = report["results"]
-    assert first["ok"] is False
-    assert first["error"] == "internal error: RuntimeError: boom"
+    assert first["ok"] is False and first["error"] == error
     assert second["ok"] is True and second["op"] == "hilbert"
     assert code == report["exit_code"] == 3
-    assert "RuntimeError: boom" in capsys.readouterr().err
+    # only a bug prints its traceback; a failed internal check is its entry
+    assert ("RuntimeError: boom" in capsys.readouterr().err) == isinstance(exc, RuntimeError)
 
 
 # specs that miss one hypothesis of the paper, with what each error names:
@@ -975,114 +997,34 @@ def test_import_loads_no_heavy_stdlib_modules():
     assert heavy.isdisjoint(out)
 
 
-# the monomial curve (t^4, t^5, t^6, t^7): Cohen-Macaulay of dimension 1,
-# codimension 3 and type 3, so its canonical module is not free; the ops are
-# those of the galleries semigroup-345, foxby-roundtrip and adjoint-transfer.
-# The spec is pinned at bound 3 below, and at bounds 4 and 5 by the sha256
-# files beside it.
-FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
-SEMIGROUP_4567 = (FIXTURES / "semigroup4567_bound4.spec").read_text().replace(
-    "bound = 4", "bound = 3")
-
-
-# each gallery's report as printed, less its timestamp, by its sha256
-GALLERY_DIGESTS = {
-    "adjoint-transfer": "284aa70fbec6f4946b2c462610b8fcdfd8fae10cb9a0039c4274afd1a445905b",
-    "depth-formula": "efedeca783d21926e573520ce5f2564677216e6fd511a9399385bbacb78493d6",
-    "direct-sum-self-link": "e9611a59873d1e46031b09dac2a1a64aeaa9b4834d2b6722fb8f2e6d7fd8871d",
-    "even-liaison-ext": "7e72df897fcc03407a08282cfd278fe35aa5d010a3ca3a5e18b555c577c289d3",
-    "foxby-roundtrip": "7ddf5d93b11ce4edece3ab2edbd4641a4662c97f224e2acff95bb11b74e2107c",
-    "mixed-ideal-negative": "aa8b4a8da4bd77ba25f39ad80af2b0b731c966913c8928fb00ed10377ba55ac1",
-    "schenzel": "dee2b2c2ec863d8c873dcde74be410eea35cd12cf0cd35dad38b89983c6417ef",
-    "semigroup-345": "ea0ce12027f6f724eeceb1619966ba8a8f0517b37f8f00b47386c11193193093",
-    "twisted-cubic": "a3379890f6e82435c2778bd1b01c98d40068bd53ec5bf6d84ecf370c729714ac",
-    "univariate-link": "f3585b663c2a9160a367ea7e455d5054ab10775b8de607248d3fdfcc779033b6",
-}
-
-
-# the work of each pinned run, exactly: (built engines, normal forms).
-# A route that gives the same bytes for far more work passes the digests
-# but not these, and a change that lowers the work must record it here.
-# Each test starts with an empty ring registry (conftest's ``cold_rings``),
-# so each run parses a cold ring and the counts do not depend on test order.
-GALLERY_WORK = {
-    "adjoint-transfer": (152, 3443),
-    "depth-formula": (76, 474),
-    "direct-sum-self-link": (45, 120),
-    "even-liaison-ext": (85, 614),
-    "foxby-roundtrip": (67, 1097),
-    "mixed-ideal-negative": (84, 184),
-    "schenzel": (78, 363),
-    "semigroup-345": (65, 704),
-    "twisted-cubic": (117, 598),
-    "univariate-link": (57, 106),
-}
-# the type-three spec, by bound
-TYPE_THREE_WORK = {3: (194, 18380), 4: (194, 18380), 5: (194, 18380)}
-# the m-spec (``foxby_roundtrip m`` over the type-three ring) at bound 2
-M_SPEC_WORK = (79, 10532)
-
-
-def count_work(monkeypatch):
-    """[built engines, normal forms], counted while the monkeypatch holds:
-    calls of ``ModuleGB.__init__`` and ``ModuleGB._normal_form``."""
-    counts = [0, 0]
-    real_init, real_normal_form = groebner.ModuleGB.__init__, groebner.ModuleGB._normal_form
-
-    def init(self, *args, **kwargs):
-        counts[0] += 1
-        real_init(self, *args, **kwargs)
-
-    def normal_form(self, *args):
-        counts[1] += 1
-        return real_normal_form(self, *args)
-
-    monkeypatch.setattr(groebner.ModuleGB, "__init__", init)
-    monkeypatch.setattr(groebner.ModuleGB, "_normal_form", normal_form)
-    return counts
-
-
-def assert_work_is(counts, pinned):
-    assert tuple(counts) == pinned, (counts, pinned)
-
-
 def test_every_gallery_is_pinned():
-    assert sorted(GALLERY_DIGESTS) == sorted(GALLERY_WORK) == sorted(GALLERIES)
+    assert set(GALLERIES) <= set(PINS)
 
 
-@pytest.mark.parametrize("name", sorted(GALLERY_DIGESTS))
-def test_gallery_report_is_pinned(name, monkeypatch):
-    work = count_work(monkeypatch)
-    report, code = run(gallery(name))
-    assert code == (1 if name == "mixed-ideal-negative" else 0)
-    report.pop("timestamp")
-    text = json.dumps(report, indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == GALLERY_DIGESTS[name]
-    assert_work_is(work, GALLERY_WORK[name])
+def test_every_pin_runs_in_tier1_or_ci():
+    # CI runs each row tier-1 does not, in its own process
+    workflow = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    loop = next(line for line in workflow.read_text().splitlines() if "-m tests.pins" in line)
+    assert {name for name, row in PINS.items() if not row.tier1} <= set(re.findall(r"[\w-]+", loop))
 
 
-# the three galleries over the (3, 4, 5) semigroup ring, in the order of
-# perfbench's semigroup-canonical workload, and their work in one process,
-# parsing included
-SEMIGROUP_GALLERIES = ("semigroup-345", "foxby-roundtrip", "adjoint-transfer")
-SEMIGROUP_WORK = (179, 3837)
+# rows whose tests below read more of the run than its pin
+READ_FURTHER = ("semigroup-galleries", "type-three-3", "bass-numbers-6")
 
 
-def test_semigroup_galleries_in_one_process_are_pinned(monkeypatch):
+@pytest.mark.parametrize(
+    "name", [name for name, row in PINS.items() if row.tier1 and name not in READ_FURTHER])
+def test_run_is_pinned(name):
+    check(name)
+
+
+def test_semigroup_galleries_in_one_process_are_pinned():
     # equal [ring] sections parse to one ring, so the later galleries find
     # the earlier ones' entries (298 engines and 5,999 normal forms when
     # each spec built its own ring)
-    work = count_work(monkeypatch)
-    specs = [gallery(name) for name in SEMIGROUP_GALLERIES]
+    specs = [spec for spec, _ in check("semigroup-galleries")]
     assert all(spec.ring is specs[0].ring for spec in specs)
     assert all(spec.resolve_K() is specs[0].resolve_K() for spec in specs)
-    for name, spec in zip(SEMIGROUP_GALLERIES, specs):
-        report, code = run(spec)
-        assert code == 0
-        report.pop("timestamp")
-        text = json.dumps(report, indent=2, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == GALLERY_DIGESTS[name]
-    assert_work_is(work, SEMIGROUP_WORK)
 
 
 def _memo_entries(ctx):
@@ -1148,20 +1090,8 @@ def test_wrappers_served_by_inner_entries_store_nothing():
 
 
 def test_type_three_report_is_pinned(monkeypatch):
-    # the report as printed, less its timestamp, pinned by its sha256: how
-    # Hilbert numerators, image columns or syzygies are computed may change,
-    # what the report says may not
     questions = watch_ext_questions(monkeypatch)
-    work = count_work(monkeypatch)
-    spec = parse_spec(SEMIGROUP_4567)
-    report, code = run(spec)
-    assert code == 0
-    assert_work_is(work, TYPE_THREE_WORK[3])
-    report.pop("timestamp")
-    text = json.dumps(report, indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "77af9c575792fd6b2c96cad9b9529008ec0940dc5110c7e780a208d4ef48e36c"
-    )
+    (spec, _), = check("type-three-3")
     # the same run: the 6 Ext questions over the ring into an N other than
     # ω_R all have an N with a regular annihilator x, are into ω/xω and ask
     # for vanishing, so they go over S from M/xM (the Bass numbers, read
@@ -1177,32 +1107,10 @@ def test_type_three_report_is_pinned(monkeypatch):
         assert groebner.minimal_generator_indices(
             eng.syzygies, M.ctx, eng.track, M.gen_degrees(),
             groebner._ring_columns(M.ctx, eng.track)) == list(range(len(eng.syzygies)))
-    assert (len(engines), sum(len(eng.syzygies) for _, eng in engines)) == (57, 786)
+    assert (len(engines), sum(len(eng.syzygies) for _, eng in engines)) == (56, 775)
 
 
-@pytest.mark.parametrize("bound", [4, 5])
-def test_type_three_report_at_higher_bounds_is_pinned(bound, monkeypatch):
-    # each under a second since Ext into ω/xω is decided over S; bound 5
-    # took minutes and hundreds of MiB before
-    stem = FIXTURES / f"semigroup4567_bound{bound}"
-    work = count_work(monkeypatch)
-    report, code = run(parse_spec(stem.with_suffix(".spec").read_text()))
-    assert code == 0
-    report.pop("timestamp")
-    text = json.dumps(report, indent=2, sort_keys=True)
-    want = stem.with_suffix(".sha256").read_text().split()[0]
-    assert hashlib.sha256(text.encode()).hexdigest() == want
-    assert_work_is(work, TYPE_THREE_WORK[bound])
-
-
-def test_m_spec_report_is_pinned(monkeypatch):
-    # the residue field is in neither Foxby class, so the run exits 1; CI
-    # runs the same spec at bounds 3 and 4 against the sha256 files beside it
-    work = count_work(monkeypatch)
-    report, code = run(parse_spec((FIXTURES / "semigroup4567_m.spec").read_text()))
-    assert code == 1
-    report.pop("timestamp")
-    text = json.dumps(report, indent=2, sort_keys=True)
-    want = (FIXTURES / "semigroup4567_m_bound2.sha256").read_text().split()[0]
-    assert hashlib.sha256(text.encode()).hexdigest() == want
-    assert_work_is(work, M_SPEC_WORK)
+def test_bass_numbers_of_the_type_three_ring_are_pinned():
+    (_, report), = check("bass-numbers-6")
+    assert report["results"][0]["data"] == {
+        "bass_numbers": [0, 3, 8, 24, 72, 216, 648], "type": 3}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison import cli, groebner, linkage, modules, ring
-from liaison.errors import IllDefinedMap
+from liaison.errors import IllDefinedMap, RingMismatch
 from liaison.groebner import Vec, _polys
 from liaison.homalg import free_resolution
 from liaison.modules import (
@@ -290,3 +290,8 @@ def test_map_columns_are_checked_key_by_key():
     # a key past the target's generators
     with pytest.raises(IllDefinedMap, match="height"):
         ModuleMap(R1, R1, [Vec({1 << ctx._pk.span: 1})])
+    # one column for two source generators, and a target over another ring
+    with pytest.raises(IllDefinedMap, match="width"):
+        ModuleMap(F, R1, [Vec()])
+    with pytest.raises(RingMismatch):
+        ModuleMap(R1, free_module(make_ring(101, ["x"]), 1), [Vec()])

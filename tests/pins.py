@@ -37,6 +37,9 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 TYPE_THREE = (FIXTURES / "semigroup4567_bound4.spec").read_text()
 M_SPEC = (FIXTURES / "semigroup4567_m.spec").read_text()
 BASS_NUMBERS = TYPE_THREE[: TYPE_THREE.index("[K]")] + "[ops]\nbass_numbers 6\n"
+# linkage with K canonical, over the quotient route of each ring
+SEMIGROUP_LINKAGE = (FIXTURES / "semigroup345_linkage.spec").read_text()
+TYPE_THREE_LINKAGE = (FIXTURES / "semigroup4567_linkage.spec").read_text()
 
 # sources: gallery names or spec texts, run in order in one process;
 # bound: set on each parsed spec as --bound does, or None for the spec's own;
@@ -105,6 +108,16 @@ PINS = {
     "bass-numbers-6": Pin(
         (BASS_NUMBERS,), None, 0,
         "03455fafd711fb31e27d141038b56bc9da9d7ed06f5743e38ff8b7e30af338ea", (41, 5914), True),
+    "semigroup-linkage": Pin(
+        (SEMIGROUP_LINKAGE,), None, 0,
+        "c5ee369952bff84e7e53c4b0d9616235eb9d9b434b617ea5ecc3ff1035e39630", (187, 2897), True),
+    "type-three-linkage": Pin(
+        (TYPE_THREE_LINKAGE,), None, 0,
+        "ab4cb92e8289a8a4de0abfdbebe41ec84e3c4cc983d7c0db0641afcf2e32c65e", (162, 10677), True),
+    # the invariants of I behind its depth formula resolve over R
+    "type-three-depth-formula": Pin(
+        (TYPE_THREE_LINKAGE + "depth_formula I c\n",), None, 0,
+        "f3f91894f721cda3eed51dbd6187309b8f6800901ff63df8ee724c968aaf195b", (207, 26882), False),
 }
 
 

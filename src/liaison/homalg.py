@@ -36,8 +36,10 @@ alone, by route 5:
    Ext^i_R(M, ω_R) = Ext^{i+c}_S(M, ω_S) (Bruns-Herzog 3.3), ω_S = S(-w).
    Over S resolutions stop within dim S steps, where over a non-Gorenstein
    R they need not stop at all.  ω_R is the module
-   ``linkage.canonical_module`` stored for R once R passed the CM check.
-   ``dual_hilbert`` gives the Ext_S term, as it gives local cohomology.
+   ``linkage.canonical_module`` stored for R once R passed the CM check;
+   ``change_of_rings`` moves it to the one stored for R/(x), so over R/(x)
+   the obstructions into it take this route too.  ``dual_hilbert`` gives
+   the Ext_S term, as it gives local cohomology, and zero past dim S.
 2. Ext into an N with an x of route 3 and N/xN = ω/xω goes over S as
    t^{w + deg x} HS(Ext^{i+c}_S((M/xM)_S, S)): R/(x) is Cohen-Macaulay and
    ω/xω = ω_{R/(x)}(-deg x) (Bruns-Herzog 3.3.5, graded 3.6.12).
@@ -61,9 +63,9 @@ alone, by route 5:
 ``quotient_ring`` builds R/(x) for a regular sequence x of Vecs, which
 ``ring._make_ring`` files under its reduced basis, so the Ext route, the
 quotient route of the bidual obstructions and ``cohomology.schenzel_check``
-(both through ``change_of_rings``, which also moves K to Ext^n(R/(x), K))
-share one ring per quotient, and every result cached over it.  Modules
-move there with ``modules.transport``.
+(both through ``change_of_rings``, which also moves K to Ext^n(R/(x), K),
+ω_R to ω_{R/(x)}) share one ring per quotient, and every result cached
+over it.  Modules move there with ``modules.transport``.
 
 Both complexes follow one degree convention, Hom(R(-d), N) = N(d) and
 R(-d) (x) N = N(-d), so every term is a block sum ⊕ N(d_b) and
@@ -383,10 +385,11 @@ def _series(functor, i, M, N):
 
 def dual_hilbert(j, M):
     """The HilbertData of Ext^j_S(M, S), M taken over the polynomial ring S
-    under its ring; zero for j < 0.  By local duality it is that of the
-    graded dual of H^{dim S - j}_m(M), twisted by the sum of the weights."""
+    under its ring; zero for j < 0 and for j > dim S, as pd_S M <= dim S
+    (Hilbert's syzygy theorem).  By local duality it is that of the graded
+    dual of H^{dim S - j}_m(M), twisted by the sum of the weights."""
     MS = restrict_scalars(M)
-    if j < 0:
+    if not 0 <= j <= MS.ctx.m:
         return HilbertData(MS.ctx, {})
     return ext_hilbert(j, MS, free_module(MS.ctx, 1))
 
@@ -688,10 +691,17 @@ def _combinations(ctx, ideal):
 
 def change_of_rings(ctx, x_seq, K):
     """Pass to R/(x) = ``quotient_ring(ctx, x_seq)`` for a regular sequence
-    x of Vecs; K moves to Ext^n(R/(x), K)."""
+    x of Vecs; K moves to Ext^n(R/(x), K).  When K is the canonical module
+    stored for R, that Ext is ω_{R/(x)} (Bruns-Herzog 3.3.5, graded
+    3.6.12), so K moves to ``linkage.canonical_module(R/(x))``, the module
+    route 1 recognizes."""
     if not x_seq:
         return ctx, K
     ctx2 = quotient_ring(ctx, x_seq)
+    if K == _memoized(ctx, "canonical_module"):
+        from .linkage import canonical_module  # linkage imports this module
+
+        return ctx2, canonical_module(ctx2)
     return ctx2, transport(ext(len(x_seq), _cyclic_module(ctx, x_seq), K), ctx2)
 
 

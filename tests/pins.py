@@ -50,7 +50,7 @@ Pin = namedtuple("Pin", "sources bound code digest work tier1")
 PINS = {
     "adjoint-transfer": Pin(
         ("adjoint-transfer",), None, 0,
-        "284aa70fbec6f4946b2c462610b8fcdfd8fae10cb9a0039c4274afd1a445905b", (150, 3392), True),
+        "284aa70fbec6f4946b2c462610b8fcdfd8fae10cb9a0039c4274afd1a445905b", (136, 2946), True),
     "depth-formula": Pin(
         ("depth-formula",), None, 0,
         "efedeca783d21926e573520ce5f2564677216e6fd511a9399385bbacb78493d6", (75, 456), True),
@@ -62,7 +62,7 @@ PINS = {
         "7e72df897fcc03407a08282cfd278fe35aa5d010a3ca3a5e18b555c577c289d3", (83, 578), True),
     "foxby-roundtrip": Pin(
         ("foxby-roundtrip",), None, 0,
-        "7ddf5d93b11ce4edece3ab2edbd4641a4662c97f224e2acff95bb11b74e2107c", (67, 1097), True),
+        "7ddf5d93b11ce4edece3ab2edbd4641a4662c97f224e2acff95bb11b74e2107c", (57, 1035), True),
     "mixed-ideal-negative": Pin(
         ("mixed-ideal-negative",), None, 1,
         "aa8b4a8da4bd77ba25f39ad80af2b0b731c966913c8928fb00ed10377ba55ac1", (81, 179), True),
@@ -83,17 +83,17 @@ PINS = {
     # to one ring, so the later galleries find the earlier ones' entries
     "semigroup-galleries": Pin(
         ("semigroup-345", "foxby-roundtrip", "adjoint-transfer"), None, 0,
-        "c5a8071a29f35065f2289e376162de0510e1abca26530fd4482877adbcd6892e", (177, 3786), True),
+        "c5a8071a29f35065f2289e376162de0510e1abca26530fd4482877adbcd6892e", (152, 3294), True),
     # the ops of the three semigroup galleries over the type-three ring
     "type-three-3": Pin(
         (TYPE_THREE,), 3, 0,
-        "77af9c575792fd6b2c96cad9b9529008ec0940dc5110c7e780a208d4ef48e36c", (192, 18241), True),
+        "77af9c575792fd6b2c96cad9b9529008ec0940dc5110c7e780a208d4ef48e36c", (162, 14371), True),
     "type-three-4": Pin(
         (TYPE_THREE,), 4, 0,
-        "0dcb98b42db6894843d76c62b7dcc6696e3d85c6f566e0652f0a3bbbab7e91f0", (192, 18241), True),
+        "0dcb98b42db6894843d76c62b7dcc6696e3d85c6f566e0652f0a3bbbab7e91f0", (162, 14371), True),
     "type-three-5": Pin(
         (TYPE_THREE,), 5, 0,
-        "ff679fed8172763cd0ae6ad4365d36dbe1b700ce2434af5f1318c4021155b07d", (192, 18241), True),
+        "ff679fed8172763cd0ae6ad4365d36dbe1b700ce2434af5f1318c4021155b07d", (162, 14371), True),
     # the residue field is in neither Foxby class of ω, so these exit 1
     "m-spec-2": Pin(
         (M_SPEC,), 2, 1,
@@ -110,14 +110,14 @@ PINS = {
         "03455fafd711fb31e27d141038b56bc9da9d7ed06f5743e38ff8b7e30af338ea", (41, 5914), True),
     "semigroup-linkage": Pin(
         (SEMIGROUP_LINKAGE,), None, 0,
-        "c5ee369952bff84e7e53c4b0d9616235eb9d9b434b617ea5ecc3ff1035e39630", (187, 2897), True),
+        "c5ee369952bff84e7e53c4b0d9616235eb9d9b434b617ea5ecc3ff1035e39630", (177, 2335), True),
     "type-three-linkage": Pin(
         (TYPE_THREE_LINKAGE,), None, 0,
-        "ab4cb92e8289a8a4de0abfdbebe41ec84e3c4cc983d7c0db0641afcf2e32c65e", (162, 10677), True),
+        "ab4cb92e8289a8a4de0abfdbebe41ec84e3c4cc983d7c0db0641afcf2e32c65e", (154, 8472), True),
     # the invariants of I behind its depth formula resolve over R
     "type-three-depth-formula": Pin(
         (TYPE_THREE_LINKAGE + "depth_formula I c\n",), None, 0,
-        "f3f91894f721cda3eed51dbd6187309b8f6800901ff63df8ee724c968aaf195b", (207, 26882), False),
+        "f3f91894f721cda3eed51dbd6187309b8f6800901ff63df8ee724c968aaf195b", (199, 24677), False),
 }
 
 

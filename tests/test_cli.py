@@ -31,7 +31,8 @@ from liaison.errors import (
     UnknownName,
 )
 
-from tests.pins import PINS, check
+from tests.pins import PINS, SEMIGROUP_LINKAGE, check
+from tests.polyref import ideal
 from tests.test_ext_route import routed_ext_questions, watch_ext_questions
 
 MINIMAL = """
@@ -1107,7 +1108,29 @@ def test_type_three_report_is_pinned(monkeypatch):
         assert groebner.minimal_generator_indices(
             eng.syzygies, M.ctx, eng.track, M.gen_degrees(),
             groebner._ring_columns(M.ctx, eng.track)) == list(range(len(eng.syzygies)))
-    assert (len(engines), sum(len(eng.syzygies) for _, eng in engines)) == (56, 775)
+    assert (len(engines), sum(len(eng.syzygies) for _, eng in engines)) == (44, 421)
+
+
+def test_is_linked_with_canonical_k_asks_r_mod_x_for_the_transpose_alone(monkeypatch):
+    # over R/(x) the obstruction Ext^1(Tr, ω_{R/(x)}) goes over S, so R/(x)
+    # resolves M/xM to length 1 for its transpose and builds no image
+    # engine (moving K to Ext^1(R/(x), ω) instead, it resolved Tr to
+    # length 2 and built 2 image engines there)
+    text = SEMIGROUP_LINKAGE[: SEMIGROUP_LINKAGE.index("[ops]")] + "[ops]\nis_linked I c\n"
+    engines = []
+    real = homalg._image_engine
+    monkeypatch.setattr(homalg, "_image_engine", lambda functor, k, M, N, res: (
+        engines.append(M.ctx) or real(functor, k, M, N, res)))
+    spec = parse_spec(text)
+    report, code = run(spec)
+    assert code == 0 and report["results"][0]["data"] == {"linked": True}
+    R = spec.ring
+    ctx2 = homalg.quotient_ring(R, ideal(R, [R.var(0)]))
+    lengths = {key[1][1] for key in ctx2._cache
+               if isinstance(key, tuple) and isinstance(key[0], liaison.GradedModule)
+               and key[1][0] == "res"}
+    assert lengths == {0, 1}
+    assert ctx2 not in engines
 
 
 def test_bass_numbers_of_the_type_three_ring_are_pinned():

@@ -1,8 +1,9 @@
 """Ext over R/(x): when x is regular on R and on M and kills N,
 Ext^i_R(M, N) = Ext^i_{R/(x)}(M/xM, N) as graded modules, so ``ext_vanishes``
-and ``ext_hilbert`` answer over R/(x), and into N = ω/xω over S; and M's
-graded Betti numbers are those of M/xM over R/(x) (``graded_betti``).
-Checked against the route over R, and the moves to R/(x) that it rests on."""
+and ``ext_hilbert`` answer over R/(x), and into N = ω/xω over S; M's
+graded Betti numbers are those of M/xM over R/(x) (``graded_betti``); and
+``change_of_rings`` moves ω_R to ω_{R/(x)}.  Checked against the route
+over R, and the moves to R/(x) that it rests on."""
 
 from collections import Counter
 
@@ -429,8 +430,9 @@ def test_canonical_module_moves_to_the_canonical_module_of_r_mod_x():
 
 
 def test_any_other_k_moves_as_ext_of_r_mod_x_into_it():
-    # R itself, and ω's ideal (x, y) of the (3, 4, 5) ring, given as a
-    # module of its own: neither is the stored canonical module
+    # R itself, and the ideal (x, y) of the (3, 4, 5) ring given as a
+    # module of its own (a canonical ideal: ω up to a twist): neither is
+    # the stored canonical module
     R = SEMIGROUP_345
     seq = ideal(R, [parse_poly(R, "x^2")])
     explicit = subquotient(R, [(parse_poly(R, v),) for v in ("x", "y")], [])
